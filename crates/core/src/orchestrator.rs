@@ -9,10 +9,13 @@
 
 use ocelot_faas::{Cluster, WaitTimeModel};
 use ocelot_netsim::{
-    draw_faults, simulate_transfer_detailed, simulate_transfer_with_faults, FaultDraw, FaultModel, GridFtpConfig,
-    SiteId, Topology,
+    draw_faults, simulate_transfer_detailed, simulate_transfer_windowed, simulate_transfer_with_faults, FaultDraw,
+    FaultModel, GridFtpConfig, SiteId, Topology,
 };
 use ocelot_obs::ledger::{Draft, EventKind};
+use std::borrow::Cow;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 use crate::grouping::{plan_groups, plan_groups_by_count};
 use crate::report::TimeBreakdown;
@@ -513,7 +516,7 @@ impl Orchestrator {
                     let p = if breakdown.transfer_s > landed + 1e-9 {
                         let p = ledger_emit(
                             EventKind::ReorderEnter,
-                            Draft { parent: p, cause: Some("awaiting batch decompression".to_string()), ..d(landed) },
+                            Draft { parent: p, cause: Some("awaiting batch decompression".into()), ..d(landed) },
                         );
                         ledger_emit(EventKind::ReorderExit, Draft { parent: p, ..d(breakdown.transfer_s) })
                     } else {
@@ -586,7 +589,7 @@ impl Orchestrator {
 
         // Each file splits into the engine's chunk count; chunk j finishes
         // encoding at the proportional point of the file's compute interval.
-        let k = if opts.codec_threads <= 1 { 1 } else { opts.codec_threads * 2 };
+        let k = ocelot_sz::engine::chunks_for_threads(opts.codec_threads);
         // (ready, payload bytes, file, chunk index, compress-begin)
         let mut chunks: Vec<(f64, u64, u32, u32, f64)> = Vec::with_capacity(sizes.len() * k);
         for (i, &size) in sizes.iter().enumerate() {
@@ -634,31 +637,17 @@ impl Orchestrator {
             payload.clone()
         };
 
-        // Window-W back-pressure fixpoint: chunk m cannot ship before chunk
-        // m−W has fully landed. Releasing later only delays completions, so
-        // the iteration is monotone; it converges once no release moves.
-        let window = opts.stream_window;
-        let mut release = ready.clone();
-        let mut detail = simulate_transfer_detailed(&wire, Some(&release), &route.link, &opts.gridftp, opts.seed);
-        for _ in 0..32 {
-            let mut changed = false;
-            for m in window..release.len() {
-                let want = ready[m].max(detail.completion_s[m - window]);
-                if want > release[m] + 1e-6 {
-                    release[m] = want;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-            detail = simulate_transfer_detailed(&wire, Some(&release), &route.link, &opts.gridftp, opts.seed);
-        }
+        // Window-W back-pressure: chunk m cannot ship before chunk m−W has
+        // fully landed. The window is a resource inside the transfer's event
+        // loop, so one pass yields the exact release schedule.
+        let detail =
+            simulate_transfer_windowed(&wire, &ready, opts.stream_window, &route.link, &opts.gridftp, opts.seed);
+        let release = &detail.release_s;
         let transfer_s = detail.report.duration_s;
 
         // Merged stall intervals (a chunk encoded but blocked on the window).
         let mut stalls: Vec<(f64, f64)> =
-            ready.iter().zip(&release).filter(|(r, l)| **l > **r + 1e-9).map(|(&r, &l)| (r, l)).collect();
+            ready.iter().zip(release).filter(|(r, l)| **l > **r + 1e-9).map(|(&r, &l)| (r, l)).collect();
         stalls.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite stall times"));
         let mut stall_iv: Vec<(f64, f64)> = Vec::new();
         for (a, b) in stalls {
@@ -679,17 +668,19 @@ impl Orchestrator {
         // each decode duration pairs with its own chunk's landing time.
         let dchunk: Vec<f64> =
             chunks.iter().map(|c| dwork[c.2 as usize].max(0.0) / k as f64 / dst.core_speed).collect();
-        let mut dlanes = vec![f64::NEG_INFINITY; decomp_cluster.total_cores().min(dchunk.len().max(1))];
+        // Min-heap of lane-free times. They are non-negative, so their IEEE
+        // bit patterns order like the values.
+        let mut dlanes: BinaryHeap<Reverse<u64>> =
+            (0..decomp_cluster.total_cores().min(dchunk.len().max(1))).map(|_| Reverse(0.0f64.to_bits())).collect();
         let mut first_decode = f64::INFINITY;
         let mut decomp_finish = transfer_s;
         let mut dsched: Vec<(f64, f64)> = Vec::with_capacity(dchunk.len());
         for (m, &dur) in dchunk.iter().enumerate() {
             let arrival = detail.completion_s[m];
-            let (lane, free) =
-                dlanes.iter().enumerate().min_by(|a, b| a.1.total_cmp(b.1)).map(|(i, &t)| (i, t)).expect("lanes");
-            let start = free.max(arrival);
+            let Reverse(free) = dlanes.pop().expect("at least one decode lane");
+            let start = f64::from_bits(free).max(arrival);
             first_decode = first_decode.min(start);
-            dlanes[lane] = start + dur;
+            dlanes.push(Reverse((start + dur).to_bits()));
             decomp_finish = decomp_finish.max(start + dur);
             dsched.push((start, start + dur));
         }
@@ -752,7 +743,7 @@ impl Orchestrator {
                 "Failed chunk transfer attempts re-sent in streamed runs",
                 chunk_retries,
             );
-            for (r, l) in ready.iter().zip(&release) {
+            for (r, l) in ready.iter().zip(release) {
                 if *l > *r + 1e-9 {
                     obs.observe("ocelot_chunk_stall_seconds", "Back-pressure stall per chunk in streamed runs", l - r);
                 }
@@ -766,6 +757,7 @@ impl Orchestrator {
                 let ledger_emit = |k: EventKind, d: Draft| Some(led.append(k, d));
                 let begin = ledger_emit(EventKind::JobBegin, Draft::job(job, 0.0));
                 ledger_emit(EventKind::TransferBegin, Draft { parent: begin, ..Draft::job(job, wait_s) });
+                let fault_cause = injecting.then(|| Cow::from(opts.faults.describe()));
                 for m in 0..payload.len() {
                     let (file, chunk) = (chunks[m].2, chunks[m].3);
                     let d = |t: f64| Draft { t_sim: Some(t), bytes: payload[m], ..Draft::chunk(job, file, chunk) };
@@ -774,7 +766,7 @@ impl Orchestrator {
                     let p = if release[m] > ready[m] + 1e-9 {
                         let p = ledger_emit(
                             EventKind::WindowWait,
-                            Draft { parent: p, cause: Some("stream window full".to_string()), ..d(ready[m]) },
+                            Draft { parent: p, cause: Some("stream window full".into()), ..d(ready[m]) },
                         );
                         ledger_emit(EventKind::Released, Draft { parent: p, ..d(release[m]) })
                     } else {
@@ -799,7 +791,7 @@ impl Orchestrator {
                                 EventKind::Fault,
                                 Draft {
                                     parent: p,
-                                    cause: Some(opts.faults.describe()),
+                                    cause: fault_cause.clone(),
                                     attempt: a as u32 + 1,
                                     bytes: (payload[m] as f64 * frac) as u64,
                                     ..d(t0)
@@ -817,7 +809,7 @@ impl Orchestrator {
                     let p = if ds > landed + 1e-9 {
                         let p = ledger_emit(
                             EventKind::ReorderEnter,
-                            Draft { parent: p, cause: Some("decode lanes busy".to_string()), ..d(landed) },
+                            Draft { parent: p, cause: Some("decode lanes busy".into()), ..d(landed) },
                         );
                         ledger_emit(EventKind::ReorderExit, Draft { parent: p, ..d(ds) })
                     } else {
@@ -1104,6 +1096,43 @@ mod tests {
         let tn = Orchestrator::overlapped_total_s(&orch.run_streamed(&w, SiteId::Bebop, SiteId::Cori, &narrow));
         let tw = Orchestrator::overlapped_total_s(&orch.run_streamed(&w, SiteId::Bebop, SiteId::Cori, &wide));
         assert!(tw <= tn + 1e-6, "wide {tw} vs narrow {tn}");
+    }
+
+    #[test]
+    fn stream_window_holds_exactly_on_a_3601_chunk_workload() {
+        // At this scale an approximate release schedule shows up as chunks
+        // shipped before, or held after, the landing one window ahead.
+        const W: usize = 8;
+        let w = Workload::rtm(ocelot_sz::LossyConfig::sz3(1e-3), 8).unwrap();
+        let led = ocelot_obs::ledger::Ledger::detached();
+        let orch = Orchestrator::paper().with_ledger(led.clone());
+        let opts = PipelineOptions { stream_window: W, job: Some(1), ..Default::default() };
+        orch.run_streamed(&w, SiteId::Anvil, SiteId::Bebop, &opts);
+        // Chunks are emitted in wire order, one causal chain each.
+        let (mut ready, mut release, mut landed) = (Vec::new(), Vec::new(), Vec::new());
+        for e in led.drain() {
+            match e.event {
+                EventKind::Encoded => ready.push(e.t_sim.unwrap()),
+                EventKind::Released => release.push(e.t_sim.unwrap()),
+                EventKind::Arrived => landed.push(e.t_sim.unwrap()),
+                _ => {}
+            }
+        }
+        assert!(ready.len() >= 3000 && release.len() == ready.len() && landed.len() == ready.len());
+        let mut stalled = 0;
+        for m in 0..ready.len() {
+            let gate = if m >= W { landed[m - W] } else { 0.0 };
+            assert!(release[m] >= ready[m], "chunk {m} released before it was encoded");
+            assert!(
+                release[m] >= gate - 1e-9,
+                "chunk {m} released at {} before chunk {} landed at {gate}",
+                release[m],
+                m.saturating_sub(W)
+            );
+            assert!(release[m] <= ready[m].max(gate) + 1e-9, "chunk {m} held past its window slot");
+            stalled += usize::from(release[m] > ready[m]);
+        }
+        assert!(stalled > 0, "an 8-chunk window over Anvil→Bebop must exert back-pressure");
     }
 
     #[test]

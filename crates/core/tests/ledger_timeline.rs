@@ -10,6 +10,7 @@ use ocelot::orchestrator::{Orchestrator, PipelineOptions};
 use ocelot::workload::Workload;
 use ocelot_netsim::{FaultModel, SiteId};
 use ocelot_obs::ledger::{self, check_causality, render_timeline, Ledger, LedgerEvent, Timeline};
+use ocelot_sz::engine::ChunkLayout;
 use proptest::prelude::*;
 
 /// Serializes tests that install the process-global ledger.
@@ -18,22 +19,18 @@ fn lock() -> MutexGuard<'static, ()> {
     GATE.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-/// A small Miranda slice: profiles are measured once, then the file list is
-/// truncated so the window fixpoint stays fast under proptest.
+/// The Miranda workload (768 files of 256×384×384); profiles are measured once.
 fn workload() -> &'static Workload {
     static W: OnceLock<Workload> = OnceLock::new();
-    W.get_or_init(|| {
-        let mut w = Workload::miranda(ocelot_sz::LossyConfig::sz3(1e-2), 32).expect("profiling succeeds");
-        w.files.truncate(20);
-        w
-    })
+    W.get_or_init(|| Workload::miranda(ocelot_sz::LossyConfig::sz3(1e-2), 32).expect("profiling succeeds"))
 }
 
 /// Runs one streamed job with a fresh obs + ledger and returns the drained
 /// events plus the critpath stage attribution of its span tree.
 fn run_case(threads: usize, window: usize, wait: f64, faults: FaultModel, job: u64) -> (Vec<LedgerEvent>, [f64; 7]) {
     let obs = ocelot_obs::Obs::enabled();
-    let led = Ledger::with_obs(&obs);
+    // 768 files × 16 chunks × ≤ 9 events overflow the default sink.
+    let led = Ledger::with_obs_and_capacity(&obs, 1 << 18);
     ledger::install_global(&led);
     let opts = PipelineOptions {
         codec_threads: threads,
@@ -120,9 +117,10 @@ proptest! {
         for t in &tl.tracks {
             assert_track_contiguous(t);
         }
-        // Expected chunk population: k chunks per file (window > 0) or one
+        // Expected chunk population: what the real engine's layout splits a
+        // Miranda file into at this thread count (window > 0), or one
         // file-grain track each (window 0 → overlapped path).
-        let k = if window == 0 || threads <= 1 { 1 } else { threads * 2 };
+        let k = if window == 0 { 1 } else { ChunkLayout::plan(&[256, 384, 384], threads, None).n_chunks() };
         prop_assert_eq!(tl.tracks.len(), workload().files.len() * k);
     }
 }

@@ -192,10 +192,8 @@ impl FaasEndpoint {
                 // Decode-on-arrival: a busy lane parks the landed chunk in
                 // the reorder buffer until a decoder frees up.
                 let p = if start > release {
-                    let p = emit(
-                        EventKind::ReorderEnter,
-                        Draft { cause: Some("decode lanes busy".to_string()), ..d(release) },
-                    );
+                    let p =
+                        emit(EventKind::ReorderEnter, Draft { cause: Some("decode lanes busy".into()), ..d(release) });
                     emit(EventKind::ReorderExit, Draft { parent: p, ..d(start) })
                 } else {
                     None

@@ -109,7 +109,7 @@ pub fn simulate_transfer_released(
     simulate_transfer_detailed(files, release_s, link, config, seed).report
 }
 
-/// A [`TransferReport`] plus the simulated completion time of every file.
+/// A [`TransferReport`] plus the simulated per-file timeline.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DetailedTransferReport {
     /// The aggregate batch report (identical to what
@@ -123,6 +123,12 @@ pub struct DetailedTransferReport {
     /// concurrency slot and its transfer actually began), indexed like
     /// `files`. The chunk ledger records these as `in_flight` events.
     pub start_s: Vec<f64>,
+    /// Per-file times at which the file's command became available to the
+    /// control channel, indexed like `files`: the caller's release times
+    /// (zeros for `None`), raised by [`simulate_transfer_windowed`] to the
+    /// landing of the file one window ahead. `release_s[i] − ready_s[i]` is
+    /// file `i`'s back-pressure stall.
+    pub release_s: Vec<f64>,
 }
 
 /// Like [`simulate_transfer_released`], but also records when each file
@@ -138,36 +144,84 @@ pub fn simulate_transfer_detailed(
     config: &GridFtpConfig,
     seed: u64,
 ) -> DetailedTransferReport {
+    run_event_loop(files, release_s, usize::MAX, link, config, seed)
+}
+
+/// Like [`simulate_transfer_detailed`] with a bounded in-flight *window*: at
+/// most `window` files may sit between their release and their landing, so
+/// file `m`'s command becomes available at
+/// `max(ready_s[m], completion_s[m − window])`. The window is a resource of
+/// the event loop itself — the control channel blocks until that completion
+/// event fires — which is causal (file `m` cannot be active before
+/// `m − window` lands, so that landing never depends on `m`) and therefore
+/// exact in one pass. The report's `release_s` carries the effective times.
+///
+/// `window ≥ files.len()` never blocks and is bit-identical to
+/// `simulate_transfer_detailed(files, Some(ready_s), …)`.
+///
+/// # Panics
+/// Panics if `window == 0`, and under the same conditions as
+/// [`simulate_transfer_released`].
+pub fn simulate_transfer_windowed(
+    files: &[u64],
+    ready_s: &[f64],
+    window: usize,
+    link: &LinkProfile,
+    config: &GridFtpConfig,
+    seed: u64,
+) -> DetailedTransferReport {
+    assert!(window > 0, "window must be positive");
+    run_event_loop(files, Some(ready_s), window, link, config, seed)
+}
+
+/// The one fluid event loop behind every `simulate_transfer*` entry point.
+fn run_event_loop(
+    files: &[u64],
+    ready_s: Option<&[f64]>,
+    window: usize,
+    link: &LinkProfile,
+    config: &GridFtpConfig,
+    seed: u64,
+) -> DetailedTransferReport {
     assert!(config.concurrency > 0, "concurrency must be positive");
     assert!(config.parallelism > 0, "parallelism must be positive");
-    if let Some(r) = release_s {
+    if let Some(r) = ready_s {
         assert_eq!(r.len(), files.len(), "one release time per file");
         assert!(r.iter().all(|t| t.is_finite() && *t >= 0.0), "release times must be non-negative");
     }
+    let n = files.len();
     let bytes_total: u64 = files.iter().sum();
+    // A file that has not landed yet completes "at +∞", which is what keeps
+    // the window gate below closed.
+    let mut completion_s = vec![f64::INFINITY; n];
+    let mut start_s = vec![0.0f64; n];
+    // Starts as the caller's ready times; the window gate raises entries.
+    let mut release_s = ready_s.map_or_else(|| vec![0.0f64; n], <[f64]>::to_vec);
     if files.is_empty() {
         return DetailedTransferReport {
             report: TransferReport { duration_s: 0.0, bytes_total: 0, n_files: 0, effective_speed_bps: 0.0 },
-            completion_s: Vec::new(),
-            start_s: Vec::new(),
+            completion_s,
+            start_s,
+            release_s,
         };
     }
-    let mut completion_s = vec![0.0f64; files.len()];
-    let mut start_s = vec![0.0f64; files.len()];
 
     // Command spacing: each of `concurrency` control channels handles one
     // file every `per_file_overhead` (+1 RTT without pipelining).
     let per_command = link.per_file_overhead_s + if config.pipelining { 0.0 } else { link.rtt_s };
     let release_spacing = per_command / config.concurrency as f64;
-    // Availability: a command cannot be issued before its file exists.
-    let available = |i: usize| release_s.map_or(0.0, |r| r[i]);
 
     let mut now = SimTime::ZERO;
     let mut next_file = 0usize; // next file awaiting command release
-    let mut next_release = SimTime::from_secs_f64(release_spacing.max(available(0)));
+    let mut channel_free = SimTime::from_secs_f64(release_spacing); // earliest the next command can issue
+    let mut next_release: Option<SimTime> = None; // `None` while the window gate is closed
     let mut ready: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
     let mut active: Vec<Active> = Vec::with_capacity(config.concurrency);
     let mut last_completion = SimTime::ZERO;
+    // Per-event scratch, reused across events: `rates[i]` belongs to
+    // `active[i]`, `unfixed` is the water-filling work list.
+    let mut rates: Vec<f64> = Vec::with_capacity(config.concurrency);
+    let mut unfixed: Vec<usize> = Vec::with_capacity(config.concurrency);
 
     let activate = |idx: usize, active: &mut Vec<Active>, link: &LinkProfile| {
         let jf = link.jitter_factor(seed, idx as u64);
@@ -190,25 +244,30 @@ pub fn simulate_transfer_detailed(
                 None => break,
             }
         }
-        let commands_remain = next_file < files.len();
+        let commands_remain = next_file < n;
         if active.is_empty() && !commands_remain {
             break;
+        }
+        // Availability: a command cannot be issued before its file exists
+        // and, past the first `window` files, before the file one window
+        // ahead has landed. That file was released earlier, so while the
+        // gate is closed it is queued or active and a completion is pending.
+        if commands_remain && next_release.is_none() {
+            let gate = if next_file >= window { completion_s[next_file - window] } else { 0.0 };
+            let available = release_s[next_file].max(gate);
+            if available.is_finite() {
+                release_s[next_file] = available;
+                next_release = Some(channel_free.max(SimTime::from_secs_f64(available)));
+            }
         }
 
         // Water-filling among files whose setup has completed; files still
         // in setup hold their slot but move no data.
-        let flowing: Vec<Active> = active.iter().filter(|a| a.setup_remaining <= 0.0).copied().collect();
-        let flow_rates = water_fill(link.bandwidth_bps, &flowing);
-        let mut rates = Vec::with_capacity(active.len());
-        let mut fi = 0usize;
-        for a in &active {
-            if a.setup_remaining <= 0.0 {
-                rates.push(flow_rates[fi]);
-                fi += 1;
-            } else {
-                rates.push(0.0);
-            }
-        }
+        rates.clear();
+        rates.resize(active.len(), 0.0);
+        unfixed.clear();
+        unfixed.extend((0..active.len()).filter(|&i| active[i].setup_remaining <= 0.0));
+        water_fill(link.bandwidth_bps, |i| active[i].cap, &mut unfixed, &mut rates);
 
         // Next event: file completion, setup completion, or command release.
         let mut dt_complete = f64::INFINITY;
@@ -220,7 +279,7 @@ pub fn simulate_transfer_detailed(
                 dt_complete = dt_complete.min(a.setup_remaining);
             }
         }
-        let dt_release = if commands_remain { (next_release - now).max(0.0) } else { f64::INFINITY };
+        let dt_release = next_release.map_or(f64::INFINITY, |t| (t - now).max(0.0));
         let dt = dt_complete.min(dt_release);
         debug_assert!(dt.is_finite(), "no progress possible");
 
@@ -247,22 +306,20 @@ pub fn simulate_transfer_detailed(
             last_completion = now;
         }
         // Process command release.
-        if commands_remain && now >= next_release {
+        if let Some(t) = next_release.filter(|&t| now >= t) {
             ready.push_back(next_file);
             next_file += 1;
-            if next_file < files.len() {
-                let earliest = next_release + release_spacing;
-                next_release = earliest.max(SimTime::from_secs_f64(available(next_file)));
-            }
+            channel_free = t + release_spacing;
+            next_release = None;
         }
     }
 
-    let duration_s = last_completion.max(now).as_secs_f64().max(release_spacing * files.len() as f64);
+    let duration_s = last_completion.max(now).as_secs_f64().max(release_spacing * n as f64);
     let effective_speed_bps = if duration_s > 0.0 { bytes_total as f64 / duration_s } else { 0.0 };
     let obs = ocelot_obs::global();
     obs.inc("ocelot_netsim_transfers_total", "Simulated batch transfers");
     obs.add("ocelot_netsim_bytes_total", "Payload bytes moved across simulated links", bytes_total);
-    obs.add("ocelot_netsim_files_total", "Files moved across simulated links", files.len() as u64);
+    obs.add("ocelot_netsim_files_total", "Files moved across simulated links", n as u64);
     obs.observe("ocelot_netsim_transfer_seconds", "Simulated duration of a batch transfer", duration_s);
     obs.observe(
         "ocelot_netsim_effective_speed_bps",
@@ -270,21 +327,18 @@ pub fn simulate_transfer_detailed(
         effective_speed_bps,
     );
     DetailedTransferReport {
-        report: TransferReport { duration_s, bytes_total, n_files: files.len(), effective_speed_bps },
+        report: TransferReport { duration_s, bytes_total, n_files: n, effective_speed_bps },
         completion_s,
         start_s,
+        release_s,
     }
 }
 
-/// Max–min fair allocation of `capacity` among flows with per-flow caps.
-fn water_fill(capacity: f64, active: &[impl CapHolder]) -> Vec<f64> {
-    let n = active.len();
-    if n == 0 {
-        return Vec::new();
-    }
-    let mut rates = vec![0.0f64; n];
+/// Max–min fair allocation of `capacity` among the flows listed in
+/// `unfixed` (indices into `rates`, which must be zeroed), each capped at
+/// `cap(i)`. Consumes the work list.
+fn water_fill(capacity: f64, cap: impl Fn(usize) -> f64, unfixed: &mut Vec<usize>, rates: &mut [f64]) {
     let mut remaining_capacity = capacity;
-    let mut unfixed: Vec<usize> = (0..n).collect();
     // Iteratively pin flows whose cap is below the fair share.
     loop {
         if unfixed.is_empty() || remaining_capacity <= 0.0 {
@@ -293,7 +347,7 @@ fn water_fill(capacity: f64, active: &[impl CapHolder]) -> Vec<f64> {
         let fair = remaining_capacity / unfixed.len() as f64;
         let mut pinned_any = false;
         unfixed.retain(|&i| {
-            let cap = active[i].cap();
+            let cap = cap(i);
             if cap <= fair {
                 rates[i] = cap;
                 remaining_capacity -= cap;
@@ -305,23 +359,11 @@ fn water_fill(capacity: f64, active: &[impl CapHolder]) -> Vec<f64> {
         });
         if !pinned_any {
             let fair = remaining_capacity / unfixed.len() as f64;
-            for &i in &unfixed {
+            for &i in unfixed.iter() {
                 rates[i] = fair;
             }
             break;
         }
-    }
-    rates
-}
-
-/// Internal abstraction so `water_fill` is testable without `Active`.
-trait CapHolder {
-    fn cap(&self) -> f64;
-}
-
-impl CapHolder for f64 {
-    fn cap(&self) -> f64 {
-        *self
     }
 }
 
@@ -336,15 +378,74 @@ struct Active {
     setup_remaining: f64,
 }
 
-impl CapHolder for Active {
-    fn cap(&self) -> f64 {
-        self.cap
+/// Test oracles for [`simulate_transfer_windowed`], built only from the
+/// un-windowed [`simulate_transfer_detailed`].
+#[cfg(test)]
+mod reference {
+    use super::*;
+
+    /// The pre-change window model: the fixpoint `Orchestrator::run_streamed`
+    /// used to wrap around the whole simulation, verbatim minus its 32-pass
+    /// cap.
+    ///
+    /// Its premise — "releasing later only delays completions" — holds only
+    /// while files do not share bandwidth (`concurrency × per-file cap ≤
+    /// link`). Under max–min sharing, holding file `m` back *speeds up* the
+    /// files ahead of it, the ratchet keeps the release it derived from the
+    /// slower early pass, and the loop converges to a release schedule later
+    /// than the window requires. It is the oracle in the cap-bound regime.
+    pub fn fixpoint(
+        wire: &[u64],
+        ready: &[f64],
+        window: usize,
+        link: &LinkProfile,
+        config: &GridFtpConfig,
+        seed: u64,
+    ) -> DetailedTransferReport {
+        let mut release = ready.to_vec();
+        let mut detail = simulate_transfer_detailed(wire, Some(&release), link, config, seed);
+        loop {
+            let mut changed = false;
+            for m in window..release.len() {
+                let want = ready[m].max(detail.completion_s[m - window]);
+                if want > release[m] + 1e-6 {
+                    release[m] = want;
+                    changed = true;
+                }
+            }
+            if !changed {
+                break;
+            }
+            detail = simulate_transfer_detailed(wire, Some(&release), link, config, seed);
+        }
+        detail
+    }
+
+    /// The window by construction, for any regime: file `m` cannot be
+    /// commanded before `m − window` lands, so that landing is already final
+    /// in a simulation of files `0..m` alone. One un-windowed pass per file
+    /// over a growing prefix, O(n²) events.
+    pub fn prefix_causal(
+        wire: &[u64],
+        ready: &[f64],
+        window: usize,
+        link: &LinkProfile,
+        config: &GridFtpConfig,
+        seed: u64,
+    ) -> DetailedTransferReport {
+        let mut release = ready.to_vec();
+        for m in window..wire.len() {
+            let prefix = simulate_transfer_detailed(&wire[..m], Some(&release[..m]), link, config, seed);
+            release[m] = ready[m].max(prefix.completion_s[m - window]);
+        }
+        simulate_transfer_detailed(wire, Some(&release), link, config, seed)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn test_link() -> LinkProfile {
         LinkProfile::new(1.15e9, 0.05, 0.13, 0.0)
@@ -444,10 +545,15 @@ mod tests {
         assert!((a.duration_s / b.duration_s - 1.0).abs() < 0.2);
     }
 
+    fn water_fill_all(capacity: f64, caps: &[f64]) -> Vec<f64> {
+        let mut rates = vec![0.0; caps.len()];
+        water_fill(capacity, |i| caps[i], &mut (0..caps.len()).collect(), &mut rates);
+        rates
+    }
+
     #[test]
     fn water_fill_respects_caps_and_capacity() {
-        let caps: Vec<f64> = vec![10.0, 50.0, 1000.0];
-        let rates = water_fill(100.0, &caps);
+        let rates = water_fill_all(100.0, &[10.0, 50.0, 1000.0]);
         assert!((rates[0] - 10.0).abs() < 1e-9);
         assert!((rates[1] - 45.0).abs() < 1e-9);
         assert!((rates[2] - 45.0).abs() < 1e-9);
@@ -456,9 +562,7 @@ mod tests {
 
     #[test]
     fn water_fill_all_capped() {
-        let caps: Vec<f64> = vec![10.0, 10.0];
-        let rates = water_fill(100.0, &caps);
-        assert_eq!(rates, vec![10.0, 10.0]);
+        assert_eq!(water_fill_all(100.0, &[10.0, 10.0]), vec![10.0, 10.0]);
     }
 
     #[test]
@@ -543,5 +647,117 @@ mod tests {
         let r = simulate_transfer(&files, &test_link(), &GridFtpConfig::default(), 0);
         assert!(r.duration_s > 0.0); // still pays handling overhead
         assert_eq!(r.bytes_total, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "window must be positive")]
+    fn zero_window_panics() {
+        simulate_transfer_windowed(&[1, 2], &[0.0, 0.0], 0, &test_link(), &GridFtpConfig::default(), 0);
+    }
+
+    #[test]
+    fn window_one_serializes_the_wire() {
+        let files = vec![100_000_000u64; 6];
+        let d = simulate_transfer_windowed(&files, &[0.0; 6], 1, &test_link(), &GridFtpConfig::default(), 0);
+        for m in 1..6 {
+            assert_eq!(d.release_s[m], d.completion_s[m - 1], "file {m} ships when {} lands", m - 1);
+            assert!(d.start_s[m] >= d.completion_s[m - 1]);
+        }
+        let wide = simulate_transfer_windowed(&files, &[0.0; 6], 6, &test_link(), &GridFtpConfig::default(), 0);
+        assert!(d.report.duration_s > wide.report.duration_s);
+    }
+
+    /// Largest absolute difference between two per-file time vectors.
+    fn max_diff(a: &[f64], b: &[f64]) -> f64 {
+        assert_eq!(a.len(), b.len());
+        a.iter().zip(b).map(|(x, y)| (x - y).abs()).fold(0.0, f64::max)
+    }
+
+    fn assert_reports_agree(got: &DetailedTransferReport, want: &DetailedTransferReport, tol: f64, what: &str) {
+        assert!(max_diff(&got.release_s, &want.release_s) <= tol, "{what}: release_s");
+        assert!(max_diff(&got.start_s, &want.start_s) <= tol, "{what}: start_s");
+        assert!(max_diff(&got.completion_s, &want.completion_s) <= tol, "{what}: completion_s");
+        assert!((got.report.duration_s - want.report.duration_s).abs() <= tol, "{what}: duration_s");
+    }
+
+    /// Random batch: sizes from three regimes (command-bound, mixed,
+    /// bandwidth-bound) and sorted-or-not ready times.
+    fn batch() -> impl Strategy<Value = (Vec<u64>, Vec<f64>)> {
+        (prop::collection::vec((0u64..1000, 0.0f64..6.0), 1..97), 0usize..3, any::<bool>()).prop_map(
+            |(items, regime, sorted)| {
+                let unit = [100u64, 10_000, 300_000][regime];
+                let files = items.iter().map(|(s, _)| s * unit).collect();
+                let mut ready: Vec<f64> = items.iter().map(|(_, r)| *r).collect();
+                if sorted {
+                    ready.sort_by(f64::total_cmp);
+                }
+                (files, ready)
+            },
+        )
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Every regime: the single pass is the window by construction, its
+        /// releases are tight, and replaying them through the un-windowed
+        /// loop changes nothing — i.e. the old fixpoint loop, started from
+        /// this schedule, stops without a further pass.
+        #[test]
+        fn windowed_single_pass_is_the_causal_window(
+            b in batch(),
+            window in 1usize..9,
+            concurrency in 1usize..41,
+            jitter in 0usize..2,
+            seed in 0u64..1000,
+        ) {
+            let (files, ready) = b;
+            let link = LinkProfile::new(1.15e9, 0.05, 0.13, 0.05 * jitter as f64);
+            let cfg = GridFtpConfig::default().with_concurrency(concurrency);
+            let got = simulate_transfer_windowed(&files, &ready, window, &link, &cfg, seed);
+            for (m, &ready_m) in ready.iter().enumerate() {
+                let want = if m >= window { ready_m.max(got.completion_s[m - window]) } else { ready_m };
+                prop_assert_eq!(got.release_s[m], want, "file {} release is not tight", m);
+                // The clock truncates to whole nanoseconds.
+                prop_assert!(got.start_s[m] >= got.release_s[m] - 1e-9 && got.completion_s[m] >= got.start_s[m]);
+            }
+            let oracle = reference::prefix_causal(&files, &ready, window, &link, &cfg, seed);
+            assert_reports_agree(&got, &oracle, 1e-6, "prefix-causal oracle");
+            let replay = simulate_transfer_detailed(&files, Some(&got.release_s), &link, &cfg, seed);
+            assert_reports_agree(&got, &replay, 1e-6, "replay of the effective releases");
+        }
+
+        /// Cap-bound regime (files never share bandwidth), where the old
+        /// loop's monotonicity premise holds: same answer, in one pass.
+        #[test]
+        fn windowed_single_pass_matches_the_old_fixpoint_where_it_was_sound(
+            b in batch(),
+            window in 1usize..9,
+            concurrency in 1usize..5,
+            seed in 0u64..1000,
+        ) {
+            let (files, ready) = b;
+            let link = test_link();
+            let cfg = GridFtpConfig::default().with_concurrency(concurrency);
+            prop_assert!(concurrency as f64 * cfg.per_file_cap_bps() <= link.bandwidth_bps);
+            let got = simulate_transfer_windowed(&files, &ready, window, &link, &cfg, seed);
+            let old = reference::fixpoint(&files, &ready, window, &link, &cfg, seed);
+            assert_reports_agree(&got, &old, 1e-4, "old fixpoint");
+        }
+
+        /// A window that never fills is the un-windowed loop, bit for bit.
+        #[test]
+        fn window_of_the_whole_batch_is_bit_identical_to_detailed(
+            b in batch(),
+            extra in 0usize..4,
+            concurrency in 1usize..41,
+            seed in 0u64..1000,
+        ) {
+            let (files, ready) = b;
+            let link = LinkProfile::new(1.15e9, 0.05, 0.13, 0.05);
+            let cfg = GridFtpConfig::default().with_concurrency(concurrency);
+            let got = simulate_transfer_windowed(&files, &ready, files.len() + extra, &link, &cfg, seed);
+            prop_assert_eq!(got, simulate_transfer_detailed(&files, Some(&ready), &link, &cfg, seed));
+        }
     }
 }

@@ -36,8 +36,8 @@ pub mod time;
 pub use contention::{simulate_shared_link, BatchReport, BatchSpec};
 pub use faults::{draw_faults, simulate_transfer_with_faults, FaultDraw, FaultModel, FaultyTransferReport};
 pub use gridftp::{
-    simulate_transfer, simulate_transfer_detailed, simulate_transfer_released, DetailedTransferReport, GridFtpConfig,
-    TransferReport,
+    simulate_transfer, simulate_transfer_detailed, simulate_transfer_released, simulate_transfer_windowed,
+    DetailedTransferReport, GridFtpConfig, TransferReport,
 };
 pub use link::LinkProfile;
 pub use site::{Route, Site, SiteId, Topology};

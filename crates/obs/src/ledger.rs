@@ -33,6 +33,7 @@
 
 use crate::metrics::Counter;
 use crate::Obs;
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -168,8 +169,9 @@ pub struct LedgerEvent {
     pub chunk: Option<u32>,
     /// What happened.
     pub event: EventKind,
-    /// Why (fault description, stall reason), when there is a why.
-    pub cause: Option<String>,
+    /// Why (fault description, stall reason), when there is a why. The fixed
+    /// reasons are borrowed, so a stalled chunk costs no allocation.
+    pub cause: Option<Cow<'static, str>>,
     /// Simulated seconds, job-relative; `None` for wall-only events.
     pub t_sim: Option<f64>,
     /// Microseconds since the ledger was constructed (wall clock).
@@ -195,7 +197,7 @@ pub struct Draft {
     /// See [`LedgerEvent::chunk`].
     pub chunk: Option<u32>,
     /// See [`LedgerEvent::cause`].
-    pub cause: Option<String>,
+    pub cause: Option<Cow<'static, str>>,
     /// See [`LedgerEvent::t_sim`].
     pub t_sim: Option<f64>,
     /// See [`LedgerEvent::bytes`].
@@ -534,7 +536,7 @@ impl Timeline {
                     .find(|n| matches!(n.event, EventKind::Retransmit | EventKind::Arrived))
                     .and_then(|n| n.t_sim)
                     .unwrap_or(t0);
-                let cause = e.cause.clone().unwrap_or_else(|| "fault".to_string());
+                let cause = e.cause.as_deref().unwrap_or("fault").to_string();
                 track.retransmits.push((t0, t1, cause));
             }
             track.attempts = evs.iter().map(|e| e.attempt).max().unwrap_or(0).max(1);
@@ -899,7 +901,7 @@ mod tests {
         d = Draft {
             parent: Some(p),
             t_sim: Some(2.0),
-            cause: Some("stream window full".to_string()),
+            cause: Some("stream window full".into()),
             ..Draft::chunk(job, 0, 1)
         };
         p = ledger.append(EventKind::WindowWait, d);
@@ -909,7 +911,7 @@ mod tests {
             parent: Some(p),
             t_sim: Some(5.0),
             attempt: 1,
-            cause: Some("wan fault (p=0.50)".to_string()),
+            cause: Some("wan fault (p=0.50)".into()),
             ..Draft::chunk(job, 0, 1)
         };
         p = ledger.append(EventKind::Fault, d);

@@ -73,7 +73,7 @@ impl From<&LedgerEvent> for LedgerEventRecord {
             file: e.file,
             chunk: e.chunk,
             event: e.event.name().to_string(),
-            cause: e.cause.clone(),
+            cause: e.cause.as_deref().map(str::to_string),
             t_sim: e.t_sim,
             t_wall_us: e.t_wall_us,
             bytes: e.bytes,

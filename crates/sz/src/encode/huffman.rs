@@ -9,7 +9,7 @@
 //! maps: the alphabet is bounded by 2·radius (+ RLE escape symbols), so symbol
 //! lookup is a single indexed load on both the frequency-count and encode hot
 //! paths. Decoding runs through a prefix LUT that resolves codes of up to
-//! [`LUT_BITS`] bits in one probe, falling back to the canonical per-length
+//! `LUT_BITS` bits in one probe, falling back to the canonical per-length
 //! walk for longer codes.
 //!
 //! [`HuffmanTable`] exposes the table/stream halves separately so one

@@ -24,6 +24,18 @@ use std::sync::mpsc;
 /// only delays its worker by one slab, not the whole run).
 const CHUNKS_PER_THREAD: usize = 2;
 
+/// Chunks a dataset is split into when the chunk size is derived from the
+/// thread count (`chunk_points: None`), rows permitting: one for the serial
+/// fallback, else `threads × CHUNKS_PER_THREAD`. Simulators that model the
+/// chunk stream take their per-file chunk count from here.
+pub fn chunks_for_threads(threads: usize) -> usize {
+    if threads <= 1 {
+        1
+    } else {
+        threads * CHUNKS_PER_THREAD
+    }
+}
+
 /// Deterministic split of a row-major shape into row slabs.
 ///
 /// The layout depends only on the shape and the requested chunk size — never
@@ -66,11 +78,7 @@ impl ChunkLayout {
         let row_points: usize = dims[1..].iter().product::<usize>().max(1);
         let chunk_rows = match chunk_points {
             Some(points) => points.max(1).div_ceil(row_points).clamp(1, rows),
-            None if threads == 1 => rows,
-            None => {
-                let target_chunks = (threads * CHUNKS_PER_THREAD).min(rows);
-                rows.div_ceil(target_chunks)
-            }
+            None => rows.div_ceil(chunks_for_threads(threads).min(rows)),
         };
         let n_chunks = rows.div_ceil(chunk_rows);
         ChunkLayout { dims: dims.to_vec(), chunk_rows, row_points, n_chunks }
