@@ -5,8 +5,8 @@
 
 use ocelot_sz::format::{BlobHeader, ChunkEntry};
 use ocelot_sz::{
-    compress, compress_streamed, decode_chunk, decompress_with_threads, CompressedBlob, CompressionOutcome, Dataset,
-    HuffmanTable, LossyConfig, SzError,
+    compress, compress_streamed, decode_chunk_into, decompress_with_threads, CompressedBlob, CompressionOutcome,
+    Dataset, HuffmanTable, LossyConfig, SzError,
 };
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -139,16 +139,18 @@ impl ParallelExecutor {
             return Ok(StreamedRoundTrip { outcome, restored, chunks_shipped });
         }
         let (tx, rx) = std::sync::mpsc::sync_channel::<ChunkMsg>(window);
-        let dims = data.dims().to_vec();
-        let mut drain_result: Result<(Vec<f32>, usize), SzError> = Ok((Vec::new(), 0));
+        let total = data.len();
+        let mut drain_result: Result<(Vec<f32>, usize, usize), SzError> = Ok((Vec::new(), 0, 0));
         let mut outcome_result: Result<CompressionOutcome, SzError> =
             Err(SzError::CorruptStream("stream never ran".into()));
         crossbeam::thread::scope(|scope| {
             let drainer = scope.spawn(move |_| {
-                let mut values = Vec::with_capacity(dims.iter().product());
+                // Allocated once; every chunk decodes straight into its slab.
+                let mut values = vec![0f32; total];
+                let mut filled = 0usize;
                 let mut shipped = 0usize;
                 // Chunks arrive in index order (the engine's reorder buffer
-                // guarantees it), so appending reassembles the dataset.
+                // guarantees it), so consecutive slabs reassemble the dataset.
                 while let Ok(msg) = rx.recv() {
                     // Per-chunk profiling scope: decode-on-arrival kernels
                     // drain from this thread's accumulator chunk by chunk.
@@ -161,13 +163,18 @@ impl ParallelExecutor {
                             ..ocelot_obs::ledger::Draft::default()
                         },
                     );
-                    let decoded = decode_chunk::<f32>(
+                    let points = usize::try_from(msg.entry.points).unwrap_or(usize::MAX);
+                    let slab = values[filled..]
+                        .get_mut(..points)
+                        .ok_or_else(|| SzError::CorruptStream(format!("chunk {} overruns the dataset", msg.index)))?;
+                    decode_chunk_into::<f32>(
                         &msg.header,
                         &msg.dims,
                         msg.index,
                         &msg.entry,
                         &msg.payload,
                         msg.shared.as_ref().as_ref(),
+                        slab,
                     )?;
                     ocelot_obs::ledger::emit(
                         ocelot_obs::ledger::EventKind::DecodeEnd,
@@ -177,10 +184,10 @@ impl ParallelExecutor {
                             ..ocelot_obs::ledger::Draft::default()
                         },
                     );
-                    values.extend_from_slice(&decoded);
+                    filled += points;
                     shipped += 1;
                 }
-                Ok((values, shipped))
+                Ok((values, filled, shipped))
             });
             // Job-wide metadata is identical for every chunk: build the Arcs
             // on the first chunk and share them across messages.
@@ -220,8 +227,11 @@ impl ParallelExecutor {
         .expect("stream threads do not panic");
         // A drainer decode error causes the sink send to fail; prefer the
         // root-cause decode error over the secondary hang-up error.
-        let (values, chunks_shipped) = drain_result?;
+        let (values, filled, chunks_shipped) = drain_result?;
         let outcome = outcome_result?;
+        if filled != total {
+            return Err(SzError::CorruptStream(format!("stream delivered {filled} of {total} points")));
+        }
         let restored = Dataset::new(data.dims().to_vec(), values)?;
         Ok(StreamedRoundTrip { outcome, restored, chunks_shipped })
     }
@@ -362,6 +372,47 @@ mod tests {
         }
         let q = metrics::compare(&data, &staged.restored).unwrap();
         assert!(q.within_bound(1e-3));
+    }
+
+    fn fnv64(bytes: impl IntoIterator<Item = u8>) -> u64 {
+        bytes.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+    }
+
+    #[test]
+    fn blob_and_restored_values_are_pinned_across_thread_counts_and_windows() {
+        // 37 rows in slabs of 5: seven full chunks and a 2-row tail, each
+        // decoded straight into its slab of the output. The hashes were
+        // recorded from the Vec-per-chunk decoder this path replaced (every
+        // value below is an exact f32 sum, so the field is the same on any
+        // platform); a slab offset, a tail-chunk length or a kernel bit off
+        // by one changes them.
+        const BLOB: u64 = 0x2669_5074_11e0_8073;
+        const RESTORED: u64 = 0x8569_5e9f_516d_ea74;
+        let mut state = 0x0123_4567_89ab_cdefu64;
+        let data = Dataset::from_fn(vec![37, 24, 20], move |i| {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            let noise = (state >> 40) as f32 / (1u64 << 24) as f32;
+            let ramp = (i[0] * 7 + i[1] * 3 + i[2]) as f32 * 0.125;
+            let bump = ((i[0] * i[1] + i[2] * i[2]) % 17) as f32 * 0.5;
+            ramp + bump + noise * 0.25
+        });
+        let cfg = LossyConfig::sz3(1e-3).with_chunk_points(Some(5 * 24 * 20));
+        let hash_values = |d: &Dataset<f32>| fnv64(d.values().iter().flat_map(|v| v.to_le_bytes()));
+
+        let staged = compress(&data, &cfg).unwrap();
+        assert_eq!(staged.chunks, 8);
+        assert_eq!(fnv64(staged.blob.as_bytes().iter().copied()), BLOB);
+        for threads in [1usize, 2, 4, 8] {
+            let restored = decompress_with_threads::<f32>(&staged.blob, threads).unwrap();
+            assert_eq!(hash_values(&restored), RESTORED, "threads={threads}");
+        }
+        for (threads, window) in [(1usize, 1usize), (2, 4), (4, 2), (8, 16)] {
+            let rt =
+                ParallelExecutor::new(1).with_codec_threads(threads).stream_round_trip(&data, &cfg, window).unwrap();
+            assert_eq!(rt.outcome.blob, staged.blob, "threads={threads} window={window}");
+            assert_eq!(rt.chunks_shipped, 8);
+            assert_eq!(hash_values(&rt.restored), RESTORED, "threads={threads} window={window}");
+        }
     }
 
     #[test]

@@ -40,25 +40,56 @@ fn corrupt(m: &str) -> SzError {
     SzError::CorruptStream(format!("huffman: {m}"))
 }
 
+/// Widest `[min, max]` symbol window counted in four interleaved tables (at
+/// 8 bytes a counter they then take what one table over the usual
+/// 2·radius alphabet did); wider windows count in one.
+const INTERLEAVE_WINDOW: usize = 1 << 14;
+
 /// Counts symbol frequencies, returning `(symbol, freq)` pairs sorted by
 /// symbol.
+///
+/// Only the occupied `[min, max]` window is zeroed and scanned — quantization
+/// codes cluster around the radius — and consecutive symbols go to different
+/// tables, so a long run of the centre code does not serialise on one
+/// counter's store-to-load round trip.
 pub(crate) fn freq_pairs(symbols: &[u32]) -> Vec<(u32, u64)> {
-    let Some(&max_sym) = symbols.iter().max() else {
+    if symbols.is_empty() {
         return Vec::new();
-    };
-    if max_sym < DENSE_LIMIT {
-        let mut counts = vec![0u64; max_sym as usize + 1];
-        for &s in symbols {
-            counts[s as usize] += 1;
-        }
-        counts.iter().enumerate().filter(|&(_, &f)| f > 0).map(|(s, &f)| (s as u32, f)).collect()
-    } else {
+    }
+    let (min_sym, max_sym) = symbols.iter().fold((u32::MAX, 0u32), |(lo, hi), &s| (lo.min(s), hi.max(s)));
+    if max_sym >= DENSE_LIMIT {
         let mut counts: BTreeMap<u32, u64> = BTreeMap::new();
         for &s in symbols {
             *counts.entry(s).or_insert(0) += 1;
         }
-        counts.into_iter().collect()
+        return counts.into_iter().collect();
     }
+    let window = (max_sym - min_sym) as usize + 1;
+    let lanes = if window <= INTERLEAVE_WINDOW { 4 } else { 1 };
+    let mut counts = vec![0u64; window * lanes];
+    if lanes == 1 {
+        for &s in symbols {
+            counts[(s - min_sym) as usize] += 1;
+        }
+    } else {
+        let (t0, rest) = counts.split_at_mut(window);
+        let (t1, rest) = rest.split_at_mut(window);
+        let (t2, t3) = rest.split_at_mut(window);
+        let mut quads = symbols.chunks_exact(4);
+        for quad in &mut quads {
+            t0[(quad[0] - min_sym) as usize] += 1;
+            t1[(quad[1] - min_sym) as usize] += 1;
+            t2[(quad[2] - min_sym) as usize] += 1;
+            t3[(quad[3] - min_sym) as usize] += 1;
+        }
+        for &s in quads.remainder() {
+            t0[(s - min_sym) as usize] += 1;
+        }
+        for i in 0..window {
+            t0[i] += t1[i] + t2[i] + t3[i];
+        }
+    }
+    counts[..window].iter().zip(min_sym..).filter(|&(&f, _)| f > 0).map(|(&f, s)| (s, f)).collect()
 }
 
 /// Computes Huffman code lengths for `(symbol, freq)` pairs sorted by symbol.
@@ -267,30 +298,21 @@ impl HuffmanTable {
 
     /// Builds the canonical table for a symbol sequence, `None` if empty.
     pub fn from_symbols(symbols: &[u32]) -> Option<Self> {
-        let pairs = freq_pairs(symbols);
+        Self::from_histogram(&freq_pairs(symbols))
+    }
+
+    /// Builds the canonical table from `(symbol, count)` pairs sorted by
+    /// symbol (a [`freq_pairs`] histogram), `None` if empty.
+    pub(crate) fn from_histogram(pairs: &[(u32, u64)]) -> Option<Self> {
         if pairs.is_empty() {
             return None;
         }
-        Some(Self::from_lengths(lengths_from_pairs(&pairs)).expect("built lengths are valid"))
+        Some(Self::from_lengths(lengths_from_pairs(pairs)).expect("built lengths are valid"))
     }
 
     /// Number of distinct symbols in the table.
     pub fn n_symbols(&self) -> usize {
         self.canon.len()
-    }
-
-    /// `(len, code)` for `sym`, `None` if the symbol has no code.
-    #[inline]
-    fn code_of(&self, sym: u32) -> Option<(u8, u64)> {
-        match &self.encode {
-            EncodeTable::Dense(table) => match table.get(sym as usize) {
-                Some(&(len, code)) if len > 0 => Some((len, code)),
-                _ => None,
-            },
-            EncodeTable::Sparse(pairs) => {
-                pairs.binary_search_by_key(&sym, |&(s, _, _)| s).ok().map(|i| (pairs[i].1, pairs[i].2))
-            }
-        }
     }
 
     /// Serializes the code-length table: `[n_syms u32][(sym u32, len u8)×n]`
@@ -322,9 +344,22 @@ impl HuffmanTable {
     /// falls back to a self-describing local table).
     pub fn encode_stream(&self, symbols: &[u32]) -> Option<Vec<u8>> {
         let mut bits = BitWriter::with_capacity(symbols.len() / 4);
-        for &s in symbols {
-            let (len, code) = self.code_of(s)?;
-            bits.write_bits(code, len);
+        match &self.encode {
+            EncodeTable::Dense(table) => {
+                for &s in symbols {
+                    let &(len, code) = table.get(s as usize)?;
+                    if len == 0 {
+                        return None;
+                    }
+                    bits.write_code(code, len);
+                }
+            }
+            EncodeTable::Sparse(pairs) => {
+                for &s in symbols {
+                    let (_, len, code) = pairs[pairs.binary_search_by_key(&s, |&(sym, _, _)| sym).ok()?];
+                    bits.write_code(code, len);
+                }
+            }
         }
         let payload = bits.into_bytes();
         let mut out = Vec::with_capacity(16 + payload.len());
@@ -358,40 +393,44 @@ impl HuffmanTable {
 
     /// Decodes exactly `count` symbols from a packed bit payload.
     fn decode_payload(&self, count: usize, payload: &[u8]) -> Result<Vec<u32>, SzError> {
-        let mut out = Vec::with_capacity(count);
+        let mut out = vec![0u32; count];
         let mut reader = BitReader::new(payload);
-        for _ in 0..count {
-            // Fast path: resolve short codes with one LUT probe. The peek is
-            // zero-padded past the end of the stream, which is safe: a valid
-            // code is a prefix of every padded extension, so the probe lands
-            // on the right entry and `avail` guards against over-consuming.
-            let (prefix, avail) = reader.peek_bits(LUT_BITS);
+        for slot in &mut out {
+            // Short codes resolve with one LUT probe. The peek is zero-padded
+            // past the end of the stream, which is safe: a valid code is a
+            // prefix of every padded extension, so the probe lands on the
+            // right entry, and `loaded` guards against over-consuming. Only
+            // within the stream's last bytes can it fall below a code length.
+            let (prefix, loaded) = reader.peek_bits(LUT_BITS);
             let (sym, len) = self.lut[prefix as usize];
-            if len > 0 {
-                if (len as u32) > avail {
-                    return Err(corrupt("bit stream exhausted"));
-                }
+            *slot = if len == 0 {
+                self.walk(&mut reader)?
+            } else if len as u32 <= loaded {
                 reader.consume(len as u32);
-                out.push(sym);
-                continue;
-            }
-            // Slow path: canonical per-length walk for codes > LUT_BITS bits.
-            let mut code = 0u64;
-            let mut len = 0usize;
-            loop {
-                code = (code << 1) | reader.read_bit()? as u64;
-                len += 1;
-                if len > self.max_len {
-                    return Err(corrupt("code exceeds maximum length"));
-                }
-                if self.has_len[len] && code >= self.first_code[len] && code <= self.last_code[len] {
-                    let idx = self.first_idx[len] + (code - self.first_code[len]) as usize;
-                    out.push(self.syms_by_canon[idx]);
-                    break;
-                }
-            }
+                sym
+            } else {
+                return Err(corrupt("bit stream exhausted"));
+            };
         }
         Ok(out)
+    }
+
+    /// Canonical per-length walk for a code the LUT does not resolve, over
+    /// the (zero-padded) look-ahead: at least [`MAX_CODE_LEN`] real bits
+    /// except within the stream's last bytes.
+    #[cold]
+    fn walk(&self, reader: &mut BitReader<'_>) -> Result<u32, SzError> {
+        for len in 1..=self.max_len {
+            let (code, loaded) = reader.peek_bits(len as u8);
+            if (len as u32) > loaded {
+                return Err(corrupt("bit stream exhausted"));
+            }
+            if self.has_len[len] && code >= self.first_code[len] && code <= self.last_code[len] {
+                reader.consume(len as u32);
+                return Ok(self.syms_by_canon[self.first_idx[len] + (code - self.first_code[len]) as usize]);
+            }
+        }
+        Err(corrupt("code exceeds maximum length"))
     }
 }
 
@@ -439,15 +478,19 @@ fn parse_length_table(bytes: &[u8], pos: &mut usize) -> Result<Vec<(u32, u8)>, S
 ///
 /// The output is self-describing: `[table, count, bitstream]`.
 pub fn huffman_encode(symbols: &[u32]) -> Vec<u8> {
-    let pairs = freq_pairs(symbols);
-    if pairs.is_empty() {
+    huffman_encode_counted(symbols, &freq_pairs(symbols))
+}
+
+/// [`huffman_encode`] for a caller that already holds the stream's
+/// [`freq_pairs`] histogram.
+pub(crate) fn huffman_encode_counted(symbols: &[u32], pairs: &[(u32, u64)]) -> Vec<u8> {
+    let Some(table) = HuffmanTable::from_histogram(pairs) else {
         let mut out = Vec::with_capacity(20);
         out.extend_from_slice(&0u32.to_le_bytes());
         out.extend_from_slice(&0u64.to_le_bytes());
         out.extend_from_slice(&0u64.to_le_bytes());
         return out;
-    }
-    let table = HuffmanTable::from_lengths(lengths_from_pairs(&pairs)).expect("built lengths are valid");
+    };
     let mut out = table.serialize();
     let body = table.encode_stream(symbols).expect("table covers its own symbols");
     out.extend_from_slice(&body);
@@ -650,6 +693,64 @@ mod tests {
         let sample: Vec<u32> = (0..24u32).cycle().take(500).collect();
         let enc = table.encode_stream(&sample).unwrap();
         assert_eq!(table.decode_stream(&enc).unwrap(), sample);
+    }
+
+    /// A complete code with one symbol per length `1..=31` and two of length
+    /// [`MAX_CODE_LEN`]: symbol `k` has `k + 1` bits (symbol 32 has 32).
+    fn full_depth_table() -> HuffmanTable {
+        let lengths: Vec<(u32, u8)> = (0..33u32).map(|s| (s, (s as u8 + 1).min(MAX_CODE_LEN))).collect();
+        HuffmanTable::from_lengths(lengths).unwrap()
+    }
+
+    #[test]
+    fn maximum_length_codes_round_trip_at_every_word_alignment() {
+        let table = full_depth_table();
+        for lead in 0..64usize {
+            // `lead` one-bit symbols shift everything after them by one bit
+            // each, so the 32-bit codes straddle the reader's and writer's
+            // word boundary at every offset; mid-length codes in between take
+            // the LUT (<= LUT_BITS) and the walk (> LUT_BITS) in turn.
+            let mut symbols = vec![0u32; lead];
+            symbols.extend([31, 32, 5, 31, 12, 13, 32, 32, 0, 30, 11, 31]);
+            let enc = table.encode_stream(&symbols).unwrap();
+            let bits: usize = symbols.iter().map(|&s| (s as usize + 1).min(32)).sum();
+            assert_eq!(enc.len(), 16 + bits.div_ceil(8), "lead {lead}");
+            assert_eq!(table.decode_stream(&enc).unwrap(), symbols, "lead {lead}");
+            // Dropping payload bytes must surface as an error, not as symbols.
+            for cut in 16..enc.len() {
+                let mut short = enc[..cut].to_vec();
+                short[8..16].copy_from_slice(&((cut - 16) as u64).to_le_bytes());
+                assert!(table.decode_stream(&short).is_err(), "lead {lead} cut {cut}");
+            }
+        }
+    }
+
+    #[test]
+    fn histogram_matches_a_plain_count_for_every_window_shape() {
+        let plain = |symbols: &[u32]| -> Vec<(u32, u64)> {
+            let mut counts = BTreeMap::new();
+            for &s in symbols {
+                *counts.entry(s).or_insert(0u64) += 1;
+            }
+            counts.into_iter().collect()
+        };
+        let mut state = 11u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (state >> 33) as u32
+        };
+        // Narrow windows far from zero (interleaved tables), one wider than
+        // INTERLEAVE_WINDOW (single table), one past DENSE_LIMIT (sorted map);
+        // lengths around the 4-symbol block size, long runs of one symbol.
+        for (base, span) in
+            [(32_768u32, 1u32), (32_700, 200), (0, 70_000), (5, INTERLEAVE_WINDOW as u32), (DENSE_LIMIT - 3, 10)]
+        {
+            for len in [0usize, 1, 2, 3, 4, 5, 7, 8, 1000, 4099] {
+                let symbols: Vec<u32> =
+                    (0..len).map(|i| if i % 3 == 0 { base + span / 2 } else { base + next() % span }).collect();
+                assert_eq!(freq_pairs(&symbols), plain(&symbols), "base {base} span {span} len {len}");
+            }
+        }
     }
 
     #[test]

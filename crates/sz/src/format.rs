@@ -239,9 +239,10 @@ impl ChunkTable {
         offsets
     }
 
-    /// Total bytes of all chunk payloads.
+    /// Total bytes of all chunk payloads, saturating: lengths come from the
+    /// blob, and a sum pinned at `usize::MAX` matches no real chunk region.
     pub fn payload_len(&self) -> usize {
-        self.entries.iter().map(|e| e.len).sum()
+        self.entries.iter().fold(0usize, |sum, e| sum.saturating_add(e.len))
     }
 }
 
@@ -607,6 +608,10 @@ mod tests {
         assert_eq!(back, table);
         assert_eq!(back.offsets(), vec![0, 100]);
         assert_eq!(back.payload_len(), 103);
+        // Hostile lengths saturate instead of wrapping round to a plausible sum.
+        let mut hostile = back;
+        hostile.entries[0].len = usize::MAX - 1;
+        assert_eq!(hostile.payload_len(), usize::MAX);
     }
 
     #[test]

@@ -69,9 +69,8 @@ pub use error::SzError;
 pub use format::CompressedBlob;
 pub use metrics::QualityReport;
 pub use ndarray::{Dataset, DatasetView};
-#[allow(deprecated)]
-pub use pipeline::compress_with_stats;
 pub use pipeline::{
-    compress, compress_streamed, decode_chunk, decompress, decompress_with_threads, CompressionOutcome, StreamedChunk,
+    compress, compress_streamed, decode_chunk_into, decompress, decompress_with_threads, CompressionOutcome,
+    StreamedChunk,
 };
 pub use value::ScalarValue;

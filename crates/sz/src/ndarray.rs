@@ -7,6 +7,17 @@
 use crate::error::SzError;
 use crate::value::ScalarValue;
 
+/// Number of points in a shape read from a blob or handed to a decoder.
+///
+/// # Errors
+/// Returns [`SzError::CorruptStream`] if the product overflows `usize` (a
+/// plain product would wrap in release builds and size a buffer from it).
+pub(crate) fn checked_points(dims: &[usize]) -> Result<usize, SzError> {
+    dims.iter()
+        .try_fold(1usize, |n, &d| n.checked_mul(d))
+        .ok_or_else(|| SzError::CorruptStream(format!("shape {dims:?} holds more points than can be addressed")))
+}
+
 /// A dense, row-major N-dimensional array of floating-point values.
 ///
 /// The last dimension is the fastest-varying one, matching C ordering and the
@@ -208,24 +219,36 @@ impl<T: ScalarValue> Dataset<T> {
 
     /// Minimum and maximum value, ignoring NaNs.
     ///
-    /// Returns `(0, 0)`-equivalents if every value is NaN.
+    /// Returns `(0, 0)`-equivalents if every value is NaN. Of `+0.0` and
+    /// `-0.0`, which compare equal, the one seen first wins.
     pub fn min_max(&self) -> (T, T) {
-        let mut min = None::<T>;
-        let mut max = None::<T>;
-        for &v in &self.data {
-            if v.is_nan() {
-                continue;
+        // Independent running extremes per lane, each updated by one plain
+        // compare (false for NaN, so NaNs are skipped): the block loop has no
+        // cross-iteration dependency within a lane pair and compiles to
+        // packed min/max.
+        const LANES: usize = 8;
+        let Some(first) = self.data.iter().position(|v| !v.is_nan()) else {
+            return (T::zero(), T::zero());
+        };
+        let lower = |a: T, v: T| if v < a { v } else { a };
+        let upper = |a: T, v: T| if v > a { v } else { a };
+        let seed = self.data[first];
+        let (mut lo, mut hi) = ([seed; LANES], [seed; LANES]);
+        let mut blocks = self.data[first + 1..].chunks_exact(LANES);
+        for block in &mut blocks {
+            for l in 0..LANES {
+                lo[l] = lower(lo[l], block[l]);
+                hi[l] = upper(hi[l], block[l]);
             }
-            min = Some(match min {
-                Some(m) if m <= v => m,
-                _ => v,
-            });
-            max = Some(match max {
-                Some(m) if m >= v => m,
-                _ => v,
-            });
         }
-        (min.unwrap_or_else(T::zero), max.unwrap_or_else(T::zero))
+        let tail = blocks.remainder().iter().copied();
+        let min = lo.into_iter().chain(tail.clone()).fold(seed, lower);
+        let max = hi.into_iter().chain(tail).fold(seed, upper);
+        // Lanes see values out of order, which only a signed-zero tie can
+        // tell: hand it to the first zero in the data, as one pass would.
+        let first_seen =
+            |m: T| if m == T::zero() { self.data[first..].iter().copied().find(|&v| v == m).unwrap_or(m) } else { m };
+        (first_seen(min), first_seen(max))
     }
 
     /// `max - min` over the data (the "value range" feature from the paper's
@@ -368,6 +391,44 @@ mod tests {
         assert_eq!(min, -2.0);
         assert_eq!(max, 1.0);
         assert_eq!(d.value_range(), 3.0);
+    }
+
+    #[test]
+    fn min_max_matches_the_one_pass_scan_bit_for_bit() {
+        // The serial `Option`-matching scan the lane version replaced.
+        fn one_pass(data: &[f32]) -> (f32, f32) {
+            let (mut min, mut max) = (None::<f32>, None::<f32>);
+            for &v in data.iter().filter(|v| !v.is_nan()) {
+                min = Some(match min {
+                    Some(m) if m <= v => m,
+                    _ => v,
+                });
+                max = Some(match max {
+                    Some(m) if m >= v => m,
+                    _ => v,
+                });
+            }
+            (min.unwrap_or(0.0), max.unwrap_or(0.0))
+        }
+        let palette = [0.0f32, -0.0, f32::NAN, 1.5, -1.5, 3.0, f32::INFINITY, f32::NEG_INFINITY, 1e-30, -1e-30];
+        let mut state = 7u64;
+        for len in (1..60).chain([255, 256, 1000]) {
+            // Few distinct values, so signed-zero ties land in every lane and
+            // in the tail; `span` = 3 draws only from {0.0, -0.0, NaN}.
+            for span in [3usize, 6, palette.len()] {
+                let values: Vec<f32> = (0..len)
+                    .map(|_| {
+                        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                        palette[(state >> 33) as usize % span]
+                    })
+                    .collect();
+                let want = one_pass(&values);
+                let got = Dataset::new(vec![len], values.clone()).unwrap().min_max();
+                assert_eq!((got.0.to_bits(), got.1.to_bits()), (want.0.to_bits(), want.1.to_bits()), "{values:?}");
+            }
+        }
+        let all_nan = Dataset::new(vec![3], vec![f64::NAN; 3]).unwrap();
+        assert_eq!(all_nan.min_max(), (0.0, 0.0));
     }
 
     #[test]

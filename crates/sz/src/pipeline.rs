@@ -12,7 +12,7 @@
 use std::sync::Mutex;
 
 use crate::config::{LosslessBackend, LossyConfig, PredictorKind};
-use crate::encode::huffman::HuffmanTable;
+use crate::encode::huffman::{huffman_encode_counted, HuffmanTable};
 use crate::encode::{huffman_decode, huffman_encode, lz_compress, lz_decompress, rle_decode, rle_encode};
 use crate::engine::{parallel_map, parallel_map_windowed, ChunkLayout};
 use crate::error::SzError;
@@ -20,7 +20,7 @@ use crate::format::{
     write_framed, BlobHeader, BlobWriter, ChunkEntry, ChunkTable, CodecFamily, CompressedBlob, SectionReader,
     TABLE_MODE_LOCAL, TABLE_MODE_SHARED, VERSION, VERSION_V1, VERSION_V3,
 };
-use crate::ndarray::{Dataset, DatasetView};
+use crate::ndarray::{checked_points, Dataset, DatasetView};
 use crate::predict::{interp, lorenzo, lorenzo2, regression, PredictionStreams, StreamsView};
 use crate::quantizer::LinearQuantizer;
 use crate::stats::{code_histogram, merge_histograms, quant_bin_stats_from_hist, QuantBinStats};
@@ -168,17 +168,24 @@ pub fn compress_streamed<T: ScalarValue>(
     // the table itself — is a pure function of shape, chunk size, and data,
     // so the blob bytes stay identical at every thread count and window.
     let layout = ChunkLayout::plan(data.dims(), config.threads, config.chunk_points);
-    let mut precomputed: Option<PredictionStreams<T>> = None;
+    // A chunk's codes are counted once: the same histogram builds the
+    // Huffman table (shared or local) and feeds the job's bin statistics.
+    let predict_and_count = |chunk: DatasetView<'_, T>| {
+        let streams = run_predictor(chunk, config.predictor, &quantizer)?;
+        let hist = code_histogram(&streams.codes);
+        Ok::<_, SzError>((streams, hist))
+    };
+    let mut precomputed = None;
     let shared: Option<HuffmanTable> = if layout.n_chunks() > 1 {
         let dims0 = layout.chunk_dims(0);
         let view = DatasetView::new(&dims0, &data.values()[layout.value_range(0)])
             .expect("chunk shapes are valid by construction");
-        let streams = run_predictor(view, config.predictor, &quantizer)?;
+        let (streams, hist) = predict_and_count(view)?;
         let table = match config.backend {
             LosslessBackend::RleHuffman => HuffmanTable::from_symbols(&rle_encode(&streams.codes, zero_code)),
-            _ => HuffmanTable::from_symbols(&streams.codes),
+            _ => HuffmanTable::from_histogram(&hist),
         };
-        precomputed = Some(streams);
+        precomputed = Some((streams, hist));
         table
     } else {
         None
@@ -195,11 +202,12 @@ pub fn compress_streamed<T: ScalarValue>(
         &shared_bytes,
         sink,
         |i, chunk| {
-            let streams = match if i == 0 { chunk0.lock().expect("chunk0 mutex").take() } else { None } {
-                Some(s) => s,
-                None => run_predictor(chunk, config.predictor, &quantizer)?,
+            let (streams, hist) = match if i == 0 { chunk0.lock().expect("chunk0 mutex").take() } else { None } {
+                Some(counted) => counted,
+                None => predict_and_count(chunk)?,
             };
-            let (encoded_codes, table_mode) = encode_codes(&streams.codes, config.backend, zero_code, shared.as_ref());
+            let (encoded_codes, table_mode) =
+                encode_codes(&streams.codes, &hist, config.backend, zero_code, shared.as_ref());
             let mut unpred_bytes = Vec::with_capacity(streams.unpredictable.len() * T::BYTES);
             for &v in &streams.unpredictable {
                 v.write_le(&mut unpred_bytes);
@@ -218,7 +226,7 @@ pub fn compress_streamed<T: ScalarValue>(
             Ok(EncodedChunk {
                 payload,
                 crc,
-                hist: code_histogram(&streams.codes),
+                hist,
                 table_mode,
                 unpredictable: streams.unpredictable.len() as u64,
                 side_bytes: streams.side_data.len(),
@@ -227,16 +235,6 @@ pub fn compress_streamed<T: ScalarValue>(
             })
         },
     )
-}
-
-/// Deprecated alias of [`compress`], kept from the era when `compress`
-/// returned only the blob and statistics were opt-in.
-#[deprecated(note = "use `compress`, which now always returns a `CompressionOutcome`")]
-pub fn compress_with_stats<T: ScalarValue>(
-    data: &Dataset<T>,
-    config: &LossyConfig,
-) -> Result<CompressionOutcome, SzError> {
-    compress(data, config)
 }
 
 /// Shared chunked-container assembly: plans the layout, runs `encode_chunk`
@@ -466,34 +464,41 @@ fn decompress_v1<T: ScalarValue>(
     header: &mut BlobHeader,
     sections: &mut SectionReader<'_>,
 ) -> Result<Dataset<T>, SzError> {
-    match header.family {
+    let total = checked_points(&header.dims)?;
+    let values = match header.family {
         CodecFamily::Transform => {
-            let dims = std::mem::take(&mut header.dims);
-            let values = zfp::decode_chunk_payload::<T>(&dims, sections.next_section()?)?;
-            Dataset::new(dims, values)
+            let payload = sections.next_section()?;
+            let mut values = vec![T::zero(); total];
+            zfp::decode_chunk_payload_into(&header.dims, payload, &mut values)?;
+            values
         }
         CodecFamily::Prediction => {
-            let side_data = sections.next_section()?;
-            let unpred_bytes = sections.next_section()?;
-            let encoded_codes = sections.next_section()?;
-            let dims = std::mem::take(&mut header.dims);
-            let values = decode_prediction_values::<T>(
-                header,
-                &dims,
-                side_data,
-                unpred_bytes,
-                encoded_codes,
-                TABLE_MODE_LOCAL,
-                None,
-            )?;
-            Dataset::new(dims, values)
+            let parts = PredictionParts {
+                side_data: sections.next_section()?,
+                unpred_bytes: sections.next_section()?,
+                encoded_codes: sections.next_section()?,
+                table_mode: TABLE_MODE_LOCAL,
+            };
+            // No chunk table vouches for the shape here: the output is sized
+            // only once the stream has produced that many codes.
+            let (codes, unpredictable) = decode_streams::<T>(header, &parts, None)?;
+            if codes.len() != total {
+                return Err(SzError::CorruptStream(format!("{} codes for {total} points", codes.len())));
+            }
+            let streams = StreamsView { codes: &codes, unpredictable: &unpredictable, side_data: parts.side_data };
+            let mut values = vec![T::zero(); total];
+            reconstruct_into(header, &header.dims, streams, &mut values)?;
+            values
         }
-    }
+    };
+    Dataset::new(std::mem::take(&mut header.dims), values)
 }
 
 /// Chunked container (versions 3 and 4): validates the chunk table against
-/// the header's shape, then decodes each chunk independently (in parallel
-/// when `threads > 1`) and reassembles the contiguous row slabs.
+/// the header's shape, allocates the output once, and decodes each chunk (in
+/// parallel when `threads > 1`) straight into its own row slab of it — the
+/// slabs are disjoint and their bounds a pure function of shape and
+/// `chunk_rows`, so nothing is reassembled afterwards.
 ///
 /// Takes the header by `&mut` so the shape can be moved — not cloned — into
 /// the returned dataset.
@@ -503,6 +508,9 @@ fn decompress_chunked<T: ScalarValue>(
     threads: usize,
 ) -> Result<Dataset<T>, SzError> {
     let obs = ocelot_obs::global();
+    // Before anything is derived from the shape: every later product (row
+    // points, chunk points) divides this one.
+    let total = checked_points(&header.dims)?;
     let table = ChunkTable::decode(sections.next_section()?)?;
     // Version 4 carries the shared Huffman table (possibly empty) between
     // the chunk table and the payloads; version 3 has no such section.
@@ -549,44 +557,48 @@ fn decompress_chunked<T: ScalarValue>(
     // Chunk shapes are shared, not cloned per chunk (see compress side).
     let full_dims = layout.chunk_dims(0);
     let tail_dims = layout.chunk_dims(n - 1);
-    let decoded: Vec<Result<Vec<T>, SzError>> = parallel_map(n, threads, |i| {
+    // The table agrees with the shape: only now is the output allocated.
+    let mut out = vec![T::zero(); total];
+    // One uncontended lock per slab hands each `&mut` to whichever worker
+    // claims its chunk.
+    let slabs: Vec<Mutex<&mut [T]>> = out.chunks_mut(layout.points_in_chunk(0)).map(Mutex::new).collect();
+    let decoded: Vec<Result<(), SzError>> = parallel_map(n, threads, |i| {
         let _chunk_span = obs.wall_span("sz.chunk", None, i as u32);
         let _pchunk = prof::scope(ScopeId::DECOMPRESS);
         let tc = std::time::Instant::now();
         let entry = &table.entries[i];
         let payload = &body[offsets[i]..offsets[i] + entry.len];
         let chunk_dims = if layout.rows_in_chunk(i) == full_dims[0] { &full_dims } else { &tail_dims };
-        let values = decode_chunk::<T>(header, chunk_dims, i, entry, payload, shared.as_ref())?;
+        let mut slab = slabs[i].lock().expect("slab lock");
+        decode_chunk_into::<T>(header, chunk_dims, i, entry, payload, shared.as_ref(), &mut slab)?;
         obs.observe("ocelot_sz_chunk_seconds", "Wall time of one chunk compression task", tc.elapsed().as_secs_f64());
-        Ok(values)
+        Ok(())
     });
-    let total: usize = header.dims.iter().product();
-    let mut out = Vec::with_capacity(total);
-    for r in decoded {
-        out.extend_from_slice(&r?);
-    }
+    drop(slabs);
+    decoded.into_iter().collect::<Result<(), SzError>>()?;
     Dataset::new(std::mem::take(&mut header.dims), out)
 }
 
-/// Decodes one container chunk — CRC check plus family dispatch — into its
-/// values. `entry` is the chunk's table row and `payload` its container
-/// bytes, exactly as a [`compress_streamed`] sink receives them, so a
-/// streamed consumer can decode each chunk on arrival without the blob.
-/// `shared` is the blob's shared Huffman table, required when
-/// `entry.table_mode` is [`TABLE_MODE_SHARED`] (a streamed consumer builds
-/// it once from [`StreamedChunk::shared_table`]).
+/// Decodes one container chunk — CRC check plus family dispatch — into `out`,
+/// the chunk's slab of the destination buffer. `entry` is the chunk's table
+/// row and `payload` its container bytes, exactly as a [`compress_streamed`]
+/// sink receives them, so a streamed consumer can decode each chunk on
+/// arrival without the blob. `shared` is the blob's shared Huffman table,
+/// required when `entry.table_mode` is [`TABLE_MODE_SHARED`] (a streamed
+/// consumer builds it once from [`StreamedChunk::shared_table`]).
 ///
 /// # Errors
-/// Returns [`SzError::CorruptStream`] on a CRC mismatch or a malformed
-/// payload.
-pub fn decode_chunk<T: ScalarValue>(
+/// Returns [`SzError::CorruptStream`] on a CRC mismatch, a malformed payload,
+/// or a slab that does not hold exactly the points of `dims`.
+pub fn decode_chunk_into<T: ScalarValue>(
     header: &BlobHeader,
     dims: &[usize],
     index: usize,
     entry: &ChunkEntry,
     payload: &[u8],
     shared: Option<&HuffmanTable>,
-) -> Result<Vec<T>, SzError> {
+    out: &mut [T],
+) -> Result<(), SzError> {
     let crc = {
         let _p = prof::probe(Kernel::FrameCrc, payload.len());
         crate::checksum::crc32(payload)
@@ -595,54 +607,74 @@ pub fn decode_chunk<T: ScalarValue>(
         return Err(SzError::CorruptStream(format!("chunk {index} failed its CRC-32 check")));
     }
     match header.family {
-        CodecFamily::Transform => zfp::decode_chunk_payload::<T>(dims, payload),
+        CodecFamily::Transform => zfp::decode_chunk_payload_into(dims, payload, out),
         CodecFamily::Prediction => {
-            let mut parts = SectionReader::over(payload);
-            let side_data = parts.next_section()?;
-            let unpred_bytes = parts.next_section()?;
-            let encoded_codes = parts.next_section()?;
-            decode_prediction_values::<T>(
-                header,
-                dims,
-                side_data,
-                unpred_bytes,
-                encoded_codes,
-                entry.table_mode,
-                shared,
-            )
+            let mut sections = SectionReader::over(payload);
+            let parts = PredictionParts {
+                side_data: sections.next_section()?,
+                unpred_bytes: sections.next_section()?,
+                encoded_codes: sections.next_section()?,
+                table_mode: entry.table_mode,
+            };
+            let (codes, unpredictable) = decode_streams::<T>(header, &parts, shared)?;
+            let streams = StreamsView { codes: &codes, unpredictable: &unpredictable, side_data: parts.side_data };
+            reconstruct_into(header, dims, streams, out)
         }
     }
 }
 
-/// Decodes one prediction-family chunk (or a whole legacy blob) from its
-/// three sections into values. The side-data section is borrowed straight
-/// out of the payload — nothing is copied before the predictor runs.
-#[allow(clippy::too_many_arguments)]
-fn decode_prediction_values<T: ScalarValue>(
-    header: &BlobHeader,
-    dims: &[usize],
-    side_data: &[u8],
-    unpred_bytes: &[u8],
-    encoded_codes: &[u8],
+/// The three sections of a prediction-family chunk (or of a whole legacy
+/// blob), borrowed straight out of the payload, plus how the codes were
+/// entropy-coded.
+struct PredictionParts<'a> {
+    side_data: &'a [u8],
+    unpred_bytes: &'a [u8],
+    encoded_codes: &'a [u8],
     table_mode: u8,
+}
+
+/// Entropy-decodes a prediction-family chunk's quantization codes and reads
+/// its verbatim values.
+fn decode_streams<T: ScalarValue>(
+    header: &BlobHeader,
+    parts: &PredictionParts<'_>,
     shared: Option<&HuffmanTable>,
-) -> Result<Vec<T>, SzError> {
-    if !unpred_bytes.len().is_multiple_of(T::BYTES) {
+) -> Result<(Vec<u32>, Vec<T>), SzError> {
+    if !parts.unpred_bytes.len().is_multiple_of(T::BYTES) {
         return Err(SzError::CorruptStream("unpredictable section misaligned".into()));
     }
-    let unpredictable: Vec<T> = unpred_bytes.chunks_exact(T::BYTES).map(T::read_le).collect();
-    let codes = decode_codes(encoded_codes, header.backend, header.quant_radius, table_mode, shared)?;
-    let streams = StreamsView { codes: &codes, unpredictable: &unpredictable, side_data };
+    let unpredictable = parts.unpred_bytes.chunks_exact(T::BYTES).map(T::read_le).collect();
+    let codes = decode_codes(parts.encoded_codes, header.backend, header.quant_radius, parts.table_mode, shared)?;
+    Ok((codes, unpredictable))
+}
+
+/// Runs the header's predictor backwards over `streams` into `out`, the slab
+/// for shape `dims`. The interpolation predictors reconstruct in `out`
+/// itself; the others build their own buffer, copied in once.
+fn reconstruct_into<T: ScalarValue>(
+    header: &BlobHeader,
+    dims: &[usize],
+    streams: StreamsView<'_, T>,
+    out: &mut [T],
+) -> Result<(), SzError> {
     let quantizer = LinearQuantizer::new(header.abs_eb, header.quant_radius);
-    let _p = prof::probe(Kernel::Predict, dims.iter().product::<usize>() * T::BYTES);
+    let _p = prof::probe(Kernel::Predict, std::mem::size_of_val(out));
     let data = match header.predictor {
+        PredictorKind::InterpLinear => {
+            return interp::decompress_into(dims, streams, &quantizer, interp::Basis::Linear, out)
+        }
+        PredictorKind::InterpCubic => {
+            return interp::decompress_into(dims, streams, &quantizer, interp::Basis::Cubic, out)
+        }
         PredictorKind::Lorenzo => lorenzo::decompress(dims, streams, &quantizer),
         PredictorKind::Lorenzo2 => lorenzo2::decompress(dims, streams, &quantizer),
         PredictorKind::Regression => regression::decompress(dims, streams, &quantizer),
-        PredictorKind::InterpLinear => interp::decompress(dims, streams, &quantizer, interp::Basis::Linear),
-        PredictorKind::InterpCubic => interp::decompress(dims, streams, &quantizer, interp::Basis::Cubic),
     }?;
-    Ok(data.into_values())
+    if data.len() != out.len() {
+        return Err(SzError::CorruptStream(format!("slab of {} values for {} points", out.len(), data.len())));
+    }
+    out.copy_from_slice(data.values());
+    Ok(())
 }
 
 fn run_predictor<T: ScalarValue>(
@@ -674,20 +706,27 @@ fn run_predictor<T: ScalarValue>(
 
 /// Huffman stage with optional shared table: try the job-wide table first
 /// (no per-chunk tree build or embedded length table); fall back to a local
-/// self-describing stream when a symbol escapes it. Returns the bytes plus
-/// the table-mode tag for the chunk table.
-fn huffman_stage(symbols: &[u32], shared: Option<&HuffmanTable>) -> (Vec<u8>, u8) {
+/// self-describing stream when a symbol escapes it. `hist` is the symbols'
+/// histogram where the caller already has it. Returns the bytes plus the
+/// table-mode tag for the chunk table.
+fn huffman_stage(symbols: &[u32], hist: Option<&[(u32, u64)]>, shared: Option<&HuffmanTable>) -> (Vec<u8>, u8) {
     let _p = prof::probe(Kernel::HuffmanEncode, std::mem::size_of_val(symbols));
     if let Some(table) = shared {
         if let Some(body) = table.encode_stream(symbols) {
             return (body, TABLE_MODE_SHARED);
         }
     }
-    (huffman_encode(symbols), TABLE_MODE_LOCAL)
+    let local = match hist {
+        Some(hist) => huffman_encode_counted(symbols, hist),
+        None => huffman_encode(symbols),
+    };
+    (local, TABLE_MODE_LOCAL)
 }
 
+/// Entropy-codes a chunk's quantization `codes`, whose histogram is `hist`.
 fn encode_codes(
     codes: &[u32],
+    hist: &[(u32, u64)],
     backend: LosslessBackend,
     zero_code: u32,
     shared: Option<&HuffmanTable>,
@@ -696,9 +735,9 @@ fn encode_codes(
     let t0 = std::time::Instant::now();
     let code_bytes = std::mem::size_of_val(codes);
     let (out, table_mode) = match backend {
-        LosslessBackend::Huffman => huffman_stage(codes, shared),
+        LosslessBackend::Huffman => huffman_stage(codes, Some(hist), shared),
         LosslessBackend::HuffmanLz => {
-            let (huff, table_mode) = huffman_stage(codes, shared);
+            let (huff, table_mode) = huffman_stage(codes, Some(hist), shared);
             let _p = prof::probe(Kernel::Lz, huff.len());
             (lz_compress(&huff), table_mode)
         }
@@ -707,7 +746,8 @@ fn encode_codes(
                 let _p = prof::probe(Kernel::Rle, code_bytes);
                 rle_encode(codes, zero_code)
             };
-            huffman_stage(&runs, shared)
+            // The Huffman symbols are runs, not codes: counted on their own.
+            huffman_stage(&runs, None, shared)
         }
     };
     obs.observe(
@@ -937,6 +977,133 @@ mod tests {
         }
     }
 
+    /// Rebuilds `blob` after `edit` changed its parsed parts, re-sealing both
+    /// checksums (every chunk's CRC and length in the table, then the
+    /// trailer) so that only structural validation can reject the result.
+    fn rebuild(
+        blob: &CompressedBlob,
+        edit: impl FnOnce(&mut BlobHeader, &mut ChunkTable, &mut Vec<Vec<u8>>),
+    ) -> CompressedBlob {
+        let (mut header, mut sections) = blob.open().unwrap();
+        let mut table = ChunkTable::decode(sections.next_section().unwrap()).unwrap();
+        let shared = sections.next_section().unwrap().to_vec();
+        let body = sections.rest();
+        let mut payloads: Vec<Vec<u8>> =
+            table.offsets().iter().zip(&table.entries).map(|(&at, e)| body[at..at + e.len].to_vec()).collect();
+        edit(&mut header, &mut table, &mut payloads);
+        for (entry, payload) in table.entries.iter_mut().zip(&payloads) {
+            entry.len = payload.len();
+            entry.crc = crate::checksum::crc32(payload);
+        }
+        let mut writer = BlobWriter::new(&header).unwrap();
+        writer.section(&table.encode()).section(&shared);
+        for payload in &payloads {
+            writer.raw(payload);
+        }
+        CompressedBlob::from_bytes(writer.finish().into_bytes()).expect("both checksums re-sealed")
+    }
+
+    fn assert_corrupt(blob: &CompressedBlob, what: &str) {
+        for threads in [1, 3] {
+            match decompress_with_threads::<f32>(blob, threads) {
+                Err(SzError::CorruptStream(_)) => {}
+                other => panic!("{what}: expected CorruptStream, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn hostile_shapes_are_typed_errors_before_anything_is_allocated() {
+        let data = wavy(vec![64, 16]);
+        let blob = compress(&data, &LossyConfig::sz3_abs(1e-3).with_chunk_points(Some(256))).unwrap().blob;
+        assert_eq!(decompress::<f32>(&rebuild(&blob, |_, _, _| {})).unwrap(), decompress::<f32>(&blob).unwrap());
+
+        // A shape whose point count overflows `usize` — to zero, which a
+        // wrapping product would happily "validate" against `points = 0`.
+        let overflowing = rebuild(&blob, |header, table, payloads| {
+            header.dims = vec![1 << 32, 1 << 32];
+            table.chunk_rows = 1 << 32;
+            table.entries.truncate(1);
+            table.entries[0].points = 0;
+            payloads.truncate(1);
+        });
+        assert_corrupt(&overflowing, "overflowing shape");
+        let huge = rebuild(&blob, |header, _, _| header.dims = vec![usize::MAX, 2, 3]);
+        assert_corrupt(&huge, "overflowing shape, rank 3");
+
+        // A consistent-looking table over the wrong shape: the same chunk
+        // count, but every slab is half as long as its payload's code stream.
+        let halved = rebuild(&blob, |header, table, _| {
+            header.dims = vec![64, 8];
+            for e in &mut table.entries {
+                e.points = 128;
+            }
+        });
+        assert_corrupt(&halved, "slab shorter than the chunk's codes");
+        let doubled = rebuild(&blob, |header, table, _| {
+            header.dims = vec![64, 32];
+            for e in &mut table.entries {
+                e.points = 512;
+            }
+        });
+        assert_corrupt(&doubled, "slab longer than the chunk's codes");
+
+        // `points` out of step with the layout, and a chunk count that is.
+        assert_corrupt(&rebuild(&blob, |_, table, _| table.entries[2].points += 1), "points mismatch");
+        assert_corrupt(&rebuild(&blob, |header, _, _| header.dims = vec![65, 16]), "chunk count mismatch");
+    }
+
+    #[test]
+    fn short_and_long_unpredictable_pools_are_typed_errors_in_place() {
+        // Radius 2 at a tight bound: most points escape to the pool.
+        let data = wavy(vec![40, 12]);
+        let cfg = LossyConfig::sz3_abs(1e-4).with_quant_radius(2).with_chunk_points(Some(120));
+        let out = compress(&data, &cfg).unwrap();
+        assert!(out.chunks > 1 && out.bin_stats.unpredictable > 0.1, "test needs escapes in several chunks");
+        let resize_pool = |chunk: usize, grow: bool| {
+            rebuild(&out.blob, |_, table, payloads| {
+                let mut parts = SectionReader::over(&payloads[chunk]);
+                let side = parts.next_section().unwrap().to_vec();
+                let mut pool = parts.next_section().unwrap().to_vec();
+                let codes = parts.next_section().unwrap().to_vec();
+                assert!(pool.len() >= 8, "chunk {chunk} has escapes");
+                if grow {
+                    pool.extend_from_slice(&1.5f32.to_le_bytes());
+                    table.entries[chunk].unpredictable += 1;
+                } else {
+                    pool.truncate(pool.len() - 4);
+                    table.entries[chunk].unpredictable -= 1;
+                }
+                let mut payload = Vec::new();
+                write_framed(&mut payload, &side);
+                write_framed(&mut payload, &pool);
+                write_framed(&mut payload, &codes);
+                payloads[chunk] = payload;
+            })
+        };
+        for chunk in [0, out.chunks - 1] {
+            assert_corrupt(&resize_pool(chunk, false), "short pool");
+            assert_corrupt(&resize_pool(chunk, true), "long pool");
+        }
+    }
+
+    #[test]
+    fn decode_chunk_into_rejects_a_slab_of_the_wrong_length() {
+        let data = wavy(vec![12, 10]);
+        let mut seen = 0;
+        compress_streamed(&data, &LossyConfig::sz3_abs(1e-3), 0, |chunk| {
+            for len in [0usize, 119, 121] {
+                let mut slab = vec![0f32; len];
+                let r = decode_chunk_into(chunk.header, chunk.dims, 0, &chunk.entry, chunk.payload, None, &mut slab);
+                assert!(matches!(r, Err(SzError::CorruptStream(_))), "slab of {len}: {r:?}");
+            }
+            seen += 1;
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(seen, 1);
+    }
+
     #[test]
     fn ratio_accounts_for_header_overhead() {
         let data = wavy(vec![32]);
@@ -1018,21 +1185,25 @@ mod tests {
     fn streamed_chunks_decode_on_arrival() {
         let data = wavy(vec![48, 10]);
         let cfg = LossyConfig::sz3_abs(1e-3).with_threads(4).with_chunk_points(Some(64));
-        let mut restored: Vec<f32> = Vec::new();
+        let mut restored = vec![0f32; data.len()];
+        let mut filled = 0usize;
         let outcome = compress_streamed(&data, &cfg, 2, |chunk| {
             let shared =
                 if chunk.shared_table.is_empty() { None } else { Some(HuffmanTable::deserialize(chunk.shared_table)?) };
-            restored.extend(decode_chunk::<f32>(
+            let slab = &mut restored[filled..filled + chunk.entry.points as usize];
+            filled += slab.len();
+            decode_chunk_into::<f32>(
                 chunk.header,
                 chunk.dims,
                 chunk.index,
                 &chunk.entry,
                 chunk.payload,
                 shared.as_ref(),
-            )?);
-            Ok(())
+                slab,
+            )
         })
         .unwrap();
+        assert_eq!(filled, data.len());
         let staged = decompress::<f32>(&outcome.blob).unwrap();
         assert_eq!(restored, staged.values(), "per-chunk decode equals whole-blob decode");
     }
@@ -1052,15 +1223,5 @@ mod tests {
             Err(SzError::CorruptStream(msg)) => assert!(msg.contains("sink rejected")),
             other => panic!("expected the sink error to surface, got {other:?}"),
         }
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_shim_matches_compress() {
-        let data = wavy(vec![20, 20]);
-        let cfg = LossyConfig::sz3_abs(1e-3);
-        let a = compress(&data, &cfg).unwrap();
-        let b = compress_with_stats(&data, &cfg).unwrap();
-        assert_eq!(a.blob, b.blob);
     }
 }

@@ -12,8 +12,8 @@
 //! and predictions read only reconstructed values, guaranteeing parity.
 
 use crate::error::SzError;
-use crate::ndarray::{Dataset, DatasetView};
-use crate::predict::{PredictionStreams, StreamsView, UnpredictablePool};
+use crate::ndarray::{checked_points, Dataset, DatasetView};
+use crate::predict::{PredictionStreams, StreamsView};
 use crate::quantizer::LinearQuantizer;
 use crate::value::ScalarValue;
 
@@ -35,26 +35,19 @@ pub fn compress<T: ScalarValue>(
     quantizer: &LinearQuantizer,
     basis: Basis,
 ) -> Result<PredictionStreams<T>, SzError> {
-    if data.ndim() > 3 {
-        return Err(SzError::InvalidShape(format!("interpolation predictor supports 1-3 dims, got {}", data.ndim())));
-    }
-    let mut out = PredictionStreams::with_capacity(data.len());
-    let mut recon = vec![T::zero(); data.len()];
-    let raw = data.values();
-    walk_schedule(
-        data.dims(),
-        basis,
-        |off, pred, recon_buf: &mut [T]| {
-            let quantized = quantizer.quantize(raw[off], pred);
-            if quantized.code == 0 {
-                out.unpredictable.push(quantized.reconstructed);
-            }
-            out.codes.push(quantized.code);
-            recon_buf[off] = quantized.reconstructed;
-        },
-        &mut recon,
-    );
-    Ok(out)
+    check_rank(data.ndim())?;
+    let n = data.len();
+    let mut encoder = Encoder {
+        q: quantizer,
+        raw: data.values(),
+        recon: vec![T::zero(); n],
+        codes: vec![0u32; n],
+        next: 0,
+        unpredictable: Vec::new(),
+    };
+    walk_schedule(data.dims(), basis, &mut encoder);
+    debug_assert_eq!(encoder.next, n, "schedule visits every point once");
+    Ok(PredictionStreams { codes: encoder.codes, unpredictable: encoder.unpredictable, side_data: Vec::new() })
 }
 
 /// Decompresses streams produced by [`compress`] with the same basis.
@@ -68,73 +61,297 @@ pub fn decompress<T: ScalarValue>(
     quantizer: &LinearQuantizer,
     basis: Basis,
 ) -> Result<Dataset<T>, SzError> {
-    if dims.len() > 3 {
-        return Err(SzError::InvalidShape(format!("interpolation predictor supports 1-3 dims, got {}", dims.len())));
-    }
-    let n: usize = dims.iter().product();
-    if streams.codes.len() != n {
-        return Err(SzError::CorruptStream(format!("interp: {} codes for {n} points", streams.codes.len())));
-    }
-    let mut recon = vec![T::zero(); n];
-    let mut pool = UnpredictablePool::new(streams.unpredictable);
-    let mut next_code = 0usize;
-    let mut short_pool = false;
-    walk_schedule(
-        dims,
-        basis,
-        |off, pred, recon_buf: &mut [T]| {
-            let code = streams.codes[next_code];
-            next_code += 1;
-            recon_buf[off] = if code == 0 {
-                match pool.take() {
-                    Some(v) => v,
-                    None => {
-                        short_pool = true;
-                        T::zero()
-                    }
-                }
-            } else {
-                quantizer.recover(code, pred)
-            };
-        },
-        &mut recon,
-    );
-    if short_pool || !pool.fully_consumed() {
-        return Err(SzError::CorruptStream("interp: unpredictable pool length mismatch".into()));
-    }
+    // Sized by the codes actually present, never by the shape alone.
+    let mut recon = vec![T::zero(); check_streams(dims, streams.codes.len())?];
+    decompress_into(dims, streams, quantizer, basis, &mut recon)?;
     Dataset::new(dims.to_vec(), recon)
 }
 
-/// Drives the shared compress/decompress traversal. For every point in
-/// schedule order, computes the interpolation prediction from `recon` and
-/// invokes `visit(offset, prediction, recon)`.
-fn walk_schedule<T: ScalarValue>(
+/// [`decompress`] straight into `out`, the caller's slab for this shape
+/// (its prior contents are never read).
+///
+/// # Errors
+/// As [`decompress`], plus [`SzError::CorruptStream`] if `out` does not hold
+/// exactly the shape's points.
+pub(crate) fn decompress_into<T: ScalarValue>(
     dims: &[usize],
+    streams: StreamsView<'_, T>,
+    quantizer: &LinearQuantizer,
     basis: Basis,
-    mut visit: impl FnMut(usize, f64, &mut [T]),
-    recon: &mut [T],
-) {
+    out: &mut [T],
+) -> Result<(), SzError> {
+    let n = check_streams(dims, streams.codes.len())?;
+    if out.len() != n {
+        return Err(SzError::CorruptStream(format!("interp: slab of {} values for {n} points", out.len())));
+    }
+    let mut decoder =
+        Decoder { q: quantizer, codes: streams.codes, next: 0, recon: out, pool: streams.unpredictable, taken: 0 };
+    walk_schedule(dims, basis, &mut decoder);
+    // `taken` counts every escape met, so it overshoots a short pool.
+    if decoder.taken != decoder.pool.len() {
+        return Err(SzError::CorruptStream("interp: unpredictable pool length mismatch".into()));
+    }
+    Ok(())
+}
+
+fn check_rank(ndim: usize) -> Result<(), SzError> {
+    if (1..=3).contains(&ndim) {
+        Ok(())
+    } else {
+        Err(SzError::InvalidShape(format!("interpolation predictor supports 1-3 dims, got {ndim}")))
+    }
+}
+
+/// Validates a decode request, returning the shape's point count.
+fn check_streams(dims: &[usize], n_codes: usize) -> Result<usize, SzError> {
+    check_rank(dims.len())?;
+    let n = checked_points(dims)?;
+    if n == 0 {
+        return Err(SzError::InvalidShape(format!("interp: empty shape {dims:?}")));
+    }
+    if n_codes != n {
+        return Err(SzError::CorruptStream(format!("interp: {n_codes} codes for {n} points")));
+    }
+    Ok(n)
+}
+
+// A pass never predicts a point from another point of the same pass: the
+// neighbours it reads sit on the coarser grid, reconstructed by earlier
+// passes. So a pass is handed to the kernels as *runs* — `count` points
+// `off0, off0 + st, …` along the last dimension that share one interpolation
+// mode — and a kernel is a tight loop over one run with the mode a const
+// generic: no per-point mode test, no odometer, no closure. The schedule
+// (pass order, and point order within a pass) is the reference walk's.
+
+/// Right neighbour out of bounds: the prediction is the left neighbour.
+const COPY: u8 = 0;
+/// Two-point average.
+const LINEAR: u8 = 1;
+/// Four-point cubic.
+const CUBIC: u8 = 2;
+
+/// `count` points `off0 + k·st` predicted from the neighbours `near` (and,
+/// for [`CUBIC`], `3·near`) elements to either side.
+#[derive(Debug, Clone, Copy)]
+struct Run {
+    off0: usize,
+    st: usize,
+    count: usize,
+    near: usize,
+}
+
+/// What the schedule drives: the encoder or the decoder.
+trait RunKernel {
+    /// The origin point, predicted as zero.
+    fn origin(&mut self);
+    /// One run of points sharing interpolation mode `MODE`.
+    fn run<const MODE: u8>(&mut self, run: Run);
+}
+
+/// Neighbour values of one run, as `f64`. When the pass runs along the row
+/// (`st == 2·near`) the window *slides*: a point's right neighbours are the
+/// next point's left ones — none of them written by this pass — so they are
+/// carried in registers and each point loads one new value instead of four.
+struct Neighbours<const MODE: u8> {
+    slide: bool,
+    /// `[a3, a1, b1]` of the next point when sliding.
+    carried: [f64; 3],
+}
+
+impl<const MODE: u8> Neighbours<MODE> {
+    #[inline(always)]
+    fn new<T: ScalarValue>(recon: &[T], run: Run) -> Self {
+        let Run { off0, st, near, .. } = run;
+        let slide = MODE != COPY && st == 2 * near;
+        let mut carried = [0.0; 3];
+        if slide {
+            carried[1] = recon[off0 - near].to_f64();
+            if MODE == CUBIC {
+                carried[0] = recon[off0 - 3 * near].to_f64();
+                carried[2] = recon[off0 + near].to_f64();
+            }
+        }
+        Neighbours { slide, carried }
+    }
+
+    /// The prediction at `off`; points must be asked for in run order.
+    #[inline(always)]
+    fn predict<T: ScalarValue>(&mut self, recon: &[T], off: usize, near: usize) -> f64 {
+        let at = |i: usize| recon[i].to_f64();
+        match MODE {
+            COPY => at(off - near),
+            LINEAR => {
+                let a1 = if self.slide { self.carried[1] } else { at(off - near) };
+                let b1 = at(off + near);
+                self.carried[1] = b1;
+                0.5 * (a1 + b1)
+            }
+            _ => {
+                let [a3, a1, b1] =
+                    if self.slide { self.carried } else { [at(off - 3 * near), at(off - near), at(off + near)] };
+                let b3 = at(off + 3 * near);
+                self.carried = [a1, b1, b3];
+                (-a3 + 9.0 * a1 + 9.0 * b1 - b3) / 16.0
+            }
+        }
+    }
+}
+
+struct Encoder<'a, T> {
+    q: &'a LinearQuantizer,
+    raw: &'a [T],
+    recon: Vec<T>,
+    /// One slot per point, written by index in schedule order.
+    codes: Vec<u32>,
+    next: usize,
+    unpredictable: Vec<T>,
+}
+
+impl<T: ScalarValue> RunKernel for Encoder<'_, T> {
+    fn origin(&mut self) {
+        let quantized = self.q.quantize(self.raw[0], 0.0);
+        if quantized.code == 0 {
+            self.unpredictable.push(quantized.reconstructed);
+        }
+        self.codes[0] = quantized.code;
+        self.recon[0] = quantized.reconstructed;
+        self.next = 1;
+    }
+
+    #[inline]
+    fn run<const MODE: u8>(&mut self, run: Run) {
+        let Run { off0, st, count, near } = run;
+        let codes = &mut self.codes[self.next..self.next + count];
+        self.next += count;
+        let recon = self.recon.as_mut_slice();
+        let mut neighbours = Neighbours::<MODE>::new(recon, run);
+        let mut escaped = false;
+        let mut off = off0;
+        for code in codes.iter_mut() {
+            let quantized = self.q.quantize(self.raw[off], neighbours.predict(recon, off, near));
+            *code = quantized.code;
+            recon[off] = quantized.reconstructed;
+            escaped |= quantized.code == 0;
+            off += st;
+        }
+        // An escape's reconstruction is its exact value, and nothing in the
+        // run read it, so the pool can be filled after the loop, in order.
+        if escaped {
+            for (k, _) in codes.iter().enumerate().filter(|&(_, &code)| code == 0) {
+                self.unpredictable.push(recon[off0 + k * st]);
+            }
+        }
+    }
+}
+
+struct Decoder<'a, T> {
+    q: &'a LinearQuantizer,
+    codes: &'a [u32],
+    next: usize,
+    recon: &'a mut [T],
+    pool: &'a [T],
+    /// Escapes met so far (runs past `pool.len()` on a short pool).
+    taken: usize,
+}
+
+impl<T: ScalarValue> Decoder<'_, T> {
+    /// The next verbatim value; zero once a (corrupt) pool has run dry.
+    fn take(&mut self) -> T {
+        let v = self.pool.get(self.taken).copied().unwrap_or_else(T::zero);
+        self.taken += 1;
+        v
+    }
+}
+
+impl<T: ScalarValue> RunKernel for Decoder<'_, T> {
+    fn origin(&mut self) {
+        let code = self.codes[0];
+        self.recon[0] = if code == 0 { self.take() } else { self.q.recover(code, 0.0) };
+        self.next = 1;
+    }
+
+    #[inline]
+    fn run<const MODE: u8>(&mut self, run: Run) {
+        let Run { off0, st, count, near } = run;
+        let codes = self.codes; // a copy of the `&[u32]`, so `self` stays free
+        let codes = &codes[self.next..self.next + count];
+        self.next += count;
+        let mut neighbours = Neighbours::<MODE>::new(self.recon, run);
+        let mut escaped = false;
+        let mut off = off0;
+        for &code in codes {
+            // Always asked, escape or not: the window has to keep sliding.
+            let pred = neighbours.predict(self.recon, off, near);
+            if code == 0 {
+                escaped = true;
+            } else {
+                self.recon[off] = self.q.recover(code, pred);
+            }
+            off += st;
+        }
+        // No point of the run reads another, so the escapes can be filled in
+        // afterwards, in schedule order.
+        if escaped {
+            for (k, _) in codes.iter().enumerate().filter(|&(_, &code)| code == 0) {
+                self.recon[off0 + k * st] = self.take();
+            }
+        }
+    }
+}
+
+#[inline]
+fn dispatch<K: RunKernel>(kernel: &mut K, mode: u8, run: Run) {
+    match mode {
+        _ if run.count == 0 => {}
+        COPY => kernel.run::<COPY>(run),
+        LINEAR => kernel.run::<LINEAR>(run),
+        _ => kernel.run::<CUBIC>(run),
+    }
+}
+
+/// Interpolation mode of a point at coordinate `c` (an odd multiple of `s`)
+/// of a pass along a dimension of length `n`.
+fn mode_at(c: usize, n: usize, s: usize, basis: Basis) -> u8 {
+    if c + s >= n {
+        COPY
+    } else if basis == Basis::Cubic && c >= 3 * s && c + 3 * s < n {
+        CUBIC
+    } else {
+        LINEAR
+    }
+}
+
+/// Number of `j ≥ 0` with `first + 2s·j < n`.
+fn grid_count(n: usize, first: usize, s: usize) -> usize {
+    if n > first {
+        (n - first).div_ceil(2 * s)
+    } else {
+        0
+    }
+}
+
+/// Drives the shared compress/decompress traversal: the origin, then every
+/// pass of every level, coarsest first.
+fn walk_schedule<K: RunKernel>(dims: &[usize], basis: Basis, kernel: &mut K) {
     let ndim = dims.len();
+    // Left-pad the shape to rank 3; a padded dim only ever has coordinate 0.
+    let mut dims3 = [1usize; 3];
+    dims3[3 - ndim..].copy_from_slice(dims);
+    let elem_stride = [dims3[1] * dims3[2], dims3[2], 1];
     let max_dim = dims.iter().copied().max().expect("validated nonempty");
     // Smallest power of two covering the largest dimension.
     let mut top_stride = 1usize;
     while top_stride < max_dim {
         top_stride *= 2;
     }
-    // Strides (element counts) per dimension for offset computation.
-    let mut elem_stride = vec![1usize; ndim];
-    for d in (0..ndim.saturating_sub(1)).rev() {
-        elem_stride[d] = elem_stride[d + 1] * dims[d + 1];
-    }
 
-    // Origin: predicted as zero.
-    visit(0, 0.0, recon);
+    kernel.origin();
 
     let mut s = top_stride;
     while s >= 1 {
         if s < max_dim {
-            for pass_dim in 0..ndim {
-                walk_pass(dims, &elem_stride, s, pass_dim, basis, &mut visit, recon);
+            for pass_dim in 3 - ndim..3 {
+                walk_pass(&dims3, &elem_stride, s, pass_dim, basis, kernel);
             }
         }
         if s == 1 {
@@ -146,77 +363,60 @@ fn walk_schedule<T: ScalarValue>(
 
 /// One interpolation pass: fills points whose `pass_dim` coordinate is an odd
 /// multiple of `s`, with earlier dims on the `s` grid and later dims on the
-/// `2s` grid.
-fn walk_pass<T: ScalarValue>(
-    dims: &[usize],
-    elem_stride: &[usize],
+/// `2s` grid — row by row, each row as runs along the last dimension.
+fn walk_pass<K: RunKernel>(
+    dims: &[usize; 3],
+    elem_stride: &[usize; 3],
     s: usize,
     pass_dim: usize,
     basis: Basis,
-    visit: &mut impl FnMut(usize, f64, &mut [T]),
-    recon: &mut [T],
+    kernel: &mut K,
 ) {
-    let ndim = dims.len();
-    // Per-dimension coordinate step and start, precomputed: the pass dim
-    // fills odd multiples of `s` (start `s`, step `2s`); earlier dims sit on
-    // the refined `s` grid, later dims still on the coarse `2s` grid.
-    let step: Vec<usize> = (0..ndim).map(|d| if d < pass_dim { s } else { 2 * s }).collect();
-    let start: Vec<usize> = (0..ndim).map(|d| if d == pass_dim { s } else { 0 }).collect();
-
-    let mut coord: Vec<usize> = start.clone();
-    if coord.iter().zip(dims).any(|(&c, &n)| c >= n) {
+    let n = dims[pass_dim];
+    if s >= n {
         return;
     }
-    let dim_len = dims[pass_dim];
-    let estride = elem_stride[pass_dim];
-    let near = s * estride;
-    let far = 3 * s * estride;
-    // The point offset is maintained incrementally across odometer steps
-    // (exact integer arithmetic); the reference recomputed the coord·stride
-    // dot product per point, which dominated the schedule walk.
-    let mut off: usize = coord.iter().zip(elem_stride).map(|(&c, &es)| c * es).sum();
-    loop {
-        let c = coord[pass_dim];
-        let a1 = recon[off - near].to_f64(); // c-s always >= 0
-        let pred = if c + s < dim_len {
-            let b1 = recon[off + near].to_f64();
-            match basis {
-                Basis::Linear => 0.5 * (a1 + b1),
-                Basis::Cubic => {
-                    if c >= 3 * s && c + 3 * s < dim_len {
-                        let a3 = recon[off - far].to_f64();
-                        let b3 = recon[off + far].to_f64();
-                        (-a3 + 9.0 * a1 + 9.0 * b1 - b3) / 16.0
-                    } else {
-                        0.5 * (a1 + b1)
-                    }
-                }
-            }
-        } else {
-            a1 // right neighbour out of bounds: copy-left
+    let st = 2 * s;
+    let near = s * elem_stride[pass_dim];
+    let start = |d: usize| if d == pass_dim { s } else { 0 };
+    let step = |d: usize| if d < pass_dim { s } else { st };
+    let rows = (start(0)..dims[0])
+        .step_by(step(0))
+        .flat_map(|c0| (start(1)..dims[1]).step_by(step(1)).map(move |c1| (c0, c1)));
+    if pass_dim == 2 {
+        // The pass runs along the row: point `j` sits at `(2j + 1)·s`. It has
+        // a right neighbour while `(2j + 2)·s < n` and both far neighbours
+        // while also `j ≥ 1` and `(2j + 4)·s < n`, which splits every row
+        // into a linear head, a cubic interior, a linear tail and at most one
+        // copied point.
+        let total = grid_count(n, s, s);
+        let interp = grid_count(n, 2 * s, s);
+        let (head, cubic_end) = match basis {
+            Basis::Linear => (interp, interp),
+            Basis::Cubic => (interp.min(1), grid_count(n, 4 * s, s).max(interp.min(1))),
         };
-        visit(off, pred, recon);
-
-        // Odometer increment, fastest on the last dimension.
-        let mut d = ndim;
-        loop {
-            if d == 0 {
-                return;
+        let segments =
+            [(LINEAR, 0, head), (CUBIC, head, cubic_end), (LINEAR, cubic_end, interp), (COPY, interp, total)];
+        for (c0, c1) in rows {
+            let row = c0 * elem_stride[0] + c1 * elem_stride[1];
+            for &(mode, j0, j1) in &segments {
+                dispatch(kernel, mode, Run { off0: row + (2 * j0 + 1) * s, st, count: j1 - j0, near });
             }
-            d -= 1;
-            coord[d] += step[d];
-            if coord[d] < dims[d] {
-                off += step[d] * elem_stride[d];
-                break;
-            }
-            off -= (coord[d] - step[d] - start[d]) * elem_stride[d];
-            coord[d] = start[d];
+        }
+    } else {
+        // The pass runs across rows: one mode per row, points on the `2s`
+        // grid of the last dimension.
+        let count = grid_count(dims[2], 0, s);
+        for (c0, c1) in rows {
+            let c = if pass_dim == 0 { c0 } else { c1 };
+            let off0 = c0 * elem_stride[0] + c1 * elem_stride[1];
+            dispatch(kernel, mode_at(c, n, s, basis), Run { off0, st, count, near });
         }
     }
 }
 
-/// The pre-fusion pass walk (per-point offset recompute), kept verbatim as
-/// the bit-equality oracle for [`walk_pass`].
+/// The point-at-a-time pass walk (per-point offset recompute, visitor
+/// closure), kept verbatim as the bit-equality oracle for the run kernels.
 #[cfg(test)]
 mod reference {
     use super::*;
@@ -407,15 +607,102 @@ mod tests {
         assert!(decompress(&[16], streams.view(), &q, Basis::Linear).is_err());
     }
 
-    use crate::predict::testutil::{bits, fuzz_dataset};
+    use crate::predict::testutil::fuzz_dataset;
     use crate::predict::UnpredictablePool;
     use proptest::prelude::*;
+
+    /// Exact byte image of a value slice (`-0.0` ≠ `+0.0`, NaNs compare).
+    fn bytes_of<T: ScalarValue>(values: &[T]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(values.len() * T::BYTES);
+        for &v in values {
+            v.write_le(&mut out);
+        }
+        out
+    }
+
+    /// The run kernels must visit the same points in the same order with the
+    /// same predictions as the reference walk: codes, escape pool and
+    /// reconstruction equal bit for bit, encode and decode.
+    fn assert_matches_reference<T: ScalarValue>(data: &Dataset<T>, q: &LinearQuantizer, basis: Basis) {
+        let dims = data.dims();
+        let context = format!("dims {dims:?} {basis:?} eb {} radius {}", q.error_bound(), q.radius());
+        let fused = compress(data.view(), q, basis).unwrap();
+
+        let n = data.len();
+        let raw = data.values();
+        let mut scalar = PredictionStreams::<T>::with_capacity(n);
+        let mut recon_ref = vec![T::zero(); n];
+        reference::walk_schedule(
+            dims,
+            basis,
+            |off, pred, recon_buf: &mut [T]| {
+                let quantized = q.quantize(raw[off], pred);
+                if quantized.code == 0 {
+                    scalar.unpredictable.push(quantized.reconstructed);
+                }
+                scalar.codes.push(quantized.code);
+                recon_buf[off] = quantized.reconstructed;
+            },
+            &mut recon_ref,
+        );
+        assert_eq!(fused.codes, scalar.codes, "{context}");
+        assert_eq!(bytes_of(&fused.unpredictable), bytes_of(&scalar.unpredictable), "{context}");
+
+        let fused_out = decompress(dims, fused.view(), q, basis).unwrap();
+        let mut pool = UnpredictablePool::new(fused.unpredictable.as_slice());
+        let mut next = 0usize;
+        let mut recon_dec = vec![T::zero(); n];
+        reference::walk_schedule(
+            dims,
+            basis,
+            |off, pred, recon_buf: &mut [T]| {
+                let code = fused.codes[next];
+                next += 1;
+                recon_buf[off] = if code == 0 {
+                    pool.take().expect("pool length verified by encode")
+                } else {
+                    q.recover(code, pred)
+                };
+            },
+            &mut recon_dec,
+        );
+        assert_eq!(bytes_of(fused_out.values()), bytes_of(&recon_dec), "{context}");
+        assert_eq!(bytes_of(fused_out.values()), bytes_of(&recon_ref), "{context}: decode differs from encode");
+    }
+
+    #[test]
+    fn fused_matches_scalar_on_run_split_edge_shapes() {
+        // Every last-dimension length up to 9 plus powers of two and their
+        // neighbours: rows with no head (n = 1, 2), no cubic interior
+        // (n <= 4 at s = 1, and again at every coarser level), no tail, with
+        // and without a copied last point — alone (rank 1) and under one or
+        // two outer dimensions that are themselves 1, tiny, or non-powers.
+        let lasts = [1usize, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 33];
+        let outers: [&[usize]; 8] = [&[], &[1], &[2], &[5], &[1, 1], &[3, 4], &[4, 1], &[9, 2]];
+        for &n_last in &lasts {
+            for outer in outers {
+                let mut dims = outer.to_vec();
+                dims.push(n_last);
+                for basis in [Basis::Linear, Basis::Cubic] {
+                    // Smooth + radius 2^15: no escapes. Rough + radius 2:
+                    // most points escape, several per run.
+                    for (amp, eb, radius) in [(0.01f32, 1e-3, 1u32 << 15), (40.0, 1e-2, 2), (3.0, 1e-1, 4)] {
+                        let data = fuzz_dataset(&dims, 0xfeed ^ n_last as u64, amp);
+                        let q = LinearQuantizer::new(eb, radius);
+                        assert_matches_reference(&data, &q, basis);
+                        let wide =
+                            Dataset::new(dims.clone(), data.values().iter().map(|&v| v as f64 * 1.000_000_1).collect())
+                                .unwrap();
+                        assert_matches_reference(&wide, &q, basis);
+                    }
+                }
+            }
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        // The incremental-offset pass walk must visit the same points with
-        // the same predictions as the reference walk, bit for bit.
         #[test]
         fn fused_matches_scalar(
             dims in prop::collection::vec(1usize..18, 1..4),
@@ -426,35 +713,7 @@ mod tests {
             amp in prop_oneof![Just(0.0f32), Just(0.01), Just(10.0)],
         ) {
             let data = fuzz_dataset(&dims, seed, amp);
-            let q = LinearQuantizer::new(eb, radius);
-            let fused = compress(data.view(), &q, basis).unwrap();
-
-            let n = data.len();
-            let raw = data.values();
-            let mut scalar = PredictionStreams::<f32>::with_capacity(n);
-            let mut recon_ref = vec![0f32; n];
-            reference::walk_schedule(&dims, basis, |off, pred, recon_buf: &mut [f32]| {
-                let quantized = q.quantize(raw[off], pred);
-                if quantized.code == 0 {
-                    scalar.unpredictable.push(quantized.reconstructed);
-                }
-                scalar.codes.push(quantized.code);
-                recon_buf[off] = quantized.reconstructed;
-            }, &mut recon_ref);
-            prop_assert_eq!(&fused.codes, &scalar.codes);
-            prop_assert_eq!(bits(&fused.unpredictable), bits(&scalar.unpredictable));
-
-            let fused_out = decompress(&dims, fused.view(), &q, basis).unwrap();
-            let mut pool = UnpredictablePool::new(fused.unpredictable.as_slice());
-            let mut next = 0usize;
-            let mut recon_dec = vec![0f32; n];
-            reference::walk_schedule(&dims, basis, |off, pred, recon_buf: &mut [f32]| {
-                let code = fused.codes[next];
-                next += 1;
-                recon_buf[off] =
-                    if code == 0 { pool.take().expect("pool length verified by encode") } else { q.recover(code, pred) };
-            }, &mut recon_dec);
-            prop_assert_eq!(bits(fused_out.values()), bits(&recon_dec));
+            assert_matches_reference(&data, &LinearQuantizer::new(eb, radius), basis);
         }
     }
 }

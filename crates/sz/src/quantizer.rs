@@ -24,7 +24,17 @@ pub struct LinearQuantizer {
     eb: f64,
     two_eb: f64,
     radius: u32,
+    /// `radius + 2⁵²` (exact): adding a bin inside the radius leaves the
+    /// code `radius + bin` in the low mantissa bits of the sum.
+    code_bias: f64,
+    /// `radius − 0.5`: a scaled difference rounds to a bin inside the radius
+    /// iff its magnitude is strictly below this.
+    bin_limit: f64,
 }
+
+/// 2⁵²: adding it to a non-negative `f64` below it leaves no fraction bits,
+/// so the add rounds to an integer (ties to even) and the subtract is exact.
+const TWO_52: f64 = 4_503_599_627_370_496.0;
 
 impl LinearQuantizer {
     /// Creates a quantizer for an absolute error bound and code radius.
@@ -35,7 +45,8 @@ impl LinearQuantizer {
     pub fn new(eb: f64, radius: u32) -> Self {
         assert!(eb.is_finite() && eb > 0.0, "error bound must be positive, got {eb}");
         assert!(radius >= 2, "radius must be >= 2, got {radius}");
-        LinearQuantizer { eb, two_eb: 2.0 * eb, radius }
+        let radius_f = radius as f64;
+        LinearQuantizer { eb, two_eb: 2.0 * eb, radius, code_bias: radius_f + TWO_52, bin_limit: radius_f - 0.5 }
     }
 
     /// The absolute error bound.
@@ -54,23 +65,34 @@ impl LinearQuantizer {
     /// within the bound (guarding against floating-point edge cases at huge
     /// magnitudes), returns the code and the reconstruction; otherwise marks
     /// the value unpredictable (`code == 0`, reconstruction == exact value).
+    ///
+    /// Straight-line code — selects, no early return, no libm call — so a
+    /// loop of independent points around it is bound by arithmetic
+    /// throughput, and a serial recurrence (Lorenzo) by this chain alone:
+    ///
+    /// * `|bin| = round(|q|)`, half away from zero, is `(|q| + 2⁵²) − 2⁵²`
+    ///   (the nearest integer, ties to even) lifted by one where `|q|` sat
+    ///   exactly half above it. `|q| − nearest` is exact, so the tie test is
+    ///   too. For `|q| ≥ 2⁵²` the identity breaks, but such a `q` fails the
+    ///   range test.
+    /// * The sign of `q` goes onto the bin width instead of the bin, which
+    ///   keeps it off the path from `predicted` to the reconstruction:
+    ///   `(−b)·w` and `b·(−w)` are the same double, a negative zero included
+    ///   (which matters: `−0.0 + −0.0` is `−0.0`, `−0.0 + 0.0` is `+0.0`).
+    /// * `|bin| < radius` is `|q| < radius − 0.5`; NaN and ±∞ fail it.
+    /// * `radius + bin` is an integer in `(0, 2³³)`, so in `radius + 2⁵² +
+    ///   bin` it sits, exactly, in the low mantissa bits.
     #[inline]
     pub fn quantize<T: ScalarValue>(&self, value: T, predicted: f64) -> Quantized<T> {
         let v = value.to_f64();
-        let diff = v - predicted;
-        let bin = (diff / self.two_eb).round();
-        if bin.abs() < self.radius as f64 {
-            let recon = predicted + bin * self.two_eb;
-            // Reconstruction must satisfy the bound in T's precision: the
-            // decompressor stores T, so the check narrows first.
-            let recon_t = T::from_f64(recon);
-            if (recon_t.to_f64() - v).abs() <= self.eb {
-                let code = (self.radius as i64 + bin as i64) as u32;
-                debug_assert!(code != 0);
-                return Quantized { code, reconstructed: recon_t };
-            }
-        }
-        Quantized { code: 0, reconstructed: value }
+        let q = (v - predicted) / self.two_eb;
+        let mag = q.abs();
+        let nearest = (mag + TWO_52) - TWO_52;
+        let bin_mag = if mag - nearest == 0.5 { nearest + 1.0 } else { nearest };
+        let recon_t = T::from_f64(predicted + bin_mag * self.two_eb.copysign(q));
+        let ok = (mag < self.bin_limit) & ((recon_t.to_f64() - v).abs() <= self.eb);
+        let code = (self.code_bias + bin_mag.copysign(q)).to_bits() as u32;
+        Quantized { code: if ok { code } else { 0 }, reconstructed: if ok { recon_t } else { value } }
     }
 
     /// Recovers a value from a nonzero code and the prediction.
@@ -95,6 +117,115 @@ impl LinearQuantizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The branchy `round()`-based body `quantize` replaced, kept verbatim as
+    /// its bit-equality oracle.
+    fn quantize_oracle<T: ScalarValue>(q: &LinearQuantizer, value: T, predicted: f64) -> Quantized<T> {
+        let v = value.to_f64();
+        let diff = v - predicted;
+        let bin = (diff / q.two_eb).round();
+        if bin.abs() < q.radius as f64 {
+            let recon = predicted + bin * q.two_eb;
+            let recon_t = T::from_f64(recon);
+            if (recon_t.to_f64() - v).abs() <= q.eb {
+                let code = (q.radius as i64 + bin as i64) as u32;
+                return Quantized { code, reconstructed: recon_t };
+            }
+        }
+        Quantized { code: 0, reconstructed: value }
+    }
+
+    /// Bit-level view of an outcome (`-0.0` ≠ `+0.0`, NaN payloads compare).
+    fn outcome_bits<T: ScalarValue>(o: Quantized<T>) -> (u32, Vec<u8>) {
+        let mut bytes = Vec::new();
+        o.reconstructed.write_le(&mut bytes);
+        (o.code, bytes)
+    }
+
+    fn assert_matches_oracle<T: ScalarValue>(q: &LinearQuantizer, value: T, predicted: f64) {
+        assert_eq!(
+            outcome_bits(q.quantize(value, predicted)),
+            outcome_bits(quantize_oracle(q, value, predicted)),
+            "value={value:?} predicted={predicted:?} eb={} radius={}",
+            q.eb,
+            q.radius
+        );
+    }
+
+    #[test]
+    fn quantize_matches_oracle_on_edge_cases() {
+        // Differences that land on exact .5 ties of the scaled error, the
+        // largest double below one half, signed zeros on both sides, and
+        // non-finite / huge inputs — at the smallest and largest radii.
+        let specials = [
+            0.0,
+            -0.0,
+            0.5,
+            -0.5,
+            1.5,
+            -1.5,
+            2.5,
+            -2.5,
+            0.49999999999999994,
+            -0.49999999999999994,
+            1.0,
+            -1.0,
+            1.5 - f64::EPSILON,
+            2147483646.5,
+            2147483647.5,
+            -2147483647.5,
+            2147483648.5,
+            4503599627370495.5,
+            4503599627370497.0,
+            1e300,
+            -1e300,
+            f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        for radius in [2u32, 3, 512, 1 << 15, 1 << 31, u32::MAX] {
+            // eb = 0.5 makes the scaled error equal the difference, so the
+            // tie values above hit `round` exactly.
+            for eb in [0.5f64, 1e-3, 0.25, 3.0] {
+                let q = LinearQuantizer::new(eb, radius);
+                for &d in &specials {
+                    for &p in &[0.0f64, -0.0, 1.0, -7.25, 1e300, f64::NAN, f64::INFINITY] {
+                        assert_matches_oracle(&q, p + d, p);
+                        assert_matches_oracle(&q, d, p);
+                        assert_matches_oracle(&q, (p + d) as f32, p);
+                        assert_matches_oracle(&q, d as f32, p);
+                        // Bin index `d` exactly: value = p + d·2eb.
+                        assert_matches_oracle(&q, p + d * 2.0 * eb, p);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn quantize_matches_oracle_on_random_inputs() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state
+        };
+        for &(eb, radius) in &[(1e-3f64, 1u32 << 15), (0.5, 4), (1e-6, 512), (7.0, 2), (1e-2, 1 << 31)] {
+            let q = LinearQuantizer::new(eb, radius);
+            for _ in 0..100_000 {
+                let p = ((next() >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 20.0;
+                // Mix of near-bin-centre, near-tie and far-away differences.
+                let bins = ((next() >> 40) as i64 - (1 << 23)) as f64 / 1024.0;
+                let nudge = ((next() >> 60) as f64 - 8.0) * f64::EPSILON;
+                let v = p + bins * 2.0 * eb * (1.0 + nudge);
+                assert_matches_oracle(&q, v, p);
+                assert_matches_oracle(&q, v as f32, p);
+                // Raw bit patterns: denormals, NaNs, infinities, huge values.
+                assert_matches_oracle(&q, f64::from_bits(next()), p);
+                assert_matches_oracle(&q, f32::from_bits(next() as u32), p);
+            }
+        }
+    }
 
     #[test]
     fn quantize_respects_error_bound() {

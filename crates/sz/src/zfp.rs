@@ -19,8 +19,8 @@
 use crate::config::{LosslessBackend, PredictorKind};
 use crate::encode::{lz_compress, lz_decompress};
 use crate::error::SzError;
-use crate::format::{BlobHeader, CodecFamily, CompressedBlob, VERSION};
-use crate::ndarray::{Dataset, DatasetView};
+use crate::format::{BlobHeader, CodecFamily, VERSION};
+use crate::ndarray::{checked_points, Dataset, DatasetView};
 use crate::pipeline::{compress_chunked, CompressionOutcome, EncodedChunk};
 use crate::value::ScalarValue;
 
@@ -30,16 +30,6 @@ const FRAC_BITS: i32 = 40;
 
 const FLAG_TRANSFORMED: u8 = 0;
 const FLAG_RAW: u8 = 1;
-
-/// Compresses a dataset with the transform codec at an absolute error bound.
-///
-/// # Errors
-/// Returns [`SzError::InvalidConfig`] for a non-positive bound and
-/// [`SzError::InvalidShape`] for ranks above 3.
-#[deprecated(note = "use `ZfpCodec` through the `Codec` trait (`crate::codec`)")]
-pub fn compress<T: ScalarValue>(data: &Dataset<T>, abs_eb: f64) -> Result<CompressedBlob, SzError> {
-    compress_impl(data, abs_eb, 1, None).map(|outcome| outcome.blob)
-}
 
 /// Full transform-codec compression entry: chunked container assembly shared
 /// with the prediction pipeline. Called by `ZfpCodec`.
@@ -110,8 +100,8 @@ fn encode_chunk_payload<T: ScalarValue>(chunk: DatasetView<'_, T>, abs_eb: f64) 
 /// its cheapest building block).
 ///
 /// # Errors
-/// Returns [`SzError::InvalidConfig`]/[`SzError::InvalidShape`] under the
-/// same conditions as [`compress`].
+/// Returns [`SzError::InvalidConfig`] for a non-positive bound and
+/// [`SzError::InvalidShape`] for ranks above 3.
 ///
 /// # Panics
 /// Panics if `block_stride == 0`.
@@ -147,11 +137,16 @@ pub fn estimate_ratio_sampled<T: ScalarValue>(
 }
 
 /// Decodes one transform-codec chunk payload (or a whole legacy blob's
-/// single section) back into values of shape `dims`.
+/// single section) into `out`, the caller's slab for shape `dims`.
 ///
 /// # Errors
-/// Returns [`SzError::CorruptStream`] for malformed payloads.
-pub(crate) fn decode_chunk_payload<T: ScalarValue>(dims: &[usize], bytes: &[u8]) -> Result<Vec<T>, SzError> {
+/// Returns [`SzError::CorruptStream`] for malformed payloads and for a slab
+/// that does not hold exactly the shape's points.
+pub(crate) fn decode_chunk_payload_into<T: ScalarValue>(
+    dims: &[usize],
+    bytes: &[u8],
+    out: &mut [T],
+) -> Result<(), SzError> {
     let payload = {
         let _p = ocelot_obs::prof::probe(ocelot_obs::prof::Kernel::Lz, bytes.len());
         lz_decompress(bytes)?
@@ -159,9 +154,11 @@ pub(crate) fn decode_chunk_payload<T: ScalarValue>(dims: &[usize], bytes: &[u8])
     if dims.len() > 3 {
         return Err(SzError::InvalidShape(format!("zfp codec supports 1-3 dims, got {}", dims.len())));
     }
-    let n: usize = dims.iter().product();
+    let n = checked_points(dims)?;
+    if out.len() != n {
+        return Err(SzError::CorruptStream(format!("zfp: slab of {} values for {n} points", out.len())));
+    }
     let _p = ocelot_obs::prof::probe(ocelot_obs::prof::Kernel::Transform, n * T::BYTES);
-    let mut out = vec![T::zero(); n];
     let mut pos = 0usize;
     let mut failure = None;
     for_each_block(dims, |base| {
@@ -169,7 +166,7 @@ pub(crate) fn decode_chunk_payload<T: ScalarValue>(dims: &[usize], bytes: &[u8])
             return;
         }
         match decode_block::<T>(&payload, &mut pos, dims.len()) {
-            Ok(block) => scatter_block(&mut out, dims, &base, &block),
+            Ok(block) => scatter_block(out, dims, &base, &block),
             Err(e) => failure = Some(e),
         }
     });
@@ -179,7 +176,7 @@ pub(crate) fn decode_chunk_payload<T: ScalarValue>(dims: &[usize], bytes: &[u8])
     if pos != payload.len() {
         return Err(SzError::CorruptStream("zfp: trailing payload bytes".into()));
     }
-    Ok(out)
+    Ok(())
 }
 
 /// Number of values in a block for rank `d`.
@@ -619,16 +616,5 @@ mod tests {
         assert!(compress_impl(&data, 1e-3, 0, None).is_err());
         let d4 = Dataset::<f32>::constant(vec![2, 2, 2, 2], 0.0).unwrap();
         assert!(compress_impl(&d4, 1e-3, 1, None).is_err());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_bare_compress_still_works() {
-        let data = Dataset::from_fn(vec![12, 12], |i| (i[0] + i[1]) as f32 * 0.1);
-        let blob = compress(&data, 1e-3).unwrap();
-        let out = crate::pipeline::decompress::<f32>(&blob).unwrap();
-        for (a, b) in data.values().iter().zip(out.values()) {
-            assert!((a - b).abs() <= 1e-3 + 1e-9);
-        }
     }
 }
