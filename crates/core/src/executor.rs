@@ -99,8 +99,20 @@ impl ParallelExecutor {
         files: &[Dataset<f32>],
         config: &LossyConfig,
     ) -> Result<Vec<CompressionOutcome>, SzError> {
+        self.compress_each(files.len(), |i| &files[i], config)
+    }
+
+    /// [`ParallelExecutor::compress_all_with_stats`] over `n` datasets the
+    /// caller holds some other way than in a slice: `file(i)` borrows the
+    /// `i`-th.
+    pub(crate) fn compress_each<'a>(
+        &self,
+        n: usize,
+        file: impl Fn(usize) -> &'a Dataset<f32> + Sync,
+        config: &LossyConfig,
+    ) -> Result<Vec<CompressionOutcome>, SzError> {
         let config = config.with_threads(self.codec_threads);
-        self.run(files.len(), |i| compress(&files[i], &config))
+        self.run(n, |i| compress(file(i), &config))
     }
 
     /// Decompresses every blob, preserving order. Each blob's chunks are

@@ -115,10 +115,9 @@ impl TransferSession {
     pub fn build_archives(&self, files: &[(String, Dataset<f32>)], group_count: usize) -> Result<ArchiveSet, SzError> {
         assert!(group_count > 0, "at least one archive");
         assert!(files.iter().all(|(n, _)| n != MANIFEST_MEMBER), "file name '{MANIFEST_MEMBER}' is reserved");
-        let datasets: Vec<Dataset<f32>> = files.iter().map(|(_, d)| d.clone()).collect();
-        let blobs = self.executor.compress_all(&datasets, &self.config)?;
-        let blob_bytes: Vec<&[u8]> = blobs.iter().map(CompressedBlob::as_bytes).collect();
-        Ok(self.pack_archives(files, &blob_bytes, group_count))
+        let outcomes = self.executor.compress_each(files.len(), |i| &files[i].1, &self.config)?;
+        let blobs = outcomes.into_iter().map(|o| o.blob.into_bytes()).collect();
+        Ok(self.pack_archives(files, blobs, group_count))
     }
 
     /// Like [`TransferSession::build_archives`], but compresses each file
@@ -141,13 +140,19 @@ impl TransferSession {
         assert!(group_count > 0, "at least one archive");
         assert!(files.iter().all(|(n, _)| n != MANIFEST_MEMBER), "file name '{MANIFEST_MEMBER}' is reserved");
         let round_trips = self.stream_files(files)?;
-        let blob_bytes: Vec<&[u8]> = round_trips.iter().map(|(_, rt)| rt.outcome.blob.as_bytes()).collect();
-        Ok(self.pack_archives(files, &blob_bytes, group_count))
+        let blobs = round_trips.into_iter().map(|(_, rt)| rt.outcome.blob.into_bytes()).collect();
+        Ok(self.pack_archives(files, blobs, group_count))
     }
 
     /// Packs pre-compressed blob bytes into `group_count` self-describing
-    /// archives (manifest member first).
-    fn pack_archives(&self, files: &[(String, Dataset<f32>)], blobs: &[&[u8]], group_count: usize) -> ArchiveSet {
+    /// archives (manifest member first). Each blob moves into its archive's
+    /// member list; packing makes the only copy.
+    fn pack_archives(
+        &self,
+        files: &[(String, Dataset<f32>)],
+        mut blobs: Vec<Vec<u8>>,
+        group_count: usize,
+    ) -> ArchiveSet {
         let total_raw_bytes: u64 = files.iter().map(|(_, d)| d.nbytes() as u64).sum();
         let plan = plan_groups_by_count(files.len(), group_count.min(files.len().max(1)));
         let mut archives = Vec::with_capacity(plan.len());
@@ -157,7 +162,7 @@ impl TransferSession {
             let manifest = serde_json::to_vec(&names).expect("names serialize");
             let mut members = vec![(MANIFEST_MEMBER.to_string(), manifest)];
             for &i in group {
-                members.push((files[i].0.clone(), blobs[i].to_vec()));
+                members.push((files[i].0.clone(), std::mem::take(&mut blobs[i])));
             }
             let inner_plan: Vec<Vec<usize>> = vec![(0..members.len()).collect()];
             let (mut packed, _) = group_blobs(&members, &inner_plan);
@@ -178,9 +183,9 @@ impl TransferSession {
         for archive in archives {
             named_blobs.extend(open_archive(archive)?);
         }
-        let blobs: Vec<CompressedBlob> = named_blobs.iter().map(|(_, b)| b.clone()).collect();
+        let (names, blobs): (Vec<String>, Vec<CompressedBlob>) = named_blobs.into_iter().unzip();
         let datasets = self.executor.decompress_all(&blobs)?;
-        Ok(named_blobs.into_iter().map(|(n, _)| n).zip(datasets).collect())
+        Ok(names.into_iter().zip(datasets).collect())
     }
 
     /// Streams each named dataset end-to-end: chunks are shipped through a
@@ -213,19 +218,18 @@ impl TransferSession {
 /// Returns [`SzError::CorruptStream`] for malformed archives or manifests,
 /// and surfaces per-blob checksum failures.
 pub fn open_archive(archive: &[u8]) -> Result<Vec<(String, CompressedBlob)>, SzError> {
-    let members = ungroup_blobs(archive).map_err(|e| SzError::CorruptStream(format!("archive: {e}")))?;
-    let (manifest, rest) =
-        members.split_first().ok_or_else(|| SzError::CorruptStream("archive has no members".into()))?;
+    let mut members = ungroup_blobs(archive).map_err(|e| SzError::CorruptStream(format!("archive: {e}")))?.into_iter();
+    let manifest = members.next().ok_or_else(|| SzError::CorruptStream("archive has no members".into()))?;
     let names: Vec<String> =
-        serde_json::from_slice(manifest).map_err(|e| SzError::CorruptStream(format!("archive manifest: {e}")))?;
-    if names.len() != rest.len() {
+        serde_json::from_slice(&manifest).map_err(|e| SzError::CorruptStream(format!("archive manifest: {e}")))?;
+    if names.len() != members.len() {
         return Err(SzError::CorruptStream(format!(
             "manifest lists {} members but archive holds {}",
             names.len(),
-            rest.len()
+            members.len()
         )));
     }
-    names.into_iter().zip(rest).map(|(name, bytes)| Ok((name, CompressedBlob::from_bytes(bytes.clone())?))).collect()
+    names.into_iter().zip(members).map(|(name, bytes)| Ok((name, CompressedBlob::from_bytes(bytes)?))).collect()
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@ use ocelot_obs::metrics::{Counter, Gauge, Histogram};
 use ocelot_obs::slo::{SloEngine, SloRule};
 use ocelot_obs::Obs;
 use ocelot_sz::LossyConfig;
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -187,7 +187,48 @@ struct Shared {
     ledger: Arc<Ledger>,
     /// Harvested ledger events, partitioned per job. Wall-only events with
     /// no job tag (codec workers, profiling) are discarded at harvest.
-    chunk_events: Mutex<HashMap<u64, Vec<LedgerEvent>>>,
+    chunk_events: Mutex<ChunkStore>,
+}
+
+/// Jobs whose chunk events the service keeps in memory. A streamed job
+/// leaves thousands of events (megabytes); kept for every job a long-lived
+/// service grows without bound, and once its pages no longer come out of
+/// what the allocator already holds every job pays for fresh ones. Older
+/// jobs' events are dropped — `persist_ledger` has written them out by then
+/// when an artifact directory is configured.
+const LEDGER_JOBS_KEPT: usize = 32;
+
+/// Chunk events of the most recent [`LEDGER_JOBS_KEPT`] jobs, plus the one
+/// number `analyze` needs from every job that ever ran.
+#[derive(Default)]
+struct ChunkStore {
+    by_job: HashMap<u64, Vec<LedgerEvent>>,
+    /// Jobs present in `by_job`, oldest first.
+    order: VecDeque<u64>,
+    /// Retransmits per job, for jobs that had any; outlives the events.
+    retransmits: HashMap<u64, u64>,
+}
+
+impl ChunkStore {
+    fn push(&mut self, job: u64, event: LedgerEvent) {
+        if event.event == EventKind::Retransmit {
+            *self.retransmits.entry(job).or_insert(0) += 1;
+        }
+        if let Some(events) = self.by_job.get_mut(&job) {
+            events.push(event);
+            return;
+        }
+        if self.order.len() == LEDGER_JOBS_KEPT {
+            let oldest = self.order.pop_front().expect("LEDGER_JOBS_KEPT > 0");
+            self.by_job.remove(&oldest);
+        }
+        self.order.push_back(job);
+        self.by_job.insert(job, vec![event]);
+    }
+
+    fn events(&self, job: JobId) -> Vec<LedgerEvent> {
+        self.by_job.get(&job.0).cloned().unwrap_or_default()
+    }
 }
 
 impl Shared {
@@ -244,7 +285,7 @@ impl Service {
             dump_counter: AtomicU64::new(0),
             worst_psnr: Mutex::new(f64::INFINITY),
             ledger,
-            chunk_events: Mutex::new(HashMap::new()),
+            chunk_events: Mutex::new(ChunkStore::default()),
         });
         let workers = (0..shared.config.workers)
             .map(|_| {
@@ -354,11 +395,7 @@ impl Service {
             self.shared.journal.snapshot().into_iter().map(|e| (e.job.0, e.tenant)).collect();
         let mut analysis = build_analysis(&spans, &tenants, self.shared.config.workers, self.shared.obs.registry());
         let store = self.shared.chunk_events.lock().expect("chunk events poisoned");
-        for (job, events) in store.iter() {
-            let retries = events.iter().filter(|e| e.event == EventKind::Retransmit).count() as u64;
-            if retries == 0 {
-                continue;
-            }
+        for (job, &retries) in &store.retransmits {
             let tenant = tenants.get(job).cloned().unwrap_or_else(|| format!("job-{job}"));
             *analysis.chunk_retries.entry(tenant).or_insert(0) += retries;
         }
@@ -368,9 +405,11 @@ impl Service {
     /// Chunk-lifecycle events harvested for one job, ordered by ledger
     /// sequence. Streamed jobs trace every chunk; staged jobs trace at file
     /// granularity through the overlapped path only, so this may be empty.
+    /// The service keeps the events of its most recent 32 jobs; an older
+    /// job's are in its `ledger-<job>.json` (see [`ServiceConfig::artifact_dir`]).
     pub fn chunk_events(&self, job: JobId) -> Vec<LedgerEvent> {
         harvest_ledger(&self.shared);
-        self.shared.chunk_events.lock().expect("chunk events poisoned").get(&job.0).cloned().unwrap_or_default()
+        self.shared.chunk_events.lock().expect("chunk events poisoned").events(job)
     }
 
     /// Latest advisory scheduling hint (updated after every finished job;
@@ -519,7 +558,7 @@ fn harvest_ledger(shared: &Shared) {
     let mut store = shared.chunk_events.lock().expect("chunk events poisoned");
     for e in drained {
         if let Some(job) = e.job {
-            store.entry(job).or_default().push(e);
+            store.push(job, e);
         }
     }
 }
@@ -529,7 +568,7 @@ fn harvest_ledger(shared: &Shared) {
 /// is configured. The export validates against `schemas/ledger.schema.json`.
 fn persist_ledger(shared: &Shared, id: JobId) {
     let Some(dir) = &shared.config.artifact_dir else { return };
-    let events = shared.chunk_events.lock().expect("chunk events poisoned").get(&id.0).cloned().unwrap_or_default();
+    let events = shared.chunk_events.lock().expect("chunk events poisoned").events(id);
     if events.is_empty() {
         return;
     }
@@ -559,9 +598,8 @@ fn write_dump(
 ) -> FlightDump {
     // Harvest first so a mid-job dump embeds the freshest chunk tail.
     harvest_ledger(shared);
-    let ledger_events = job
-        .map(|j| shared.chunk_events.lock().expect("chunk events poisoned").get(&j.0).cloned().unwrap_or_default())
-        .unwrap_or_default();
+    let ledger_events =
+        job.map(|j| shared.chunk_events.lock().expect("chunk events poisoned").events(j)).unwrap_or_default();
     let snapshot = shared.obs.flight_snapshot().expect("service obs handle is always enabled");
     let attribution = job
         .and_then(|j| shared.obs.recorder().and_then(|r| critpath::analyze(&r.for_job(j.0))))
@@ -1043,6 +1081,44 @@ mod tests {
         let dump = svc.force_flight_dump("postmortem", Some(id));
         assert!(!dump.ledger.is_empty(), "dump embeds the job's ledger tail");
         assert!(dump.ledger.len() <= crate::forensics::LEDGER_EMBED_EVENTS);
+    }
+
+    #[test]
+    fn chunk_store_keeps_the_newest_jobs_and_every_retransmit_count() {
+        let event = |seq: u64, job: u64, kind: EventKind| LedgerEvent {
+            seq,
+            parent: None,
+            span: None,
+            job: Some(job),
+            file: Some(0),
+            chunk: Some(0),
+            event: kind,
+            cause: None,
+            t_sim: Some(0.0),
+            t_wall_us: 0,
+            bytes: 0,
+            attempt: 1,
+        };
+        let mut store = ChunkStore::default();
+        let jobs = LEDGER_JOBS_KEPT as u64 + 5;
+        for job in 0..jobs {
+            store.push(job, event(3 * job, job, EventKind::InFlight));
+            if job % 2 == 0 {
+                store.push(job, event(3 * job + 1, job, EventKind::Retransmit));
+            }
+            store.push(job, event(3 * job + 2, job, EventKind::Arrived));
+        }
+        assert_eq!(store.by_job.len(), LEDGER_JOBS_KEPT);
+        assert_eq!(store.order.len(), LEDGER_JOBS_KEPT);
+        assert!(store.events(JobId(4)).is_empty(), "the oldest jobs' events are dropped");
+        assert_eq!(store.events(JobId(5)).len(), 2);
+        assert_eq!(store.events(JobId(jobs - 1)).len(), 3, "a job's events stay whole and in order");
+        assert_eq!(store.retransmits.len() as u64, jobs.div_ceil(2), "retransmit counts outlive the events");
+        assert!(store.retransmits.values().all(|&n| n == 1));
+        // A late event of a dropped job starts it again rather than reviving a stale list.
+        store.push(0, event(1000, 0, EventKind::DecodeEnd));
+        assert_eq!(store.events(JobId(0)).len(), 1);
+        assert_eq!(store.by_job.len(), LEDGER_JOBS_KEPT);
     }
 
     #[test]

@@ -5,19 +5,26 @@
 //! Canonical code assignment makes decoding table-driven and keeps the header
 //! small.
 //!
-//! Internally the coder works on dense `Vec`-indexed tables rather than hash
-//! maps: the alphabet is bounded by 2·radius (+ RLE escape symbols), so symbol
-//! lookup is a single indexed load on both the frequency-count and encode hot
-//! paths. Decoding runs through a prefix LUT that resolves codes of up to
-//! `LUT_BITS` bits in one probe, falling back to the canonical per-length
-//! walk for longer codes.
+//! Every table here is sized by the symbols it holds, not by the alphabet
+//! they could come from: a small file pays for its few hundred distinct
+//! codes, not for 2·radius slots. Quantization codes cluster — around the
+//! radius, a few hundred to a few thousand codes wide — with a handful of
+//! outliers far away (the escape marker `0`; the origin point, predicted
+//! from nothing). So both the histogram and the encoder's lookup are a dense
+//! `Vec` over the window the bulk occupies (one indexed load on the hot
+//! path) beside a short sorted list of outliers. Decoding runs through a
+//! prefix LUT that resolves codes of up to `LUT_BITS` bits in one probe,
+//! falling back to the canonical per-length walk for longer codes.
 //!
 //! [`HuffmanTable`] exposes the table/stream halves separately so one
 //! canonical table can be built once per job and shared across chunks; the
 //! self-describing [`huffman_encode`]/[`huffman_decode`] pair layers the two
-//! halves back together and its byte format is unchanged.
+//! halves back together and its byte format is unchanged. The encode and the
+//! decode lookup of a table are each built on first use, so a compressor
+//! never builds a decode LUT nor a decompressor an encode table.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use crate::encode::bitio::{BitReader, BitWriter};
 use crate::error::SzError;
@@ -31,65 +38,107 @@ pub const MAX_CODE_LEN: u8 = 32;
 /// decoding; longer codes use the per-length canonical walk.
 const LUT_BITS: u8 = 12;
 
-/// Largest symbol value for which the dense (symbol-indexed) count and encode
-/// tables are used; sparser alphabets above this fall back to sorted lookup so
-/// pathological symbol values cannot trigger huge allocations.
+/// Largest symbol value counted in one symbol-indexed table when the symbols
+/// do not cluster; past it they are sorted instead, so pathological symbol
+/// values cannot trigger huge allocations.
 const DENSE_LIMIT: u32 = 1 << 22;
 
 fn corrupt(m: &str) -> SzError {
     SzError::CorruptStream(format!("huffman: {m}"))
 }
 
-/// Widest `[min, max]` symbol window counted in four interleaved tables (at
-/// 8 bytes a counter they then take what one table over the usual
-/// 2·radius alphabet did); wider windows count in one.
+/// Widest window the clustered count will place.
 const INTERLEAVE_WINDOW: usize = 1 << 14;
+
+/// Symbols sampled to place the counting window.
+const WINDOW_SAMPLE: usize = 64;
 
 /// Counts symbol frequencies, returning `(symbol, freq)` pairs sorted by
 /// symbol.
-///
-/// Only the occupied `[min, max]` window is zeroed and scanned — quantization
-/// codes cluster around the radius — and consecutive symbols go to different
-/// tables, so a long run of the centre code does not serialise on one
-/// counter's store-to-load round trip.
 pub(crate) fn freq_pairs(symbols: &[u32]) -> Vec<(u32, u64)> {
-    if symbols.is_empty() {
-        return Vec::new();
+    count_clustered(symbols).unwrap_or_else(|| count_spread(symbols))
+}
+
+/// Appends the `(symbol, run length)` pairs of a sorted symbol slice.
+fn push_runs(pairs: &mut Vec<(u32, u64)>, sorted: &[u32]) {
+    pairs.extend(sorted.chunk_by(|a, b| a == b).map(|run| (run[0], run.len() as u64)));
+}
+
+/// [`freq_pairs`] for symbols that cluster: counts in a dense window placed
+/// around a strided sample of them, and collects the few symbols outside it
+/// in a spill that is sorted and counted afterwards — so one far outlier
+/// costs one spilled symbol, not a window stretched out to reach it.
+/// Consecutive symbols go to different counters of their slot, so a long run
+/// of the centre code does not serialise on one store-to-load round trip.
+///
+/// `None` if the sample does not fit a window, or the window does not hold
+/// the bulk after all.
+fn count_clustered(symbols: &[u32]) -> Option<Vec<(u32, u64)>> {
+    // Each of a symbol's four `u32` counters sees a quarter of the input.
+    if u32::try_from(symbols.len()).is_err() {
+        return None;
     }
-    let (min_sym, max_sym) = symbols.iter().fold((u32::MAX, 0u32), |(lo, hi), &s| (lo.min(s), hi.max(s)));
-    if max_sym >= DENSE_LIMIT {
-        let mut counts: BTreeMap<u32, u64> = BTreeMap::new();
-        for &s in symbols {
-            *counts.entry(s).or_insert(0) += 1;
+    let stride = symbols.len().div_ceil(WINDOW_SAMPLE).max(1);
+    let (low, high) =
+        symbols.iter().skip(stride / 2).step_by(stride).fold((u32::MAX, 0u32), |(lo, hi), &s| (lo.min(s), hi.max(s)));
+    // Half the sampled span again on either side takes in the tails the
+    // sample is too small to have met.
+    let margin = high.checked_sub(low)? / 2 + 16;
+    let lo = low.saturating_sub(margin);
+    let window = (high.saturating_add(margin) - lo) as usize + 1;
+    if window > INTERLEAVE_WINDOW {
+        return None;
+    }
+    let mut counts = vec![[0u32; 4]; window];
+    let mut spill: Vec<u32> = Vec::new();
+    let mut count = |lane: usize, s: u32| match counts.get_mut(s.wrapping_sub(lo) as usize) {
+        Some(counters) => counters[lane] += 1,
+        None => spill.push(s),
+    };
+    let mut quads = symbols.chunks_exact(4);
+    for quad in &mut quads {
+        count(0, quad[0]);
+        count(1, quad[1]);
+        count(2, quad[2]);
+        count(3, quad[3]);
+    }
+    for &s in quads.remainder() {
+        count(0, s);
+    }
+    if spill.len() > symbols.len() / 8 {
+        return None;
+    }
+    spill.sort_unstable();
+    let below = spill.partition_point(|&s| s < lo);
+    let mut pairs = Vec::new();
+    push_runs(&mut pairs, &spill[..below]);
+    for (s, counters) in (lo..=u32::MAX).zip(&counts) {
+        let f: u64 = counters.iter().map(|&c| c as u64).sum();
+        if f > 0 {
+            pairs.push((s, f));
         }
-        return counts.into_iter().collect();
     }
-    let window = (max_sym - min_sym) as usize + 1;
-    let lanes = if window <= INTERLEAVE_WINDOW { 4 } else { 1 };
-    let mut counts = vec![0u64; window * lanes];
-    if lanes == 1 {
+    push_runs(&mut pairs, &spill[below..]);
+    Some(pairs)
+}
+
+/// [`freq_pairs`] for symbols with no bulk to speak of: one table over their
+/// `[min, max]` window, or a sorted copy when even that would be too wide.
+fn count_spread(symbols: &[u32]) -> Vec<(u32, u64)> {
+    let (min_sym, max_sym) = symbols.iter().fold((u32::MAX, 0u32), |(lo, hi), &s| (lo.min(s), hi.max(s)));
+    let mut pairs = Vec::new();
+    if max_sym >= DENSE_LIMIT {
+        let mut sorted = symbols.to_vec();
+        sorted.sort_unstable();
+        push_runs(&mut pairs, &sorted);
+    } else if min_sym <= max_sym {
+        let mut counts = vec![0u64; (max_sym - min_sym) as usize + 1];
         for &s in symbols {
             counts[(s - min_sym) as usize] += 1;
         }
-    } else {
-        let (t0, rest) = counts.split_at_mut(window);
-        let (t1, rest) = rest.split_at_mut(window);
-        let (t2, t3) = rest.split_at_mut(window);
-        let mut quads = symbols.chunks_exact(4);
-        for quad in &mut quads {
-            t0[(quad[0] - min_sym) as usize] += 1;
-            t1[(quad[1] - min_sym) as usize] += 1;
-            t2[(quad[2] - min_sym) as usize] += 1;
-            t3[(quad[3] - min_sym) as usize] += 1;
-        }
-        for &s in quads.remainder() {
-            t0[(s - min_sym) as usize] += 1;
-        }
-        for i in 0..window {
-            t0[i] += t1[i] + t2[i] + t3[i];
-        }
+        pairs.extend(counts.iter().zip(min_sym..).filter(|&(&f, _)| f > 0).map(|(&f, s)| (s, f)));
     }
-    counts[..window].iter().zip(min_sym..).filter(|&(&f, _)| f > 0).map(|(&f, s)| (s, f)).collect()
+    pairs
 }
 
 /// Computes Huffman code lengths for `(symbol, freq)` pairs sorted by symbol.
@@ -114,79 +163,49 @@ pub(crate) fn lengths_from_pairs(pairs: &[(u32, u64)]) -> Vec<(u32, u8)> {
     }
 }
 
-/// One round of Huffman tree construction with optional frequency flattening
-/// (`freq >> flatten | 1`), returning code lengths sorted by symbol.
+/// One round of Huffman tree construction over at least two symbols, with
+/// optional frequency flattening (`freq >> flatten | 1`), returning code
+/// lengths sorted by symbol.
 ///
-/// `pairs` must be sorted by symbol: leaf seeding order is the tie-breaker
-/// that makes tree shape (and thus the blob bytes) deterministic.
+/// `pairs` must be sorted by symbol: a leaf's index is the tie-breaker that
+/// makes tree shape (and thus the blob bytes) deterministic. The tree is the
+/// one a min-heap over `(weight, sequence number)` builds — leaves numbered
+/// by index, then merged nodes in the order they are made — without the
+/// heap: merged nodes come out in non-decreasing weight and increasing
+/// number, so they form a second sorted queue beside the sorted leaves, and
+/// the heap's next pop is the smaller of the two heads, a leaf on a tie.
 fn build_lengths(pairs: &[(u32, u64)], flatten: u32) -> Vec<(u32, u8)> {
-    // Heap of (weight, node). Nodes: leaves then internal. Ties broken by
-    // insertion order for determinism.
-    #[derive(Clone, Copy, PartialEq, Eq)]
-    struct Node {
-        weight: u64,
-        seq: u32,
-        idx: u32,
-    }
-    impl Ord for Node {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            // Reverse for min-heap behaviour inside BinaryHeap.
-            other.weight.cmp(&self.weight).then(other.seq.cmp(&self.seq))
-        }
-    }
-    impl PartialOrd for Node {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-
     let n = pairs.len();
-    // parent[i] for all tree nodes; leaves occupy [0, n).
-    let mut parent = vec![u32::MAX; 2 * n - 1];
-    let mut heap = std::collections::BinaryHeap::with_capacity(n);
-    for (i, &(_, f)) in pairs.iter().enumerate() {
-        heap.push(Node { weight: (f >> flatten) | 1, seq: i as u32, idx: i as u32 });
-    }
-    let mut next = n as u32;
-    let mut seq = n as u32;
-    while heap.len() > 1 {
-        let a = heap.pop().expect("len > 1");
-        let b = heap.pop().expect("len > 1");
-        parent[a.idx as usize] = next;
-        parent[b.idx as usize] = next;
-        heap.push(Node { weight: a.weight + b.weight, seq, idx: next });
-        next += 1;
-        seq += 1;
-    }
-    pairs
-        .iter()
-        .enumerate()
-        .map(|(i, &(sym, _))| {
-            let mut len = 0u8;
-            let mut node = i as u32;
-            while parent[node as usize] != u32::MAX {
-                node = parent[node as usize];
-                len += 1;
+    let mut leaves: Vec<(u64, u32)> =
+        pairs.iter().enumerate().map(|(i, &(_, f))| ((f >> flatten) | 1, i as u32)).collect();
+    leaves.sort_unstable();
+    // Node ids: leaf `i` of `pairs` is `i`, the `k`-th merged node `n + k`.
+    let mut parent = vec![0u32; 2 * n - 1];
+    let mut merged: Vec<u64> = Vec::with_capacity(n - 1);
+    let (mut next_leaf, mut next_merged) = (0usize, 0usize);
+    for k in 0..n - 1 {
+        let mut pop = || {
+            let leaf = leaves.get(next_leaf);
+            if leaf.is_some_and(|&(w, _)| merged.get(next_merged).is_none_or(|&m| w <= m)) {
+                next_leaf += 1;
+                leaf.copied().expect("checked above")
+            } else {
+                next_merged += 1;
+                (merged[next_merged - 1], (n + next_merged - 1) as u32)
             }
-            (sym, len.max(1))
-        })
-        .collect()
-}
-
-/// Assigns canonical codes: symbols sorted by (length, symbol) receive
-/// consecutive codes per length.
-fn canonical_codes(mut items: Vec<(u32, u8)>) -> Vec<(u32, u8, u64)> {
-    items.sort_unstable_by_key(|&(s, l)| (l, s));
-    let mut out = Vec::with_capacity(items.len());
-    let mut code = 0u64;
-    let mut prev_len = 0u8;
-    for (sym, len) in items {
-        code <<= len - prev_len;
-        out.push((sym, len, code));
-        code += 1;
-        prev_len = len;
+        };
+        let ((wa, a), (wb, b)) = (pop(), pop());
+        parent[a as usize] = (n + k) as u32;
+        parent[b as usize] = (n + k) as u32;
+        merged.push(wa + wb);
     }
-    out
+    // A node is made after both its children, so one pass down from the root
+    // (the last node made, at depth 0) meets every parent before its children.
+    let mut depth = vec![0u8; 2 * n - 1];
+    for node in (0..2 * n - 2).rev() {
+        depth[node] = depth[parent[node] as usize] + 1;
+    }
+    pairs.iter().zip(&depth).map(|(&(sym, _), &len)| (sym, len)).collect()
 }
 
 /// Computes Huffman code lengths for a frequency table.
@@ -199,90 +218,131 @@ pub fn code_lengths(freqs: &HashMap<u32, u64>) -> HashMap<u32, u8> {
     lengths_from_pairs(&pairs).into_iter().collect()
 }
 
-/// Symbol → (length, code) lookup for encoding: dense `Vec` indexed by symbol
-/// for the bounded quantization alphabet, sorted pairs otherwise.
-#[derive(Debug, Clone)]
-enum EncodeTable {
-    /// `table[sym] = (len, code)`; `len == 0` means the symbol has no code.
-    Dense(Vec<(u8, u64)>),
-    /// Sorted by symbol, for alphabets too sparse to index densely.
-    Sparse(Vec<(u32, u8, u64)>),
+/// Per-length tallies of a table, indexed by code length.
+type PerLength<T> = [T; MAX_CODE_LEN as usize + 1];
+
+/// How many symbols have each code length.
+fn length_counts(lengths: impl Iterator<Item = u8>) -> PerLength<usize> {
+    let mut counts = [0usize; MAX_CODE_LEN as usize + 1];
+    for len in lengths {
+        counts[len as usize] += 1;
+    }
+    counts
 }
 
-/// A canonical Huffman table, usable on its own (shared across chunks) or as
-/// the internals of the self-describing [`huffman_encode`] format.
+/// The canonical code of the first symbol of each length: symbols sorted by
+/// (length, symbol) receive consecutive codes, shifted left at every step up
+/// in length.
+fn first_codes(counts: &PerLength<usize>) -> PerLength<u64> {
+    let mut first = [0u64; MAX_CODE_LEN as usize + 1];
+    let mut code = 0u64;
+    for len in 1..first.len() {
+        code = (code + counts[len - 1] as u64) << 1;
+        first[len] = code;
+    }
+    first
+}
+
+/// Where each length's symbols start in canonical (length, symbol) order.
+fn first_indices(counts: &PerLength<usize>) -> PerLength<usize> {
+    let mut first = [0usize; MAX_CODE_LEN as usize + 1];
+    for len in 1..first.len() {
+        first[len] = first[len - 1] + counts[len - 1];
+    }
+    first
+}
+
+/// Widest the encoder's dense window may be, in slots per symbol inside it.
+const DENSE_SLACK: usize = 4;
+
+/// Symbol → (length, code) lookup for encoding: a dense table over the window
+/// the symbols cluster in, the outliers sorted beside it.
 #[derive(Debug, Clone)]
-pub struct HuffmanTable {
-    /// `(symbol, len, code)` sorted by (len, symbol) — the canonical order,
-    /// which is also the serialized table order.
-    canon: Vec<(u32, u8, u64)>,
-    encode: EncodeTable,
+struct EncodeTable {
+    /// First symbol of the dense window.
+    lo: u32,
+    /// `dense[sym - lo] = (len, code)`; `len == 0` means no code there.
+    dense: Vec<(u8, u64)>,
+    /// `(symbol, len, code)` of the symbols outside the window, sorted.
+    outliers: Vec<(u32, u8, u64)>,
+}
+
+impl EncodeTable {
+    fn build(by_symbol: &[(u32, u8, u64)]) -> Self {
+        // Give up the end symbol across the wider gap until what is left is
+        // dense enough to index: the table then takes a few slots per symbol
+        // it holds, however far away the escape marker or a stray code sits.
+        let (mut a, mut b) = (0usize, by_symbol.len());
+        let sym = |i: usize| by_symbol[i].0;
+        while b - a > 1 && (sym(b - 1) - sym(a)) as usize >= DENSE_SLACK * (b - a) {
+            if sym(a + 1) - sym(a) >= sym(b - 1) - sym(b - 2) {
+                a += 1;
+            } else {
+                b -= 1;
+            }
+        }
+        let lo = sym(a);
+        let mut dense = vec![(0u8, 0u64); (sym(b - 1) - lo) as usize + 1];
+        for &(s, len, code) in &by_symbol[a..b] {
+            dense[(s - lo) as usize] = (len, code);
+        }
+        let outliers = [&by_symbol[..a], &by_symbol[b..]].concat();
+        EncodeTable { lo, dense, outliers }
+    }
+
+    /// Appends the codes of `symbols` to `bits`; `None` at the first symbol
+    /// that has none.
+    fn encode(&self, symbols: &[u32], bits: &mut BitWriter) -> Option<()> {
+        // The window by value: for all the compiler knows the writer's stores
+        // alias `self`, and it would reload these fields for every symbol.
+        let (lo, dense) = (self.lo, self.dense.as_slice());
+        for &sym in symbols {
+            match dense.get(sym.wrapping_sub(lo) as usize) {
+                Some(&(len, code)) if len != 0 => bits.write_code(code, len),
+                _ => self.encode_outlier(sym, bits)?,
+            }
+        }
+        Some(())
+    }
+
+    /// [`EncodeTable::encode`] for one symbol outside the window (or in a
+    /// hole of it). A call of its own, so that the loop's common path has
+    /// nothing to merge with.
+    #[cold]
+    #[inline(never)]
+    fn encode_outlier(&self, sym: u32, bits: &mut BitWriter) -> Option<()> {
+        let at = self.outliers.binary_search_by_key(&sym, |&(s, _, _)| s).ok()?;
+        bits.write_code(self.outliers[at].2, self.outliers[at].1);
+        Some(())
+    }
+}
+
+/// Code → symbol lookup for decoding.
+#[derive(Debug, Clone)]
+struct DecodeTable {
     max_len: usize,
-    // Per-length decode tables (indexed by code length).
-    first_code: Vec<u64>,
-    first_idx: Vec<usize>,
-    last_code: Vec<u64>,
-    has_len: Vec<bool>,
+    // Per-length canonical ranges (indexed by code length).
+    counts: PerLength<usize>,
+    first_code: PerLength<u64>,
+    first_idx: PerLength<usize>,
+    /// The symbols in canonical (length, symbol) order.
     syms_by_canon: Vec<u32>,
     /// `lut[prefix] = (sym, len)` for codes of at most [`LUT_BITS`] bits;
     /// `len == 0` marks prefixes that need the slow walk.
     lut: Vec<(u32, u8)>,
 }
 
-impl HuffmanTable {
-    /// Builds a table from `(symbol, length)` pairs (lengths in
-    /// `1..=MAX_CODE_LEN`, symbols unique).
-    ///
-    /// # Errors
-    /// Returns [`SzError::CorruptStream`] on an invalid length or duplicate
-    /// symbol.
-    pub fn from_lengths(lengths: Vec<(u32, u8)>) -> Result<Self, SzError> {
-        if lengths.is_empty() {
-            return Err(corrupt("empty code-length table"));
-        }
-        for &(_, len) in &lengths {
-            if len == 0 || len > MAX_CODE_LEN {
-                return Err(corrupt("invalid code length"));
-            }
-        }
-        let mut syms: Vec<u32> = lengths.iter().map(|&(s, _)| s).collect();
-        syms.sort_unstable();
-        if syms.windows(2).any(|w| w[0] == w[1]) {
-            return Err(corrupt("duplicate symbol in table"));
-        }
-
-        let canon = canonical_codes(lengths);
-        let max_sym = *syms.last().expect("nonempty");
-        let encode = if max_sym < DENSE_LIMIT {
-            let mut table = vec![(0u8, 0u64); max_sym as usize + 1];
-            for &(sym, len, code) in &canon {
-                table[sym as usize] = (len, code);
-            }
-            EncodeTable::Dense(table)
-        } else {
-            let mut pairs = canon.clone();
-            pairs.sort_unstable_by_key(|&(s, _, _)| s);
-            EncodeTable::Sparse(pairs)
-        };
-
-        let max_len = canon.iter().map(|&(_, l, _)| l).max().expect("nonempty") as usize;
-        let mut first_code = vec![u64::MAX; max_len + 1];
-        let mut first_idx = vec![0usize; max_len + 1];
-        let mut last_code = vec![0u64; max_len + 1];
-        let mut has_len = vec![false; max_len + 1];
-        for (i, &(_, len, code)) in canon.iter().enumerate() {
-            let l = len as usize;
-            if !has_len[l] {
-                has_len[l] = true;
-                first_code[l] = code;
-                first_idx[l] = i;
-            }
-            last_code[l] = code;
-        }
-        let syms_by_canon: Vec<u32> = canon.iter().map(|&(s, _, _)| s).collect();
-
+impl DecodeTable {
+    fn build(by_symbol: &[(u32, u8, u64)]) -> Self {
+        let counts = length_counts(by_symbol.iter().map(|&(_, len, _)| len));
+        let first_idx = first_indices(&counts);
+        let max_len = counts.iter().rposition(|&c| c > 0).expect("tables are never empty");
+        let mut syms_by_canon = vec![0u32; by_symbol.len()];
+        let mut next_idx = first_idx;
         let mut lut = vec![(0u32, 0u8); 1 << LUT_BITS];
-        for &(sym, len, code) in &canon {
+        for &(sym, len, code) in by_symbol {
+            syms_by_canon[next_idx[len as usize]] = sym;
+            next_idx[len as usize] += 1;
             // Guard against malformed (Kraft-violating) deserialized tables
             // whose canonical codes overflow their length.
             if len > LUT_BITS || code >> len != 0 {
@@ -292,8 +352,72 @@ impl HuffmanTable {
             let base = (code as usize) << (LUT_BITS - len);
             lut[base..base + fill].fill((sym, len));
         }
+        DecodeTable { max_len, counts, first_code: first_codes(&counts), first_idx, syms_by_canon, lut }
+    }
 
-        Ok(HuffmanTable { canon, encode, max_len, first_code, first_idx, last_code, has_len, syms_by_canon, lut })
+    /// Canonical per-length walk for a code the LUT does not resolve, over
+    /// the (zero-padded) look-ahead: at least [`MAX_CODE_LEN`] real bits
+    /// except within the stream's last bytes.
+    #[cold]
+    fn walk(&self, reader: &mut BitReader<'_>) -> Result<u32, SzError> {
+        for len in 1..=self.max_len {
+            let (code, loaded) = reader.peek_bits(len as u8);
+            if (len as u32) > loaded {
+                return Err(corrupt("bit stream exhausted"));
+            }
+            let first = self.first_code[len];
+            if code >= first && code - first < self.counts[len] as u64 {
+                reader.consume(len as u32);
+                return Ok(self.syms_by_canon[self.first_idx[len] + (code - first) as usize]);
+            }
+        }
+        Err(corrupt("code exceeds maximum length"))
+    }
+}
+
+/// A canonical Huffman table, usable on its own (shared across chunks) or as
+/// the internals of the self-describing [`huffman_encode`] format.
+#[derive(Debug, Clone)]
+pub struct HuffmanTable {
+    /// `(symbol, len, code)` sorted by symbol. Within one length that is the
+    /// canonical order, so codes are assigned, and the canonical order itself
+    /// recovered, by counting lengths — nothing is ever sorted by length.
+    by_symbol: Vec<(u32, u8, u64)>,
+    /// Built by the first [`HuffmanTable::encode_stream`].
+    encode: OnceLock<EncodeTable>,
+    /// Built by the first [`HuffmanTable::decode_stream`].
+    decode: OnceLock<DecodeTable>,
+}
+
+impl HuffmanTable {
+    /// Builds a table from `(symbol, length)` pairs (lengths in
+    /// `1..=MAX_CODE_LEN`, symbols unique).
+    ///
+    /// # Errors
+    /// Returns [`SzError::CorruptStream`] on an invalid length or duplicate
+    /// symbol.
+    pub fn from_lengths(mut lengths: Vec<(u32, u8)>) -> Result<Self, SzError> {
+        if lengths.is_empty() {
+            return Err(corrupt("empty code-length table"));
+        }
+        if lengths.iter().any(|&(_, len)| len == 0 || len > MAX_CODE_LEN) {
+            return Err(corrupt("invalid code length"));
+        }
+        // One pass over lengths a histogram produced, which arrive sorted.
+        lengths.sort_unstable_by_key(|&(sym, _)| sym);
+        if lengths.windows(2).any(|w| w[0].0 == w[1].0) {
+            return Err(corrupt("duplicate symbol in table"));
+        }
+        let mut next_code = first_codes(&length_counts(lengths.iter().map(|&(_, len)| len)));
+        let by_symbol = lengths
+            .into_iter()
+            .map(|(sym, len)| {
+                let code = next_code[len as usize];
+                next_code[len as usize] += 1;
+                (sym, len, code)
+            })
+            .collect();
+        Ok(HuffmanTable { by_symbol, encode: OnceLock::new(), decode: OnceLock::new() })
     }
 
     /// Builds the canonical table for a symbol sequence, `None` if empty.
@@ -312,17 +436,21 @@ impl HuffmanTable {
 
     /// Number of distinct symbols in the table.
     pub fn n_symbols(&self) -> usize {
-        self.canon.len()
+        self.by_symbol.len()
     }
 
     /// Serializes the code-length table: `[n_syms u32][(sym u32, len u8)×n]`
     /// in canonical order (the same layout [`huffman_encode`] embeds).
     pub fn serialize(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(4 + self.canon.len() * 5);
-        out.extend_from_slice(&(self.canon.len() as u32).to_le_bytes());
-        for &(sym, len, _) in &self.canon {
-            out.extend_from_slice(&sym.to_le_bytes());
-            out.push(len);
+        let n = self.by_symbol.len();
+        let mut out = vec![0u8; 4 + n * 5];
+        out[..4].copy_from_slice(&(n as u32).to_le_bytes());
+        let mut next_idx = first_indices(&length_counts(self.by_symbol.iter().map(|&(_, len, _)| len)));
+        for &(sym, len, _) in &self.by_symbol {
+            let at = 4 + next_idx[len as usize] * 5;
+            next_idx[len as usize] += 1;
+            out[at..at + 4].copy_from_slice(&sym.to_le_bytes());
+            out[at + 4] = len;
         }
         out
     }
@@ -334,8 +462,7 @@ impl HuffmanTable {
     /// Returns [`SzError::CorruptStream`] on truncation, trailing bytes, or an
     /// invalid table.
     pub fn deserialize(bytes: &[u8]) -> Result<Self, SzError> {
-        let lengths = parse_length_table(bytes, &mut 0)?;
-        Self::from_lengths(lengths)
+        parse_length_table(bytes, &mut 0)?.ok_or_else(|| corrupt("empty code-length table"))
     }
 
     /// Encodes `symbols` as `[count u64][payload_len u64][payload bits]`.
@@ -343,24 +470,9 @@ impl HuffmanTable {
     /// Returns `None` if any symbol has no code in this table (the caller
     /// falls back to a self-describing local table).
     pub fn encode_stream(&self, symbols: &[u32]) -> Option<Vec<u8>> {
+        let table = self.encode.get_or_init(|| EncodeTable::build(&self.by_symbol));
         let mut bits = BitWriter::with_capacity(symbols.len() / 4);
-        match &self.encode {
-            EncodeTable::Dense(table) => {
-                for &s in symbols {
-                    let &(len, code) = table.get(s as usize)?;
-                    if len == 0 {
-                        return None;
-                    }
-                    bits.write_code(code, len);
-                }
-            }
-            EncodeTable::Sparse(pairs) => {
-                for &s in symbols {
-                    let (_, len, code) = pairs[pairs.binary_search_by_key(&s, |&(sym, _, _)| sym).ok()?];
-                    bits.write_code(code, len);
-                }
-            }
-        }
+        table.encode(symbols, &mut bits)?;
         let payload = bits.into_bytes();
         let mut out = Vec::with_capacity(16 + payload.len());
         out.extend_from_slice(&(symbols.len() as u64).to_le_bytes());
@@ -393,6 +505,7 @@ impl HuffmanTable {
 
     /// Decodes exactly `count` symbols from a packed bit payload.
     fn decode_payload(&self, count: usize, payload: &[u8]) -> Result<Vec<u32>, SzError> {
+        let table = self.decode.get_or_init(|| DecodeTable::build(&self.by_symbol));
         let mut out = vec![0u32; count];
         let mut reader = BitReader::new(payload);
         for slot in &mut out {
@@ -402,9 +515,9 @@ impl HuffmanTable {
             // right entry, and `loaded` guards against over-consuming. Only
             // within the stream's last bytes can it fall below a code length.
             let (prefix, loaded) = reader.peek_bits(LUT_BITS);
-            let (sym, len) = self.lut[prefix as usize];
+            let (sym, len) = table.lut[prefix as usize];
             *slot = if len == 0 {
-                self.walk(&mut reader)?
+                table.walk(&mut reader)?
             } else if len as u32 <= loaded {
                 reader.consume(len as u32);
                 sym
@@ -413,24 +526,6 @@ impl HuffmanTable {
             };
         }
         Ok(out)
-    }
-
-    /// Canonical per-length walk for a code the LUT does not resolve, over
-    /// the (zero-padded) look-ahead: at least [`MAX_CODE_LEN`] real bits
-    /// except within the stream's last bytes.
-    #[cold]
-    fn walk(&self, reader: &mut BitReader<'_>) -> Result<u32, SzError> {
-        for len in 1..=self.max_len {
-            let (code, loaded) = reader.peek_bits(len as u8);
-            if (len as u32) > loaded {
-                return Err(corrupt("bit stream exhausted"));
-            }
-            if self.has_len[len] && code >= self.first_code[len] && code <= self.last_code[len] {
-                reader.consume(len as u32);
-                return Ok(self.syms_by_canon[self.first_idx[len] + (code - self.first_code[len]) as usize]);
-            }
-        }
-        Err(corrupt("code exceeds maximum length"))
     }
 }
 
@@ -444,8 +539,9 @@ fn read_u64(bytes: &[u8], pos: &mut usize) -> Result<u64, SzError> {
 }
 
 /// Parses a `[n_syms u32][(sym u32, len u8)×n]` length table, advancing
-/// `pos`. Validates lengths and symbol uniqueness but not the Kraft sum.
-fn parse_length_table(bytes: &[u8], pos: &mut usize) -> Result<Vec<(u32, u8)>, SzError> {
+/// `pos`; `None` for the table of no symbols. Validates lengths and symbol
+/// uniqueness but not the Kraft sum.
+fn parse_length_table(bytes: &[u8], pos: &mut usize) -> Result<Option<HuffmanTable>, SzError> {
     if *pos + 4 > bytes.len() {
         return Err(corrupt("truncated header"));
     }
@@ -456,22 +552,16 @@ fn parse_length_table(bytes: &[u8], pos: &mut usize) -> Result<Vec<(u32, u8)>, S
     if n_syms > bytes.len().saturating_sub(*pos) / 5 {
         return Err(corrupt("symbol table larger than stream"));
     }
-    let mut lengths = Vec::with_capacity(n_syms);
-    for _ in 0..n_syms {
-        let sym = u32::from_le_bytes(bytes[*pos..*pos + 4].try_into().expect("4 bytes"));
-        let len = bytes[*pos + 4];
-        *pos += 5;
-        if len == 0 || len > MAX_CODE_LEN {
-            return Err(corrupt("invalid code length"));
-        }
-        lengths.push((sym, len));
+    let entries = &bytes[*pos..*pos + n_syms * 5];
+    *pos += entries.len();
+    if entries.is_empty() {
+        return Ok(None);
     }
-    let mut syms: Vec<u32> = lengths.iter().map(|&(s, _)| s).collect();
-    syms.sort_unstable();
-    if syms.windows(2).any(|w| w[0] == w[1]) {
-        return Err(corrupt("duplicate symbol in table"));
-    }
-    Ok(lengths)
+    let lengths = entries
+        .chunks_exact(5)
+        .map(|entry| (u32::from_le_bytes(entry[..4].try_into().expect("4 bytes")), entry[4]))
+        .collect();
+    HuffmanTable::from_lengths(lengths).map(Some)
 }
 
 /// Encodes a symbol sequence with canonical Huffman coding.
@@ -504,7 +594,7 @@ pub(crate) fn huffman_encode_counted(symbols: &[u32], pairs: &[(u32, u64)]) -> V
 /// an invalid code.
 pub fn huffman_decode(bytes: &[u8]) -> Result<Vec<u32>, SzError> {
     let mut pos = 0usize;
-    let lengths = parse_length_table(bytes, &mut pos)?;
+    let table = parse_length_table(bytes, &mut pos)?;
     let count = read_u64(bytes, &mut pos)? as usize;
     let payload_len = read_u64(bytes, &mut pos)? as usize;
     if payload_len > bytes.len() - pos {
@@ -515,14 +605,12 @@ pub fn huffman_decode(bytes: &[u8]) -> Result<Vec<u32>, SzError> {
     if count == 0 {
         return Ok(Vec::new());
     }
-    if lengths.is_empty() {
-        return Err(corrupt("empty table with nonzero count"));
-    }
+    let table = table.ok_or_else(|| corrupt("empty table with nonzero count"))?;
     // Every symbol consumes at least one bit of payload.
     if count > payload.len().saturating_mul(8) {
         return Err(corrupt("symbol count exceeds payload bits"));
     }
-    HuffmanTable::from_lengths(lengths)?.decode_payload(count, payload)
+    table.decode_payload(count, payload)
 }
 
 /// Per-symbol share of the encoded bit stream, used for the `P0` feature:
@@ -537,6 +625,93 @@ pub fn encoded_share(symbols: &[u32]) -> HashMap<u32, f64> {
         return HashMap::new();
     }
     pairs.into_iter().zip(lengths).map(|((s, f), (_, l))| (s, f as f64 * l as f64 / total)).collect()
+}
+
+/// The `BinaryHeap` tree build, the sort-based canonical code assignment and
+/// the symbol-indexed-from-zero encode table, kept verbatim as the equality
+/// oracles for what replaced them.
+#[cfg(test)]
+mod reference {
+    /// `build_lengths` as a min-heap over `(weight, insertion order)` with a
+    /// parent walk per leaf.
+    pub(super) fn build_lengths(pairs: &[(u32, u64)], flatten: u32) -> Vec<(u32, u8)> {
+        #[derive(Clone, Copy, PartialEq, Eq)]
+        struct Node {
+            weight: u64,
+            seq: u32,
+            idx: u32,
+        }
+        impl Ord for Node {
+            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+                // Reverse for min-heap behaviour inside BinaryHeap.
+                other.weight.cmp(&self.weight).then(other.seq.cmp(&self.seq))
+            }
+        }
+        impl PartialOrd for Node {
+            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+                Some(self.cmp(other))
+            }
+        }
+
+        let n = pairs.len();
+        // parent[i] for all tree nodes; leaves occupy [0, n).
+        let mut parent = vec![u32::MAX; 2 * n - 1];
+        let mut heap = std::collections::BinaryHeap::with_capacity(n);
+        for (i, &(_, f)) in pairs.iter().enumerate() {
+            heap.push(Node { weight: (f >> flatten) | 1, seq: i as u32, idx: i as u32 });
+        }
+        let mut next = n as u32;
+        let mut seq = n as u32;
+        while heap.len() > 1 {
+            let a = heap.pop().expect("len > 1");
+            let b = heap.pop().expect("len > 1");
+            parent[a.idx as usize] = next;
+            parent[b.idx as usize] = next;
+            heap.push(Node { weight: a.weight + b.weight, seq, idx: next });
+            next += 1;
+            seq += 1;
+        }
+        pairs
+            .iter()
+            .enumerate()
+            .map(|(i, &(sym, _))| {
+                let mut len = 0u8;
+                let mut node = i as u32;
+                while parent[node as usize] != u32::MAX {
+                    node = parent[node as usize];
+                    len += 1;
+                }
+                (sym, len.max(1))
+            })
+            .collect()
+    }
+
+    /// Assigns canonical codes: symbols sorted by (length, symbol) receive
+    /// consecutive codes per length.
+    pub(super) fn canonical_codes(mut items: Vec<(u32, u8)>) -> Vec<(u32, u8, u64)> {
+        items.sort_unstable_by_key(|&(s, l)| (l, s));
+        let mut out = Vec::with_capacity(items.len());
+        let mut code = 0u64;
+        let mut prev_len = 0u8;
+        for (sym, len) in items {
+            code <<= len - prev_len;
+            out.push((sym, len, code));
+            code += 1;
+            prev_len = len;
+        }
+        out
+    }
+
+    /// `table[sym] = (len, code)` from symbol 0 up; `len == 0` means the
+    /// symbol has no code.
+    pub(super) fn dense_encode_table(canon: &[(u32, u8, u64)]) -> Vec<(u8, u64)> {
+        let max_sym = canon.iter().map(|&(s, _, _)| s).max().expect("nonempty");
+        let mut table = vec![(0u8, 0u64); max_sym as usize + 1];
+        for &(sym, len, code) in canon {
+            table[sym as usize] = (len, code);
+        }
+        table
+    }
 }
 
 #[cfg(test)]
@@ -689,7 +864,7 @@ mod tests {
             f = f.saturating_mul(2);
         }
         let table = HuffmanTable::from_symbols(&syms).unwrap();
-        assert!(table.canon.iter().any(|&(_, l, _)| l > LUT_BITS), "test needs codes beyond the LUT");
+        assert!(table.by_symbol.iter().any(|&(_, l, _)| l > LUT_BITS), "test needs codes beyond the LUT");
         let sample: Vec<u32> = (0..24u32).cycle().take(500).collect();
         let enc = table.encode_stream(&sample).unwrap();
         assert_eq!(table.decode_stream(&enc).unwrap(), sample);
@@ -728,7 +903,7 @@ mod tests {
     #[test]
     fn histogram_matches_a_plain_count_for_every_window_shape() {
         let plain = |symbols: &[u32]| -> Vec<(u32, u64)> {
-            let mut counts = BTreeMap::new();
+            let mut counts = std::collections::BTreeMap::new();
             for &s in symbols {
                 *counts.entry(s).or_insert(0u64) += 1;
             }
@@ -750,6 +925,144 @@ mod tests {
                     (0..len).map(|i| if i % 3 == 0 { base + span / 2 } else { base + next() % span }).collect();
                 assert_eq!(freq_pairs(&symbols), plain(&symbols), "base {base} span {span} len {len}");
             }
+        }
+    }
+
+    fn lcg(seed: u64) -> impl FnMut() -> u64 {
+        let mut state = seed;
+        move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 33
+        }
+    }
+
+    #[test]
+    fn two_queue_lengths_match_the_heap_build() {
+        let mut next = lcg(5);
+        let mut histograms: Vec<Vec<(u32, u64)>> = Vec::new();
+        // Heavy ties: weights from a handful of values, so the pop order is
+        // settled by the tie-break almost everywhere — among leaves, among
+        // merged nodes, and between the two.
+        for n in [2usize, 3, 4, 5, 8, 31, 64, 257, 1000] {
+            for distinct_weights in [1u64, 2, 3, 7] {
+                histograms.push((0..n as u32).map(|s| (s * 3, 1 + next() % distinct_weights)).collect());
+            }
+            // Powers of two: every merge ties with a leaf or a merged node.
+            histograms.push((0..n as u32).map(|s| (s, 1u64 << (next() % 12))).collect());
+            // A bell over a quantizer's codes with a far outlier at each end.
+            let mut bell: Vec<(u32, u64)> = (0..n as u32)
+                .map(|s| (32_768 + s, 1 + (1u64 << 20) / (1 + (s as u64).abs_diff(n as u64 / 2).pow(2))))
+                .collect();
+            bell.insert(0, (0, 1));
+            bell.push((60_000, 1));
+            histograms.push(bell);
+        }
+        // Fibonacci growth wants codes deeper than 32 bits: the flatten path.
+        let (mut a, mut b) = (1u64, 1u64);
+        histograms.push(
+            (0..70u32)
+                .map(|s| {
+                    let f = a;
+                    (a, b) = (b, a.saturating_add(b));
+                    (s, f)
+                })
+                .collect(),
+        );
+        for pairs in &histograms {
+            for flatten in [0u32, 4, 8, 40] {
+                assert_eq!(
+                    build_lengths(pairs, flatten),
+                    reference::build_lengths(pairs, flatten),
+                    "flatten {flatten}: {pairs:?}"
+                );
+            }
+        }
+        let deep = histograms.last().expect("pushed above");
+        assert!(build_lengths(deep, 0).iter().any(|&(_, l)| l > MAX_CODE_LEN), "test needs the flatten path");
+        assert!(lengths_from_pairs(deep).iter().all(|&(_, l)| l <= MAX_CODE_LEN));
+        assert_eq!(lengths_from_pairs(&[(9, 1000)]), vec![(9, 1)], "one symbol");
+    }
+
+    #[test]
+    fn tables_sized_by_their_symbols_match_the_from_zero_dense_table() {
+        let mut next = lcg(23);
+        // A cluster around the radius, with and without: the escape marker at
+        // symbol 0, a code far below the cluster, one far past it (beyond any
+        // window the sample could place), and a sparse far tail.
+        let cluster: Vec<u32> =
+            (0..20_000).map(|_| 32_768 + (next() % 40 + next() % 40 + next() % 300) as u32).collect();
+        let mut with_outliers = cluster.clone();
+        with_outliers[0] = 13_000;
+        with_outliers[777] = 0;
+        with_outliers[19_999] = 4_000_000;
+        let mut sparse_tail = with_outliers.clone();
+        for k in 0..200 {
+            sparse_tail[k * 97 + 1] = 34_000 + (next() % 30_000) as u32;
+        }
+        let top = vec![u32::MAX - 1, u32::MAX, u32::MAX, u32::MAX - 5];
+        let streams =
+            [vec![32_768], vec![0, 32_768], cluster, with_outliers, sparse_tail, vec![7, u32::MAX, 7, 0], top];
+        for symbols in &streams {
+            let context = format!("{} symbols from {:?}…", symbols.len(), &symbols[..symbols.len().min(4)]);
+            let mut plain = std::collections::BTreeMap::new();
+            for &s in symbols {
+                *plain.entry(s).or_insert(0u64) += 1;
+            }
+            let pairs = freq_pairs(symbols);
+            assert_eq!(pairs, plain.into_iter().collect::<Vec<_>>(), "{context}");
+
+            let lengths = lengths_from_pairs(&pairs);
+            let table = HuffmanTable::from_lengths(lengths.clone()).unwrap();
+            let canon = reference::canonical_codes(lengths);
+            let mut by_symbol = canon.clone();
+            by_symbol.sort_unstable_by_key(|&(s, _, _)| s);
+            assert_eq!(table.by_symbol, by_symbol, "{context}");
+            let serialized: Vec<u8> = (canon.len() as u32)
+                .to_le_bytes()
+                .into_iter()
+                .chain(canon.iter().flat_map(|&(s, l, _)| s.to_le_bytes().into_iter().chain([l])))
+                .collect();
+            assert_eq!(table.serialize(), serialized, "{context}");
+
+            // The encoder writes for a symbol what the table indexed from
+            // zero held for it, or refuses it: probed at every symbol of the
+            // table, both its neighbours, and a stride over everything from 0
+            // to past the last one (up to `DENSE_LIMIT`).
+            let encode = table.encode.get_or_init(|| EncodeTable::build(&table.by_symbol));
+            assert!(encode.dense.len() <= DENSE_SLACK * by_symbol.len(), "{context}: {} slots", encode.dense.len());
+            // The replaced lookup: symbol-indexed from zero below
+            // `DENSE_LIMIT`, sorted pairs past it.
+            let (low, high) = by_symbol.split_at(by_symbol.partition_point(|&(s, _, _)| s < DENSE_LIMIT));
+            let dense = if low.is_empty() { Vec::new() } else { reference::dense_encode_table(low) };
+            let last = by_symbol.last().expect("nonempty").0;
+            let probes = canon
+                .iter()
+                .flat_map(|&(s, _, _)| [s.saturating_sub(1), s, s.saturating_add(1)])
+                .chain((0..=last.min(DENSE_LIMIT)).step_by(997));
+            for sym in probes {
+                let expected = match dense.get(sym as usize) {
+                    Some(&(len, code)) => (len != 0).then_some((len, code)),
+                    None => high.binary_search_by_key(&sym, |&(s, _, _)| s).ok().map(|at| (high[at].1, high[at].2)),
+                };
+                let written = expected.map(|(len, code)| {
+                    let mut bits = BitWriter::with_capacity(8);
+                    bits.write_code(code, len);
+                    bits.into_bytes()
+                });
+                assert_eq!(
+                    table.encode_stream(&[sym]).map(|stream| stream[16..].to_vec()),
+                    written,
+                    "{context}: {sym}"
+                );
+            }
+
+            // A table that arrived as bytes builds its encode half on demand
+            // and writes the same stream; both decode it.
+            let received = HuffmanTable::deserialize(&serialized).unwrap();
+            let stream = table.encode_stream(symbols).unwrap();
+            assert_eq!(received.encode_stream(symbols).unwrap(), stream, "{context}");
+            assert_eq!(received.decode_stream(&stream).unwrap(), *symbols, "{context}");
+            assert_eq!(table.decode_stream(&stream).unwrap(), *symbols, "{context}");
         }
     }
 

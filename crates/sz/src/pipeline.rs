@@ -565,14 +565,11 @@ fn decompress_chunked<T: ScalarValue>(
     let decoded: Vec<Result<(), SzError>> = parallel_map(n, threads, |i| {
         let _chunk_span = obs.wall_span("sz.chunk", None, i as u32);
         let _pchunk = prof::scope(ScopeId::DECOMPRESS);
-        let tc = std::time::Instant::now();
         let entry = &table.entries[i];
         let payload = &body[offsets[i]..offsets[i] + entry.len];
         let chunk_dims = if layout.rows_in_chunk(i) == full_dims[0] { &full_dims } else { &tail_dims };
         let mut slab = slabs[i].lock().expect("slab lock");
-        decode_chunk_into::<T>(header, chunk_dims, i, entry, payload, shared.as_ref(), &mut slab)?;
-        obs.observe("ocelot_sz_chunk_seconds", "Wall time of one chunk compression task", tc.elapsed().as_secs_f64());
-        Ok(())
+        decode_chunk_into::<T>(header, chunk_dims, i, entry, payload, shared.as_ref(), &mut slab)
     });
     drop(slabs);
     decoded.into_iter().collect::<Result<(), SzError>>()?;
@@ -649,8 +646,7 @@ fn decode_streams<T: ScalarValue>(
 }
 
 /// Runs the header's predictor backwards over `streams` into `out`, the slab
-/// for shape `dims`. The interpolation predictors reconstruct in `out`
-/// itself; the others build their own buffer, copied in once.
+/// for shape `dims`: every predictor reconstructs in `out` itself.
 fn reconstruct_into<T: ScalarValue>(
     header: &BlobHeader,
     dims: &[usize],
@@ -659,22 +655,13 @@ fn reconstruct_into<T: ScalarValue>(
 ) -> Result<(), SzError> {
     let quantizer = LinearQuantizer::new(header.abs_eb, header.quant_radius);
     let _p = prof::probe(Kernel::Predict, std::mem::size_of_val(out));
-    let data = match header.predictor {
-        PredictorKind::InterpLinear => {
-            return interp::decompress_into(dims, streams, &quantizer, interp::Basis::Linear, out)
-        }
-        PredictorKind::InterpCubic => {
-            return interp::decompress_into(dims, streams, &quantizer, interp::Basis::Cubic, out)
-        }
-        PredictorKind::Lorenzo => lorenzo::decompress(dims, streams, &quantizer),
-        PredictorKind::Lorenzo2 => lorenzo2::decompress(dims, streams, &quantizer),
-        PredictorKind::Regression => regression::decompress(dims, streams, &quantizer),
-    }?;
-    if data.len() != out.len() {
-        return Err(SzError::CorruptStream(format!("slab of {} values for {} points", out.len(), data.len())));
+    match header.predictor {
+        PredictorKind::InterpLinear => interp::decompress_into(dims, streams, &quantizer, interp::Basis::Linear, out),
+        PredictorKind::InterpCubic => interp::decompress_into(dims, streams, &quantizer, interp::Basis::Cubic, out),
+        PredictorKind::Lorenzo => lorenzo::decompress_into(dims, streams, &quantizer, out),
+        PredictorKind::Lorenzo2 => lorenzo2::decompress_into(dims, streams, &quantizer, out),
+        PredictorKind::Regression => regression::decompress_into(dims, streams, &quantizer, out),
     }
-    out.copy_from_slice(data.values());
-    Ok(())
 }
 
 fn run_predictor<T: ScalarValue>(
@@ -1055,35 +1042,39 @@ mod tests {
 
     #[test]
     fn short_and_long_unpredictable_pools_are_typed_errors_in_place() {
-        // Radius 2 at a tight bound: most points escape to the pool.
+        // Radius 2 at a tight bound: most points escape to the pool. Every
+        // predictor reconstructs in the caller's slab; Lorenzo's rows also
+        // take their pool cursors from a count made before the walk.
         let data = wavy(vec![40, 12]);
-        let cfg = LossyConfig::sz3_abs(1e-4).with_quant_radius(2).with_chunk_points(Some(120));
-        let out = compress(&data, &cfg).unwrap();
-        assert!(out.chunks > 1 && out.bin_stats.unpredictable > 0.1, "test needs escapes in several chunks");
-        let resize_pool = |chunk: usize, grow: bool| {
-            rebuild(&out.blob, |_, table, payloads| {
-                let mut parts = SectionReader::over(&payloads[chunk]);
-                let side = parts.next_section().unwrap().to_vec();
-                let mut pool = parts.next_section().unwrap().to_vec();
-                let codes = parts.next_section().unwrap().to_vec();
-                assert!(pool.len() >= 8, "chunk {chunk} has escapes");
-                if grow {
-                    pool.extend_from_slice(&1.5f32.to_le_bytes());
-                    table.entries[chunk].unpredictable += 1;
-                } else {
-                    pool.truncate(pool.len() - 4);
-                    table.entries[chunk].unpredictable -= 1;
-                }
-                let mut payload = Vec::new();
-                write_framed(&mut payload, &side);
-                write_framed(&mut payload, &pool);
-                write_framed(&mut payload, &codes);
-                payloads[chunk] = payload;
-            })
-        };
-        for chunk in [0, out.chunks - 1] {
-            assert_corrupt(&resize_pool(chunk, false), "short pool");
-            assert_corrupt(&resize_pool(chunk, true), "long pool");
+        for predictor in PredictorKind::ALL {
+            let cfg = LossyConfig::sz3_abs(1e-4).with_predictor(predictor).with_quant_radius(2);
+            let out = compress(&data, &cfg.with_chunk_points(Some(120))).unwrap();
+            assert!(out.chunks > 1 && out.bin_stats.unpredictable > 0.1, "test needs escapes in several chunks");
+            let resize_pool = |chunk: usize, grow: bool| {
+                rebuild(&out.blob, |_, table, payloads| {
+                    let mut parts = SectionReader::over(&payloads[chunk]);
+                    let side = parts.next_section().unwrap().to_vec();
+                    let mut pool = parts.next_section().unwrap().to_vec();
+                    let codes = parts.next_section().unwrap().to_vec();
+                    assert!(pool.len() >= 8, "chunk {chunk} has escapes");
+                    if grow {
+                        pool.extend_from_slice(&1.5f32.to_le_bytes());
+                        table.entries[chunk].unpredictable += 1;
+                    } else {
+                        pool.truncate(pool.len() - 4);
+                        table.entries[chunk].unpredictable -= 1;
+                    }
+                    let mut payload = Vec::new();
+                    write_framed(&mut payload, &side);
+                    write_framed(&mut payload, &pool);
+                    write_framed(&mut payload, &codes);
+                    payloads[chunk] = payload;
+                })
+            };
+            for chunk in [0, out.chunks - 1] {
+                assert_corrupt(&resize_pool(chunk, false), &format!("{predictor:?}: short pool"));
+                assert_corrupt(&resize_pool(chunk, true), &format!("{predictor:?}: long pool"));
+            }
         }
     }
 
@@ -1102,6 +1093,55 @@ mod tests {
         })
         .unwrap();
         assert_eq!(seen, 1);
+    }
+
+    fn fnv64(bytes: impl IntoIterator<Item = u8>) -> u64 {
+        bytes.into_iter().fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+    }
+
+    #[test]
+    fn lorenzo_blob_and_restored_values_are_pinned() {
+        // Recorded from the one-row-at-a-time Lorenzo kernels, the heap-built
+        // Huffman lengths and the copy-in decoder this path replaced. Every
+        // value is one exact-operand f32 sum, so the fields are the same on
+        // any platform. The 2-D field is a single chunk at the default
+        // radius; the 3-D one is cut into 4-plane chunks with a 2-plane tail
+        // at radius 8, so escapes land in every chunk.
+        let field = |dims: Vec<usize>| {
+            let mut state = 0x0123_4567_89ab_cdefu64;
+            Dataset::from_fn(dims, move |i| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                let noise = (state >> 40) as f32 / (1u64 << 24) as f32;
+                let ramp = i.iter().enumerate().map(|(d, &c)| c * (7 - 2 * d)).sum::<usize>() as f32 * 0.125;
+                let bump = ((i[0] * i[1] + i[i.len() - 1] * 3) % 17) as f32 * 0.5;
+                ramp + bump + noise * 0.25
+            })
+        };
+        let cases = [
+            (vec![61, 45], LossyConfig::lorenzo(1e-4), 0xc874_2872_844a_b5d4u64, 0x2913_a6ae_e0d8_bfa8u64, 0u64),
+            (
+                vec![14, 11, 19],
+                LossyConfig::lorenzo(1e-3).with_quant_radius(8).with_chunk_points(Some(4 * 11 * 19)),
+                0x2037_1491_0005_2387,
+                0x7fae_ba97_7150_9981,
+                1249,
+            ),
+        ];
+        for (dims, cfg, blob_hash, restored_hash, escapes) in cases {
+            let data = field(dims.clone());
+            let out = compress(&data, &cfg).unwrap();
+            let table = ChunkTable::decode(out.blob.open().unwrap().1.next_section().unwrap()).unwrap();
+            assert_eq!(table.entries.iter().map(|e| e.unpredictable).sum::<u64>(), escapes, "{dims:?}");
+            assert_eq!(fnv64(out.blob.as_bytes().iter().copied()), blob_hash, "{dims:?}");
+            for threads in [1, 3] {
+                let restored = decompress_with_threads::<f32>(&out.blob, threads).unwrap();
+                assert_eq!(
+                    fnv64(restored.values().iter().flat_map(|v| v.to_le_bytes())),
+                    restored_hash,
+                    "{dims:?} threads={threads}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //! and predictions read only reconstructed values, guaranteeing parity.
 
 use crate::error::SzError;
-use crate::ndarray::{checked_points, Dataset, DatasetView};
-use crate::predict::{PredictionStreams, StreamsView};
+use crate::ndarray::{Dataset, DatasetView};
+use crate::predict::{check_rank, check_streams, check_streams_into, PredictionStreams, StreamsView};
 use crate::quantizer::LinearQuantizer;
 use crate::value::ScalarValue;
 
@@ -35,7 +35,7 @@ pub fn compress<T: ScalarValue>(
     quantizer: &LinearQuantizer,
     basis: Basis,
 ) -> Result<PredictionStreams<T>, SzError> {
-    check_rank(data.ndim())?;
+    check_rank("interp", data.ndim())?;
     let n = data.len();
     let mut encoder = Encoder {
         q: quantizer,
@@ -62,7 +62,7 @@ pub fn decompress<T: ScalarValue>(
     basis: Basis,
 ) -> Result<Dataset<T>, SzError> {
     // Sized by the codes actually present, never by the shape alone.
-    let mut recon = vec![T::zero(); check_streams(dims, streams.codes.len())?];
+    let mut recon = vec![T::zero(); check_streams("interp", dims, streams.codes.len())?];
     decompress_into(dims, streams, quantizer, basis, &mut recon)?;
     Dataset::new(dims.to_vec(), recon)
 }
@@ -80,10 +80,7 @@ pub(crate) fn decompress_into<T: ScalarValue>(
     basis: Basis,
     out: &mut [T],
 ) -> Result<(), SzError> {
-    let n = check_streams(dims, streams.codes.len())?;
-    if out.len() != n {
-        return Err(SzError::CorruptStream(format!("interp: slab of {} values for {n} points", out.len())));
-    }
+    check_streams_into("interp", dims, streams.codes.len(), out.len())?;
     let mut decoder =
         Decoder { q: quantizer, codes: streams.codes, next: 0, recon: out, pool: streams.unpredictable, taken: 0 };
     walk_schedule(dims, basis, &mut decoder);
@@ -92,27 +89,6 @@ pub(crate) fn decompress_into<T: ScalarValue>(
         return Err(SzError::CorruptStream("interp: unpredictable pool length mismatch".into()));
     }
     Ok(())
-}
-
-fn check_rank(ndim: usize) -> Result<(), SzError> {
-    if (1..=3).contains(&ndim) {
-        Ok(())
-    } else {
-        Err(SzError::InvalidShape(format!("interpolation predictor supports 1-3 dims, got {ndim}")))
-    }
-}
-
-/// Validates a decode request, returning the shape's point count.
-fn check_streams(dims: &[usize], n_codes: usize) -> Result<usize, SzError> {
-    check_rank(dims.len())?;
-    let n = checked_points(dims)?;
-    if n == 0 {
-        return Err(SzError::InvalidShape(format!("interp: empty shape {dims:?}")));
-    }
-    if n_codes != n {
-        return Err(SzError::CorruptStream(format!("interp: {n_codes} codes for {n} points")));
-    }
-    Ok(n)
 }
 
 // A pass never predicts a point from another point of the same pass: the
@@ -607,18 +583,9 @@ mod tests {
         assert!(decompress(&[16], streams.view(), &q, Basis::Linear).is_err());
     }
 
-    use crate::predict::testutil::fuzz_dataset;
+    use crate::predict::testutil::{bytes_of, fuzz_dataset};
     use crate::predict::UnpredictablePool;
     use proptest::prelude::*;
-
-    /// Exact byte image of a value slice (`-0.0` ≠ `+0.0`, NaNs compare).
-    fn bytes_of<T: ScalarValue>(values: &[T]) -> Vec<u8> {
-        let mut out = Vec::with_capacity(values.len() * T::BYTES);
-        for &v in values {
-            v.write_le(&mut out);
-        }
-        out
-    }
 
     /// The run kernels must visit the same points in the same order with the
     /// same predictions as the reference walk: codes, escape pool and

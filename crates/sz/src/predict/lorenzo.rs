@@ -10,13 +10,19 @@
 //! Out-of-domain neighbours read as `0`, so the first element is effectively
 //! predicted as zero.
 
+use std::ops::Range;
+
 use crate::error::SzError;
 use crate::ndarray::{Dataset, DatasetView};
-use crate::predict::{PredictionStreams, StreamsView, UnpredictablePool};
+use crate::predict::{check_rank, check_streams, check_streams_into, PredictionStreams, StreamsView};
 use crate::quantizer::LinearQuantizer;
 use crate::value::ScalarValue;
 
-const EMPTY: &[u32] = &[];
+/// Rows the 2-D and 3-D walks hold in flight at once. Picked by measurement
+/// (DESIGN.md "Hot-path kernels"): four chains hide most of one chain's
+/// latency; five are 4 % faster in 2-D and 6 % slower in 3-D, six and eight
+/// slower in both (the lane state outgrows the sixteen SSE registers).
+const LANES: usize = 4;
 
 /// Compresses `data`, returning quantization streams.
 ///
@@ -26,266 +32,391 @@ pub fn compress<T: ScalarValue>(
     data: DatasetView<'_, T>,
     quantizer: &LinearQuantizer,
 ) -> Result<PredictionStreams<T>, SzError> {
-    match data.ndim() {
-        1 => Ok(run::<T, false>(data.dims(), Some(data.values()), EMPTY, quantizer).0),
-        2 => Ok(run2::<T, false>(data.dims(), Some(data.values()), EMPTY, quantizer).0),
-        3 => Ok(run3::<T, false>(data.dims(), Some(data.values()), EMPTY, quantizer).0),
-        n => Err(SzError::InvalidShape(format!("lorenzo predictor supports 1-3 dims, got {n}"))),
+    let (dims, input) = (data.dims(), data.values());
+    check_rank("lorenzo", dims.len())?;
+    let mut codes = vec![0u32; input.len()];
+    let mut encoder = Encoder { q: quantizer, input, codes: &mut codes };
+    match *dims {
+        [n] => walk1(n, &mut encoder, |_, _| {}),
+        [n0, n1] => walk2(n0, n1, &mut vec![T::zero(); input.len()], &mut encoder),
+        _ => walk3(dims[0], dims[1], dims[2], &mut vec![T::zero(); input.len()], &mut encoder),
     }
+    // An escape's reconstruction is its input, whatever was predicted for it,
+    // so the pool is the inputs under the zero codes, in raster order.
+    let unpredictable = if codes.contains(&0) {
+        codes.iter().zip(input).filter(|&(&code, _)| code == 0).map(|(_, &value)| value).collect()
+    } else {
+        Vec::new()
+    };
+    Ok(PredictionStreams { codes, unpredictable, side_data: Vec::new() })
 }
 
 /// Decompresses streams produced by [`compress`].
 ///
 /// # Errors
 /// Returns [`SzError::CorruptStream`] if stream lengths are inconsistent with
-/// the shape, and [`SzError::InvalidShape`] for unsupported ranks.
+/// the shape or the shape's point count overflows, and
+/// [`SzError::InvalidShape`] for unsupported ranks and empty shapes.
 pub fn decompress<T: ScalarValue>(
     dims: &[usize],
     streams: StreamsView<'_, T>,
     quantizer: &LinearQuantizer,
 ) -> Result<Dataset<T>, SzError> {
-    let n: usize = dims.iter().product();
-    if streams.codes.len() != n {
-        return Err(SzError::CorruptStream(format!("lorenzo: {} codes for {} points", streams.codes.len(), n)));
-    }
-    let (_, recon, consumed) = match dims.len() {
-        1 => run::<T, true>(dims, None, streams, quantizer),
-        2 => run2::<T, true>(dims, None, streams, quantizer),
-        3 => run3::<T, true>(dims, None, streams, quantizer),
-        n => return Err(SzError::InvalidShape(format!("lorenzo predictor supports 1-3 dims, got {n}"))),
-    };
-    if !consumed {
-        return Err(SzError::CorruptStream("lorenzo: unpredictable pool length mismatch".into()));
-    }
+    // Sized by the codes actually present, never by the shape alone.
+    let mut recon = vec![T::zero(); check_streams("lorenzo", dims, streams.codes.len())?];
+    decompress_into(dims, streams, quantizer, &mut recon)?;
     Dataset::new(dims.to_vec(), recon)
 }
 
-// The compress and decompress walks are the same traversal; `DECODE` selects
-// whether codes are produced or consumed. `input` is Some(raw) when encoding.
+/// [`decompress`] straight into `out`, the caller's slab for this shape
+/// (its prior contents are never read).
+///
+/// # Errors
+/// As [`decompress`], plus [`SzError::CorruptStream`] if `out` does not hold
+/// exactly the shape's points.
+pub(crate) fn decompress_into<T: ScalarValue>(
+    dims: &[usize],
+    streams: StreamsView<'_, T>,
+    quantizer: &LinearQuantizer,
+    out: &mut [T],
+) -> Result<(), SzError> {
+    let n = check_streams_into("lorenzo", dims, streams.codes.len(), out.len())?;
+    // Rows in flight together each need their own place in the pool: the
+    // escapes of the rows before them, counted up front. The total is checked
+    // here, so no cursor can run past the pool during the walk.
+    let width = dims[dims.len() - 1];
+    let mut row_start = Vec::with_capacity(n / width + 1);
+    let mut seen = 0usize;
+    for row in streams.codes.chunks_exact(width) {
+        row_start.push(seen);
+        seen += row.iter().filter(|&&code| code == 0).count();
+    }
+    if seen != streams.unpredictable.len() {
+        return Err(SzError::CorruptStream("lorenzo: unpredictable pool length mismatch".into()));
+    }
+    let mut decoder = Decoder { q: quantizer, codes: streams.codes, pool: streams.unpredictable, row_start };
+    match *dims {
+        [n] => walk1(n, &mut decoder, |off, value| out[off] = value),
+        [n0, n1] => walk2(n0, n1, out, &mut decoder),
+        _ => walk3(dims[0], dims[1], dims[2], out, &mut decoder),
+    }
+    Ok(())
+}
+
+// The compress and decompress walks are the same traversal; a `PointOp` is
+// what happens at each point of it.
 //
-// The per-rank loops below are *fused* predict→quantize kernels: each rank
-// keeps a register-carried window of the reconstruction so the interior loop
-// reads every neighbour from memory exactly once (one load per point in 2-D,
-// three in 3-D, instead of three and seven) and performs no domain checks.
-// Border points keep the literal `0.0` terms of the out-of-domain neighbours
-// in the same operand order as the naive sum, so the floating-point result —
-// and therefore every reconstruction bit — is unchanged (e.g. `0.0 + -0.0`
-// is `+0.0`, which dropping the zero term would break). The pre-fusion loops
-// are kept verbatim in `reference` below and the `fused_matches_scalar_*`
-// proptests pin bit-equality.
+// A point reads its reconstructed west, north and north-west neighbours (and,
+// in 3-D, the same four of the plane above), so the predict → quantize →
+// reconstruct chain is a recurrence *along a row* only: row `i + 1` can run
+// one column behind row `i` and share nothing with it. The 2-D and 3-D walks
+// therefore take `LANES` rows at a time, lane `r` one column behind lane
+// `r − 1`, which gives the core `LANES` independent chains to overlap instead
+// of the latency of one. Only the evaluation order changes: every point sees
+// the neighbours, the operand order and so the bits of the raster walk, kept
+// verbatim in `reference` below and pinned by the `fused_matches_scalar_*`
+// tests. The lane state lives in registers — each lane's own west-side
+// values, and the lane above's previous step in place of a load — so a point
+// of a skewed row reads the reconstruction buffer at most once.
+//
+// Out-of-domain neighbours are the literal `0.0` terms of the naive sum, in
+// its operand order (`0.0 + -0.0` is `+0.0`, which dropping the term would
+// break), so border and interior points share one expression.
 
-trait StreamsArg<T> {
-    fn codes(&self) -> &[u32];
-    fn unpredictable(&self) -> &[T];
+/// What a walk does at a point: quantize it (encode) or recover it (decode).
+trait PointOp<T> {
+    /// Where row `row`'s escapes start in the unpredictable pool.
+    fn row_cursor(&self, row: usize) -> usize;
+    /// Handles the point at flat offset `off`, predicted as `pred`, and
+    /// returns its reconstruction. `cursor` is the pool cursor of its row.
+    fn point(&mut self, off: usize, pred: f64, cursor: &mut usize) -> T;
 }
-impl<T> StreamsArg<T> for PredictionStreams<T> {
-    fn codes(&self) -> &[u32] {
-        &self.codes
-    }
-    fn unpredictable(&self) -> &[T] {
-        &self.unpredictable
-    }
+
+struct Encoder<'a, T> {
+    q: &'a LinearQuantizer,
+    input: &'a [T],
+    /// One slot per point, written by offset.
+    codes: &'a mut [u32],
 }
-impl<T> StreamsArg<T> for &[u32] {
-    fn codes(&self) -> &[u32] {
-        self
+
+impl<T: ScalarValue> PointOp<T> for Encoder<'_, T> {
+    fn row_cursor(&self, _row: usize) -> usize {
+        0
     }
-    fn unpredictable(&self) -> &[T] {
-        &[]
-    }
-}
-impl<T> StreamsArg<T> for &PredictionStreams<T> {
-    fn codes(&self) -> &[u32] {
-        &self.codes
-    }
-    fn unpredictable(&self) -> &[T] {
-        &self.unpredictable
-    }
-}
-impl<T> StreamsArg<T> for StreamsView<'_, T> {
-    fn codes(&self) -> &[u32] {
-        self.codes
-    }
-    fn unpredictable(&self) -> &[T] {
-        self.unpredictable
+
+    #[inline(always)]
+    fn point(&mut self, off: usize, pred: f64, _cursor: &mut usize) -> T {
+        let quantized = self.q.quantize(self.input[off], pred);
+        self.codes[off] = quantized.code;
+        quantized.reconstructed
     }
 }
 
-/// One fused predict→quantize (encode) or predict→recover (decode) step at
-/// `off`. Returns the reconstruction as `f64` so callers can carry it in a
-/// register as the next point's neighbour.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn fused_step<T: ScalarValue, const DECODE: bool>(
-    q: &LinearQuantizer,
-    codes: &[u32],
-    input: Option<&[T]>,
-    off: usize,
-    pred: f64,
-    out: &mut PredictionStreams<T>,
-    recon: &mut [T],
-    pool: &mut UnpredictablePool<'_, T>,
-) -> f64 {
-    if DECODE {
-        let code = codes[off];
-        let v = if code == 0 { pool.take().unwrap_or_else(T::zero) } else { q.recover(code, pred) };
-        recon[off] = v;
-        v.to_f64()
-    } else {
-        let quantized = q.quantize(input.expect("encode has input")[off], pred);
-        if quantized.code == 0 {
-            out.unpredictable.push(quantized.reconstructed);
-        }
-        out.codes.push(quantized.code);
-        recon[off] = quantized.reconstructed;
-        quantized.reconstructed.to_f64()
-    }
+struct Decoder<'a, T> {
+    q: &'a LinearQuantizer,
+    codes: &'a [u32],
+    pool: &'a [T],
+    /// Escapes in the rows before each row (their total equals `pool.len()`).
+    row_start: Vec<usize>,
 }
 
-fn run<T: ScalarValue, const DECODE: bool>(
-    dims: &[usize],
-    input: Option<&[T]>,
-    streams: impl StreamsArg<T>,
-    q: &LinearQuantizer,
-) -> (PredictionStreams<T>, Vec<T>, bool) {
-    let n = dims[0];
-    let mut out = PredictionStreams::with_capacity(if DECODE { 0 } else { n });
-    let mut recon: Vec<T> = Vec::with_capacity(if DECODE { n } else { 0 });
-    let mut pool = UnpredictablePool::new(streams.unpredictable());
-    let codes = streams.codes();
-    // The 1-D prediction is the previous reconstruction, carried in a
-    // register: the loop never re-reads the reconstruction buffer, and the
-    // encode path does not materialize one at all.
-    let mut prev = 0.0f64;
-    if DECODE {
-        for &code in &codes[..n] {
-            let v = if code == 0 { pool.take().unwrap_or_else(T::zero) } else { q.recover(code, prev) };
-            recon.push(v);
-            prev = v.to_f64();
-        }
-    } else {
-        let input = input.expect("encode has input");
-        for &value in &input[..n] {
-            let quantized = q.quantize(value, prev);
-            if quantized.code == 0 {
-                out.unpredictable.push(quantized.reconstructed);
-            }
-            out.codes.push(quantized.code);
-            prev = quantized.reconstructed.to_f64();
-        }
+impl<T: ScalarValue> PointOp<T> for Decoder<'_, T> {
+    fn row_cursor(&self, row: usize) -> usize {
+        self.row_start[row]
     }
-    let consumed = pool.fully_consumed();
-    (out, recon, consumed)
-}
 
-fn run2<T: ScalarValue, const DECODE: bool>(
-    dims: &[usize],
-    input: Option<&[T]>,
-    streams: impl StreamsArg<T>,
-    q: &LinearQuantizer,
-) -> (PredictionStreams<T>, Vec<T>, bool) {
-    let (n0, n1) = (dims[0], dims[1]);
-    let n = n0 * n1;
-    let mut out = PredictionStreams::with_capacity(if DECODE { 0 } else { n });
-    let mut recon: Vec<T> = vec![T::zero(); n];
-    let mut pool = UnpredictablePool::new(streams.unpredictable());
-    let codes = streams.codes();
-    if n == 0 {
-        return (out, recon, pool.fully_consumed());
-    }
-    // First row: the row above is out of domain; keep nonzero terms in the
-    // reference operand order (above + left − diag). The all-zero corner
-    // collapses to the literal: `0.0 + 0.0 - 0.0` is exactly `+0.0`.
-    let mut left = fused_step::<T, DECODE>(q, codes, input, 0, 0.0, &mut out, &mut recon, &mut pool);
-    for j in 1..n1 {
-        let pred = (0.0 + left) - 0.0;
-        left = fused_step::<T, DECODE>(q, codes, input, j, pred, &mut out, &mut recon, &mut pool);
-    }
-    for i in 1..n0 {
-        let row = i * n1;
-        // `above` walks the previous reconstructed row; the previous `above`
-        // is exactly the diagonal neighbour, so the interior loop loads one
-        // value per point.
-        let mut above = recon[row - n1].to_f64();
-        left = fused_step::<T, DECODE>(q, codes, input, row, (above + 0.0) - 0.0, &mut out, &mut recon, &mut pool);
-        for j in 1..n1 {
-            let diag = above;
-            above = recon[row - n1 + j].to_f64();
-            let pred = (above + left) - diag;
-            left = fused_step::<T, DECODE>(q, codes, input, row + j, pred, &mut out, &mut recon, &mut pool);
-        }
-    }
-    let consumed = pool.fully_consumed();
-    (out, recon, consumed)
-}
-
-fn run3<T: ScalarValue, const DECODE: bool>(
-    dims: &[usize],
-    input: Option<&[T]>,
-    streams: impl StreamsArg<T>,
-    q: &LinearQuantizer,
-) -> (PredictionStreams<T>, Vec<T>, bool) {
-    let (n0, n1, n2) = (dims[0], dims[1], dims[2]);
-    let n = n0 * n1 * n2;
-    let mut out = PredictionStreams::with_capacity(if DECODE { 0 } else { n });
-    let mut recon: Vec<T> = vec![T::zero(); n];
-    let mut pool = UnpredictablePool::new(streams.unpredictable());
-    let codes = streams.codes();
-    let stride0 = n1 * n2;
-    // Border points (any coordinate 0) take the checked seven-term sum, same
-    // as the reference; interior rows carry four of the seven neighbours in
-    // registers and load only three per point.
-    let at = |recon: &[T], i: isize, j: isize, k: isize| -> f64 {
-        if i < 0 || j < 0 || k < 0 {
-            0.0
+    #[inline(always)]
+    fn point(&mut self, off: usize, pred: f64, cursor: &mut usize) -> T {
+        let code = self.codes[off];
+        if code == 0 {
+            let value = self.pool[*cursor];
+            *cursor += 1;
+            value
         } else {
-            recon[i as usize * stride0 + j as usize * n2 + k as usize].to_f64()
+            self.q.recover(code, pred)
         }
-    };
+    }
+}
+
+/// 1-D: the prediction is the previous reconstruction, so the whole dataset
+/// is one chain. `store` keeps the reconstruction where the caller wants one.
+fn walk1<T: ScalarValue>(n: usize, op: &mut impl PointOp<T>, mut store: impl FnMut(usize, T)) {
+    let mut cursor = op.row_cursor(0);
+    let mut prev = 0.0f64;
+    for off in 0..n {
+        let value = op.point(off, prev, &mut cursor);
+        store(off, value);
+        prev = value.to_f64();
+    }
+}
+
+fn walk2<T: ScalarValue>(n0: usize, n1: usize, recon: &mut [T], op: &mut impl PointOp<T>) {
+    let mut i = 0;
+    while i < n0 {
+        if n0 - i >= LANES && n1 >= 2 * LANES {
+            skew2(n1, i, recon, op);
+            i += LANES;
+        } else {
+            row2(n1, i, 0..n1, op.row_cursor(i), recon, op);
+            i += 1;
+        }
+    }
+}
+
+/// The neighbour above `(i, j)` as the prediction reads it.
+#[inline(always)]
+fn above2<T: ScalarValue>(recon: &[T], n1: usize, i: usize, j: usize) -> f64 {
+    if i > 0 {
+        recon[(i - 1) * n1 + j].to_f64()
+    } else {
+        0.0
+    }
+}
+
+/// The west side of `(i, j)` — the previous point of the row and the one
+/// above that; both out of domain, so zero, at the start of a row.
+#[inline(always)]
+fn west2<T: ScalarValue>(recon: &[T], n1: usize, i: usize, j: usize) -> (f64, f64) {
+    match j {
+        0 => (0.0, 0.0),
+        j => (recon[i * n1 + j - 1].to_f64(), above2(recon, n1, i, j - 1)),
+    }
+}
+
+/// Columns `cols` of row `i`, one after the other: whole rows the skew cannot
+/// take, and the ramps of those it does. Returns the row's pool cursor.
+fn row2<T: ScalarValue>(
+    n1: usize,
+    i: usize,
+    cols: Range<usize>,
+    mut cursor: usize,
+    recon: &mut [T],
+    op: &mut impl PointOp<T>,
+) -> usize {
+    let row = i * n1;
+    let (mut left, mut diag) = west2(recon, n1, i, cols.start);
+    for j in cols {
+        let above = above2(recon, n1, i, j);
+        let value = op.point(row + j, (above + left) - diag, &mut cursor);
+        recon[row + j] = value;
+        left = value.to_f64();
+        diag = above;
+    }
+    cursor
+}
+
+/// Rows `i0 .. i0 + LANES` at once (`n1 ≥ 2·LANES`).
+fn skew2<T: ScalarValue>(n1: usize, i0: usize, recon: &mut [T], op: &mut impl PointOp<T>) {
+    // Ramp-up: lane `r` takes its first `LANES − 1 − r` columns, which puts
+    // every lane one column behind the lane above it.
+    let mut cursors = [0usize; LANES];
+    for (r, cursor) in cursors.iter_mut().enumerate() {
+        *cursor = row2(n1, i0 + r, 0..LANES - 1 - r, op.row_cursor(i0 + r), recon, op);
+    }
+    // What each lane carries from step to step: its own west side.
+    let mut left = [0.0f64; LANES];
+    let mut diag = [0.0f64; LANES];
+    for r in 0..LANES {
+        (left[r], diag[r]) = west2(recon, n1, i0 + r, LANES - 1 - r);
+    }
+    for t in LANES - 1..n1 {
+        // Bottom lane first: lane `r`'s `above` is what lane `r − 1` carries
+        // as `left` until its own step, further down, moves it on.
+        for r in (0..LANES).rev() {
+            let above = if r == 0 { above2(recon, n1, i0, t) } else { left[r - 1] };
+            let off = (i0 + r) * n1 + t - r;
+            let value = op.point(off, (above + left[r]) - diag[r], &mut cursors[r]);
+            recon[off] = value;
+            left[r] = value.to_f64();
+            diag[r] = above;
+        }
+    }
+    // Ramp-down: lane `r` is `r` columns short of the end of its row.
+    for (r, &cursor) in cursors.iter().enumerate().skip(1) {
+        row2(n1, i0 + r, n1 - r..n1, cursor, recon, op);
+    }
+}
+
+fn walk3<T: ScalarValue>(n0: usize, n1: usize, n2: usize, recon: &mut [T], op: &mut impl PointOp<T>) {
     for i in 0..n0 {
-        for j in 0..n1 {
-            let row = i * stride0 + j * n2;
-            let border_ks = if i == 0 || j == 0 { n2 } else { 1.min(n2) };
-            for k in 0..border_ks {
-                let (si, sj, sk) = (i as isize, j as isize, k as isize);
-                let pred = at(&recon, si - 1, sj, sk) + at(&recon, si, sj - 1, sk) + at(&recon, si, sj, sk - 1)
-                    - at(&recon, si - 1, sj - 1, sk)
-                    - at(&recon, si - 1, sj, sk - 1)
-                    - at(&recon, si, sj - 1, sk - 1)
-                    + at(&recon, si - 1, sj - 1, sk - 1);
-                fused_step::<T, DECODE>(q, codes, input, row + k, pred, &mut out, &mut recon, &mut pool);
-            }
-            if border_ks == n2 {
-                continue;
-            }
-            // Interior of the row: i ≥ 1, j ≥ 1, k ≥ 1. Operand order matches
-            // the reference sum term for term.
-            let mut west = recon[row].to_f64();
-            let mut up_west = recon[row - stride0].to_f64();
-            let mut north_west = recon[row - n2].to_f64();
-            let mut up_north_west = recon[row - stride0 - n2].to_f64();
-            for k in 1..n2 {
-                let off = row + k;
-                let up = recon[off - stride0].to_f64();
-                let north = recon[off - n2].to_f64();
-                let up_north = recon[off - stride0 - n2].to_f64();
-                let pred = up + north + west - up_north - up_west - north_west + up_north_west;
-                west = fused_step::<T, DECODE>(q, codes, input, off, pred, &mut out, &mut recon, &mut pool);
-                up_west = up;
-                north_west = north;
-                up_north_west = up_north;
+        let mut j = 0;
+        while j < n1 {
+            // The lanes are rows of one plane, with the plane above complete.
+            if i > 0 && n1 - j >= LANES && n2 >= 2 * LANES {
+                skew3(n1, n2, i, j, recon, op);
+                j += LANES;
+            } else {
+                row3(n1, n2, i, j, 0..n2, op.row_cursor(i * n1 + j), recon, op);
+                j += 1;
             }
         }
     }
-    let consumed = pool.fully_consumed();
-    (out, recon, consumed)
 }
+
+/// The neighbours above, north and above-north of `(i, j, k)` as the
+/// prediction reads them.
+#[inline(always)]
+fn behind3<T: ScalarValue>(recon: &[T], n1: usize, n2: usize, (i, j, k): (usize, usize, usize)) -> [f64; 3] {
+    let (stride0, off) = (n1 * n2, (i * n1 + j) * n2 + k);
+    let up = if i > 0 { recon[off - stride0].to_f64() } else { 0.0 };
+    let north = if j > 0 { recon[off - n2].to_f64() } else { 0.0 };
+    let up_north = if i > 0 && j > 0 { recon[off - stride0 - n2].to_f64() } else { 0.0 };
+    [up, north, up_north]
+}
+
+/// The four west-side terms of the 3-D sum: the previous point of the row
+/// and the neighbours above, north and above-north of it.
+#[derive(Clone, Copy, Default)]
+struct West {
+    here: f64,
+    behind: [f64; 3],
+}
+
+impl West {
+    /// The quartet of the point before `(i, j, k)`; all out of domain, so
+    /// zero, at the start of a row.
+    #[inline(always)]
+    fn of<T: ScalarValue>(recon: &[T], n1: usize, n2: usize, (i, j, k): (usize, usize, usize)) -> Self {
+        match k {
+            0 => West::default(),
+            k => {
+                West { here: recon[(i * n1 + j) * n2 + k - 1].to_f64(), behind: behind3(recon, n1, n2, (i, j, k - 1)) }
+            }
+        }
+    }
+
+    /// The 3-D prediction east of this quartet, term for term in the
+    /// reference order.
+    #[inline(always)]
+    fn predict(&self, [up, north, up_north]: [f64; 3]) -> f64 {
+        let [up_west, north_west, up_north_west] = self.behind;
+        up + north + self.here - up_north - up_west - north_west + up_north_west
+    }
+}
+
+/// Columns `cols` of row `j` of plane `i`, one after the other (see [`row2`]).
+#[allow(clippy::too_many_arguments)]
+fn row3<T: ScalarValue>(
+    n1: usize,
+    n2: usize,
+    i: usize,
+    j: usize,
+    cols: Range<usize>,
+    mut cursor: usize,
+    recon: &mut [T],
+    op: &mut impl PointOp<T>,
+) -> usize {
+    let row = (i * n1 + j) * n2;
+    let mut west = West::of(recon, n1, n2, (i, j, cols.start));
+    for k in cols {
+        let behind = behind3(recon, n1, n2, (i, j, k));
+        let value = op.point(row + k, west.predict(behind), &mut cursor);
+        recon[row + k] = value;
+        west = West { here: value.to_f64(), behind };
+    }
+    cursor
+}
+
+/// Rows `j0 .. j0 + LANES` of plane `i` at once (`i ≥ 1`, `n2 ≥ 2·LANES`):
+/// [`skew2`] with the plane above as a second source.
+fn skew3<T: ScalarValue>(n1: usize, n2: usize, i: usize, j0: usize, recon: &mut [T], op: &mut impl PointOp<T>) {
+    let stride0 = n1 * n2;
+    let mut cursors = [0usize; LANES];
+    for (r, cursor) in cursors.iter_mut().enumerate() {
+        *cursor = row3(n1, n2, i, j0 + r, 0..LANES - 1 - r, op.row_cursor(i * n1 + j0 + r), recon, op);
+    }
+    let mut west: [West; LANES] = std::array::from_fn(|r| West::of(recon, n1, n2, (i, j0 + r, LANES - 1 - r)));
+    for t in LANES - 1..n2 {
+        // Bottom lane first, as in `skew2`: the lane above still carries, as
+        // its west side, this lane's north and above-north neighbours.
+        for r in (0..LANES).rev() {
+            let off = (i * n1 + j0 + r) * n2 + t - r;
+            let behind = if r == 0 {
+                behind3(recon, n1, n2, (i, j0, t))
+            } else {
+                [recon[off - stride0].to_f64(), west[r - 1].here, west[r - 1].behind[0]]
+            };
+            let value = op.point(off, west[r].predict(behind), &mut cursors[r]);
+            recon[off] = value;
+            west[r] = West { here: value.to_f64(), behind };
+        }
+    }
+    for (r, &cursor) in cursors.iter().enumerate().skip(1) {
+        row3(n1, n2, i, j0 + r, n2 - r..n2, cursor, recon, op);
+    }
+}
+
+#[cfg(test)]
+const EMPTY: &[u32] = &[];
 
 /// The pre-fusion scalar walks, kept verbatim as the bit-equality oracle for
 /// the fused kernels (see the `fused_matches_scalar_*` proptests).
 #[cfg(test)]
 mod reference {
     use super::*;
+    use crate::predict::UnpredictablePool;
+
+    /// The code and pool streams of a walk: none when encoding.
+    pub(super) trait StreamsArg<T> {
+        fn codes(&self) -> &[u32];
+        fn unpredictable(&self) -> &[T];
+    }
+    impl<T> StreamsArg<T> for &[u32] {
+        fn codes(&self) -> &[u32] {
+            self
+        }
+        fn unpredictable(&self) -> &[T] {
+            &[]
+        }
+    }
+    impl<T> StreamsArg<T> for StreamsView<'_, T> {
+        fn codes(&self) -> &[u32] {
+            self.codes
+        }
+        fn unpredictable(&self) -> &[T] {
+            self.unpredictable
+        }
+    }
 
     pub(super) fn run<T: ScalarValue, const DECODE: bool>(
         dims: &[usize],
@@ -567,8 +698,100 @@ mod tests {
         assert!(mean_raw_error(&data) > 10.0);
     }
 
-    use crate::predict::testutil::{bits, fuzz_dataset};
+    use crate::predict::testutil::{bits, bytes_of, fuzz_dataset};
     use proptest::prelude::*;
+
+    /// The skewed walks against `mod reference`, bit for bit: codes and pool
+    /// on encode; on decode the reconstruction, into a fresh buffer and into
+    /// a slab whose prior contents must not matter.
+    fn assert_matches_reference<T: ScalarValue>(data: &Dataset<T>, q: &LinearQuantizer) -> PredictionStreams<T> {
+        let dims = data.dims();
+        let context = format!("dims {dims:?} {} eb {} radius {}", T::TYPE_NAME, q.error_bound(), q.radius());
+        let fused = compress(data.view(), q).unwrap();
+        let (scalar, _, _) = match dims.len() {
+            1 => reference::run::<T, false>(dims, Some(data.values()), EMPTY, q),
+            2 => reference::run2::<T, false>(dims, Some(data.values()), EMPTY, q),
+            _ => reference::run3::<T, false>(dims, Some(data.values()), EMPTY, q),
+        };
+        assert_eq!(fused.codes, scalar.codes, "{context}");
+        assert_eq!(bytes_of(&fused.unpredictable), bytes_of(&scalar.unpredictable), "{context}");
+
+        let (_, scalar_recon, consumed) = match dims.len() {
+            1 => reference::run::<T, true>(dims, None, fused.view(), q),
+            2 => reference::run2::<T, true>(dims, None, fused.view(), q),
+            _ => reference::run3::<T, true>(dims, None, fused.view(), q),
+        };
+        assert!(consumed, "{context}");
+        let fused_out = decompress(dims, fused.view(), q).unwrap();
+        assert_eq!(bytes_of(fused_out.values()), bytes_of(&scalar_recon), "{context}");
+        let mut slab = vec![T::from_f64(f64::NAN); data.len()];
+        decompress_into(dims, fused.view(), q, &mut slab).unwrap();
+        assert_eq!(bytes_of(&slab), bytes_of(&scalar_recon), "{context}: into a dirty slab");
+        fused
+    }
+
+    #[test]
+    fn fused_matches_scalar_lorenzo_on_skew_edge_shapes() {
+        // Row counts with no group, exactly one, one and a serial row, and
+        // two with three left over; widths that rule the skew out (below
+        // 2·LANES), give it the fewest steps it can have, and a long row.
+        // 3-D: the same for the rows of a plane, a single plane (all serial),
+        // and rows too few (`n1 < LANES`) or too short (`n2 < 2·LANES`).
+        const L: usize = LANES;
+        let mut shapes = vec![vec![1], vec![2 * L + 3], vec![97]];
+        for rows in [1, 2, L, L + 1, 2 * L + 3] {
+            for width in [1, L - 1, 2 * L - 1, 2 * L, 97] {
+                shapes.push(vec![rows, width]);
+            }
+        }
+        shapes.extend([
+            vec![3, 2 * L + 3, 2 * L],
+            vec![2, L, 97],
+            vec![2, L + 1, 2 * L + 1],
+            vec![1, L + 1, 2 * L],
+            vec![3, L - 1, 2 * L + 5],
+            vec![3, 2 * L + 3, 2 * L - 1],
+        ]);
+        // Smooth at the full radius: no escapes. Rough at radius 4: about
+        // every third point escapes, in ramps and skewed steps alike. Radius
+        // 2 at a tight bound: nearly everything does.
+        let regimes = [(0.01f32, 1e-3, 1u32 << 15), (3.0, 1e-1, 4), (40.0, 1e-2, 2)];
+        for dims in &shapes {
+            for (k, &(amp, eb, radius)) in regimes.iter().enumerate() {
+                let data = fuzz_dataset(dims, 0x5eed ^ (dims.len() * 31 + k) as u64, amp);
+                let q = LinearQuantizer::new(eb, radius);
+                assert_matches_reference(&data, &q);
+                let wide = Dataset::new(dims.clone(), data.values().iter().map(|&v| v as f64 * 1.000_000_1).collect())
+                    .unwrap();
+                assert_matches_reference(&wide, &q);
+            }
+        }
+    }
+
+    #[test]
+    fn fused_matches_scalar_lorenzo_with_escapes_in_every_phase_of_the_skew() {
+        const L: usize = LANES;
+        let (rows, width) = (2 * L + 3, 97);
+        let data = fuzz_dataset(&[rows, width], 0xe5ca9e, 3.0);
+        let fused = assert_matches_reference(&data, &LinearQuantizer::new(1e-1, 4));
+        // Rows L..2L form a group; its last lane has no ramp-up and its
+        // first no ramp-down, so look at the lanes between.
+        let escaped_in = |cols: std::ops::Range<usize>| {
+            (L + 1..2 * L - 1).any(|i| fused.codes[i * width..][cols.clone()].contains(&0))
+        };
+        assert!(escaped_in(0..1), "ramp-up");
+        assert!(escaped_in(L..width - L), "skewed steps");
+        assert!(escaped_in(width - 1..width), "ramp-down");
+
+        // Nothing predicts a NaN: every point escapes, and the whole field —
+        // each point its own payload — travels through the per-row cursors.
+        for dims in [vec![2 * L + 3, 3 * L], vec![3, 2 * L + 1, 2 * L + 2]] {
+            let n: usize = dims.iter().product();
+            let data = Dataset::new(dims, (0..n as u32).map(|k| f32::from_bits(0x7fc0_0000 + k)).collect()).unwrap();
+            let fused = assert_matches_reference(&data, &LinearQuantizer::new(1e-3, 1 << 15));
+            assert_eq!(bits(&fused.unpredictable), bits(data.values()));
+        }
+    }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]

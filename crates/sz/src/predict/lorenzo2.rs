@@ -10,7 +10,7 @@
 
 use crate::error::SzError;
 use crate::ndarray::{Dataset, DatasetView};
-use crate::predict::{PredictionStreams, StreamsView, UnpredictablePool};
+use crate::predict::{check_streams, check_streams_into, PredictionStreams, StreamsView, UnpredictablePool};
 use crate::quantizer::LinearQuantizer;
 use crate::value::ScalarValue;
 
@@ -66,25 +66,37 @@ pub fn compress<T: ScalarValue>(
 /// Decompresses streams produced by [`compress`].
 ///
 /// # Errors
-/// Returns [`SzError::CorruptStream`] on inconsistent stream lengths, and
-/// [`SzError::InvalidShape`] for unsupported ranks.
+/// Returns [`SzError::CorruptStream`] on inconsistent stream lengths or a
+/// shape whose point count overflows, and [`SzError::InvalidShape`] for
+/// unsupported ranks and empty shapes.
 pub fn decompress<T: ScalarValue>(
     dims: &[usize],
     streams: StreamsView<'_, T>,
     quantizer: &LinearQuantizer,
 ) -> Result<Dataset<T>, SzError> {
-    if dims.len() > 3 {
-        return Err(SzError::InvalidShape(format!("lorenzo2 predictor supports 1-3 dims, got {}", dims.len())));
-    }
-    let n: usize = dims.iter().product();
-    if streams.codes.len() != n {
-        return Err(SzError::CorruptStream(format!("lorenzo2: {} codes for {n} points", streams.codes.len())));
-    }
-    let mut recon = vec![T::zero(); n];
+    // Sized by the codes actually present, never by the shape alone.
+    let mut recon = vec![T::zero(); check_streams("lorenzo2", dims, streams.codes.len())?];
+    decompress_into(dims, streams, quantizer, &mut recon)?;
+    Dataset::new(dims.to_vec(), recon)
+}
+
+/// [`decompress`] straight into `out`, the caller's slab for this shape
+/// (its prior contents are never read).
+///
+/// # Errors
+/// As [`decompress`], plus [`SzError::CorruptStream`] if `out` does not hold
+/// exactly the shape's points.
+pub(crate) fn decompress_into<T: ScalarValue>(
+    dims: &[usize],
+    streams: StreamsView<'_, T>,
+    quantizer: &LinearQuantizer,
+    out: &mut [T],
+) -> Result<(), SzError> {
+    check_streams_into("lorenzo2", dims, streams.codes.len(), out.len())?;
     let mut pool = UnpredictablePool::new(streams.unpredictable);
     let mut next_code = 0usize;
     let mut short_pool = false;
-    walk(dims, &mut recon, |off, pred, recon_buf| {
+    walk(dims, out, |off, pred, recon_buf| {
         let code = streams.codes[next_code];
         next_code += 1;
         recon_buf[off] = if code == 0 {
@@ -102,7 +114,7 @@ pub fn decompress<T: ScalarValue>(
     if short_pool || !pool.fully_consumed() {
         return Err(SzError::CorruptStream("lorenzo2: unpredictable pool length mismatch".into()));
     }
-    Dataset::new(dims.to_vec(), recon)
+    Ok(())
 }
 
 /// Row-major walk computing the second-order prediction from reconstructed

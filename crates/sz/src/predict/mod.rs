@@ -11,7 +11,42 @@ pub mod lorenzo;
 pub mod lorenzo2;
 pub mod regression;
 
+use crate::error::SzError;
+use crate::ndarray::checked_points;
 use crate::value::ScalarValue;
+
+/// Rejects ranks the predictors do not walk; `what` names the predictor.
+pub(crate) fn check_rank(what: &str, ndim: usize) -> Result<(), SzError> {
+    if (1..=3).contains(&ndim) {
+        Ok(())
+    } else {
+        Err(SzError::InvalidShape(format!("{what} predictor supports 1-3 dims, got {ndim}")))
+    }
+}
+
+/// Validates a decode request — a walkable, non-empty shape whose point
+/// count does not overflow, and one code per point — returning that count.
+pub(crate) fn check_streams(what: &str, dims: &[usize], n_codes: usize) -> Result<usize, SzError> {
+    check_rank(what, dims.len())?;
+    let n = checked_points(dims)?;
+    if n == 0 {
+        return Err(SzError::InvalidShape(format!("{what}: empty shape {dims:?}")));
+    }
+    if n_codes != n {
+        return Err(SzError::CorruptStream(format!("{what}: {n_codes} codes for {n} points")));
+    }
+    Ok(n)
+}
+
+/// [`check_streams`] for a decode into the caller's slab, which must hold
+/// exactly the shape's points.
+pub(crate) fn check_streams_into(what: &str, dims: &[usize], n_codes: usize, slab: usize) -> Result<usize, SzError> {
+    let n = check_streams(what, dims, n_codes)?;
+    if slab != n {
+        return Err(SzError::CorruptStream(format!("{what}: slab of {slab} values for {n} points")));
+    }
+    Ok(n)
+}
 
 /// The two streams a predictor produces: quantization codes (one per value,
 /// in walk order) and the verbatim "unpredictable" values (in walk order of
@@ -113,6 +148,15 @@ pub(crate) mod testutil {
     pub(crate) fn bits(v: &[f32]) -> Vec<u32> {
         v.iter().map(|x| x.to_bits()).collect()
     }
+
+    /// Exact byte image of a value slice: [`bits`] for either float width.
+    pub(crate) fn bytes_of<T: crate::value::ScalarValue>(values: &[T]) -> Vec<u8> {
+        let mut out = Vec::with_capacity(values.len() * T::BYTES);
+        for &v in values {
+            v.write_le(&mut out);
+        }
+        out
+    }
 }
 
 #[cfg(test)]
@@ -123,6 +167,41 @@ mod tests {
     fn unpredictable_ratio_handles_empty() {
         let s = PredictionStreams::<f32>::with_capacity(0);
         assert_eq!(s.unpredictable_ratio(), 0.0);
+    }
+
+    #[test]
+    fn hostile_shapes_and_slabs_are_typed_errors() {
+        use crate::quantizer::LinearQuantizer;
+        type Decode = fn(&[usize], StreamsView<'_, f32>, &LinearQuantizer) -> Result<crate::Dataset<f32>, SzError>;
+        type DecodeInto = fn(&[usize], StreamsView<'_, f32>, &LinearQuantizer, &mut [f32]) -> Result<(), SzError>;
+        let predictors: [(&str, Decode, DecodeInto); 3] = [
+            ("lorenzo", lorenzo::decompress, lorenzo::decompress_into),
+            ("lorenzo2", lorenzo2::decompress, lorenzo2::decompress_into),
+            ("regression", regression::decompress, regression::decompress_into),
+        ];
+        let q = LinearQuantizer::new(1e-3, 512);
+        let none = PredictionStreams::<f32>::with_capacity(0);
+        // Six zero-bin codes; regression reads its side data as one Lorenzo block.
+        let six = PredictionStreams::<f32> { codes: vec![512; 6], unpredictable: vec![], side_data: vec![0] };
+        for (name, decompress, decompress_into) in predictors {
+            // Point counts that wrap to 0 (and would "match" no codes) or
+            // overflow: a typed error, in debug builds too.
+            for dims in [vec![1usize << 32, 1 << 32], vec![usize::MAX, 2, 3], vec![1 << 63, 2]] {
+                let r = decompress(&dims, none.view(), &q);
+                assert!(matches!(r, Err(SzError::CorruptStream(_))), "{name} {dims:?}: {r:?}");
+                let r = decompress_into(&dims, none.view(), &q, &mut []);
+                assert!(matches!(r, Err(SzError::CorruptStream(_))), "{name} {dims:?} into: {r:?}");
+            }
+            let side = if name == "regression" { six.view() } else { StreamsView { side_data: &[], ..six.view() } };
+            for len in [0usize, 5, 7] {
+                let r = decompress_into(&[2, 3], side, &q, &mut vec![0f32; len]);
+                assert!(matches!(r, Err(SzError::CorruptStream(_))), "{name} slab of {len}: {r:?}");
+            }
+            // The slab's prior contents are never read.
+            let mut slab = [f32::NAN; 6];
+            decompress_into(&[2, 3], side, &q, &mut slab).unwrap();
+            assert_eq!(slab.to_vec(), decompress(&[2, 3], side, &q).unwrap().values(), "{name}");
+        }
     }
 
     #[test]

@@ -15,7 +15,7 @@
 
 use crate::error::SzError;
 use crate::ndarray::{Dataset, DatasetView};
-use crate::predict::{PredictionStreams, StreamsView, UnpredictablePool};
+use crate::predict::{check_streams, check_streams_into, PredictionStreams, StreamsView, UnpredictablePool};
 use crate::quantizer::LinearQuantizer;
 use crate::value::ScalarValue;
 
@@ -79,24 +79,35 @@ pub fn compress<T: ScalarValue>(
 /// Decompresses streams produced by [`compress`].
 ///
 /// # Errors
-/// Returns [`SzError::CorruptStream`] on malformed side data or stream-length
-/// mismatches, [`SzError::InvalidShape`] for unsupported ranks.
+/// Returns [`SzError::CorruptStream`] on malformed side data, stream-length
+/// mismatches or a shape whose point count overflows,
+/// [`SzError::InvalidShape`] for unsupported ranks and empty shapes.
 pub fn decompress<T: ScalarValue>(
-    dims_in: &[usize],
+    dims: &[usize],
     streams: StreamsView<'_, T>,
     quantizer: &LinearQuantizer,
 ) -> Result<Dataset<T>, SzError> {
-    let ndim = dims_in.len();
-    if ndim > 3 {
-        return Err(SzError::InvalidShape(format!("regression predictor supports 1-3 dims, got {ndim}")));
-    }
-    let n: usize = dims_in.iter().product();
-    if streams.codes.len() != n {
-        return Err(SzError::CorruptStream(format!("regression: {} codes for {n} points", streams.codes.len())));
-    }
+    // Sized by the codes actually present, never by the shape alone.
+    let mut recon = vec![T::zero(); check_streams("regression", dims, streams.codes.len())?];
+    decompress_into(dims, streams, quantizer, &mut recon)?;
+    Dataset::new(dims.to_vec(), recon)
+}
+
+/// [`decompress`] straight into `recon`, the caller's slab for this shape
+/// (its prior contents are never read).
+///
+/// # Errors
+/// As [`decompress`], plus [`SzError::CorruptStream`] if `recon` does not
+/// hold exactly the shape's points.
+pub(crate) fn decompress_into<T: ScalarValue>(
+    dims_in: &[usize],
+    streams: StreamsView<'_, T>,
+    quantizer: &LinearQuantizer,
+    recon: &mut [T],
+) -> Result<(), SzError> {
+    check_streams_into("regression", dims_in, streams.codes.len(), recon.len())?;
     let dims = pad3(dims_in);
-    let edge = block_edge(ndim);
-    let mut recon = vec![T::zero(); n];
+    let edge = block_edge(dims_in.len());
     let mut pool = UnpredictablePool::new(streams.unpredictable);
     let mut next_code = 0usize;
     let mut side_pos = 0usize;
@@ -137,7 +148,7 @@ pub fn decompress<T: ScalarValue>(
             let off = offset3(&dims, idx);
             let pred = match coeffs {
                 Some(c) => predict_regression(&c, &base, idx),
-                None => predict_lorenzo(&recon, &dims, idx),
+                None => predict_lorenzo(recon, &dims, idx),
             };
             let code = streams.codes[next_code];
             next_code += 1;
@@ -160,7 +171,7 @@ pub fn decompress<T: ScalarValue>(
     if !pool.fully_consumed() || side_pos != streams.side_data.len() {
         return Err(SzError::CorruptStream("regression: trailing stream data".into()));
     }
-    Dataset::new(dims_in.to_vec(), recon)
+    Ok(())
 }
 
 /// Pads a 1-3 dim shape to exactly 3 dims with leading 1s, preserving

@@ -68,7 +68,7 @@ impl LinearQuantizer {
     ///
     /// Straight-line code — selects, no early return, no libm call — so a
     /// loop of independent points around it is bound by arithmetic
-    /// throughput, and a serial recurrence (Lorenzo) by this chain alone:
+    /// throughput, and a recurrence (one Lorenzo row) by this chain alone:
     ///
     /// * `|bin| = round(|q|)`, half away from zero, is `(|q| + 2⁵²) − 2⁵²`
     ///   (the nearest integer, ties to even) lifted by one where `|q|` sat
