@@ -12,10 +12,10 @@ use ocelot_netsim::{
     draw_faults, simulate_transfer_detailed, simulate_transfer_windowed, simulate_transfer_with_faults, FaultDraw,
     FaultModel, GridFtpConfig, SiteId, Topology,
 };
-use ocelot_obs::ledger::{Draft, EventKind};
-use std::borrow::Cow;
+use ocelot_obs::ledger::{Batch, Draft, EventKind, Ledger};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 
 use crate::grouping::{plan_groups, plan_groups_by_count};
 use crate::report::TimeBreakdown;
@@ -162,12 +162,45 @@ impl PipelineOutcome {
     }
 }
 
+/// Where [`Orchestrator::run_streamed`] puts a job's ledger events.
+/// Production has one answer, the job's [`Batch`]; the tests add the
+/// one-`append`-per-event emitter the batch replaced, as the oracle the
+/// batch is compared against.
+trait ChunkEvents {
+    /// Opens the record of a job that will emit about `events` events.
+    fn open(ledger: &Arc<Ledger>, events: usize) -> Self;
+    /// Records one event; the result is the `parent` of later drafts.
+    fn push(&mut self, kind: EventKind, draft: Draft) -> u64;
+    /// [`ChunkEvents::push`] with the cause passed by reference.
+    fn push_because(&mut self, kind: EventKind, cause: &str, draft: Draft) -> u64;
+    /// Hands the finished record to `ledger`.
+    fn close(self, ledger: &Ledger);
+}
+
+impl ChunkEvents for Batch {
+    fn open(_: &Arc<Ledger>, events: usize) -> Self {
+        Batch::with_capacity(events)
+    }
+
+    fn push(&mut self, kind: EventKind, draft: Draft) -> u64 {
+        Batch::push(self, kind, draft)
+    }
+
+    fn push_because(&mut self, kind: EventKind, cause: &str, draft: Draft) -> u64 {
+        Batch::push_because(self, kind, cause, draft)
+    }
+
+    fn close(self, ledger: &Ledger) {
+        ledger.commit(self);
+    }
+}
+
 /// Runs transfer pipelines on a site topology.
 #[derive(Debug, Clone)]
 pub struct Orchestrator {
     topology: Topology,
     obs: Option<ocelot_obs::Obs>,
-    ledger: Option<std::sync::Arc<ocelot_obs::ledger::Ledger>>,
+    ledger: Option<Arc<Ledger>>,
 }
 
 impl Orchestrator {
@@ -197,14 +230,14 @@ impl Orchestrator {
     /// events go to the process-global ledger when installed — an explicit
     /// handle lets a long-lived service own its event stream without racing
     /// other ledger users for the global slot.
-    pub fn with_ledger(mut self, ledger: std::sync::Arc<ocelot_obs::ledger::Ledger>) -> Self {
+    pub fn with_ledger(mut self, ledger: Arc<Ledger>) -> Self {
         self.ledger = Some(ledger);
         self
     }
 
     /// The chunk ledger in effect for this run: the explicit handle, else
     /// the installed global, else `None` (emission compiles away).
-    fn ledger(&self) -> Option<std::sync::Arc<ocelot_obs::ledger::Ledger>> {
+    fn ledger(&self) -> Option<Arc<Ledger>> {
         self.ledger.clone().or_else(ocelot_obs::ledger::global)
     }
 
@@ -495,7 +528,9 @@ impl Orchestrator {
         // reconstruct into timelines.
         if let Some(job) = opts.job {
             if let Some(led) = self.ledger() {
-                let ledger_emit = |k: EventKind, d: Draft| Some(led.append(k, d));
+                // At most nine events per file between the four job phases.
+                let mut batch = Batch::with_capacity(4 + 9 * order.len());
+                let mut ledger_emit = |k: EventKind, d: Draft| Some(batch.push(k, d));
                 let end = Self::overlapped_total_s(&breakdown);
                 let begin = ledger_emit(EventKind::JobBegin, Draft::job(job, 0.0));
                 ledger_emit(EventKind::TransferBegin, Draft { parent: begin, ..Draft::job(job, wait_s) });
@@ -534,6 +569,7 @@ impl Orchestrator {
                     Draft { parent: begin, ..Draft::job(job, breakdown.transfer_s) },
                 );
                 ledger_emit(EventKind::JobEnd, Draft { parent: p, ..Draft::job(job, end) });
+                led.commit(batch);
             }
         }
         breakdown
@@ -569,6 +605,17 @@ impl Orchestrator {
     /// # Panics
     /// Panics if `from == to` or node counts are zero.
     pub fn run_streamed(&self, workload: &Workload, from: SiteId, to: SiteId, opts: &PipelineOptions) -> TimeBreakdown {
+        self.run_streamed_into::<Batch>(workload, from, to, opts)
+    }
+
+    /// [`Orchestrator::run_streamed`], its chunk events going through `E`.
+    fn run_streamed_into<E: ChunkEvents>(
+        &self,
+        workload: &Workload,
+        from: SiteId,
+        to: SiteId,
+        opts: &PipelineOptions,
+    ) -> TimeBreakdown {
         assert!(opts.compress_nodes > 0 && opts.decompress_nodes > 0, "node counts must be positive");
         let sizes = workload.compressed_sizes();
         if opts.stream_window == 0 || sizes.is_empty() {
@@ -648,6 +695,7 @@ impl Orchestrator {
         // Merged stall intervals (a chunk encoded but blocked on the window).
         let mut stalls: Vec<(f64, f64)> =
             ready.iter().zip(release).filter(|(r, l)| **l > **r + 1e-9).map(|(&r, &l)| (r, l)).collect();
+        let stalled_chunks = stalls.len();
         stalls.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite stall times"));
         let mut stall_iv: Vec<(f64, f64)> = Vec::new();
         for (a, b) in stalls {
@@ -675,10 +723,12 @@ impl Orchestrator {
         let mut first_decode = f64::INFINITY;
         let mut decomp_finish = transfer_s;
         let mut dsched: Vec<(f64, f64)> = Vec::with_capacity(dchunk.len());
+        let mut queued_chunks = 0usize;
         for (m, &dur) in dchunk.iter().enumerate() {
             let arrival = detail.completion_s[m];
             let Reverse(free) = dlanes.pop().expect("at least one decode lane");
             let start = f64::from_bits(free).max(arrival);
+            queued_chunks += usize::from(start > arrival + 1e-9);
             first_decode = first_decode.min(start);
             dlanes.push(Reverse((start + dur).to_bits()));
             decomp_finish = decomp_finish.max(start + dur);
@@ -743,9 +793,15 @@ impl Orchestrator {
                 "Failed chunk transfer attempts re-sent in streamed runs",
                 chunk_retries,
             );
-            for (r, l) in ready.iter().zip(release) {
-                if *l > *r + 1e-9 {
-                    obs.observe("ocelot_chunk_stall_seconds", "Back-pressure stall per chunk in streamed runs", l - r);
+            // Under a tight window nearly every chunk stalls: one registry
+            // look-up for the run, not one per chunk.
+            if let Some(stall_seconds) =
+                obs.histogram_handle("ocelot_chunk_stall_seconds", "Back-pressure stall per chunk in streamed runs")
+            {
+                for (r, l) in ready.iter().zip(release) {
+                    if *l > *r + 1e-9 {
+                        stall_seconds.observe(l - r);
+                    }
                 }
             }
         }
@@ -754,27 +810,34 @@ impl Orchestrator {
         // so replayed timelines agree with critpath stage sums.
         if let Some(job) = opts.job {
             if let Some(led) = self.ledger() {
-                let ledger_emit = |k: EventKind, d: Draft| Some(led.append(k, d));
-                let begin = ledger_emit(EventKind::JobBegin, Draft::job(job, 0.0));
-                ledger_emit(EventKind::TransferBegin, Draft { parent: begin, ..Draft::job(job, wait_s) });
-                let fault_cause = injecting.then(|| Cow::from(opts.faults.describe()));
+                // Sized by what the run holds: four job phases, seven events
+                // per chunk, one more per stalled chunk, two per failed
+                // attempt and two per chunk that queued for a decode lane.
+                let events = 4 + 7 * payload.len() + stalled_chunks + 2 * (chunk_retries as usize + queued_chunks);
+                let mut record = E::open(&led, events);
+                let ledger_emit = |b: &mut E, k: EventKind, d: Draft| Some(b.push(k, d));
+                let b = &mut record;
+                let begin = ledger_emit(b, EventKind::JobBegin, Draft::job(job, 0.0));
+                ledger_emit(b, EventKind::TransferBegin, Draft { parent: begin, ..Draft::job(job, wait_s) });
+                let fault_cause = if injecting { opts.faults.describe() } else { String::new() };
                 for m in 0..payload.len() {
                     let (file, chunk) = (chunks[m].2, chunks[m].3);
                     let d = |t: f64| Draft { t_sim: Some(t), bytes: payload[m], ..Draft::chunk(job, file, chunk) };
-                    let p = ledger_emit(EventKind::CompressBegin, Draft { parent: begin, ..d(chunks[m].4) });
-                    let p = ledger_emit(EventKind::Encoded, Draft { parent: p, ..d(ready[m]) });
+                    let p = ledger_emit(b, EventKind::CompressBegin, Draft { parent: begin, ..d(chunks[m].4) });
+                    let p = ledger_emit(b, EventKind::Encoded, Draft { parent: p, ..d(ready[m]) });
                     let p = if release[m] > ready[m] + 1e-9 {
                         let p = ledger_emit(
+                            b,
                             EventKind::WindowWait,
                             Draft { parent: p, cause: Some("stream window full".into()), ..d(ready[m]) },
                         );
-                        ledger_emit(EventKind::Released, Draft { parent: p, ..d(release[m]) })
+                        ledger_emit(b, EventKind::Released, Draft { parent: p, ..d(release[m]) })
                     } else {
-                        ledger_emit(EventKind::Released, Draft { parent: p, ..d(release[m]) })
+                        ledger_emit(b, EventKind::Released, Draft { parent: p, ..d(release[m]) })
                     };
                     let sent = detail.start_s[m].max(release[m]);
                     let landed = detail.completion_s[m].max(sent);
-                    let mut p = ledger_emit(EventKind::InFlight, Draft { parent: p, ..d(sent) });
+                    let mut p = ledger_emit(b, EventKind::InFlight, Draft { parent: p, ..d(sent) });
                     let mut fails = 0u32;
                     if injecting && !draws[m].failed_fracs.is_empty() {
                         // Divide the wire interval by bytes moved: each
@@ -787,40 +850,43 @@ impl Orchestrator {
                             let t0 = sent + (landed - sent) * cum / denom;
                             cum += frac;
                             let t1 = sent + (landed - sent) * cum / denom;
-                            let fault = ledger_emit(
+                            let fault = b.push_because(
                                 EventKind::Fault,
+                                &fault_cause,
                                 Draft {
                                     parent: p,
-                                    cause: fault_cause.clone(),
                                     attempt: a as u32 + 1,
                                     bytes: (payload[m] as f64 * frac) as u64,
                                     ..d(t0)
                                 },
                             );
                             p = ledger_emit(
+                                b,
                                 EventKind::Retransmit,
-                                Draft { parent: fault, attempt: a as u32 + 2, ..d(t1) },
+                                Draft { parent: Some(fault), attempt: a as u32 + 2, ..d(t1) },
                             );
                         }
                         fails = fracs.len() as u32;
                     }
-                    let p = ledger_emit(EventKind::Arrived, Draft { parent: p, attempt: fails + 1, ..d(landed) });
+                    let p = ledger_emit(b, EventKind::Arrived, Draft { parent: p, attempt: fails + 1, ..d(landed) });
                     let (ds, de) = dsched[m];
                     let p = if ds > landed + 1e-9 {
                         let p = ledger_emit(
+                            b,
                             EventKind::ReorderEnter,
                             Draft { parent: p, cause: Some("decode lanes busy".into()), ..d(landed) },
                         );
-                        ledger_emit(EventKind::ReorderExit, Draft { parent: p, ..d(ds) })
+                        ledger_emit(b, EventKind::ReorderExit, Draft { parent: p, ..d(ds) })
                     } else {
                         p
                     };
                     let start = ds.max(landed);
-                    let p = ledger_emit(EventKind::DecodeBegin, Draft { parent: p, ..d(start) });
-                    ledger_emit(EventKind::DecodeEnd, Draft { parent: p, ..d(de.max(start)) });
+                    let p = ledger_emit(b, EventKind::DecodeBegin, Draft { parent: p, ..d(start) });
+                    ledger_emit(b, EventKind::DecodeEnd, Draft { parent: p, ..d(de.max(start)) });
                 }
-                let p = ledger_emit(EventKind::TransferEnd, Draft { parent: begin, ..Draft::job(job, transfer_s) });
-                ledger_emit(EventKind::JobEnd, Draft { parent: p, ..Draft::job(job, total) });
+                let p = ledger_emit(b, EventKind::TransferEnd, Draft { parent: begin, ..Draft::job(job, transfer_s) });
+                ledger_emit(b, EventKind::JobEnd, Draft { parent: p, ..Draft::job(job, total) });
+                record.close(&led);
             }
         }
         breakdown
@@ -1133,6 +1199,75 @@ mod tests {
             stalled += usize::from(release[m] > ready[m]);
         }
         assert!(stalled > 0, "an 8-chunk window over Anvil→Bebop must exert back-pressure");
+    }
+
+    /// The emitter the batch replaced, kept as its oracle: one `append` per
+    /// event, each taking its own sequence number and wall stamp.
+    struct PerEvent(Arc<Ledger>);
+
+    impl ChunkEvents for PerEvent {
+        fn open(ledger: &Arc<Ledger>, _: usize) -> Self {
+            PerEvent(ledger.clone())
+        }
+
+        fn push(&mut self, kind: EventKind, draft: Draft) -> u64 {
+            self.0.append(kind, draft)
+        }
+
+        fn push_because(&mut self, kind: EventKind, cause: &str, draft: Draft) -> u64 {
+            self.0.append(kind, Draft { cause: Some(cause.to_string().into()), ..draft })
+        }
+
+        fn close(self, _: &Ledger) {}
+    }
+
+    #[test]
+    fn batched_events_equal_the_per_event_emitter_on_the_benchmark_jobs() {
+        // The benchmark's `svc_streamed` batch as the service runs it: three
+        // applications over three routes on a flaky WAN, window 8, one codec
+        // thread, per-job seeds; every third job is grouped and takes the
+        // staged path, which records no chunk events.
+        let config = ocelot_sz::LossyConfig::sz3(1e-3);
+        let workloads = [
+            Workload::miranda(config, 8).unwrap(),
+            Workload::rtm(config, 8).unwrap(),
+            Workload::cesm(config, 8).unwrap(),
+        ];
+        let routes = [(SiteId::Anvil, SiteId::Cori), (SiteId::Anvil, SiteId::Bebop), (SiteId::Bebop, SiteId::Cori)];
+        // Unbounded, so the per-event side keeps the head of its 70 000-event jobs.
+        let unbounded = || Ledger::with_obs_and_capacity(&ocelot_obs::Obs::disabled(), usize::MAX);
+        let (batched, reference) = (unbounded(), unbounded());
+        let orch = Orchestrator::paper().with_obs(ocelot_obs::Obs::disabled());
+        let (batch_orch, reference_orch) =
+            (orch.clone().with_ledger(batched.clone()), orch.with_ledger(reference.clone()));
+        let (mut total, mut largest) = (0, 0);
+        for i in (0..12usize).filter(|i| i % 3 != 1) {
+            let w = &workloads[(i / 3) % 3];
+            let (from, to) = routes[i % 3];
+            let opts = PipelineOptions {
+                faults: FaultModel { max_retries: 0, ..FaultModel::flaky(0.1) },
+                seed: 0xC0FFEE ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                job: Some(i as u64),
+                stream_window: 8,
+                ..Default::default()
+            };
+            let a = batch_orch.run_streamed(w, from, to, &opts);
+            let b = reference_orch.run_streamed_into::<PerEvent>(w, from, to, &opts);
+            assert_eq!(a, b);
+            let (mut batched, mut reference) = (batched.drain(), reference.drain());
+            assert_eq!(batched.len(), reference.len(), "job {i}");
+            // Wall stamps are per commit on one side and per event on the other.
+            batched.iter_mut().chain(&mut reference).for_each(|e| e.t_wall_us = 0);
+            if let Some(at) = batched.iter().zip(&reference).position(|(a, b)| a != b) {
+                panic!("job {i}, event {at}: batched {:?}, per-event {:?}", batched[at], reference[at]);
+            }
+            assert!(batched.iter().any(|e| e.event == EventKind::Fault && e.cause.is_some()), "job {i} saw faults");
+            total += batched.len();
+            largest = largest.max(batched.len());
+        }
+        assert!(largest > 1 << 16, "the CESM jobs are the ones a 65 536-event ring lost the head of: {largest}");
+        assert!(total > 200_000, "{total}");
+        assert_eq!((batched.dropped(), reference.dropped()), (0, 0));
     }
 
     #[test]

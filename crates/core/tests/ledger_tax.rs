@@ -1,0 +1,59 @@
+//! The chunk ledger's tax on the control plane it records, measured where
+//! ROADMAP's observability aim asks for it: one streamed job through
+//! `Orchestrator::run_streamed`, ledger attached against ledger absent.
+//!
+//! Unlike `sz/tests/prof_overhead.rs` this check never skips: both sides are
+//! a single-threaded simulation, so a small or busy box slows them alike,
+//! and the memory half is a count, not a timing.
+
+use ocelot::orchestrator::{Orchestrator, PipelineOptions};
+use ocelot::workload::Workload;
+use ocelot_netsim::SiteId;
+use ocelot_obs::ledger::{Entry, Ledger};
+use std::time::{Duration, Instant};
+
+/// Ledger-on may cost at most this many times ledger-off.
+const MAX_RATIO: f64 = 2.0;
+
+/// Heap bytes a committed batch may hold per event (a row is 32).
+const MAX_BYTES_PER_EVENT: f64 = 40.0;
+
+#[test]
+fn ledger_costs_less_than_the_streamed_run_it_records() {
+    // 3 601 chunks under an 8-chunk window: ≈ 30 000 events.
+    let w = Workload::rtm(ocelot_sz::LossyConfig::sz3(1e-3), 8).expect("profiling succeeds");
+    let opts = PipelineOptions { stream_window: 8, job: Some(1), ..PipelineOptions::default() };
+    let ledger = Ledger::detached();
+    let off = Orchestrator::paper().with_obs(ocelot_obs::Obs::disabled());
+    let on = off.clone().with_ledger(ledger.clone());
+    let time = |orch: &Orchestrator| {
+        let t = Instant::now();
+        std::hint::black_box(orch.run_streamed(std::hint::black_box(&w), SiteId::Anvil, SiteId::Bebop, &opts));
+        t.elapsed()
+    };
+
+    let (mut best_off, mut best_on) = (Duration::MAX, Duration::MAX);
+    let (mut events, mut heap_bytes) = (0usize, 0usize);
+    for _ in 0..21 {
+        best_off = best_off.min(time(&off));
+        best_on = best_on.min(time(&on));
+        // Harvested per run, as the service does; not part of the timing.
+        let taken = ledger.take();
+        let [Entry::Batch(batch)] = taken.as_slice() else { panic!("one job commits one batch, got {taken:?}") };
+        (events, heap_bytes) = (batch.len(), batch.heap_bytes());
+    }
+    assert_eq!(ledger.dropped(), 0);
+    assert!(events > 25_000, "a 3 601-chunk job under a tight window emits ≈ 30 000 events, got {events}");
+
+    let ratio = best_on.as_secs_f64() / best_off.as_secs_f64();
+    let per_event_ns = best_on.saturating_sub(best_off).as_nanos() as f64 / events as f64;
+    let bytes_per_event = heap_bytes as f64 / events as f64;
+    println!(
+        "ledger tax: off {:.3} ms, on {:.3} ms → ×{ratio:.2} ({per_event_ns:.1} ns/event over {events} events); \
+         {bytes_per_event:.1} heap bytes/event",
+        best_off.as_secs_f64() * 1e3,
+        best_on.as_secs_f64() * 1e3,
+    );
+    assert!(bytes_per_event <= MAX_BYTES_PER_EVENT, "{bytes_per_event:.1} heap bytes per event");
+    assert!(ratio <= MAX_RATIO, "ledger-on costs ×{ratio:.2} of ledger-off (limit ×{MAX_RATIO})");
+}

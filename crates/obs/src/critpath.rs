@@ -213,28 +213,49 @@ pub fn analyze_jobs(spans: &[SpanRecord]) -> Vec<BottleneckReport> {
         .collect()
 }
 
-/// Sums per-stage attribution across reports into one aggregate report
-/// (`job: None`). Returns `None` for an empty input.
-pub fn aggregate<'a>(reports: impl IntoIterator<Item = &'a BottleneckReport>) -> Option<BottleneckReport> {
-    let mut any = false;
-    let mut critical = 0.0;
-    let mut total = 0.0;
-    let mut stage_s = [0.0; Stage::ALL.len()];
-    for r in reports {
-        any = true;
-        critical += r.critical_path_s;
-        total += r.total_s;
-        for (acc, v) in stage_s.iter_mut().zip(&r.stage_s) {
+/// Running per-stage sum over reports, in the order they were added — so a
+/// long-lived caller folds each new report in instead of re-summing its
+/// history, and reads the same bits [`aggregate`] over that history gives.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Aggregate {
+    reports: u64,
+    critical_path_s: f64,
+    total_s: f64,
+    stage_s: [f64; Stage::ALL.len()],
+}
+
+impl Aggregate {
+    /// Folds one report into the sum.
+    pub fn add(&mut self, report: &BottleneckReport) {
+        self.reports += 1;
+        self.critical_path_s += report.critical_path_s;
+        self.total_s += report.total_s;
+        for (acc, v) in self.stage_s.iter_mut().zip(&report.stage_s) {
             *acc += v;
         }
     }
-    any.then(|| BottleneckReport {
-        job: None,
-        critical_path_s: critical,
-        total_s: total,
-        dominant: dominant_stage(&stage_s),
-        stage_s,
-    })
+
+    /// The sum as one aggregate report (`job: None`); `None` before the
+    /// first [`Aggregate::add`].
+    pub fn report(&self) -> Option<BottleneckReport> {
+        (self.reports > 0).then(|| BottleneckReport {
+            job: None,
+            critical_path_s: self.critical_path_s,
+            total_s: self.total_s,
+            dominant: dominant_stage(&self.stage_s),
+            stage_s: self.stage_s,
+        })
+    }
+}
+
+/// Sums per-stage attribution across reports into one aggregate report
+/// (`job: None`). Returns `None` for an empty input.
+pub fn aggregate<'a>(reports: impl IntoIterator<Item = &'a BottleneckReport>) -> Option<BottleneckReport> {
+    let mut sum = Aggregate::default();
+    for r in reports {
+        sum.add(r);
+    }
+    sum.report()
 }
 
 /// Stage with the largest attribution; ties resolve in [`Stage::ALL`] order.

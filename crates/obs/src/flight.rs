@@ -10,9 +10,8 @@
 //! The hot path must never block behind a snapshot in progress, so
 //! [`FlightRecorder::record`] only *tries* the ring lock (with a brief
 //! spin). An event that cannot get the lock is **counted** in
-//! [`FlightRecorder::dropped`] rather than silently vanishing — in the
-//! happy path (no snapshot racing a recorder) that counter stays 0, and
-//! tests assert it.
+//! [`FlightRecorder::dropped`] rather than silently vanishing — without
+//! contention that counter stays 0, and tests assert both.
 
 use crate::log::Level;
 use crate::span::Clock;
@@ -207,7 +206,7 @@ mod tests {
     }
 
     #[test]
-    fn happy_path_records_everything_with_zero_drops() {
+    fn concurrent_recorders_lose_nothing_silently() {
         let fr = std::sync::Arc::new(FlightRecorder::new(DEFAULT_CAPACITY));
         let handles: Vec<_> = (0..4)
             .map(|t| {
@@ -222,10 +221,13 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-        // Concurrent recorders contend only for nanoseconds; the spin
-        // budget absorbs that, so nothing is dropped without a snapshot.
-        assert_eq!(fr.dropped(), 0);
-        assert_eq!(fr.len(), 800);
+        // Recorders contend only for nanoseconds, but a lock holder
+        // pre-empted on a small box can outlast the spin budget; the
+        // promise is that such an event is counted, not that it never
+        // happens (the uncontended zero-drop case is
+        // `ring_overwrites_oldest_when_full`).
+        assert_eq!(fr.recorded(), 800);
+        assert_eq!(fr.dropped() + fr.len() as u64, 800);
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Chunk-lifecycle event ledger: causal wide events for every chunk a job
-//! touches, cheap enough to leave on in production.
+//! touches, recorded for a fraction of what the job itself costs.
 //!
 //! The span recorder answers "where did this *job* spend its time"; the
 //! flight ring answers "what happened recently"; `ledger` answers "what
@@ -8,17 +8,30 @@
 //! sequence of structured events with causal parent links (each chunk event
 //! links to the prior event for the same chunk and to its job span).
 //!
-//! Design, mirroring [`crate::prof`]:
-//!
-//! * **Emission** ([`emit`]) is one relaxed atomic load when no ledger is
-//!   installed, so instrumented layers cost effectively nothing disabled.
-//!   Enabled, events land in a per-thread bounded ring ([`LedgerSink`],
-//!   owning thread is the only steady-state writer) stamped with a global
-//!   sequence number, so cross-thread causal order is total and drains
-//!   never stop the world.
-//! * **Bounded**: each sink holds [`DEFAULT_SINK_CAPACITY`] events; overflow
-//!   drops the oldest and counts it, published as the
-//!   [`LEDGER_DROPPED_COUNTER`] registry counter on every drain.
+//! * **One commit per job.** A simulated job knows all of its events at
+//!   once, so its emitter fills a pre-sized [`Batch`] it owns
+//!   ([`Batch::push`]: no atomic, no clock, no lock) and hands it over with
+//!   [`Ledger::commit`], which reserves the whole sequence range, reads the
+//!   wall clock once and takes the sink lock once. What every event of the
+//!   batch shares — job, span, wall stamp, sequence base, the few distinct
+//!   cause strings — lives once in the batch header; a row keeps only what
+//!   differs, in 32 bytes. [`LedgerEvent`] stays the read type: readers get
+//!   rows widened on demand ([`Batch::events`], [`Ledger::drain`]).
+//! * **Single appends** ([`emit`] / [`Ledger::append`]) are for real threads
+//!   whose wall stamp *is* the content (a codec worker sealing a chunk, the
+//!   stream drainer decoding one). `emit` is one relaxed atomic load when no
+//!   ledger is installed. Appended events and committed batches share one
+//!   sequence space and sit in the sink in sequence order, so a drain is a
+//!   total order with every batch's range contiguous.
+//! * **Bounded between batches.** A sink holds [`SINK_CAPACITY_BYTES`]; past
+//!   that the *oldest entry goes whole* — a batch with every one of its
+//!   events, or one single event — and its event count lands in
+//!   [`Ledger::dropped`] and the [`LEDGER_DROPPED_COUNTER`] registry counter.
+//!   A batch is never split and the newest entry is never the one to go, so
+//!   a job that is in the ledger at all has its `job_begin`, every chunk and
+//!   no parent link that points at a dropped row. A non-zero dropped count
+//!   means whole earlier jobs (or early single events) are missing, never
+//!   the head of a kept one.
 //! * **Reconstruction** ([`Timeline::reconstruct`]) replays a drained
 //!   ledger into per-chunk interval tracks (compress / window-wait /
 //!   transfer / retransmit / reorder / decode) plus job-level phase
@@ -27,25 +40,21 @@
 //! * **Rendering** ([`render_timeline`]) is an ASCII Gantt over simulated
 //!   time only — wall timestamps never reach the output, so renderings are
 //!   byte-stable across reruns.
-//!
-//! Resume (ROADMAP item 4) consumes the same record: replay a job's ledger
-//! to the last `arrived` event per chunk and re-enqueue the rest.
 
 use crate::metrics::Counter;
 use crate::Obs;
 use std::borrow::Cow;
-use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, OnceLock, RwLock};
 use std::time::Instant;
 
-/// Registry counter mirroring the ledger's cumulative dropped-event count;
-/// synced on every [`Ledger::drain`].
+/// Registry counter mirroring [`Ledger::dropped`], bumped as entries go.
 pub const LEDGER_DROPPED_COUNTER: &str = "ocelot_ledger_dropped_total";
 
-/// Events each per-thread sink retains before dropping the oldest.
-pub const DEFAULT_SINK_CAPACITY: usize = 1 << 16;
+/// Bytes a ledger's sink retains before its oldest entry goes whole: what
+/// 65 536 wide events used to take, now room for 262 144 batched rows.
+pub const SINK_CAPACITY_BYTES: usize = 8 << 20;
 
 /// Version stamp for serialized ledger exports.
 pub const LEDGER_VERSION: u32 = 1;
@@ -174,7 +183,9 @@ pub struct LedgerEvent {
     pub cause: Option<Cow<'static, str>>,
     /// Simulated seconds, job-relative; `None` for wall-only events.
     pub t_sim: Option<f64>,
-    /// Microseconds since the ledger was constructed (wall clock).
+    /// Microseconds since the ledger was constructed (wall clock): when the
+    /// event was appended, or — for every event of a batch — when the batch
+    /// was committed.
     pub t_wall_us: u64,
     /// Bytes the event concerns (chunk size, wasted bytes for faults).
     pub bytes: u64,
@@ -186,7 +197,9 @@ pub struct LedgerEvent {
 /// ledger. Construct with struct-update syntax over [`Draft::default`].
 #[derive(Debug, Clone, Default)]
 pub struct Draft {
-    /// See [`LedgerEvent::parent`].
+    /// See [`LedgerEvent::parent`]: the sequence number an earlier
+    /// [`emit`] / [`Ledger::append`] returned or, in a [`Batch`], the handle
+    /// an earlier [`Batch::push`] returned.
     pub parent: Option<u64>,
     /// See [`LedgerEvent::span`].
     pub span: Option<u64>,
@@ -216,81 +229,335 @@ impl Draft {
     pub fn job(job: u64, t_sim: f64) -> Draft {
         Draft { job: Some(job), t_sim: Some(t_sim), ..Draft::default() }
     }
-}
 
-/// Per-thread bounded event ring. The owning thread is the only
-/// steady-state writer, so the mutex is uncontended except during drains.
-pub struct LedgerSink {
-    ring: Mutex<VecDeque<LedgerEvent>>,
-    dropped: AtomicU64,
-}
-
-impl std::fmt::Debug for LedgerSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("LedgerSink").field("dropped", &self.dropped.load(Ordering::Relaxed)).finish()
-    }
-}
-
-impl LedgerSink {
-    fn new() -> Self {
-        LedgerSink { ring: Mutex::new(VecDeque::new()), dropped: AtomicU64::new(0) }
-    }
-
-    fn push(&self, event: LedgerEvent, capacity: usize) {
-        let mut ring = self.ring.lock().unwrap_or_else(|e| e.into_inner());
-        if ring.len() >= capacity {
-            ring.pop_front();
-            self.dropped.fetch_add(1, Ordering::Relaxed);
+    /// The event this draft becomes once the ledger has numbered and
+    /// stamped it.
+    fn stamped(self, event: EventKind, seq: u64, t_wall_us: u64) -> LedgerEvent {
+        LedgerEvent {
+            seq,
+            parent: self.parent,
+            span: self.span,
+            job: self.job,
+            file: self.file,
+            chunk: self.chunk,
+            event,
+            cause: self.cause,
+            t_sim: self.t_sim,
+            t_wall_us,
+            bytes: self.bytes,
+            attempt: self.attempt,
         }
-        ring.push_back(event);
     }
 }
 
-thread_local! {
-    /// Cached (ledger identity, sink) so an emit does not re-register.
-    static SINK: RefCell<Option<(u64, Arc<LedgerSink>)>> = const { RefCell::new(None) };
+/// Row field value standing for `None` in `parent`, `file` and `chunk`.
+const NONE: u32 = u32::MAX;
+
+/// Row `cause` value marking a row whose draft is kept whole in
+/// [`Batch::wide`].
+const WIDE: u8 = u8::MAX;
+
+/// One batched event, narrowed to what differs between the events of a job.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    /// Simulated seconds; NaN stands for `None`.
+    t_sim: f64,
+    bytes: u64,
+    /// Row index of the parent within the batch, or [`NONE`].
+    parent: u32,
+    file: u32,
+    chunk: u32,
+    attempt: u16,
+    /// Index into [`EventKind::ALL`].
+    kind: u8,
+    /// 0 = no cause, `n` = `causes[n - 1]`, [`WIDE`] = see [`Batch::wide`].
+    cause: u8,
 }
 
-/// The ledger: registry of per-thread sinks plus the global sequence
-/// counter. Construct with [`Ledger::with_obs`] (publishes the dropped
-/// counter) or [`Ledger::detached`], then [`install_global`] it so
-/// [`emit`] activates.
+/// A job's events, built by the emitter that owns it and handed to the
+/// ledger in one [`Ledger::commit`].
+///
+/// The first pushed draft's `job` and `span` become the batch header; rows
+/// are 32 bytes. Parent links inside a batch are the handles [`Batch::push`]
+/// returns (row indices), turned into sequence numbers when rows are widened.
+///
+/// Nothing is narrowed lossily. A draft that does not fit a packed row —
+/// another `job` or `span` than the header's, a `parent` that is not an
+/// earlier row of this batch, `file` or `chunk` equal to `u32::MAX`,
+/// `attempt` above `u16::MAX`, a NaN `t_sim`, or a 255th distinct cause — is
+/// kept whole beside the rows, so [`Batch::events`] always returns exactly
+/// what was pushed.
+#[derive(Debug, Default)]
+pub struct Batch {
+    job: Option<u64>,
+    span: Option<u64>,
+    /// Sequence number of row 0; 0 until committed.
+    seq_base: u64,
+    /// Wall stamp of the commit, shared by every row.
+    t_wall_us: u64,
+    causes: Vec<Cow<'static, str>>,
+    rows: Vec<Row>,
+    /// Drafts that do not fit a [`Row`], by row index, ascending.
+    wide: Vec<(u32, Draft)>,
+    retransmits: u64,
+}
+
+impl Batch {
+    /// Empty batch with room for `events` rows.
+    pub fn with_capacity(events: usize) -> Batch {
+        Batch { rows: Vec::with_capacity(events), ..Batch::default() }
+    }
+
+    /// Appends one event and returns its handle, to be used as the `parent`
+    /// of later drafts of this batch.
+    #[inline]
+    pub fn push(&mut self, kind: EventKind, mut draft: Draft) -> u64 {
+        let cause = match draft.cause.take() {
+            None => Some(0),
+            Some(text) => match self.cause_index(&text) {
+                Some(index) => Some(index),
+                None if self.causes.len() < usize::from(WIDE - 1) => {
+                    self.causes.push(text);
+                    Some(self.causes.len() as u8)
+                }
+                None => {
+                    draft.cause = Some(text);
+                    None
+                }
+            },
+        };
+        self.push_row(kind, cause, draft)
+    }
+
+    /// [`Batch::push`] with the cause passed by reference (any `cause` in
+    /// `draft` is ignored): a text the batch already holds costs no
+    /// allocation, so an emitter need not clone a computed cause per event.
+    #[inline]
+    pub fn push_because(&mut self, kind: EventKind, cause: &str, draft: Draft) -> u64 {
+        match self.cause_index(cause) {
+            Some(index) => self.push_row(kind, Some(index), Draft { cause: None, ..draft }),
+            None => self.push(kind, Draft { cause: Some(Cow::Owned(cause.to_string())), ..draft }),
+        }
+    }
+
+    /// 1-based position of `cause` in the header's cause table.
+    fn cause_index(&self, cause: &str) -> Option<u8> {
+        self.causes.iter().position(|c| c == cause).map(|i| i as u8 + 1)
+    }
+
+    /// Stores `draft` (its cause already taken out: `cause` is its table
+    /// index, `None` when the table is full and the text is still in the
+    /// draft) as a packed row when every field fits, whole otherwise.
+    #[inline]
+    fn push_row(&mut self, kind: EventKind, cause: Option<u8>, draft: Draft) -> u64 {
+        let index = u32::try_from(self.rows.len()).expect("a batch holds fewer than 2^32 events");
+        if index == 0 {
+            self.job = draft.job;
+            self.span = draft.span;
+        }
+        let fits = draft.job == self.job
+            && draft.span == self.span
+            && draft.parent.is_none_or(|p| p < u64::from(index))
+            && draft.file != Some(NONE)
+            && draft.chunk != Some(NONE)
+            && draft.attempt <= u32::from(u16::MAX)
+            && !draft.t_sim.is_some_and(f64::is_nan);
+        let row = match cause.filter(|_| fits) {
+            Some(cause) => Row {
+                t_sim: draft.t_sim.unwrap_or(f64::NAN),
+                bytes: draft.bytes,
+                parent: draft.parent.map_or(NONE, |p| p as u32),
+                file: draft.file.unwrap_or(NONE),
+                chunk: draft.chunk.unwrap_or(NONE),
+                attempt: draft.attempt as u16,
+                kind: kind as u8,
+                cause,
+            },
+            None => self.keep_wide(index, kind, cause, draft),
+        };
+        self.retransmits += u64::from(kind == EventKind::Retransmit);
+        self.rows.push(row);
+        u64::from(index)
+    }
+
+    /// Keeps a draft that does not fit a packed row whole (putting back the
+    /// cause [`Batch::push`] took out) and returns the row that marks it.
+    #[cold]
+    fn keep_wide(&mut self, index: u32, kind: EventKind, cause: Option<u8>, mut draft: Draft) -> Row {
+        if let Some(held) = cause.and_then(|c| c.checked_sub(1)) {
+            draft.cause = Some(self.causes[usize::from(held)].clone());
+        }
+        self.wide.push((index, draft));
+        Row {
+            t_sim: f64::NAN,
+            bytes: 0,
+            parent: NONE,
+            file: NONE,
+            chunk: NONE,
+            attempt: 0,
+            kind: kind as u8,
+            cause: WIDE,
+        }
+    }
+
+    /// Events in the batch.
+    pub fn len(&self) -> usize {
+        self.rows.len()
+    }
+
+    /// True when nothing was pushed.
+    pub fn is_empty(&self) -> bool {
+        self.rows.is_empty()
+    }
+
+    /// Job of the first pushed event: the one the batch is filed under.
+    pub fn job(&self) -> Option<u64> {
+        self.job
+    }
+
+    /// [`EventKind::Retransmit`] events in the batch, counted as pushed.
+    pub fn retransmits(&self) -> u64 {
+        self.retransmits
+    }
+
+    /// Heap bytes the batch holds (rows, cause table, wide drafts).
+    pub fn heap_bytes(&self) -> usize {
+        let text = |c: &Cow<'static, str>| if let Cow::Owned(s) = c { s.capacity() } else { 0 };
+        self.rows.capacity() * std::mem::size_of::<Row>()
+            + self.causes.capacity() * std::mem::size_of::<Cow<'static, str>>()
+            + self.causes.iter().map(text).sum::<usize>()
+            + self.wide.capacity() * std::mem::size_of::<(u32, Draft)>()
+            + self.wide.iter().filter_map(|(_, d)| d.cause.as_ref()).map(text).sum::<usize>()
+    }
+
+    /// The rows widened into events: `seq` is the batch's sequence base
+    /// (0 until committed) plus the row index, `t_wall_us` the commit stamp.
+    pub fn events(&self) -> Vec<LedgerEvent> {
+        let mut out = Vec::with_capacity(self.len());
+        self.widen_into(&mut out);
+        out
+    }
+
+    fn widen_into(&self, out: &mut Vec<LedgerEvent>) {
+        let mut wide = self.wide.iter();
+        for (i, row) in self.rows.iter().enumerate() {
+            let mut draft = if row.cause == WIDE {
+                wide.next().expect("every wide row has its draft").1.clone()
+            } else {
+                Draft {
+                    parent: (row.parent != NONE).then_some(u64::from(row.parent)),
+                    span: self.span,
+                    job: self.job,
+                    file: (row.file != NONE).then_some(row.file),
+                    chunk: (row.chunk != NONE).then_some(row.chunk),
+                    cause: row.cause.checked_sub(1).map(|c| self.causes[usize::from(c)].clone()),
+                    t_sim: (!row.t_sim.is_nan()).then_some(row.t_sim),
+                    bytes: row.bytes,
+                    attempt: u32::from(row.attempt),
+                }
+            };
+            draft.parent = draft.parent.map(|p| self.seq_base + p);
+            out.push(draft.stamped(EventKind::ALL[usize::from(row.kind)], self.seq_base + i as u64, self.t_wall_us));
+        }
+    }
+}
+
+/// What a sink holds, in sequence order: a committed batch, or one event
+/// appended on its own.
+#[derive(Debug)]
+pub enum Entry {
+    /// A job's events from one [`Ledger::commit`].
+    Batch(Batch),
+    /// One event from [`Ledger::append`] / [`emit`].
+    Single(LedgerEvent),
+}
+
+impl Entry {
+    /// Job the entry is filed under.
+    pub fn job(&self) -> Option<u64> {
+        match self {
+            Entry::Batch(b) => b.job(),
+            Entry::Single(e) => e.job,
+        }
+    }
+
+    /// Events the entry holds.
+    pub fn event_count(&self) -> usize {
+        match self {
+            Entry::Batch(b) => b.len(),
+            Entry::Single(_) => 1,
+        }
+    }
+
+    /// [`EventKind::Retransmit`] events the entry holds.
+    pub fn retransmits(&self) -> u64 {
+        match self {
+            Entry::Batch(b) => b.retransmits(),
+            Entry::Single(e) => u64::from(e.event == EventKind::Retransmit),
+        }
+    }
+
+    /// Appends the entry's events to `out`, in sequence order.
+    pub fn widen_into(&self, out: &mut Vec<LedgerEvent>) {
+        match self {
+            Entry::Batch(b) => b.widen_into(out),
+            Entry::Single(e) => out.push(e.clone()),
+        }
+    }
+
+    /// Bytes the entry counts for against the sink's bound.
+    fn bytes(&self) -> usize {
+        std::mem::size_of::<Entry>()
+            + match self {
+                Entry::Batch(b) => b.heap_bytes(),
+                Entry::Single(_) => 0,
+            }
+    }
+}
+
+/// Entries of one ledger, oldest first, with the sequence counter they
+/// share: handing out numbers under the same lock that orders the entries
+/// makes sink order the total order.
+#[derive(Debug)]
+struct Sink {
+    entries: VecDeque<Entry>,
+    bytes: usize,
+    next_seq: u64,
+    dropped: u64,
+}
+
+/// The ledger: one bounded sink of committed batches and single events in
+/// one sequence space. Construct with [`Ledger::with_obs`] (publishes the
+/// dropped counter) or [`Ledger::detached`]; hand it to an emitter
+/// explicitly, or [`install_global`] it so [`emit`] activates.
 pub struct Ledger {
-    /// Process-unique identity; keys the per-thread sink cache. An address
-    /// would suffer ABA reuse when a dropped ledger's allocation is recycled
-    /// for its successor.
-    id: u64,
-    next_seq: AtomicU64,
+    /// Sink bound in bytes.
     capacity: usize,
-    sinks: Mutex<Vec<Arc<LedgerSink>>>,
+    sink: Mutex<Sink>,
     dropped_counter: Option<Arc<Counter>>,
     t0: Instant,
 }
 
-/// Source of process-unique [`Ledger::id`]s.
-static NEXT_LEDGER_ID: AtomicU64 = AtomicU64::new(1);
-
 impl std::fmt::Debug for Ledger {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Ledger").field("next_seq", &self.next_seq.load(Ordering::Relaxed)).finish()
+        f.debug_struct("Ledger").field("capacity", &self.capacity).field("dropped", &self.dropped()).finish()
     }
 }
 
 impl Ledger {
-    /// Ledger that syncs its dropped-event count into `obs` as
-    /// [`LEDGER_DROPPED_COUNTER`] on every drain.
+    /// Ledger that counts dropped events into `obs` as
+    /// [`LEDGER_DROPPED_COUNTER`].
     pub fn with_obs(obs: &Obs) -> Arc<Ledger> {
-        Ledger::with_obs_and_capacity(obs, DEFAULT_SINK_CAPACITY)
+        Ledger::with_obs_and_capacity(obs, SINK_CAPACITY_BYTES)
     }
 
-    /// [`Ledger::with_obs`] with an explicit per-sink capacity.
+    /// [`Ledger::with_obs`] with an explicit sink bound in bytes.
     pub fn with_obs_and_capacity(obs: &Obs, capacity: usize) -> Arc<Ledger> {
         Arc::new(Ledger {
-            id: NEXT_LEDGER_ID.fetch_add(1, Ordering::Relaxed),
-            next_seq: AtomicU64::new(1),
-            capacity: capacity.max(1),
-            sinks: Mutex::new(Vec::new()),
-            dropped_counter: obs.counter_handle(LEDGER_DROPPED_COUNTER, "chunk-ledger events dropped by bounded sinks"),
+            capacity,
+            sink: Mutex::new(Sink { entries: VecDeque::new(), bytes: 0, next_seq: 1, dropped: 0 }),
+            dropped_counter: obs
+                .counter_handle(LEDGER_DROPPED_COUNTER, "chunk-ledger events dropped by the bounded sink"),
             t0: Instant::now(),
         })
     }
@@ -300,68 +567,75 @@ impl Ledger {
         Ledger::with_obs(&Obs::disabled())
     }
 
-    fn register_sink(&self) -> Arc<LedgerSink> {
-        let sink = Arc::new(LedgerSink::new());
-        self.sinks.lock().unwrap_or_else(|e| e.into_inner()).push(sink.clone());
-        sink
+    fn now_us(&self) -> u64 {
+        self.t0.elapsed().as_micros() as u64
     }
 
-    /// Appends one event, returning its sequence number (for parent links).
-    pub fn append(&self, kind: EventKind, draft: Draft) -> u64 {
-        let seq = self.next_seq.fetch_add(1, Ordering::Relaxed);
-        let event = LedgerEvent {
-            seq,
-            parent: draft.parent,
-            span: draft.span,
-            job: draft.job,
-            file: draft.file,
-            chunk: draft.chunk,
-            event: kind,
-            cause: draft.cause,
-            t_sim: draft.t_sim,
-            t_wall_us: self.t0.elapsed().as_micros() as u64,
-            bytes: draft.bytes,
-            attempt: draft.attempt,
-        };
-        let key = self.id;
-        let sink = SINK.with(|s| {
-            let mut s = s.borrow_mut();
-            match &*s {
-                Some((k, sink)) if *k == key => sink.clone(),
-                _ => {
-                    let sink = self.register_sink();
-                    *s = Some((key, sink.clone()));
-                    sink
-                }
+    /// Numbers `n` events, lets `seal` stamp the entry with the first
+    /// number, appends it, and drops oldest entries whole while the sink is
+    /// over its bound (never the one just admitted).
+    fn admit(&self, n: usize, seal: impl FnOnce(u64) -> Entry) -> u64 {
+        let mut sink = self.sink.lock().unwrap_or_else(|e| e.into_inner());
+        let seq = sink.next_seq;
+        sink.next_seq += n as u64;
+        let entry = seal(seq);
+        sink.bytes += entry.bytes();
+        sink.entries.push_back(entry);
+        let mut dropped = 0u64;
+        while sink.bytes > self.capacity && sink.entries.len() > 1 {
+            let oldest = sink.entries.pop_front().expect("more than one entry");
+            sink.bytes -= oldest.bytes();
+            dropped += oldest.event_count() as u64;
+        }
+        if dropped > 0 {
+            sink.dropped += dropped;
+            if let Some(c) = &self.dropped_counter {
+                c.add(dropped);
             }
-        });
-        sink.push(event, self.capacity);
+        }
         seq
     }
 
-    /// Takes every buffered event from every sink, merged into global
-    /// sequence order, and syncs the dropped counter.
-    pub fn drain(&self) -> Vec<LedgerEvent> {
-        let sinks = self.sinks.lock().unwrap_or_else(|e| e.into_inner()).clone();
-        let mut all = Vec::new();
-        for sink in &sinks {
-            let mut ring = sink.ring.lock().unwrap_or_else(|e| e.into_inner());
-            all.extend(ring.drain(..));
+    /// Appends one event stamped with its own wall time, returning its
+    /// sequence number (for parent links).
+    pub fn append(&self, kind: EventKind, draft: Draft) -> u64 {
+        let t_wall_us = self.now_us();
+        self.admit(1, |seq| Entry::Single(draft.stamped(kind, seq, t_wall_us)))
+    }
+
+    /// Takes over a finished batch: one sequence range for all of its
+    /// rows, one wall stamp, one lock. The rows are not touched.
+    pub fn commit(&self, mut batch: Batch) {
+        if batch.is_empty() {
+            return;
         }
-        all.sort_by_key(|e| e.seq);
-        if let Some(c) = &self.dropped_counter {
-            let dropped = self.dropped();
-            let seen = c.get();
-            if dropped > seen {
-                c.add(dropped - seen);
-            }
+        batch.t_wall_us = self.now_us();
+        self.admit(batch.len(), |seq| {
+            batch.seq_base = seq;
+            Entry::Batch(batch)
+        });
+    }
+
+    /// Takes every entry out of the sink as it is, oldest first.
+    pub fn take(&self) -> Vec<Entry> {
+        let mut sink = self.sink.lock().unwrap_or_else(|e| e.into_inner());
+        sink.bytes = 0;
+        std::mem::take(&mut sink.entries).into()
+    }
+
+    /// Takes every buffered event, widened, in global sequence order.
+    pub fn drain(&self) -> Vec<LedgerEvent> {
+        let entries = self.take();
+        let mut all = Vec::with_capacity(entries.iter().map(Entry::event_count).sum());
+        for entry in &entries {
+            entry.widen_into(&mut all);
         }
         all
     }
 
-    /// Cumulative events dropped across every sink.
+    /// Cumulative events dropped by the bound.
     pub fn dropped(&self) -> u64 {
-        self.sinks.lock().unwrap_or_else(|e| e.into_inner()).iter().map(|s| s.dropped.load(Ordering::Relaxed)).sum()
+        self.sink.lock().unwrap_or_else(|e| e.into_inner()).dropped
     }
 }
 
@@ -845,19 +1119,203 @@ mod tests {
     fn bounded_sinks_drop_oldest_and_publish_the_counter() {
         let _g = lock();
         let obs = Obs::enabled();
-        let ledger = Ledger::with_obs_and_capacity(&obs, 8);
+        // Room for eight single events.
+        let ledger = Ledger::with_obs_and_capacity(&obs, 8 * std::mem::size_of::<Entry>());
         install_global(&ledger);
         for i in 0..20u32 {
             emit(EventKind::Sealed, Draft { bytes: i as u64, ..Draft::chunk(1, 0, i) });
         }
         uninstall_global();
+        let c = obs.registry().unwrap().counter(LEDGER_DROPPED_COUNTER, "");
+        assert_eq!(c.get(), 12, "the counter moves as entries go, before any drain");
         let events = ledger.drain();
-        assert_eq!(events.len(), 8, "ring bounded at capacity");
+        assert_eq!(events.len(), 8, "sink bounded at capacity");
         assert_eq!(ledger.dropped(), 12);
         // Oldest dropped: the survivors are the newest 8.
         assert_eq!(events[0].chunk, Some(12));
-        let c = obs.registry().unwrap().counter(LEDGER_DROPPED_COUNTER, "");
-        assert_eq!(c.get(), 12, "dropped count synced on drain");
+    }
+
+    #[test]
+    fn rows_are_32_bytes_and_kinds_index_the_export_order() {
+        assert_eq!(std::mem::size_of::<Row>(), 32);
+        for (i, kind) in EventKind::ALL.into_iter().enumerate() {
+            assert_eq!(kind as usize, i, "Row::kind indexes EventKind::ALL");
+        }
+    }
+
+    /// A causal chain of `chunks` chunks for `job`, bracketed by the job
+    /// phases — the shape the orchestrator commits.
+    fn job_batch(job: u64, chunks: u32) -> Batch {
+        let mut b = Batch::with_capacity(2 + 3 * chunks as usize);
+        let begin = b.push(EventKind::JobBegin, Draft::job(job, 0.0));
+        for c in 0..chunks {
+            let d = |t: f64| Draft { t_sim: Some(t), bytes: 100, ..Draft::chunk(job, 0, c) };
+            let p = b.push(EventKind::Encoded, Draft { parent: Some(begin), ..d(1.0) });
+            let p = b.push(EventKind::Released, Draft { parent: Some(p), ..d(2.0) });
+            b.push(EventKind::Arrived, Draft { parent: Some(p), attempt: 1, ..d(3.0) });
+        }
+        b.push(EventKind::JobEnd, Draft { parent: Some(begin), ..Draft::job(job, 3.0) });
+        b
+    }
+
+    /// Everything but `seq` and `t_wall_us`, parents relative to `base`,
+    /// floats by bit pattern (a NaN must survive too).
+    fn content(e: &LedgerEvent, base: u64) -> impl PartialEq + std::fmt::Debug {
+        let parent = e.parent.map(|p| p.wrapping_sub(base));
+        let cause = e.cause.as_deref().map(str::to_string);
+        (parent, e.span, e.job, e.file, e.chunk, e.event, cause, e.t_sim.map(f64::to_bits), e.bytes, e.attempt)
+    }
+
+    #[test]
+    fn batch_rows_widen_to_what_append_records() {
+        // Every kind, every `Option` field both ways, borrowed and owned
+        // causes, and values on both sides of each packed field's limit.
+        let attempts = [0, 1, u32::from(u16::MAX), u32::from(u16::MAX) + 1, u32::MAX];
+        let indices = [Some(0), Some(7), Some(u32::MAX - 1), Some(u32::MAX), None];
+        let times = [Some(0.0), Some(-1.5), None, Some(f64::NAN), Some(f64::INFINITY)];
+        let drafts: Vec<(EventKind, Draft)> = (0..8 * N_EVENT_KINDS)
+            .map(|i| {
+                let cause: Option<Cow<'static, str>> = match i % 4 {
+                    0 => None,
+                    1 => Some(Cow::Borrowed("stream window full")),
+                    2 => Some(Cow::Owned(format!("wan fault (p=0.{})", i % 3))),
+                    _ => Some(Cow::Borrowed("decode lanes busy")),
+                };
+                let draft = Draft {
+                    // Handle of an earlier event, none, itself, one not pushed yet.
+                    parent: [Some(i as u64 / 2), None, Some(i as u64), Some(i as u64 + 40)][(i / 3) % 4],
+                    span: if i % 23 == 22 { Some(9) } else { None },
+                    job: if i % 19 == 18 { None } else { Some(5) },
+                    file: indices[i % 5],
+                    chunk: indices[(i / 5) % 5],
+                    cause,
+                    t_sim: times[(i / 2) % 5],
+                    bytes: if i % 7 == 0 { u64::MAX } else { i as u64 },
+                    attempt: attempts[(i / 7) % 5],
+                };
+                (EventKind::ALL[i % N_EVENT_KINDS], draft)
+            })
+            .collect();
+
+        // Reference: one `append` per draft, parents turned into the
+        // sequence numbers the earlier appends returned.
+        let reference = Ledger::detached();
+        let first = 1; // a fresh ledger numbers from 1
+        for (kind, draft) in &drafts {
+            reference.append(*kind, Draft { parent: draft.parent.map(|p| first + p), ..draft.clone() });
+        }
+        let reference = reference.drain();
+        assert_eq!(reference[0].seq, first);
+
+        let mut batch = Batch::with_capacity(drafts.len());
+        for (i, (kind, draft)) in drafts.iter().enumerate() {
+            let handle = match &draft.cause {
+                Some(cause) if i % 2 == 0 => batch.push_because(*kind, cause, Draft { cause: None, ..draft.clone() }),
+                _ => batch.push(*kind, draft.clone()),
+            };
+            assert_eq!(handle, i as u64);
+        }
+        let packed = batch.len() - batch.wide.len();
+        assert!(packed >= N_EVENT_KINDS && batch.wide.len() >= N_EVENT_KINDS, "both row forms are exercised");
+        assert_eq!(batch.causes.len(), 5, "each distinct cause is held once");
+        let uncommitted = batch.events();
+        assert_eq!(uncommitted[0].seq, 0);
+        let ledger = Ledger::detached();
+        ledger.append(EventKind::Sealed, Draft::default());
+        ledger.commit(batch);
+        let widened = ledger.drain().split_off(1);
+        assert_eq!(widened.len(), reference.len());
+        for (i, ((w, r), u)) in widened.iter().zip(&reference).zip(&uncommitted).enumerate() {
+            assert_eq!(w.seq, 2 + i as u64, "one contiguous range after the single event");
+            assert_eq!(content(w, 2), content(r, first), "event {i}");
+            assert_eq!(content(u, 0), content(r, first), "uncommitted event {i}");
+            assert_eq!(w.t_wall_us, widened[0].t_wall_us, "one wall stamp per batch");
+        }
+        // The limits themselves: at the limit a value packs, past it the
+        // draft is kept whole — neither wraps.
+        let at = widened.iter().filter(|e| e.attempt == u32::from(u16::MAX)).count();
+        let past = widened.iter().filter(|e| e.attempt == u32::from(u16::MAX) + 1).count();
+        assert!(at > 0 && past > 0);
+    }
+
+    #[test]
+    fn a_255th_distinct_cause_is_kept_with_its_event() {
+        let mut batch = Batch::with_capacity(300);
+        for i in 0..300u32 {
+            batch.push(EventKind::Fault, Draft { cause: Some(format!("cause {i}").into()), ..Draft::chunk(1, 0, i) });
+        }
+        assert_eq!(batch.causes.len(), 254);
+        assert_eq!(batch.wide.len(), 300 - 254);
+        for (i, e) in batch.events().iter().enumerate() {
+            assert_eq!(e.cause.as_deref(), Some(format!("cause {i}").as_str()));
+        }
+    }
+
+    #[test]
+    fn oldest_batches_go_whole_under_a_small_bound() {
+        let obs = Obs::enabled();
+        let per_batch = job_batch(0, 50).heap_bytes() + std::mem::size_of::<Entry>();
+        // Room for three batches and a bit, never for four.
+        let ledger = Ledger::with_obs_and_capacity(&obs, 3 * per_batch + per_batch / 2);
+        for job in 0..10u64 {
+            ledger.commit(job_batch(job, 50));
+        }
+        let per_job = job_batch(0, 50).len() as u64;
+        assert_eq!(ledger.dropped(), 7 * per_job, "seven whole batches went");
+        assert_eq!(obs.registry().unwrap().counter(LEDGER_DROPPED_COUNTER, "").get(), 7 * per_job);
+        let events = ledger.drain();
+        assert_eq!(events.len() as u64, 3 * per_job);
+        for job in 7..10u64 {
+            let own: Vec<&LedgerEvent> = events.iter().filter(|e| e.job == Some(job)).collect();
+            assert_eq!(own.len() as u64, per_job, "job {job} is whole");
+            assert_eq!(own[0].event, EventKind::JobBegin, "job {job} kept its head");
+            assert_eq!(check_causality(&events, job), Vec::<String>::new());
+        }
+        assert!(events.iter().all(|e| e.job >= Some(7)), "nothing of a dropped job is left");
+        // A batch larger than the whole bound is still admitted — alone.
+        ledger.commit(job_batch(20, 10));
+        ledger.commit(job_batch(21, 500));
+        let events = ledger.drain();
+        assert!(events.iter().all(|e| e.job == Some(21)));
+        assert_eq!(check_causality(&events, 21), Vec::<String>::new());
+        assert_eq!(Timeline::reconstruct(&events, 21).unwrap().tracks.len(), 500);
+    }
+
+    #[test]
+    fn batches_and_single_appends_share_one_total_order() {
+        const BATCHES: u64 = 40;
+        const SINGLES: u32 = 2000;
+        let ledger = Ledger::detached();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                start.wait();
+                for job in 0..BATCHES {
+                    ledger.commit(job_batch(job, 20));
+                }
+            });
+            s.spawn(|| {
+                start.wait();
+                let mut parent = None;
+                for i in 0..SINGLES {
+                    parent =
+                        Some(ledger.append(EventKind::Sealed, Draft { parent, chunk: Some(i), ..Draft::default() }));
+                }
+            });
+        });
+        let per_job = job_batch(0, 20).len();
+        let events = ledger.drain();
+        assert_eq!(events.len(), BATCHES as usize * per_job + SINGLES as usize);
+        assert_eq!(events[0].seq, 1);
+        assert!(events.windows(2).all(|w| w[1].seq == w[0].seq + 1), "drain is the gap-free sequence order");
+        for job in 0..BATCHES {
+            let own: Vec<u64> = events.iter().filter(|e| e.job == Some(job)).map(|e| e.seq).collect();
+            assert_eq!(own.len(), per_job);
+            assert_eq!(own[per_job - 1] - own[0], per_job as u64 - 1, "batch {job} holds one contiguous range");
+            assert_eq!(check_causality(&events, job), Vec::<String>::new());
+        }
+        let singles: Vec<&LedgerEvent> = events.iter().filter(|e| e.job.is_none()).collect();
+        assert!(singles.windows(2).all(|w| w[1].parent == Some(w[0].seq)), "single appends keep their own chain");
     }
 
     #[test]

@@ -20,8 +20,9 @@
 //!   threads draining into lock-free epoch-tagged per-thread rings, with a
 //!   measured self-overhead gauge and collapsed-stack ("folded") export.
 //! - [`ledger`] — chunk-lifecycle event ledger: causal wide events per
-//!   chunk (compressed → released → in-flight → arrived → decoded) in
-//!   bounded per-thread sinks, replayable into per-chunk Gantt timelines.
+//!   chunk (compressed → released → in-flight → arrived → decoded),
+//!   committed one batch per job into a sink bounded between batches,
+//!   replayable into per-chunk Gantt timelines.
 //!
 //! An [`Obs`] is a cheap-clone handle that is either *enabled* (wraps an
 //! `Arc` of registry + recorder) or *disabled* (every call is a no-op).

@@ -68,6 +68,8 @@ pub struct Recorder {
     next_id: AtomicU64,
     closed: Mutex<Vec<SpanRecord>>,
     open_wall: AtomicU64,
+    /// Spans walked by `for_job*` look-ups (a statistic; publishes nothing).
+    scanned: AtomicU64,
     /// Optional flight-recorder sink mirroring span opens/closes.
     flight: Option<Arc<FlightRecorder>>,
 }
@@ -86,6 +88,7 @@ impl Recorder {
             next_id: AtomicU64::new(1),
             closed: Mutex::new(Vec::new()),
             open_wall: AtomicU64::new(0),
+            scanned: AtomicU64::new(0),
             flight: None,
         }
     }
@@ -210,7 +213,28 @@ impl Recorder {
 
     /// Closed spans belonging to `job`.
     pub fn for_job(&self, job: u64) -> Vec<SpanRecord> {
-        self.closed.lock().expect("recorder poisoned").iter().filter(|s| s.job == Some(job)).cloned().collect()
+        self.for_job_since(job, 0)
+    }
+
+    /// Number of spans closed so far: taken before a job starts, it is the
+    /// position [`Recorder::for_job_since`] needs to find that job's spans
+    /// without walking what earlier jobs left.
+    pub fn mark(&self) -> usize {
+        self.closed.lock().expect("recorder poisoned").len()
+    }
+
+    /// Closed spans belonging to `job` among those closed since `mark`.
+    pub fn for_job_since(&self, job: u64, mark: usize) -> Vec<SpanRecord> {
+        let closed = self.closed.lock().expect("recorder poisoned");
+        let recent = closed.get(mark..).unwrap_or_default();
+        self.scanned.fetch_add(recent.len() as u64, Ordering::Relaxed);
+        recent.iter().filter(|s| s.job == Some(job)).cloned().collect()
+    }
+
+    /// Spans the `for_job*` look-ups have walked so far: what they cost,
+    /// as a count a test can hold against the spans that exist.
+    pub fn scanned(&self) -> u64 {
+        self.scanned.load(Ordering::Relaxed)
     }
 
     /// Checks structural invariants over the closed spans: parents exist and

@@ -965,7 +965,7 @@ fn validate_ledger_export(ledger_json: &str) -> Result<(), CliError> {
 }
 
 fn cmd_timeline(positional: &[String], flags: &HashMap<String, String>) -> Result<(), CliError> {
-    use ocelot_obs::ledger::{render_chunk_detail, render_timeline, Timeline};
+    use ocelot_obs::ledger::{check_causality, render_chunk_detail, render_timeline, Timeline};
     let job: u64 = positional
         .first()
         .ok_or("timeline needs a JOB id")?
@@ -980,10 +980,26 @@ fn cmd_timeline(positional: &[String], flags: &HashMap<String, String>) -> Resul
     if events.is_empty() {
         return Err(format!("no chunk events recorded for job {job} (needs --stream-window > 0)").into());
     }
+    // A chart of what is left of a job is not the job's chart. The warning
+    // goes to stderr, never into the byte-stable rendering.
+    let violations = check_causality(&events, job);
+    let dropped = svc.ledger_dropped();
+    let partial = (dropped > 0 || !violations.is_empty()).then(|| {
+        let first = violations.first().map(|v| format!(" (first: {v})")).unwrap_or_default();
+        format!(
+            "the ledger does not hold job {job}'s whole story: {dropped} event(s) dropped by the bounded sink, \
+             {} causality violation(s){first}",
+            violations.len()
+        )
+    });
     if flags.contains_key("json") {
         let text = ocelot_svc::ledger_json(job, &events);
         validate_ledger_export(&text)?;
-        return write_or_print(&flags, &text);
+        write_or_print(&flags, &text)?;
+        return partial.map_or(Ok(()), |why| Err(why.into()));
+    }
+    if let Some(why) = &partial {
+        eprintln!("warning: {why}");
     }
     let tl = Timeline::reconstruct(&events, job)
         .ok_or_else(|| format!("ledger for job {job} has no transfer envelope — cannot reconstruct"))?;

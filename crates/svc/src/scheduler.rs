@@ -25,8 +25,8 @@ use ocelot::orchestrator::{Orchestrator, PipelineOptions, PipelineOutcome, Strat
 use ocelot::workload::Workload;
 use ocelot_datagen::Application;
 use ocelot_netsim::{simulate_transfer_with_faults, FaultModel, GridFtpConfig};
-use ocelot_obs::critpath::{self, BottleneckReport};
-use ocelot_obs::ledger::{EventKind, Ledger, LedgerEvent};
+use ocelot_obs::critpath;
+use ocelot_obs::ledger::{Entry, Ledger, LedgerEvent};
 use ocelot_obs::metrics::{Counter, Gauge, Histogram};
 use ocelot_obs::slo::{SloEngine, SloRule};
 use ocelot_obs::Obs;
@@ -170,10 +170,10 @@ struct Shared {
     /// SLO engine, ticked on the cumulative simulated clock after every
     /// finished job.
     slo: Mutex<SloEngine>,
-    /// Per-job critical-path reports, accumulated as jobs finish; feeds the
+    /// Running sum of every finished job's critical-path report; feeds the
     /// advisory scheduler hint.
-    job_reports: Mutex<Vec<BottleneckReport>>,
-    /// Latest advisory hint derived from the accumulated reports.
+    bottlenecks: Mutex<critpath::Aggregate>,
+    /// Latest advisory hint derived from the running sum.
     hint: Mutex<Option<SchedulerHint>>,
     /// Flight dumps snapped so far (also written to `artifact_dir`).
     dumps: Mutex<Vec<FlightDump>>,
@@ -185,8 +185,8 @@ struct Shared {
     /// Chunk-lifecycle ledger owned by this service (handed to the
     /// orchestrator explicitly, so parallel services never cross streams).
     ledger: Arc<Ledger>,
-    /// Harvested ledger events, partitioned per job. Wall-only events with
-    /// no job tag (codec workers, profiling) are discarded at harvest.
+    /// Harvested ledger entries, filed per job. Wall-only events with no
+    /// job tag (codec workers, profiling) are discarded at harvest.
     chunk_events: Mutex<ChunkStore>,
 }
 
@@ -198,11 +198,12 @@ struct Shared {
 /// when an artifact directory is configured.
 const LEDGER_JOBS_KEPT: usize = 32;
 
-/// Chunk events of the most recent [`LEDGER_JOBS_KEPT`] jobs, plus the one
-/// number `analyze` needs from every job that ever ran.
+/// Ledger entries of the most recent [`LEDGER_JOBS_KEPT`] jobs, kept as the
+/// ledger handed them over and widened into events only when read, plus the
+/// one number `analyze` needs from every job that ever ran.
 #[derive(Default)]
 struct ChunkStore {
-    by_job: HashMap<u64, Vec<LedgerEvent>>,
+    by_job: HashMap<u64, Vec<Entry>>,
     /// Jobs present in `by_job`, oldest first.
     order: VecDeque<u64>,
     /// Retransmits per job, for jobs that had any; outlives the events.
@@ -210,12 +211,13 @@ struct ChunkStore {
 }
 
 impl ChunkStore {
-    fn push(&mut self, job: u64, event: LedgerEvent) {
-        if event.event == EventKind::Retransmit {
-            *self.retransmits.entry(job).or_insert(0) += 1;
+    fn file(&mut self, job: u64, entry: Entry) {
+        let retransmits = entry.retransmits();
+        if retransmits > 0 {
+            *self.retransmits.entry(job).or_insert(0) += retransmits;
         }
-        if let Some(events) = self.by_job.get_mut(&job) {
-            events.push(event);
+        if let Some(entries) = self.by_job.get_mut(&job) {
+            entries.push(entry);
             return;
         }
         if self.order.len() == LEDGER_JOBS_KEPT {
@@ -223,11 +225,16 @@ impl ChunkStore {
             self.by_job.remove(&oldest);
         }
         self.order.push_back(job);
-        self.by_job.insert(job, vec![event]);
+        self.by_job.insert(job, vec![entry]);
     }
 
     fn events(&self, job: JobId) -> Vec<LedgerEvent> {
-        self.by_job.get(&job.0).cloned().unwrap_or_default()
+        let entries = self.by_job.get(&job.0).map(Vec::as_slice).unwrap_or_default();
+        let mut events = Vec::with_capacity(entries.iter().map(Entry::event_count).sum());
+        for entry in entries {
+            entry.widen_into(&mut events);
+        }
+        events
     }
 }
 
@@ -279,7 +286,7 @@ impl Service {
             obs,
             metrics,
             slo,
-            job_reports: Mutex::new(Vec::new()),
+            bottlenecks: Mutex::new(critpath::Aggregate::default()),
             hint: Mutex::new(None),
             dumps: Mutex::new(Vec::new()),
             dump_counter: AtomicU64::new(0),
@@ -412,6 +419,14 @@ impl Service {
         self.shared.chunk_events.lock().expect("chunk events poisoned").events(job)
     }
 
+    /// Chunk events the service's ledger has dropped to stay within its
+    /// bound (also exported as `ocelot_ledger_dropped_total`). Entries go
+    /// whole and oldest first, so a job [`Service::chunk_events`] returns is
+    /// complete; a non-zero count means some earlier job's are gone.
+    pub fn ledger_dropped(&self) -> u64 {
+        self.shared.ledger.dropped()
+    }
+
     /// Latest advisory scheduling hint (updated after every finished job;
     /// also mirrored into the `ocelot_svc_recommended_workers` gauge).
     pub fn hint(&self) -> Option<SchedulerHint> {
@@ -470,6 +485,7 @@ fn worker_loop(shared: &Shared) {
             }
         };
         let Some((id, spec)) = job else { return };
+        let span_mark = shared.obs.recorder().map_or(0, |r| r.mark());
         let report = process_job(shared, id, &spec);
         harvest_ledger(shared);
         persist_ledger(shared, id);
@@ -502,7 +518,7 @@ fn worker_loop(shared: &Shared) {
         // counting as in flight: `drain` returns once `in_flight` hits 0,
         // and callers expect a finished job's breach alert and flight dump
         // to be visible by then.
-        refresh_hint(shared, id);
+        refresh_hint(shared, id, span_mark);
         tick_slo(shared);
         let mut inner = shared.inner.lock().expect("service poisoned");
         inner.in_flight -= 1;
@@ -512,16 +528,19 @@ fn worker_loop(shared: &Shared) {
     }
 }
 
-/// Folds the finished job's critical-path report into the accumulated set
-/// and refreshes the advisory hint (and its gauge) from the aggregate.
-fn refresh_hint(shared: &Shared, id: JobId) {
-    let Some(report) = shared.obs.recorder().and_then(|r| critpath::analyze(&r.for_job(id.0))) else {
+/// Folds the finished job's critical-path report into the running sum and
+/// refreshes the advisory hint (and its gauge) from it. `mark` is the span
+/// recorder's position from before the job started, so neither the look-up
+/// nor the sum walks what earlier jobs left behind.
+fn refresh_hint(shared: &Shared, id: JobId, mark: usize) {
+    let Some(report) = shared.obs.recorder().and_then(|r| critpath::analyze(&r.for_job_since(id.0, mark))) else {
         return;
     };
-    let mut reports = shared.job_reports.lock().expect("job reports poisoned");
-    reports.push(report);
-    let Some(agg) = critpath::aggregate(reports.iter()) else { return };
-    drop(reports);
+    let agg = {
+        let mut sum = shared.bottlenecks.lock().expect("bottleneck sum poisoned");
+        sum.add(&report);
+        sum.report().expect("one report was just added")
+    };
     let hint = derive_hint(&agg, shared.config.workers, shared.obs.registry());
     shared.metrics.recommended_workers.set(hint.recommended_workers as f64);
     *shared.hint.lock().expect("hint poisoned") = Some(hint);
@@ -546,19 +565,20 @@ fn tick_slo(shared: &Shared) {
     }
 }
 
-/// Drains the service ledger and files each job-tagged event into the
-/// per-job store. Events without a job tag (wall-only emissions from codec
-/// threads during workload profiling) carry no chunk story the service can
-/// place, so they are dropped here. Idempotent and cheap when quiet.
+/// Takes what the service ledger holds and files each job-tagged entry —
+/// a streamed job's whole batch, as committed — under its job. Entries
+/// without a job tag (wall-only emissions from codec threads during
+/// workload profiling) carry no chunk story the service can place, so they
+/// are dropped here. Idempotent and cheap when quiet.
 fn harvest_ledger(shared: &Shared) {
-    let drained = shared.ledger.drain();
-    if drained.is_empty() {
+    let taken = shared.ledger.take();
+    if taken.is_empty() {
         return;
     }
     let mut store = shared.chunk_events.lock().expect("chunk events poisoned");
-    for e in drained {
-        if let Some(job) = e.job {
-            store.push(job, e);
+    for entry in taken {
+        if let Some(job) = entry.job() {
+            store.file(job, entry);
         }
     }
 }
@@ -827,6 +847,7 @@ fn cached_workload(shared: &Shared, app: Application, error_bound: f64) -> Resul
 mod tests {
     use super::*;
     use ocelot_netsim::SiteId;
+    use ocelot_obs::ledger::EventKind;
 
     fn quick_config() -> ServiceConfig {
         ServiceConfig { workers: 2, profile_scale: 8, ..Default::default() }
@@ -1085,40 +1106,110 @@ mod tests {
 
     #[test]
     fn chunk_store_keeps_the_newest_jobs_and_every_retransmit_count() {
-        let event = |seq: u64, job: u64, kind: EventKind| LedgerEvent {
-            seq,
-            parent: None,
-            span: None,
-            job: Some(job),
-            file: Some(0),
-            chunk: Some(0),
-            event: kind,
-            cause: None,
-            t_sim: Some(0.0),
-            t_wall_us: 0,
-            bytes: 0,
-            attempt: 1,
+        use ocelot_obs::ledger::{Batch, Draft};
+        let batch = |job: u64, kinds: &[EventKind]| {
+            let mut b = Batch::with_capacity(kinds.len());
+            for &kind in kinds {
+                b.push(kind, Draft { attempt: 1, t_sim: Some(0.0), ..Draft::chunk(job, 0, 0) });
+            }
+            Entry::Batch(b)
         };
         let mut store = ChunkStore::default();
         let jobs = LEDGER_JOBS_KEPT as u64 + 5;
         for job in 0..jobs {
-            store.push(job, event(3 * job, job, EventKind::InFlight));
             if job % 2 == 0 {
-                store.push(job, event(3 * job + 1, job, EventKind::Retransmit));
+                store.file(job, batch(job, &[EventKind::InFlight, EventKind::Retransmit, EventKind::Arrived]));
+            } else {
+                store.file(job, batch(job, &[EventKind::InFlight, EventKind::Arrived]));
             }
-            store.push(job, event(3 * job + 2, job, EventKind::Arrived));
         }
         assert_eq!(store.by_job.len(), LEDGER_JOBS_KEPT);
         assert_eq!(store.order.len(), LEDGER_JOBS_KEPT);
         assert!(store.events(JobId(4)).is_empty(), "the oldest jobs' events are dropped");
         assert_eq!(store.events(JobId(5)).len(), 2);
-        assert_eq!(store.events(JobId(jobs - 1)).len(), 3, "a job's events stay whole and in order");
+        let newest: Vec<EventKind> = store.events(JobId(jobs - 1)).iter().map(|e| e.event).collect();
+        assert_eq!(
+            newest,
+            [EventKind::InFlight, EventKind::Retransmit, EventKind::Arrived],
+            "a job's events stay whole and in order"
+        );
         assert_eq!(store.retransmits.len() as u64, jobs.div_ceil(2), "retransmit counts outlive the events");
         assert!(store.retransmits.values().all(|&n| n == 1));
-        // A late event of a dropped job starts it again rather than reviving a stale list.
-        store.push(0, event(1000, 0, EventKind::DecodeEnd));
+        // A second entry of a kept job joins the first; a late one of a
+        // dropped job starts it again rather than reviving a stale list.
+        store.file(jobs - 1, batch(jobs - 1, &[EventKind::Retransmit, EventKind::DecodeEnd]));
+        assert_eq!(store.events(JobId(jobs - 1)).len(), 5);
+        assert_eq!(store.retransmits[&(jobs - 1)], 2);
+        store.file(0, batch(0, &[EventKind::DecodeEnd]));
         assert_eq!(store.events(JobId(0)).len(), 1);
         assert_eq!(store.by_job.len(), LEDGER_JOBS_KEPT);
+    }
+
+    #[test]
+    fn a_job_of_more_events_than_the_old_ring_held_keeps_its_head() {
+        use ocelot_obs::ledger::{check_causality, Timeline, LEDGER_DROPPED_COUNTER};
+        // CESM at profile scale 8 under an 8-chunk window on a flaky WAN:
+        // 7 137 chunks, ≈ 67 000 events — more than the 65 536 a per-thread
+        // ring used to hold, which then dropped the front of the job.
+        let cfg = ServiceConfig { workers: 1, stream_window: 8, faults: FaultModel::flaky(0.1), ..Default::default() };
+        let svc = Service::start(cfg.clone());
+        let id = svc.submit(JobSpec::compressed("t", Application::Cesm, 1e-3, SiteId::Anvil, SiteId::Cori)).unwrap();
+        svc.drain();
+        let events = svc.chunk_events(id);
+        assert!(events.len() > 1 << 16, "{} events", events.len());
+        assert_eq!(events[0].event, EventKind::JobBegin);
+        assert_eq!(events[1].event, EventKind::TransferBegin);
+        assert_eq!(check_causality(&events, id.0), Vec::<String>::new());
+        let tl = Timeline::reconstruct(&events, id.0).expect("timeline reconstructs");
+        assert_eq!(tl.tracks.len(), 7137);
+        assert!(tl.total_retries() > 0);
+        assert_eq!(svc.obs().registry().unwrap().counter(LEDGER_DROPPED_COUNTER, "").get(), 0);
+
+        // Filing the batch under its job and widening it on read gives what
+        // a plain drain of the same run gives (the commit's stamp aside).
+        let workload = svc.shared.workloads.lock().unwrap().values().next().unwrap().clone();
+        let ledger = Ledger::detached();
+        let opts = PipelineOptions {
+            faults: FaultModel { max_retries: 0, ..cfg.faults },
+            seed: cfg.seed,
+            job: Some(id.0),
+            stream_window: cfg.stream_window,
+            ..PipelineOptions::default()
+        };
+        Orchestrator::paper().with_ledger(ledger.clone()).run_streamed(&workload, SiteId::Anvil, SiteId::Cori, &opts);
+        let drained = ledger.drain();
+        assert_eq!(drained.len(), events.len());
+        let stampless = |e: &LedgerEvent| LedgerEvent { t_wall_us: 0, ..e.clone() };
+        assert!(events.iter().zip(&drained).all(|(a, b)| stampless(a) == stampless(b)));
+    }
+
+    #[test]
+    fn a_jobs_bookkeeping_does_not_walk_the_service_history() {
+        let svc = Service::start(ServiceConfig { workers: 1, queue_capacity: 256, ..Default::default() });
+        for i in 0..200 {
+            let mut spec = miranda_job(["a", "b", "c"][i % 3]);
+            if i % 2 == 1 {
+                spec.strategy = Strategy::grouped_by_count(8 + i % 5);
+            }
+            svc.submit(spec).unwrap();
+        }
+        svc.drain();
+        assert_eq!(svc.metrics().jobs_done, 200);
+        // The running sum is the from-scratch aggregate, bit for bit (one
+        // worker: jobs finish in id order, the order `analyze_jobs` lists them).
+        let recorder = svc.shared.obs.recorder().unwrap();
+        let reports = critpath::analyze_jobs(&recorder.spans());
+        assert_eq!(reports.len(), 200);
+        let scratch = critpath::aggregate(&reports).unwrap();
+        let running = svc.shared.bottlenecks.lock().unwrap().report().unwrap();
+        assert_eq!(running, scratch);
+        let bits = |r: &critpath::BottleneckReport| r.stage_s.map(f64::to_bits);
+        assert_eq!(bits(&running), bits(&scratch));
+        assert_eq!(running.critical_path_s.to_bits(), scratch.critical_path_s.to_bits());
+        assert_eq!(svc.hint(), Some(derive_hint(&scratch, 1, svc.shared.obs.registry())));
+        // Each finished job looked at the spans closed since it started and
+        // at nothing older: all 200 look-ups together walked every span once.
+        assert_eq!(recorder.scanned(), recorder.mark() as u64);
     }
 
     #[test]
