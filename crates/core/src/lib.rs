@@ -46,7 +46,6 @@ pub mod grouping;
 pub mod lanes;
 pub mod loader;
 pub mod orchestrator;
-pub mod perf;
 pub mod planner;
 pub mod predictor;
 pub mod report;

@@ -17,8 +17,8 @@
 //! - [`slo`] — declarative burn-rate SLO rules evaluated incrementally
 //!   against the registry, emitting typed [`slo::Alert`]s.
 //! - [`prof`] — continuous kernel-level profiling: scoped probes on worker
-//!   threads draining into lock-free epoch-tagged per-thread rings, with a
-//!   measured self-overhead gauge and collapsed-stack ("folded") export.
+//!   threads draining into per-thread atomic totals, with a measured
+//!   self-overhead gauge and collapsed-stack ("folded") export.
 //! - [`ledger`] — chunk-lifecycle event ledger: causal wide events per
 //!   chunk (compressed → released → in-flight → arrived → decoded),
 //!   committed one batch per job into a sink bounded between batches,

@@ -9,18 +9,14 @@
 //! Design:
 //!
 //! * **Probes** ([`probe`]) are RAII guards around one kernel invocation.
-//!   They record elapsed nanos, TSC ticks (x86-64; 0 elsewhere), and bytes
-//!   into a plain thread-local accumulator — no atomics, no locks, two
-//!   clock reads. When no profiler is installed the guard is a single
-//!   relaxed atomic load and nothing else, so instrumented hot paths cost
-//!   effectively nothing disabled.
+//!   They record elapsed nanos and bytes into a plain thread-local
+//!   accumulator — no atomics, no locks, two clock reads. When no profiler
+//!   is installed the guard is a single relaxed atomic load and nothing
+//!   else, so instrumented hot paths cost effectively nothing disabled.
 //! * **Scopes** ([`scope`]) bracket a unit of work (one chunk task, one
 //!   stream drain). On scope exit the thread-local accumulator is drained
 //!   into the thread's [`ThreadSink`]: cumulative per-(scope, kernel)
-//!   atomic totals plus one slot of an **epoch-tagged lock-free ring**
-//!   (single-writer seqlock per slot), so a reader can attribute work to a
-//!   specific measurement window ([`Profiler::advance_epoch`] /
-//!   [`Profiler::epoch_kernels`]) without stopping the world.
+//!   atomic totals a snapshot reads without stopping the world.
 //! * **Self-overhead** is measured, not assumed: probe cost is calibrated
 //!   at construction and `probes × cost / profiled-time` is exported as the
 //!   [`OVERHEAD_RATIO_GAUGE`] gauge and via
@@ -108,11 +104,6 @@ impl Kernel {
     fn index(&self) -> usize {
         *self as usize
     }
-
-    /// Kernel with export index `i` (inverse of the `ALL` ordering).
-    pub fn from_index(i: usize) -> Kernel {
-        Kernel::ALL[i]
-    }
 }
 
 /// A profiling scope: the folded-stack root a drain attributes its kernels
@@ -148,31 +139,11 @@ impl ScopeId {
     pub const ALL: [ScopeId; N_SCOPES] = [ScopeId(0), ScopeId(1), ScopeId(2), ScopeId(3)];
 }
 
-/// TSC ticks where the architecture exposes them cheaply; 0 elsewhere
-/// (nanos remain the portable attribution unit).
-#[inline]
-fn ticks_now() -> u64 {
-    #[cfg(target_arch = "x86_64")]
-    {
-        // SAFETY: RDTSC has no preconditions; it only reads the TSC.
-        unsafe { core::arch::x86_64::_rdtsc() }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        0
-    }
-}
-
-/// Fields accumulated per (scope, kernel): calls, nanos, ticks, bytes.
-const FIELDS: usize = 4;
+/// Fields accumulated per (scope, kernel): calls, nanos, bytes.
+const FIELDS: usize = 3;
 const F_CALLS: usize = 0;
 const F_NANOS: usize = 1;
-const F_TICKS: usize = 2;
-const F_BYTES: usize = 3;
-
-/// Ring capacity per thread. A slot is one scope drain (one chunk), so 256
-/// slots cover the recent past of even fine-grained chunking.
-const RING_SLOTS: usize = 256;
+const F_BYTES: usize = 2;
 
 #[derive(Default)]
 struct LocalAccum {
@@ -189,44 +160,14 @@ thread_local! {
     static SINK: RefCell<Option<(usize, Arc<ThreadSink>)>> = const { RefCell::new(None) };
 }
 
-/// One epoch-tagged drain record in a thread's ring (single-writer seqlock).
-struct RingSlot {
-    /// Even = stable, odd = mid-write.
-    seq: AtomicU64,
-    epoch: AtomicU64,
-    scope: AtomicU64,
-    scope_nanos: AtomicU64,
-    /// `[kernel * FIELDS + field]`.
-    cells: Vec<AtomicU64>,
-}
-
-impl RingSlot {
-    fn new() -> Self {
-        RingSlot {
-            seq: AtomicU64::new(0),
-            epoch: AtomicU64::new(0),
-            scope: AtomicU64::new(0),
-            scope_nanos: AtomicU64::new(0),
-            cells: (0..N_KERNELS * FIELDS).map(|_| AtomicU64::new(0)).collect(),
-        }
-    }
-}
-
-/// Per-thread sink: cumulative totals plus the recent-drain ring. The
-/// owning thread is the only writer; snapshots read concurrently.
+/// Per-thread sink: cumulative totals. The owning thread is the only
+/// writer; snapshots read concurrently.
+#[derive(Debug)]
 pub struct ThreadSink {
     /// `[scope][kernel][field]` flattened; monotonically increasing.
     totals: Vec<AtomicU64>,
     /// `[scope]` wall nanos spent inside scopes.
     scope_nanos: Vec<AtomicU64>,
-    ring: Vec<RingSlot>,
-    head: AtomicU64,
-}
-
-impl std::fmt::Debug for ThreadSink {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ThreadSink").field("drains", &self.head.load(Ordering::Relaxed)).finish()
-    }
 }
 
 fn total_idx(scope: usize, kernel: usize, field: usize) -> usize {
@@ -238,13 +179,11 @@ impl ThreadSink {
         ThreadSink {
             totals: (0..N_SCOPES * N_KERNELS * FIELDS).map(|_| AtomicU64::new(0)).collect(),
             scope_nanos: (0..N_SCOPES).map(|_| AtomicU64::new(0)).collect(),
-            ring: (0..RING_SLOTS).map(|_| RingSlot::new()).collect(),
-            head: AtomicU64::new(0),
         }
     }
 
-    /// Writes one drain: bumps cumulative totals and stamps a ring slot.
-    fn drain(&self, epoch: u64, scope: ScopeId, scope_ns: u64, accum: &LocalAccum) {
+    /// Writes one drain: bumps the cumulative totals.
+    fn drain(&self, scope: ScopeId, scope_ns: u64, accum: &LocalAccum) {
         let s = scope.0 as usize;
         for k in 0..N_KERNELS {
             for f in 0..FIELDS {
@@ -255,44 +194,6 @@ impl ThreadSink {
             }
         }
         self.scope_nanos[s].fetch_add(scope_ns, Ordering::Relaxed);
-        let slot = &self.ring[(self.head.fetch_add(1, Ordering::Relaxed) as usize) % RING_SLOTS];
-        slot.seq.fetch_add(1, Ordering::Release); // odd: writers in
-        slot.epoch.store(epoch, Ordering::Relaxed);
-        slot.scope.store(scope.0 as u64, Ordering::Relaxed);
-        slot.scope_nanos.store(scope_ns, Ordering::Relaxed);
-        for k in 0..N_KERNELS {
-            for f in 0..FIELDS {
-                slot.cells[k * FIELDS + f].store(accum.cells[k][f], Ordering::Relaxed);
-            }
-        }
-        slot.seq.fetch_add(1, Ordering::Release); // even: stable
-    }
-
-    /// Reads one slot if it is stable and tagged `epoch`; retries a torn
-    /// read a few times, then skips (stats ring, not a ledger).
-    fn read_slot(&self, i: usize, epoch: u64) -> Option<(ScopeId, u64, [[u64; FIELDS]; N_KERNELS])> {
-        let slot = &self.ring[i];
-        for _ in 0..4 {
-            let s1 = slot.seq.load(Ordering::Acquire);
-            if s1 == 0 || s1 % 2 == 1 {
-                return None; // never written, or mid-write
-            }
-            if slot.epoch.load(Ordering::Relaxed) != epoch {
-                return None;
-            }
-            let scope = ScopeId(slot.scope.load(Ordering::Relaxed).min(N_SCOPES as u64 - 1) as u8);
-            let scope_ns = slot.scope_nanos.load(Ordering::Relaxed);
-            let mut cells = [[0u64; FIELDS]; N_KERNELS];
-            for (k, row) in cells.iter_mut().enumerate() {
-                for (f, cell) in row.iter_mut().enumerate() {
-                    *cell = slot.cells[k * FIELDS + f].load(Ordering::Relaxed);
-                }
-            }
-            if slot.seq.load(Ordering::Acquire) == s1 {
-                return Some((scope, scope_ns, cells));
-            }
-        }
-        None
     }
 }
 
@@ -307,26 +208,8 @@ pub struct KernelStat {
     pub calls: u64,
     /// Attributed wall nanoseconds.
     pub nanos: u64,
-    /// Attributed TSC ticks (0 on non-x86-64).
-    pub ticks: u64,
     /// Bytes the kernel consumed or produced.
     pub bytes: u64,
-}
-
-impl KernelStat {
-    /// Attributed wall seconds.
-    pub fn seconds(&self) -> f64 {
-        self.nanos as f64 / 1e9
-    }
-
-    /// Kernel throughput over its attributed time (0 when unmeasured).
-    pub fn bytes_per_sec(&self) -> f64 {
-        if self.nanos == 0 {
-            0.0
-        } else {
-            self.bytes as f64 / self.seconds()
-        }
-    }
 }
 
 /// A point-in-time aggregation across every thread.
@@ -346,8 +229,6 @@ pub struct ProfSnapshot {
 /// Construct with [`Profiler::with_obs`] (publishes kernel metrics) or
 /// [`Profiler::detached`], then [`install_global`] it so probes activate.
 pub struct Profiler {
-    obs: Obs,
-    epoch: AtomicU64,
     sinks: Mutex<Vec<Arc<ThreadSink>>>,
     probe_cost_nanos: f64,
     probes_total: AtomicU64,
@@ -359,10 +240,7 @@ pub struct Profiler {
 
 impl std::fmt::Debug for Profiler {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Profiler")
-            .field("epoch", &self.epoch.load(Ordering::Relaxed))
-            .field("probes", &self.probes_total.load(Ordering::Relaxed))
-            .finish()
+        f.debug_struct("Profiler").field("probes", &self.probes_total.load(Ordering::Relaxed)).finish()
     }
 }
 
@@ -396,8 +274,6 @@ impl Profiler {
             None => (None, vec![None; N_KERNELS], vec![None; N_KERNELS]),
         };
         Arc::new(Profiler {
-            obs,
-            epoch: AtomicU64::new(0),
             sinks: Mutex::new(Vec::new()),
             probe_cost_nanos: calibrate_probe_cost(),
             probes_total: AtomicU64::new(0),
@@ -408,25 +284,9 @@ impl Profiler {
         })
     }
 
-    /// Profiler with no metrics side-channel (rings and folded export only).
+    /// Profiler with no metrics side-channel (totals and folded export only).
     pub fn detached() -> Arc<Profiler> {
         Profiler::with_obs(Obs::disabled())
-    }
-
-    /// The observability handle this profiler publishes into.
-    pub fn obs(&self) -> &Obs {
-        &self.obs
-    }
-
-    /// Current epoch tag.
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Relaxed)
-    }
-
-    /// Starts a new measurement window; subsequent drains carry the new
-    /// tag. Returns the new epoch.
-    pub fn advance_epoch(&self) -> u64 {
-        self.epoch.fetch_add(1, Ordering::Relaxed) + 1
     }
 
     /// Calibrated cost of one probe open/close, in nanoseconds.
@@ -475,7 +335,6 @@ impl Profiler {
                         kernel,
                         calls: c[F_CALLS],
                         nanos: c[F_NANOS],
-                        ticks: c[F_TICKS],
                         bytes: c[F_BYTES],
                     });
                 }
@@ -487,40 +346,6 @@ impl Profiler {
             probes: self.probes_total.load(Ordering::Relaxed),
             overhead_ratio: self.overhead_ratio(),
         }
-    }
-
-    /// Kernel totals attributed to drains tagged `epoch`, merged across
-    /// scopes and threads, in kernel order. Bounded by ring capacity: only
-    /// the most recent `RING_SLOTS`-ish drains per thread are visible.
-    pub fn epoch_kernels(&self, epoch: u64) -> Vec<KernelStat> {
-        let sinks = self.sinks.lock().expect("profiler sinks poisoned").clone();
-        let mut cells = [[0u64; FIELDS]; N_KERNELS];
-        for sink in &sinks {
-            for i in 0..RING_SLOTS {
-                if let Some((_, _, slot)) = sink.read_slot(i, epoch) {
-                    for k in 0..N_KERNELS {
-                        for f in 0..FIELDS {
-                            cells[k][f] += slot[k][f];
-                        }
-                    }
-                }
-            }
-        }
-        Kernel::ALL
-            .iter()
-            .filter(|k| cells[k.index()][F_CALLS] > 0)
-            .map(|&kernel| {
-                let c = cells[kernel.index()];
-                KernelStat {
-                    scope: "epoch",
-                    kernel,
-                    calls: c[F_CALLS],
-                    nanos: c[F_NANOS],
-                    ticks: c[F_TICKS],
-                    bytes: c[F_BYTES],
-                }
-            })
-            .collect()
     }
 
     /// Collapsed-stack ("folded") export of the cumulative totals, one
@@ -557,7 +382,7 @@ impl Profiler {
         cell[F_BYTES] = bytes;
         accum.probes = 1;
         let sink = self.register_sink();
-        sink.drain(self.epoch(), scope, nanos, &accum);
+        sink.drain(scope, nanos, &accum);
         self.probes_total.fetch_add(1, Ordering::Relaxed);
         self.scope_nanos_total.fetch_add(nanos, Ordering::Relaxed);
     }
@@ -584,13 +409,13 @@ impl Profiler {
     }
 }
 
-/// Times the real probe bookkeeping (two clock reads + a TSC read + the
-/// thread-local update) so the overhead gauge reflects this machine.
+/// Times the real probe bookkeeping (two clock reads + the thread-local
+/// update) so the overhead gauge reflects this machine.
 fn calibrate_probe_cost() -> f64 {
     const N: u32 = 4096;
     let t0 = Instant::now();
     for _ in 0..N {
-        let g = ProbeGuard { start: Some((Instant::now(), ticks_now())), kernel: Kernel::Other, bytes: 0 };
+        let g = ProbeGuard { start: Some(Instant::now()), kernel: Kernel::Other, bytes: 0 };
         drop(g);
     }
     let per = t0.elapsed().as_nanos() as f64 / N as f64;
@@ -641,29 +466,27 @@ pub fn probe(kernel: Kernel, bytes: usize) -> ProbeGuard {
     if !is_active() {
         return ProbeGuard { start: None, kernel, bytes: 0 };
     }
-    ProbeGuard { start: Some((Instant::now(), ticks_now())), kernel, bytes: bytes as u64 }
+    ProbeGuard { start: Some(Instant::now()), kernel, bytes: bytes as u64 }
 }
 
 /// RAII guard for one kernel invocation; accumulates into thread-local
 /// state on drop (no locks, no atomics).
 #[derive(Debug)]
 pub struct ProbeGuard {
-    start: Option<(Instant, u64)>,
+    start: Option<Instant>,
     kernel: Kernel,
     bytes: u64,
 }
 
 impl Drop for ProbeGuard {
     fn drop(&mut self) {
-        let Some((t0, ticks0)) = self.start.take() else { return };
+        let Some(t0) = self.start.take() else { return };
         let nanos = t0.elapsed().as_nanos() as u64;
-        let ticks = ticks_now().saturating_sub(ticks0);
         ACCUM.with(|a| {
             let mut a = a.borrow_mut();
             let cell = &mut a.cells[self.kernel.index()];
             cell[F_CALLS] += 1;
             cell[F_NANOS] += nanos;
-            cell[F_TICKS] += ticks;
             cell[F_BYTES] += self.bytes;
             a.probes += 1;
             a.dirty = true;
@@ -672,7 +495,7 @@ impl Drop for ProbeGuard {
 }
 
 /// Opens a profiling scope; on exit the thread-local accumulation since
-/// scope entry is drained into the profiler (ring + totals + metrics).
+/// scope entry is drained into the profiler (totals + metrics).
 /// Disabled: one relaxed load.
 #[inline]
 pub fn scope(scope: ScopeId) -> ScopeGuard {
@@ -714,7 +537,7 @@ impl Drop for ScopeGuard {
                 }
             }
         });
-        sink.drain(profiler.epoch(), self.scope, scope_ns, &accum);
+        sink.drain(self.scope, scope_ns, &accum);
         profiler.probes_total.fetch_add(accum.probes, Ordering::Relaxed);
         profiler.scope_nanos_total.fetch_add(scope_ns, Ordering::Relaxed);
         profiler.publish(&accum);
@@ -781,7 +604,6 @@ mod tests {
         assert_eq!(predict.calls, 1);
         assert_eq!(predict.bytes, 4096);
         assert!(predict.nanos > 0);
-        assert!(predict.bytes_per_sec() > 0.0);
         let decode = snap.stats.iter().find(|s| s.kernel == Kernel::HuffmanDecode).expect("decode recorded");
         assert_eq!(decode.scope, "decompress.chunk");
         assert!(snap.probes >= 3);
@@ -794,34 +616,6 @@ mod tests {
         // The overhead gauge is published and sane.
         let g = reg.gauge(OVERHEAD_RATIO_GAUGE, "");
         assert!(g.get() >= 0.0 && g.get() < 1.0, "ratio {}", g.get());
-    }
-
-    #[test]
-    fn epochs_window_the_rings() {
-        let _g = lock();
-        let prof = Profiler::detached();
-        install_global(&prof);
-        let e1 = prof.advance_epoch();
-        {
-            let _s = scope(ScopeId::COMPRESS);
-            let _p = probe(Kernel::Predict, 100);
-            spin(10_000);
-        }
-        let e2 = prof.advance_epoch();
-        {
-            let _s = scope(ScopeId::COMPRESS);
-            let _p = probe(Kernel::Lz, 200);
-            spin(10_000);
-        }
-        uninstall_global();
-        let k1 = prof.epoch_kernels(e1);
-        assert_eq!(k1.len(), 1);
-        assert_eq!(k1[0].kernel, Kernel::Predict);
-        assert_eq!(k1[0].bytes, 100);
-        let k2 = prof.epoch_kernels(e2);
-        assert_eq!(k2.len(), 1);
-        assert_eq!(k2[0].kernel, Kernel::Lz);
-        assert!(prof.epoch_kernels(e2 + 7).is_empty());
     }
 
     #[test]

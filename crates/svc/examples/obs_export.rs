@@ -22,9 +22,9 @@ fn main() {
     // Share one handle between the service and the process global, as the
     // CLI does, so sz's wall-clock instrumentation (read via the global)
     // lands in the same registry the service exports. This one handle
-    // serves two service batches plus the perf scenarios below, and the
-    // no-drops assertion needs headroom over the single-batch default
-    // flight capacity — the margin, not the ceiling, is what it checks.
+    // serves two service batches, and the no-drops assertion needs headroom
+    // over the single-batch default flight capacity — the margin, not the
+    // ceiling, is what it checks.
     let shared = ocelot_obs::Obs::with_flight_capacity(4 * ocelot_obs::flight::DEFAULT_CAPACITY);
     ocelot_obs::install_global(&shared);
     // Continuous profiler on the same registry: the sz kernel probes drain
@@ -175,20 +175,6 @@ fn main() {
         js
     };
 
-    // Exercise the perf-trajectory machinery exactly as `ocelot perf record`
-    // does: run the built-in kernel micro-scenarios at the smallest scale,
-    // append the record, and validate the written trajectory against
-    // schemas/perf.schema.json alongside the other exports.
-    let perf_record = ocelot::perf::run_builtin_scenarios("obs_export", 1, 1);
-    let perf_path = out_dir.join("perf.json");
-    let _ = std::fs::remove_file(&perf_path); // one fresh record per run
-    let perf_json = match ocelot::perf::append_record(&perf_path, "kernels", perf_record) {
-        Ok(_) => std::fs::read_to_string(&perf_path).expect("read back perf.json"),
-        Err(e) => {
-            failures.push(format!("perf trajectory append failed: {e}"));
-            String::new()
-        }
-    };
     let folded = ocelot_obs::prof::global().expect("profiler installed above").folded();
     std::fs::write(out_dir.join("profile.folded"), &folded).expect("write profile.folded");
     if !folded.lines().any(|l| l.contains(';')) {
@@ -203,9 +189,6 @@ fn main() {
         ("bottleneck.json".to_string(), &analysis_json, "bottleneck.schema.json"),
         ("ledger.json".to_string(), &ledger_json, "ledger.schema.json"),
     ];
-    if !perf_json.is_empty() {
-        documents.push(("perf.json".to_string(), &perf_json, "perf.schema.json"));
-    }
     for (file, js) in &dump_jsons {
         documents.push((file.clone(), js, "flightdump.schema.json"));
     }
@@ -231,8 +214,8 @@ fn main() {
         "ocelot_core_decompression_seconds",
         "ocelot_svc_latency_seconds",
         "ocelot_sz_compress_seconds",
-        // Kernel-level attribution from the continuous profiler: the perf
-        // scenarios above must have drained the sz hot-path probes.
+        // Kernel-level attribution from the continuous profiler: building
+        // the workload profiles must have drained the sz hot-path probes.
         "ocelot_sz_kernel_predict_seconds",
         "ocelot_sz_kernel_huffman_encode_seconds",
         "ocelot_sz_kernel_frame_crc_seconds",

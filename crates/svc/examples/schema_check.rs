@@ -1,9 +1,9 @@
 //! Validates every JSON export under `target/obs-export/` against the
 //! checked-in schemas in `schemas/`, as one CI step covering all formats:
-//! metrics, Chrome trace, bottleneck analysis, perf trajectory, chunk
-//! ledger, and flight dumps. Run after `obs_export` and the CLI `analyze`
-//! step so the directory is populated; exits non-zero when a category is
-//! missing entirely or any document fails validation.
+//! metrics, Chrome trace, bottleneck analysis, chunk ledger, and flight
+//! dumps. Run after `obs_export` and the CLI `analyze` step so the directory
+//! is populated; exits non-zero when a category is missing entirely or any
+//! document fails validation.
 
 use ocelot_svc::schema::validate;
 use serde_json::Value;
@@ -15,7 +15,6 @@ fn schema_for(file: &str) -> Option<&'static str> {
         "metrics.json" => Some("metrics.schema.json"),
         "trace.json" => Some("trace.schema.json"),
         "bottleneck.json" | "analyze.json" => Some("bottleneck.schema.json"),
-        "perf.json" => Some("perf.schema.json"),
         _ if file.starts_with("ledger") && file.ends_with(".json") => Some("ledger.schema.json"),
         _ if file.starts_with("flight-") && file.ends_with(".json") => Some("flightdump.schema.json"),
         _ => None,
@@ -75,7 +74,6 @@ fn main() {
         "metrics.schema.json",
         "trace.schema.json",
         "bottleneck.schema.json",
-        "perf.schema.json",
         "ledger.schema.json",
         "flightdump.schema.json",
     ] {

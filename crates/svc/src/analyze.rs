@@ -121,7 +121,7 @@ fn kernel_advice(kernel: Kernel, share: f64) -> String {
         Kernel::FrameCrc => "framing is already zero-copy with inline CRC; raise chunk_points to cut fewer frames",
         Kernel::Lz => "raise the LZ acceleration factor or skip LZ for low-entropy chunks",
         Kernel::Rle => "try the plain Huffman backend; RLE is not paying for itself here",
-        _ => "profile the compression kernels further (`ocelot perf record --folded`)",
+        _ => "read the per-layer budget of the compression kernels (`benchmark run --trace 1`)",
     };
     format!("compression dominates and {} leads its kernels ({pct:.0}% of kernel time); {what}", kernel.name())
 }
@@ -169,7 +169,7 @@ pub fn derive_hint(report: &BottleneckReport, workers: usize, registry: Option<&
             let advice = match registry.and_then(chunk_retry_share) {
                 Some(share) if share > RETRY_DOMINANT_SHARE => format!(
                     "chunk retries dominate the wire ({:.0}% of chunk transfers re-sent); \
-                     enable resume or shrink chunk_points",
+                     shrink chunk_points or raise the retry budget",
                     share * 100.0
                 ),
                 _ => "WAN transfer dominates; raise GridFTP parallelism or loosen error bounds".to_string(),
@@ -331,7 +331,10 @@ mod tests {
         assert_eq!(hint.recommended_workers, 4, "retries are not fixed by more workers");
         assert!(hint.advice.contains("chunk retries dominate"), "advice: {}", hint.advice);
         assert!(hint.advice.contains("40%"), "advice carries the share: {}", hint.advice);
-        assert!(hint.advice.contains("resume"), "advice: {}", hint.advice);
+        assert!(hint.advice.contains("shrink chunk_points or raise the retry budget"), "advice: {}", hint.advice);
+        // Resume from the last acknowledged chunk was never built; the hint
+        // names only what the CLI offers.
+        assert!(!hint.advice.contains("resume"), "advice: {}", hint.advice);
     }
 
     #[test]

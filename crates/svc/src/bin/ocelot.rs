@@ -17,7 +17,6 @@
 
 use ocelot::loader::NcliteFile;
 use ocelot::orchestrator::{Orchestrator, PipelineOptions, Strategy};
-use ocelot::perf;
 use ocelot::planner::TransferPlanner;
 use ocelot::session::{open_archive, TransferSession};
 use ocelot::workload::Workload;
@@ -78,7 +77,6 @@ fn run(args: &[String]) -> Result<(), CliError> {
         "metrics" => cmd_metrics(&flags),
         "trace" => cmd_trace(&positional, &flags),
         "analyze" => cmd_analyze(&flags),
-        "perf" => cmd_perf(&positional, &flags),
         "postmortem" => cmd_postmortem(&positional, &flags),
         "timeline" => cmd_timeline(&positional, &flags),
         "help" | "--help" | "-h" => {
@@ -107,7 +105,6 @@ fn usage() {
          \x20 metrics    [serve flags] [--json] [-o FILE]       run a batch, export Prometheus text or JSON\n\
          \x20 trace      [JOB] [serve flags] [-o FILE]          run a batch, export Chrome trace_event JSON\n\
          \x20 analyze    [serve flags] [--json] [-o FILE]       run a batch, report critical-path bottlenecks\n\
-         \x20 perf       record|diff|gate [--file TRAJ] [--baseline TRAJ] [--threshold R] [--hot S1,S2] [--scale N] [--reps N] [--label L] [--folded FILE] [--json]\n\
          \x20 postmortem JOB [serve flags] [--json] | --file DUMP [--json]   pretty-print a flight-recorder dump\n\
          \x20 timeline   JOB [serve flags] [--json | --chunk N] [-o FILE]    per-chunk transfer Gantt from the ledger\n\
          \n\
@@ -348,7 +345,7 @@ fn blob_chunk_table(
     blob: &ocelot_sz::format::CompressedBlob,
 ) -> Result<Option<(sz_format::ChunkTable, usize)>, CliError> {
     let (header, mut sections) = blob.open()?;
-    if header.version == sz_format::VERSION_V1 {
+    if header.version == sz_format::VERSION_V2 {
         return Ok(None);
     }
     let table = sz_format::ChunkTable::decode(sections.next_section()?)?;
@@ -754,21 +751,6 @@ fn cmd_analyze(flags: &HashMap<String, String>) -> Result<(), CliError> {
     write_or_print(flags, &text)
 }
 
-/// Default trajectory file `perf record` appends to and `perf diff|gate`
-/// read from.
-const PERF_TRAJECTORY: &str = "results/perf/kernels.json";
-/// Default checked-in baseline `perf gate` compares against.
-const PERF_BASELINE: &str = "results/perf/baseline.json";
-
-fn cmd_perf(positional: &[String], flags: &HashMap<String, String>) -> Result<(), CliError> {
-    match positional.first().map(String::as_str) {
-        Some("record") => cmd_perf_record(flags),
-        Some("diff") => cmd_perf_diff(flags),
-        Some("gate") => cmd_perf_gate(flags),
-        other => Err(format!("perf needs a subcommand record|diff|gate, got {other:?}").into()),
-    }
-}
-
 /// Validates a serialized export against `schemas/<schema_file>` (skipped
 /// when the schema file is absent — installed binaries run outside the
 /// repo).
@@ -784,130 +766,6 @@ fn validate_export(json: &str, schema_file: &str) -> Result<(), CliError> {
         return Err(format!("export violates schemas/{schema_file}: {}", errors.join("; ")).into());
     }
     Ok(())
-}
-
-/// Validates a serialized trajectory against `schemas/perf.schema.json`.
-fn validate_perf_export(trajectory_json: &str) -> Result<(), CliError> {
-    validate_export(trajectory_json, "perf.schema.json")
-}
-
-fn cmd_perf_record(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    let path = flags.get("file").map(String::as_str).unwrap_or(PERF_TRAJECTORY);
-    let label = flags.get("label").map(String::as_str).unwrap_or("local");
-    let scale: usize = flags.get("scale").map(|s| s.parse()).transpose()?.unwrap_or(1);
-    let reps: usize = flags.get("reps").map(|s| s.parse()).transpose()?.unwrap_or(5);
-    info!("ocelot", "running kernel micro-scenarios (scale {scale}, {reps} rep(s))...");
-    let record = perf::run_builtin_scenarios(label, scale, reps);
-    for s in &record.scenarios {
-        println!(
-            "  {:<28} median {:>9.4}s  mad {:>8.5}s  {:>7.1} MB/s",
-            s.scenario,
-            s.median_s,
-            s.mad_s,
-            s.bytes_per_sec() / 1e6
-        );
-    }
-    println!("  profiler overhead ratio: {:.5}", record.overhead_ratio);
-    let traj = perf::append_record(std::path::Path::new(path), "kernels", record)?;
-    let written = std::fs::read_to_string(path)?;
-    validate_perf_export(&written)?;
-    println!("appended record #{} to {path}", traj.records.len());
-    if let Some(folded_path) = flags.get("folded") {
-        let prof = ocelot_obs::prof::global().ok_or("no profiler installed")?;
-        std::fs::write(folded_path, prof.folded())?;
-        info!("ocelot", "wrote folded flamegraph stacks to {folded_path}");
-    }
-    Ok(())
-}
-
-/// The two records a diff/gate compares: explicit `--baseline` trajectory's
-/// latest vs `--file`'s latest, or the last two records of `--file`.
-fn perf_diff_pair(
-    flags: &HashMap<String, String>,
-    default_baseline: Option<&str>,
-) -> Result<(ocelot::perf::PerfRecord, ocelot::perf::PerfRecord), CliError> {
-    let path = flags.get("file").map(String::as_str).unwrap_or(PERF_TRAJECTORY);
-    let traj = perf::load_trajectory(std::path::Path::new(path), "kernels")?;
-    let new = traj.latest().cloned().ok_or_else(|| format!("{path} holds no records — run `ocelot perf record`"))?;
-    let baseline_flag = flags.get("baseline").map(String::as_str).or(default_baseline);
-    let old = match baseline_flag {
-        Some(bpath) => perf::load_trajectory(std::path::Path::new(bpath), "kernels")?
-            .latest()
-            .cloned()
-            .ok_or_else(|| format!("baseline {bpath} holds no records"))?,
-        None => {
-            if traj.records.len() < 2 {
-                return Err(
-                    format!("{path} holds {} record(s); diff needs two (or --baseline)", traj.records.len()).into()
-                );
-            }
-            traj.records[traj.records.len() - 2].clone()
-        }
-    };
-    Ok((old, new))
-}
-
-fn render_diff(report: &ocelot::perf::DiffReport) -> String {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    let _ = writeln!(out, "{:<28} {:>10} {:>10} {:>8} {:>10}  verdict", "scenario", "old", "new", "delta", "threshold");
-    for s in &report.scenarios {
-        let verdict = if s.regressed {
-            "REGRESSED"
-        } else if s.improved {
-            "improved"
-        } else {
-            "ok"
-        };
-        let _ = writeln!(
-            out,
-            "{:<28} {:>9.4}s {:>9.4}s {:>+7.1}% {:>+9.1}%  {verdict}",
-            s.scenario,
-            s.old_median_s,
-            s.new_median_s,
-            s.delta_ratio * 100.0,
-            s.threshold_ratio * 100.0,
-        );
-    }
-    for name in &report.missing {
-        let _ = writeln!(out, "{name:<28} present in only one record");
-    }
-    if let Some(reason) = &report.env_mismatch {
-        let _ = writeln!(out, "warning: {reason} — timings are not comparable");
-    }
-    out
-}
-
-fn cmd_perf_diff(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    let threshold: f64 = flags.get("threshold").map(|s| s.parse()).transpose()?.unwrap_or(perf::DEFAULT_GATE_THRESHOLD);
-    let (old, new) = perf_diff_pair(flags, None)?;
-    let report = perf::diff_records(&old, &new, threshold);
-    let text = if flags.contains_key("json") { serde_json::to_string_pretty(&report)? } else { render_diff(&report) };
-    write_or_print(flags, &text)
-}
-
-fn cmd_perf_gate(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    let threshold: f64 = flags.get("threshold").map(|s| s.parse()).transpose()?.unwrap_or(perf::DEFAULT_GATE_THRESHOLD);
-    let hot_paths: Vec<String> = flags
-        .get("hot")
-        .map(|list| list.split(',').filter(|s| !s.is_empty()).map(str::to_string).collect())
-        .unwrap_or_default();
-    let (old, new) = perf_diff_pair(flags, Some(PERF_BASELINE))?;
-    match perf::gate(&old, &new, threshold, &hot_paths) {
-        perf::GateOutcome::Pass(report) => {
-            print!("{}", render_diff(&report));
-            println!("perf gate: PASS");
-            Ok(())
-        }
-        perf::GateOutcome::Skip(reason) => {
-            println!("perf gate: SKIPPED — {reason}");
-            Ok(())
-        }
-        perf::GateOutcome::Fail(report) => {
-            print!("{}", render_diff(&report));
-            Err(format!("perf gate: FAIL — regressed hot path(s): {}", report.regressions().join(", ")).into())
-        }
-    }
 }
 
 fn cmd_postmortem(positional: &[String], flags: &HashMap<String, String>) -> Result<(), CliError> {

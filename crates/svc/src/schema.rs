@@ -143,26 +143,6 @@ mod tests {
     }
 
     #[test]
-    fn checked_in_stream_trajectory_matches_perf_schema() {
-        // The migrated BENCH_stream.json must stay a valid perf trajectory:
-        // schema-clean and deserializable into `ocelot::perf::Trajectory`.
-        let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../..");
-        let schema: Value =
-            serde_json::from_str(&std::fs::read_to_string(format!("{root}/schemas/perf.schema.json")).unwrap())
-                .unwrap();
-        let text = std::fs::read_to_string(format!("{root}/crates/bench/BENCH_stream.json")).unwrap();
-        let doc: Value = serde_json::from_str(&text).unwrap();
-        assert_eq!(validate(&schema, &doc), Vec::<String>::new());
-        let traj: ocelot::perf::Trajectory = serde_json::from_str(&text).unwrap();
-        assert_eq!(traj.bench, "stream_overlap");
-        assert!(!traj.records.is_empty());
-        let first = &traj.records[0];
-        assert!(first.env.cores >= 1);
-        assert!(first.scenarios.iter().any(|s| s.scenario.starts_with("staged_")));
-        assert!(!first.meta.is_null(), "migrated record keeps its margins in meta");
-    }
-
-    #[test]
     fn checked_in_schemas_parse_and_accept_real_exports() {
         let root = concat!(env!("CARGO_MANIFEST_DIR"), "/../../schemas");
         let metrics_schema: Value =

@@ -35,7 +35,7 @@ pub const VERSION: u16 = 4;
 pub const VERSION_V3: u16 = 3;
 /// Legacy monolithic-section format (still decodable). Version 2 added the
 /// CRC-32 integrity trailer; version 3 added the chunk table.
-pub const VERSION_V1: u16 = 2;
+pub const VERSION_V2: u16 = 2;
 
 /// Chunk-table tag: the chunk payload embeds its own code-length table.
 pub const TABLE_MODE_LOCAL: u8 = 0;
@@ -336,13 +336,13 @@ impl CompressedBlob {
     /// Returns [`SzError::CorruptStream`] for bad magic or a checksum
     /// mismatch, and [`SzError::UnsupportedVersion`] for a version we cannot
     /// read (neither [`VERSION`] nor the legacy [`VERSION_V3`] /
-    /// [`VERSION_V1`]).
+    /// [`VERSION_V2`]).
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, SzError> {
         if bytes.len() < 6 + TRAILER || bytes[..4] != MAGIC {
             return Err(SzError::CorruptStream("missing OCSZ magic".into()));
         }
         let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-        if version != VERSION && version != VERSION_V3 && version != VERSION_V1 {
+        if version != VERSION && version != VERSION_V3 && version != VERSION_V2 {
             return Err(SzError::UnsupportedVersion(version));
         }
         let blob = CompressedBlob { bytes };
@@ -402,7 +402,7 @@ impl CompressedBlob {
             return Err(SzError::CorruptStream("truncated blob header".into()));
         }
         let version = u16::from_le_bytes([b[4], b[5]]);
-        if version != VERSION && version != VERSION_V3 && version != VERSION_V1 {
+        if version != VERSION && version != VERSION_V3 && version != VERSION_V2 {
             return Err(SzError::UnsupportedVersion(version));
         }
         let mut pos = 6usize; // magic + version
@@ -542,12 +542,12 @@ mod tests {
     #[test]
     fn legacy_version_is_accepted_by_framing() {
         let mut h = sample_header();
-        h.version = VERSION_V1;
+        h.version = VERSION_V2;
         let mut w = BlobWriter::new(&h).unwrap();
         w.section(b"legacy sections");
         let blob = w.finish();
         let reparsed = CompressedBlob::from_bytes(blob.clone().into_bytes()).unwrap();
-        assert_eq!(reparsed.header().unwrap().version, VERSION_V1);
+        assert_eq!(reparsed.header().unwrap().version, VERSION_V2);
     }
 
     #[test]

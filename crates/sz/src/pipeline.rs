@@ -18,7 +18,7 @@ use crate::engine::{parallel_map, parallel_map_windowed, ChunkLayout};
 use crate::error::SzError;
 use crate::format::{
     write_framed, BlobHeader, BlobWriter, ChunkEntry, ChunkTable, CodecFamily, CompressedBlob, SectionReader,
-    TABLE_MODE_LOCAL, TABLE_MODE_SHARED, VERSION, VERSION_V1, VERSION_V3,
+    TABLE_MODE_LOCAL, TABLE_MODE_SHARED, VERSION, VERSION_V2, VERSION_V3,
 };
 use crate::ndarray::{checked_points, Dataset, DatasetView};
 use crate::predict::{interp, lorenzo, lorenzo2, regression, PredictionStreams, StreamsView};
@@ -440,7 +440,7 @@ pub fn decompress_with_threads<T: ScalarValue>(blob: &CompressedBlob, threads: u
         return Err(SzError::TypeMismatch { expected: T::TYPE_NAME, found: header.dtype.to_string() });
     }
     let result = match header.version {
-        VERSION_V1 => decompress_v1(&mut header, &mut sections),
+        VERSION_V2 => decompress_v2(&mut header, &mut sections),
         VERSION | VERSION_V3 => decompress_chunked(&mut header, &mut sections, threads),
         other => Err(SzError::UnsupportedVersion(other)),
     };
@@ -460,7 +460,7 @@ pub fn decompress_with_threads<T: ScalarValue>(blob: &CompressedBlob, threads: u
 ///
 /// Takes the header by `&mut` so the shape can be moved — not cloned — into
 /// the returned dataset.
-fn decompress_v1<T: ScalarValue>(
+fn decompress_v2<T: ScalarValue>(
     header: &mut BlobHeader,
     sections: &mut SectionReader<'_>,
 ) -> Result<Dataset<T>, SzError> {
@@ -1170,18 +1170,18 @@ mod tests {
 
     #[test]
     fn serial_chunked_framing_overhead_is_within_one_percent_of_v1() {
-        // The monolithic v1 layout spent: header + 3 × 8-byte section
+        // The monolithic v2 layout spent: header + 3 × 8-byte section
         // prefixes + 4-byte trailer. Reconstruct that size analytically and
         // compare with what the single-chunk container actually produced.
         let data = wavy(vec![48, 48, 24]);
         let out = compress(&data, &LossyConfig::sz3_abs(1e-4)).unwrap();
         assert_eq!(out.chunks, 1, "threads=1 is the serial fallback");
         let header_len = 6 + 3 + 8 * 3 + 8 + 2 + 4;
-        let v1_len =
+        let v2_len =
             header_len + (8 + out.sections.side_data) + (8 + out.sections.unpredictable) + (8 + out.sections.codes) + 4;
-        let v1_ratio = out.original_bytes as f64 / v1_len as f64;
-        let drift = (out.ratio - v1_ratio).abs() / v1_ratio;
-        assert!(drift < 0.01, "serial container drifts {:.3}% from v1 ratio", drift * 100.0);
+        let v2_ratio = out.original_bytes as f64 / v2_len as f64;
+        let drift = (out.ratio - v2_ratio).abs() / v2_ratio;
+        assert!(drift < 0.01, "serial container drifts {:.3}% from v2 ratio", drift * 100.0);
     }
 
     #[test]

@@ -72,8 +72,8 @@ fn probe_overhead_is_under_two_percent_on_64mb_compress() {
     let med_dis = median(disabled.clone());
     let med_en = median(enabled.clone());
     let delta = (med_en - med_dis) / med_dis;
-    // Same noise-aware shape as ocelot::perf::diff_records: the 2 % budget
-    // widens by 3× the combined MADs so scheduler jitter cannot flake CI.
+    // Noise-aware: the 2 % budget widens by 3× the combined median absolute
+    // deviations of the two sittings, so scheduler jitter cannot flake CI.
     let allowance = 0.02 + 3.0 * (mad(&disabled, med_dis) + mad(&enabled, med_en)) / med_dis;
     assert!(
         delta < allowance,
@@ -169,8 +169,8 @@ fn ledger_overhead_is_under_two_percent_on_streamed_compress() {
 }
 
 /// The folded flamegraph export is byte-for-byte reproducible for a fixed
-/// set of injected samples (the golden below is what `ocelot perf record
-/// --folded` hands to `inferno`/`flamegraph.pl`).
+/// set of injected samples (the shape the `obs_export` example writes to
+/// `profile.folded` for `inferno`/`flamegraph.pl`).
 #[test]
 fn folded_export_matches_golden() {
     let profiler = Profiler::detached();
