@@ -9,10 +9,10 @@
 
 use ocelot_faas::{Cluster, WaitTimeModel};
 use ocelot_netsim::{
-    draw_faults, simulate_transfer_detailed, simulate_transfer_windowed, simulate_transfer_with_faults, FaultDraw,
-    FaultModel, GridFtpConfig, SiteId, Topology,
+    draw_faults, simulate_transfer_detailed, simulate_transfer_windowed, simulate_transfer_with_faults, FaultModel,
+    GridFtpConfig, SiteId, Topology,
 };
-use ocelot_obs::ledger::{Batch, Draft, EventKind, Ledger};
+use ocelot_obs::ledger::{Batch, Draft, EventKind, Ledger, Lifecycle, Schedule};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -159,39 +159,6 @@ impl PipelineOutcome {
     /// True when every file arrived within the retry budget.
     pub fn delivered(&self) -> bool {
         self.failed_files.is_empty()
-    }
-}
-
-/// Where [`Orchestrator::run_streamed`] puts a job's ledger events.
-/// Production has one answer, the job's [`Batch`]; the tests add the
-/// one-`append`-per-event emitter the batch replaced, as the oracle the
-/// batch is compared against.
-trait ChunkEvents {
-    /// Opens the record of a job that will emit about `events` events.
-    fn open(ledger: &Arc<Ledger>, events: usize) -> Self;
-    /// Records one event; the result is the `parent` of later drafts.
-    fn push(&mut self, kind: EventKind, draft: Draft) -> u64;
-    /// [`ChunkEvents::push`] with the cause passed by reference.
-    fn push_because(&mut self, kind: EventKind, cause: &str, draft: Draft) -> u64;
-    /// Hands the finished record to `ledger`.
-    fn close(self, ledger: &Ledger);
-}
-
-impl ChunkEvents for Batch {
-    fn open(_: &Arc<Ledger>, events: usize) -> Self {
-        Batch::with_capacity(events)
-    }
-
-    fn push(&mut self, kind: EventKind, draft: Draft) -> u64 {
-        Batch::push(self, kind, draft)
-    }
-
-    fn push_because(&mut self, kind: EventKind, cause: &str, draft: Draft) -> u64 {
-        Batch::push_because(self, kind, cause, draft)
-    }
-
-    fn close(self, ledger: &Ledger) {
-        ledger.commit(self);
     }
 }
 
@@ -448,14 +415,12 @@ impl Orchestrator {
         let comp_cluster = Cluster::new(opts.compress_nodes, src.cores_per_node, src.core_speed);
         let (work, lanes) = codec_scaled(&workload.compression_work(), comp_cluster.total_cores(), opts.codec_threads);
         let completions = comp_cluster.completion_times(&work, lanes);
+        // The last file to finish is the LPT makespan.
+        let makespan = completions.iter().cloned().fold(0.0f64, f64::max);
         // Source reads throttle the start of the pipeline; approximate by
         // shifting every release by the per-file share of read time.
         let read_s = src.fs.read_time_s(workload.total_bytes(), comp_cluster.total_cores());
-        let stretch = if completions.iter().cloned().fold(0.0f64, f64::max) > 0.0 {
-            (read_s / completions.iter().cloned().fold(0.0f64, f64::max)).max(0.0)
-        } else {
-            0.0
-        };
+        let stretch = if makespan > 0.0 { (read_s / makespan).max(0.0) } else { 0.0 };
         let releases: Vec<f64> = completions.iter().map(|c| wait_s + c * (1.0 + stretch)).collect();
 
         // The transfer service picks up files in the order they appear on
@@ -477,7 +442,7 @@ impl Orchestrator {
 
         let breakdown = TimeBreakdown {
             queue_wait_s: wait_s,
-            compression_s: comp_cluster.parallel_makespan(&work, lanes),
+            compression_s: makespan,
             grouping_s: 0.0,
             transfer_s: report.duration_s,
             decompression_s,
@@ -605,17 +570,6 @@ impl Orchestrator {
     /// # Panics
     /// Panics if `from == to` or node counts are zero.
     pub fn run_streamed(&self, workload: &Workload, from: SiteId, to: SiteId, opts: &PipelineOptions) -> TimeBreakdown {
-        self.run_streamed_into::<Batch>(workload, from, to, opts)
-    }
-
-    /// [`Orchestrator::run_streamed`], its chunk events going through `E`.
-    fn run_streamed_into<E: ChunkEvents>(
-        &self,
-        workload: &Workload,
-        from: SiteId,
-        to: SiteId,
-        opts: &PipelineOptions,
-    ) -> TimeBreakdown {
         assert!(opts.compress_nodes > 0 && opts.decompress_nodes > 0, "node counts must be positive");
         let sizes = workload.compressed_sizes();
         if opts.stream_window == 0 || sizes.is_empty() {
@@ -629,10 +583,10 @@ impl Orchestrator {
         let comp_cluster = Cluster::new(opts.compress_nodes, src.cores_per_node, src.core_speed);
         let (work, lanes) = codec_scaled(&workload.compression_work(), comp_cluster.total_cores(), opts.codec_threads);
         let completions = comp_cluster.completion_times(&work, lanes);
-        let makespan = comp_cluster.parallel_makespan(&work, lanes);
+        // The last file to finish is the LPT makespan.
+        let makespan = completions.iter().cloned().fold(0.0f64, f64::max);
         let read_s = src.fs.read_time_s(workload.total_bytes(), comp_cluster.total_cores());
-        let latest = completions.iter().cloned().fold(0.0f64, f64::max);
-        let stretch = if latest > 0.0 { (read_s / latest).max(0.0) } else { 0.0 };
+        let stretch = if makespan > 0.0 { (read_s / makespan).max(0.0) } else { 0.0 };
 
         // Each file splits into the engine's chunk count; chunk j finishes
         // encoding at the proportional point of the file's compute interval.
@@ -652,8 +606,14 @@ impl Orchestrator {
             }
         }
         chunks.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite ready times"));
+        // In wire order, one column per field: the simulations below read
+        // them and the chunk ledger adopts them as they are.
         let ready: Vec<f64> = chunks.iter().map(|c| c.0).collect();
         let payload: Vec<u64> = chunks.iter().map(|c| c.1).collect();
+        let file: Vec<u32> = chunks.iter().map(|c| c.2).collect();
+        let chunk: Vec<u32> = chunks.iter().map(|c| c.3).collect();
+        let compress_begin: Vec<f64> = chunks.iter().map(|c| c.4).collect();
+        drop(chunks);
 
         // Per-chunk WAN fault injection: the same deterministic draws the
         // staged fault path makes, at chunk granularity. Every failed
@@ -662,27 +622,25 @@ impl Orchestrator {
         // in the end (resume-on-abandon is future work), an exhausted retry
         // budget just degrades to one more re-send.
         let injecting = opts.faults.per_attempt_failure_prob > 0.0;
-        let draws: Vec<FaultDraw> = if injecting {
-            (0..payload.len()).map(|m| draw_faults(&opts.faults, opts.seed, m)).collect()
-        } else {
-            Vec::new()
-        };
+        // (chunk position, partial-payload fraction) of every failed attempt.
+        let mut failed: Vec<(u32, f64)> = Vec::new();
         let mut wasted = 0u64;
-        let mut chunk_retries = 0u64;
         let wire: Vec<u64> = if injecting {
             payload
                 .iter()
-                .zip(&draws)
-                .map(|(&size, draw)| {
+                .enumerate()
+                .map(|(m, &size)| {
+                    let draw = draw_faults(&opts.faults, opts.seed, m);
                     let extra: u64 = draw.failed_fracs.iter().map(|f| (size as f64 * f) as u64).sum();
                     wasted += extra;
-                    chunk_retries += draw.failed_fracs.len() as u64;
+                    failed.extend(draw.failed_fracs.iter().map(|&f| (m as u32, f)));
                     size + extra
                 })
                 .collect()
         } else {
             payload.clone()
         };
+        let chunk_retries = failed.len() as u64;
 
         // Window-W back-pressure: chunk m cannot ship before chunk m−W has
         // fully landed. The window is a resource inside the transfer's event
@@ -695,7 +653,6 @@ impl Orchestrator {
         // Merged stall intervals (a chunk encoded but blocked on the window).
         let mut stalls: Vec<(f64, f64)> =
             ready.iter().zip(release).filter(|(r, l)| **l > **r + 1e-9).map(|(&r, &l)| (r, l)).collect();
-        let stalled_chunks = stalls.len();
         stalls.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite stall times"));
         let mut stall_iv: Vec<(f64, f64)> = Vec::new();
         for (a, b) in stalls {
@@ -714,8 +671,7 @@ impl Orchestrator {
         let dwork = workload.decompression_work();
         // Decode work follows the chunks in arrival (ready-sorted) order, so
         // each decode duration pairs with its own chunk's landing time.
-        let dchunk: Vec<f64> =
-            chunks.iter().map(|c| dwork[c.2 as usize].max(0.0) / k as f64 / dst.core_speed).collect();
+        let dchunk: Vec<f64> = file.iter().map(|&f| dwork[f as usize].max(0.0) / k as f64 / dst.core_speed).collect();
         // Min-heap of lane-free times. They are non-negative, so their IEEE
         // bit patterns order like the values.
         let mut dlanes: BinaryHeap<Reverse<u64>> =
@@ -723,12 +679,10 @@ impl Orchestrator {
         let mut first_decode = f64::INFINITY;
         let mut decomp_finish = transfer_s;
         let mut dsched: Vec<(f64, f64)> = Vec::with_capacity(dchunk.len());
-        let mut queued_chunks = 0usize;
         for (m, &dur) in dchunk.iter().enumerate() {
             let arrival = detail.completion_s[m];
             let Reverse(free) = dlanes.pop().expect("at least one decode lane");
             let start = f64::from_bits(free).max(arrival);
-            queued_chunks += usize::from(start > arrival + 1e-9);
             first_decode = first_decode.min(start);
             dlanes.push(Reverse((start + dur).to_bits()));
             decomp_finish = decomp_finish.max(start + dur);
@@ -805,88 +759,27 @@ impl Orchestrator {
                 }
             }
         }
-        // Chunk-lifecycle ledger: one causal event chain per chunk, with the
-        // job-phase boundaries pinned to the same values the span tree uses
-        // so replayed timelines agree with critpath stage sums.
+        // Chunk-lifecycle ledger: the schedule itself, handed over by move.
+        // Its events are derived from these columns when someone reads them.
         if let Some(job) = opts.job {
             if let Some(led) = self.ledger() {
-                // Sized by what the run holds: four job phases, seven events
-                // per chunk, one more per stalled chunk, two per failed
-                // attempt and two per chunk that queued for a decode lane.
-                let events = 4 + 7 * payload.len() + stalled_chunks + 2 * (chunk_retries as usize + queued_chunks);
-                let mut record = E::open(&led, events);
-                let ledger_emit = |b: &mut E, k: EventKind, d: Draft| Some(b.push(k, d));
-                let b = &mut record;
-                let begin = ledger_emit(b, EventKind::JobBegin, Draft::job(job, 0.0));
-                ledger_emit(b, EventKind::TransferBegin, Draft { parent: begin, ..Draft::job(job, wait_s) });
-                let fault_cause = if injecting { opts.faults.describe() } else { String::new() };
-                for m in 0..payload.len() {
-                    let (file, chunk) = (chunks[m].2, chunks[m].3);
-                    let d = |t: f64| Draft { t_sim: Some(t), bytes: payload[m], ..Draft::chunk(job, file, chunk) };
-                    let p = ledger_emit(b, EventKind::CompressBegin, Draft { parent: begin, ..d(chunks[m].4) });
-                    let p = ledger_emit(b, EventKind::Encoded, Draft { parent: p, ..d(ready[m]) });
-                    let p = if release[m] > ready[m] + 1e-9 {
-                        let p = ledger_emit(
-                            b,
-                            EventKind::WindowWait,
-                            Draft { parent: p, cause: Some("stream window full".into()), ..d(ready[m]) },
-                        );
-                        ledger_emit(b, EventKind::Released, Draft { parent: p, ..d(release[m]) })
-                    } else {
-                        ledger_emit(b, EventKind::Released, Draft { parent: p, ..d(release[m]) })
-                    };
-                    let sent = detail.start_s[m].max(release[m]);
-                    let landed = detail.completion_s[m].max(sent);
-                    let mut p = ledger_emit(b, EventKind::InFlight, Draft { parent: p, ..d(sent) });
-                    let mut fails = 0u32;
-                    if injecting && !draws[m].failed_fracs.is_empty() {
-                        // Divide the wire interval by bytes moved: each
-                        // failed attempt occupies its partial payload's
-                        // share, the final (successful) attempt the rest.
-                        let fracs = &draws[m].failed_fracs;
-                        let denom = 1.0 + fracs.iter().sum::<f64>();
-                        let mut cum = 0.0;
-                        for (a, &frac) in fracs.iter().enumerate() {
-                            let t0 = sent + (landed - sent) * cum / denom;
-                            cum += frac;
-                            let t1 = sent + (landed - sent) * cum / denom;
-                            let fault = b.push_because(
-                                EventKind::Fault,
-                                &fault_cause,
-                                Draft {
-                                    parent: p,
-                                    attempt: a as u32 + 1,
-                                    bytes: (payload[m] as f64 * frac) as u64,
-                                    ..d(t0)
-                                },
-                            );
-                            p = ledger_emit(
-                                b,
-                                EventKind::Retransmit,
-                                Draft { parent: Some(fault), attempt: a as u32 + 2, ..d(t1) },
-                            );
-                        }
-                        fails = fracs.len() as u32;
-                    }
-                    let p = ledger_emit(b, EventKind::Arrived, Draft { parent: p, attempt: fails + 1, ..d(landed) });
-                    let (ds, de) = dsched[m];
-                    let p = if ds > landed + 1e-9 {
-                        let p = ledger_emit(
-                            b,
-                            EventKind::ReorderEnter,
-                            Draft { parent: p, cause: Some("decode lanes busy".into()), ..d(landed) },
-                        );
-                        ledger_emit(b, EventKind::ReorderExit, Draft { parent: p, ..d(ds) })
-                    } else {
-                        p
-                    };
-                    let start = ds.max(landed);
-                    let p = ledger_emit(b, EventKind::DecodeBegin, Draft { parent: p, ..d(start) });
-                    ledger_emit(b, EventKind::DecodeEnd, Draft { parent: p, ..d(de.max(start)) });
-                }
-                let p = ledger_emit(b, EventKind::TransferEnd, Draft { parent: begin, ..Draft::job(job, transfer_s) });
-                ledger_emit(b, EventKind::JobEnd, Draft { parent: p, ..Draft::job(job, total) });
-                record.close(&led);
+                led.commit(Schedule::new(Lifecycle {
+                    job,
+                    transfer_begin_s: wait_s,
+                    transfer_end_s: transfer_s,
+                    total_s: total,
+                    file,
+                    chunk,
+                    bytes: payload,
+                    compress_begin,
+                    ready,
+                    release: detail.release_s,
+                    sent: detail.start_s,
+                    landed: detail.completion_s,
+                    decode: dsched,
+                    failed,
+                    fault: injecting.then(|| opts.faults.cause()),
+                }));
             }
         }
         breakdown
@@ -1201,32 +1094,20 @@ mod tests {
         assert!(stalled > 0, "an 8-chunk window over Anvil→Bebop must exert back-pressure");
     }
 
-    /// The emitter the batch replaced, kept as its oracle: one `append` per
-    /// event, each taking its own sequence number and wall stamp.
-    struct PerEvent(Arc<Ledger>);
-
-    impl ChunkEvents for PerEvent {
-        fn open(ledger: &Arc<Ledger>, _: usize) -> Self {
-            PerEvent(ledger.clone())
-        }
-
-        fn push(&mut self, kind: EventKind, draft: Draft) -> u64 {
-            self.0.append(kind, draft)
-        }
-
-        fn push_because(&mut self, kind: EventKind, cause: &str, draft: Draft) -> u64 {
-            self.0.append(kind, Draft { cause: Some(cause.to_string().into()), ..draft })
-        }
-
-        fn close(self, _: &Ledger) {}
+    /// The emitter the committed records replaced, kept as their oracle: one
+    /// `append` per event, each taking its own sequence number and wall stamp.
+    fn per_event(schedule: &Schedule, ledger: &Ledger) {
+        schedule.replay(|kind, draft| ledger.append(kind, draft));
     }
 
     #[test]
     fn batched_events_equal_the_per_event_emitter_on_the_benchmark_jobs() {
-        // The benchmark's `svc_streamed` batch as the service runs it: three
-        // applications over three routes on a flaky WAN, window 8, one codec
-        // thread, per-job seeds; every third job is grouped and takes the
-        // staged path, which records no chunk events.
+        use ocelot_obs::ledger::{check_causality, Entry};
+        // The applications, routes and per-job seeds of the benchmark's
+        // `svc_streamed` batch at `profile_scale = 8`, one codec thread,
+        // swept over the window (every chunk stalls … none does) and the WAN
+        // (healthy … every other attempt fails); window 8 at p = 0.1 is the
+        // cell the service runs.
         let config = ocelot_sz::LossyConfig::sz3(1e-3);
         let workloads = [
             Workload::miranda(config, 8).unwrap(),
@@ -1234,40 +1115,53 @@ mod tests {
             Workload::cesm(config, 8).unwrap(),
         ];
         let routes = [(SiteId::Anvil, SiteId::Cori), (SiteId::Anvil, SiteId::Bebop), (SiteId::Bebop, SiteId::Cori)];
-        // Unbounded, so the per-event side keeps the head of its 70 000-event jobs.
+        // Unbounded, so the per-event side keeps the head of its 70 000-event
+        // jobs. Both ledgers number every job's events, so the ranges stay
+        // aligned from job to job only while reserved == appended.
         let unbounded = || Ledger::with_obs_and_capacity(&ocelot_obs::Obs::disabled(), usize::MAX);
-        let (batched, reference) = (unbounded(), unbounded());
-        let orch = Orchestrator::paper().with_obs(ocelot_obs::Obs::disabled());
-        let (batch_orch, reference_orch) =
-            (orch.clone().with_ledger(batched.clone()), orch.with_ledger(reference.clone()));
-        let (mut total, mut largest) = (0, 0);
-        for i in (0..12usize).filter(|i| i % 3 != 1) {
-            let w = &workloads[(i / 3) % 3];
-            let (from, to) = routes[i % 3];
-            let opts = PipelineOptions {
-                faults: FaultModel { max_retries: 0, ..FaultModel::flaky(0.1) },
-                seed: 0xC0FFEE ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
-                job: Some(i as u64),
-                stream_window: 8,
-                ..Default::default()
-            };
-            let a = batch_orch.run_streamed(w, from, to, &opts);
-            let b = reference_orch.run_streamed_into::<PerEvent>(w, from, to, &opts);
-            assert_eq!(a, b);
-            let (mut batched, mut reference) = (batched.drain(), reference.drain());
-            assert_eq!(batched.len(), reference.len(), "job {i}");
-            // Wall stamps are per commit on one side and per event on the other.
-            batched.iter_mut().chain(&mut reference).for_each(|e| e.t_wall_us = 0);
-            if let Some(at) = batched.iter().zip(&reference).position(|(a, b)| a != b) {
-                panic!("job {i}, event {at}: batched {:?}, per-event {:?}", batched[at], reference[at]);
+        let (adopted, reference) = (unbounded(), unbounded());
+        let orch = Orchestrator::paper().with_obs(ocelot_obs::Obs::disabled()).with_ledger(adopted.clone());
+        let (mut total, mut largest, mut job) = (0, 0, 0u64);
+        for (app, w) in workloads.iter().enumerate() {
+            for window in [1usize, 8, 64] {
+                for p in [0.0, 0.1, 0.5] {
+                    for i in 0..3usize {
+                        job += 1;
+                        let (from, to) = routes[(app + i) % 3];
+                        let opts = PipelineOptions {
+                            faults: FaultModel { max_retries: 0, ..FaultModel::flaky(p) },
+                            seed: 0xC0FFEE ^ job.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                            job: Some(job),
+                            stream_window: window,
+                            ..Default::default()
+                        };
+                        let cell = format!("app {app}, window {window}, p {p}, job {job}");
+                        orch.run_streamed(w, from, to, &opts);
+                        let taken = adopted.take();
+                        let [Entry::Schedule(schedule)] = taken.as_slice() else {
+                            panic!("{cell}: one streamed job commits one schedule, got {} entries", taken.len())
+                        };
+                        per_event(schedule, &reference);
+                        let (mut widened, mut reference) = (schedule.events(), reference.drain());
+                        assert_eq!(widened.len(), schedule.len(), "{cell}: the range reserved is the range widened to");
+                        assert_eq!(widened.len(), reference.len(), "{cell}");
+                        // Wall stamps are per commit on one side and per event on the other.
+                        widened.iter_mut().chain(&mut reference).for_each(|e| e.t_wall_us = 0);
+                        if let Some(at) = widened.iter().zip(&reference).position(|(a, b)| a != b) {
+                            panic!("{cell}, event {at}: widened {:?}, per-event {:?}", widened[at], reference[at]);
+                        }
+                        assert_eq!(check_causality(&widened, job), Vec::<String>::new(), "{cell}");
+                        let faulted = widened.iter().any(|e| e.event == EventKind::Fault && e.cause.is_some());
+                        assert_eq!(faulted, p > 0.0, "{cell}: faults exactly where the WAN is flaky");
+                        total += widened.len();
+                        largest = largest.max(widened.len());
+                    }
+                }
             }
-            assert!(batched.iter().any(|e| e.event == EventKind::Fault && e.cause.is_some()), "job {i} saw faults");
-            total += batched.len();
-            largest = largest.max(batched.len());
         }
         assert!(largest > 1 << 16, "the CESM jobs are the ones a 65 536-event ring lost the head of: {largest}");
-        assert!(total > 200_000, "{total}");
-        assert_eq!((batched.dropped(), reference.dropped()), (0, 0));
+        assert!(total > 2_000_000, "{total}");
+        assert_eq!((adopted.dropped(), reference.dropped()), (0, 0));
     }
 
     #[test]

@@ -91,6 +91,28 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Both walk the same LPT schedule in integer nanoseconds, so the
+        /// last completion *is* the makespan, bit for bit — ties between
+        /// equal works and equally loaded cores included. Callers that hold
+        /// the completion times take their maximum instead of scheduling twice.
+        #[test]
+        fn makespan_is_the_latest_completion(
+            work in prop::collection::vec(prop_oneof![Just(0.0), Just(2.5), 0.0f64..40.0], 0..200),
+            nodes in 1usize..4,
+            cores_per_node in 1usize..9,
+            cores in 1usize..40,
+            speed in prop_oneof![Just(1.0), 0.25f64..4.0],
+        ) {
+            let cluster = Cluster::new(nodes, cores_per_node, speed);
+            let latest = cluster.completion_times(&work, cores).into_iter().fold(0.0f64, f64::max);
+            prop_assert_eq!(latest.to_bits(), cluster.parallel_makespan(&work, cores).to_bits());
+        }
+    }
 
     #[test]
     fn makespan_scales_until_file_count() {

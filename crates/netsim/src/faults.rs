@@ -32,10 +32,13 @@ impl FaultModel {
         FaultModel { per_attempt_failure_prob: p, max_retries: 5, reconnect_s: 2.0 }
     }
 
-    /// Human-readable cause string for fault attribution (chunk-ledger
-    /// `fault` events and forensics dumps).
-    pub fn describe(&self) -> String {
-        format!("wan fault (p={:.2}, reconnect {:.1}s)", self.per_attempt_failure_prob, self.reconnect_s)
+    /// What the chunk ledger attributes this model's failed attempts to; its
+    /// `Display` is the cause text of `fault` events and forensics dumps.
+    pub fn cause(&self) -> ocelot_obs::ledger::FaultCause {
+        ocelot_obs::ledger::FaultCause {
+            per_attempt_failure_prob: self.per_attempt_failure_prob,
+            reconnect_s: self.reconnect_s,
+        }
     }
 }
 

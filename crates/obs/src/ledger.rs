@@ -8,28 +8,43 @@
 //! sequence of structured events with causal parent links (each chunk event
 //! links to the prior event for the same chunk and to its job span).
 //!
-//! * **One commit per job.** A simulated job knows all of its events at
-//!   once, so its emitter fills a pre-sized [`Batch`] it owns
-//!   ([`Batch::push`]: no atomic, no clock, no lock) and hands it over with
-//!   [`Ledger::commit`], which reserves the whole sequence range, reads the
-//!   wall clock once and takes the sink lock once. What every event of the
-//!   batch shares — job, span, wall stamp, sequence base, the few distinct
-//!   cause strings — lives once in the batch header; a row keeps only what
-//!   differs, in 32 bytes. [`LedgerEvent`] stays the read type: readers get
-//!   rows widened on demand ([`Batch::events`], [`Ledger::drain`]).
+//! * **One commit per job, and nothing stored per event.** A simulated job
+//!   knows its whole story at once, so its emitter hands the ledger one
+//!   record with [`Ledger::commit`], which reserves the record's whole
+//!   sequence range, reads the wall clock once and takes the sink lock once.
+//!   A streamed run hands over *the schedule itself*: a [`Schedule`] adopts
+//!   the run's own per-chunk columns by move ([`Lifecycle`]: file, chunk,
+//!   bytes and seven times per chunk, failed attempts and the fault model
+//!   kept sparse — 72 bytes a chunk where ≈ 8.3 rows of 32 used to be
+//!   filled) and counts the events it stands for. Its events exist only
+//!   while someone reads them: [`Schedule::replay`] is the one place that
+//!   turns a schedule into events, and the count branches on the same
+//!   predicates, so the range reserved is the range widened to. Measured on
+//!   a 3 601-chunk `run_streamed` (`core/tests/ledger_tax.rs`): ledger-on
+//!   costs ×0.98 – 1.05 of ledger-off, inside the 2 % instrumentation budget
+//!   up to timer noise, where filling rows cost ×1.4.
+//! * **A [`Batch`]** is the record for emitters that have no schedule to
+//!   hand over (`run_overlapped`'s file-grain events): a pre-sized list the
+//!   emitter fills ([`Batch::push`]: no atomic, no clock, no lock). What
+//!   every event of the batch shares — job, span, wall stamp, sequence base,
+//!   the few distinct cause strings — lives once in the batch header; a row
+//!   keeps only what differs, in 32 bytes. [`LedgerEvent`] stays the read
+//!   type: readers get records widened on demand ([`Batch::events`],
+//!   [`Schedule::events`], [`Ledger::drain`]).
 //! * **Single appends** ([`emit`] / [`Ledger::append`]) are for real threads
 //!   whose wall stamp *is* the content (a codec worker sealing a chunk, the
 //!   stream drainer decoding one). `emit` is one relaxed atomic load when no
-//!   ledger is installed. Appended events and committed batches share one
+//!   ledger is installed. Appended events and committed records share one
 //!   sequence space and sit in the sink in sequence order, so a drain is a
-//!   total order with every batch's range contiguous.
-//! * **Bounded between batches.** A sink holds [`SINK_CAPACITY_BYTES`]; past
-//!   that the *oldest entry goes whole* — a batch with every one of its
-//!   events, or one single event — and its event count lands in
+//!   total order with every record's range contiguous.
+//! * **Bounded between records.** A sink holds [`SINK_CAPACITY_BYTES`] of
+//!   what its entries keep on the heap (rows, columns); past that the
+//!   *oldest entry goes whole* — a batch or a schedule with every one of
+//!   its events, or one single event — and its event count lands in
 //!   [`Ledger::dropped`] and the [`LEDGER_DROPPED_COUNTER`] registry counter.
-//!   A batch is never split and the newest entry is never the one to go, so
+//!   A record is never split and the newest entry is never the one to go, so
 //!   a job that is in the ledger at all has its `job_begin`, every chunk and
-//!   no parent link that points at a dropped row. A non-zero dropped count
+//!   no parent link that points at a dropped event. A non-zero dropped count
 //!   means whole earlier jobs (or early single events) are missing, never
 //!   the head of a kept one.
 //! * **Reconstruction** ([`Timeline::reconstruct`]) replays a drained
@@ -53,7 +68,8 @@ use std::time::Instant;
 pub const LEDGER_DROPPED_COUNTER: &str = "ocelot_ledger_dropped_total";
 
 /// Bytes a ledger's sink retains before its oldest entry goes whole: what
-/// 65 536 wide events used to take, now room for 262 144 batched rows.
+/// 65 536 wide events used to take, room for 262 144 batched rows or the
+/// schedules of 116 000 streamed chunks.
 pub const SINK_CAPACITY_BYTES: usize = 8 << 20;
 
 /// Version stamp for serialized ledger exports.
@@ -462,14 +478,290 @@ impl Batch {
     }
 }
 
-/// What a sink holds, in sequence order: a committed batch, or one event
-/// appended on its own.
+/// The two numbers of the WAN fault model a `fault` event's cause names.
+#[derive(Debug, Clone, Copy)]
+pub struct FaultCause {
+    /// Probability that one transfer attempt fails.
+    pub per_attempt_failure_prob: f64,
+    /// Seconds a reconnect costs after a failed attempt.
+    pub reconnect_s: f64,
+}
+
+impl std::fmt::Display for FaultCause {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "wan fault (p={:.2}, reconnect {:.1}s)", self.per_attempt_failure_prob, self.reconnect_s)
+    }
+}
+
+/// A streamed job's chunk lifecycle as the run that scheduled it holds it:
+/// the job's phase times and one column per chunk field, chunks in wire
+/// order. Plain data — an emitter moves the vectors its simulation already
+/// filled in here and hands the whole to [`Schedule::new`].
+#[derive(Debug, Default)]
+pub struct Lifecycle {
+    /// The job.
+    pub job: u64,
+    /// End of the queue wait, where the wire phase opens (`transfer_begin`).
+    pub transfer_begin_s: f64,
+    /// Arrival of the last byte (`transfer_end`).
+    pub transfer_end_s: f64,
+    /// End of the last decode (`job_end`).
+    pub total_s: f64,
+    /// File index of each chunk.
+    pub file: Vec<u32>,
+    /// Index of each chunk within its file.
+    pub chunk: Vec<u32>,
+    /// Payload bytes of each chunk.
+    pub bytes: Vec<u64>,
+    /// When each chunk's compression began.
+    pub compress_begin: Vec<f64>,
+    /// When each chunk was encoded and ready for the wire.
+    pub ready: Vec<f64>,
+    /// When the stream window admitted each chunk; later than `ready` by
+    /// the chunk's back-pressure stall.
+    pub release: Vec<f64>,
+    /// When each chunk's transfer activated on the link (read as no earlier
+    /// than `release`).
+    pub sent: Vec<f64>,
+    /// When each chunk had fully arrived (read as no earlier than `sent`).
+    pub landed: Vec<f64>,
+    /// Start and end of each chunk's decode.
+    pub decode: Vec<(f64, f64)>,
+    /// One entry per failed transfer attempt — position of the chunk in the
+    /// columns and the fraction of its payload the link moved before the
+    /// attempt died — ascending by chunk, a chunk's attempts in order.
+    pub failed: Vec<(u32, f64)>,
+    /// What the failed attempts are attributed to.
+    pub fault: Option<FaultCause>,
+}
+
+/// Slack below which two simulated times count as the same instant.
+const SAME_INSTANT_S: f64 = 1e-9;
+
+impl Lifecycle {
+    /// When chunk `m` went onto the link.
+    fn sent(&self, m: usize) -> f64 {
+        self.sent[m].max(self.release[m])
+    }
+
+    /// When chunk `m` had arrived.
+    fn landed(&self, m: usize) -> f64 {
+        self.landed[m].max(self.sent(m))
+    }
+
+    /// True when chunk `m` waited for the stream window: it has a
+    /// `window_wait` event.
+    fn stalled(&self, m: usize) -> bool {
+        self.release[m] > self.ready[m] + SAME_INSTANT_S
+    }
+
+    /// True when chunk `m` waited for a decode lane: it has a
+    /// `reorder_enter` and a `reorder_exit` event.
+    fn queued(&self, m: usize) -> bool {
+        self.decode[m].0 > self.landed(m) + SAME_INSTANT_S
+    }
+}
+
+/// A [`Lifecycle`] the ledger can adopt: checked, its events counted, and —
+/// once committed — numbered. It holds no event; [`Schedule::replay`] is the
+/// one place that turns the columns into the job's events, and every reader
+/// ([`Schedule::events`], [`Entry::widen_into`], [`Ledger::drain`]) goes
+/// through it.
+///
+/// The count uses the very predicates the replay branches on — a stalled
+/// chunk has one more event, a chunk that queued for a decode lane two, a
+/// failed attempt two — so the sequence range [`Ledger::commit`] reserves is
+/// the range the schedule widens to.
+#[derive(Debug)]
+pub struct Schedule {
+    run: Lifecycle,
+    events: usize,
+    /// Sequence number of `job_begin`; 0 until committed.
+    seq_base: u64,
+    /// Wall stamp of the commit, shared by every event.
+    t_wall_us: u64,
+}
+
+impl Schedule {
+    /// Takes a run's columns over by move.
+    ///
+    /// # Panics
+    /// Panics when the columns differ in length, or `failed` is not
+    /// ascending by chunk position or names a chunk past the columns.
+    pub fn new(run: Lifecycle) -> Schedule {
+        let chunks = run.file.len();
+        let lengths = [
+            run.chunk.len(),
+            run.bytes.len(),
+            run.compress_begin.len(),
+            run.ready.len(),
+            run.release.len(),
+            run.sent.len(),
+            run.landed.len(),
+            run.decode.len(),
+        ];
+        assert!(lengths.iter().all(|&l| l == chunks), "every column has one entry per chunk: {chunks} / {lengths:?}");
+        assert!(run.failed.windows(2).all(|w| w[0].0 <= w[1].0), "failed attempts ascend by chunk");
+        assert!(run.failed.last().is_none_or(|f| (f.0 as usize) < chunks), "a failed attempt names a chunk held");
+        // Four job phases; per chunk compress_begin, encoded, released,
+        // in_flight, arrived, decode_begin, decode_end.
+        let optional: usize = (0..chunks).map(|m| usize::from(run.stalled(m)) + 2 * usize::from(run.queued(m))).sum();
+        let events = 4 + 7 * chunks + optional + 2 * run.failed.len();
+        Schedule { run, events, seq_base: 0, t_wall_us: 0 }
+    }
+
+    /// Events the schedule widens to.
+    pub fn len(&self) -> usize {
+        self.events
+    }
+
+    /// Never: a schedule has its four job-phase events at least.
+    pub fn is_empty(&self) -> bool {
+        false
+    }
+
+    /// Chunks the schedule holds.
+    pub fn chunks(&self) -> usize {
+        self.run.file.len()
+    }
+
+    /// The job the schedule is filed under.
+    pub fn job(&self) -> u64 {
+        self.run.job
+    }
+
+    /// [`EventKind::Retransmit`] events the schedule widens to: one per
+    /// failed attempt.
+    pub fn retransmits(&self) -> u64 {
+        self.run.failed.len() as u64
+    }
+
+    /// Heap bytes the schedule holds: its columns.
+    pub fn heap_bytes(&self) -> usize {
+        let r = &self.run;
+        (r.file.capacity() + r.chunk.capacity()) * std::mem::size_of::<u32>()
+            + r.bytes.capacity() * std::mem::size_of::<u64>()
+            + [&r.compress_begin, &r.ready, &r.release, &r.sent, &r.landed].iter().map(|c| c.capacity()).sum::<usize>()
+                * std::mem::size_of::<f64>()
+            + r.decode.capacity() * std::mem::size_of::<(f64, f64)>()
+            + r.failed.capacity() * std::mem::size_of::<(u32, f64)>()
+    }
+
+    /// The schedule widened into events: `seq` is the sequence base (0 until
+    /// committed) plus the event's position, `t_wall_us` the commit stamp.
+    pub fn events(&self) -> Vec<LedgerEvent> {
+        let mut out = Vec::with_capacity(self.len());
+        self.widen_into(&mut out);
+        out
+    }
+
+    fn widen_into(&self, out: &mut Vec<LedgerEvent>) {
+        let first = out.len();
+        self.replay(|kind, draft| {
+            let seq = self.seq_base + (out.len() - first) as u64;
+            out.push(draft.stamped(kind, seq, self.t_wall_us));
+            seq
+        });
+        assert_eq!(out.len() - first, self.events, "a schedule widens to the range it reserved");
+    }
+
+    /// Derives the job's events, in order, handing each to `push`; what
+    /// `push` returns for an event — its sequence number — is the `parent`
+    /// of the drafts that follow from it.
+    ///
+    /// One causal chain per chunk between the four job phases, which carry
+    /// the values the run's span tree uses, so replayed timelines agree with
+    /// critpath stage sums.
+    pub fn replay(&self, mut push: impl FnMut(EventKind, Draft) -> u64) {
+        let run = &self.run;
+        let job = run.job;
+        let mut emit = |kind: EventKind, draft: Draft| Some(push(kind, draft));
+        let begin = emit(EventKind::JobBegin, Draft::job(job, 0.0));
+        emit(EventKind::TransferBegin, Draft { parent: begin, ..Draft::job(job, run.transfer_begin_s) });
+        let fault_cause: Option<Cow<'static, str>> = run.fault.map(|f| f.to_string().into());
+        let mut failed = run.failed.as_slice();
+        for m in 0..run.file.len() {
+            let d =
+                |t: f64| Draft { t_sim: Some(t), bytes: run.bytes[m], ..Draft::chunk(job, run.file[m], run.chunk[m]) };
+            let p = emit(EventKind::CompressBegin, Draft { parent: begin, ..d(run.compress_begin[m]) });
+            let p = emit(EventKind::Encoded, Draft { parent: p, ..d(run.ready[m]) });
+            let p = if run.stalled(m) {
+                emit(
+                    EventKind::WindowWait,
+                    Draft { parent: p, cause: Some("stream window full".into()), ..d(run.ready[m]) },
+                )
+            } else {
+                p
+            };
+            let p = emit(EventKind::Released, Draft { parent: p, ..d(run.release[m]) });
+            let (sent, landed) = (run.sent(m), run.landed(m));
+            let mut p = emit(EventKind::InFlight, Draft { parent: p, ..d(sent) });
+            // Divide the wire interval by bytes moved: each failed attempt
+            // occupies its partial payload's share, the final (successful)
+            // attempt the rest.
+            let (fracs, later) = failed.split_at(failed.iter().take_while(|f| f.0 as usize == m).count());
+            failed = later;
+            let denom = 1.0 + fracs.iter().map(|f| f.1).sum::<f64>();
+            let mut cum = 0.0;
+            for (a, &(_, frac)) in fracs.iter().enumerate() {
+                let t0 = sent + (landed - sent) * cum / denom;
+                cum += frac;
+                let t1 = sent + (landed - sent) * cum / denom;
+                let fault = emit(
+                    EventKind::Fault,
+                    Draft {
+                        parent: p,
+                        cause: fault_cause.clone(),
+                        attempt: a as u32 + 1,
+                        bytes: (run.bytes[m] as f64 * frac) as u64,
+                        ..d(t0)
+                    },
+                );
+                p = emit(EventKind::Retransmit, Draft { parent: fault, attempt: a as u32 + 2, ..d(t1) });
+            }
+            let p = emit(EventKind::Arrived, Draft { parent: p, attempt: fracs.len() as u32 + 1, ..d(landed) });
+            let (ds, de) = run.decode[m];
+            let p = if run.queued(m) {
+                let p = emit(
+                    EventKind::ReorderEnter,
+                    Draft { parent: p, cause: Some("decode lanes busy".into()), ..d(landed) },
+                );
+                emit(EventKind::ReorderExit, Draft { parent: p, ..d(ds) })
+            } else {
+                p
+            };
+            let start = ds.max(landed);
+            let p = emit(EventKind::DecodeBegin, Draft { parent: p, ..d(start) });
+            emit(EventKind::DecodeEnd, Draft { parent: p, ..d(de.max(start)) });
+        }
+        let p = emit(EventKind::TransferEnd, Draft { parent: begin, ..Draft::job(job, run.transfer_end_s) });
+        emit(EventKind::JobEnd, Draft { parent: p, ..Draft::job(job, run.total_s) });
+    }
+}
+
+/// What a sink holds, in sequence order: a committed batch, an adopted
+/// schedule, or one event appended on its own.
 #[derive(Debug)]
 pub enum Entry {
-    /// A job's events from one [`Ledger::commit`].
+    /// A job's events from one [`Ledger::commit`] of a [`Batch`].
     Batch(Batch),
+    /// A streamed job's schedule from one [`Ledger::commit`] of a
+    /// [`Schedule`]; its events exist only while someone reads them.
+    Schedule(Schedule),
     /// One event from [`Ledger::append`] / [`emit`].
     Single(LedgerEvent),
+}
+
+impl From<Batch> for Entry {
+    fn from(batch: Batch) -> Entry {
+        Entry::Batch(batch)
+    }
+}
+
+impl From<Schedule> for Entry {
+    fn from(schedule: Schedule) -> Entry {
+        Entry::Schedule(schedule)
+    }
 }
 
 impl Entry {
@@ -477,6 +769,7 @@ impl Entry {
     pub fn job(&self) -> Option<u64> {
         match self {
             Entry::Batch(b) => b.job(),
+            Entry::Schedule(s) => Some(s.job()),
             Entry::Single(e) => e.job,
         }
     }
@@ -485,6 +778,7 @@ impl Entry {
     pub fn event_count(&self) -> usize {
         match self {
             Entry::Batch(b) => b.len(),
+            Entry::Schedule(s) => s.len(),
             Entry::Single(_) => 1,
         }
     }
@@ -493,6 +787,7 @@ impl Entry {
     pub fn retransmits(&self) -> u64 {
         match self {
             Entry::Batch(b) => b.retransmits(),
+            Entry::Schedule(s) => s.retransmits(),
             Entry::Single(e) => u64::from(e.event == EventKind::Retransmit),
         }
     }
@@ -501,6 +796,7 @@ impl Entry {
     pub fn widen_into(&self, out: &mut Vec<LedgerEvent>) {
         match self {
             Entry::Batch(b) => b.widen_into(out),
+            Entry::Schedule(s) => s.widen_into(out),
             Entry::Single(e) => out.push(e.clone()),
         }
     }
@@ -510,8 +806,19 @@ impl Entry {
         std::mem::size_of::<Entry>()
             + match self {
                 Entry::Batch(b) => b.heap_bytes(),
+                Entry::Schedule(s) => s.heap_bytes(),
                 Entry::Single(_) => 0,
             }
+    }
+
+    /// Gives the entry's events the sequence numbers from `seq` on and the
+    /// wall stamp of their commit.
+    fn number(&mut self, seq: u64, t_wall_us: u64) {
+        match self {
+            Entry::Batch(b) => (b.seq_base, b.t_wall_us) = (seq, t_wall_us),
+            Entry::Schedule(s) => (s.seq_base, s.t_wall_us) = (seq, t_wall_us),
+            Entry::Single(e) => (e.seq, e.t_wall_us) = (seq, t_wall_us),
+        }
     }
 }
 
@@ -603,16 +910,19 @@ impl Ledger {
         self.admit(1, |seq| Entry::Single(draft.stamped(kind, seq, t_wall_us)))
     }
 
-    /// Takes over a finished batch: one sequence range for all of its
-    /// rows, one wall stamp, one lock. The rows are not touched.
-    pub fn commit(&self, mut batch: Batch) {
-        if batch.is_empty() {
+    /// Takes over a finished record — a [`Batch`] or a [`Schedule`] — as it
+    /// is: one sequence range for exactly the events it holds or widens to,
+    /// one wall stamp, one lock. Nothing inside the record is touched.
+    pub fn commit(&self, record: impl Into<Entry>) {
+        let mut entry = record.into();
+        let events = entry.event_count();
+        if events == 0 {
             return;
         }
-        batch.t_wall_us = self.now_us();
-        self.admit(batch.len(), |seq| {
-            batch.seq_base = seq;
-            Entry::Batch(batch)
+        let t_wall_us = self.now_us();
+        self.admit(events, |seq| {
+            entry.number(seq, t_wall_us);
+            entry
         });
     }
 
@@ -1278,6 +1588,171 @@ mod tests {
         let events = ledger.drain();
         assert!(events.iter().all(|e| e.job == Some(21)));
         assert_eq!(check_causality(&events, 21), Vec::<String>::new());
+        assert_eq!(Timeline::reconstruct(&events, 21).unwrap().tracks.len(), 500);
+    }
+
+    /// `chunks` chunks of one file of `job`, a second apart: every other one
+    /// stalls on the window, every third queues for a decode lane, every
+    /// fourth fails once and every eighth a second time.
+    fn job_schedule(job: u64, chunks: u32) -> Schedule {
+        let at = |offset: f64| (0..chunks).map(|m| f64::from(m) + offset).collect::<Vec<f64>>();
+        let stall = |m: u32| if m.is_multiple_of(2) { 0.25 } else { 0.0 };
+        let queue = |m: u32| if m.is_multiple_of(3) { 0.125 } else { 0.0 };
+        Schedule::new(Lifecycle {
+            job,
+            transfer_begin_s: 0.5,
+            transfer_end_s: f64::from(chunks) + 0.5,
+            total_s: f64::from(chunks) + 1.0,
+            file: vec![0; chunks as usize],
+            chunk: (0..chunks).collect(),
+            bytes: (0..chunks).map(|m| 1000 + u64::from(m)).collect(),
+            compress_begin: at(0.0),
+            ready: at(0.125),
+            release: (0..chunks).map(|m| f64::from(m) + 0.125 + stall(m)).collect(),
+            // Before the release: read as the release itself.
+            sent: at(0.0),
+            landed: at(0.75),
+            decode: (0..chunks).map(|m| (f64::from(m) + 0.75 + queue(m), f64::from(m) + 0.9375)).collect(),
+            failed: (0..chunks)
+                .filter(|m| m % 4 == 0)
+                .flat_map(|m| [(m, 0.5), (m, 0.25)].into_iter().take(if m % 8 == 0 { 2 } else { 1 }))
+                .collect(),
+            fault: Some(FaultCause { per_attempt_failure_prob: 0.25, reconnect_s: 2.0 }),
+        })
+    }
+
+    #[test]
+    fn a_schedule_reserves_the_range_it_widens_to() {
+        let schedule = job_schedule(4, 24);
+        // 4 phases, 7 per chunk, 12 stalled, 2 × 8 queued, 2 × (6 + 3) failed attempts.
+        assert_eq!(schedule.len(), 4 + 7 * 24 + 12 + 16 + 18);
+        assert_eq!((schedule.chunks(), schedule.retransmits()), (24, 9));
+        let uncommitted = schedule.events();
+        assert_eq!(uncommitted.len(), schedule.len());
+        assert_eq!((uncommitted[0].seq, uncommitted[0].event), (0, EventKind::JobBegin));
+        // Committed after a single event and before another: the three
+        // number consecutively, the schedule taking exactly its count.
+        let ledger = Ledger::detached();
+        let before = ledger.append(EventKind::Sealed, Draft::default());
+        let reserved = schedule.len() as u64;
+        ledger.commit(schedule);
+        let after = ledger.append(EventKind::Sealed, Draft::default());
+        assert_eq!(after, before + reserved + 1);
+        let events = ledger.drain();
+        assert!(events.windows(2).all(|w| w[1].seq == w[0].seq + 1), "gap-free across the three entries");
+        assert_eq!(check_causality(&events, 4), Vec::<String>::new());
+        for (u, e) in uncommitted.iter().zip(&events[1..]) {
+            assert_eq!(content(u, 0), content(e, before + 1));
+            assert_eq!(e.t_wall_us, events[1].t_wall_us, "one wall stamp per schedule");
+        }
+        // Chunk 0 meets every optional event: stalled, failed twice, queued.
+        let chunk0: Vec<&LedgerEvent> = events.iter().filter(|e| e.chunk == Some(0)).collect();
+        let kinds: Vec<EventKind> = chunk0.iter().map(|e| e.event).collect();
+        use EventKind::*;
+        let expected = [
+            CompressBegin,
+            Encoded,
+            WindowWait,
+            Released,
+            InFlight,
+            Fault,
+            Retransmit,
+            Fault,
+            Retransmit,
+            Arrived,
+            ReorderEnter,
+            ReorderExit,
+            DecodeBegin,
+            DecodeEnd,
+        ];
+        assert_eq!(kinds, expected);
+        assert!(chunk0.windows(2).all(|w| w[1].parent == Some(w[0].seq)), "one causal chain per chunk");
+        assert_eq!(chunk0[5].cause.as_deref(), Some("wan fault (p=0.25, reconnect 2.0s)"));
+        assert_eq!(chunk0[9].attempt, 3);
+        // The wire interval [0.375, 0.75] is shared out by bytes moved: 0.5 and 0.25 of 1.75.
+        let wire = |frac: f64| Some(0.375 + 0.375 * frac / 1.75);
+        assert_eq!([chunk0[5].t_sim, chunk0[6].t_sim, chunk0[8].t_sim], [wire(0.0), wire(0.5), wire(0.75)]);
+        assert_eq!((chunk0[5].bytes, chunk0[7].bytes), (500, 250));
+        // Chunk 1 meets none.
+        let kinds: Vec<EventKind> = events.iter().filter(|e| e.chunk == Some(1)).map(|e| e.event).collect();
+        assert_eq!(kinds, [CompressBegin, Encoded, Released, InFlight, Arrived, DecodeBegin, DecodeEnd]);
+        let tl = Timeline::reconstruct(&events, 4).unwrap();
+        assert_eq!((tl.tracks.len(), tl.total_retries()), (24, 9));
+        assert_eq!((tl.transfer_begin_s, tl.transfer_end_s, tl.total_s), (0.5, 24.5, 25.0));
+    }
+
+    #[test]
+    fn a_wait_within_the_tolerance_is_neither_counted_nor_emitted() {
+        // One predicate per optional event decides both the count and the
+        // emission, on either side of the 1e-9 s slack.
+        for (wait, waited) in [(0.0, false), (5e-10, false), (1e-9, false), (2e-9, true), (1e-3, true)] {
+            let chunk = |release: f64, decode_start: f64| {
+                Schedule::new(Lifecycle {
+                    job: 1,
+                    total_s: 3.0,
+                    file: vec![0],
+                    chunk: vec![0],
+                    bytes: vec![10],
+                    compress_begin: vec![0.0],
+                    ready: vec![1.0],
+                    release: vec![release],
+                    sent: vec![release],
+                    landed: vec![2.0],
+                    decode: vec![(decode_start, 3.0)],
+                    ..Lifecycle::default()
+                })
+            };
+            let count = |s: &Schedule, kind: EventKind| s.events().iter().filter(|e| e.event == kind).count();
+            let stalled = chunk(1.0 + wait, 2.0);
+            assert_eq!(stalled.len(), 11 + usize::from(waited), "window wait of {wait:e} s");
+            assert_eq!(stalled.events().len(), stalled.len());
+            assert_eq!(count(&stalled, EventKind::WindowWait), usize::from(waited));
+            let queued = chunk(1.0, 2.0 + wait);
+            assert_eq!(queued.len(), 11 + 2 * usize::from(waited), "decode-lane wait of {wait:e} s");
+            assert_eq!(queued.events().len(), queued.len());
+            assert_eq!(count(&queued, EventKind::ReorderEnter), usize::from(waited));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "every column has one entry per chunk")]
+    fn a_schedule_with_a_short_column_is_refused() {
+        Schedule::new(Lifecycle { file: vec![0, 0], chunk: vec![0, 1], ..Lifecycle::default() });
+    }
+
+    #[test]
+    fn oldest_schedules_go_whole_under_a_small_bound() {
+        let obs = Obs::enabled();
+        let per_schedule = job_schedule(0, 50).heap_bytes() + std::mem::size_of::<Entry>();
+        // Room for three schedules and a bit, never for four.
+        let ledger = Ledger::with_obs_and_capacity(&obs, 3 * per_schedule + per_schedule / 2);
+        let counter = obs.registry().unwrap().counter(LEDGER_DROPPED_COUNTER, "");
+        // Chunk counts differ, so a miscounted drop shows in the total.
+        let chunks = |job: u64| 50 - (job % 3) as u32;
+        let mut gone = 0u64;
+        for job in 0..10u64 {
+            ledger.commit(job_schedule(job, chunks(job)));
+            if job >= 3 {
+                gone += job_schedule(job - 3, chunks(job - 3)).len() as u64;
+            }
+            assert_eq!(counter.get(), gone, "after job {job}: the oldest went, whole, as the fourth came in");
+        }
+        assert_eq!(ledger.dropped(), gone);
+        let events = ledger.drain();
+        for job in 7..10u64 {
+            let own: Vec<&LedgerEvent> = events.iter().filter(|e| e.job == Some(job)).collect();
+            assert_eq!(own.len(), job_schedule(job, chunks(job)).len(), "job {job} is whole");
+            assert_eq!(own[0].event, EventKind::JobBegin, "job {job} kept its head");
+            assert_eq!(check_causality(&events, job), Vec::<String>::new());
+        }
+        assert!(events.iter().all(|e| e.job >= Some(7)), "nothing of a dropped job is left");
+        // A schedule larger than the whole bound is still admitted — alone —
+        // and what it pushes out is counted event for event.
+        ledger.commit(job_batch(20, 10));
+        ledger.commit(job_schedule(21, 500));
+        assert_eq!(ledger.dropped(), gone + job_batch(20, 10).len() as u64);
+        let events = ledger.drain();
+        assert!(events.iter().all(|e| e.job == Some(21)));
         assert_eq!(Timeline::reconstruct(&events, 21).unwrap().tracks.len(), 500);
     }
 

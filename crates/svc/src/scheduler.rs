@@ -191,16 +191,19 @@ struct Shared {
 }
 
 /// Jobs whose chunk events the service keeps in memory. A streamed job
-/// leaves thousands of events (megabytes); kept for every job a long-lived
-/// service grows without bound, and once its pages no longer come out of
-/// what the allocator already holds every job pays for fresh ones. Older
-/// jobs' events are dropped — `persist_ledger` has written them out by then
-/// when an artifact directory is configured.
+/// leaves its schedule (72 bytes a chunk: half a megabyte for a 7 137-chunk
+/// CESM job); kept for every job a long-lived service grows without bound,
+/// and once its pages no longer come out of what the allocator already
+/// holds every job pays for fresh ones. Older jobs' events are dropped —
+/// `persist_ledger` has written them out by then when an artifact directory
+/// is configured.
 const LEDGER_JOBS_KEPT: usize = 32;
 
 /// Ledger entries of the most recent [`LEDGER_JOBS_KEPT`] jobs, kept as the
-/// ledger handed them over and widened into events only when read, plus the
-/// one number `analyze` needs from every job that ever ran.
+/// ledger handed them over — a streamed job's schedule, a staged job's
+/// batch — and widened into events only when read, plus the one number
+/// `analyze` needs from every job that ever ran (read off the entry's
+/// header, not its events).
 #[derive(Default)]
 struct ChunkStore {
     by_job: HashMap<u64, Vec<Entry>>,
@@ -566,7 +569,7 @@ fn tick_slo(shared: &Shared) {
 }
 
 /// Takes what the service ledger holds and files each job-tagged entry —
-/// a streamed job's whole batch, as committed — under its job. Entries
+/// a streamed job's whole schedule, as committed — under its job. Entries
 /// without a job tag (wall-only emissions from codec threads during
 /// workload profiling) carry no chunk story the service can place, so they
 /// are dropped here. Idempotent and cheap when quiet.
@@ -1165,7 +1168,7 @@ mod tests {
         assert!(tl.total_retries() > 0);
         assert_eq!(svc.obs().registry().unwrap().counter(LEDGER_DROPPED_COUNTER, "").get(), 0);
 
-        // Filing the batch under its job and widening it on read gives what
+        // Filing the schedule under its job and widening it on read gives what
         // a plain drain of the same run gives (the commit's stamp aside).
         let workload = svc.shared.workloads.lock().unwrap().values().next().unwrap().clone();
         let ledger = Ledger::detached();
