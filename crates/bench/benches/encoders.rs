@@ -59,7 +59,7 @@ fn bench_rle(c: &mut Criterion) {
     g.throughput(Throughput::Elements(stream.len() as u64));
     g.bench_function("encode", |b| b.iter(|| rle_encode(&stream, zero)));
     let enc = rle_encode(&stream, zero);
-    g.bench_function("decode", |b| b.iter(|| rle_decode(&enc, zero).expect("valid stream")));
+    g.bench_function("decode", |b| b.iter(|| rle_decode(&enc, zero, stream.len()).expect("valid stream")));
     g.finish();
 }
 

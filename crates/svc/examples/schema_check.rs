@@ -1,9 +1,10 @@
 //! Validates every JSON export under `target/obs-export/` against the
 //! checked-in schemas in `schemas/`, as one CI step covering all formats:
-//! metrics, Chrome trace, bottleneck analysis, chunk ledger, and flight
-//! dumps. Run after `obs_export` and the CLI `analyze` step so the directory
-//! is populated; exits non-zero when a category is missing entirely or any
-//! document fails validation.
+//! metrics, Chrome trace, bottleneck analysis, chunk ledger, flight dumps,
+//! and `inspect --json`. Run after `obs_export` and the CLI `analyze`,
+//! `timeline` and `inspect` steps so the directory is populated; exits
+//! non-zero when a category is missing entirely or any document fails
+//! validation.
 
 use ocelot_svc::schema::validate;
 use serde_json::Value;
@@ -17,6 +18,7 @@ fn schema_for(file: &str) -> Option<&'static str> {
         "bottleneck.json" | "analyze.json" => Some("bottleneck.schema.json"),
         _ if file.starts_with("ledger") && file.ends_with(".json") => Some("ledger.schema.json"),
         _ if file.starts_with("flight-") && file.ends_with(".json") => Some("flightdump.schema.json"),
+        _ if file.starts_with("inspect") && file.ends_with(".json") => Some("inspect.schema.json"),
         _ => None,
     }
 }
@@ -76,6 +78,7 @@ fn main() {
         "bottleneck.schema.json",
         "ledger.schema.json",
         "flightdump.schema.json",
+        "inspect.schema.json",
     ] {
         if !checked.iter().any(|(_, s)| *s == required) {
             failures.push(format!("no export covered {required}"));

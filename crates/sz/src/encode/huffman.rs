@@ -19,9 +19,42 @@
 //! [`HuffmanTable`] exposes the table/stream halves separately so one
 //! canonical table can be built once per job and shared across chunks; the
 //! self-describing [`huffman_encode`]/[`huffman_decode`] pair layers the two
-//! halves back together and its byte format is unchanged. The encode and the
-//! decode lookup of a table are each built on first use, so a compressor
-//! never builds a decode LUT nor a decompressor an encode table.
+//! halves back together. The encode and the decode lookup of a table are
+//! each built on first use, so a compressor never builds a decode LUT nor a
+//! decompressor an encode table.
+//!
+//! # Table layouts
+//!
+//! A code-length table is written one of two ways.
+//!
+//! * **Packed** — what [`huffman_encode`] embeds in front of its code bits,
+//!   and so what every self-describing chunk written today carries. Symbols
+//!   ascend, and each takes one byte: `len − 1` in the low five bits
+//!   ([`MAX_CODE_LEN`] is 32) and, in the high three, how many symbols were
+//!   skipped since the previous one (`symbol − previous − 1`; for the first
+//!   entry the symbol itself). Seven there means the skip did not fit, and
+//!   `skip − 7` follows as a LEB128 varint. A varint of the entry count
+//!   leads:
+//!
+//!   ```text
+//!   [n varint] n × ( [skip:3 | len−1:5]  [skip − 7 varint, iff skip:3 = 7] )
+//!
+//!   symbols 0 (4 bits), 32766 (3), 32767 (1), 32768 (2), 32776 (4):
+//!   05 | 03 | e2 f6 ff 01 | 00 | 01 | e3 00
+//!   ```
+//!
+//!   Quantization codes sit side by side, so a table of them takes just over
+//!   one byte a symbol (1.04 over the benchmark's 256 small files). The worst
+//!   case is six — a skip of 2²⁸ + 7 or more, which the `u32` range has room
+//!   for fifteen times — and a skip under 2²¹ + 7 never costs more than the
+//!   wide layout's five. Ascending order makes a duplicate symbol
+//!   unrepresentable and five bits make an invalid length unrepresentable;
+//!   varints must be minimal, so a table has exactly one encoding.
+//! * **Wide** — `[n u32][(symbol u32, len u8) × n]` in canonical (length,
+//!   symbol) order, five bytes a symbol: [`HuffmanTable::serialize`]. It is
+//!   the container's shared-table section (once a blob, ≤ 354 B) and what
+//!   chunks stored before the packed layout embed, which
+//!   [`huffman_decode_wide`] still reads.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -408,6 +441,12 @@ impl HuffmanTable {
         if lengths.windows(2).any(|w| w[0].0 == w[1].0) {
             return Err(corrupt("duplicate symbol in table"));
         }
+        Ok(Self::from_ascending(lengths))
+    }
+
+    /// [`HuffmanTable::from_lengths`] over pairs known to hold strictly
+    /// ascending symbols and lengths in `1..=MAX_CODE_LEN`, at least one.
+    fn from_ascending(lengths: Vec<(u32, u8)>) -> Self {
         let mut next_code = first_codes(&length_counts(lengths.iter().map(|&(_, len)| len)));
         let by_symbol = lengths
             .into_iter()
@@ -417,7 +456,7 @@ impl HuffmanTable {
                 (sym, len, code)
             })
             .collect();
-        Ok(HuffmanTable { by_symbol, encode: OnceLock::new(), decode: OnceLock::new() })
+        HuffmanTable { by_symbol, encode: OnceLock::new(), decode: OnceLock::new() }
     }
 
     /// Builds the canonical table for a symbol sequence, `None` if empty.
@@ -439,8 +478,25 @@ impl HuffmanTable {
         self.by_symbol.len()
     }
 
-    /// Serializes the code-length table: `[n_syms u32][(sym u32, len u8)×n]`
-    /// in canonical order (the same layout [`huffman_encode`] embeds).
+    /// Appends the table in the packed layout (see the module docs).
+    pub(crate) fn write_packed(&self, out: &mut Vec<u8>) {
+        write_varint(out, self.by_symbol.len() as u64);
+        // The smallest symbol the next entry could name.
+        let mut next = 0u64;
+        for &(sym, len, _) in &self.by_symbol {
+            let skip = sym as u64 - next;
+            if skip < SKIP_ESCAPE {
+                out.push((skip as u8) << 5 | (len - 1));
+            } else {
+                out.push((SKIP_ESCAPE as u8) << 5 | (len - 1));
+                write_varint(out, skip - SKIP_ESCAPE);
+            }
+            next = sym as u64 + 1;
+        }
+    }
+
+    /// Serializes the code-length table in the wide layout:
+    /// `[n_syms u32][(sym u32, len u8)×n]` in canonical order.
     pub fn serialize(&self) -> Vec<u8> {
         let n = self.by_symbol.len();
         let mut out = vec![0u8; 4 + n * 5];
@@ -462,7 +518,7 @@ impl HuffmanTable {
     /// Returns [`SzError::CorruptStream`] on truncation, trailing bytes, or an
     /// invalid table.
     pub fn deserialize(bytes: &[u8]) -> Result<Self, SzError> {
-        parse_length_table(bytes, &mut 0)?.ok_or_else(|| corrupt("empty code-length table"))
+        parse_wide_table(bytes, &mut 0)?.ok_or_else(|| corrupt("empty code-length table"))
     }
 
     /// Encodes `symbols` as `[count u64][payload_len u64][payload bits]`.
@@ -486,20 +542,7 @@ impl HuffmanTable {
     /// # Errors
     /// Returns [`SzError::CorruptStream`] on truncation or an invalid code.
     pub fn decode_stream(&self, bytes: &[u8]) -> Result<Vec<u32>, SzError> {
-        let mut pos = 0usize;
-        let count = read_u64(bytes, &mut pos)? as usize;
-        let payload_len = read_u64(bytes, &mut pos)? as usize;
-        if payload_len > bytes.len() - pos {
-            return Err(corrupt("truncated payload"));
-        }
-        let payload = &bytes[pos..pos + payload_len];
-        if count == 0 {
-            return Ok(Vec::new());
-        }
-        // Every symbol consumes at least one bit of payload.
-        if count > payload.len().saturating_mul(8) {
-            return Err(corrupt("symbol count exceeds payload bits"));
-        }
+        let (count, payload) = read_stream(bytes, &mut 0)?;
         self.decode_payload(count, payload)
     }
 
@@ -538,10 +581,97 @@ fn read_u64(bytes: &[u8], pos: &mut usize) -> Result<u64, SzError> {
     Ok(v)
 }
 
-/// Parses a `[n_syms u32][(sym u32, len u8)×n]` length table, advancing
-/// `pos`; `None` for the table of no symbols. Validates lengths and symbol
-/// uniqueness but not the Kraft sum.
-fn parse_length_table(bytes: &[u8], pos: &mut usize) -> Result<Option<HuffmanTable>, SzError> {
+/// Reads the `[count u64][payload_len u64][payload bits]` of an
+/// [`HuffmanTable::encode_stream`] at `pos`: the symbol count and the payload.
+fn read_stream<'a>(bytes: &'a [u8], pos: &mut usize) -> Result<(usize, &'a [u8]), SzError> {
+    let count = read_u64(bytes, pos)? as usize;
+    let payload_len = read_u64(bytes, pos)? as usize;
+    if payload_len > bytes.len() - *pos {
+        return Err(corrupt("truncated payload"));
+    }
+    let payload = &bytes[*pos..*pos + payload_len];
+    // Every symbol consumes at least one bit of payload.
+    if count > payload.len().saturating_mul(8) {
+        return Err(corrupt("symbol count exceeds payload bits"));
+    }
+    Ok((count, payload))
+}
+
+/// In the three skip bits of a packed entry: the skip follows as a varint.
+const SKIP_ESCAPE: u64 = 7;
+
+/// Appends `v` as a LEB128 varint.
+pub(crate) fn write_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Reads a LEB128 varint, advancing `pos`. Only the encoding
+/// [`write_varint`] produces is accepted: no padding groups, at most the ten
+/// bytes a `u64` takes.
+fn read_varint(bytes: &[u8], pos: &mut usize) -> Result<u64, SzError> {
+    let mut v = 0u64;
+    for shift in (0..u64::BITS).step_by(7) {
+        let &b = bytes.get(*pos).ok_or_else(|| corrupt("truncated code-length table"))?;
+        *pos += 1;
+        let group = (b & 0x7f) as u64;
+        if group << shift >> shift != group {
+            return Err(corrupt("varint overflows 64 bits"));
+        }
+        v |= group << shift;
+        if b & 0x80 == 0 {
+            if group == 0 && shift > 0 {
+                return Err(corrupt("varint is padded"));
+            }
+            return Ok(v);
+        }
+    }
+    Err(corrupt("varint longer than ten bytes"))
+}
+
+/// A parser of the code-length table in front of a self-describing stream:
+/// advances `pos` past the table, `None` for the table of no symbols.
+type TableParser = fn(&[u8], &mut usize) -> Result<Option<HuffmanTable>, SzError>;
+
+/// Parses a packed length table (see the module docs). The table is built
+/// straight from the ascending symbols: nothing is sorted, a duplicate or an
+/// invalid length cannot be written down, and the entry count is held
+/// against the bytes left — an entry takes at least one — before anything is
+/// allocated for it. The Kraft sum is not validated.
+pub(crate) fn parse_packed_table(bytes: &[u8], pos: &mut usize) -> Result<Option<HuffmanTable>, SzError> {
+    let n_syms = read_varint(bytes, pos)?;
+    if n_syms > (bytes.len() - *pos) as u64 {
+        return Err(corrupt("symbol table larger than stream"));
+    }
+    if n_syms == 0 {
+        return Ok(None);
+    }
+    let mut lengths = Vec::with_capacity(n_syms as usize);
+    // The smallest symbol the next entry could name.
+    let mut next = 0u64;
+    for _ in 0..n_syms {
+        let &entry = bytes.get(*pos).ok_or_else(|| corrupt("truncated code-length table"))?;
+        *pos += 1;
+        let skip = match (entry >> 5) as u64 {
+            SKIP_ESCAPE => read_varint(bytes, pos)?.saturating_add(SKIP_ESCAPE),
+            skip => skip,
+        };
+        let sym = next.saturating_add(skip);
+        if sym > u32::MAX as u64 {
+            return Err(corrupt("symbol past the 32-bit range"));
+        }
+        lengths.push((sym as u32, (entry & 0x1f) + 1));
+        next = sym + 1;
+    }
+    Ok(Some(HuffmanTable::from_ascending(lengths)))
+}
+
+/// Parses a wide `[n_syms u32][(sym u32, len u8)×n]` length table. Validates
+/// lengths and symbol uniqueness but not the Kraft sum.
+pub(crate) fn parse_wide_table(bytes: &[u8], pos: &mut usize) -> Result<Option<HuffmanTable>, SzError> {
     if *pos + 4 > bytes.len() {
         return Err(corrupt("truncated header"));
     }
@@ -566,25 +696,24 @@ fn parse_length_table(bytes: &[u8], pos: &mut usize) -> Result<Option<HuffmanTab
 
 /// Encodes a symbol sequence with canonical Huffman coding.
 ///
-/// The output is self-describing: `[table, count, bitstream]`.
+/// The output is self-describing: `[packed table][count][bitstream]`.
 pub fn huffman_encode(symbols: &[u32]) -> Vec<u8> {
-    huffman_encode_counted(symbols, &freq_pairs(symbols))
+    huffman_encode_counted(symbols, &freq_pairs(symbols)).0
 }
 
 /// [`huffman_encode`] for a caller that already holds the stream's
-/// [`freq_pairs`] histogram.
-pub(crate) fn huffman_encode_counted(symbols: &[u32], pairs: &[(u32, u64)]) -> Vec<u8> {
+/// [`freq_pairs`] histogram; also returns how many of the bytes are table.
+pub(crate) fn huffman_encode_counted(symbols: &[u32], pairs: &[(u32, u64)]) -> (Vec<u8>, usize) {
     let Some(table) = HuffmanTable::from_histogram(pairs) else {
-        let mut out = Vec::with_capacity(20);
-        out.extend_from_slice(&0u32.to_le_bytes());
-        out.extend_from_slice(&0u64.to_le_bytes());
-        out.extend_from_slice(&0u64.to_le_bytes());
-        return out;
+        // No symbols: the table of none, a count of none, no payload.
+        return (vec![0u8; 1 + 8 + 8], 1);
     };
-    let mut out = table.serialize();
+    let mut out = Vec::new();
+    table.write_packed(&mut out);
+    let table_bytes = out.len();
     let body = table.encode_stream(symbols).expect("table covers its own symbols");
     out.extend_from_slice(&body);
-    out
+    (out, table_bytes)
 }
 
 /// Decodes a stream produced by [`huffman_encode`].
@@ -593,24 +722,26 @@ pub(crate) fn huffman_encode_counted(symbols: &[u32], pairs: &[(u32, u64)]) -> V
 /// Returns [`SzError::CorruptStream`] if the stream is truncated or contains
 /// an invalid code.
 pub fn huffman_decode(bytes: &[u8]) -> Result<Vec<u32>, SzError> {
-    let mut pos = 0usize;
-    let table = parse_length_table(bytes, &mut pos)?;
-    let count = read_u64(bytes, &mut pos)? as usize;
-    let payload_len = read_u64(bytes, &mut pos)? as usize;
-    if payload_len > bytes.len() - pos {
-        return Err(corrupt("truncated header"));
-    }
-    let payload = &bytes[pos..pos + payload_len];
+    decode_embedded(bytes, parse_packed_table)
+}
 
+/// [`huffman_decode`] for a stream whose table is in the wide layout, as
+/// chunks stored before the packed one embed it.
+///
+/// # Errors
+/// As [`huffman_decode`].
+pub fn huffman_decode_wide(bytes: &[u8]) -> Result<Vec<u32>, SzError> {
+    decode_embedded(bytes, parse_wide_table)
+}
+
+fn decode_embedded(bytes: &[u8], parse_table: TableParser) -> Result<Vec<u32>, SzError> {
+    let mut pos = 0usize;
+    let table = parse_table(bytes, &mut pos)?;
+    let (count, payload) = read_stream(bytes, &mut pos)?;
     if count == 0 {
         return Ok(Vec::new());
     }
-    let table = table.ok_or_else(|| corrupt("empty table with nonzero count"))?;
-    // Every symbol consumes at least one bit of payload.
-    if count > payload.len().saturating_mul(8) {
-        return Err(corrupt("symbol count exceeds payload bits"));
-    }
-    table.decode_payload(count, payload)
+    table.ok_or_else(|| corrupt("empty table with nonzero count"))?.decode_payload(count, payload)
 }
 
 /// Per-symbol share of the encoded bit stream, used for the `P0` feature:
@@ -901,6 +1032,18 @@ mod tests {
     }
 
     #[test]
+    fn every_code_length_survives_the_packed_layout() {
+        let table = full_depth_table();
+        let mut packed = Vec::new();
+        table.write_packed(&mut packed);
+        assert_eq!(packed.len(), 1 + 33, "side by side: one byte a symbol");
+        assert_eq!(parse_packed_table(&packed, &mut 0).unwrap().unwrap().by_symbol, table.by_symbol);
+        let symbols: Vec<u32> = (0..33).rev().chain(0..33).collect();
+        packed.extend_from_slice(&table.encode_stream(&symbols).unwrap());
+        assert_eq!(huffman_decode(&packed).unwrap(), symbols);
+    }
+
+    #[test]
     fn histogram_matches_a_plain_count_for_every_window_shape() {
         let plain = |symbols: &[u32]| -> Vec<(u32, u64)> {
             let mut counts = std::collections::BTreeMap::new();
@@ -1077,7 +1220,122 @@ mod tests {
         assert_eq!(table.decode_stream(&stream).unwrap(), syms);
     }
 
+    #[test]
+    fn packed_table_bytes_are_pinned() {
+        // The module docs' example: a skip of zero, one that needs a
+        // three-byte varint, and one that just misses the three-bit field.
+        let lengths = vec![(0u32, 4u8), (32_766, 3), (32_767, 1), (32_768, 2), (32_776, 4)];
+        let table = HuffmanTable::from_lengths(lengths).unwrap();
+        let mut bytes = Vec::new();
+        table.write_packed(&mut bytes);
+        assert_eq!(bytes, [0x05, 0x03, 0xe2, 0xf6, 0xff, 0x01, 0x00, 0x01, 0xe3, 0x00]);
+        let mut pos = 0;
+        let back = parse_packed_table(&bytes, &mut pos).unwrap().unwrap();
+        assert_eq!((pos, &back.by_symbol), (bytes.len(), &table.by_symbol));
+
+        // The ends of the symbol range, the second a full-width skip away:
+        // six bytes, the worst an entry can cost.
+        let ends = HuffmanTable::from_lengths(vec![(0, 1), (u32::MAX, 32)]).unwrap();
+        let mut bytes = Vec::new();
+        ends.write_packed(&mut bytes);
+        assert_eq!(bytes, [0x02, 0x00, 0xff, 0xf7, 0xff, 0xff, 0xff, 0x0f]);
+        assert_eq!(parse_packed_table(&bytes, &mut 0).unwrap().unwrap().by_symbol, ends.by_symbol);
+
+        // No symbols: one byte of table, and a stream that says so.
+        assert_eq!(huffman_encode(&[]), [0u8; 17]);
+        assert!(parse_packed_table(&[0], &mut 0).unwrap().is_none());
+    }
+
+    #[test]
+    fn packed_parser_rejects_what_the_writer_cannot_have_written() {
+        let message = |bytes: &[u8]| match parse_packed_table(bytes, &mut 0) {
+            Err(SzError::CorruptStream(m)) => m,
+            other => panic!("{bytes:02x?}: expected CorruptStream, got {other:?}"),
+        };
+        // Cut anywhere, a valid table is a truncated one.
+        let whole = [0x05, 0x03, 0xe2, 0xf6, 0xff, 0x01, 0x00, 0x01, 0xe3, 0x00];
+        for cut in 0..whole.len() {
+            let m = message(&whole[..cut]);
+            assert!(m.contains("truncated") || m.contains("larger than stream"), "cut {cut}: {m}");
+        }
+        // More entries than bytes: refused before anything is allocated,
+        // however large the count (here 2⁶³).
+        assert!(message(&[0x03, 0x00, 0x00]).contains("larger than stream"));
+        assert!(message(&[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x01]).contains("larger than stream"));
+        // Varints: padded (the count, then a skip), longer than ten bytes,
+        // past 64 bits.
+        assert!(message(&[0x81, 0x00, 0x00]).contains("padded"));
+        assert!(message(&[0x01, 0xe0, 0x80, 0x00]).contains("padded"));
+        assert!(
+            message(&[0x01, 0xe0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x80, 0x00]).contains("ten")
+        );
+        assert!(message(&[0x01, 0xe0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02]).contains("64 bits"));
+        // Symbols past the 32-bit range: by one (u32::MAX, then any entry at
+        // all), by a skip of 2³² − 7 + 7, by a skip of u64::MAX.
+        assert!(message(&[0x02, 0xe0, 0xf8, 0xff, 0xff, 0xff, 0x0f, 0x00]).contains("32-bit"));
+        assert!(message(&[0x01, 0xe0, 0xf9, 0xff, 0xff, 0xff, 0x0f]).contains("32-bit"));
+        assert!(message(&[0x01, 0xe0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01]).contains("32-bit"));
+        // The last symbol there is parses.
+        let top = parse_packed_table(&[0x01, 0xe0, 0xf8, 0xff, 0xff, 0xff, 0x0f], &mut 0).unwrap().unwrap();
+        assert_eq!(top.by_symbol, [(u32::MAX, 1, 0)]);
+    }
+
+    #[test]
+    fn both_self_describing_readers_name_a_short_payload_the_same() {
+        let syms = vec![1u32, 2, 3, 4, 5, 1, 2, 3];
+        let table = HuffmanTable::from_symbols(&syms).unwrap();
+        let stream = table.encode_stream(&syms).unwrap();
+        let wide = [table.serialize(), stream.clone()].concat();
+        assert_eq!(huffman_decode_wide(&wide).unwrap(), syms);
+        let short = |r: Result<Vec<u32>, SzError>| match r {
+            Err(SzError::CorruptStream(m)) => m,
+            other => panic!("expected CorruptStream, got {other:?}"),
+        };
+        let expected = "huffman: truncated payload";
+        assert_eq!(short(table.decode_stream(&stream[..stream.len() - 1])), expected);
+        assert_eq!(short(huffman_decode_wide(&wide[..wide.len() - 1])), expected);
+        let packed = huffman_encode(&syms);
+        assert_eq!(short(huffman_decode(&packed[..packed.len() - 1])), expected);
+    }
+
     use proptest::prelude::*;
+
+    /// Strictly ascending symbol sets whose skips sit on the packed layout's
+    /// edges: the three-bit field (6 / 7 / 8), each varint length (`skip − 7`
+    /// at 127 / 128, 2¹⁴, 2²¹, 2²⁸), symbols 0 and `u32::MAX`, alphabets
+    /// past `DENSE_LIMIT`.
+    fn edge_symbols(max_len: usize) -> impl Strategy<Value = Vec<u32>> {
+        let around = |at: u64| at - 2..at + 3;
+        let skip = prop_oneof![
+            4 => 0u64..3,
+            2 => 5u64..10,
+            1 => around(SKIP_ESCAPE + (1 << 7)),
+            1 => around(1 << 7),
+            1 => around(SKIP_ESCAPE + (1 << 14)),
+            1 => around(SKIP_ESCAPE + (1 << 21)),
+            1 => around(SKIP_ESCAPE + (1 << 28)),
+            1 => around(1 << 28),
+            1 => 0u64..1 << 32,
+        ];
+        (prop::collection::vec(skip, 1..max_len), any::<bool>(), any::<bool>()).prop_map(
+            |(skips, from_zero, to_top)| {
+                let mut symbols = Vec::new();
+                let mut next = 0u64;
+                for (i, skip) in skips.into_iter().enumerate() {
+                    let sym = next + if i == 0 && from_zero { 0 } else { skip };
+                    if sym > u32::MAX as u64 {
+                        break;
+                    }
+                    symbols.push(sym as u32);
+                    next = sym + 1;
+                }
+                if to_top && symbols.last() != Some(&u32::MAX) {
+                    symbols.push(u32::MAX);
+                }
+                symbols
+            },
+        )
+    }
 
     /// Deterministic skewed symbol stream: `skew > 1` concentrates mass on
     /// low symbols (deep codes for the tail), `skew = 1` is uniform.
@@ -1158,6 +1416,74 @@ mod tests {
             prop_assert!(shared.encode_stream(&symbols).is_none());
             let local = huffman_encode(&symbols);
             prop_assert_eq!(huffman_decode(&local).unwrap(), symbols);
+        }
+
+        // Any (symbol, length) set — complete code or not — is the same
+        // table after the packed layout as after the wide one, takes one
+        // byte a symbol plus its skips' varints, and has one encoding.
+        #[test]
+        fn packed_layout_round_trips_any_lengths(
+            symbols in edge_symbols(120),
+            seed in any::<u64>(),
+        ) {
+            let mut next = lcg(seed);
+            let lengths: Vec<(u32, u8)> = symbols.iter().map(|&s| (s, 1 + (next() % 32) as u8)).collect();
+            let table = HuffmanTable::from_lengths(lengths).unwrap();
+            let mut packed = Vec::new();
+            table.write_packed(&mut packed);
+            let mut pos = 0usize;
+            let back = parse_packed_table(&packed, &mut pos).unwrap().expect("nonempty");
+            prop_assert_eq!(pos, packed.len());
+            prop_assert_eq!(&back.by_symbol, &table.by_symbol);
+            prop_assert_eq!(&HuffmanTable::deserialize(&table.serialize()).unwrap().by_symbol, &table.by_symbol);
+            let mut again = Vec::new();
+            back.write_packed(&mut again);
+            prop_assert_eq!(&again, &packed);
+            let varint_len = |v: u64| (64 - v.leading_zeros()).max(1).div_ceil(7) as usize;
+            let skips = symbols.iter().scan(0u64, |next, &s| {
+                let skip = s as u64 - *next;
+                *next = s as u64 + 1;
+                Some(skip)
+            });
+            let expected: usize =
+                skips.map(|skip| if skip < SKIP_ESCAPE { 1 } else { 1 + varint_len(skip - SKIP_ESCAPE) }).sum();
+            prop_assert_eq!(packed.len(), varint_len(symbols.len() as u64) + expected);
+            prop_assert!(packed.len() <= 1 + 6 * symbols.len());
+        }
+
+        // A self-describing stream is its table, packed, then exactly the
+        // code bits the table writes; the wide stream of the same table —
+        // `serialize` is the five-byte oracle — decodes to the same symbols
+        // and is longer by the difference of the two tables and nothing
+        // else.
+        #[test]
+        fn packed_streams_hold_what_wide_streams_held(
+            symbols in edge_symbols(60),
+            len in 1usize..400,
+            seed in any::<u64>(),
+        ) {
+            let mut next = lcg(seed);
+            let stream: Vec<u32> = (0..len).map(|_| {
+                // Squaring skews towards the first symbols: unequal lengths.
+                let u = next() as f64 / (1u64 << 31) as f64;
+                symbols[((u * u * symbols.len() as f64) as usize).min(symbols.len() - 1)]
+            }).collect();
+            let table = HuffmanTable::from_symbols(&stream).unwrap();
+            let mut packed = Vec::new();
+            table.write_packed(&mut packed);
+            let table_bytes = packed.len();
+            let bits = table.encode_stream(&stream).expect("table covers the stream");
+            packed.extend_from_slice(&bits);
+            prop_assert_eq!(huffman_decode(&packed).unwrap(), stream.clone());
+            let wide = [table.serialize(), bits].concat();
+            prop_assert_eq!(huffman_decode_wide(&wide).unwrap(), stream.clone());
+            prop_assert_eq!(wide.len() - packed.len(), 4 + 5 * table.n_symbols() - table_bytes);
+            let (written, written_table_bytes) = huffman_encode_counted(&stream, &freq_pairs(&stream));
+            prop_assert_eq!((&written, written_table_bytes), (&packed, table_bytes));
+            // Read under the other layout's parser, either is an error or
+            // some symbols — never a panic.
+            let _ = huffman_decode_wide(&packed);
+            let _ = huffman_decode(&wide);
         }
     }
 }

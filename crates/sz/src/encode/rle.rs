@@ -42,12 +42,16 @@ pub fn rle_encode(symbols: &[u32], hot: u32) -> Vec<u32> {
     out
 }
 
-/// Decodes a stream produced by [`rle_encode`] with the same `hot` symbol.
+/// Decodes a stream produced by [`rle_encode`] with the same `hot` symbol,
+/// into at most `max_len` symbols — what the caller's shape has room for: a
+/// run is three symbols that can name four billion, so the stream alone
+/// must not size the output.
 ///
-/// Returns `None` if the stream is malformed (truncated escape sequence or a
-/// zero where a shifted symbol is expected).
-pub fn rle_decode(encoded: &[u32], hot: u32) -> Option<Vec<u32>> {
-    let mut out = Vec::with_capacity(encoded.len() * 2);
+/// Returns `None` if the stream is malformed (truncated escape sequence, a
+/// zero where a shifted symbol is expected, a run half past 16 bits) or
+/// decodes to more than `max_len` symbols.
+pub fn rle_decode(encoded: &[u32], hot: u32, max_len: usize) -> Option<Vec<u32>> {
+    let mut out = Vec::with_capacity((encoded.len() * 2).min(max_len));
     let mut i = 0;
     while i < encoded.len() {
         let s = encoded[i];
@@ -57,15 +61,19 @@ pub fn rle_decode(encoded: &[u32], hot: u32) -> Option<Vec<u32>> {
             }
             let lo = encoded[i + 1].checked_sub(1)?;
             let hi = encoded[i + 2].checked_sub(1)?;
-            if lo > 0xFFFF {
+            if lo > 0xFFFF || hi > 0xFFFF {
                 return None;
             }
-            let run = (hi << 16) | lo;
-            for _ in 0..run {
-                out.push(hot);
+            let run = ((hi << 16) | lo) as usize;
+            if run > max_len - out.len() {
+                return None;
             }
+            out.resize(out.len() + run, hot);
             i += 3;
         } else {
+            if out.len() == max_len {
+                return None;
+            }
             out.push(s - 1);
             i += 1;
         }
@@ -84,7 +92,7 @@ mod tests {
         syms.extend([1, 2, 3, hot, hot, 4]);
         syms.extend(vec![hot; 70000]); // run longer than 16 bits
         let enc = rle_encode(&syms, hot);
-        assert_eq!(rle_decode(&enc, hot).unwrap(), syms);
+        assert_eq!(rle_decode(&enc, hot, syms.len()).unwrap(), syms);
         assert!(enc.len() < syms.len() / 10);
     }
 
@@ -93,30 +101,43 @@ mod tests {
         let syms = vec![7u32, 7, 7, 1]; // run of 3 < MIN_RUN
         let enc = rle_encode(&syms, 7);
         assert_eq!(enc, vec![8, 8, 8, 2]);
-        assert_eq!(rle_decode(&enc, 7).unwrap(), syms);
+        assert_eq!(rle_decode(&enc, 7, 4).unwrap(), syms);
     }
 
     #[test]
     fn empty_round_trip() {
-        assert_eq!(rle_decode(&rle_encode(&[], 0), 0).unwrap(), Vec::<u32>::new());
+        assert_eq!(rle_decode(&rle_encode(&[], 0), 0, 0).unwrap(), Vec::<u32>::new());
     }
 
     #[test]
     fn no_hot_symbols() {
         let syms = vec![1u32, 2, 3, 4, 5];
         let enc = rle_encode(&syms, 99);
-        assert_eq!(rle_decode(&enc, 99).unwrap(), syms);
+        assert_eq!(rle_decode(&enc, 99, 5).unwrap(), syms);
     }
 
     #[test]
     fn truncated_escape_is_rejected() {
         let enc = vec![0u32, 5]; // escape missing its high half
-        assert!(rle_decode(&enc, 1).is_none());
+        assert!(rle_decode(&enc, 1, 100).is_none());
     }
 
     #[test]
     fn invalid_zero_halves_rejected() {
         // Escape halves are stored +1, so a raw 0 half is invalid.
-        assert!(rle_decode(&[0u32, 0, 1], 1).is_none());
+        assert!(rle_decode(&[0u32, 0, 1], 1, 100).is_none());
+    }
+
+    #[test]
+    fn output_is_bounded_by_the_caller_not_by_the_stream() {
+        // Three symbols that name a run of 2³² − 1, and a run half past 16
+        // bits: refused, not allocated.
+        assert!(rle_decode(&[0, 0x1_0000, 0x1_0000], 9, 1 << 20).is_none());
+        assert!(rle_decode(&[0, 1, 0x1_0001], 9, usize::MAX).is_none());
+        // One symbol more than there is room for, as a run and as a literal.
+        let enc = rle_encode(&[9, 9, 9, 9, 9, 3], 9);
+        assert_eq!(rle_decode(&enc, 9, 6).unwrap(), [9, 9, 9, 9, 9, 3]);
+        assert!(rle_decode(&enc, 9, 5).is_none());
+        assert!(rle_decode(&enc, 9, 4).is_none());
     }
 }

@@ -14,11 +14,13 @@
 //!   Chunks are self-contained and decode independently — and therefore in
 //!   parallel.
 //! * **Version 4** (current): version 3 plus shared Huffman tables. Each
-//!   chunk-table row gains a one-byte *table mode* tag ([`TABLE_MODE_LOCAL`]
-//!   embeds a per-chunk code-length table as before; [`TABLE_MODE_SHARED`]
-//!   references the job-wide table), and a second length-prefixed section
-//!   carrying the shared canonical code-length table (empty when no chunk
-//!   uses it) sits between the chunk table and the payloads.
+//!   chunk-table row gains a one-byte *table mode* tag ([`TABLE_MODE_SHARED`]
+//!   references the job-wide table; [`TABLE_MODE_PACKED`] embeds a per-chunk
+//!   code-length table in the packed layout of [`crate::encode::huffman`];
+//!   [`TABLE_MODE_LOCAL`] embeds it five bytes a symbol as version 3 did —
+//!   read, no longer written), and a second length-prefixed section carrying
+//!   the shared canonical code-length table (empty when no chunk uses it)
+//!   sits between the chunk table and the payloads.
 //!
 //! Unknown versions are rejected with [`SzError::UnsupportedVersion`].
 
@@ -37,10 +39,15 @@ pub const VERSION_V3: u16 = 3;
 /// CRC-32 integrity trailer; version 3 added the chunk table.
 pub const VERSION_V2: u16 = 2;
 
-/// Chunk-table tag: the chunk payload embeds its own code-length table.
+/// Chunk-table tag: the chunk payload embeds its own code-length table, five
+/// bytes a symbol. Stored blobs carry it; writers use [`TABLE_MODE_PACKED`].
 pub const TABLE_MODE_LOCAL: u8 = 0;
 /// Chunk-table tag: the chunk's code stream uses the blob's shared table.
 pub const TABLE_MODE_SHARED: u8 = 1;
+/// Chunk-table tag: the chunk payload embeds its own code-length table in
+/// the packed layout. A reader from before the tag existed rejects it as an
+/// unknown table mode.
+pub const TABLE_MODE_PACKED: u8 = 2;
 
 /// Size of the CRC-32 trailer in bytes.
 const TRAILER: usize = 4;
@@ -146,8 +153,9 @@ pub struct ChunkEntry {
     pub zero_bins: u64,
     /// Points stored verbatim because their bin overflowed the quantizer.
     pub unpredictable: u64,
-    /// How the chunk's code stream is entropy-coded: [`TABLE_MODE_LOCAL`] or
-    /// [`TABLE_MODE_SHARED`]. Version-3 tables decode as all-local.
+    /// How the chunk's code stream is entropy-coded: [`TABLE_MODE_LOCAL`],
+    /// [`TABLE_MODE_SHARED`] or [`TABLE_MODE_PACKED`]. Version-3 tables decode
+    /// as all-local.
     pub table_mode: u8,
 }
 
@@ -213,7 +221,7 @@ impl ChunkTable {
         for i in 0..n {
             let b = &bytes[12 + i * entry_bytes..12 + (i + 1) * entry_bytes];
             let table_mode = if entry_bytes == CHUNK_ENTRY_BYTES { b[36] } else { TABLE_MODE_LOCAL };
-            if table_mode > TABLE_MODE_SHARED {
+            if table_mode > TABLE_MODE_PACKED {
                 return Err(SzError::CorruptStream(format!("unknown table mode {table_mode}")));
             }
             entries.push(ChunkEntry {
@@ -653,11 +661,21 @@ mod tests {
         let bytes = table.encode();
         // Two bytes short matches neither the v4 nor the v3 entry width.
         assert!(ChunkTable::decode(&bytes[..bytes.len() - 2]).is_err());
-        // A v4-width table with an unknown mode tag is rejected.
-        let mut bad = table.encode();
-        let n = bad.len();
-        bad[n - 1] = 9;
-        assert!(ChunkTable::decode(&bad).is_err());
+        // A v4-width table with an unknown mode tag is rejected; the three
+        // known ones are not.
+        let mut tagged = table.encode();
+        let n = tagged.len();
+        for tag in [TABLE_MODE_LOCAL, TABLE_MODE_SHARED, TABLE_MODE_PACKED] {
+            tagged[n - 1] = tag;
+            assert_eq!(ChunkTable::decode(&tagged).unwrap().entries[0].table_mode, tag);
+        }
+        for tag in [3, 9, 255] {
+            tagged[n - 1] = tag;
+            match ChunkTable::decode(&tagged) {
+                Err(SzError::CorruptStream(msg)) => assert_eq!(msg, format!("unknown table mode {tag}")),
+                other => panic!("tag {tag}: expected CorruptStream, got {other:?}"),
+            }
+        }
         // Zero chunks is never valid.
         let empty = ChunkTable { chunk_rows: 4, entries: vec![] };
         assert!(ChunkTable::decode(&empty.encode()).is_err());

@@ -70,7 +70,7 @@ pub use format::CompressedBlob;
 pub use metrics::QualityReport;
 pub use ndarray::{Dataset, DatasetView};
 pub use pipeline::{
-    compress, compress_streamed, decode_chunk_into, decompress, decompress_with_threads, CompressionOutcome,
-    StreamedChunk,
+    compress, compress_streamed, decode_chunk_into, decompress, decompress_with_threads, embedded_table,
+    CompressionOutcome, StreamedChunk,
 };
 pub use value::ScalarValue;

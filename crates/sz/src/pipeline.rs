@@ -12,13 +12,13 @@
 use std::sync::Mutex;
 
 use crate::config::{LosslessBackend, LossyConfig, PredictorKind};
-use crate::encode::huffman::{huffman_encode_counted, HuffmanTable};
-use crate::encode::{huffman_decode, huffman_encode, lz_compress, lz_decompress, rle_decode, rle_encode};
+use crate::encode::huffman::{freq_pairs, huffman_encode_counted, parse_packed_table, parse_wide_table, HuffmanTable};
+use crate::encode::{huffman_decode, huffman_decode_wide, lz_compress, lz_decompress, rle_decode, rle_encode};
 use crate::engine::{parallel_map, parallel_map_windowed, ChunkLayout};
 use crate::error::SzError;
 use crate::format::{
     write_framed, BlobHeader, BlobWriter, ChunkEntry, ChunkTable, CodecFamily, CompressedBlob, SectionReader,
-    TABLE_MODE_LOCAL, TABLE_MODE_SHARED, VERSION, VERSION_V2, VERSION_V3,
+    TABLE_MODE_LOCAL, TABLE_MODE_PACKED, TABLE_MODE_SHARED, VERSION, VERSION_V2, VERSION_V3,
 };
 use crate::ndarray::{checked_points, Dataset, DatasetView};
 use crate::predict::{interp, lorenzo, lorenzo2, regression, PredictionStreams, StreamsView};
@@ -37,12 +37,16 @@ pub struct SectionSizes {
     pub unpredictable: usize,
     /// Entropy-coded quantization bins (after the lossless backend).
     pub codes: usize,
+    /// Of `codes`, the code-length tables the chunks embed — as serialized,
+    /// so under `HuffmanLz` before its LZ pass. The blob's shared table is
+    /// a section of its own and counts as `framing`.
+    pub tables: usize,
     /// Header, chunk table, and framing overhead (everything else).
     pub framing: usize,
 }
 
 impl SectionSizes {
-    /// Total bytes across all sections.
+    /// Total bytes across all sections (`tables` is part of `codes`).
     pub fn total(&self) -> usize {
         self.side_data + self.unpredictable + self.codes + self.framing
     }
@@ -78,13 +82,16 @@ pub(crate) struct EncodedChunk {
     /// Sparse `(code, count)` histogram of the quantization codes, sorted by
     /// code (prediction family; empty for transform chunks).
     pub hist: Vec<(u32, u64)>,
-    /// How the code stream was entropy-coded ([`TABLE_MODE_LOCAL`] /
-    /// [`TABLE_MODE_SHARED`]).
+    /// How the code stream was entropy-coded ([`TABLE_MODE_PACKED`] /
+    /// [`TABLE_MODE_SHARED`]; the transform family leaves the tag at
+    /// [`TABLE_MODE_LOCAL`] and nothing reads it).
     pub table_mode: u8,
     pub unpredictable: u64,
     pub side_bytes: usize,
     pub unpred_bytes: usize,
     pub code_bytes: usize,
+    /// Of `code_bytes`, the embedded code-length table.
+    pub table_bytes: usize,
 }
 
 /// Compresses a dataset with the given pipeline configuration, returning the
@@ -163,10 +170,10 @@ pub fn compress_streamed<T: ScalarValue>(
     // Shared-table mode: when the layout splits the job, compress chunk 0 on
     // the calling thread first and build one canonical Huffman table from its
     // histogram. Every chunk then tries the shared table (skipping the
-    // per-chunk tree build) and falls back to a local self-describing table
-    // only if its symbols escape. The layout — and therefore the decision and
-    // the table itself — is a pure function of shape, chunk size, and data,
-    // so the blob bytes stay identical at every thread count and window.
+    // per-chunk tree build) and falls back to a self-describing table of its
+    // own only if its symbols escape. The layout — and therefore the decision
+    // and the table itself — is a pure function of shape, chunk size, and
+    // data, so the blob bytes stay identical at every thread count and window.
     let layout = ChunkLayout::plan(data.dims(), config.threads, config.chunk_points);
     // A chunk's codes are counted once: the same histogram builds the
     // Huffman table (shared or local) and feeds the job's bin statistics.
@@ -206,17 +213,15 @@ pub fn compress_streamed<T: ScalarValue>(
                 Some(counted) => counted,
                 None => predict_and_count(chunk)?,
             };
-            let (encoded_codes, table_mode) =
-                encode_codes(&streams.codes, &hist, config.backend, zero_code, shared.as_ref());
+            let coded = encode_codes(&streams.codes, &hist, config.backend, zero_code, shared.as_ref());
             let mut unpred_bytes = Vec::with_capacity(streams.unpredictable.len() * T::BYTES);
             for &v in &streams.unpredictable {
                 v.write_le(&mut unpred_bytes);
             }
-            let mut payload =
-                Vec::with_capacity(24 + streams.side_data.len() + unpred_bytes.len() + encoded_codes.len());
+            let mut payload = Vec::with_capacity(24 + streams.side_data.len() + unpred_bytes.len() + coded.bytes.len());
             write_framed(&mut payload, &streams.side_data);
             write_framed(&mut payload, &unpred_bytes);
-            write_framed(&mut payload, &encoded_codes);
+            write_framed(&mut payload, &coded.bytes);
             // CRC on the worker, while the payload is cache-hot, instead of on
             // the in-order consumer where it would serialize behind every chunk.
             let crc = {
@@ -227,11 +232,12 @@ pub fn compress_streamed<T: ScalarValue>(
                 payload,
                 crc,
                 hist,
-                table_mode,
+                table_mode: coded.table_mode,
                 unpredictable: streams.unpredictable.len() as u64,
                 side_bytes: streams.side_data.len(),
                 unpred_bytes: unpred_bytes.len(),
-                code_bytes: encoded_codes.len(),
+                code_bytes: coded.bytes.len(),
+                table_bytes: coded.table_bytes,
             })
         },
     )
@@ -379,6 +385,7 @@ where
                     sections.side_data += c.side_bytes;
                     sections.unpredictable += c.unpred_bytes;
                     sections.codes += c.code_bytes;
+                    sections.tables += c.table_bytes;
                 }
                 Err(e) => first_err = Some(e),
             }
@@ -481,7 +488,7 @@ fn decompress_v2<T: ScalarValue>(
             };
             // No chunk table vouches for the shape here: the output is sized
             // only once the stream has produced that many codes.
-            let (codes, unpredictable) = decode_streams::<T>(header, &parts, None)?;
+            let (codes, unpredictable) = decode_streams::<T>(header, &parts, None, total)?;
             if codes.len() != total {
                 return Err(SzError::CorruptStream(format!("{} codes for {total} points", codes.len())));
             }
@@ -613,7 +620,7 @@ pub fn decode_chunk_into<T: ScalarValue>(
                 encoded_codes: sections.next_section()?,
                 table_mode: entry.table_mode,
             };
-            let (codes, unpredictable) = decode_streams::<T>(header, &parts, shared)?;
+            let (codes, unpredictable) = decode_streams::<T>(header, &parts, shared, out.len())?;
             let streams = StreamsView { codes: &codes, unpredictable: &unpredictable, side_data: parts.side_data };
             reconstruct_into(header, dims, streams, out)
         }
@@ -630,18 +637,20 @@ struct PredictionParts<'a> {
     table_mode: u8,
 }
 
-/// Entropy-decodes a prediction-family chunk's quantization codes and reads
-/// its verbatim values.
+/// Entropy-decodes the quantization codes of a prediction-family chunk of
+/// `points` points and reads its verbatim values.
 fn decode_streams<T: ScalarValue>(
     header: &BlobHeader,
     parts: &PredictionParts<'_>,
     shared: Option<&HuffmanTable>,
+    points: usize,
 ) -> Result<(Vec<u32>, Vec<T>), SzError> {
     if !parts.unpred_bytes.len().is_multiple_of(T::BYTES) {
         return Err(SzError::CorruptStream("unpredictable section misaligned".into()));
     }
     let unpredictable = parts.unpred_bytes.chunks_exact(T::BYTES).map(T::read_le).collect();
-    let codes = decode_codes(parts.encoded_codes, header.backend, header.quant_radius, parts.table_mode, shared)?;
+    let codes =
+        decode_codes(parts.encoded_codes, header.backend, header.quant_radius, parts.table_mode, shared, points)?;
     Ok((codes, unpredictable))
 }
 
@@ -691,23 +700,32 @@ fn run_predictor<T: ScalarValue>(
     streams
 }
 
+/// A chunk's entropy-coded quantization codes.
+struct CodedStream {
+    bytes: Vec<u8>,
+    /// The chunk-table tag that tells a reader how to decode `bytes`.
+    table_mode: u8,
+    /// How many bytes of the Huffman stage's output are an embedded table.
+    table_bytes: usize,
+}
+
 /// Huffman stage with optional shared table: try the job-wide table first
-/// (no per-chunk tree build or embedded length table); fall back to a local
-/// self-describing stream when a symbol escapes it. `hist` is the symbols'
-/// histogram where the caller already has it. Returns the bytes plus the
-/// table-mode tag for the chunk table.
-fn huffman_stage(symbols: &[u32], hist: Option<&[(u32, u64)]>, shared: Option<&HuffmanTable>) -> (Vec<u8>, u8) {
+/// (no per-chunk tree build or embedded length table); fall back to a
+/// self-describing stream — the chunk's own table, packed, in front of its
+/// code bits — when a symbol escapes it. `hist` is the symbols' histogram
+/// where the caller already has it.
+fn huffman_stage(symbols: &[u32], hist: Option<&[(u32, u64)]>, shared: Option<&HuffmanTable>) -> CodedStream {
     let _p = prof::probe(Kernel::HuffmanEncode, std::mem::size_of_val(symbols));
     if let Some(table) = shared {
-        if let Some(body) = table.encode_stream(symbols) {
-            return (body, TABLE_MODE_SHARED);
+        if let Some(bytes) = table.encode_stream(symbols) {
+            return CodedStream { bytes, table_mode: TABLE_MODE_SHARED, table_bytes: 0 };
         }
     }
-    let local = match hist {
+    let (bytes, table_bytes) = match hist {
         Some(hist) => huffman_encode_counted(symbols, hist),
-        None => huffman_encode(symbols),
+        None => huffman_encode_counted(symbols, &freq_pairs(symbols)),
     };
-    (local, TABLE_MODE_LOCAL)
+    CodedStream { bytes, table_mode: TABLE_MODE_PACKED, table_bytes }
 }
 
 /// Entropy-codes a chunk's quantization `codes`, whose histogram is `hist`.
@@ -717,16 +735,16 @@ fn encode_codes(
     backend: LosslessBackend,
     zero_code: u32,
     shared: Option<&HuffmanTable>,
-) -> (Vec<u8>, u8) {
+) -> CodedStream {
     let obs = ocelot_obs::global();
     let t0 = std::time::Instant::now();
     let code_bytes = std::mem::size_of_val(codes);
-    let (out, table_mode) = match backend {
+    let coded = match backend {
         LosslessBackend::Huffman => huffman_stage(codes, Some(hist), shared),
         LosslessBackend::HuffmanLz => {
-            let (huff, table_mode) = huffman_stage(codes, Some(hist), shared);
-            let _p = prof::probe(Kernel::Lz, huff.len());
-            (lz_compress(&huff), table_mode)
+            let huff = huffman_stage(codes, Some(hist), shared);
+            let _p = prof::probe(Kernel::Lz, huff.bytes.len());
+            CodedStream { bytes: lz_compress(&huff.bytes), ..huff }
         }
         LosslessBackend::RleHuffman => {
             let runs = {
@@ -742,20 +760,56 @@ fn encode_codes(
         "Wall time of the entropy/dictionary coding stage (Huffman/LZ/RLE)",
         t0.elapsed().as_secs_f64(),
     );
-    (out, table_mode)
+    coded
 }
 
 /// Inverse of [`huffman_stage`]: dispatch on the chunk's table-mode tag.
+/// [`TABLE_MODE_LOCAL`] is the five-byte table of stored blobs.
 fn unhuffman_stage(bytes: &[u8], table_mode: u8, shared: Option<&HuffmanTable>) -> Result<Vec<u32>, SzError> {
     let _p = prof::probe(Kernel::HuffmanDecode, bytes.len());
-    if table_mode == TABLE_MODE_SHARED {
-        let table = shared.ok_or_else(|| {
-            SzError::CorruptStream("chunk references a shared Huffman table the blob does not carry".into())
-        })?;
-        table.decode_stream(bytes)
-    } else {
-        huffman_decode(bytes)
+    match table_mode {
+        TABLE_MODE_SHARED => {
+            let table = shared.ok_or_else(|| {
+                SzError::CorruptStream("chunk references a shared Huffman table the blob does not carry".into())
+            })?;
+            table.decode_stream(bytes)
+        }
+        TABLE_MODE_PACKED => huffman_decode(bytes),
+        _ => huffman_decode_wide(bytes),
     }
+}
+
+/// The code-length table a prediction-family chunk embeds in front of its
+/// code bits, and how many bytes it takes there (under `HuffmanLz`, of the
+/// stream the LZ pass then compressed). `None` for a chunk coded against the
+/// blob's shared table and for the transform family. `entry` and `payload`
+/// are the chunk's table row and container bytes.
+///
+/// # Errors
+/// Returns [`SzError::CorruptStream`] for a payload or table that does not
+/// parse.
+pub fn embedded_table(
+    header: &BlobHeader,
+    entry: &ChunkEntry,
+    payload: &[u8],
+) -> Result<Option<(HuffmanTable, usize)>, SzError> {
+    if header.family != CodecFamily::Prediction || entry.table_mode == TABLE_MODE_SHARED {
+        return Ok(None);
+    }
+    let mut sections = SectionReader::over(payload);
+    let (_side_data, _unpred_bytes) = (sections.next_section()?, sections.next_section()?);
+    let encoded_codes = sections.next_section()?;
+    let unpacked;
+    let stream = match header.backend {
+        LosslessBackend::HuffmanLz => {
+            unpacked = lz_decompress(encoded_codes)?;
+            unpacked.as_slice()
+        }
+        _ => encoded_codes,
+    };
+    let parse_table = if entry.table_mode == TABLE_MODE_PACKED { parse_packed_table } else { parse_wide_table };
+    let mut table_bytes = 0usize;
+    Ok(parse_table(stream, &mut table_bytes)?.map(|table| (table, table_bytes)))
 }
 
 fn decode_codes(
@@ -764,6 +818,7 @@ fn decode_codes(
     zero_code: u32,
     table_mode: u8,
     shared: Option<&HuffmanTable>,
+    points: usize,
 ) -> Result<Vec<u32>, SzError> {
     match backend {
         LosslessBackend::Huffman => unhuffman_stage(bytes, table_mode, shared),
@@ -777,7 +832,8 @@ fn decode_codes(
         LosslessBackend::RleHuffman => {
             let encoded = unhuffman_stage(bytes, table_mode, shared)?;
             let _p = prof::probe(Kernel::Rle, std::mem::size_of_val(encoded.as_slice()));
-            rle_decode(&encoded, zero_code).ok_or_else(|| SzError::CorruptStream("rle: malformed run stream".into()))
+            rle_decode(&encoded, zero_code, points)
+                .ok_or_else(|| SzError::CorruptStream("rle: malformed run stream".into()))
         }
     }
 }
@@ -1078,6 +1134,161 @@ mod tests {
         }
     }
 
+    /// [`rebuild`] with `edit` applied to what the Huffman stage wrote for
+    /// each chunk — the embedded table and the code bits behind it, out of
+    /// their LZ wrapping under `HuffmanLz` — and `tag`, if any, as every
+    /// chunk's table mode.
+    fn rebuild_huffman_streams(blob: &CompressedBlob, tag: Option<u8>, edit: impl Fn(&mut Vec<u8>)) -> CompressedBlob {
+        rebuild(blob, |header, table, payloads| {
+            for (entry, payload) in table.entries.iter_mut().zip(payloads) {
+                let mut parts = SectionReader::over(payload);
+                let (side, pool) = (parts.next_section().unwrap().to_vec(), parts.next_section().unwrap().to_vec());
+                let coded = parts.next_section().unwrap();
+                let lz = header.backend == LosslessBackend::HuffmanLz;
+                let mut stream = if lz { lz_decompress(coded).unwrap() } else { coded.to_vec() };
+                edit(&mut stream);
+                *payload = Vec::new();
+                write_framed(payload, &side);
+                write_framed(payload, &pool);
+                write_framed(payload, &if lz { lz_compress(&stream) } else { stream });
+                entry.table_mode = tag.unwrap_or(entry.table_mode);
+            }
+        })
+    }
+
+    #[test]
+    fn hostile_packed_tables_are_typed_errors_or_bounded_decodes() {
+        let data = wavy(vec![40, 12]);
+        let expected = |blob: &CompressedBlob| decompress::<f32>(blob).unwrap();
+        // Sealed by both checksums, a blob gets as far as the table parser:
+        // it must come back as a typed error or as a dataset of the declared
+        // shape, at any thread count.
+        let survives = |blob: &CompressedBlob, what: &str| -> bool {
+            let results = [1, 3].map(|threads| decompress_with_threads::<f32>(blob, threads));
+            for result in &results {
+                match result {
+                    Ok(restored) => assert_eq!(restored.dims(), data.dims(), "{what}"),
+                    Err(SzError::CorruptStream(_)) => {}
+                    Err(other) => panic!("{what}: expected CorruptStream, got {other:?}"),
+                }
+            }
+            results[0].is_ok()
+        };
+        for backend in [LosslessBackend::Huffman, LosslessBackend::HuffmanLz, LosslessBackend::RleHuffman] {
+            let blob = compress(&data, &LossyConfig::sz3_abs(1e-3).with_backend(backend)).unwrap().blob;
+            let what = |case: &str| format!("{backend:?}: {case}");
+            let (header, mut sections) = blob.open().unwrap();
+            let entry = ChunkTable::decode(sections.next_section().unwrap()).unwrap().entries[0];
+            assert_eq!(entry.table_mode, TABLE_MODE_PACKED);
+            let _shared_table = sections.next_section().unwrap();
+            let payload = &sections.rest()[..entry.len];
+            let (table, table_bytes) = embedded_table(&header, &entry, payload).unwrap().expect("an embedded table");
+            let n = table.n_symbols();
+            assert!(n > 1 && table_bytes > n, "{n} symbols in {table_bytes} B");
+            assert_eq!(
+                expected(&rebuild_huffman_streams(&blob, None, |_| {})),
+                expected(&blob),
+                "{}",
+                what("untouched")
+            );
+            let varint = |v: u64| {
+                let mut out = Vec::new();
+                crate::encode::huffman::write_varint(&mut out, v);
+                out
+            };
+
+            // The symbol count: none, one short, one over, more than the
+            // stream has bytes.
+            for count in [0, n as u64 - 1, n as u64 + 1, 1 << 40] {
+                let edited = rebuild_huffman_streams(&blob, None, |s| {
+                    drop(s.splice(..varint(n as u64).len(), varint(count)));
+                });
+                survives(&edited, &what(&format!("count {count}")));
+            }
+            // A table whose first skip is a varint no writer produces:
+            // padded, longer than ten bytes, naming a symbol past u32::MAX.
+            let varints: [&[u8]; 3] = [&[0xf9, 0xff, 0x81, 0x00], &[0xff; 11], &[0xf9, 0xff, 0xff, 0xff, 0x0f]];
+            for skip in varints {
+                let edited = rebuild_huffman_streams(&blob, None, |s| {
+                    drop(s.splice(..table_bytes, [&[0x01, 0xe0], skip].concat()));
+                });
+                assert!(!survives(&edited, &what(&format!("skip varint {skip:02x?}"))));
+            }
+            // Length bits of one entry, then of every entry: still a table,
+            // no longer this stream's.
+            let pairs: Vec<(u32, u8)> = table.serialize()[4..]
+                .chunks_exact(5)
+                .map(|e| (u32::from_le_bytes(e[..4].try_into().unwrap()), e[4]))
+                .collect();
+            for stride in [n, 1] {
+                let relengthed = pairs
+                    .iter()
+                    .enumerate()
+                    .map(|(i, &(sym, len))| (sym, if i % stride == stride / 2 { ((len - 1) ^ 0x0b) + 1 } else { len }));
+                let mut packed = Vec::new();
+                HuffmanTable::from_lengths(relengthed.collect()).unwrap().write_packed(&mut packed);
+                assert_eq!(packed.len(), table_bytes);
+                let edited =
+                    rebuild_huffman_streams(&blob, None, |s| drop(s.splice(..table_bytes, packed.iter().copied())));
+                assert_ne!(edited, blob, "{}", what("length bits"));
+                survives(&edited, &what(&format!("length bits, stride {stride}")));
+            }
+            // Cut in the middle of the table, and just short of its end.
+            for cut in [table_bytes / 2, table_bytes - 1] {
+                let edited = rebuild_huffman_streams(&blob, None, |s| s.truncate(cut));
+                assert!(!survives(&edited, &what(&format!("cut at {cut}"))));
+            }
+            // The tag flipped over unchanged bytes, either way. The same
+            // table five bytes a symbol under the old tag is a valid blob —
+            // what a writer before the packed layout produced.
+            survives(&rebuild_huffman_streams(&blob, Some(TABLE_MODE_LOCAL), |_| {}), &what("packed read as wide"));
+            let widen = |s: &mut Vec<u8>| drop(s.splice(..table_bytes, table.serialize()));
+            let wide = rebuild_huffman_streams(&blob, Some(TABLE_MODE_LOCAL), widen);
+            assert_eq!(expected(&wide), expected(&blob), "{}", what("wide"));
+            if backend != LosslessBackend::HuffmanLz {
+                // (An LZ pass over the stream hides the exact difference.)
+                assert_eq!(wide.len() - blob.len(), 4 + 5 * n - table_bytes, "{}", what("wide"));
+            }
+            survives(&rebuild_huffman_streams(&wide, Some(TABLE_MODE_PACKED), |_| {}), &what("wide read as packed"));
+            // A shared-table tag on a blob that carries no shared table.
+            assert_corrupt(&rebuild_huffman_streams(&blob, Some(TABLE_MODE_SHARED), |_| {}), &what("shared tag"));
+        }
+    }
+
+    #[test]
+    fn the_writer_embeds_only_packed_tables() {
+        // Chunk 0 is smooth and defines the shared table; the loud second
+        // half escapes it. No writer path tags a chunk `TABLE_MODE_LOCAL`.
+        let data = Dataset::from_fn(vec![40, 12], |i| {
+            let x = (i[0] * 12 + i[1]) as f32;
+            (x * 0.11).sin() + if i[0] >= 20 { ((x * 7.3).sin() * 1e4).fract() * 50.0 } else { 0.0 }
+        });
+        for backend in [LosslessBackend::Huffman, LosslessBackend::HuffmanLz, LosslessBackend::RleHuffman] {
+            let cfg = LossyConfig::sz3_abs(1e-3).with_backend(backend).with_chunk_points(Some(60));
+            let out = compress(&data, &cfg).unwrap();
+            let (header, mut sections) = out.blob.open().unwrap();
+            let table = ChunkTable::decode(sections.next_section().unwrap()).unwrap();
+            let modes: Vec<u8> = table.entries.iter().map(|e| e.table_mode).collect();
+            assert!(modes.contains(&TABLE_MODE_SHARED) && modes.contains(&TABLE_MODE_PACKED), "{backend:?}: {modes:?}");
+            assert!(!modes.contains(&TABLE_MODE_LOCAL), "{backend:?}: {modes:?}");
+            // `sections.tables` is the sum of what the chunks embed.
+            let _shared_table = sections.next_section().unwrap();
+            let body = sections.rest();
+            let embedded: usize = table
+                .offsets()
+                .iter()
+                .zip(&table.entries)
+                .filter_map(|(&at, e)| embedded_table(&header, e, &body[at..at + e.len]).unwrap())
+                .map(|(_, bytes)| bytes)
+                .sum();
+            assert_eq!(out.sections.tables, embedded, "{backend:?}");
+            assert!(embedded > 0 && out.sections.tables < out.sections.codes, "{backend:?}");
+            assert_eq!(out.sections.total(), out.blob.len(), "{backend:?}: tables is a part of codes");
+            let restored = decompress_with_threads::<f32>(&out.blob, 3).unwrap();
+            assert!(metrics::compare(&data, &restored).unwrap().within_bound(1e-3), "{backend:?}");
+        }
+    }
+
     #[test]
     fn decode_chunk_into_rejects_a_slab_of_the_wrong_length() {
         let data = wavy(vec![12, 10]);
@@ -1106,7 +1317,10 @@ mod tests {
         // value is one exact-operand f32 sum, so the fields are the same on
         // any platform. The 2-D field is a single chunk at the default
         // radius; the 3-D one is cut into 4-plane chunks with a 2-plane tail
-        // at radius 8, so escapes land in every chunk.
+        // at radius 8, so escapes land in every chunk. The 2-D blob hash was
+        // taken again when its one embedded table went from five bytes a
+        // symbol to packed; the 3-D chunks all use the shared table, and the
+        // restored values and escape counts of both stand as first recorded.
         let field = |dims: Vec<usize>| {
             let mut state = 0x0123_4567_89ab_cdefu64;
             Dataset::from_fn(dims, move |i| {
@@ -1118,7 +1332,7 @@ mod tests {
             })
         };
         let cases = [
-            (vec![61, 45], LossyConfig::lorenzo(1e-4), 0xc874_2872_844a_b5d4u64, 0x2913_a6ae_e0d8_bfa8u64, 0u64),
+            (vec![61, 45], LossyConfig::lorenzo(1e-4), 0x2e7e_fd46_2f7d_dd2au64, 0x2913_a6ae_e0d8_bfa8u64, 0u64),
             (
                 vec![14, 11, 19],
                 LossyConfig::lorenzo(1e-3).with_quant_radius(8).with_chunk_points(Some(4 * 11 * 19)),

@@ -74,6 +74,7 @@ pub(crate) fn compress_impl<T: ScalarValue>(
             side_bytes: 0,
             unpred_bytes: 0,
             code_bytes,
+            table_bytes: 0,
         })
     })
 }
