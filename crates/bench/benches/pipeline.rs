@@ -34,12 +34,7 @@ fn bench_fig9_scaling(c: &mut Criterion) {
     for nodes in [1usize, 4, 16] {
         let cluster = Cluster::new(nodes, anvil.cores_per_node, anvil.core_speed);
         g.bench_with_input(BenchmarkId::from_parameter(format!("{nodes}_nodes")), &cluster, |b, cl| {
-            b.iter(|| {
-                (
-                    orch.compression_time(&w, &anvil, cl, Strategy::Compressed, 1),
-                    orch.decompression_time(&w, &anvil, cl, 1),
-                )
-            })
+            b.iter(|| (orch.compression_time(&w, &anvil, cl, 1), orch.decompression_time(&w, &anvil, cl, 1)))
         });
     }
     g.finish();

@@ -3,7 +3,7 @@
 //! decompression degrades at high node counts from filesystem contention.
 
 use crate::support::{fmt_secs, write_artifact, TextTable};
-use ocelot::orchestrator::{Orchestrator, Strategy};
+use ocelot::orchestrator::Orchestrator;
 use ocelot::workload::Workload;
 use ocelot_datagen::Application;
 use ocelot_faas::Cluster;
@@ -35,7 +35,7 @@ pub fn run(nodes: &[usize]) -> Vec<AppCurve> {
             let mut decompression_s = Vec::new();
             for &n in nodes {
                 let cluster = Cluster::new(n, anvil.cores_per_node, anvil.core_speed);
-                compression_s.push(orch.compression_time(&w, &anvil, &cluster, Strategy::Compressed, 1));
+                compression_s.push(orch.compression_time(&w, &anvil, &cluster, 1));
                 decompression_s.push(orch.decompression_time(&w, &anvil, &cluster, 1));
             }
             AppCurve { app: app.name().to_string(), nodes: nodes.to_vec(), compression_s, decompression_s }

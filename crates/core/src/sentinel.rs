@@ -12,7 +12,7 @@
 use ocelot_faas::Cluster;
 use ocelot_netsim::{simulate_transfer, SiteId};
 
-use crate::orchestrator::{Orchestrator, PipelineOptions, Strategy};
+use crate::orchestrator::{destination_cluster, Orchestrator, PipelineOptions, Strategy};
 use crate::report::TimeBreakdown;
 use crate::workload::Workload;
 
@@ -51,7 +51,7 @@ pub(crate) fn run_with_wait(
     let src = orch.topology().site(from);
     let dst = orch.topology().site(to);
     let comp_cluster = Cluster::new(opts.compress_nodes, src.cores_per_node, src.core_speed);
-    let compression_s = orch.compression_time(&remaining, src, &comp_cluster, strategy, opts.codec_threads);
+    let compression_s = orch.compression_time(&remaining, src, &comp_cluster, opts.codec_threads);
 
     let comp_sizes = remaining.compressed_sizes();
     let sizes: Vec<u64> = match strategy {
@@ -67,8 +67,7 @@ pub(crate) fn run_with_wait(
     };
     let report = simulate_transfer(&sizes, &route.link, &opts.gridftp, opts.seed ^ 1);
 
-    let dcores = opts.decompress_cores_per_node.unwrap_or(dst.cores_per_node).min(dst.cores_per_node);
-    let decomp_cluster = Cluster::new(opts.decompress_nodes, dcores, dst.core_speed);
+    let decomp_cluster = destination_cluster(dst, opts);
     let decompression_s = orch.decompression_time(&remaining, dst, &decomp_cluster, opts.codec_threads);
 
     let raw_bytes_done: u64 = raw_sizes[..done].iter().sum();

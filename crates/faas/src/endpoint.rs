@@ -193,7 +193,7 @@ impl FaasEndpoint {
                 // the reorder buffer until a decoder frees up.
                 let p = if start > release {
                     let p =
-                        emit(EventKind::ReorderEnter, Draft { cause: Some("decode lanes busy".into()), ..d(release) });
+                        emit(EventKind::ReorderEnter, Draft { cause: Some("awaiting decode".into()), ..d(release) });
                     emit(EventKind::ReorderExit, Draft { parent: p, ..d(start) })
                 } else {
                     None

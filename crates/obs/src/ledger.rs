@@ -9,28 +9,22 @@
 //! links to the prior event for the same chunk and to its job span).
 //!
 //! * **One commit per job, and nothing stored per event.** A simulated job
-//!   knows its whole story at once, so its emitter hands the ledger one
-//!   record with [`Ledger::commit`], which reserves the record's whole
-//!   sequence range, reads the wall clock once and takes the sink lock once.
-//!   A streamed run hands over *the schedule itself*: a [`Schedule`] adopts
-//!   the run's own per-chunk columns by move ([`Lifecycle`]: file, chunk,
-//!   bytes and seven times per chunk, failed attempts and the fault model
-//!   kept sparse — 72 bytes a chunk where ≈ 8.3 rows of 32 used to be
-//!   filled) and counts the events it stands for. Its events exist only
-//!   while someone reads them: [`Schedule::replay`] is the one place that
-//!   turns a schedule into events, and the count branches on the same
-//!   predicates, so the range reserved is the range widened to. Measured on
-//!   a 3 601-chunk `run_streamed` (`core/tests/ledger_tax.rs`): ledger-on
-//!   costs ×0.98 – 1.05 of ledger-off, inside the 2 % instrumentation budget
-//!   up to timer noise, where filling rows cost ×1.4.
-//! * **A [`Batch`]** is the record for emitters that have no schedule to
-//!   hand over (`run_overlapped`'s file-grain events): a pre-sized list the
-//!   emitter fills ([`Batch::push`]: no atomic, no clock, no lock). What
-//!   every event of the batch shares — job, span, wall stamp, sequence base,
-//!   the few distinct cause strings — lives once in the batch header; a row
-//!   keeps only what differs, in 32 bytes. [`LedgerEvent`] stays the read
-//!   type: readers get records widened on demand ([`Batch::events`],
-//!   [`Schedule::events`], [`Ledger::drain`]).
+//!   knows its whole story at once, so its emitter hands the ledger *the
+//!   schedule itself* with [`Ledger::commit`], which reserves the record's
+//!   whole sequence range, reads the wall clock once and takes the sink lock
+//!   once. A [`Schedule`] adopts the run's own per-chunk columns by move
+//!   ([`Lifecycle`]: file, chunk, bytes and seven times per chunk, failed
+//!   attempts and the fault model kept sparse — 72 bytes a chunk) and counts
+//!   the events it stands for. Both pipelined runs commit one: the streamed
+//!   run at chunk grain, the overlapped run at file grain (one chunk a
+//!   file). Its events exist only while someone reads them:
+//!   [`Schedule::replay`] is the one place that turns a schedule into
+//!   events, and the count branches on the same predicates, so the range
+//!   reserved is the range widened to. [`LedgerEvent`] stays the read type
+//!   ([`Schedule::events`], [`Ledger::drain`]). Measured on a 3 601-chunk
+//!   `run_streamed` (`core/tests/ledger_tax.rs`): ledger-on costs
+//!   ×0.98 – 1.05 of ledger-off, inside the 2 % instrumentation budget up to
+//!   timer noise.
 //! * **Single appends** ([`emit`] / [`Ledger::append`]) are for real threads
 //!   whose wall stamp *is* the content (a codec worker sealing a chunk, the
 //!   stream drainer decoding one). `emit` is one relaxed atomic load when no
@@ -38,9 +32,9 @@
 //!   sequence space and sit in the sink in sequence order, so a drain is a
 //!   total order with every record's range contiguous.
 //! * **Bounded between records.** A sink holds [`SINK_CAPACITY_BYTES`] of
-//!   what its entries keep on the heap (rows, columns); past that the
-//!   *oldest entry goes whole* — a batch or a schedule with every one of
-//!   its events, or one single event — and its event count lands in
+//!   what its entries keep on the heap (schedule columns); past that the
+//!   *oldest entry goes whole* — a schedule with every one of its events,
+//!   or one single event — and its event count lands in
 //!   [`Ledger::dropped`] and the [`LEDGER_DROPPED_COUNTER`] registry counter.
 //!   A record is never split and the newest entry is never the one to go, so
 //!   a job that is in the ledger at all has its `job_begin`, every chunk and
@@ -68,8 +62,8 @@ use std::time::Instant;
 pub const LEDGER_DROPPED_COUNTER: &str = "ocelot_ledger_dropped_total";
 
 /// Bytes a ledger's sink retains before its oldest entry goes whole: what
-/// 65 536 wide events used to take, room for 262 144 batched rows or the
-/// schedules of 116 000 streamed chunks.
+/// 65 536 wide events used to take, room for the schedules of 116 000
+/// streamed chunks.
 pub const SINK_CAPACITY_BYTES: usize = 8 << 20;
 
 /// Version stamp for serialized ledger exports.
@@ -200,8 +194,8 @@ pub struct LedgerEvent {
     /// Simulated seconds, job-relative; `None` for wall-only events.
     pub t_sim: Option<f64>,
     /// Microseconds since the ledger was constructed (wall clock): when the
-    /// event was appended, or — for every event of a batch — when the batch
-    /// was committed.
+    /// event was appended, or — for every event of a schedule — when the
+    /// schedule was committed.
     pub t_wall_us: u64,
     /// Bytes the event concerns (chunk size, wasted bytes for faults).
     pub bytes: u64,
@@ -214,8 +208,8 @@ pub struct LedgerEvent {
 #[derive(Debug, Clone, Default)]
 pub struct Draft {
     /// See [`LedgerEvent::parent`]: the sequence number an earlier
-    /// [`emit`] / [`Ledger::append`] returned or, in a [`Batch`], the handle
-    /// an earlier [`Batch::push`] returned.
+    /// [`emit`] / [`Ledger::append`] returned or, in a [`Schedule::replay`],
+    /// what its `push` returned for an earlier event.
     pub parent: Option<u64>,
     /// See [`LedgerEvent::span`].
     pub span: Option<u64>,
@@ -266,218 +260,6 @@ impl Draft {
     }
 }
 
-/// Row field value standing for `None` in `parent`, `file` and `chunk`.
-const NONE: u32 = u32::MAX;
-
-/// Row `cause` value marking a row whose draft is kept whole in
-/// [`Batch::wide`].
-const WIDE: u8 = u8::MAX;
-
-/// One batched event, narrowed to what differs between the events of a job.
-#[derive(Debug, Clone, Copy)]
-struct Row {
-    /// Simulated seconds; NaN stands for `None`.
-    t_sim: f64,
-    bytes: u64,
-    /// Row index of the parent within the batch, or [`NONE`].
-    parent: u32,
-    file: u32,
-    chunk: u32,
-    attempt: u16,
-    /// Index into [`EventKind::ALL`].
-    kind: u8,
-    /// 0 = no cause, `n` = `causes[n - 1]`, [`WIDE`] = see [`Batch::wide`].
-    cause: u8,
-}
-
-/// A job's events, built by the emitter that owns it and handed to the
-/// ledger in one [`Ledger::commit`].
-///
-/// The first pushed draft's `job` and `span` become the batch header; rows
-/// are 32 bytes. Parent links inside a batch are the handles [`Batch::push`]
-/// returns (row indices), turned into sequence numbers when rows are widened.
-///
-/// Nothing is narrowed lossily. A draft that does not fit a packed row —
-/// another `job` or `span` than the header's, a `parent` that is not an
-/// earlier row of this batch, `file` or `chunk` equal to `u32::MAX`,
-/// `attempt` above `u16::MAX`, a NaN `t_sim`, or a 255th distinct cause — is
-/// kept whole beside the rows, so [`Batch::events`] always returns exactly
-/// what was pushed.
-#[derive(Debug, Default)]
-pub struct Batch {
-    job: Option<u64>,
-    span: Option<u64>,
-    /// Sequence number of row 0; 0 until committed.
-    seq_base: u64,
-    /// Wall stamp of the commit, shared by every row.
-    t_wall_us: u64,
-    causes: Vec<Cow<'static, str>>,
-    rows: Vec<Row>,
-    /// Drafts that do not fit a [`Row`], by row index, ascending.
-    wide: Vec<(u32, Draft)>,
-    retransmits: u64,
-}
-
-impl Batch {
-    /// Empty batch with room for `events` rows.
-    pub fn with_capacity(events: usize) -> Batch {
-        Batch { rows: Vec::with_capacity(events), ..Batch::default() }
-    }
-
-    /// Appends one event and returns its handle, to be used as the `parent`
-    /// of later drafts of this batch.
-    #[inline]
-    pub fn push(&mut self, kind: EventKind, mut draft: Draft) -> u64 {
-        let cause = match draft.cause.take() {
-            None => Some(0),
-            Some(text) => match self.cause_index(&text) {
-                Some(index) => Some(index),
-                None if self.causes.len() < usize::from(WIDE - 1) => {
-                    self.causes.push(text);
-                    Some(self.causes.len() as u8)
-                }
-                None => {
-                    draft.cause = Some(text);
-                    None
-                }
-            },
-        };
-        self.push_row(kind, cause, draft)
-    }
-
-    /// [`Batch::push`] with the cause passed by reference (any `cause` in
-    /// `draft` is ignored): a text the batch already holds costs no
-    /// allocation, so an emitter need not clone a computed cause per event.
-    #[inline]
-    pub fn push_because(&mut self, kind: EventKind, cause: &str, draft: Draft) -> u64 {
-        match self.cause_index(cause) {
-            Some(index) => self.push_row(kind, Some(index), Draft { cause: None, ..draft }),
-            None => self.push(kind, Draft { cause: Some(Cow::Owned(cause.to_string())), ..draft }),
-        }
-    }
-
-    /// 1-based position of `cause` in the header's cause table.
-    fn cause_index(&self, cause: &str) -> Option<u8> {
-        self.causes.iter().position(|c| c == cause).map(|i| i as u8 + 1)
-    }
-
-    /// Stores `draft` (its cause already taken out: `cause` is its table
-    /// index, `None` when the table is full and the text is still in the
-    /// draft) as a packed row when every field fits, whole otherwise.
-    #[inline]
-    fn push_row(&mut self, kind: EventKind, cause: Option<u8>, draft: Draft) -> u64 {
-        let index = u32::try_from(self.rows.len()).expect("a batch holds fewer than 2^32 events");
-        if index == 0 {
-            self.job = draft.job;
-            self.span = draft.span;
-        }
-        let fits = draft.job == self.job
-            && draft.span == self.span
-            && draft.parent.is_none_or(|p| p < u64::from(index))
-            && draft.file != Some(NONE)
-            && draft.chunk != Some(NONE)
-            && draft.attempt <= u32::from(u16::MAX)
-            && !draft.t_sim.is_some_and(f64::is_nan);
-        let row = match cause.filter(|_| fits) {
-            Some(cause) => Row {
-                t_sim: draft.t_sim.unwrap_or(f64::NAN),
-                bytes: draft.bytes,
-                parent: draft.parent.map_or(NONE, |p| p as u32),
-                file: draft.file.unwrap_or(NONE),
-                chunk: draft.chunk.unwrap_or(NONE),
-                attempt: draft.attempt as u16,
-                kind: kind as u8,
-                cause,
-            },
-            None => self.keep_wide(index, kind, cause, draft),
-        };
-        self.retransmits += u64::from(kind == EventKind::Retransmit);
-        self.rows.push(row);
-        u64::from(index)
-    }
-
-    /// Keeps a draft that does not fit a packed row whole (putting back the
-    /// cause [`Batch::push`] took out) and returns the row that marks it.
-    #[cold]
-    fn keep_wide(&mut self, index: u32, kind: EventKind, cause: Option<u8>, mut draft: Draft) -> Row {
-        if let Some(held) = cause.and_then(|c| c.checked_sub(1)) {
-            draft.cause = Some(self.causes[usize::from(held)].clone());
-        }
-        self.wide.push((index, draft));
-        Row {
-            t_sim: f64::NAN,
-            bytes: 0,
-            parent: NONE,
-            file: NONE,
-            chunk: NONE,
-            attempt: 0,
-            kind: kind as u8,
-            cause: WIDE,
-        }
-    }
-
-    /// Events in the batch.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when nothing was pushed.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Job of the first pushed event: the one the batch is filed under.
-    pub fn job(&self) -> Option<u64> {
-        self.job
-    }
-
-    /// [`EventKind::Retransmit`] events in the batch, counted as pushed.
-    pub fn retransmits(&self) -> u64 {
-        self.retransmits
-    }
-
-    /// Heap bytes the batch holds (rows, cause table, wide drafts).
-    pub fn heap_bytes(&self) -> usize {
-        let text = |c: &Cow<'static, str>| if let Cow::Owned(s) = c { s.capacity() } else { 0 };
-        self.rows.capacity() * std::mem::size_of::<Row>()
-            + self.causes.capacity() * std::mem::size_of::<Cow<'static, str>>()
-            + self.causes.iter().map(text).sum::<usize>()
-            + self.wide.capacity() * std::mem::size_of::<(u32, Draft)>()
-            + self.wide.iter().filter_map(|(_, d)| d.cause.as_ref()).map(text).sum::<usize>()
-    }
-
-    /// The rows widened into events: `seq` is the batch's sequence base
-    /// (0 until committed) plus the row index, `t_wall_us` the commit stamp.
-    pub fn events(&self) -> Vec<LedgerEvent> {
-        let mut out = Vec::with_capacity(self.len());
-        self.widen_into(&mut out);
-        out
-    }
-
-    fn widen_into(&self, out: &mut Vec<LedgerEvent>) {
-        let mut wide = self.wide.iter();
-        for (i, row) in self.rows.iter().enumerate() {
-            let mut draft = if row.cause == WIDE {
-                wide.next().expect("every wide row has its draft").1.clone()
-            } else {
-                Draft {
-                    parent: (row.parent != NONE).then_some(u64::from(row.parent)),
-                    span: self.span,
-                    job: self.job,
-                    file: (row.file != NONE).then_some(row.file),
-                    chunk: (row.chunk != NONE).then_some(row.chunk),
-                    cause: row.cause.checked_sub(1).map(|c| self.causes[usize::from(c)].clone()),
-                    t_sim: (!row.t_sim.is_nan()).then_some(row.t_sim),
-                    bytes: row.bytes,
-                    attempt: u32::from(row.attempt),
-                }
-            };
-            draft.parent = draft.parent.map(|p| self.seq_base + p);
-            out.push(draft.stamped(EventKind::ALL[usize::from(row.kind)], self.seq_base + i as u64, self.t_wall_us));
-        }
-    }
-}
-
 /// The two numbers of the WAN fault model a `fault` event's cause names.
 #[derive(Debug, Clone, Copy)]
 pub struct FaultCause {
@@ -493,7 +275,7 @@ impl std::fmt::Display for FaultCause {
     }
 }
 
-/// A streamed job's chunk lifecycle as the run that scheduled it holds it:
+/// A pipelined job's chunk lifecycle as the run that scheduled it holds it:
 /// the job's phase times and one column per chunk field, chunks in wire
 /// order. Plain data — an emitter moves the vectors its simulation already
 /// filled in here and hands the whole to [`Schedule::new`].
@@ -724,7 +506,7 @@ impl Schedule {
             let p = if run.queued(m) {
                 let p = emit(
                     EventKind::ReorderEnter,
-                    Draft { parent: p, cause: Some("decode lanes busy".into()), ..d(landed) },
+                    Draft { parent: p, cause: Some("awaiting decode".into()), ..d(landed) },
                 );
                 emit(EventKind::ReorderExit, Draft { parent: p, ..d(ds) })
             } else {
@@ -739,36 +521,21 @@ impl Schedule {
     }
 }
 
-/// What a sink holds, in sequence order: a committed batch, an adopted
-/// schedule, or one event appended on its own.
+/// What a sink holds, in sequence order: an adopted schedule, or one event
+/// appended on its own.
 #[derive(Debug)]
 pub enum Entry {
-    /// A job's events from one [`Ledger::commit`] of a [`Batch`].
-    Batch(Batch),
-    /// A streamed job's schedule from one [`Ledger::commit`] of a
-    /// [`Schedule`]; its events exist only while someone reads them.
+    /// A job's schedule from one [`Ledger::commit`]; its events exist only
+    /// while someone reads them.
     Schedule(Schedule),
     /// One event from [`Ledger::append`] / [`emit`].
     Single(LedgerEvent),
-}
-
-impl From<Batch> for Entry {
-    fn from(batch: Batch) -> Entry {
-        Entry::Batch(batch)
-    }
-}
-
-impl From<Schedule> for Entry {
-    fn from(schedule: Schedule) -> Entry {
-        Entry::Schedule(schedule)
-    }
 }
 
 impl Entry {
     /// Job the entry is filed under.
     pub fn job(&self) -> Option<u64> {
         match self {
-            Entry::Batch(b) => b.job(),
             Entry::Schedule(s) => Some(s.job()),
             Entry::Single(e) => e.job,
         }
@@ -777,7 +544,6 @@ impl Entry {
     /// Events the entry holds.
     pub fn event_count(&self) -> usize {
         match self {
-            Entry::Batch(b) => b.len(),
             Entry::Schedule(s) => s.len(),
             Entry::Single(_) => 1,
         }
@@ -786,7 +552,6 @@ impl Entry {
     /// [`EventKind::Retransmit`] events the entry holds.
     pub fn retransmits(&self) -> u64 {
         match self {
-            Entry::Batch(b) => b.retransmits(),
             Entry::Schedule(s) => s.retransmits(),
             Entry::Single(e) => u64::from(e.event == EventKind::Retransmit),
         }
@@ -795,7 +560,6 @@ impl Entry {
     /// Appends the entry's events to `out`, in sequence order.
     pub fn widen_into(&self, out: &mut Vec<LedgerEvent>) {
         match self {
-            Entry::Batch(b) => b.widen_into(out),
             Entry::Schedule(s) => s.widen_into(out),
             Entry::Single(e) => out.push(e.clone()),
         }
@@ -805,20 +569,9 @@ impl Entry {
     fn bytes(&self) -> usize {
         std::mem::size_of::<Entry>()
             + match self {
-                Entry::Batch(b) => b.heap_bytes(),
                 Entry::Schedule(s) => s.heap_bytes(),
                 Entry::Single(_) => 0,
             }
-    }
-
-    /// Gives the entry's events the sequence numbers from `seq` on and the
-    /// wall stamp of their commit.
-    fn number(&mut self, seq: u64, t_wall_us: u64) {
-        match self {
-            Entry::Batch(b) => (b.seq_base, b.t_wall_us) = (seq, t_wall_us),
-            Entry::Schedule(s) => (s.seq_base, s.t_wall_us) = (seq, t_wall_us),
-            Entry::Single(e) => (e.seq, e.t_wall_us) = (seq, t_wall_us),
-        }
     }
 }
 
@@ -833,7 +586,7 @@ struct Sink {
     dropped: u64,
 }
 
-/// The ledger: one bounded sink of committed batches and single events in
+/// The ledger: one bounded sink of committed schedules and single events in
 /// one sequence space. Construct with [`Ledger::with_obs`] (publishes the
 /// dropped counter) or [`Ledger::detached`]; hand it to an emitter
 /// explicitly, or [`install_global`] it so [`emit`] activates.
@@ -910,19 +663,14 @@ impl Ledger {
         self.admit(1, |seq| Entry::Single(draft.stamped(kind, seq, t_wall_us)))
     }
 
-    /// Takes over a finished record — a [`Batch`] or a [`Schedule`] — as it
-    /// is: one sequence range for exactly the events it holds or widens to,
-    /// one wall stamp, one lock. Nothing inside the record is touched.
-    pub fn commit(&self, record: impl Into<Entry>) {
-        let mut entry = record.into();
-        let events = entry.event_count();
-        if events == 0 {
-            return;
-        }
+    /// Takes over a finished [`Schedule`] as it is: one sequence range for
+    /// exactly the events it widens to, one wall stamp, one lock. Nothing
+    /// inside the schedule is touched.
+    pub fn commit(&self, mut schedule: Schedule) {
         let t_wall_us = self.now_us();
-        self.admit(events, |seq| {
-            entry.number(seq, t_wall_us);
-            entry
+        self.admit(schedule.len(), |seq| {
+            (schedule.seq_base, schedule.t_wall_us) = (seq, t_wall_us);
+            Entry::Schedule(schedule)
         });
     }
 
@@ -1445,150 +1193,12 @@ mod tests {
         assert_eq!(events[0].chunk, Some(12));
     }
 
-    #[test]
-    fn rows_are_32_bytes_and_kinds_index_the_export_order() {
-        assert_eq!(std::mem::size_of::<Row>(), 32);
-        for (i, kind) in EventKind::ALL.into_iter().enumerate() {
-            assert_eq!(kind as usize, i, "Row::kind indexes EventKind::ALL");
-        }
-    }
-
-    /// A causal chain of `chunks` chunks for `job`, bracketed by the job
-    /// phases — the shape the orchestrator commits.
-    fn job_batch(job: u64, chunks: u32) -> Batch {
-        let mut b = Batch::with_capacity(2 + 3 * chunks as usize);
-        let begin = b.push(EventKind::JobBegin, Draft::job(job, 0.0));
-        for c in 0..chunks {
-            let d = |t: f64| Draft { t_sim: Some(t), bytes: 100, ..Draft::chunk(job, 0, c) };
-            let p = b.push(EventKind::Encoded, Draft { parent: Some(begin), ..d(1.0) });
-            let p = b.push(EventKind::Released, Draft { parent: Some(p), ..d(2.0) });
-            b.push(EventKind::Arrived, Draft { parent: Some(p), attempt: 1, ..d(3.0) });
-        }
-        b.push(EventKind::JobEnd, Draft { parent: Some(begin), ..Draft::job(job, 3.0) });
-        b
-    }
-
     /// Everything but `seq` and `t_wall_us`, parents relative to `base`,
-    /// floats by bit pattern (a NaN must survive too).
+    /// floats by bit pattern.
     fn content(e: &LedgerEvent, base: u64) -> impl PartialEq + std::fmt::Debug {
         let parent = e.parent.map(|p| p.wrapping_sub(base));
         let cause = e.cause.as_deref().map(str::to_string);
         (parent, e.span, e.job, e.file, e.chunk, e.event, cause, e.t_sim.map(f64::to_bits), e.bytes, e.attempt)
-    }
-
-    #[test]
-    fn batch_rows_widen_to_what_append_records() {
-        // Every kind, every `Option` field both ways, borrowed and owned
-        // causes, and values on both sides of each packed field's limit.
-        let attempts = [0, 1, u32::from(u16::MAX), u32::from(u16::MAX) + 1, u32::MAX];
-        let indices = [Some(0), Some(7), Some(u32::MAX - 1), Some(u32::MAX), None];
-        let times = [Some(0.0), Some(-1.5), None, Some(f64::NAN), Some(f64::INFINITY)];
-        let drafts: Vec<(EventKind, Draft)> = (0..8 * N_EVENT_KINDS)
-            .map(|i| {
-                let cause: Option<Cow<'static, str>> = match i % 4 {
-                    0 => None,
-                    1 => Some(Cow::Borrowed("stream window full")),
-                    2 => Some(Cow::Owned(format!("wan fault (p=0.{})", i % 3))),
-                    _ => Some(Cow::Borrowed("decode lanes busy")),
-                };
-                let draft = Draft {
-                    // Handle of an earlier event, none, itself, one not pushed yet.
-                    parent: [Some(i as u64 / 2), None, Some(i as u64), Some(i as u64 + 40)][(i / 3) % 4],
-                    span: if i % 23 == 22 { Some(9) } else { None },
-                    job: if i % 19 == 18 { None } else { Some(5) },
-                    file: indices[i % 5],
-                    chunk: indices[(i / 5) % 5],
-                    cause,
-                    t_sim: times[(i / 2) % 5],
-                    bytes: if i % 7 == 0 { u64::MAX } else { i as u64 },
-                    attempt: attempts[(i / 7) % 5],
-                };
-                (EventKind::ALL[i % N_EVENT_KINDS], draft)
-            })
-            .collect();
-
-        // Reference: one `append` per draft, parents turned into the
-        // sequence numbers the earlier appends returned.
-        let reference = Ledger::detached();
-        let first = 1; // a fresh ledger numbers from 1
-        for (kind, draft) in &drafts {
-            reference.append(*kind, Draft { parent: draft.parent.map(|p| first + p), ..draft.clone() });
-        }
-        let reference = reference.drain();
-        assert_eq!(reference[0].seq, first);
-
-        let mut batch = Batch::with_capacity(drafts.len());
-        for (i, (kind, draft)) in drafts.iter().enumerate() {
-            let handle = match &draft.cause {
-                Some(cause) if i % 2 == 0 => batch.push_because(*kind, cause, Draft { cause: None, ..draft.clone() }),
-                _ => batch.push(*kind, draft.clone()),
-            };
-            assert_eq!(handle, i as u64);
-        }
-        let packed = batch.len() - batch.wide.len();
-        assert!(packed >= N_EVENT_KINDS && batch.wide.len() >= N_EVENT_KINDS, "both row forms are exercised");
-        assert_eq!(batch.causes.len(), 5, "each distinct cause is held once");
-        let uncommitted = batch.events();
-        assert_eq!(uncommitted[0].seq, 0);
-        let ledger = Ledger::detached();
-        ledger.append(EventKind::Sealed, Draft::default());
-        ledger.commit(batch);
-        let widened = ledger.drain().split_off(1);
-        assert_eq!(widened.len(), reference.len());
-        for (i, ((w, r), u)) in widened.iter().zip(&reference).zip(&uncommitted).enumerate() {
-            assert_eq!(w.seq, 2 + i as u64, "one contiguous range after the single event");
-            assert_eq!(content(w, 2), content(r, first), "event {i}");
-            assert_eq!(content(u, 0), content(r, first), "uncommitted event {i}");
-            assert_eq!(w.t_wall_us, widened[0].t_wall_us, "one wall stamp per batch");
-        }
-        // The limits themselves: at the limit a value packs, past it the
-        // draft is kept whole — neither wraps.
-        let at = widened.iter().filter(|e| e.attempt == u32::from(u16::MAX)).count();
-        let past = widened.iter().filter(|e| e.attempt == u32::from(u16::MAX) + 1).count();
-        assert!(at > 0 && past > 0);
-    }
-
-    #[test]
-    fn a_255th_distinct_cause_is_kept_with_its_event() {
-        let mut batch = Batch::with_capacity(300);
-        for i in 0..300u32 {
-            batch.push(EventKind::Fault, Draft { cause: Some(format!("cause {i}").into()), ..Draft::chunk(1, 0, i) });
-        }
-        assert_eq!(batch.causes.len(), 254);
-        assert_eq!(batch.wide.len(), 300 - 254);
-        for (i, e) in batch.events().iter().enumerate() {
-            assert_eq!(e.cause.as_deref(), Some(format!("cause {i}").as_str()));
-        }
-    }
-
-    #[test]
-    fn oldest_batches_go_whole_under_a_small_bound() {
-        let obs = Obs::enabled();
-        let per_batch = job_batch(0, 50).heap_bytes() + std::mem::size_of::<Entry>();
-        // Room for three batches and a bit, never for four.
-        let ledger = Ledger::with_obs_and_capacity(&obs, 3 * per_batch + per_batch / 2);
-        for job in 0..10u64 {
-            ledger.commit(job_batch(job, 50));
-        }
-        let per_job = job_batch(0, 50).len() as u64;
-        assert_eq!(ledger.dropped(), 7 * per_job, "seven whole batches went");
-        assert_eq!(obs.registry().unwrap().counter(LEDGER_DROPPED_COUNTER, "").get(), 7 * per_job);
-        let events = ledger.drain();
-        assert_eq!(events.len() as u64, 3 * per_job);
-        for job in 7..10u64 {
-            let own: Vec<&LedgerEvent> = events.iter().filter(|e| e.job == Some(job)).collect();
-            assert_eq!(own.len() as u64, per_job, "job {job} is whole");
-            assert_eq!(own[0].event, EventKind::JobBegin, "job {job} kept its head");
-            assert_eq!(check_causality(&events, job), Vec::<String>::new());
-        }
-        assert!(events.iter().all(|e| e.job >= Some(7)), "nothing of a dropped job is left");
-        // A batch larger than the whole bound is still admitted — alone.
-        ledger.commit(job_batch(20, 10));
-        ledger.commit(job_batch(21, 500));
-        let events = ledger.drain();
-        assert!(events.iter().all(|e| e.job == Some(21)));
-        assert_eq!(check_causality(&events, 21), Vec::<String>::new());
-        assert_eq!(Timeline::reconstruct(&events, 21).unwrap().tracks.len(), 500);
     }
 
     /// `chunks` chunks of one file of `job`, a second apart: every other one
@@ -1748,9 +1358,9 @@ mod tests {
         assert!(events.iter().all(|e| e.job >= Some(7)), "nothing of a dropped job is left");
         // A schedule larger than the whole bound is still admitted — alone —
         // and what it pushes out is counted event for event.
-        ledger.commit(job_batch(20, 10));
+        ledger.commit(job_schedule(20, 10));
         ledger.commit(job_schedule(21, 500));
-        assert_eq!(ledger.dropped(), gone + job_batch(20, 10).len() as u64);
+        assert_eq!(ledger.dropped(), gone + job_schedule(20, 10).len() as u64);
         let events = ledger.drain();
         assert!(events.iter().all(|e| e.job == Some(21)));
         assert_eq!(Timeline::reconstruct(&events, 21).unwrap().tracks.len(), 500);
@@ -1758,15 +1368,15 @@ mod tests {
 
     #[test]
     fn batches_and_single_appends_share_one_total_order() {
-        const BATCHES: u64 = 40;
+        const SCHEDULES: u64 = 40;
         const SINGLES: u32 = 2000;
         let ledger = Ledger::detached();
         let start = std::sync::Barrier::new(2);
         std::thread::scope(|s| {
             s.spawn(|| {
                 start.wait();
-                for job in 0..BATCHES {
-                    ledger.commit(job_batch(job, 20));
+                for job in 0..SCHEDULES {
+                    ledger.commit(job_schedule(job, 20));
                 }
             });
             s.spawn(|| {
@@ -1778,15 +1388,15 @@ mod tests {
                 }
             });
         });
-        let per_job = job_batch(0, 20).len();
+        let per_job = job_schedule(0, 20).len();
         let events = ledger.drain();
-        assert_eq!(events.len(), BATCHES as usize * per_job + SINGLES as usize);
+        assert_eq!(events.len(), SCHEDULES as usize * per_job + SINGLES as usize);
         assert_eq!(events[0].seq, 1);
         assert!(events.windows(2).all(|w| w[1].seq == w[0].seq + 1), "drain is the gap-free sequence order");
-        for job in 0..BATCHES {
+        for job in 0..SCHEDULES {
             let own: Vec<u64> = events.iter().filter(|e| e.job == Some(job)).map(|e| e.seq).collect();
             assert_eq!(own.len(), per_job);
-            assert_eq!(own[per_job - 1] - own[0], per_job as u64 - 1, "batch {job} holds one contiguous range");
+            assert_eq!(own[per_job - 1] - own[0], per_job as u64 - 1, "schedule {job} holds one contiguous range");
             assert_eq!(check_causality(&events, job), Vec::<String>::new());
         }
         let singles: Vec<&LedgerEvent> = events.iter().filter(|e| e.job.is_none()).collect();

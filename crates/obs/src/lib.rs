@@ -21,7 +21,7 @@
 //!   self-overhead gauge and collapsed-stack ("folded") export.
 //! - [`ledger`] — chunk-lifecycle event ledger: causal wide events per
 //!   chunk (compressed → released → in-flight → arrived → decoded),
-//!   committed one batch per job into a sink bounded between batches,
+//!   committed one schedule per job into a sink bounded between records,
 //!   replayable into per-chunk Gantt timelines.
 //!
 //! An [`Obs`] is a cheap-clone handle that is either *enabled* (wraps an

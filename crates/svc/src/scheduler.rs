@@ -76,7 +76,7 @@ pub struct ServiceConfig {
     /// Bounded in-flight chunk window for streamed jobs (the CLI's
     /// `--stream-window` flag). `0` keeps the staged pipeline; `> 0` runs
     /// [`Strategy::Compressed`] jobs through the streamed chunk pipeline
-    /// (compress → ship → decompress overlapped, healthy-link model).
+    /// (compress → ship → decompress overlapped, faults injected per chunk).
     pub stream_window: usize,
 }
 
@@ -200,8 +200,8 @@ struct Shared {
 const LEDGER_JOBS_KEPT: usize = 32;
 
 /// Ledger entries of the most recent [`LEDGER_JOBS_KEPT`] jobs, kept as the
-/// ledger handed them over — a streamed job's schedule, a staged job's
-/// batch — and widened into events only when read, plus the one number
+/// ledger handed them over — a streamed job's schedule — and widened into
+/// events only when read, plus the one number
 /// `analyze` needs from every job that ever ran (read off the entry's
 /// header, not its events).
 #[derive(Default)]
@@ -700,8 +700,8 @@ fn process_job(shared: &Shared, id: JobId, spec: &JobSpec) -> JobReport {
         ..PipelineOptions::default()
     };
     // With a stream window, plain compressed jobs run the streamed chunk
-    // pipeline (healthy-link model, like the sentinel and overlapped paths);
-    // everything else keeps the staged fault-aware path.
+    // pipeline, which injects `opts.faults` per chunk (every chunk arrives
+    // in the end); everything else keeps the staged fault-aware path.
     let streamed = cfg.stream_window > 0 && matches!(spec.strategy, Strategy::Compressed);
     let outcome = if streamed {
         let breakdown = shared.orchestrator.run_streamed(&workload, spec.from, spec.to, &opts);
@@ -1109,42 +1109,47 @@ mod tests {
 
     #[test]
     fn chunk_store_keeps_the_newest_jobs_and_every_retransmit_count() {
-        use ocelot_obs::ledger::{Batch, Draft};
-        let batch = |job: u64, kinds: &[EventKind]| {
-            let mut b = Batch::with_capacity(kinds.len());
-            for &kind in kinds {
-                b.push(kind, Draft { attempt: 1, t_sim: Some(0.0), ..Draft::chunk(job, 0, 0) });
-            }
-            Entry::Batch(b)
+        use ocelot_obs::ledger::{Lifecycle, Schedule};
+        // One chunk that fails `retransmits` attempts before it lands:
+        // eleven events, two more per failed attempt.
+        let schedule = |job: u64, retransmits: usize| {
+            Entry::Schedule(Schedule::new(Lifecycle {
+                job,
+                file: vec![0],
+                chunk: vec![0],
+                bytes: vec![10],
+                compress_begin: vec![0.0],
+                ready: vec![0.0],
+                release: vec![0.0],
+                sent: vec![0.0],
+                landed: vec![0.0],
+                decode: vec![(0.0, 0.0)],
+                failed: vec![(0, 0.5); retransmits],
+                ..Lifecycle::default()
+            }))
         };
         let mut store = ChunkStore::default();
         let jobs = LEDGER_JOBS_KEPT as u64 + 5;
         for job in 0..jobs {
-            if job % 2 == 0 {
-                store.file(job, batch(job, &[EventKind::InFlight, EventKind::Retransmit, EventKind::Arrived]));
-            } else {
-                store.file(job, batch(job, &[EventKind::InFlight, EventKind::Arrived]));
-            }
+            store.file(job, schedule(job, usize::from(job % 2 == 0)));
         }
         assert_eq!(store.by_job.len(), LEDGER_JOBS_KEPT);
         assert_eq!(store.order.len(), LEDGER_JOBS_KEPT);
         assert!(store.events(JobId(4)).is_empty(), "the oldest jobs' events are dropped");
-        assert_eq!(store.events(JobId(5)).len(), 2);
+        assert_eq!(store.events(JobId(5)).len(), 11);
         let newest: Vec<EventKind> = store.events(JobId(jobs - 1)).iter().map(|e| e.event).collect();
-        assert_eq!(
-            newest,
-            [EventKind::InFlight, EventKind::Retransmit, EventKind::Arrived],
-            "a job's events stay whole and in order"
-        );
+        assert_eq!(newest.len(), 13);
+        assert_eq!(newest.iter().filter(|&&k| k == EventKind::Retransmit).count(), 1);
+        assert_eq!((newest[0], newest[12]), (EventKind::JobBegin, EventKind::JobEnd), "a job's events stay whole");
         assert_eq!(store.retransmits.len() as u64, jobs.div_ceil(2), "retransmit counts outlive the events");
         assert!(store.retransmits.values().all(|&n| n == 1));
         // A second entry of a kept job joins the first; a late one of a
         // dropped job starts it again rather than reviving a stale list.
-        store.file(jobs - 1, batch(jobs - 1, &[EventKind::Retransmit, EventKind::DecodeEnd]));
-        assert_eq!(store.events(JobId(jobs - 1)).len(), 5);
+        store.file(jobs - 1, schedule(jobs - 1, 1));
+        assert_eq!(store.events(JobId(jobs - 1)).len(), 26);
         assert_eq!(store.retransmits[&(jobs - 1)], 2);
-        store.file(0, batch(0, &[EventKind::DecodeEnd]));
-        assert_eq!(store.events(JobId(0)).len(), 1);
+        store.file(0, schedule(0, 0));
+        assert_eq!(store.events(JobId(0)).len(), 11);
         assert_eq!(store.by_job.len(), LEDGER_JOBS_KEPT);
     }
 
