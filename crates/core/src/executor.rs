@@ -6,7 +6,7 @@
 use ocelot_sz::format::{BlobHeader, ChunkEntry};
 use ocelot_sz::{
     compress, compress_streamed, decode_chunk_into, decompress_with_threads, CompressedBlob, CompressionOutcome,
-    Dataset, HuffmanTable, LossyConfig, SzError,
+    Dataset, LossyConfig, SzError,
 };
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -14,16 +14,15 @@ use std::sync::Arc;
 
 /// One compressed chunk crossing the in-process "transfer lane" between the
 /// compress workers and the decode drainer. Job-wide metadata (header, chunk
-/// shape, shared Huffman table) is `Arc`-shared across messages — the only
-/// per-chunk copy is the payload itself, the bytes that would really cross a
-/// network.
+/// shape) is `Arc`-shared across messages — the only per-chunk copy is the
+/// payload itself, the bytes that would really cross a network, and it
+/// carries its own Huffman table.
 struct ChunkMsg {
     index: usize,
     header: Arc<BlobHeader>,
     dims: Arc<Vec<usize>>,
     entry: ChunkEntry,
     payload: Vec<u8>,
-    shared: Arc<Option<HuffmanTable>>,
 }
 
 /// Result of a streamed compress → ship → decode round trip for one file.
@@ -179,15 +178,7 @@ impl ParallelExecutor {
                     let slab = values[filled..]
                         .get_mut(..points)
                         .ok_or_else(|| SzError::CorruptStream(format!("chunk {} overruns the dataset", msg.index)))?;
-                    decode_chunk_into::<f32>(
-                        &msg.header,
-                        &msg.dims,
-                        msg.index,
-                        &msg.entry,
-                        &msg.payload,
-                        msg.shared.as_ref().as_ref(),
-                        slab,
-                    )?;
+                    decode_chunk_into::<f32>(&msg.header, &msg.dims, msg.index, &msg.entry, &msg.payload, None, slab)?;
                     ocelot_obs::ledger::emit(
                         ocelot_obs::ledger::EventKind::DecodeEnd,
                         ocelot_obs::ledger::Draft {
@@ -201,20 +192,12 @@ impl ParallelExecutor {
                 }
                 Ok((values, filled, shipped))
             });
-            // Job-wide metadata is identical for every chunk: build the Arcs
-            // on the first chunk and share them across messages.
-            let mut job: Option<(Arc<BlobHeader>, Arc<Option<HuffmanTable>>)> = None;
+            // The header is identical for every chunk: build its Arc on the
+            // first chunk and share it across messages.
+            let mut header: Option<Arc<BlobHeader>> = None;
             let mut dims_cache: Vec<Arc<Vec<usize>>> = Vec::new();
             outcome_result = compress_streamed(data, &config, window, |chunk| {
-                if job.is_none() {
-                    let shared = if chunk.shared_table.is_empty() {
-                        None
-                    } else {
-                        Some(HuffmanTable::deserialize(chunk.shared_table)?)
-                    };
-                    job = Some((Arc::new(chunk.header.clone()), Arc::new(shared)));
-                }
-                let (header, shared) = job.as_ref().expect("job metadata initialized above");
+                let header = header.get_or_insert_with(|| Arc::new(chunk.header.clone()));
                 let dims = match dims_cache.iter().find(|d| d.as_slice() == chunk.dims) {
                     Some(d) => Arc::clone(d),
                     None => {
@@ -229,7 +212,6 @@ impl ParallelExecutor {
                     dims,
                     entry: chunk.entry,
                     payload: chunk.payload.to_vec(),
-                    shared: Arc::clone(shared),
                 };
                 tx.send(msg).map_err(|_| SzError::CorruptStream("stream drainer hung up".into()))
             });
@@ -398,9 +380,10 @@ mod tests {
         // value below is an exact f32 sum, so the field is the same on any
         // platform); a slab offset, a tail-chunk length or a kernel bit off
         // by one changes them. The blob hash was taken again when the chunks
-        // that escape the shared table began to pack their own; the restored
-        // values stand as first recorded.
-        const BLOB: u64 = 0x6ac6_b71c_8eee_d6d8;
+        // that escaped the shared table began to pack their own, and again
+        // when every chunk embedded its own packed table; the restored values
+        // stand as first recorded.
+        const BLOB: u64 = 0x48c3_3044_cce0_4925;
         const RESTORED: u64 = 0x8569_5e9f_516d_ea74;
         let mut state = 0x0123_4567_89ab_cdefu64;
         let data = Dataset::from_fn(vec![37, 24, 20], move |i| {

@@ -111,16 +111,19 @@ fn kernel_advice(kernel: Kernel, share: f64) -> String {
     let pct = share * 100.0;
     let what = match kernel {
         Kernel::HuffmanEncode => {
-            "the per-job shared Huffman table already amortizes tree builds; \
-             shrink the quantizer radius (smaller alphabet) or try the rle backend"
+            "a looser --eb narrows the code alphabet; --backend rle+huffman codes runs of the \
+             zero bin instead of every point"
         }
         Kernel::Predict => {
-            "the predictor sweep is already fused; loosen the error bound (fewer escapes) \
-             or prefer lorenzo over interp/regression for wire-speed encodes"
+            "the predictor sweep is already fused; loosen --eb (fewer escapes) \
+             or prefer --predictor lorenzo over interp/regression for wire-speed encodes"
         }
-        Kernel::FrameCrc => "framing is already zero-copy with inline CRC; raise chunk_points to cut fewer frames",
-        Kernel::Lz => "raise the LZ acceleration factor or skip LZ for low-entropy chunks",
-        Kernel::Rle => "try the plain Huffman backend; RLE is not paying for itself here",
+        Kernel::FrameCrc => {
+            "framing is already zero-copy with inline CRC; fewer --codec-threads cut the dataset \
+             into fewer chunks to frame"
+        }
+        Kernel::Lz => "--backend huffman skips the LZ pass over the Huffman output",
+        Kernel::Rle => "try --backend huffman; RLE is not paying for itself here",
         _ => "read the per-layer budget of the compression kernels (`benchmark run --trace 1`)",
     };
     format!("compression dominates and {} leads its kernels ({pct:.0}% of kernel time); {what}", kernel.name())
@@ -377,7 +380,7 @@ mod tests {
     fn compress_dominant_hint_names_the_leading_kernel() {
         let registry = Registry::new();
         // huffman_encode 3s vs predict 1s: the hint must single it out and
-        // suggest the shared-table remedy.
+        // suggest a backend that codes fewer symbols.
         registry.histogram("ocelot_sz_kernel_huffman_encode_seconds", "k").observe(3.0);
         registry.histogram("ocelot_sz_kernel_predict_seconds", "k").observe(1.0);
         let analysis = build_analysis(&compress_dominant_spans(), &HashMap::new(), 4, Some(&registry));
@@ -386,7 +389,27 @@ mod tests {
         assert_eq!(hint.recommended_workers, 4);
         assert!(hint.advice.contains("huffman_encode"), "advice: {}", hint.advice);
         assert!(hint.advice.contains("75%"), "advice carries the share: {}", hint.advice);
-        assert!(hint.advice.contains("Huffman table"), "advice: {}", hint.advice);
+        assert!(hint.advice.contains("--backend rle+huffman"), "advice: {}", hint.advice);
+
+        // Every kernel's advice names only what `ocelot compress` accepts:
+        // no shared table, LZ acceleration factor or chunk_points setting
+        // exists to turn. (A back-quoted command is some other tool's.)
+        let flags = ["--backend", "--eb", "--predictor", "--codec-threads"];
+        let backends = ["huffman", "huffman+lz", "rle+huffman"];
+        for kernel in Kernel::ALL {
+            let advice = kernel_advice(kernel, 0.5);
+            for word in ["shared", "acceleration", "chunk_points"] {
+                assert!(!advice.contains(word), "{kernel:?}: {advice}");
+            }
+            let prose: String = advice.split('`').step_by(2).collect();
+            let words: Vec<&str> = prose.split(|c: char| c.is_whitespace() || c == ';' || c == ',').collect();
+            for (i, word) in words.iter().enumerate().filter(|(_, w)| w.starts_with("--")) {
+                assert!(flags.contains(word), "{kernel:?} names {word}: {advice}");
+                if *word == "--backend" {
+                    assert!(backends.contains(&words[i + 1]), "{kernel:?}: {advice}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -369,7 +369,7 @@ fn table_mode_name(tag: u8) -> &'static str {
 struct ChunkedBlob {
     table: sz_format::ChunkTable,
     /// Byte size of the shared Huffman table section (0 on version 3, which
-    /// has no such section).
+    /// has no such section, and on every blob written today).
     shared_bytes: usize,
     /// Per chunk: the bytes of the code-length table it embeds and the
     /// symbols that table holds, both 0 for a chunk that embeds none.

@@ -16,12 +16,12 @@
 //! prefix LUT that resolves codes of up to `LUT_BITS` bits in one probe,
 //! falling back to the canonical per-length walk for longer codes.
 //!
-//! [`HuffmanTable`] exposes the table/stream halves separately so one
-//! canonical table can be built once per job and shared across chunks; the
-//! self-describing [`huffman_encode`]/[`huffman_decode`] pair layers the two
-//! halves back together. The encode and the decode lookup of a table are
-//! each built on first use, so a compressor never builds a decode LUT nor a
-//! decompressor an encode table.
+//! [`HuffmanTable`] exposes the table/stream halves separately: the
+//! self-describing [`huffman_encode`]/[`huffman_decode`] pair, which every
+//! chunk written today uses, layers the two back together, and stored blobs
+//! whose chunks share one table keep the halves apart. The encode and the
+//! decode lookup of a table are each built on first use, so a compressor
+//! never builds a decode LUT nor a decompressor an encode table.
 //!
 //! # Table layouts
 //!
@@ -52,9 +52,9 @@
 //!   varints must be minimal, so a table has exactly one encoding.
 //! * **Wide** — `[n u32][(symbol u32, len u8) × n]` in canonical (length,
 //!   symbol) order, five bytes a symbol: [`HuffmanTable::serialize`]. It is
-//!   the container's shared-table section (once a blob, ≤ 354 B) and what
-//!   chunks stored before the packed layout embed, which
-//!   [`huffman_decode_wide`] still reads.
+//!   what the container's shared-table section holds in stored blobs (it is
+//!   written empty now) and what chunks stored before the packed layout
+//!   embed, which [`huffman_decode_wide`] still reads.
 
 use std::collections::HashMap;
 use std::sync::OnceLock;

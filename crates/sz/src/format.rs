@@ -13,14 +13,15 @@
 //!   the raw chunk payloads back to back, then the whole-blob CRC-32 trailer.
 //!   Chunks are self-contained and decode independently — and therefore in
 //!   parallel.
-//! * **Version 4** (current): version 3 plus shared Huffman tables. Each
-//!   chunk-table row gains a one-byte *table mode* tag ([`TABLE_MODE_SHARED`]
-//!   references the job-wide table; [`TABLE_MODE_PACKED`] embeds a per-chunk
-//!   code-length table in the packed layout of [`crate::encode::huffman`];
-//!   [`TABLE_MODE_LOCAL`] embeds it five bytes a symbol as version 3 did —
-//!   read, no longer written), and a second length-prefixed section carrying
-//!   the shared canonical code-length table (empty when no chunk uses it)
-//!   sits between the chunk table and the payloads.
+//! * **Version 4** (current): version 3 plus a one-byte *table mode* tag on
+//!   each chunk-table row and a second length-prefixed section, the shared
+//!   Huffman table, between the chunk table and the payloads. Writers tag
+//!   every chunk [`TABLE_MODE_PACKED`] — it embeds its own code-length table
+//!   in the packed layout of [`crate::encode::huffman`] — and write the
+//!   shared-table section empty. Stored blobs also carry
+//!   [`TABLE_MODE_SHARED`] (the chunk's codes use the blob's shared table)
+//!   and [`TABLE_MODE_LOCAL`] (a table embedded five bytes a symbol, as
+//!   version 3 did); both are read, no longer written.
 //!
 //! Unknown versions are rejected with [`SzError::UnsupportedVersion`].
 
@@ -30,7 +31,8 @@ use crate::error::SzError;
 
 /// Magic bytes at the start of every blob.
 pub const MAGIC: [u8; 4] = *b"OCSZ";
-/// Current format version: the chunked container with shared Huffman tables.
+/// Current format version: the chunked container with per-chunk table-mode
+/// tags and a shared-table section (written empty).
 pub const VERSION: u16 = 4;
 /// Legacy chunked container without the shared-table section or per-chunk
 /// table-mode tags (still decodable).
@@ -43,6 +45,7 @@ pub const VERSION_V2: u16 = 2;
 /// bytes a symbol. Stored blobs carry it; writers use [`TABLE_MODE_PACKED`].
 pub const TABLE_MODE_LOCAL: u8 = 0;
 /// Chunk-table tag: the chunk's code stream uses the blob's shared table.
+/// Stored blobs carry it; writers use [`TABLE_MODE_PACKED`].
 pub const TABLE_MODE_SHARED: u8 = 1;
 /// Chunk-table tag: the chunk payload embeds its own code-length table in
 /// the packed layout. A reader from before the tag existed rejects it as an

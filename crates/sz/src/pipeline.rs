@@ -4,10 +4,11 @@
 //!
 //! [`compress`] splits the dataset into row slabs ([`crate::engine`]),
 //! compresses each slab independently (predictor state resets per chunk, so
-//! chunks decode in isolation), and assembles a version-3 container whose
-//! chunk table records per-chunk offsets, CRC-32s, and quantization
-//! statistics. `threads = 1` (the default) produces a single chunk whose
-//! payload is exactly the serial pipeline's stream.
+//! chunks decode in isolation, and each embeds its own Huffman table), and
+//! assembles a version-4 container whose chunk table records per-chunk
+//! offsets, CRC-32s, and quantization statistics. `threads = 1` (the
+//! default) produces a single chunk whose payload is exactly the serial
+//! pipeline's stream.
 
 use std::sync::Mutex;
 
@@ -38,8 +39,8 @@ pub struct SectionSizes {
     /// Entropy-coded quantization bins (after the lossless backend).
     pub codes: usize,
     /// Of `codes`, the code-length tables the chunks embed — as serialized,
-    /// so under `HuffmanLz` before its LZ pass. The blob's shared table is
-    /// a section of its own and counts as `framing`.
+    /// so under `HuffmanLz` before its LZ pass. The blob's shared-table
+    /// section, written empty, counts as `framing`.
     pub tables: usize,
     /// Header, chunk table, and framing overhead (everything else).
     pub framing: usize,
@@ -82,9 +83,9 @@ pub(crate) struct EncodedChunk {
     /// Sparse `(code, count)` histogram of the quantization codes, sorted by
     /// code (prediction family; empty for transform chunks).
     pub hist: Vec<(u32, u64)>,
-    /// How the code stream was entropy-coded ([`TABLE_MODE_PACKED`] /
-    /// [`TABLE_MODE_SHARED`]; the transform family leaves the tag at
-    /// [`TABLE_MODE_LOCAL`] and nothing reads it).
+    /// How the code stream was entropy-coded: [`TABLE_MODE_PACKED`] for the
+    /// prediction family; the transform family leaves the tag at
+    /// [`TABLE_MODE_LOCAL`] and nothing reads it.
     pub table_mode: u8,
     pub unpredictable: u64,
     pub side_bytes: usize,
@@ -127,10 +128,6 @@ pub struct StreamedChunk<'a> {
     pub entry: ChunkEntry,
     /// The chunk's container payload bytes.
     pub payload: &'a [u8],
-    /// The blob's serialized shared Huffman table (empty when every chunk is
-    /// self-describing). A streamed consumer needs it to decode chunks whose
-    /// `entry.table_mode` is [`TABLE_MODE_SHARED`] before the blob exists.
-    pub shared_table: &'a [u8],
 }
 
 /// Streaming variant of [`compress`]: hands each compressed chunk to `sink`
@@ -167,80 +164,40 @@ pub fn compress_streamed<T: ScalarValue>(
     let quantizer = LinearQuantizer::new(abs_eb, config.quant_radius);
     let zero_code = config.quant_radius;
 
-    // Shared-table mode: when the layout splits the job, compress chunk 0 on
-    // the calling thread first and build one canonical Huffman table from its
-    // histogram. Every chunk then tries the shared table (skipping the
-    // per-chunk tree build) and falls back to a self-describing table of its
-    // own only if its symbols escape. The layout — and therefore the decision
-    // and the table itself — is a pure function of shape, chunk size, and
-    // data, so the blob bytes stay identical at every thread count and window.
-    let layout = ChunkLayout::plan(data.dims(), config.threads, config.chunk_points);
-    // A chunk's codes are counted once: the same histogram builds the
-    // Huffman table (shared or local) and feeds the job's bin statistics.
-    let predict_and_count = |chunk: DatasetView<'_, T>| {
+    // Every chunk stands alone: its own predictor run, its own histogram and
+    // its own packed Huffman table, all on the worker that claimed it.
+    compress_chunked_streamed(data, header, config.threads, config.chunk_points, window, sink, |chunk| {
         let streams = run_predictor(chunk, config.predictor, &quantizer)?;
+        // A chunk's codes are counted once: the same histogram builds the
+        // Huffman table and feeds the job's bin statistics.
         let hist = code_histogram(&streams.codes);
-        Ok::<_, SzError>((streams, hist))
-    };
-    let mut precomputed = None;
-    let shared: Option<HuffmanTable> = if layout.n_chunks() > 1 {
-        let dims0 = layout.chunk_dims(0);
-        let view = DatasetView::new(&dims0, &data.values()[layout.value_range(0)])
-            .expect("chunk shapes are valid by construction");
-        let (streams, hist) = predict_and_count(view)?;
-        let table = match config.backend {
-            LosslessBackend::RleHuffman => HuffmanTable::from_symbols(&rle_encode(&streams.codes, zero_code)),
-            _ => HuffmanTable::from_histogram(&hist),
+        let coded = encode_codes(&streams.codes, &hist, config.backend, zero_code);
+        let mut unpred_bytes = Vec::with_capacity(streams.unpredictable.len() * T::BYTES);
+        for &v in &streams.unpredictable {
+            v.write_le(&mut unpred_bytes);
+        }
+        let mut payload = Vec::with_capacity(24 + streams.side_data.len() + unpred_bytes.len() + coded.bytes.len());
+        write_framed(&mut payload, &streams.side_data);
+        write_framed(&mut payload, &unpred_bytes);
+        write_framed(&mut payload, &coded.bytes);
+        // CRC on the worker, while the payload is cache-hot, instead of on
+        // the in-order consumer where it would serialize behind every chunk.
+        let crc = {
+            let _p = prof::probe(Kernel::FrameCrc, payload.len());
+            crate::checksum::crc32(&payload)
         };
-        precomputed = Some((streams, hist));
-        table
-    } else {
-        None
-    };
-    let shared_bytes = shared.as_ref().map(HuffmanTable::serialize).unwrap_or_default();
-    let chunk0 = Mutex::new(precomputed);
-
-    compress_chunked_streamed(
-        data,
-        header,
-        config.threads,
-        config.chunk_points,
-        window,
-        &shared_bytes,
-        sink,
-        |i, chunk| {
-            let (streams, hist) = match if i == 0 { chunk0.lock().expect("chunk0 mutex").take() } else { None } {
-                Some(counted) => counted,
-                None => predict_and_count(chunk)?,
-            };
-            let coded = encode_codes(&streams.codes, &hist, config.backend, zero_code, shared.as_ref());
-            let mut unpred_bytes = Vec::with_capacity(streams.unpredictable.len() * T::BYTES);
-            for &v in &streams.unpredictable {
-                v.write_le(&mut unpred_bytes);
-            }
-            let mut payload = Vec::with_capacity(24 + streams.side_data.len() + unpred_bytes.len() + coded.bytes.len());
-            write_framed(&mut payload, &streams.side_data);
-            write_framed(&mut payload, &unpred_bytes);
-            write_framed(&mut payload, &coded.bytes);
-            // CRC on the worker, while the payload is cache-hot, instead of on
-            // the in-order consumer where it would serialize behind every chunk.
-            let crc = {
-                let _p = prof::probe(Kernel::FrameCrc, payload.len());
-                crate::checksum::crc32(&payload)
-            };
-            Ok(EncodedChunk {
-                payload,
-                crc,
-                hist,
-                table_mode: coded.table_mode,
-                unpredictable: streams.unpredictable.len() as u64,
-                side_bytes: streams.side_data.len(),
-                unpred_bytes: unpred_bytes.len(),
-                code_bytes: coded.bytes.len(),
-                table_bytes: coded.table_bytes,
-            })
-        },
-    )
+        Ok(EncodedChunk {
+            payload,
+            crc,
+            hist,
+            table_mode: coded.table_mode,
+            unpredictable: streams.unpredictable.len() as u64,
+            side_bytes: streams.side_data.len(),
+            unpred_bytes: unpred_bytes.len(),
+            code_bytes: coded.bytes.len(),
+            table_bytes: coded.table_bytes,
+        })
+    })
 }
 
 /// Shared chunked-container assembly: plans the layout, runs `encode_chunk`
@@ -255,9 +212,9 @@ pub(crate) fn compress_chunked<T, F>(
 ) -> Result<CompressionOutcome, SzError>
 where
     T: ScalarValue,
-    F: Fn(usize, DatasetView<'_, T>) -> Result<EncodedChunk, SzError> + Sync,
+    F: Fn(DatasetView<'_, T>) -> Result<EncodedChunk, SzError> + Sync,
 {
-    compress_chunked_streamed(data, header, threads, chunk_points, 0, &[], |_| Ok(()), encode_chunk)
+    compress_chunked_streamed(data, header, threads, chunk_points, 0, |_| Ok(()), encode_chunk)
 }
 
 /// Streaming core shared by [`compress_chunked`] (no-op sink, unbounded
@@ -265,20 +222,18 @@ where
 /// and *consumed in index order* on the calling thread — each one offered to
 /// `sink` the moment it is in order — so the container bytes never depend on
 /// scheduling, window, or thread count.
-#[allow(clippy::too_many_arguments)]
 fn compress_chunked_streamed<T, F, S>(
     data: &Dataset<T>,
     header: BlobHeader,
     threads: usize,
     chunk_points: Option<usize>,
     window: usize,
-    shared_table: &[u8],
     mut sink: S,
     encode_chunk: F,
 ) -> Result<CompressionOutcome, SzError>
 where
     T: ScalarValue,
-    F: Fn(usize, DatasetView<'_, T>) -> Result<EncodedChunk, SzError> + Sync,
+    F: Fn(DatasetView<'_, T>) -> Result<EncodedChunk, SzError> + Sync,
     S: FnMut(StreamedChunk<'_>) -> Result<(), SzError>,
 {
     let obs = ocelot_obs::global();
@@ -322,7 +277,7 @@ where
             let tc = std::time::Instant::now();
             let view = DatasetView::new(dims_of(i), &data.values()[layout.value_range(i)])
                 .expect("chunk shapes are valid by construction");
-            let out = encode_chunk(i, view);
+            let out = encode_chunk(view);
             obs.observe(
                 "ocelot_sz_chunk_seconds",
                 "Wall time of one chunk compression task",
@@ -363,7 +318,6 @@ where
                         dims: dims_of(i),
                         entry,
                         payload: &c.payload,
-                        shared_table,
                     };
                     if let Err(e) = sink(streamed) {
                         first_err = Some(e);
@@ -400,11 +354,9 @@ where
 
     let table_bytes = table.encode();
     let mut writer = BlobWriter::new(&header)?;
-    writer
-        .reserve(16 + table_bytes.len() + shared_table.len() + body.len() + 4)
-        .section(&table_bytes)
-        .section(shared_table)
-        .raw(&body);
+    // The shared-table section stays, empty, so every version-4 reader
+    // still parses the blob.
+    writer.reserve(16 + table_bytes.len() + body.len() + 4).section(&table_bytes).section(&[]).raw(&body);
     let blob = writer.finish();
 
     let original_bytes = data.nbytes();
@@ -428,8 +380,9 @@ pub fn decompress<T: ScalarValue>(blob: &CompressedBlob) -> Result<Dataset<T>, S
     decompress_with_threads(blob, 1)
 }
 
-/// Decompresses a blob, decoding the chunks of a version-3 container on up
-/// to `threads` workers. Output is identical for every thread count.
+/// Decompresses a blob, decoding the chunks of a chunked (version 3 or 4)
+/// container on up to `threads` workers. Output is identical for every
+/// thread count.
 ///
 /// # Errors
 /// Same as [`decompress`]. Additionally returns
@@ -519,8 +472,9 @@ fn decompress_chunked<T: ScalarValue>(
     // points, chunk points) divides this one.
     let total = checked_points(&header.dims)?;
     let table = ChunkTable::decode(sections.next_section()?)?;
-    // Version 4 carries the shared Huffman table (possibly empty) between
-    // the chunk table and the payloads; version 3 has no such section.
+    // Version 4 carries a shared-Huffman-table section between the chunk
+    // table and the payloads: empty as written today, filled in stored blobs
+    // whose chunks are tagged `TABLE_MODE_SHARED`. Version 3 has none.
     let shared = if header.version >= VERSION {
         let bytes = sections.next_section()?;
         if bytes.is_empty() {
@@ -587,9 +541,9 @@ fn decompress_chunked<T: ScalarValue>(
 /// the chunk's slab of the destination buffer. `entry` is the chunk's table
 /// row and `payload` its container bytes, exactly as a [`compress_streamed`]
 /// sink receives them, so a streamed consumer can decode each chunk on
-/// arrival without the blob. `shared` is the blob's shared Huffman table,
-/// required when `entry.table_mode` is [`TABLE_MODE_SHARED`] (a streamed
-/// consumer builds it once from [`StreamedChunk::shared_table`]).
+/// arrival without the blob. `shared` is a stored blob's shared Huffman
+/// table, required when `entry.table_mode` is [`TABLE_MODE_SHARED`]; no
+/// writer emits that tag any more, so a streamed consumer passes `None`.
 ///
 /// # Errors
 /// Returns [`SzError::CorruptStream`] on a CRC mismatch, a malformed payload,
@@ -709,18 +663,11 @@ struct CodedStream {
     table_bytes: usize,
 }
 
-/// Huffman stage with optional shared table: try the job-wide table first
-/// (no per-chunk tree build or embedded length table); fall back to a
-/// self-describing stream — the chunk's own table, packed, in front of its
-/// code bits — when a symbol escapes it. `hist` is the symbols' histogram
-/// where the caller already has it.
-fn huffman_stage(symbols: &[u32], hist: Option<&[(u32, u64)]>, shared: Option<&HuffmanTable>) -> CodedStream {
+/// Huffman stage: a self-describing stream — the chunk's own table, packed,
+/// in front of its code bits. `hist` is the symbols' histogram where the
+/// caller already has it.
+fn huffman_stage(symbols: &[u32], hist: Option<&[(u32, u64)]>) -> CodedStream {
     let _p = prof::probe(Kernel::HuffmanEncode, std::mem::size_of_val(symbols));
-    if let Some(table) = shared {
-        if let Some(bytes) = table.encode_stream(symbols) {
-            return CodedStream { bytes, table_mode: TABLE_MODE_SHARED, table_bytes: 0 };
-        }
-    }
     let (bytes, table_bytes) = match hist {
         Some(hist) => huffman_encode_counted(symbols, hist),
         None => huffman_encode_counted(symbols, &freq_pairs(symbols)),
@@ -729,20 +676,14 @@ fn huffman_stage(symbols: &[u32], hist: Option<&[(u32, u64)]>, shared: Option<&H
 }
 
 /// Entropy-codes a chunk's quantization `codes`, whose histogram is `hist`.
-fn encode_codes(
-    codes: &[u32],
-    hist: &[(u32, u64)],
-    backend: LosslessBackend,
-    zero_code: u32,
-    shared: Option<&HuffmanTable>,
-) -> CodedStream {
+fn encode_codes(codes: &[u32], hist: &[(u32, u64)], backend: LosslessBackend, zero_code: u32) -> CodedStream {
     let obs = ocelot_obs::global();
     let t0 = std::time::Instant::now();
     let code_bytes = std::mem::size_of_val(codes);
     let coded = match backend {
-        LosslessBackend::Huffman => huffman_stage(codes, Some(hist), shared),
+        LosslessBackend::Huffman => huffman_stage(codes, Some(hist)),
         LosslessBackend::HuffmanLz => {
-            let huff = huffman_stage(codes, Some(hist), shared);
+            let huff = huffman_stage(codes, Some(hist));
             let _p = prof::probe(Kernel::Lz, huff.bytes.len());
             CodedStream { bytes: lz_compress(&huff.bytes), ..huff }
         }
@@ -752,7 +693,7 @@ fn encode_codes(
                 rle_encode(codes, zero_code)
             };
             // The Huffman symbols are runs, not codes: counted on their own.
-            huffman_stage(&runs, None, shared)
+            huffman_stage(&runs, None)
         }
     };
     obs.observe(
@@ -764,7 +705,8 @@ fn encode_codes(
 }
 
 /// Inverse of [`huffman_stage`]: dispatch on the chunk's table-mode tag.
-/// [`TABLE_MODE_LOCAL`] is the five-byte table of stored blobs.
+/// [`TABLE_MODE_SHARED`] and [`TABLE_MODE_LOCAL`] (the five-byte table) are
+/// read for stored blobs; no writer emits them.
 fn unhuffman_stage(bytes: &[u8], table_mode: u8, shared: Option<&HuffmanTable>) -> Result<Vec<u32>, SzError> {
     let _p = prof::probe(Kernel::HuffmanDecode, bytes.len());
     match table_mode {
@@ -781,9 +723,9 @@ fn unhuffman_stage(bytes: &[u8], table_mode: u8, shared: Option<&HuffmanTable>) 
 
 /// The code-length table a prediction-family chunk embeds in front of its
 /// code bits, and how many bytes it takes there (under `HuffmanLz`, of the
-/// stream the LZ pass then compressed). `None` for a chunk coded against the
-/// blob's shared table and for the transform family. `entry` and `payload`
-/// are the chunk's table row and container bytes.
+/// stream the LZ pass then compressed). `None` for a stored chunk coded
+/// against its blob's shared table and for the transform family. `entry`
+/// and `payload` are the chunk's table row and container bytes.
 ///
 /// # Errors
 /// Returns [`SzError::CorruptStream`] for a payload or table that does not
@@ -1257,35 +1199,43 @@ mod tests {
 
     #[test]
     fn the_writer_embeds_only_packed_tables() {
-        // Chunk 0 is smooth and defines the shared table; the loud second
-        // half escapes it. No writer path tags a chunk `TABLE_MODE_LOCAL`.
+        // A smooth first half and a loud second half, so no chunk's table
+        // fits another's. Every chunk embeds its own packed table and the
+        // shared-table section is written empty — on every backend, at any
+        // thread count, staged or streamed at any window.
         let data = Dataset::from_fn(vec![40, 12], |i| {
             let x = (i[0] * 12 + i[1]) as f32;
             (x * 0.11).sin() + if i[0] >= 20 { ((x * 7.3).sin() * 1e4).fract() * 50.0 } else { 0.0 }
         });
         for backend in [LosslessBackend::Huffman, LosslessBackend::HuffmanLz, LosslessBackend::RleHuffman] {
-            let cfg = LossyConfig::sz3_abs(1e-3).with_backend(backend).with_chunk_points(Some(60));
-            let out = compress(&data, &cfg).unwrap();
-            let (header, mut sections) = out.blob.open().unwrap();
-            let table = ChunkTable::decode(sections.next_section().unwrap()).unwrap();
-            let modes: Vec<u8> = table.entries.iter().map(|e| e.table_mode).collect();
-            assert!(modes.contains(&TABLE_MODE_SHARED) && modes.contains(&TABLE_MODE_PACKED), "{backend:?}: {modes:?}");
-            assert!(!modes.contains(&TABLE_MODE_LOCAL), "{backend:?}: {modes:?}");
-            // `sections.tables` is the sum of what the chunks embed.
-            let _shared_table = sections.next_section().unwrap();
-            let body = sections.rest();
-            let embedded: usize = table
-                .offsets()
-                .iter()
-                .zip(&table.entries)
-                .filter_map(|(&at, e)| embedded_table(&header, e, &body[at..at + e.len]).unwrap())
-                .map(|(_, bytes)| bytes)
-                .sum();
-            assert_eq!(out.sections.tables, embedded, "{backend:?}");
-            assert!(embedded > 0 && out.sections.tables < out.sections.codes, "{backend:?}");
-            assert_eq!(out.sections.total(), out.blob.len(), "{backend:?}: tables is a part of codes");
-            let restored = decompress_with_threads::<f32>(&out.blob, 3).unwrap();
-            assert!(metrics::compare(&data, &restored).unwrap().within_bound(1e-3), "{backend:?}");
+            for threads in [1, 3] {
+                let cfg =
+                    LossyConfig::sz3_abs(1e-3).with_backend(backend).with_chunk_points(Some(60)).with_threads(threads);
+                let staged = compress(&data, &cfg).unwrap();
+                let streamed = [0, 2].map(|window| compress_streamed(&data, &cfg, window, |_| Ok(())).unwrap());
+                for (out, how) in [(&staged, "staged"), (&streamed[0], "window 0"), (&streamed[1], "window 2")] {
+                    let what = format!("{backend:?} threads={threads} {how}");
+                    let (header, mut sections) = out.blob.open().unwrap();
+                    let table = ChunkTable::decode(sections.next_section().unwrap()).unwrap();
+                    let modes: Vec<u8> = table.entries.iter().map(|e| e.table_mode).collect();
+                    assert!(modes.len() > 1 && modes.iter().all(|&m| m == TABLE_MODE_PACKED), "{what}: {modes:?}");
+                    assert!(sections.next_section().unwrap().is_empty(), "{what}: shared-table section");
+                    // `sections.tables` is the sum of what the chunks embed.
+                    let body = sections.rest();
+                    let embedded: usize = table
+                        .offsets()
+                        .iter()
+                        .zip(&table.entries)
+                        .filter_map(|(&at, e)| embedded_table(&header, e, &body[at..at + e.len]).unwrap())
+                        .map(|(_, bytes)| bytes)
+                        .sum();
+                    assert_eq!(out.sections.tables, embedded, "{what}");
+                    assert!(embedded > 0 && out.sections.tables < out.sections.codes, "{what}");
+                    assert_eq!(out.sections.total(), out.blob.len(), "{what}: tables is a part of codes");
+                }
+                let restored = decompress_with_threads::<f32>(&staged.blob, 3).unwrap();
+                assert!(metrics::compare(&data, &restored).unwrap().within_bound(1e-3), "{backend:?}");
+            }
         }
     }
 
@@ -1319,8 +1269,9 @@ mod tests {
         // radius; the 3-D one is cut into 4-plane chunks with a 2-plane tail
         // at radius 8, so escapes land in every chunk. The 2-D blob hash was
         // taken again when its one embedded table went from five bytes a
-        // symbol to packed; the 3-D chunks all use the shared table, and the
-        // restored values and escape counts of both stand as first recorded.
+        // symbol to packed; the 3-D one when its chunks stopped using a
+        // shared table and each embedded its own, packed. The restored values
+        // and escape counts of both stand as first recorded.
         let field = |dims: Vec<usize>| {
             let mut state = 0x0123_4567_89ab_cdefu64;
             Dataset::from_fn(dims, move |i| {
@@ -1336,7 +1287,7 @@ mod tests {
             (
                 vec![14, 11, 19],
                 LossyConfig::lorenzo(1e-3).with_quant_radius(8).with_chunk_points(Some(4 * 11 * 19)),
-                0x2037_1491_0005_2387,
+                0xece9_799d_ead4_91b5,
                 0x7fae_ba97_7150_9981,
                 1249,
             ),
@@ -1442,19 +1393,9 @@ mod tests {
         let mut restored = vec![0f32; data.len()];
         let mut filled = 0usize;
         let outcome = compress_streamed(&data, &cfg, 2, |chunk| {
-            let shared =
-                if chunk.shared_table.is_empty() { None } else { Some(HuffmanTable::deserialize(chunk.shared_table)?) };
             let slab = &mut restored[filled..filled + chunk.entry.points as usize];
             filled += slab.len();
-            decode_chunk_into::<f32>(
-                chunk.header,
-                chunk.dims,
-                chunk.index,
-                &chunk.entry,
-                chunk.payload,
-                shared.as_ref(),
-                slab,
-            )
+            decode_chunk_into::<f32>(chunk.header, chunk.dims, chunk.index, &chunk.entry, chunk.payload, None, slab)
         })
         .unwrap();
         assert_eq!(filled, data.len());

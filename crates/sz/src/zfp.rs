@@ -58,7 +58,7 @@ pub(crate) fn compress_impl<T: ScalarValue>(
         backend: LosslessBackend::Huffman, // unused by this codec
         quant_radius: 0,
     };
-    compress_chunked(data, header, threads, chunk_points, |_i, chunk| {
+    compress_chunked(data, header, threads, chunk_points, |chunk| {
         let payload = encode_chunk_payload(chunk, abs_eb);
         let code_bytes = payload.len();
         let crc = {
