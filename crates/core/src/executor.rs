@@ -151,13 +151,21 @@ impl ParallelExecutor {
         }
         let (tx, rx) = std::sync::mpsc::sync_channel::<ChunkMsg>(window);
         let total = data.len();
+        // Reserved here, filled by the drainer: the buffer comes from — and,
+        // as the restored dataset, returns to — the caller's malloc arena. A
+        // new drainer thread gets whichever arena is free when it first
+        // allocates, a race with the codec workers, so a buffer reserved
+        // there could land in a different arena each round trip and leave a
+        // field-sized block behind in each.
+        let values = Vec::<f32>::with_capacity(total);
         let mut drain_result: Result<(Vec<f32>, usize, usize), SzError> = Ok((Vec::new(), 0, 0));
         let mut outcome_result: Result<CompressionOutcome, SzError> =
             Err(SzError::CorruptStream("stream never ran".into()));
         crossbeam::thread::scope(|scope| {
             let drainer = scope.spawn(move |_| {
-                // Allocated once; every chunk decodes straight into its slab.
-                let mut values = vec![0f32; total];
+                // Zeroed once; every chunk decodes straight into its slab.
+                let mut values = values;
+                values.resize(total, 0.0);
                 let mut filled = 0usize;
                 let mut shipped = 0usize;
                 // Chunks arrive in index order (the engine's reorder buffer

@@ -172,7 +172,7 @@ pub fn derive_hint(report: &BottleneckReport, workers: usize, registry: Option<&
             let advice = match registry.and_then(chunk_retry_share) {
                 Some(share) if share > RETRY_DOMINANT_SHARE => format!(
                     "chunk retries dominate the wire ({:.0}% of chunk transfers re-sent); \
-                     shrink chunk_points or raise the retry budget",
+                     raise --codec-threads for more, smaller chunks per file, or --retries for a larger retry budget",
                     share * 100.0
                 ),
                 _ => "WAN transfer dominates; raise GridFTP parallelism or loosen error bounds".to_string(),
@@ -322,7 +322,7 @@ mod tests {
     }
 
     #[test]
-    fn retransmit_dominant_transfer_advises_resume() {
+    fn retransmit_dominant_transfer_advises_smaller_chunks_or_more_retries() {
         // 400 of 1000 chunk transfers re-sent: well past the 25% threshold,
         // so the hint blames retries, not raw bandwidth.
         let registry = Registry::new();
@@ -334,10 +334,20 @@ mod tests {
         assert_eq!(hint.recommended_workers, 4, "retries are not fixed by more workers");
         assert!(hint.advice.contains("chunk retries dominate"), "advice: {}", hint.advice);
         assert!(hint.advice.contains("40%"), "advice carries the share: {}", hint.advice);
-        assert!(hint.advice.contains("shrink chunk_points or raise the retry budget"), "advice: {}", hint.advice);
-        // Resume from the last acknowledged chunk was never built; the hint
-        // names only what the CLI offers.
+        assert!(hint.advice.contains("--codec-threads") && hint.advice.contains("--retries"), "{}", hint.advice);
+        // Resume from the last acknowledged chunk was never built, and no
+        // flag sets chunk_points: the hint names only what the CLI offers —
+        // at every stage, with and without the registry's specific branches.
         assert!(!hint.advice.contains("resume"), "advice: {}", hint.advice);
+        registry.histogram("ocelot_sz_kernel_predict_seconds", "k").observe(1.0);
+        for dominant in Stage::ALL {
+            let report =
+                BottleneckReport { job: None, critical_path_s: 1.0, total_s: 1.0, stage_s: [0.0; 7], dominant };
+            for registry in [None, Some(&registry)] {
+                let advice = derive_hint(&report, 4, registry).advice;
+                assert!(!advice.contains("chunk_points"), "{dominant:?}: {advice}");
+            }
+        }
     }
 
     #[test]

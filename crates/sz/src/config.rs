@@ -28,10 +28,17 @@ impl ErrorBound {
     /// A relative bound on a constant dataset (range 0) resolves to a tiny
     /// positive epsilon so that quantization remains well-defined.
     pub fn resolve<T: ScalarValue>(&self, data: &Dataset<T>) -> f64 {
+        self.resolve_with(|| data.value_range())
+    }
+
+    /// [`ErrorBound::resolve`] against a dataset whose value range
+    /// (`max − min`, as [`Dataset::value_range`]) is `range()` — called only
+    /// for a relative bound.
+    pub(crate) fn resolve_with(&self, range: impl FnOnce() -> f64) -> f64 {
         match *self {
             ErrorBound::Abs(eb) => eb,
             ErrorBound::Rel(rel) => {
-                let range = data.value_range();
+                let range = range();
                 if range > 0.0 {
                     rel * range
                 } else {

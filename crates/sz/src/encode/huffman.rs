@@ -350,6 +350,27 @@ impl EncodeTable {
     }
 }
 
+/// Whole codes a [`MultiEntry`] holds at most.
+const MULTI_CODES: usize = 3;
+
+/// Streams of fewer symbols decode one symbol a probe. Filling the
+/// 4 096-entry multi-symbol table takes about what the multi-symbol loop
+/// saves on 8 000 two-bit codes, and less the longer the codes are (on
+/// Lorenzo codes at a 1e-5 bound it saves nothing measurable), so only
+/// streams four times that long build it.
+const MULTI_MIN_SYMBOLS: usize = 1 << 15;
+
+/// The codes that fill one [`LUT_BITS`]-bit prefix whole, read greedily.
+#[derive(Debug, Clone, Copy)]
+struct MultiEntry {
+    /// The first `n` are the codes' symbols; the rest are zero.
+    syms: [u32; MULTI_CODES],
+    n: u8,
+    /// The codes' total length; `u8::MAX` where not even the first code
+    /// fits the prefix, so that no look-ahead covers it.
+    bits: u8,
+}
+
 /// Code → symbol lookup for decoding.
 #[derive(Debug, Clone)]
 struct DecodeTable {
@@ -363,6 +384,9 @@ struct DecodeTable {
     /// `lut[prefix] = (sym, len)` for codes of at most [`LUT_BITS`] bits;
     /// `len == 0` marks prefixes that need the slow walk.
     lut: Vec<(u32, u8)>,
+    /// `multi[prefix]`: up to [`MULTI_CODES`] codes at once, built by the
+    /// first stream of at least [`MULTI_MIN_SYMBOLS`] symbols.
+    multi: OnceLock<Vec<MultiEntry>>,
 }
 
 impl DecodeTable {
@@ -385,7 +409,95 @@ impl DecodeTable {
             let base = (code as usize) << (LUT_BITS - len);
             lut[base..base + fill].fill((sym, len));
         }
-        DecodeTable { max_len, counts, first_code: first_codes(&counts), first_idx, syms_by_canon, lut }
+        DecodeTable {
+            max_len,
+            counts,
+            first_code: first_codes(&counts),
+            first_idx,
+            syms_by_canon,
+            lut,
+            multi: OnceLock::new(),
+        }
+    }
+
+    /// The multi-symbol table: for every prefix, the codes the one-symbol
+    /// LUT resolves one after another while they stay inside it.
+    fn multi(&self) -> &[MultiEntry] {
+        self.multi.get_or_init(|| {
+            let mask = (1usize << LUT_BITS) - 1;
+            (0..=mask)
+                .map(|prefix| {
+                    let mut entry = MultiEntry { syms: [0; MULTI_CODES], n: 0, bits: 0 };
+                    for slot in &mut entry.syms {
+                        let (sym, len) = self.lut[(prefix << entry.bits) & mask];
+                        if len == 0 || entry.bits + len > LUT_BITS {
+                            break;
+                        }
+                        *slot = sym;
+                        entry.n += 1;
+                        entry.bits += len;
+                    }
+                    if entry.n == 0 {
+                        entry.bits = u8::MAX;
+                    }
+                    entry
+                })
+                .collect()
+        })
+    }
+
+    /// Decodes exactly `count` symbols from `payload`, with `multi` up to
+    /// [`MULTI_CODES`] short codes a probe.
+    ///
+    /// The multi-symbol entry is taken while that many slots remain (its
+    /// unused symbols land in slots the next step overwrites) and its bits
+    /// are all loaded — so they are real stream bits, and one probe at a time
+    /// would have read the same symbols. Everything else — codes the entry
+    /// does not hold, the stream's last bits, the last slots — goes one
+    /// symbol a probe, which is where a truncated or corrupt stream meets its
+    /// error.
+    fn decode(&self, count: usize, payload: &[u8], multi: bool) -> Result<Vec<u32>, SzError> {
+        let mut out = vec![0u32; count];
+        let mut reader = BitReader::new(payload);
+        let mut i = 0;
+        if multi {
+            let multi = self.multi();
+            while i + MULTI_CODES <= count {
+                let (prefix, loaded) = reader.peek_bits(LUT_BITS);
+                let entry = &multi[prefix as usize];
+                if entry.bits as u32 <= loaded {
+                    out[i..i + MULTI_CODES].copy_from_slice(&entry.syms);
+                    reader.consume(entry.bits as u32);
+                    i += entry.n as usize;
+                } else {
+                    out[i] = self.next(&mut reader)?;
+                    i += 1;
+                }
+            }
+        }
+        for slot in &mut out[i..] {
+            *slot = self.next(&mut reader)?;
+        }
+        Ok(out)
+    }
+
+    /// The next symbol, one LUT probe (or the walk) away. The peek is
+    /// zero-padded past the end of the stream, which is safe: a valid code
+    /// is a prefix of every padded extension, so the probe lands on the right
+    /// entry, and `loaded` guards against over-consuming. Only within the
+    /// stream's last bytes can it fall below a code length.
+    #[inline(always)]
+    fn next(&self, reader: &mut BitReader<'_>) -> Result<u32, SzError> {
+        let (prefix, loaded) = reader.peek_bits(LUT_BITS);
+        let (sym, len) = self.lut[prefix as usize];
+        if len == 0 {
+            self.walk(reader)
+        } else if len as u32 <= loaded {
+            reader.consume(len as u32);
+            Ok(sym)
+        } else {
+            Err(corrupt("bit stream exhausted"))
+        }
     }
 
     /// Canonical per-length walk for a code the LUT does not resolve, over
@@ -549,26 +661,7 @@ impl HuffmanTable {
     /// Decodes exactly `count` symbols from a packed bit payload.
     fn decode_payload(&self, count: usize, payload: &[u8]) -> Result<Vec<u32>, SzError> {
         let table = self.decode.get_or_init(|| DecodeTable::build(&self.by_symbol));
-        let mut out = vec![0u32; count];
-        let mut reader = BitReader::new(payload);
-        for slot in &mut out {
-            // Short codes resolve with one LUT probe. The peek is zero-padded
-            // past the end of the stream, which is safe: a valid code is a
-            // prefix of every padded extension, so the probe lands on the
-            // right entry, and `loaded` guards against over-consuming. Only
-            // within the stream's last bytes can it fall below a code length.
-            let (prefix, loaded) = reader.peek_bits(LUT_BITS);
-            let (sym, len) = table.lut[prefix as usize];
-            *slot = if len == 0 {
-                table.walk(&mut reader)?
-            } else if len as u32 <= loaded {
-                reader.consume(len as u32);
-                sym
-            } else {
-                return Err(corrupt("bit stream exhausted"));
-            };
-        }
-        Ok(out)
+        table.decode(count, payload, count >= MULTI_MIN_SYMBOLS)
     }
 }
 
@@ -758,11 +851,13 @@ pub fn encoded_share(symbols: &[u32]) -> HashMap<u32, f64> {
     pairs.into_iter().zip(lengths).map(|((s, f), (_, l))| (s, f as f64 * l as f64 / total)).collect()
 }
 
-/// The `BinaryHeap` tree build, the sort-based canonical code assignment and
-/// the symbol-indexed-from-zero encode table, kept verbatim as the equality
-/// oracles for what replaced them.
+/// The `BinaryHeap` tree build, the sort-based canonical code assignment,
+/// the symbol-indexed-from-zero encode table and the one-symbol decode loop,
+/// kept verbatim as the equality oracles for what replaced them.
 #[cfg(test)]
 mod reference {
+    use super::{corrupt, BitReader, DecodeTable, SzError, LUT_BITS};
+
     /// `build_lengths` as a min-heap over `(weight, insertion order)` with a
     /// parent walk per leaf.
     pub(super) fn build_lengths(pairs: &[(u32, u64)], flatten: u32) -> Vec<(u32, u8)> {
@@ -831,6 +926,30 @@ mod reference {
             prev_len = len;
         }
         out
+    }
+
+    /// The one-symbol-a-probe decode loop the multi-symbol one replaced.
+    pub(super) fn decode_payload(table: &DecodeTable, count: usize, payload: &[u8]) -> Result<Vec<u32>, SzError> {
+        let mut out = vec![0u32; count];
+        let mut reader = BitReader::new(payload);
+        for slot in &mut out {
+            // Short codes resolve with one LUT probe. The peek is zero-padded
+            // past the end of the stream, which is safe: a valid code is a
+            // prefix of every padded extension, so the probe lands on the
+            // right entry, and `loaded` guards against over-consuming. Only
+            // within the stream's last bytes can it fall below a code length.
+            let (prefix, loaded) = reader.peek_bits(LUT_BITS);
+            let (sym, len) = table.lut[prefix as usize];
+            *slot = if len == 0 {
+                table.walk(&mut reader)?
+            } else if len as u32 <= loaded {
+                reader.consume(len as u32);
+                sym
+            } else {
+                return Err(corrupt("bit stream exhausted"));
+            };
+        }
+        Ok(out)
     }
 
     /// `table[sym] = (len, code)` from symbol 0 up; `len == 0` means the
@@ -1348,6 +1467,61 @@ mod tests {
                 ((u.powf(skew) * n_syms as f64) as usize).min(n_syms - 1) as u32
             })
             .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        // Up to three codes a probe decode what one a probe decodes, on
+        // random tables — complete, or with symbols dropped so the code has
+        // holes, with codes past the LUT or not — and streams: whole, cut at
+        // every byte, followed by more symbols than were written, and made of
+        // noise. The same symbols, or the same error.
+        #[test]
+        fn multi_symbol_decode_matches_one_symbol_a_probe(
+            n_syms in prop_oneof![Just(1usize), Just(2), Just(5), Just(40), Just(300)],
+            skew in prop_oneof![Just(1.0f64), Just(3.0), Just(12.0)],
+            len in 0usize..600,
+            dropped in prop_oneof![Just(0usize), Just(1), Just(7)],
+            seed in any::<u64>(),
+        ) {
+            let mut next = lcg(seed);
+            let base = (next() % 40_000) as u32;
+            let stride = 1 + (next() % 3) as u32;
+            let universe: Vec<u32> = skewed_stream(n_syms, 4 * n_syms + 64, seed, skew)
+                .into_iter()
+                .map(|s| base + s * stride)
+                .collect();
+            let mut lengths = lengths_from_pairs(&freq_pairs(&universe));
+            for _ in 0..dropped.min(lengths.len().saturating_sub(1)) {
+                lengths.remove((next() % lengths.len() as u64) as usize);
+            }
+            let table = HuffmanTable::from_lengths(lengths.clone()).unwrap();
+            let alphabet: Vec<u32> = lengths.iter().map(|&(s, _)| s).collect();
+            let symbols: Vec<u32> = (0..len).map(|_| {
+                // Squaring skews towards the first symbols: short codes.
+                let u = next() as f64 / (1u64 << 31) as f64;
+                alphabet[((u * u * alphabet.len() as f64) as usize).min(alphabet.len() - 1)]
+            }).collect();
+            let payload = table.encode_stream(&symbols).unwrap()[16..].to_vec();
+            let decode = table.decode.get_or_init(|| DecodeTable::build(&table.by_symbol));
+            let both = |count: usize, payload: &[u8]| {
+                (decode.decode(count, payload, true), reference::decode_payload(decode, count, payload))
+            };
+            let (multi, single) = both(len, &payload);
+            prop_assert_eq!(&multi, &Ok(symbols.clone()));
+            prop_assert_eq!(multi, single);
+            for cut in 0..payload.len() {
+                let (multi, single) = both(len, &payload[..cut]);
+                prop_assert_eq!(multi, single, "cut at {}", cut);
+            }
+            let (multi, single) = both(len + 5, &payload);
+            prop_assert_eq!(multi, single, "five symbols more than written");
+            let noise: Vec<u8> = (0..len / 2 + 8).map(|_| next() as u8).collect();
+            let (multi, single) = both(len + 8, &noise);
+            prop_assert_eq!(multi, single, "noise");
+        }
+
     }
 
     proptest! {

@@ -16,8 +16,9 @@
 
 use crossbeam::thread;
 use parking_lot::Mutex;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc;
+use std::sync::{mpsc, Barrier, OnceLock};
 
 /// How many chunks each worker should get on average when the chunk size is
 /// derived from the thread count (slack for load balancing: a straggler slab
@@ -209,58 +210,94 @@ impl WindowGate {
 /// Back-pressure stalls are recorded via the global obs handle
 /// (`ocelot_stream_stall_total` / `ocelot_stream_stall_seconds`), and the
 /// number of in-flight chunks is mirrored into `ocelot_stream_inflight`.
-pub(crate) fn parallel_map_windowed<R, F, C>(n: usize, threads: usize, window: usize, work: F, mut consume: C)
+///
+/// Before the first chunk, the same workers share out `scan(0..n)`, and
+/// `setup` folds the scans, in index order, into the context every `work`
+/// and `consume` call is handed and that is returned at the end — a pass
+/// over the whole input, such as a relative error bound's value range,
+/// that the chunks depend on.
+pub(crate) fn parallel_map_windowed<Q, S, R>(
+    n: usize,
+    threads: usize,
+    window: usize,
+    scan: impl Fn(usize) -> Q + Sync,
+    setup: impl FnOnce(Vec<Q>) -> S + Send,
+    work: impl Fn(&S, usize) -> R + Sync,
+    mut consume: impl FnMut(&S, usize, R),
+) -> S
 where
+    Q: Send,
+    S: Send + Sync,
     R: Send,
-    F: Fn(usize) -> R + Sync,
-    C: FnMut(usize, R),
 {
-    if n == 0 {
-        return;
-    }
     let obs = ocelot_obs::global();
-    let threads = threads.clamp(1, n);
+    let threads = threads.clamp(1, n.max(1));
     if threads == 1 {
         // One worker can never have more than one chunk in flight, so the
         // window is trivially respected and no stall can occur.
+        let ctx = setup((0..n).map(scan).collect());
         for i in 0..n {
-            consume(i, work(i));
+            consume(&ctx, i, work(&ctx, i));
         }
-        return;
+        return ctx;
     }
+    let (next_scan, scans) = (AtomicUsize::new(0), Mutex::new((0..n).map(|_| None).collect::<Vec<Option<Q>>>()));
+    let (scanned, setup, ctx) = (Barrier::new(threads), Mutex::new(Some(setup)), OnceLock::new());
     let next = AtomicUsize::new(0);
     let gate = WindowGate::new();
     let started = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, R)>();
     thread::scope(|scope| {
         let (next, gate, started, work, obs) = (&next, &gate, &started, &work, &obs);
+        let (next_scan, scans, scan, scanned, setup, ctx) = (&next_scan, &scans, &scan, &scanned, &setup, &ctx);
         for _ in 0..threads {
             let tx = tx.clone();
-            scope.spawn(move |_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                if window > 0 {
-                    let stalled = gate.admit(i, window);
-                    if stalled > 0.0 {
-                        obs.inc("ocelot_stream_stall_total", "Chunk starts delayed by the stream window");
-                        obs.observe(
-                            "ocelot_stream_stall_seconds",
-                            "Back-pressure stall before a chunk could enter the stream window",
-                            stalled,
-                        );
+            scope.spawn(move |_| {
+                // A panicking scan is rethrown only past the barrier, so no
+                // worker is left waiting there for one that died; the fold
+                // then meets the missing scan and panics on every worker.
+                let scanning = panic::catch_unwind(AssertUnwindSafe(|| loop {
+                    let i = next_scan.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
                     }
+                    let q = scan(i);
+                    scans.lock()[i] = Some(q);
+                }));
+                scanned.wait();
+                if let Err(payload) = scanning {
+                    panic::resume_unwind(payload);
                 }
-                let inflight = started.fetch_add(1, Ordering::Relaxed) + 1;
-                obs.set_gauge(
-                    "ocelot_stream_inflight",
-                    "Chunks claimed by stream workers but not yet consumed in order",
-                    (inflight - gate_consumed(gate)) as f64,
-                );
-                let r = work(i);
-                if tx.send((i, r)).is_err() {
-                    break;
+                let ctx = ctx.get_or_init(|| {
+                    let setup = setup.lock().take().expect("set up once");
+                    setup(scans.lock().drain(..).map(|q| q.expect("every chunk scanned")).collect())
+                });
+                loop {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
+                    }
+                    if window > 0 {
+                        let stalled = gate.admit(i, window);
+                        if stalled > 0.0 {
+                            obs.inc("ocelot_stream_stall_total", "Chunk starts delayed by the stream window");
+                            obs.observe(
+                                "ocelot_stream_stall_seconds",
+                                "Back-pressure stall before a chunk could enter the stream window",
+                                stalled,
+                            );
+                        }
+                    }
+                    let inflight = started.fetch_add(1, Ordering::Relaxed) + 1;
+                    obs.set_gauge(
+                        "ocelot_stream_inflight",
+                        "Chunks claimed by stream workers but not yet consumed in order",
+                        (inflight - gate_consumed(gate)) as f64,
+                    );
+                    let r = work(ctx, i);
+                    if tx.send((i, r)).is_err() {
+                        break;
+                    }
                 }
             });
         }
@@ -272,14 +309,17 @@ where
         while next_out < n {
             let Ok((i, r)) = rx.recv() else { break };
             pending.insert(i, r);
+            // A worker set the context up before it made any result.
+            let ctx = ctx.get().expect("set up before the first chunk");
             while let Some(r) = pending.remove(&next_out) {
-                consume(next_out, r);
+                consume(ctx, next_out, r);
                 next_out += 1;
                 gate.retire();
             }
         }
     })
     .expect("worker panics propagate via the scope");
+    ctx.into_inner().expect("the workers set the context up")
 }
 
 /// Current retired count of the gate (for the in-flight gauge).
@@ -376,19 +416,26 @@ mod tests {
 
     #[test]
     fn windowed_map_consumes_in_order_at_every_window() {
+        let scanned: usize = (0..37).map(|i| i * i).sum();
         for threads in [1, 2, 4, 8] {
             for window in [0, 1, 2, 3, 64] {
                 let mut seen = Vec::new();
-                parallel_map_windowed(
+                let ctx = parallel_map_windowed(
                     37,
                     threads,
                     window,
-                    |i| i * 3,
-                    |i, r| {
-                        assert_eq!(r, i * 3, "result arrives with its own index");
+                    |i| i * i,
+                    |scans| {
+                        assert_eq!(scans, (0..37).map(|i| i * i).collect::<Vec<_>>(), "scans in index order");
+                        scans.iter().sum::<usize>()
+                    },
+                    |&ctx, i| ctx + i * 3,
+                    |&ctx, i, r| {
+                        assert_eq!(r, ctx + i * 3, "result arrives with its own index and the context");
                         seen.push(i);
                     },
                 );
+                assert_eq!(ctx, scanned);
                 assert_eq!(seen, (0..37).collect::<Vec<_>>(), "threads={threads} window={window}");
             }
         }
@@ -403,8 +450,10 @@ mod tests {
             16,
             8,
             1,
-            |i| i,
-            |_, r| {
+            |_| (),
+            |_| (),
+            |_, i| i,
+            |_, _, r| {
                 std::thread::sleep(std::time::Duration::from_millis(1));
                 sum += r;
             },
@@ -414,6 +463,25 @@ mod tests {
 
     #[test]
     fn windowed_map_handles_empty_input() {
-        parallel_map_windowed(0, 4, 2, |i| i, |_, _| panic!("no chunks to consume"));
+        let ctx = parallel_map_windowed(0, 4, 2, |i| i, |scans| scans.len(), |_, i| i, |_, _, _| panic!("no chunks"));
+        assert_eq!(ctx, 0);
+    }
+
+    #[test]
+    fn a_panicking_scan_panics_the_pool_instead_of_hanging_it() {
+        for threads in [2, 3, 8] {
+            let run = std::panic::catch_unwind(|| {
+                parallel_map_windowed(
+                    16,
+                    threads,
+                    2,
+                    |i| assert!(i != 5, "scan 5 fails"),
+                    |_| (),
+                    |_, i| i,
+                    |_, _, _| {},
+                )
+            });
+            assert!(run.is_err(), "threads={threads}");
+        }
     }
 }

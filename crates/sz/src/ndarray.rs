@@ -18,6 +18,49 @@ pub(crate) fn checked_points(dims: &[usize]) -> Result<usize, SzError> {
         .ok_or_else(|| SzError::CorruptStream(format!("shape {dims:?} holds more points than can be addressed")))
 }
 
+/// Minimum and maximum of `values`, ignoring NaNs; `None` if every value is
+/// NaN. Of `+0.0` and `-0.0`, which compare equal, the one seen first wins.
+pub(crate) fn min_max_of<T: ScalarValue>(values: &[T]) -> Option<(T, T)> {
+    // Independent running extremes per lane, each updated by one plain
+    // compare (false for NaN, so NaNs are skipped): the block loop has no
+    // cross-iteration dependency within a lane pair and compiles to packed
+    // min/max.
+    const LANES: usize = 8;
+    let first = values.iter().position(|v| !v.is_nan())?;
+    let lower = |a: T, v: T| if v < a { v } else { a };
+    let upper = |a: T, v: T| if v > a { v } else { a };
+    let seed = values[first];
+    let (mut lo, mut hi) = ([seed; LANES], [seed; LANES]);
+    let mut blocks = values[first + 1..].chunks_exact(LANES);
+    for block in &mut blocks {
+        for l in 0..LANES {
+            lo[l] = lower(lo[l], block[l]);
+            hi[l] = upper(hi[l], block[l]);
+        }
+    }
+    let tail = blocks.remainder().iter().copied();
+    let min = lo.into_iter().chain(tail.clone()).fold(seed, lower);
+    let max = hi.into_iter().chain(tail).fold(seed, upper);
+    // Lanes see values out of order, which only a signed-zero tie can tell:
+    // hand it to the first zero in the data, as one pass would.
+    let first_seen =
+        |m: T| if m == T::zero() { values[first..].iter().copied().find(|&v| v == m).unwrap_or(m) } else { m };
+    Some((first_seen(min), first_seen(max)))
+}
+
+/// The extremes of consecutive slices, folded in slice order into those of
+/// their concatenation, as [`Dataset::min_max`] reports them: all-NaN slices
+/// count for nothing, and an equal extreme (a signed zero) from a later slice
+/// never displaces an earlier one — so a zero extreme is still the first zero
+/// in the data.
+pub(crate) fn fold_min_max<T: ScalarValue>(parts: impl IntoIterator<Item = Option<(T, T)>>) -> (T, T) {
+    parts
+        .into_iter()
+        .flatten()
+        .reduce(|(lo, hi), (l, h)| (if l < lo { l } else { lo }, if h > hi { h } else { hi }))
+        .unwrap_or((T::zero(), T::zero()))
+}
+
 /// A dense, row-major N-dimensional array of floating-point values.
 ///
 /// The last dimension is the fastest-varying one, matching C ordering and the
@@ -222,33 +265,7 @@ impl<T: ScalarValue> Dataset<T> {
     /// Returns `(0, 0)`-equivalents if every value is NaN. Of `+0.0` and
     /// `-0.0`, which compare equal, the one seen first wins.
     pub fn min_max(&self) -> (T, T) {
-        // Independent running extremes per lane, each updated by one plain
-        // compare (false for NaN, so NaNs are skipped): the block loop has no
-        // cross-iteration dependency within a lane pair and compiles to
-        // packed min/max.
-        const LANES: usize = 8;
-        let Some(first) = self.data.iter().position(|v| !v.is_nan()) else {
-            return (T::zero(), T::zero());
-        };
-        let lower = |a: T, v: T| if v < a { v } else { a };
-        let upper = |a: T, v: T| if v > a { v } else { a };
-        let seed = self.data[first];
-        let (mut lo, mut hi) = ([seed; LANES], [seed; LANES]);
-        let mut blocks = self.data[first + 1..].chunks_exact(LANES);
-        for block in &mut blocks {
-            for l in 0..LANES {
-                lo[l] = lower(lo[l], block[l]);
-                hi[l] = upper(hi[l], block[l]);
-            }
-        }
-        let tail = blocks.remainder().iter().copied();
-        let min = lo.into_iter().chain(tail.clone()).fold(seed, lower);
-        let max = hi.into_iter().chain(tail).fold(seed, upper);
-        // Lanes see values out of order, which only a signed-zero tie can
-        // tell: hand it to the first zero in the data, as one pass would.
-        let first_seen =
-            |m: T| if m == T::zero() { self.data[first..].iter().copied().find(|&v| v == m).unwrap_or(m) } else { m };
-        (first_seen(min), first_seen(max))
+        fold_min_max([min_max_of(&self.data)])
     }
 
     /// `max - min` over the data (the "value range" feature from the paper's

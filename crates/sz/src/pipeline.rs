@@ -12,7 +12,7 @@
 
 use std::sync::Mutex;
 
-use crate::config::{LosslessBackend, LossyConfig, PredictorKind};
+use crate::config::{ErrorBound, LosslessBackend, LossyConfig, PredictorKind};
 use crate::encode::huffman::{freq_pairs, huffman_encode_counted, parse_packed_table, parse_wide_table, HuffmanTable};
 use crate::encode::{huffman_decode, huffman_decode_wide, lz_compress, lz_decompress, rle_decode, rle_encode};
 use crate::engine::{parallel_map, parallel_map_windowed, ChunkLayout};
@@ -21,7 +21,7 @@ use crate::format::{
     write_framed, BlobHeader, BlobWriter, ChunkEntry, ChunkTable, CodecFamily, CompressedBlob, SectionReader,
     TABLE_MODE_LOCAL, TABLE_MODE_PACKED, TABLE_MODE_SHARED, VERSION, VERSION_V2, VERSION_V3,
 };
-use crate::ndarray::{checked_points, Dataset, DatasetView};
+use crate::ndarray::{checked_points, fold_min_max, min_max_of, Dataset, DatasetView};
 use crate::predict::{interp, lorenzo, lorenzo2, regression, PredictionStreams, StreamsView};
 use crate::quantizer::LinearQuantizer;
 use crate::stats::{code_histogram, merge_histograms, quant_bin_stats_from_hist, QuantBinStats};
@@ -150,23 +150,23 @@ pub fn compress_streamed<T: ScalarValue>(
     sink: impl FnMut(StreamedChunk<'_>) -> Result<(), SzError>,
 ) -> Result<CompressionOutcome, SzError> {
     config.validate()?;
-    let abs_eb = config.error_bound.resolve(data);
     let header = BlobHeader {
         version: VERSION,
         family: CodecFamily::Prediction,
         dtype: T::TYPE_NAME,
         dims: data.dims().to_vec(),
-        abs_eb,
+        abs_eb: 0.0, // `config.error_bound`, resolved on the pool
         predictor: config.predictor,
         backend: config.backend,
         quant_radius: config.quant_radius,
     };
-    let quantizer = LinearQuantizer::new(abs_eb, config.quant_radius);
     let zero_code = config.quant_radius;
 
     // Every chunk stands alone: its own predictor run, its own histogram and
     // its own packed Huffman table, all on the worker that claimed it.
-    compress_chunked_streamed(data, header, config.threads, config.chunk_points, window, sink, |chunk| {
+    let (threads, chunk_points) = (config.threads, config.chunk_points);
+    compress_chunked_streamed(data, header, config.error_bound, threads, chunk_points, window, sink, |header, chunk| {
+        let quantizer = LinearQuantizer::new(header.abs_eb, header.quant_radius);
         let streams = run_predictor(chunk, config.predictor, &quantizer)?;
         // A chunk's codes are counted once: the same histogram builds the
         // Huffman table and feeds the job's bin statistics.
@@ -214,7 +214,8 @@ where
     T: ScalarValue,
     F: Fn(DatasetView<'_, T>) -> Result<EncodedChunk, SzError> + Sync,
 {
-    compress_chunked_streamed(data, header, threads, chunk_points, 0, |_| Ok(()), encode_chunk)
+    let bound = ErrorBound::Abs(header.abs_eb);
+    compress_chunked_streamed(data, header, bound, threads, chunk_points, 0, |_| Ok(()), |_, chunk| encode_chunk(chunk))
 }
 
 /// Streaming core shared by [`compress_chunked`] (no-op sink, unbounded
@@ -222,9 +223,17 @@ where
 /// and *consumed in index order* on the calling thread — each one offered to
 /// `sink` the moment it is in order — so the container bytes never depend on
 /// scheduling, window, or thread count.
+///
+/// The container's header is `header` with `bound` resolved against `data`
+/// as its `abs_eb`, and `encode_chunk` is handed that header. A relative
+/// bound's value range is taken on the pool: each worker scans the slabs it
+/// claims before any chunk is encoded, and the slabs' extremes fold in
+/// index order into exactly [`Dataset::min_max`]'s.
+#[allow(clippy::too_many_arguments)]
 fn compress_chunked_streamed<T, F, S>(
     data: &Dataset<T>,
     header: BlobHeader,
+    bound: ErrorBound,
     threads: usize,
     chunk_points: Option<usize>,
     window: usize,
@@ -233,7 +242,7 @@ fn compress_chunked_streamed<T, F, S>(
 ) -> Result<CompressionOutcome, SzError>
 where
     T: ScalarValue,
-    F: Fn(DatasetView<'_, T>) -> Result<EncodedChunk, SzError> + Sync,
+    F: Fn(&BlobHeader, DatasetView<'_, T>) -> Result<EncodedChunk, SzError> + Sync,
     S: FnMut(StreamedChunk<'_>) -> Result<(), SzError>,
 {
     let obs = ocelot_obs::global();
@@ -267,17 +276,26 @@ where
     let mut hist: Vec<(u32, u64)> = Vec::new();
     let mut sections = SectionSizes::default();
     let mut first_err: Option<SzError> = None;
-    parallel_map_windowed(
+    let slab = |i: usize| &data.values()[layout.value_range(i)];
+    let header = parallel_map_windowed(
         n,
         threads,
         window,
-        |i| {
+        |i| matches!(bound, ErrorBound::Rel(_)).then(|| min_max_of(slab(i))).flatten(),
+        |extremes| {
+            let mut header = header;
+            header.abs_eb = bound.resolve_with(|| {
+                let (min, max) = fold_min_max(extremes);
+                max.to_f64() - min.to_f64()
+            });
+            header
+        },
+        |header, i| {
             let _chunk_span = obs.wall_span("sz.chunk", None, i as u32);
             let _pchunk = prof::scope(ScopeId::COMPRESS);
             let tc = std::time::Instant::now();
-            let view = DatasetView::new(dims_of(i), &data.values()[layout.value_range(i)])
-                .expect("chunk shapes are valid by construction");
-            let out = encode_chunk(view);
+            let view = DatasetView::new(dims_of(i), slab(i)).expect("chunk shapes are valid by construction");
+            let out = encode_chunk(header, view);
             obs.observe(
                 "ocelot_sz_chunk_seconds",
                 "Wall time of one chunk compression task",
@@ -295,7 +313,7 @@ where
             }
             out
         },
-        |i, result| {
+        |header, i, result| {
             if first_err.is_some() {
                 return;
             }
@@ -311,14 +329,8 @@ where
                         unpredictable: c.unpredictable,
                         table_mode: c.table_mode,
                     };
-                    let streamed = StreamedChunk {
-                        index: i,
-                        total: n,
-                        header: &header,
-                        dims: dims_of(i),
-                        entry,
-                        payload: &c.payload,
-                    };
+                    let streamed =
+                        StreamedChunk { index: i, total: n, header, dims: dims_of(i), entry, payload: &c.payload };
                     if let Err(e) = sink(streamed) {
                         first_err = Some(e);
                         return;
@@ -783,7 +795,6 @@ fn decode_codes(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::config::ErrorBound;
     use crate::metrics;
 
     fn wavy(dims: Vec<usize>) -> Dataset<f32> {
@@ -858,6 +869,58 @@ mod tests {
         let blob = compress(&data, &cfg).unwrap().blob;
         let abs = blob.header().unwrap().abs_eb;
         assert!((abs - 1e-3 * data.value_range()).abs() < 1e-9, "global range, got {abs}");
+    }
+
+    #[test]
+    fn pooled_min_max_matches_the_serial_scan_bit_for_bit() {
+        // The palette of `min_max_matches_the_one_pass_scan_bit_for_bit`, cut
+        // into slabs of one, two and all rows and scanned on the pool: the
+        // fold must pick the value — and, for a zero, the sign — the serial
+        // scan picks. Rows 2 and 3 are all NaN, a whole slab at two rows.
+        let palette = [0.0f32, -0.0, f32::NAN, 1.5, -1.5, 3.0, f32::INFINITY, f32::NEG_INFINITY, 1e-30, -1e-30];
+        let bits = |(lo, hi): (f32, f32)| (lo.to_bits(), hi.to_bits());
+        let mut state = 7u64;
+        for (rows, cols) in [(1usize, 7usize), (5, 3), (12, 5), (33, 8), (4, 2)] {
+            for span in [3usize, 6, palette.len(), 0] {
+                let mut values: Vec<f32> = (0..rows * cols)
+                    .map(|_| {
+                        state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                        if span == 0 {
+                            f32::NAN
+                        } else {
+                            palette[(state >> 33) as usize % span]
+                        }
+                    })
+                    .collect();
+                if rows >= 4 {
+                    values[2 * cols..4 * cols].fill(f32::NAN);
+                }
+                let data = Dataset::new(vec![rows, cols], values).unwrap();
+                let want = bits(data.min_max());
+                for threads in [1, 2, 3, 8] {
+                    for chunk_rows in [1, 2, rows] {
+                        let layout = ChunkLayout::plan(data.dims(), threads, Some(chunk_rows * cols));
+                        let pooled = parallel_map_windowed(
+                            layout.n_chunks(),
+                            threads,
+                            0,
+                            |i| min_max_of(&data.values()[layout.value_range(i)]),
+                            fold_min_max,
+                            |_, _| (),
+                            |_, _, _| (),
+                        );
+                        assert_eq!(bits(pooled), want, "{rows}x{cols} span {span} threads {threads} rows {chunk_rows}");
+                    }
+                    // The bound the pool resolves is the serial one; ±∞ make
+                    // no finite bound, so the first two palettes only.
+                    if (1..=6).contains(&span) {
+                        let cfg = LossyConfig::sz3(1e-3).with_threads(threads).with_chunk_points(Some(2 * cols));
+                        let abs_eb = compress(&data, &cfg).unwrap().blob.header().unwrap().abs_eb;
+                        assert_eq!(abs_eb.to_bits(), cfg.error_bound.resolve(&data).to_bits(), "threads {threads}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -30,11 +30,21 @@ pub struct LinearQuantizer {
     /// `radius − 0.5`: a scaled difference rounds to a bin inside the radius
     /// iff its magnitude is strictly below this.
     bin_limit: f64,
+    /// `1 / (2·eb)` where that is a normal `f64` (so off by at most half an
+    /// ulp), NaN otherwise: what [`LinearQuantizer::quantize_by_reciprocal`]
+    /// multiplies by.
+    inv_two_eb: f64,
 }
 
 /// 2⁵²: adding it to a non-negative `f64` below it leaves no fraction bits,
 /// so the add rounds to an integer (ties to even) and the subtract is exact.
 const TWO_52: f64 = 4_503_599_627_370_496.0;
+
+/// 2⁻⁵⁰: how far, relative to its magnitude, a quotient taken by the
+/// reciprocal may lie from the one taken by division, with a factor of two
+/// to spare over the three roundings of half an ulp between them (the
+/// reciprocal's, the product's and the division's).
+const RECIPROCAL_SLACK: f64 = 1.0 / (1u64 << 50) as f64;
 
 impl LinearQuantizer {
     /// Creates a quantizer for an absolute error bound and code radius.
@@ -45,8 +55,9 @@ impl LinearQuantizer {
     pub fn new(eb: f64, radius: u32) -> Self {
         assert!(eb.is_finite() && eb > 0.0, "error bound must be positive, got {eb}");
         assert!(radius >= 2, "radius must be >= 2, got {radius}");
-        let radius_f = radius as f64;
-        LinearQuantizer { eb, two_eb: 2.0 * eb, radius, code_bias: radius_f + TWO_52, bin_limit: radius_f - 0.5 }
+        let (radius_f, two_eb) = (radius as f64, 2.0 * eb);
+        let inv_two_eb = Some(1.0 / two_eb).filter(|inv| inv.is_normal()).unwrap_or(f64::NAN);
+        LinearQuantizer { eb, two_eb, radius, code_bias: radius_f + TWO_52, bin_limit: radius_f - 0.5, inv_two_eb }
     }
 
     /// The absolute error bound.
@@ -93,6 +104,35 @@ impl LinearQuantizer {
         let ok = (mag < self.bin_limit) & ((recon_t.to_f64() - v).abs() <= self.eb);
         let code = (self.code_bias + bin_mag.copysign(q)).to_bits() as u32;
         Quantized { code: if ok { code } else { 0 }, reconstructed: if ok { recon_t } else { value } }
+    }
+
+    /// [`LinearQuantizer::quantize`] with the division by the bin width
+    /// replaced by a multiplication by its reciprocal, and whether the
+    /// outcome is sure to be [`LinearQuantizer::quantize`]'s. Where it is not,
+    /// the caller quantizes again by division; for smooth data that is a
+    /// point in many thousands.
+    ///
+    /// The quotient matters only through its sign, which the two ways
+    /// share, and through the integer it rounds to and which side of
+    /// `radius − 0.5` it falls — decisions that change only at half-integers.
+    /// The two quotients differ by less than [`RECIPROCAL_SLACK`] times the
+    /// magnitude of this one; where it lies farther than that from every
+    /// half-integer, both fall between the same two, so they round to the
+    /// same integer (not a tie) on the same side of the radius, and
+    /// everything downstream is computed from that integer and the sign
+    /// alone. NaN, ±∞, magnitudes from 2⁴⁹ up and a reciprocal that is not a
+    /// normal number are never sure.
+    #[inline]
+    pub(crate) fn quantize_by_reciprocal<T: ScalarValue>(&self, value: T, predicted: f64) -> (Quantized<T>, bool) {
+        let v = value.to_f64();
+        let q = (v - predicted) * self.inv_two_eb;
+        let mag = q.abs();
+        let nearest = (mag + TWO_52) - TWO_52;
+        let sure = 0.5 - (mag - nearest).abs() > mag * RECIPROCAL_SLACK;
+        let recon_t = T::from_f64(predicted + nearest * self.two_eb.copysign(q));
+        let ok = (mag < self.bin_limit) & ((recon_t.to_f64() - v).abs() <= self.eb);
+        let code = (self.code_bias + nearest.copysign(q)).to_bits() as u32;
+        (Quantized { code: if ok { code } else { 0 }, reconstructed: if ok { recon_t } else { value } }, sure)
     }
 
     /// Recovers a value from a nonzero code and the prediction.
@@ -142,14 +182,18 @@ mod tests {
         (o.code, bytes)
     }
 
-    fn assert_matches_oracle<T: ScalarValue>(q: &LinearQuantizer, value: T, predicted: f64) {
-        assert_eq!(
-            outcome_bits(q.quantize(value, predicted)),
-            outcome_bits(quantize_oracle(q, value, predicted)),
-            "value={value:?} predicted={predicted:?} eb={} radius={}",
-            q.eb,
-            q.radius
-        );
+    /// `quantize` equals the oracle bit for bit, and so does
+    /// `quantize_by_reciprocal` wherever it says it is sure; returns whether
+    /// it was.
+    fn assert_matches_oracle<T: ScalarValue>(q: &LinearQuantizer, value: T, predicted: f64) -> bool {
+        let context = format!("value={value:?} predicted={predicted:?} eb={} radius={}", q.eb, q.radius);
+        let want = outcome_bits(quantize_oracle(q, value, predicted));
+        assert_eq!(outcome_bits(q.quantize(value, predicted)), want, "{context}");
+        let (by_reciprocal, sure) = q.quantize_by_reciprocal(value, predicted);
+        if sure {
+            assert_eq!(outcome_bits(by_reciprocal), want, "by reciprocal: {context}");
+        }
+        sure
     }
 
     #[test]
@@ -186,19 +230,22 @@ mod tests {
         ];
         for radius in [2u32, 3, 512, 1 << 15, 1 << 31, u32::MAX] {
             // eb = 0.5 makes the scaled error equal the difference, so the
-            // tie values above hit `round` exactly.
-            for eb in [0.5f64, 1e-3, 0.25, 3.0] {
+            // tie values above hit `round` exactly. The last two bounds have
+            // no normal reciprocal: their reciprocal path is never sure.
+            for eb in [0.5f64, 1e-3, 0.25, 3.0, 5e-324, 1e308] {
                 let q = LinearQuantizer::new(eb, radius);
+                let mut sure = 0;
                 for &d in &specials {
                     for &p in &[0.0f64, -0.0, 1.0, -7.25, 1e300, f64::NAN, f64::INFINITY] {
-                        assert_matches_oracle(&q, p + d, p);
-                        assert_matches_oracle(&q, d, p);
-                        assert_matches_oracle(&q, (p + d) as f32, p);
-                        assert_matches_oracle(&q, d as f32, p);
+                        sure += assert_matches_oracle(&q, p + d, p) as usize;
+                        sure += assert_matches_oracle(&q, d, p) as usize;
+                        sure += assert_matches_oracle(&q, (p + d) as f32, p) as usize;
+                        sure += assert_matches_oracle(&q, d as f32, p) as usize;
                         // Bin index `d` exactly: value = p + d·2eb.
-                        assert_matches_oracle(&q, p + d * 2.0 * eb, p);
+                        sure += assert_matches_oracle(&q, p + d * 2.0 * eb, p) as usize;
                     }
                 }
+                assert_eq!(sure == 0, !(1e-300..=1e300).contains(&eb), "eb={eb} radius={radius}: {sure} sure");
             }
         }
     }
@@ -212,6 +259,7 @@ mod tests {
         };
         for &(eb, radius) in &[(1e-3f64, 1u32 << 15), (0.5, 4), (1e-6, 512), (7.0, 2), (1e-2, 1 << 31)] {
             let q = LinearQuantizer::new(eb, radius);
+            let mut unsure_near_centre = 0;
             for _ in 0..100_000 {
                 let p = ((next() >> 11) as f64 / (1u64 << 53) as f64 - 0.5) * 20.0;
                 // Mix of near-bin-centre, near-tie and far-away differences.
@@ -223,8 +271,39 @@ mod tests {
                 // Raw bit patterns: denormals, NaNs, infinities, huge values.
                 assert_matches_oracle(&q, f64::from_bits(next()), p);
                 assert_matches_oracle(&q, f32::from_bits(next() as u32), p);
+                // A quarter bin off centre: the reciprocal path must be sure.
+                let centre = p + ((next() >> 54) as f64 - 512.0 + 0.25) * 2.0 * eb;
+                unsure_near_centre += !assert_matches_oracle(&q, centre, p) as usize;
             }
+            assert_eq!(unsure_near_centre, 0, "eb={eb} radius={radius}");
         }
+    }
+
+    #[test]
+    fn reciprocal_path_is_unsure_wherever_the_two_quotients_round_apart() {
+        // Differences a few ulps from a half-integer number of bins, against
+        // a zero prediction so the difference is exact, at bin widths whose
+        // reciprocal is inexact: here the two quotients land on either side
+        // of the half-integer, or one on it, often enough to count.
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 11
+        };
+        let mut apart = 0;
+        for _ in 0..20_000 {
+            let eb = 1e-4 + (next() % 1_000_000) as f64 * 1e-5;
+            let q = LinearQuantizer::new(eb, 1 << 15);
+            let half = ((next() % 4000) as f64 + 0.5) * q.two_eb;
+            let ulps = (next() % 9) as i64 - 4;
+            let v = f64::from_bits((half.to_bits() as i64 + ulps) as u64);
+            let (by_reciprocal, sure) = q.quantize_by_reciprocal(v, 0.0);
+            let differs = outcome_bits(by_reciprocal) != outcome_bits(q.quantize(v, 0.0));
+            apart += differs as usize;
+            assert!(!(differs && sure), "v={v:e} eb={eb:e}");
+            assert_matches_oracle(&q, v, 0.0);
+        }
+        assert!(apart > 100, "only {apart} inputs rounded apart");
     }
 
     #[test]
