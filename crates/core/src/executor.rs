@@ -174,27 +174,11 @@ impl ParallelExecutor {
                     // Per-chunk profiling scope: decode-on-arrival kernels
                     // drain from this thread's accumulator chunk by chunk.
                     let _pscope = ocelot_obs::prof::scope(ocelot_obs::prof::ScopeId::DECOMPRESS);
-                    let arrived = ocelot_obs::ledger::emit(
-                        ocelot_obs::ledger::EventKind::Arrived,
-                        ocelot_obs::ledger::Draft {
-                            chunk: Some(msg.index as u32),
-                            bytes: msg.payload.len() as u64,
-                            ..ocelot_obs::ledger::Draft::default()
-                        },
-                    );
                     let points = usize::try_from(msg.entry.points).unwrap_or(usize::MAX);
                     let slab = values[filled..]
                         .get_mut(..points)
                         .ok_or_else(|| SzError::CorruptStream(format!("chunk {} overruns the dataset", msg.index)))?;
                     decode_chunk_into::<f32>(&msg.header, &msg.dims, msg.index, &msg.entry, &msg.payload, None, slab)?;
-                    ocelot_obs::ledger::emit(
-                        ocelot_obs::ledger::EventKind::DecodeEnd,
-                        ocelot_obs::ledger::Draft {
-                            parent: arrived,
-                            chunk: Some(msg.index as u32),
-                            ..ocelot_obs::ledger::Draft::default()
-                        },
-                    );
                     filled += points;
                     shipped += 1;
                 }

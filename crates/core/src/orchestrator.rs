@@ -231,19 +231,12 @@ impl Orchestrator {
         self.obs.clone().unwrap_or_else(ocelot_obs::global)
     }
 
-    /// Attaches an explicit chunk-lifecycle ledger. Without one, chunk
-    /// events go to the process-global ledger when installed — an explicit
-    /// handle lets a long-lived service own its event stream without racing
-    /// other ledger users for the global slot.
+    /// Attaches a chunk-lifecycle ledger: every pipelined job with a
+    /// [`PipelineOptions::job`] commits its schedule to it. Without one, no
+    /// schedule is built.
     pub fn with_ledger(mut self, ledger: Arc<Ledger>) -> Self {
         self.ledger = Some(ledger);
         self
-    }
-
-    /// The chunk ledger in effect for this run: the explicit handle, else
-    /// the installed global, else `None` (emission compiles away).
-    fn ledger(&self) -> Option<Arc<Ledger>> {
-        self.ledger.clone().or_else(ocelot_obs::ledger::global)
     }
 
     /// The topology in use.
@@ -542,7 +535,7 @@ impl Orchestrator {
         // batch decompression starts when the whole transfer lands: early
         // arrivals wait for it.
         if let Some(job) = opts.job {
-            if let Some(led) = self.ledger() {
+            if let Some(led) = &self.ledger {
                 let transfer_s = breakdown.transfer_s;
                 let compress_begin = order
                     .iter()
@@ -686,8 +679,7 @@ impl Orchestrator {
         let stall_total: f64 = stall_iv.iter().map(|(a, b)| b - a).sum();
 
         // Decompress each chunk on arrival: greedy least-loaded destination
-        // core, gated on the chunk's landing time (the simulated twin of
-        // `FaasEndpoint::invoke_chunked_released`).
+        // core, gated on the chunk's landing time.
         let dwork = workload.decompression_work();
         // Decode work follows the chunks in arrival (ready-sorted) order, so
         // each decode duration pairs with its own chunk's landing time.
@@ -783,7 +775,7 @@ impl Orchestrator {
         // Chunk-lifecycle ledger: the schedule itself, handed over by move.
         // Its events are derived from these columns when someone reads them.
         if let Some(job) = opts.job {
-            if let Some(led) = self.ledger() {
+            if let Some(led) = &self.ledger {
                 led.commit(Schedule::new(Lifecycle {
                     job,
                     transfer_begin_s: wait_s,
@@ -834,7 +826,7 @@ impl Orchestrator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ocelot_obs::ledger::EventKind;
+    use ocelot_obs::ledger::{EventKind, LedgerEvent};
     use ocelot_sz::LossyConfig;
 
     fn miranda() -> Workload {
@@ -1102,14 +1094,34 @@ mod tests {
     }
 
     /// The emitter the committed records replaced, kept as their oracle: one
-    /// `append` per event, each taking its own sequence number and wall stamp.
-    fn per_event(schedule: &Schedule, ledger: &Ledger) {
-        schedule.replay(|kind, draft| ledger.append(kind, draft));
+    /// event per replayed draft, each numbered from `next_seq` on its own,
+    /// every field copied over by name.
+    fn per_event(schedule: &Schedule, next_seq: &mut u64) -> Vec<LedgerEvent> {
+        let mut out = Vec::new();
+        schedule.replay(|event, d| {
+            let seq = *next_seq;
+            *next_seq += 1;
+            out.push(LedgerEvent {
+                seq,
+                parent: d.parent,
+                job: d.job,
+                file: d.file,
+                chunk: d.chunk,
+                event,
+                cause: d.cause,
+                t_sim: d.t_sim,
+                t_wall_us: 0,
+                bytes: d.bytes,
+                attempt: d.attempt,
+            });
+            seq
+        });
+        out
     }
 
     #[test]
     fn schedule_events_equal_the_per_event_emitter_on_the_benchmark_jobs() {
-        use ocelot_obs::ledger::{check_causality, Entry};
+        use ocelot_obs::ledger::check_causality;
         // The applications, routes and per-job seeds of the benchmark's
         // `svc_streamed` batch at `profile_scale = 8`, one codec thread,
         // swept over the window (file-grain overlap, every chunk stalls …
@@ -1123,13 +1135,13 @@ mod tests {
             Workload::cesm(config, 8).unwrap(),
         ];
         let routes = [(SiteId::Anvil, SiteId::Cori), (SiteId::Anvil, SiteId::Bebop), (SiteId::Bebop, SiteId::Cori)];
-        // Unbounded, so the per-event side keeps the head of its 70 000-event
-        // jobs. Both ledgers number every job's events, so the ranges stay
-        // aligned from job to job only while reserved == appended.
-        let unbounded = || Ledger::with_obs_and_capacity(&ocelot_obs::Obs::disabled(), usize::MAX);
-        let (adopted, reference) = (unbounded(), unbounded());
+        // Unbounded, so the ledger keeps the head of its 70 000-event jobs.
+        // The ledger and the oracle's counter number every job's events, so
+        // the ranges stay aligned from job to job only while reserved ==
+        // replayed.
+        let adopted = Ledger::with_obs_and_capacity(&ocelot_obs::Obs::disabled(), usize::MAX);
         let orch = Orchestrator::paper().with_obs(ocelot_obs::Obs::disabled()).with_ledger(adopted.clone());
-        let (mut total, mut largest, mut job) = (0, 0, 0u64);
+        let (mut total, mut largest, mut job, mut next_seq) = (0, 0, 0u64, 1u64);
         for (app, w) in workloads.iter().enumerate() {
             for window in [0usize, 1, 8, 64] {
                 for p in [0.0, 0.1, 0.5] {
@@ -1146,15 +1158,14 @@ mod tests {
                         let cell = format!("app {app}, window {window}, p {p}, job {job}");
                         orch.run_streamed(w, from, to, &opts);
                         let taken = adopted.take();
-                        let [Entry::Schedule(schedule)] = taken.as_slice() else {
-                            panic!("{cell}: one pipelined job commits one schedule, got {} entries", taken.len())
+                        let [schedule] = taken.as_slice() else {
+                            panic!("{cell}: one pipelined job commits one schedule, got {}", taken.len())
                         };
-                        per_event(schedule, &reference);
-                        let (mut widened, mut reference) = (schedule.events(), reference.drain());
+                        let (mut widened, reference) = (schedule.events(), per_event(schedule, &mut next_seq));
                         assert_eq!(widened.len(), schedule.len(), "{cell}: the range reserved is the range widened to");
                         assert_eq!(widened.len(), reference.len(), "{cell}");
-                        // Wall stamps are per commit on one side and per event on the other.
-                        widened.iter_mut().chain(&mut reference).for_each(|e| e.t_wall_us = 0);
+                        // The commit's wall stamp has no counterpart in the oracle.
+                        widened.iter_mut().for_each(|e| e.t_wall_us = 0);
                         if let Some(at) = widened.iter().zip(&reference).position(|(a, b)| a != b) {
                             panic!("{cell}, event {at}: widened {:?}, per-event {:?}", widened[at], reference[at]);
                         }
@@ -1169,7 +1180,7 @@ mod tests {
         }
         assert!(largest > 1 << 16, "the CESM jobs are the ones a 65 536-event ring lost the head of: {largest}");
         assert!(total > 2_000_000, "{total}");
-        assert_eq!((adopted.dropped(), reference.dropped()), (0, 0));
+        assert_eq!(adopted.dropped(), 0);
     }
 
     #[test]

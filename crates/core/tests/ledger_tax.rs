@@ -9,7 +9,7 @@
 use ocelot::orchestrator::{Orchestrator, PipelineOptions};
 use ocelot::workload::Workload;
 use ocelot_netsim::SiteId;
-use ocelot_obs::ledger::{Entry, Ledger};
+use ocelot_obs::ledger::Ledger;
 use std::time::{Duration, Instant};
 
 /// Ledger-on may cost at most this many times ledger-off.
@@ -40,9 +40,7 @@ fn ledger_costs_less_than_the_streamed_run_it_records() {
         best_on = best_on.min(time(&on));
         // Harvested per run, as the service does; not part of the timing.
         let taken = ledger.take();
-        let [Entry::Schedule(schedule)] = taken.as_slice() else {
-            panic!("one job commits one schedule, got {} entries", taken.len())
-        };
+        let [schedule] = taken.as_slice() else { panic!("one job commits one schedule, got {}", taken.len()) };
         (events, chunks, heap_bytes) = (schedule.len(), schedule.chunks(), schedule.heap_bytes());
     }
     assert_eq!(ledger.dropped(), 0);

@@ -4,20 +4,14 @@
 //! thread counts and stream windows (including the window-0 overlapped
 //! degenerate case) — and the replayed event chains must be causally sound.
 
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::OnceLock;
 
 use ocelot::orchestrator::{Orchestrator, PipelineOptions};
 use ocelot::workload::Workload;
 use ocelot_netsim::{FaultModel, SiteId};
-use ocelot_obs::ledger::{self, check_causality, render_timeline, Ledger, LedgerEvent, Timeline};
+use ocelot_obs::ledger::{check_causality, render_timeline, Ledger, LedgerEvent, Timeline};
 use ocelot_sz::engine::ChunkLayout;
 use proptest::prelude::*;
-
-/// Serializes tests that install the process-global ledger.
-fn lock() -> MutexGuard<'static, ()> {
-    static GATE: Mutex<()> = Mutex::new(());
-    GATE.lock().unwrap_or_else(|e| e.into_inner())
-}
 
 /// The Miranda workload (768 files of 256×384×384); profiles are measured once.
 fn workload() -> &'static Workload {
@@ -31,7 +25,6 @@ fn run_case(threads: usize, window: usize, wait: f64, faults: FaultModel, job: u
     let obs = ocelot_obs::Obs::enabled();
     // 768 files × 16 chunks × ≤ 9 events overflow the default sink.
     let led = Ledger::with_obs_and_capacity(&obs, 1 << 18);
-    ledger::install_global(&led);
     let opts = PipelineOptions {
         codec_threads: threads,
         stream_window: window,
@@ -40,9 +33,8 @@ fn run_case(threads: usize, window: usize, wait: f64, faults: FaultModel, job: u
         job: Some(job),
         ..PipelineOptions::default()
     };
-    let orch = Orchestrator::paper().with_obs(obs.clone());
+    let orch = Orchestrator::paper().with_obs(obs.clone()).with_ledger(led.clone());
     orch.run_streamed(workload(), SiteId::Bebop, SiteId::Cori, &opts);
-    ledger::uninstall_global();
     let events = led.drain();
     let spans = obs.recorder().expect("enabled obs records spans").for_job(job);
     let report = ocelot_obs::critpath::analyze(&spans).expect("sim spans recorded");
@@ -99,7 +91,6 @@ proptest! {
         let threads = [1usize, 2, 4, 8][ti];
         let window = [0usize, 1, 4, 1024][wi];
         let wait = [0.0f64, 50.0][wa];
-        let _g = lock();
         let (events, stages) = run_case(threads, window, wait, FaultModel::none(), job);
         prop_assert!(!events.is_empty(), "streamed run must emit ledger events");
         let violations = check_causality(&events, job);
@@ -127,7 +118,6 @@ proptest! {
 
 #[test]
 fn fault_injected_run_names_retransmitted_chunks_and_causes() {
-    let _g = lock();
     let render = |job| {
         let (events, _) = run_case(4, 4, 0.0, FaultModel::flaky(0.3), job);
         let violations = check_causality(&events, job);
@@ -147,7 +137,6 @@ fn fault_injected_run_names_retransmitted_chunks_and_causes() {
 
 #[test]
 fn fault_injection_slows_streamed_transfer_but_delivers_payload() {
-    let _g = lock();
     let opts = |faults| PipelineOptions { codec_threads: 4, stream_window: 1, faults, ..PipelineOptions::default() };
     // Window 1 serializes the wire, so any chunk's retransmitted partials
     // push every later release — the makespan must stretch.

@@ -43,27 +43,6 @@ impl FaasInvocation {
     }
 }
 
-/// Execution timing of one compression chunk inside a chunked invocation,
-/// relative to the start of function execution.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ChunkTiming {
-    /// Chunk index within the file (container chunk-table order).
-    pub chunk: usize,
-    /// Codec thread (lane) the chunk ran on.
-    pub lane: usize,
-    /// Seconds after execution start at which the chunk began.
-    pub start_s: f64,
-    /// Chunk execution time, seconds.
-    pub exec_s: f64,
-}
-
-impl ChunkTiming {
-    /// Seconds after execution start at which the chunk finished.
-    pub fn end_s(&self) -> f64 {
-        self.start_s + self.exec_s
-    }
-}
-
 impl FaasEndpoint {
     /// Creates an endpoint with FuncX-calibrated overheads (dispatch ≈ 90 ms,
     /// cold container ≈ 5 s, warm ≈ 30 ms).
@@ -110,102 +89,6 @@ impl FaasEndpoint {
         inv
     }
 
-    /// Invokes a chunk-parallel compression function: `chunk_exec_s[i]` is
-    /// the single-thread execution time of chunk `i`, run on `codec_threads`
-    /// worker lanes. Chunks are claimed in container order by the first free
-    /// lane — the same work-stealing order the real engine uses — so the
-    /// reported makespan and per-chunk start offsets match what a wall-clock
-    /// profile of the chunked codec would show.
-    ///
-    /// Returns the batched invocation (exec = chunk makespan) plus the
-    /// per-chunk timing table, and records each chunk's execution time in the
-    /// `ocelot_faas_chunk_exec_seconds` histogram.
-    ///
-    /// # Panics
-    /// Panics if `codec_threads == 0`.
-    pub fn invoke_chunked(
-        &mut self,
-        chunk_exec_s: &[f64],
-        codec_threads: usize,
-        needs_nodes: bool,
-    ) -> (FaasInvocation, Vec<ChunkTiming>) {
-        assert!(codec_threads > 0, "codec_threads must be >= 1");
-        let obs = ocelot_obs::global();
-        let mut lanes = vec![0.0_f64; codec_threads.min(chunk_exec_s.len().max(1))];
-        let mut timings = Vec::with_capacity(chunk_exec_s.len());
-        for (chunk, &exec) in chunk_exec_s.iter().enumerate() {
-            let exec = exec.max(0.0);
-            let (lane, start) =
-                lanes.iter().enumerate().min_by(|a, b| a.1.total_cmp(b.1)).map(|(i, &t)| (i, t)).expect("lanes");
-            timings.push(ChunkTiming { chunk, lane, start_s: start, exec_s: exec });
-            lanes[lane] = start + exec;
-            obs.observe("ocelot_faas_chunk_exec_seconds", "Per-chunk codec execution time", exec);
-            if ocelot_obs::ledger::is_active() {
-                use ocelot_obs::ledger::{emit, Draft, EventKind};
-                let d = |t: f64| Draft { chunk: Some(chunk as u32), t_sim: Some(t), ..Draft::default() };
-                let p = emit(EventKind::CompressBegin, d(start));
-                emit(EventKind::Encoded, Draft { parent: p, ..d(start + exec) });
-            }
-        }
-        let makespan = lanes.iter().fold(0.0_f64, |a, &b| a.max(b));
-        (self.invoke_batch(chunk_exec_s.len().max(1), makespan, needs_nodes), timings)
-    }
-
-    /// Streamed variant of [`FaasEndpoint::invoke_chunked`]: chunk `i` only
-    /// becomes available at `release_s[i]` seconds after execution start —
-    /// e.g. when it lands from the WAN — so a lane that frees up early idles
-    /// until the next chunk arrives (`start = max(lane_free, release)`).
-    /// This is the decompress-on-arrival half of the streaming pipeline: the
-    /// reported makespan is the arrival-bounded decompression finish, and
-    /// `makespan − last_release` is the decompression tail that streaming
-    /// cannot hide behind the transfer.
-    ///
-    /// With all releases zero this reduces exactly to `invoke_chunked`.
-    ///
-    /// # Panics
-    /// Panics if `codec_threads == 0`, `release_s.len() != chunk_exec_s.len()`,
-    /// or any release is negative/non-finite.
-    pub fn invoke_chunked_released(
-        &mut self,
-        chunk_exec_s: &[f64],
-        release_s: &[f64],
-        codec_threads: usize,
-        needs_nodes: bool,
-    ) -> (FaasInvocation, Vec<ChunkTiming>) {
-        assert!(codec_threads > 0, "codec_threads must be >= 1");
-        assert_eq!(release_s.len(), chunk_exec_s.len(), "one release time per chunk");
-        assert!(release_s.iter().all(|r| r.is_finite() && *r >= 0.0), "release times must be non-negative");
-        let obs = ocelot_obs::global();
-        let mut lanes = vec![0.0_f64; codec_threads.min(chunk_exec_s.len().max(1))];
-        let mut timings = Vec::with_capacity(chunk_exec_s.len());
-        for (chunk, (&exec, &release)) in chunk_exec_s.iter().zip(release_s).enumerate() {
-            let exec = exec.max(0.0);
-            let (lane, free) =
-                lanes.iter().enumerate().min_by(|a, b| a.1.total_cmp(b.1)).map(|(i, &t)| (i, t)).expect("lanes");
-            let start = free.max(release);
-            timings.push(ChunkTiming { chunk, lane, start_s: start, exec_s: exec });
-            lanes[lane] = start + exec;
-            obs.observe("ocelot_faas_chunk_exec_seconds", "Per-chunk codec execution time", exec);
-            if ocelot_obs::ledger::is_active() {
-                use ocelot_obs::ledger::{emit, Draft, EventKind};
-                let d = |t: f64| Draft { chunk: Some(chunk as u32), t_sim: Some(t), ..Draft::default() };
-                // Decode-on-arrival: a busy lane parks the landed chunk in
-                // the reorder buffer until a decoder frees up.
-                let p = if start > release {
-                    let p =
-                        emit(EventKind::ReorderEnter, Draft { cause: Some("awaiting decode".into()), ..d(release) });
-                    emit(EventKind::ReorderExit, Draft { parent: p, ..d(start) })
-                } else {
-                    None
-                };
-                let p = emit(EventKind::DecodeBegin, Draft { parent: p, ..d(start) });
-                emit(EventKind::DecodeEnd, Draft { parent: p, ..d(start + exec) });
-            }
-        }
-        let makespan = lanes.iter().fold(0.0_f64, |a, &b| a.max(b));
-        (self.invoke_batch(chunk_exec_s.len().max(1), makespan, needs_nodes), timings)
-    }
-
     /// Number of invocations served.
     pub fn invocation_count(&self) -> u64 {
         self.invocations
@@ -249,65 +132,6 @@ mod tests {
         let mut b = FaasEndpoint::new("x", WaitTimeModel::Immediate, 1);
         let unbatched: f64 = (0..100).map(|_| b.invoke(0.1, false).total_s()).sum();
         assert!(batched < unbatched, "batched={batched} unbatched={unbatched}");
-    }
-
-    #[test]
-    fn chunked_invocation_reports_per_chunk_timings() {
-        let mut ep = FaasEndpoint::new("anvil", WaitTimeModel::Immediate, 1);
-        ep.invoke(0.0, false); // warm the container
-        let work = [4.0, 1.0, 1.0, 1.0, 1.0];
-        let (serial, t1) = ep.invoke_chunked(&work, 1, false);
-        let (parallel, t4) = ep.invoke_chunked(&work, 4, false);
-        assert_eq!(t1.len(), work.len());
-        assert_eq!(t4.len(), work.len());
-        // Serial: chunks run back to back on lane 0.
-        assert!((serial.exec_s - 8.0).abs() < 1e-12);
-        assert!(t1.iter().all(|t| t.lane == 0));
-        assert!((t1[4].start_s - 7.0).abs() < 1e-12);
-        // 4 lanes: the long chunk bounds the makespan; others pack around it.
-        assert!((parallel.exec_s - 4.0).abs() < 1e-12, "exec {}", parallel.exec_s);
-        assert_eq!(t4[0].lane, 0);
-        assert!(t4[4].start_s < 4.0);
-        assert!((t4.iter().map(ChunkTiming::end_s).fold(0.0_f64, f64::max) - parallel.exec_s).abs() < 1e-12);
-    }
-
-    #[test]
-    fn chunked_invocation_handles_edge_shapes() {
-        let mut ep = FaasEndpoint::new("anvil", WaitTimeModel::Immediate, 1);
-        let (inv, timings) = ep.invoke_chunked(&[], 4, false);
-        assert!(timings.is_empty());
-        assert_eq!(inv.exec_s, 0.0);
-        // More lanes than chunks: each chunk starts at 0 on its own lane.
-        let (inv, timings) = ep.invoke_chunked(&[2.0, 3.0], 8, false);
-        assert!((inv.exec_s - 3.0).abs() < 1e-12);
-        assert!(timings.iter().all(|t| t.start_s == 0.0));
-    }
-
-    #[test]
-    fn released_chunks_wait_for_arrival() {
-        let mut ep = FaasEndpoint::new("cori", WaitTimeModel::Immediate, 1);
-        ep.invoke(0.0, false); // warm the container
-        let work = [1.0, 1.0, 1.0, 1.0];
-        // All-zero releases reduce exactly to the plain chunked invocation.
-        let (plain, pt) = ep.invoke_chunked(&work, 2, false);
-        let (zero, zt) = ep.invoke_chunked_released(&work, &[0.0; 4], 2, false);
-        assert_eq!(pt, zt);
-        assert!((plain.exec_s - zero.exec_s).abs() < 1e-12);
-        // Staggered arrivals: lanes idle until each chunk lands, so the
-        // makespan is bounded below by last_release + its exec time.
-        let releases = [0.0, 2.0, 4.0, 6.0];
-        let (inv, t) = ep.invoke_chunked_released(&work, &releases, 2, false);
-        for (timing, &r) in t.iter().zip(&releases) {
-            assert!(timing.start_s >= r, "chunk {} started at {} before arrival {r}", timing.chunk, timing.start_s);
-        }
-        assert!((inv.exec_s - 7.0).abs() < 1e-12, "exec {}", inv.exec_s);
-    }
-
-    #[test]
-    #[should_panic(expected = "one release time per chunk")]
-    fn released_length_mismatch_panics() {
-        let mut ep = FaasEndpoint::new("cori", WaitTimeModel::Immediate, 1);
-        ep.invoke_chunked_released(&[1.0, 1.0], &[0.0], 2, false);
     }
 
     #[test]

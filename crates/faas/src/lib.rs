@@ -30,6 +30,6 @@ pub mod queue;
 pub mod task;
 
 pub use cluster::Cluster;
-pub use endpoint::{ChunkTiming, FaasEndpoint, FaasInvocation};
+pub use endpoint::{FaasEndpoint, FaasInvocation};
 pub use queue::WaitTimeModel;
 pub use task::{FaasFabric, FunctionId, TaskId, TaskRecord, TaskState};

@@ -25,22 +25,20 @@
 //!   `run_streamed` (`core/tests/ledger_tax.rs`): ledger-on costs
 //!   ×0.98 – 1.05 of ledger-off, inside the 2 % instrumentation budget up to
 //!   timer noise.
-//! * **Single appends** ([`emit`] / [`Ledger::append`]) are for real threads
-//!   whose wall stamp *is* the content (a codec worker sealing a chunk, the
-//!   stream drainer decoding one). `emit` is one relaxed atomic load when no
-//!   ledger is installed. Appended events and committed records share one
-//!   sequence space and sit in the sink in sequence order, so a drain is a
-//!   total order with every record's range contiguous.
+//! * **One way in.** [`Ledger::commit`] on a ledger handed to the emitter
+//!   explicitly is the only way a record gets into a ledger; there is no
+//!   process-wide ledger. Commits number their ranges under the sink lock,
+//!   so schedules sit in the sink in sequence order and a drain is a total
+//!   order with every schedule's range contiguous.
 //! * **Bounded between records.** A sink holds [`SINK_CAPACITY_BYTES`] of
-//!   what its entries keep on the heap (schedule columns); past that the
-//!   *oldest entry goes whole* — a schedule with every one of its events,
-//!   or one single event — and its event count lands in
-//!   [`Ledger::dropped`] and the [`LEDGER_DROPPED_COUNTER`] registry counter.
-//!   A record is never split and the newest entry is never the one to go, so
-//!   a job that is in the ledger at all has its `job_begin`, every chunk and
-//!   no parent link that points at a dropped event. A non-zero dropped count
-//!   means whole earlier jobs (or early single events) are missing, never
-//!   the head of a kept one.
+//!   what its schedules keep on the heap (their columns); past that the
+//!   *oldest schedule goes whole*, with every one of its events, and its
+//!   event count lands in [`Ledger::dropped`] and the
+//!   [`LEDGER_DROPPED_COUNTER`] registry counter. A record is never split
+//!   and the newest schedule is never the one to go, so a job that is in the
+//!   ledger at all has its `job_begin`, every chunk and no parent link that
+//!   points at a dropped event. A non-zero dropped count means whole earlier
+//!   jobs are missing, never the head of a kept one.
 //! * **Reconstruction** ([`Timeline::reconstruct`]) replays a drained
 //!   ledger into per-chunk interval tracks (compress / window-wait /
 //!   transfer / retransmit / reorder / decode) plus job-level phase
@@ -54,11 +52,10 @@ use crate::metrics::Counter;
 use crate::Obs;
 use std::borrow::Cow;
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, RwLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Registry counter mirroring [`Ledger::dropped`], bumped as entries go.
+/// Registry counter mirroring [`Ledger::dropped`], bumped as schedules go.
 pub const LEDGER_DROPPED_COUNTER: &str = "ocelot_ledger_dropped_total";
 
 /// Bytes a ledger's sink retains before its oldest entry goes whole: what
@@ -70,7 +67,7 @@ pub const SINK_CAPACITY_BYTES: usize = 8 << 20;
 pub const LEDGER_VERSION: u32 = 1;
 
 /// Number of event kinds (array dimension / export order length).
-pub const N_EVENT_KINDS: usize = 17;
+pub const N_EVENT_KINDS: usize = 16;
 
 /// What happened to a chunk (or, for the four job-scope kinds, to the job).
 ///
@@ -89,8 +86,6 @@ pub enum EventKind {
     JobEnd,
     /// Chunk compression started.
     CompressBegin,
-    /// Chunk bytes sealed by the real streamed sink (wall clock only).
-    Sealed,
     /// Chunk encode finished; ready for the wire.
     Encoded,
     /// Chunk ready but the stream window is full; `cause` says so.
@@ -123,7 +118,6 @@ impl EventKind {
         EventKind::TransferEnd,
         EventKind::JobEnd,
         EventKind::CompressBegin,
-        EventKind::Sealed,
         EventKind::Encoded,
         EventKind::WindowWait,
         EventKind::Released,
@@ -145,7 +139,6 @@ impl EventKind {
             EventKind::TransferEnd => "transfer_end",
             EventKind::JobEnd => "job_end",
             EventKind::CompressBegin => "compress_begin",
-            EventKind::Sealed => "sealed",
             EventKind::Encoded => "encoded",
             EventKind::WindowWait => "window_wait",
             EventKind::Released => "released",
@@ -178,8 +171,6 @@ pub struct LedgerEvent {
     pub seq: u64,
     /// Sequence number of the prior event for the same chunk, if any.
     pub parent: Option<u64>,
-    /// Span id of the job's root sim span, if known.
-    pub span: Option<u64>,
     /// Job the event belongs to.
     pub job: Option<u64>,
     /// File index within the job's workload.
@@ -193,9 +184,8 @@ pub struct LedgerEvent {
     pub cause: Option<Cow<'static, str>>,
     /// Simulated seconds, job-relative; `None` for wall-only events.
     pub t_sim: Option<f64>,
-    /// Microseconds since the ledger was constructed (wall clock): when the
-    /// event was appended, or — for every event of a schedule — when the
-    /// schedule was committed.
+    /// Microseconds since the ledger was constructed (wall clock) at which
+    /// the event's schedule was committed; shared by all of its events.
     pub t_wall_us: u64,
     /// Bytes the event concerns (chunk size, wasted bytes for faults).
     pub bytes: u64,
@@ -203,16 +193,13 @@ pub struct LedgerEvent {
     pub attempt: u32,
 }
 
-/// Everything an emitter supplies; `seq` and `t_wall_us` are stamped by the
-/// ledger. Construct with struct-update syntax over [`Draft::default`].
+/// One event as [`Schedule::replay`] derives it, before it is numbered and
+/// stamped. Construct with struct-update syntax over [`Draft::default`].
 #[derive(Debug, Clone, Default)]
 pub struct Draft {
-    /// See [`LedgerEvent::parent`]: the sequence number an earlier
-    /// [`emit`] / [`Ledger::append`] returned or, in a [`Schedule::replay`],
-    /// what its `push` returned for an earlier event.
+    /// See [`LedgerEvent::parent`]: what the replay's `push` returned for
+    /// an earlier event.
     pub parent: Option<u64>,
-    /// See [`LedgerEvent::span`].
-    pub span: Option<u64>,
     /// See [`LedgerEvent::job`].
     pub job: Option<u64>,
     /// See [`LedgerEvent::file`].
@@ -240,13 +227,11 @@ impl Draft {
         Draft { job: Some(job), t_sim: Some(t_sim), ..Draft::default() }
     }
 
-    /// The event this draft becomes once the ledger has numbered and
-    /// stamped it.
+    /// The event this draft becomes once it is numbered and stamped.
     fn stamped(self, event: EventKind, seq: u64, t_wall_us: u64) -> LedgerEvent {
         LedgerEvent {
             seq,
             parent: self.parent,
-            span: self.span,
             job: self.job,
             file: self.file,
             chunk: self.chunk,
@@ -347,7 +332,7 @@ impl Lifecycle {
 /// A [`Lifecycle`] the ledger can adopt: checked, its events counted, and —
 /// once committed — numbered. It holds no event; [`Schedule::replay`] is the
 /// one place that turns the columns into the job's events, and every reader
-/// ([`Schedule::events`], [`Entry::widen_into`], [`Ledger::drain`]) goes
+/// ([`Schedule::events`], [`Schedule::widen_into`], [`Ledger::drain`]) goes
 /// through it.
 ///
 /// The count uses the very predicates the replay branches on — a stalled
@@ -437,7 +422,9 @@ impl Schedule {
         out
     }
 
-    fn widen_into(&self, out: &mut Vec<LedgerEvent>) {
+    /// Appends the schedule's events to `out`, numbered and stamped as in
+    /// [`Schedule::events`].
+    pub fn widen_into(&self, out: &mut Vec<LedgerEvent>) {
         let first = out.len();
         self.replay(|kind, draft| {
             let seq = self.seq_base + (out.len() - first) as u64;
@@ -521,75 +508,26 @@ impl Schedule {
     }
 }
 
-/// What a sink holds, in sequence order: an adopted schedule, or one event
-/// appended on its own.
-#[derive(Debug)]
-pub enum Entry {
-    /// A job's schedule from one [`Ledger::commit`]; its events exist only
-    /// while someone reads them.
-    Schedule(Schedule),
-    /// One event from [`Ledger::append`] / [`emit`].
-    Single(LedgerEvent),
+/// Bytes a schedule counts for against a sink's bound.
+fn footprint(schedule: &Schedule) -> usize {
+    std::mem::size_of::<Schedule>() + schedule.heap_bytes()
 }
 
-impl Entry {
-    /// Job the entry is filed under.
-    pub fn job(&self) -> Option<u64> {
-        match self {
-            Entry::Schedule(s) => Some(s.job()),
-            Entry::Single(e) => e.job,
-        }
-    }
-
-    /// Events the entry holds.
-    pub fn event_count(&self) -> usize {
-        match self {
-            Entry::Schedule(s) => s.len(),
-            Entry::Single(_) => 1,
-        }
-    }
-
-    /// [`EventKind::Retransmit`] events the entry holds.
-    pub fn retransmits(&self) -> u64 {
-        match self {
-            Entry::Schedule(s) => s.retransmits(),
-            Entry::Single(e) => u64::from(e.event == EventKind::Retransmit),
-        }
-    }
-
-    /// Appends the entry's events to `out`, in sequence order.
-    pub fn widen_into(&self, out: &mut Vec<LedgerEvent>) {
-        match self {
-            Entry::Schedule(s) => s.widen_into(out),
-            Entry::Single(e) => out.push(e.clone()),
-        }
-    }
-
-    /// Bytes the entry counts for against the sink's bound.
-    fn bytes(&self) -> usize {
-        std::mem::size_of::<Entry>()
-            + match self {
-                Entry::Schedule(s) => s.heap_bytes(),
-                Entry::Single(_) => 0,
-            }
-    }
-}
-
-/// Entries of one ledger, oldest first, with the sequence counter they
-/// share: handing out numbers under the same lock that orders the entries
+/// Schedules of one ledger, oldest first, with the sequence counter they
+/// share: handing out ranges under the same lock that orders the schedules
 /// makes sink order the total order.
 #[derive(Debug)]
 struct Sink {
-    entries: VecDeque<Entry>,
+    schedules: VecDeque<Schedule>,
     bytes: usize,
     next_seq: u64,
     dropped: u64,
 }
 
-/// The ledger: one bounded sink of committed schedules and single events in
-/// one sequence space. Construct with [`Ledger::with_obs`] (publishes the
-/// dropped counter) or [`Ledger::detached`]; hand it to an emitter
-/// explicitly, or [`install_global`] it so [`emit`] activates.
+/// The ledger: one bounded sink of committed schedules in one sequence
+/// space. Construct with [`Ledger::with_obs`] (publishes the dropped
+/// counter) or [`Ledger::detached`] and hand it to the emitter explicitly;
+/// [`Ledger::commit`] is the one way in.
 pub struct Ledger {
     /// Sink bound in bytes.
     capacity: usize,
@@ -615,7 +553,7 @@ impl Ledger {
     pub fn with_obs_and_capacity(obs: &Obs, capacity: usize) -> Arc<Ledger> {
         Arc::new(Ledger {
             capacity,
-            sink: Mutex::new(Sink { entries: VecDeque::new(), bytes: 0, next_seq: 1, dropped: 0 }),
+            sink: Mutex::new(Sink { schedules: VecDeque::new(), bytes: 0, next_seq: 1, dropped: 0 }),
             dropped_counter: obs
                 .counter_handle(LEDGER_DROPPED_COUNTER, "chunk-ledger events dropped by the bounded sink"),
             t0: Instant::now(),
@@ -627,25 +565,22 @@ impl Ledger {
         Ledger::with_obs(&Obs::disabled())
     }
 
-    fn now_us(&self) -> u64 {
-        self.t0.elapsed().as_micros() as u64
-    }
-
-    /// Numbers `n` events, lets `seal` stamp the entry with the first
-    /// number, appends it, and drops oldest entries whole while the sink is
-    /// over its bound (never the one just admitted).
-    fn admit(&self, n: usize, seal: impl FnOnce(u64) -> Entry) -> u64 {
+    /// Takes over a finished [`Schedule`] as it is: one sequence range for
+    /// exactly the events it widens to, one wall stamp, one lock. Nothing
+    /// inside the schedule is touched. Oldest schedules go whole while the
+    /// sink is over its bound, never the one just committed.
+    pub fn commit(&self, mut schedule: Schedule) {
+        let t_wall_us = self.t0.elapsed().as_micros() as u64;
         let mut sink = self.sink.lock().unwrap_or_else(|e| e.into_inner());
-        let seq = sink.next_seq;
-        sink.next_seq += n as u64;
-        let entry = seal(seq);
-        sink.bytes += entry.bytes();
-        sink.entries.push_back(entry);
+        (schedule.seq_base, schedule.t_wall_us) = (sink.next_seq, t_wall_us);
+        sink.next_seq += schedule.len() as u64;
+        sink.bytes += footprint(&schedule);
+        sink.schedules.push_back(schedule);
         let mut dropped = 0u64;
-        while sink.bytes > self.capacity && sink.entries.len() > 1 {
-            let oldest = sink.entries.pop_front().expect("more than one entry");
-            sink.bytes -= oldest.bytes();
-            dropped += oldest.event_count() as u64;
+        while sink.bytes > self.capacity && sink.schedules.len() > 1 {
+            let oldest = sink.schedules.pop_front().expect("more than one schedule");
+            sink.bytes -= footprint(&oldest);
+            dropped += oldest.len() as u64;
         }
         if dropped > 0 {
             sink.dropped += dropped;
@@ -653,40 +588,21 @@ impl Ledger {
                 c.add(dropped);
             }
         }
-        seq
     }
 
-    /// Appends one event stamped with its own wall time, returning its
-    /// sequence number (for parent links).
-    pub fn append(&self, kind: EventKind, draft: Draft) -> u64 {
-        let t_wall_us = self.now_us();
-        self.admit(1, |seq| Entry::Single(draft.stamped(kind, seq, t_wall_us)))
-    }
-
-    /// Takes over a finished [`Schedule`] as it is: one sequence range for
-    /// exactly the events it widens to, one wall stamp, one lock. Nothing
-    /// inside the schedule is touched.
-    pub fn commit(&self, mut schedule: Schedule) {
-        let t_wall_us = self.now_us();
-        self.admit(schedule.len(), |seq| {
-            (schedule.seq_base, schedule.t_wall_us) = (seq, t_wall_us);
-            Entry::Schedule(schedule)
-        });
-    }
-
-    /// Takes every entry out of the sink as it is, oldest first.
-    pub fn take(&self) -> Vec<Entry> {
+    /// Takes every schedule out of the sink as it is, oldest first.
+    pub fn take(&self) -> Vec<Schedule> {
         let mut sink = self.sink.lock().unwrap_or_else(|e| e.into_inner());
         sink.bytes = 0;
-        std::mem::take(&mut sink.entries).into()
+        std::mem::take(&mut sink.schedules).into()
     }
 
     /// Takes every buffered event, widened, in global sequence order.
     pub fn drain(&self) -> Vec<LedgerEvent> {
-        let entries = self.take();
-        let mut all = Vec::with_capacity(entries.iter().map(Entry::event_count).sum());
-        for entry in &entries {
-            entry.widen_into(&mut all);
+        let schedules = self.take();
+        let mut all = Vec::with_capacity(schedules.iter().map(Schedule::len).sum());
+        for schedule in &schedules {
+            schedule.widen_into(&mut all);
         }
         all
     }
@@ -695,52 +611,6 @@ impl Ledger {
     pub fn dropped(&self) -> u64 {
         self.sink.lock().unwrap_or_else(|e| e.into_inner()).dropped
     }
-}
-
-static ACTIVE: AtomicBool = AtomicBool::new(false);
-static CURRENT: OnceLock<RwLock<Option<Arc<Ledger>>>> = OnceLock::new();
-
-fn current_cell() -> &'static RwLock<Option<Arc<Ledger>>> {
-    CURRENT.get_or_init(|| RwLock::new(None))
-}
-
-/// Installs `ledger` as the process-wide ledger; [`emit`] activates on
-/// every thread. Re-installable, like [`crate::prof::install_global`].
-pub fn install_global(ledger: &Arc<Ledger>) {
-    *current_cell().write().expect("ledger global poisoned") = Some(ledger.clone());
-    ACTIVE.store(true, Ordering::Release);
-}
-
-/// Deactivates the ledger; subsequent emits are one relaxed load.
-pub fn uninstall_global() {
-    ACTIVE.store(false, Ordering::Release);
-    *current_cell().write().expect("ledger global poisoned") = None;
-}
-
-/// The installed ledger, if any.
-pub fn global() -> Option<Arc<Ledger>> {
-    if !ACTIVE.load(Ordering::Acquire) {
-        return None;
-    }
-    current_cell().read().expect("ledger global poisoned").clone()
-}
-
-/// True when a ledger is installed (one relaxed load — the per-event-site
-/// fast-out).
-#[inline]
-pub fn is_active() -> bool {
-    ACTIVE.load(Ordering::Relaxed)
-}
-
-/// Emits one event into the installed ledger, returning its sequence
-/// number for parent chaining. Disabled: one relaxed load, `None`.
-#[inline]
-pub fn emit(kind: EventKind, draft: Draft) -> Option<u64> {
-    if !is_active() {
-        return None;
-    }
-    let ledger = global()?;
-    Some(ledger.append(kind, draft))
 }
 
 // ---------------------------------------------------------------------------
@@ -1101,12 +971,6 @@ pub fn render_chunk_detail(events: &[LedgerEvent], tl: &Timeline, index: usize) 
 mod tests {
     use super::*;
 
-    /// Global-ledger tests share process state; serialize them.
-    fn lock() -> std::sync::MutexGuard<'static, ()> {
-        static GATE: Mutex<()> = Mutex::new(());
-        GATE.lock().unwrap_or_else(|e| e.into_inner())
-    }
-
     #[test]
     fn event_kind_names_round_trip() {
         for kind in EventKind::ALL {
@@ -1118,79 +982,23 @@ mod tests {
     }
 
     #[test]
-    fn disabled_emit_records_nothing() {
-        let _g = lock();
-        uninstall_global();
-        assert!(!is_active());
-        assert_eq!(emit(EventKind::Arrived, Draft::chunk(1, 0, 0)), None);
-        assert!(global().is_none());
-    }
-
-    #[test]
-    fn emits_chain_and_drain_in_seq_order() {
-        let _g = lock();
-        let ledger = Ledger::detached();
-        install_global(&ledger);
-        let s1 = emit(EventKind::Encoded, Draft { bytes: 100, ..Draft::chunk(7, 0, 0) }).unwrap();
-        let s2 = emit(EventKind::Released, Draft { parent: Some(s1), ..Draft::chunk(7, 0, 0) }).unwrap();
-        let s3 = emit(EventKind::Arrived, Draft { parent: Some(s2), attempt: 1, ..Draft::chunk(7, 0, 0) }).unwrap();
-        uninstall_global();
-        assert!(s1 < s2 && s2 < s3);
+    fn bounded_sinks_drop_oldest_and_publish_the_counter() {
+        let obs = Obs::enabled();
+        // Room for eight one-chunk schedules.
+        let ledger = Ledger::with_obs_and_capacity(&obs, 8 * footprint(&job_schedule(0, 1)));
+        for job in 0..20u64 {
+            ledger.commit(job_schedule(job, 1));
+        }
+        let per_job = job_schedule(0, 1).len() as u64;
+        let c = obs.registry().unwrap().counter(LEDGER_DROPPED_COUNTER, "");
+        assert_eq!(c.get(), 12 * per_job, "the counter moves as schedules go, before any drain");
         let events = ledger.drain();
-        assert_eq!(events.len(), 3);
-        assert_eq!(events[0].event, EventKind::Encoded);
-        assert_eq!(events[0].bytes, 100);
-        assert_eq!(events[1].parent, Some(s1));
-        assert_eq!(events[2].attempt, 1);
-        assert!(check_causality(&events, 7).is_empty());
+        assert_eq!(events.len() as u64, 8 * per_job, "sink bounded at capacity");
+        assert_eq!(ledger.dropped(), 12 * per_job);
+        // Oldest dropped: the survivors are the newest 8.
+        assert_eq!(events[0].job, Some(12));
         // Drains are destructive.
         assert!(ledger.drain().is_empty());
-    }
-
-    #[test]
-    fn cross_thread_emission_keeps_a_total_order() {
-        let _g = lock();
-        let ledger = Ledger::detached();
-        install_global(&ledger);
-        let handles: Vec<_> = (0..4u32)
-            .map(|t| {
-                std::thread::spawn(move || {
-                    let mut parent = None;
-                    for i in 0..32u32 {
-                        parent =
-                            emit(EventKind::Encoded, Draft { parent, t_sim: Some(i as f64), ..Draft::chunk(1, t, 0) });
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            h.join().unwrap();
-        }
-        uninstall_global();
-        let events = ledger.drain();
-        assert_eq!(events.len(), 4 * 32);
-        assert!(events.windows(2).all(|w| w[0].seq < w[1].seq), "drain not seq-sorted");
-        assert_eq!(check_causality(&events, 1), Vec::<String>::new());
-    }
-
-    #[test]
-    fn bounded_sinks_drop_oldest_and_publish_the_counter() {
-        let _g = lock();
-        let obs = Obs::enabled();
-        // Room for eight single events.
-        let ledger = Ledger::with_obs_and_capacity(&obs, 8 * std::mem::size_of::<Entry>());
-        install_global(&ledger);
-        for i in 0..20u32 {
-            emit(EventKind::Sealed, Draft { bytes: i as u64, ..Draft::chunk(1, 0, i) });
-        }
-        uninstall_global();
-        let c = obs.registry().unwrap().counter(LEDGER_DROPPED_COUNTER, "");
-        assert_eq!(c.get(), 12, "the counter moves as entries go, before any drain");
-        let events = ledger.drain();
-        assert_eq!(events.len(), 8, "sink bounded at capacity");
-        assert_eq!(ledger.dropped(), 12);
-        // Oldest dropped: the survivors are the newest 8.
-        assert_eq!(events[0].chunk, Some(12));
     }
 
     /// Everything but `seq` and `t_wall_us`, parents relative to `base`,
@@ -1198,7 +1006,7 @@ mod tests {
     fn content(e: &LedgerEvent, base: u64) -> impl PartialEq + std::fmt::Debug {
         let parent = e.parent.map(|p| p.wrapping_sub(base));
         let cause = e.cause.as_deref().map(str::to_string);
-        (parent, e.span, e.job, e.file, e.chunk, e.event, cause, e.t_sim.map(f64::to_bits), e.bytes, e.attempt)
+        (parent, e.job, e.file, e.chunk, e.event, cause, e.t_sim.map(f64::to_bits), e.bytes, e.attempt)
     }
 
     /// `chunks` chunks of one file of `job`, a second apart: every other one
@@ -1240,20 +1048,23 @@ mod tests {
         let uncommitted = schedule.events();
         assert_eq!(uncommitted.len(), schedule.len());
         assert_eq!((uncommitted[0].seq, uncommitted[0].event), (0, EventKind::JobBegin));
-        // Committed after a single event and before another: the three
-        // number consecutively, the schedule taking exactly its count.
+        // Committed between two one-chunk schedules: the three number
+        // consecutively, each taking exactly its count.
         let ledger = Ledger::detached();
-        let before = ledger.append(EventKind::Sealed, Draft::default());
-        let reserved = schedule.len() as u64;
+        let (before, after) = (job_schedule(8, 1), job_schedule(9, 1));
+        let (before_len, reserved, after_len) = (before.len() as u64, schedule.len() as u64, after.len() as u64);
+        ledger.commit(before);
         ledger.commit(schedule);
-        let after = ledger.append(EventKind::Sealed, Draft::default());
-        assert_eq!(after, before + reserved + 1);
-        let events = ledger.drain();
-        assert!(events.windows(2).all(|w| w[1].seq == w[0].seq + 1), "gap-free across the three entries");
+        ledger.commit(after);
+        let all = ledger.drain();
+        assert!(all.windows(2).all(|w| w[1].seq == w[0].seq + 1), "gap-free across the three schedules");
+        assert_eq!(all.last().map(|e| e.seq), Some(before_len + reserved + after_len));
+        let events: Vec<LedgerEvent> = all.into_iter().filter(|e| e.job == Some(4)).collect();
+        assert_eq!((events.len() as u64, events[0].seq), (reserved, before_len + 1));
         assert_eq!(check_causality(&events, 4), Vec::<String>::new());
-        for (u, e) in uncommitted.iter().zip(&events[1..]) {
-            assert_eq!(content(u, 0), content(e, before + 1));
-            assert_eq!(e.t_wall_us, events[1].t_wall_us, "one wall stamp per schedule");
+        for (u, e) in uncommitted.iter().zip(&events) {
+            assert_eq!(content(u, 0), content(e, before_len + 1));
+            assert_eq!(e.t_wall_us, events[0].t_wall_us, "one wall stamp per schedule");
         }
         // Chunk 0 meets every optional event: stalled, failed twice, queued.
         let chunk0: Vec<&LedgerEvent> = events.iter().filter(|e| e.chunk == Some(0)).collect();
@@ -1333,7 +1144,7 @@ mod tests {
     #[test]
     fn oldest_schedules_go_whole_under_a_small_bound() {
         let obs = Obs::enabled();
-        let per_schedule = job_schedule(0, 50).heap_bytes() + std::mem::size_of::<Entry>();
+        let per_schedule = footprint(&job_schedule(0, 50));
         // Room for three schedules and a bit, never for four.
         let ledger = Ledger::with_obs_and_capacity(&obs, 3 * per_schedule + per_schedule / 2);
         let counter = obs.registry().unwrap().counter(LEDGER_DROPPED_COUNTER, "");
@@ -1367,89 +1178,121 @@ mod tests {
     }
 
     #[test]
-    fn batches_and_single_appends_share_one_total_order() {
+    fn cross_thread_emission_keeps_a_total_order() {
         const SCHEDULES: u64 = 40;
-        const SINGLES: u32 = 2000;
+        // Sizes differ, so a miscounted range shows as a gap or an overlap.
+        let schedule = |job: u64| job_schedule(job, 10 + (job % 7) as u32);
+        let ledger = Ledger::detached();
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for thread in 0..2 {
+                let (ledger, start) = (&ledger, &start);
+                s.spawn(move || {
+                    start.wait();
+                    for job in (0..SCHEDULES).map(|j| 2 * j + thread) {
+                        ledger.commit(schedule(job));
+                    }
+                });
+            }
+        });
+        let events = ledger.drain();
+        assert_eq!(events.len(), (0..2 * SCHEDULES).map(|job| schedule(job).len()).sum::<usize>());
+        assert_eq!(events[0].seq, 1);
+        assert!(events.windows(2).all(|w| w[1].seq == w[0].seq + 1), "drain is the gap-free sequence order");
+        let mut first = Vec::new();
+        for job in 0..2 * SCHEDULES {
+            let own: Vec<u64> = events.iter().filter(|e| e.job == Some(job)).map(|e| e.seq).collect();
+            let len = schedule(job).len();
+            assert_eq!(own.len(), len);
+            assert_eq!(own[len - 1] - own[0], len as u64 - 1, "schedule {job} holds one contiguous range");
+            assert_eq!(check_causality(&events, job), Vec::<String>::new());
+            first.push(own[0]);
+        }
+        for thread in 0..2 {
+            let mine: Vec<u64> = first.iter().skip(thread).step_by(2).copied().collect();
+            assert!(mine.windows(2).all(|w| w[0] < w[1]), "thread {thread}'s commits keep their order");
+        }
+    }
+
+    /// Large schedules on one thread, the smallest commit there is — a
+    /// one-chunk schedule — on another: both draw from one sequence.
+    #[test]
+    fn batches_and_single_appends_share_one_total_order() {
+        const BATCHES: u64 = 40;
+        const SINGLES: u64 = 400;
         let ledger = Ledger::detached();
         let start = std::sync::Barrier::new(2);
         std::thread::scope(|s| {
             s.spawn(|| {
                 start.wait();
-                for job in 0..SCHEDULES {
+                for job in 0..BATCHES {
                     ledger.commit(job_schedule(job, 20));
                 }
             });
             s.spawn(|| {
                 start.wait();
-                let mut parent = None;
-                for i in 0..SINGLES {
-                    parent =
-                        Some(ledger.append(EventKind::Sealed, Draft { parent, chunk: Some(i), ..Draft::default() }));
+                for job in BATCHES..BATCHES + SINGLES {
+                    ledger.commit(job_schedule(job, 1));
                 }
             });
         });
-        let per_job = job_schedule(0, 20).len();
+        let (per_batch, per_single) = (job_schedule(0, 20).len(), job_schedule(0, 1).len());
         let events = ledger.drain();
-        assert_eq!(events.len(), SCHEDULES as usize * per_job + SINGLES as usize);
+        assert_eq!(events.len(), BATCHES as usize * per_batch + SINGLES as usize * per_single);
         assert_eq!(events[0].seq, 1);
         assert!(events.windows(2).all(|w| w[1].seq == w[0].seq + 1), "drain is the gap-free sequence order");
-        for job in 0..SCHEDULES {
+        let mut single_heads = Vec::new();
+        for job in 0..BATCHES + SINGLES {
             let own: Vec<u64> = events.iter().filter(|e| e.job == Some(job)).map(|e| e.seq).collect();
-            assert_eq!(own.len(), per_job);
-            assert_eq!(own[per_job - 1] - own[0], per_job as u64 - 1, "schedule {job} holds one contiguous range");
+            let len = if job < BATCHES { per_batch } else { per_single };
+            assert_eq!(own.len(), len);
+            assert_eq!(own[len - 1] - own[0], len as u64 - 1, "schedule {job} holds one contiguous range");
             assert_eq!(check_causality(&events, job), Vec::<String>::new());
+            if job >= BATCHES {
+                single_heads.push(own[0]);
+            }
         }
-        let singles: Vec<&LedgerEvent> = events.iter().filter(|e| e.job.is_none()).collect();
-        assert!(singles.windows(2).all(|w| w[1].parent == Some(w[0].seq)), "single appends keep their own chain");
-    }
-
-    #[test]
-    fn reinstall_swaps_sinks() {
-        let _g = lock();
-        let a = Ledger::detached();
-        install_global(&a);
-        emit(EventKind::Sealed, Draft { bytes: 1, ..Draft::chunk(1, 0, 0) });
-        let b = Ledger::detached();
-        install_global(&b);
-        emit(EventKind::Sealed, Draft { bytes: 2, ..Draft::chunk(1, 0, 0) });
-        uninstall_global();
-        assert_eq!(a.drain().iter().map(|e| e.bytes).sum::<u64>(), 1);
-        assert_eq!(b.drain().iter().map(|e| e.bytes).sum::<u64>(), 2);
+        assert!(single_heads.windows(2).all(|w| w[0] < w[1]), "one-chunk commits keep their own order");
     }
 
     /// A synthetic clean-plus-faulted two-chunk job, exercised below.
     fn sample_events() -> Vec<LedgerEvent> {
-        let ledger = Ledger::detached();
         let job = 3u64;
-        ledger.append(EventKind::JobBegin, Draft::job(job, 0.0));
-        ledger.append(EventKind::TransferBegin, Draft::job(job, 1.0));
+        let mut events: Vec<LedgerEvent> = Vec::new();
+        let mut append = |kind: EventKind, draft: Draft| {
+            let seq = events.len() as u64 + 1;
+            events.push(draft.stamped(kind, seq, 0));
+            seq
+        };
+        append(EventKind::JobBegin, Draft::job(job, 0.0));
+        append(EventKind::TransferBegin, Draft::job(job, 1.0));
         // Chunk 0: clean.
         let mut d = Draft { t_sim: Some(0.0), ..Draft::chunk(job, 0, 0) };
-        let mut p = ledger.append(EventKind::CompressBegin, d.clone());
+        let mut p = append(EventKind::CompressBegin, d.clone());
         d = Draft { parent: Some(p), t_sim: Some(1.0), bytes: 1000, ..Draft::chunk(job, 0, 0) };
-        p = ledger.append(EventKind::Encoded, d.clone());
+        p = append(EventKind::Encoded, d.clone());
         d = Draft { parent: Some(p), t_sim: Some(1.0), ..Draft::chunk(job, 0, 0) };
-        p = ledger.append(EventKind::Released, d.clone());
+        p = append(EventKind::Released, d.clone());
         d = Draft { parent: Some(p), t_sim: Some(4.0), attempt: 1, bytes: 1000, ..Draft::chunk(job, 0, 0) };
-        p = ledger.append(EventKind::Arrived, d.clone());
+        p = append(EventKind::Arrived, d.clone());
         d = Draft { parent: Some(p), t_sim: Some(4.0), ..Draft::chunk(job, 0, 0) };
-        p = ledger.append(EventKind::DecodeBegin, d.clone());
+        p = append(EventKind::DecodeBegin, d.clone());
         d = Draft { parent: Some(p), t_sim: Some(5.0), ..Draft::chunk(job, 0, 0) };
-        ledger.append(EventKind::DecodeEnd, d);
+        append(EventKind::DecodeEnd, d);
         // Chunk 1: stalls on the window, faults once, retransmits.
         d = Draft { t_sim: Some(1.0), ..Draft::chunk(job, 0, 1) };
-        p = ledger.append(EventKind::CompressBegin, d);
+        p = append(EventKind::CompressBegin, d);
         d = Draft { parent: Some(p), t_sim: Some(2.0), bytes: 2000, ..Draft::chunk(job, 0, 1) };
-        p = ledger.append(EventKind::Encoded, d);
+        p = append(EventKind::Encoded, d);
         d = Draft {
             parent: Some(p),
             t_sim: Some(2.0),
             cause: Some("stream window full".into()),
             ..Draft::chunk(job, 0, 1)
         };
-        p = ledger.append(EventKind::WindowWait, d);
+        p = append(EventKind::WindowWait, d);
         d = Draft { parent: Some(p), t_sim: Some(3.0), ..Draft::chunk(job, 0, 1) };
-        p = ledger.append(EventKind::Released, d);
+        p = append(EventKind::Released, d);
         d = Draft {
             parent: Some(p),
             t_sim: Some(5.0),
@@ -1457,22 +1300,22 @@ mod tests {
             cause: Some("wan fault (p=0.50)".into()),
             ..Draft::chunk(job, 0, 1)
         };
-        p = ledger.append(EventKind::Fault, d);
+        p = append(EventKind::Fault, d);
         d = Draft { parent: Some(p), t_sim: Some(5.5), attempt: 2, ..Draft::chunk(job, 0, 1) };
-        p = ledger.append(EventKind::Retransmit, d);
+        p = append(EventKind::Retransmit, d);
         d = Draft { parent: Some(p), t_sim: Some(7.0), attempt: 2, bytes: 2000, ..Draft::chunk(job, 0, 1) };
-        p = ledger.append(EventKind::Arrived, d);
+        p = append(EventKind::Arrived, d);
         d = Draft { parent: Some(p), t_sim: Some(7.0), ..Draft::chunk(job, 0, 1) };
-        p = ledger.append(EventKind::ReorderEnter, d);
+        p = append(EventKind::ReorderEnter, d);
         d = Draft { parent: Some(p), t_sim: Some(7.5), ..Draft::chunk(job, 0, 1) };
-        p = ledger.append(EventKind::ReorderExit, d);
+        p = append(EventKind::ReorderExit, d);
         d = Draft { parent: Some(p), t_sim: Some(7.5), ..Draft::chunk(job, 0, 1) };
-        p = ledger.append(EventKind::DecodeBegin, d);
+        p = append(EventKind::DecodeBegin, d);
         d = Draft { parent: Some(p), t_sim: Some(8.0), ..Draft::chunk(job, 0, 1) };
-        ledger.append(EventKind::DecodeEnd, d);
-        ledger.append(EventKind::TransferEnd, Draft::job(job, 7.0));
-        ledger.append(EventKind::JobEnd, Draft::job(job, 8.0));
-        ledger.drain()
+        append(EventKind::DecodeEnd, d);
+        append(EventKind::TransferEnd, Draft::job(job, 7.0));
+        append(EventKind::JobEnd, Draft::job(job, 8.0));
+        events
     }
 
     #[test]
@@ -1529,10 +1372,10 @@ mod tests {
 
     #[test]
     fn causality_checker_flags_violations() {
-        let ledger = Ledger::detached();
-        let s1 = ledger.append(EventKind::Encoded, Draft { t_sim: Some(5.0), ..Draft::chunk(1, 0, 0) });
-        ledger.append(EventKind::Released, Draft { parent: Some(s1 + 100), t_sim: Some(4.0), ..Draft::chunk(1, 0, 0) });
-        let events = ledger.drain();
+        let events = [
+            Draft { t_sim: Some(5.0), ..Draft::chunk(1, 0, 0) }.stamped(EventKind::Encoded, 1, 0),
+            Draft { parent: Some(101), t_sim: Some(4.0), ..Draft::chunk(1, 0, 0) }.stamped(EventKind::Released, 2, 0),
+        ];
         let errors = check_causality(&events, 1);
         assert!(errors.iter().any(|e| e.contains("not in the ledger")), "{errors:?}");
         assert!(errors.iter().any(|e| e.contains("time went backwards")), "{errors:?}");

@@ -1,6 +1,6 @@
 //! ocelot-obs: zero-dependency observability for the ocelot pipeline.
 //!
-//! Six pieces, one handle:
+//! Eight pieces:
 //!
 //! - [`span::Recorder`] — nested stage spans on both the wall clock (real
 //!   compression work) and the simulated clock (queueing, transfer,
@@ -21,8 +21,9 @@
 //!   self-overhead gauge and collapsed-stack ("folded") export.
 //! - [`ledger`] — chunk-lifecycle event ledger: causal wide events per
 //!   chunk (compressed → released → in-flight → arrived → decoded),
-//!   committed one schedule per job into a sink bounded between records,
-//!   replayable into per-chunk Gantt timelines.
+//!   committed one schedule per job into a ledger handed to the emitter
+//!   explicitly, bounded between records, replayable into per-chunk Gantt
+//!   timelines.
 //!
 //! An [`Obs`] is a cheap-clone handle that is either *enabled* (wraps an
 //! `Arc` of registry + recorder) or *disabled* (every call is a no-op).

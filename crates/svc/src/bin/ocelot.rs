@@ -50,10 +50,6 @@ fn run(args: &[String]) -> Result<(), CliError> {
     // in a single registry/recorder that `metrics` and `trace` export.
     let obs = ocelot_obs::Obs::enabled();
     ocelot_obs::install_global(&obs);
-    // Chunk-lifecycle ledger beside it: crates without an explicit handle
-    // (sz sealed/encoded, faas invokes) emit wall-scope events here; the
-    // service hands its own ledger to the orchestrator for job-scoped ones.
-    ocelot_obs::ledger::install_global(&ocelot_obs::ledger::Ledger::with_obs(&obs));
     // Continuous profiler alongside it: kernel probes in the sz hot path
     // drain per-kernel histograms into the same registry (measured overhead
     // < 2 %, exported as ocelot_obs_prof_overhead_ratio).

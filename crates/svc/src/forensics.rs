@@ -35,9 +35,6 @@ pub struct LedgerEventRecord {
     /// Sequence of the prior event for the same chunk, if any.
     #[serde(skip_serializing_if = "Option::is_none", default)]
     pub parent: Option<u64>,
-    /// Span id of the job's root sim span, if known.
-    #[serde(skip_serializing_if = "Option::is_none", default)]
-    pub span: Option<u64>,
     /// Job the event belongs to.
     #[serde(skip_serializing_if = "Option::is_none", default)]
     pub job: Option<u64>,
@@ -68,7 +65,6 @@ impl From<&LedgerEvent> for LedgerEventRecord {
         LedgerEventRecord {
             seq: e.seq,
             parent: e.parent,
-            span: e.span,
             job: e.job,
             file: e.file,
             chunk: e.chunk,
@@ -386,9 +382,9 @@ pub fn render_postmortem(dump: &FlightDump) -> String {
     }
 
     if !dump.ledger.is_empty() {
-        // Seq numbers and wall stamps vary run-to-run (codec threads emit
-        // wall-only events during profiling), so print only the simulated
-        // story: kind, chunk coordinates, sim time, attempt, cause.
+        // Seq numbers depend on what else the ledger numbered first and wall
+        // stamps on the run, so print only the simulated story: kind, chunk
+        // coordinates, sim time, attempt, cause.
         let _ = writeln!(out, "\nchunk ledger (last {} event(s)):", dump.ledger.len());
         for e in &dump.ledger {
             let mut line = format!("  {:<13}", e.event);
@@ -473,16 +469,34 @@ mod tests {
         assert!(!text.contains("wall_us"), "wall timings must not leak into the rendering");
     }
 
+    /// Event `kind` of `job`, numbered 1, every other field empty.
+    fn event(job: u64, kind: EventKind) -> LedgerEvent {
+        LedgerEvent {
+            seq: 1,
+            parent: None,
+            job: Some(job),
+            file: None,
+            chunk: None,
+            event: kind,
+            cause: None,
+            t_sim: None,
+            t_wall_us: 0,
+            bytes: 0,
+            attempt: 0,
+        }
+    }
+
     #[test]
     fn dump_embeds_only_the_ledger_tail() {
-        use ocelot_obs::ledger::{Draft, Ledger};
-        let ledger = Ledger::detached();
-        for i in 0..(LEDGER_EMBED_EVENTS as u32 + 5) {
-            let mut d = Draft::chunk(7, 0, i);
-            d.t_sim = Some(f64::from(i));
-            ledger.append(EventKind::Released, d);
-        }
-        let events = ledger.drain();
+        let events: Vec<LedgerEvent> = (0..LEDGER_EMBED_EVENTS as u32 + 5)
+            .map(|i| LedgerEvent {
+                seq: u64::from(i) + 1,
+                file: Some(0),
+                chunk: Some(i),
+                t_sim: Some(f64::from(i)),
+                ..event(7, EventKind::Released)
+            })
+            .collect();
         let fr = FlightRecorder::new(4);
         let dump = FlightDump::from_snapshot(
             "flight-1-job-failed.json".into(),
@@ -510,13 +524,14 @@ mod tests {
 
     #[test]
     fn ledger_json_matches_schema_shape() {
-        use ocelot_obs::ledger::{Draft, Ledger};
-        let ledger = Ledger::detached();
-        let mut d = Draft::chunk(2, 1, 3);
-        d.cause = Some("loss p=0.20".into());
-        d.attempt = 2;
-        ledger.append(EventKind::Retransmit, d);
-        let js = ledger_json(2, &ledger.drain());
+        let retransmit = LedgerEvent {
+            file: Some(1),
+            chunk: Some(3),
+            cause: Some("loss p=0.20".into()),
+            attempt: 2,
+            ..event(2, EventKind::Retransmit)
+        };
+        let js = ledger_json(2, &[retransmit]);
         let v: serde_json::Value = serde_json::from_str(&js).unwrap();
         assert_eq!(v.get("version").and_then(serde_json::Value::as_u64), Some(1));
         assert_eq!(v.get("job").and_then(serde_json::Value::as_u64), Some(2));
@@ -525,6 +540,39 @@ mod tests {
         assert_eq!(first.get("cause").and_then(serde_json::Value::as_str), Some("loss p=0.20"));
         assert_eq!(first.get("attempt").and_then(serde_json::Value::as_u64), Some(2));
         assert!(first.get("t_sim").is_none(), "absent optionals must be omitted");
+    }
+
+    #[test]
+    fn ledger_json_bytes_are_pinned() {
+        use ocelot_obs::ledger::{FaultCause, Ledger, Lifecycle, Schedule};
+        // Two chunks: the first stalls on the window, fails once and queues
+        // for a decode lane; the second meets none of that.
+        let schedule = Schedule::new(Lifecycle {
+            job: 5,
+            transfer_begin_s: 0.25,
+            transfer_end_s: 3.0,
+            total_s: 3.5,
+            file: vec![0, 1],
+            chunk: vec![0, 0],
+            bytes: vec![4096, 1024],
+            compress_begin: vec![0.0, 0.125],
+            ready: vec![0.5, 0.625],
+            release: vec![1.0, 0.625],
+            sent: vec![1.0, 0.75],
+            landed: vec![2.0, 3.0],
+            decode: vec![(2.5, 2.75), (3.0, 3.5)],
+            failed: vec![(0, 0.5)],
+            fault: Some(FaultCause { per_attempt_failure_prob: 0.1, reconnect_s: 1.0 }),
+        });
+        let ledger = Ledger::detached();
+        ledger.commit(schedule);
+        let events: Vec<LedgerEvent> = ledger.drain().into_iter().map(|e| LedgerEvent { t_wall_us: 0, ..e }).collect();
+        let js = ledger_json(5, &events);
+        let fnv = js.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3));
+        // 4 phases, 7 per chunk, one stall, one decode-lane wait (2), one
+        // failed attempt (2). The bytes are what the export has written since
+        // the ledger's last format change, `t_wall_us` zeroed.
+        assert_eq!((events.len(), js.len(), fnv), (23, 4877, 0xb460_8366_3f58_70ab), "{js}");
     }
 
     #[test]

@@ -26,7 +26,7 @@ use ocelot::workload::Workload;
 use ocelot_datagen::Application;
 use ocelot_netsim::{simulate_transfer_with_faults, FaultModel, GridFtpConfig};
 use ocelot_obs::critpath;
-use ocelot_obs::ledger::{Entry, Ledger, LedgerEvent};
+use ocelot_obs::ledger::{Ledger, LedgerEvent, Schedule};
 use ocelot_obs::metrics::{Counter, Gauge, Histogram};
 use ocelot_obs::slo::{SloEngine, SloRule};
 use ocelot_obs::Obs;
@@ -185,8 +185,7 @@ struct Shared {
     /// Chunk-lifecycle ledger owned by this service (handed to the
     /// orchestrator explicitly, so parallel services never cross streams).
     ledger: Arc<Ledger>,
-    /// Harvested ledger entries, filed per job. Wall-only events with no
-    /// job tag (codec workers, profiling) are discarded at harvest.
+    /// Harvested ledger schedules, filed per job.
     chunk_events: Mutex<ChunkStore>,
 }
 
@@ -199,14 +198,13 @@ struct Shared {
 /// is configured.
 const LEDGER_JOBS_KEPT: usize = 32;
 
-/// Ledger entries of the most recent [`LEDGER_JOBS_KEPT`] jobs, kept as the
-/// ledger handed them over — a streamed job's schedule — and widened into
-/// events only when read, plus the one number
-/// `analyze` needs from every job that ever ran (read off the entry's
-/// header, not its events).
+/// Schedules of the most recent [`LEDGER_JOBS_KEPT`] jobs, kept as the
+/// ledger handed them over and widened into events only when read, plus the
+/// one number `analyze` needs from every job that ever ran (read off the
+/// schedule, not its events).
 #[derive(Default)]
 struct ChunkStore {
-    by_job: HashMap<u64, Vec<Entry>>,
+    by_job: HashMap<u64, Vec<Schedule>>,
     /// Jobs present in `by_job`, oldest first.
     order: VecDeque<u64>,
     /// Retransmits per job, for jobs that had any; outlives the events.
@@ -214,13 +212,14 @@ struct ChunkStore {
 }
 
 impl ChunkStore {
-    fn file(&mut self, job: u64, entry: Entry) {
-        let retransmits = entry.retransmits();
+    fn file(&mut self, schedule: Schedule) {
+        let job = schedule.job();
+        let retransmits = schedule.retransmits();
         if retransmits > 0 {
             *self.retransmits.entry(job).or_insert(0) += retransmits;
         }
-        if let Some(entries) = self.by_job.get_mut(&job) {
-            entries.push(entry);
+        if let Some(schedules) = self.by_job.get_mut(&job) {
+            schedules.push(schedule);
             return;
         }
         if self.order.len() == LEDGER_JOBS_KEPT {
@@ -228,14 +227,14 @@ impl ChunkStore {
             self.by_job.remove(&oldest);
         }
         self.order.push_back(job);
-        self.by_job.insert(job, vec![entry]);
+        self.by_job.insert(job, vec![schedule]);
     }
 
     fn events(&self, job: JobId) -> Vec<LedgerEvent> {
-        let entries = self.by_job.get(&job.0).map(Vec::as_slice).unwrap_or_default();
-        let mut events = Vec::with_capacity(entries.iter().map(Entry::event_count).sum());
-        for entry in entries {
-            entry.widen_into(&mut events);
+        let schedules = self.by_job.get(&job.0).map(Vec::as_slice).unwrap_or_default();
+        let mut events = Vec::with_capacity(schedules.iter().map(Schedule::len).sum());
+        for schedule in schedules {
+            schedule.widen_into(&mut events);
         }
         events
     }
@@ -568,21 +567,17 @@ fn tick_slo(shared: &Shared) {
     }
 }
 
-/// Takes what the service ledger holds and files each job-tagged entry —
-/// a streamed job's whole schedule, as committed — under its job. Entries
-/// without a job tag (wall-only emissions from codec threads during
-/// workload profiling) carry no chunk story the service can place, so they
-/// are dropped here. Idempotent and cheap when quiet.
+/// Takes what the service ledger holds and files each schedule — a
+/// pipelined job's whole chunk story, as committed — under its job.
+/// Idempotent and cheap when quiet.
 fn harvest_ledger(shared: &Shared) {
     let taken = shared.ledger.take();
     if taken.is_empty() {
         return;
     }
     let mut store = shared.chunk_events.lock().expect("chunk events poisoned");
-    for entry in taken {
-        if let Some(job) = entry.job() {
-            store.file(job, entry);
-        }
+    for schedule in taken {
+        store.file(schedule);
     }
 }
 
@@ -1109,11 +1104,11 @@ mod tests {
 
     #[test]
     fn chunk_store_keeps_the_newest_jobs_and_every_retransmit_count() {
-        use ocelot_obs::ledger::{Lifecycle, Schedule};
+        use ocelot_obs::ledger::Lifecycle;
         // One chunk that fails `retransmits` attempts before it lands:
         // eleven events, two more per failed attempt.
         let schedule = |job: u64, retransmits: usize| {
-            Entry::Schedule(Schedule::new(Lifecycle {
+            Schedule::new(Lifecycle {
                 job,
                 file: vec![0],
                 chunk: vec![0],
@@ -1126,12 +1121,12 @@ mod tests {
                 decode: vec![(0.0, 0.0)],
                 failed: vec![(0, 0.5); retransmits],
                 ..Lifecycle::default()
-            }))
+            })
         };
         let mut store = ChunkStore::default();
         let jobs = LEDGER_JOBS_KEPT as u64 + 5;
         for job in 0..jobs {
-            store.file(job, schedule(job, usize::from(job % 2 == 0)));
+            store.file(schedule(job, usize::from(job % 2 == 0)));
         }
         assert_eq!(store.by_job.len(), LEDGER_JOBS_KEPT);
         assert_eq!(store.order.len(), LEDGER_JOBS_KEPT);
@@ -1143,12 +1138,12 @@ mod tests {
         assert_eq!((newest[0], newest[12]), (EventKind::JobBegin, EventKind::JobEnd), "a job's events stay whole");
         assert_eq!(store.retransmits.len() as u64, jobs.div_ceil(2), "retransmit counts outlive the events");
         assert!(store.retransmits.values().all(|&n| n == 1));
-        // A second entry of a kept job joins the first; a late one of a
+        // A second schedule of a kept job joins the first; a late one of a
         // dropped job starts it again rather than reviving a stale list.
-        store.file(jobs - 1, schedule(jobs - 1, 1));
+        store.file(schedule(jobs - 1, 1));
         assert_eq!(store.events(JobId(jobs - 1)).len(), 26);
         assert_eq!(store.retransmits[&(jobs - 1)], 2);
-        store.file(0, schedule(0, 0));
+        store.file(schedule(0, 0));
         assert_eq!(store.events(JobId(0)).len(), 11);
         assert_eq!(store.by_job.len(), LEDGER_JOBS_KEPT);
     }

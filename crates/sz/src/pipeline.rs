@@ -301,16 +301,6 @@ where
                 "Wall time of one chunk compression task",
                 tc.elapsed().as_secs_f64(),
             );
-            if let Ok(c) = &out {
-                ocelot_obs::ledger::emit(
-                    ocelot_obs::ledger::EventKind::Encoded,
-                    ocelot_obs::ledger::Draft {
-                        chunk: Some(i as u32),
-                        bytes: c.payload.len() as u64,
-                        ..ocelot_obs::ledger::Draft::default()
-                    },
-                );
-            }
             out
         },
         |header, i, result| {
@@ -335,16 +325,6 @@ where
                         first_err = Some(e);
                         return;
                     }
-                    // Chunk sealed: CRC'd, tabled, and offered in order —
-                    // the wall-clock twin of the simulated `released`.
-                    ocelot_obs::ledger::emit(
-                        ocelot_obs::ledger::EventKind::Sealed,
-                        ocelot_obs::ledger::Draft {
-                            chunk: Some(i as u32),
-                            bytes: entry.len as u64,
-                            ..ocelot_obs::ledger::Draft::default()
-                        },
-                    );
                     entries.push(entry);
                     body.extend_from_slice(&c.payload);
                     merge_histograms(&mut hist, &c.hist);
