@@ -178,7 +178,7 @@ impl ParallelExecutor {
                     let slab = values[filled..]
                         .get_mut(..points)
                         .ok_or_else(|| SzError::CorruptStream(format!("chunk {} overruns the dataset", msg.index)))?;
-                    decode_chunk_into::<f32>(&msg.header, &msg.dims, msg.index, &msg.entry, &msg.payload, None, slab)?;
+                    decode_chunk_into::<f32>(&msg.header, &msg.dims, msg.index, &msg.entry, &msg.payload, slab)?;
                     filled += points;
                     shipped += 1;
                 }

@@ -319,72 +319,45 @@ fn cmd_inspect(positional: &[String], flags: &HashMap<String, String>) -> Result
             h.backend,
             blob.len() as f64 / 1e6
         );
-        if let Some(chunked) = blob_chunk_table(blob)? {
-            let entries = &chunked.table.entries;
-            let tagged = |tag: u8| entries.iter().filter(|e| e.table_mode == tag).count();
+        let (table, embedded) = blob_chunk_table(blob)?;
+        println!("    {} chunk(s) of {} row(s)", table.entries.len(), table.chunk_rows);
+        let (table_bytes, symbols) = embedded.iter().fold((0, 0), |(b, n), &(tb, tn)| (b + tb, n + tn));
+        if symbols > 0 {
             println!(
-                "    {} chunk(s) of {} row(s); {} shared-table, {} packed-table, {} local-table ({} B shared table)",
-                entries.len(),
-                chunked.table.chunk_rows,
-                tagged(sz_format::TABLE_MODE_SHARED),
-                tagged(sz_format::TABLE_MODE_PACKED),
-                tagged(sz_format::TABLE_MODE_LOCAL),
-                chunked.shared_bytes,
+                "    embedded tables: {table_bytes} B over {symbols} symbol(s) ({:.2} B/symbol), {:.1} % of the blob",
+                table_bytes as f64 / symbols as f64,
+                100.0 * table_bytes as f64 / blob.len() as f64
             );
-            let (table_bytes, symbols) = chunked.embedded.iter().fold((0, 0), |(b, n), &(tb, tn)| (b + tb, n + tn));
-            if symbols > 0 {
-                println!(
-                    "    embedded tables: {table_bytes} B over {symbols} symbol(s) ({:.2} B/symbol), {:.1} % of the blob",
-                    table_bytes as f64 / symbols as f64,
-                    100.0 * table_bytes as f64 / blob.len() as f64
-                );
-            }
-            for (i, (e, &(table_bytes, symbols))) in entries.iter().zip(&chunked.embedded).enumerate() {
-                println!(
-                    "      chunk {i}: {} B, {}-table{}",
-                    e.len,
-                    table_mode_name(e.table_mode),
-                    if symbols > 0 { format!(" of {table_bytes} B over {symbols} symbol(s)") } else { String::new() }
-                );
-            }
+        }
+        for (i, (e, &(table_bytes, symbols))) in table.entries.iter().zip(&embedded).enumerate() {
+            println!(
+                "      chunk {i}: {} B, {}-table{}",
+                e.len,
+                table_mode_name(e.table_mode),
+                if symbols > 0 { format!(" of {table_bytes} B over {symbols} symbol(s)") } else { String::new() }
+            );
         }
     }
     Ok(())
 }
 
-/// How `inspect` names a chunk's table-mode tag.
+/// How `inspect` names a chunk's table-mode tag, one [`blob_chunk_table`]
+/// has checked against the blob's family.
 fn table_mode_name(tag: u8) -> &'static str {
-    match tag {
-        sz_format::TABLE_MODE_SHARED => "shared",
-        sz_format::TABLE_MODE_PACKED => "packed",
-        _ => "local",
+    if tag == sz_format::TABLE_MODE_PACKED {
+        "packed"
+    } else {
+        "none"
     }
 }
 
-/// What `inspect` reads out of a version-3/4 blob.
-struct ChunkedBlob {
-    table: sz_format::ChunkTable,
-    /// Byte size of the shared Huffman table section (0 on version 3, which
-    /// has no such section, and on every blob written today).
-    shared_bytes: usize,
-    /// Per chunk: the bytes of the code-length table it embeds and the
-    /// symbols that table holds, both 0 for a chunk that embeds none.
-    embedded: Vec<(usize, usize)>,
-}
-
-/// The chunk table of a blob and the tables its chunks embed; `None` for
-/// legacy monolithic (version-2) blobs.
-fn blob_chunk_table(blob: &ocelot_sz::format::CompressedBlob) -> Result<Option<ChunkedBlob>, CliError> {
-    let (header, mut sections) = blob.open()?;
-    if header.version == sz_format::VERSION_V2 {
-        return Ok(None);
-    }
-    let table = sz_format::ChunkTable::decode(sections.next_section()?)?;
-    let shared_bytes = if header.version >= sz_format::VERSION { sections.next_section()?.len() } else { 0 };
-    let body = sections.rest();
-    if body.len() != table.payload_len() {
-        return Err("chunk payloads do not fill the lengths the chunk table declares".into());
-    }
+/// The chunk table of a blob and, per chunk, the bytes of the code-length
+/// table it embeds and the symbols that table holds (both 0 for a transform
+/// chunk, which embeds none).
+fn blob_chunk_table(
+    blob: &ocelot_sz::format::CompressedBlob,
+) -> Result<(sz_format::ChunkTable, Vec<(usize, usize)>), CliError> {
+    let (header, table, body) = blob.open_chunks()?;
     let embedded = table
         .offsets()
         .iter()
@@ -394,18 +367,18 @@ fn blob_chunk_table(blob: &ocelot_sz::format::CompressedBlob) -> Result<Option<C
             Ok(found.map_or((0, 0), |(table, bytes)| (bytes, table.n_symbols())))
         })
         .collect::<Result<_, CliError>>()?;
-    Ok(Some(ChunkedBlob { table, shared_bytes, embedded }))
+    Ok((table, embedded))
 }
 
-/// One variable's container metadata (header + chunk table with the
-/// version-4 table-mode tag and what each chunk's embedded table weighs)
+/// One variable's container metadata (header + chunk table with each
+/// chunk's table-mode tag and what its embedded table weighs)
 /// for `inspect --json`, shaped to `schemas/inspect.schema.json`.
 fn inspect_variable_json(name: &str, blob: &ocelot_sz::format::CompressedBlob) -> Result<serde_json::Value, CliError> {
     use serde_json::Value;
     let h = blob.header()?;
     let mut fields = vec![
         ("name".to_string(), Value::String(name.to_string())),
-        ("version".to_string(), Value::UInt(h.version as u64)),
+        ("version".to_string(), Value::UInt(sz_format::VERSION as u64)),
         ("dtype".to_string(), Value::String(h.dtype.to_string())),
         ("dims".to_string(), Value::Array(h.dims.iter().map(|&d| Value::UInt(d as u64)).collect())),
         ("abs_eb".to_string(), Value::Float(h.abs_eb)),
@@ -413,29 +386,26 @@ fn inspect_variable_json(name: &str, blob: &ocelot_sz::format::CompressedBlob) -
         ("backend".to_string(), Value::String(h.backend.to_string())),
         ("compressed_bytes".to_string(), Value::UInt(blob.len() as u64)),
     ];
-    if let Some(chunked) = blob_chunk_table(blob)? {
-        fields.push(("chunk_rows".to_string(), Value::UInt(chunked.table.chunk_rows as u64)));
-        fields.push(("shared_table_bytes".to_string(), Value::UInt(chunked.shared_bytes as u64)));
-        let chunks = chunked
-            .table
-            .entries
-            .iter()
-            .zip(&chunked.embedded)
-            .map(|(e, &(table_bytes, table_symbols))| {
-                Value::Object(vec![
-                    ("len".to_string(), Value::UInt(e.len as u64)),
-                    ("crc".to_string(), Value::UInt(e.crc as u64)),
-                    ("points".to_string(), Value::UInt(e.points)),
-                    ("zero_bins".to_string(), Value::UInt(e.zero_bins)),
-                    ("unpredictable".to_string(), Value::UInt(e.unpredictable)),
-                    ("table_mode".to_string(), Value::String(table_mode_name(e.table_mode).to_string())),
-                    ("table_bytes".to_string(), Value::UInt(table_bytes as u64)),
-                    ("table_symbols".to_string(), Value::UInt(table_symbols as u64)),
-                ])
-            })
-            .collect();
-        fields.push(("chunks".to_string(), Value::Array(chunks)));
-    }
+    let (table, embedded) = blob_chunk_table(blob)?;
+    fields.push(("chunk_rows".to_string(), Value::UInt(table.chunk_rows as u64)));
+    let chunks = table
+        .entries
+        .iter()
+        .zip(&embedded)
+        .map(|(e, &(table_bytes, table_symbols))| {
+            Value::Object(vec![
+                ("len".to_string(), Value::UInt(e.len as u64)),
+                ("crc".to_string(), Value::UInt(e.crc as u64)),
+                ("points".to_string(), Value::UInt(e.points)),
+                ("zero_bins".to_string(), Value::UInt(e.zero_bins)),
+                ("unpredictable".to_string(), Value::UInt(e.unpredictable)),
+                ("table_mode".to_string(), Value::String(table_mode_name(e.table_mode).to_string())),
+                ("table_bytes".to_string(), Value::UInt(table_bytes as u64)),
+                ("table_symbols".to_string(), Value::UInt(table_symbols as u64)),
+            ])
+        })
+        .collect();
+    fields.push(("chunks".to_string(), Value::Array(chunks)));
     Ok(serde_json::Value::Object(fields))
 }
 

@@ -7,6 +7,6 @@ pub mod lz;
 pub mod rle;
 
 pub use bitio::{BitReader, BitWriter};
-pub use huffman::{huffman_decode, huffman_decode_wide, huffman_encode, HuffmanTable};
+pub use huffman::{huffman_decode, huffman_encode, HuffmanTable};
 pub use lz::{lz_compress, lz_decompress};
 pub use rle::{rle_decode, rle_encode};

@@ -85,7 +85,7 @@ impl ChunkLayout {
         ChunkLayout { dims: dims.to_vec(), chunk_rows, row_points, n_chunks }
     }
 
-    /// Reconstructs the layout recorded in a version-3 chunk table.
+    /// Reconstructs the layout recorded in a chunk table.
     pub fn from_chunk_rows(dims: &[usize], chunk_rows: usize) -> Self {
         assert!(!dims.is_empty() && chunk_rows > 0, "invalid stored layout");
         let row_points: usize = dims[1..].iter().product::<usize>().max(1);

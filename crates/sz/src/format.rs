@@ -2,28 +2,21 @@
 //!
 //! A blob carries everything required for decompression: scalar type, shape,
 //! resolved absolute error bound, pipeline configuration, and the payload.
-//! Two on-wire layouts exist:
+//! There is one on-wire layout, version 4: a fixed little-endian header, one
+//! length-prefixed *chunk table* section (slab height, then per chunk its
+//! payload length, CRC-32, quantization statistics and a one-byte *table
+//! mode* tag), one length-prefixed section that is always empty, the raw
+//! chunk payloads back to back, and the whole-blob CRC-32 trailer. Chunks
+//! are self-contained and decode independently — and therefore in parallel.
 //!
-//! * **Version 2** (legacy, read-only): a fixed little-endian header followed
-//!   by length-prefixed sections and a CRC-32 trailer. Every pre-chunking
-//!   blob is version 2; [`CompressedBlob::from_bytes`] still accepts them.
-//! * **Version 3** (legacy, read-only, chunked container): the same fixed
-//!   header, then one length-prefixed *chunk table* section (slab height,
-//!   per-chunk payload lengths, CRC-32s, and quantization statistics), then
-//!   the raw chunk payloads back to back, then the whole-blob CRC-32 trailer.
-//!   Chunks are self-contained and decode independently — and therefore in
-//!   parallel.
-//! * **Version 4** (current): version 3 plus a one-byte *table mode* tag on
-//!   each chunk-table row and a second length-prefixed section, the shared
-//!   Huffman table, between the chunk table and the payloads. Writers tag
-//!   every chunk [`TABLE_MODE_PACKED`] — it embeds its own code-length table
-//!   in the packed layout of [`crate::encode::huffman`] — and write the
-//!   shared-table section empty. Stored blobs also carry
-//!   [`TABLE_MODE_SHARED`] (the chunk's codes use the blob's shared table)
-//!   and [`TABLE_MODE_LOCAL`] (a table embedded five bytes a symbol, as
-//!   version 3 did); both are read, no longer written.
+//! The tag says how a chunk's codes are entropy-coded, and each family has
+//! exactly one: a prediction chunk is [`TABLE_MODE_PACKED`] (it embeds its own
+//! code-length table in the packed layout of [`crate::encode::huffman`]), a
+//! transform chunk [`TABLE_MODE_NONE`]. The empty section once held a table
+//! shared by a blob's chunks; no writer fills it, and the reader refuses a
+//! blob that does.
 //!
-//! Unknown versions are rejected with [`SzError::UnsupportedVersion`].
+//! Any other version is rejected with [`SzError::UnsupportedVersion`].
 
 use crate::checksum::{crc32, Crc32};
 use crate::config::{LosslessBackend, PredictorKind};
@@ -31,25 +24,14 @@ use crate::error::SzError;
 
 /// Magic bytes at the start of every blob.
 pub const MAGIC: [u8; 4] = *b"OCSZ";
-/// Current format version: the chunked container with per-chunk table-mode
-/// tags and a shared-table section (written empty).
+/// The format version every blob is written in and the only one read: the
+/// chunked container with per-chunk table-mode tags.
 pub const VERSION: u16 = 4;
-/// Legacy chunked container without the shared-table section or per-chunk
-/// table-mode tags (still decodable).
-pub const VERSION_V3: u16 = 3;
-/// Legacy monolithic-section format (still decodable). Version 2 added the
-/// CRC-32 integrity trailer; version 3 added the chunk table.
-pub const VERSION_V2: u16 = 2;
 
-/// Chunk-table tag: the chunk payload embeds its own code-length table, five
-/// bytes a symbol. Stored blobs carry it; writers use [`TABLE_MODE_PACKED`].
-pub const TABLE_MODE_LOCAL: u8 = 0;
-/// Chunk-table tag: the chunk's code stream uses the blob's shared table.
-/// Stored blobs carry it; writers use [`TABLE_MODE_PACKED`].
-pub const TABLE_MODE_SHARED: u8 = 1;
-/// Chunk-table tag: the chunk payload embeds its own code-length table in
-/// the packed layout. A reader from before the tag existed rejects it as an
-/// unknown table mode.
+/// Chunk-table tag of a transform chunk, which holds no Huffman table.
+pub const TABLE_MODE_NONE: u8 = 0;
+/// Chunk-table tag of a prediction chunk: its payload embeds its own
+/// code-length table in the packed layout.
 pub const TABLE_MODE_PACKED: u8 = 2;
 
 /// Size of the CRC-32 trailer in bytes.
@@ -65,6 +47,14 @@ pub enum CodecFamily {
 }
 
 impl CodecFamily {
+    /// The chunk-table tag every chunk of this family carries.
+    pub fn table_mode(self) -> u8 {
+        match self {
+            CodecFamily::Prediction => TABLE_MODE_PACKED,
+            CodecFamily::Transform => TABLE_MODE_NONE,
+        }
+    }
+
     fn to_u8(self) -> u8 {
         match self {
             CodecFamily::Prediction => 0,
@@ -83,8 +73,6 @@ impl CodecFamily {
 /// Parsed blob header.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlobHeader {
-    /// On-wire format version ([`VERSION`] for freshly written blobs).
-    pub version: u16,
     /// Codec family.
     pub family: CodecFamily,
     /// Scalar type name (`"f32"` or `"f64"`).
@@ -142,7 +130,7 @@ fn backend_from_tag(tag: u8) -> Result<LosslessBackend, SzError> {
     }
 }
 
-/// One row of the version-3 chunk table.
+/// One row of the chunk table.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkEntry {
     /// Compressed payload length in bytes.
@@ -156,17 +144,14 @@ pub struct ChunkEntry {
     pub zero_bins: u64,
     /// Points stored verbatim because their bin overflowed the quantizer.
     pub unpredictable: u64,
-    /// How the chunk's code stream is entropy-coded: [`TABLE_MODE_LOCAL`],
-    /// [`TABLE_MODE_SHARED`] or [`TABLE_MODE_PACKED`]. Version-3 tables decode
-    /// as all-local.
+    /// How the chunk's code stream is entropy-coded, as stored: the decoder
+    /// accepts only [`CodecFamily::table_mode`] of the blob's family.
     pub table_mode: u8,
 }
 
-/// Entry size without the version-4 table-mode byte.
-const CHUNK_ENTRY_BYTES_V3: usize = 8 + 4 + 8 + 8 + 8;
-const CHUNK_ENTRY_BYTES: usize = CHUNK_ENTRY_BYTES_V3 + 1;
+const CHUNK_ENTRY_BYTES: usize = 8 + 4 + 8 + 8 + 8 + 1;
 
-/// Version-3 chunk table: how a dataset was split into row slabs and where
+/// The chunk table: how a dataset was split into row slabs and where
 /// each slab's compressed payload lives.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ChunkTable {
@@ -194,9 +179,8 @@ impl ChunkTable {
         out
     }
 
-    /// Parses a table section. The entry width is self-describing: version-4
-    /// tables carry a table-mode byte per entry, version-3 tables do not and
-    /// decode as all-[`TABLE_MODE_LOCAL`].
+    /// Parses a table section. Tags are carried as stored; the chunk decoder
+    /// is what checks them against the blob's family.
     ///
     /// # Errors
     /// Returns [`SzError::CorruptStream`] if the section is truncated or the
@@ -207,35 +191,26 @@ impl ChunkTable {
         }
         let chunk_rows = u64::from_le_bytes(bytes[..8].try_into().expect("8 bytes")) as usize;
         let n = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")) as usize;
-        let entry_bytes = if bytes.len() == 12 + n * CHUNK_ENTRY_BYTES {
-            CHUNK_ENTRY_BYTES
-        } else if bytes.len() == 12 + n * CHUNK_ENTRY_BYTES_V3 {
-            CHUNK_ENTRY_BYTES_V3
-        } else {
+        if bytes.len() != 12 + n * CHUNK_ENTRY_BYTES {
             return Err(SzError::CorruptStream(format!(
                 "chunk table length {} does not match {n} entries",
                 bytes.len()
             )));
-        };
+        }
         if chunk_rows == 0 || n == 0 {
             return Err(SzError::CorruptStream("empty chunk table".into()));
         }
-        let mut entries = Vec::with_capacity(n);
-        for i in 0..n {
-            let b = &bytes[12 + i * entry_bytes..12 + (i + 1) * entry_bytes];
-            let table_mode = if entry_bytes == CHUNK_ENTRY_BYTES { b[36] } else { TABLE_MODE_LOCAL };
-            if table_mode > TABLE_MODE_PACKED {
-                return Err(SzError::CorruptStream(format!("unknown table mode {table_mode}")));
-            }
-            entries.push(ChunkEntry {
+        let entries = bytes[12..]
+            .chunks_exact(CHUNK_ENTRY_BYTES)
+            .map(|b| ChunkEntry {
                 len: u64::from_le_bytes(b[..8].try_into().expect("8 bytes")) as usize,
                 crc: u32::from_le_bytes(b[8..12].try_into().expect("4 bytes")),
                 points: u64::from_le_bytes(b[12..20].try_into().expect("8 bytes")),
                 zero_bins: u64::from_le_bytes(b[20..28].try_into().expect("8 bytes")),
                 unpredictable: u64::from_le_bytes(b[28..36].try_into().expect("8 bytes")),
-                table_mode,
-            });
-        }
+                table_mode: b[36],
+            })
+            .collect();
         Ok(ChunkTable { chunk_rows, entries })
     }
 
@@ -275,8 +250,7 @@ pub struct BlobWriter {
 }
 
 impl BlobWriter {
-    /// Starts a blob with the given header, writing `header.version` on the
-    /// wire (producers set it to [`VERSION`]).
+    /// Starts a blob of [`VERSION`] with the given header.
     ///
     /// # Errors
     /// Returns [`SzError::CorruptStream`] for an unknown dtype name (cannot
@@ -284,7 +258,7 @@ impl BlobWriter {
     pub fn new(header: &BlobHeader) -> Result<Self, SzError> {
         let mut bytes = Vec::with_capacity(64);
         bytes.extend_from_slice(&MAGIC);
-        bytes.extend_from_slice(&header.version.to_le_bytes());
+        bytes.extend_from_slice(&VERSION.to_le_bytes());
         bytes.push(header.family.to_u8());
         bytes.push(dtype_tag(header.dtype)?);
         bytes.push(header.dims.len() as u8);
@@ -345,17 +319,13 @@ impl CompressedBlob {
     ///
     /// # Errors
     /// Returns [`SzError::CorruptStream`] for bad magic or a checksum
-    /// mismatch, and [`SzError::UnsupportedVersion`] for a version we cannot
-    /// read (neither [`VERSION`] nor the legacy [`VERSION_V3`] /
-    /// [`VERSION_V2`]).
+    /// mismatch, and [`SzError::UnsupportedVersion`] for any version but
+    /// [`VERSION`].
     pub fn from_bytes(bytes: Vec<u8>) -> Result<Self, SzError> {
         if bytes.len() < 6 + TRAILER || bytes[..4] != MAGIC {
             return Err(SzError::CorruptStream("missing OCSZ magic".into()));
         }
-        let version = u16::from_le_bytes([bytes[4], bytes[5]]);
-        if version != VERSION && version != VERSION_V3 && version != VERSION_V2 {
-            return Err(SzError::UnsupportedVersion(version));
-        }
+        check_version(&bytes)?;
         let blob = CompressedBlob { bytes };
         blob.verify()?;
         Ok(blob)
@@ -402,20 +372,12 @@ impl CompressedBlob {
 
     /// Parses the header and returns it plus a reader positioned at the
     /// first section.
-    ///
-    /// # Errors
-    /// Returns [`SzError::CorruptStream`] if the header is truncated or
-    /// contains invalid tags, and [`SzError::UnsupportedVersion`] for an
-    /// unknown version.
-    pub fn open(&self) -> Result<(BlobHeader, SectionReader<'_>), SzError> {
+    fn open(&self) -> Result<(BlobHeader, SectionReader<'_>), SzError> {
         let b = &self.bytes;
         if b.len() < 6 {
             return Err(SzError::CorruptStream("truncated blob header".into()));
         }
-        let version = u16::from_le_bytes([b[4], b[5]]);
-        if version != VERSION && version != VERSION_V3 && version != VERSION_V2 {
-            return Err(SzError::UnsupportedVersion(version));
-        }
+        check_version(b)?;
         let mut pos = 6usize; // magic + version
         let take = |pos: &mut usize, n: usize| -> Result<&[u8], SzError> {
             if *pos + n > b.len() {
@@ -443,24 +405,60 @@ impl CompressedBlob {
         let predictor = predictor_from_tag(take(&mut pos, 1)?[0])?;
         let backend = backend_from_tag(take(&mut pos, 1)?[0])?;
         let quant_radius = u32::from_le_bytes(take(&mut pos, 4)?.try_into().expect("4 bytes"));
-        let header = BlobHeader { version, family, dtype, dims, abs_eb, predictor, backend, quant_radius };
+        let header = BlobHeader { family, dtype, dims, abs_eb, predictor, backend, quant_radius };
         // Sections end where the CRC trailer begins.
         let body_end = b.len().saturating_sub(TRAILER).max(pos);
         Ok((header, SectionReader { bytes: &b[..body_end], pos }))
     }
 
-    /// Parses just the header (convenience).
+    /// Parses the header, the chunk table and the (empty) section after it,
+    /// and returns them with the chunk-payload region, checked to hold
+    /// exactly the bytes the table declares.
     ///
     /// # Errors
-    /// Same as [`CompressedBlob::open`].
+    /// Everything [`CompressedBlob::header`] and [`ChunkTable::decode`]
+    /// return, and [`SzError::CorruptStream`] for a non-empty section after
+    /// the chunk table or a payload region of the wrong length.
+    pub fn open_chunks(&self) -> Result<(BlobHeader, ChunkTable, &[u8]), SzError> {
+        let (header, mut sections) = self.open()?;
+        let table = ChunkTable::decode(sections.next_section()?)?;
+        if !sections.next_section()?.is_empty() {
+            return Err(SzError::CorruptStream("the section after the chunk table is not empty".into()));
+        }
+        let body = sections.rest();
+        if body.len() != table.payload_len() {
+            return Err(SzError::CorruptStream(format!(
+                "chunk payloads hold {} bytes but the table declares {}",
+                body.len(),
+                table.payload_len()
+            )));
+        }
+        Ok((header, table, body))
+    }
+
+    /// Parses just the header.
+    ///
+    /// # Errors
+    /// Returns [`SzError::CorruptStream`] if the header is truncated or
+    /// contains invalid tags, and [`SzError::UnsupportedVersion`] for any
+    /// version but [`VERSION`].
     pub fn header(&self) -> Result<BlobHeader, SzError> {
         Ok(self.open()?.0)
     }
 }
 
+/// The version check of [`CompressedBlob::from_bytes`] and
+/// [`CompressedBlob::open`], over bytes that hold at least magic and version.
+fn check_version(bytes: &[u8]) -> Result<(), SzError> {
+    match u16::from_le_bytes([bytes[4], bytes[5]]) {
+        VERSION => Ok(()),
+        other => Err(SzError::UnsupportedVersion(other)),
+    }
+}
+
 /// Sequential reader over the length-prefixed sections of a blob.
 #[derive(Debug)]
-pub struct SectionReader<'a> {
+pub(crate) struct SectionReader<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
@@ -491,14 +489,9 @@ impl<'a> SectionReader<'a> {
     }
 
     /// Returns everything from the current position to the end of the body
-    /// (the chunk-payload region of a version-3 blob).
+    /// (the chunk-payload region of a blob).
     pub fn rest(&self) -> &'a [u8] {
         &self.bytes[self.pos..]
-    }
-
-    /// Whether all bytes have been consumed.
-    pub fn at_end(&self) -> bool {
-        self.pos == self.bytes.len()
     }
 }
 
@@ -508,7 +501,6 @@ mod tests {
 
     fn sample_header() -> BlobHeader {
         BlobHeader {
-            version: VERSION,
             family: CodecFamily::Prediction,
             dtype: "f32",
             dims: vec![10, 20],
@@ -530,7 +522,7 @@ mod tests {
         assert_eq!(r.next_section().unwrap(), b"abc");
         assert_eq!(r.next_section().unwrap(), b"");
         assert_eq!(r.next_section().unwrap(), b"defgh");
-        assert!(r.at_end());
+        assert!(r.rest().is_empty());
     }
 
     #[test]
@@ -548,17 +540,6 @@ mod tests {
             Err(SzError::UnsupportedVersion(99)) => {}
             other => panic!("expected version error, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn legacy_version_is_accepted_by_framing() {
-        let mut h = sample_header();
-        h.version = VERSION_V2;
-        let mut w = BlobWriter::new(&h).unwrap();
-        w.section(b"legacy sections");
-        let blob = w.finish();
-        let reparsed = CompressedBlob::from_bytes(blob.clone().into_bytes()).unwrap();
-        assert_eq!(reparsed.header().unwrap().version, VERSION_V2);
     }
 
     #[test]
@@ -603,7 +584,7 @@ mod tests {
                     points: 70,
                     zero_bins: 60,
                     unpredictable: 1,
-                    table_mode: TABLE_MODE_SHARED,
+                    table_mode: TABLE_MODE_PACKED,
                 },
                 ChunkEntry {
                     len: 3,
@@ -611,7 +592,7 @@ mod tests {
                     points: 30,
                     zero_bins: 0,
                     unpredictable: 30,
-                    table_mode: TABLE_MODE_LOCAL,
+                    table_mode: TABLE_MODE_NONE,
                 },
             ],
         };
@@ -626,25 +607,31 @@ mod tests {
     }
 
     #[test]
-    fn v3_chunk_table_without_mode_bytes_decodes_as_local() {
-        // A version-3 table has 36-byte entries and no table-mode column.
-        let entries = [(100usize, 0xDEAD_BEEFu32, 70u64, 60u64, 1u64), (3, 42, 30, 0, 30)];
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&7u64.to_le_bytes());
-        bytes.extend_from_slice(&(entries.len() as u32).to_le_bytes());
-        for &(len, crc, points, zero_bins, unpredictable) in &entries {
-            bytes.extend_from_slice(&(len as u64).to_le_bytes());
-            bytes.extend_from_slice(&crc.to_le_bytes());
-            bytes.extend_from_slice(&points.to_le_bytes());
-            bytes.extend_from_slice(&zero_bins.to_le_bytes());
-            bytes.extend_from_slice(&unpredictable.to_le_bytes());
+    fn open_chunks_holds_the_sections_to_the_one_layout() {
+        let table = ChunkTable {
+            chunk_rows: 1,
+            entries: vec![ChunkEntry {
+                len: 3,
+                crc: crc32(b"abc"),
+                points: 1,
+                zero_bins: 0,
+                unpredictable: 0,
+                table_mode: TABLE_MODE_PACKED,
+            }],
+        };
+        let blob = |after_table: &[u8], body: &[u8]| {
+            let mut w = BlobWriter::new(&sample_header()).unwrap();
+            w.section(&table.encode()).section(after_table).raw(body);
+            w.finish()
+        };
+        let (header, back, body) = blob(&[], b"abc").open_chunks().map(|(h, t, b)| (h, t, b.to_vec())).unwrap();
+        assert_eq!((header, back, body), (sample_header(), table.clone(), b"abc".to_vec()));
+        for (after_table, body) in [(&b"x"[..], &b"abc"[..]), (b"", b"ab"), (b"", b"abcd")] {
+            match blob(after_table, body).open_chunks() {
+                Err(SzError::CorruptStream(_)) => {}
+                other => panic!("{after_table:?} then {body:?}: expected CorruptStream, got {other:?}"),
+            }
         }
-        let table = ChunkTable::decode(&bytes).unwrap();
-        assert_eq!(table.chunk_rows, 7);
-        assert_eq!(table.entries.len(), 2);
-        assert!(table.entries.iter().all(|e| e.table_mode == TABLE_MODE_LOCAL));
-        assert_eq!(table.entries[0].len, 100);
-        assert_eq!(table.entries[1].unpredictable, 30);
     }
 
     #[test]
@@ -658,26 +645,20 @@ mod tests {
                 points: 1,
                 zero_bins: 0,
                 unpredictable: 0,
-                table_mode: TABLE_MODE_LOCAL,
+                table_mode: TABLE_MODE_PACKED,
             }],
         };
         let bytes = table.encode();
-        // Two bytes short matches neither the v4 nor the v3 entry width.
-        assert!(ChunkTable::decode(&bytes[..bytes.len() - 2]).is_err());
-        // A v4-width table with an unknown mode tag is rejected; the three
-        // known ones are not.
+        // A row one byte short or long: a width the table does not have.
+        assert!(ChunkTable::decode(&bytes[..bytes.len() - 1]).is_err());
+        assert!(ChunkTable::decode(&[&bytes[..], &[0]].concat()).is_err());
+        // Tags are carried as stored; the chunk decoder checks them against
+        // the blob's family.
         let mut tagged = table.encode();
         let n = tagged.len();
-        for tag in [TABLE_MODE_LOCAL, TABLE_MODE_SHARED, TABLE_MODE_PACKED] {
+        for tag in [0, 1, 2, 3, 255] {
             tagged[n - 1] = tag;
             assert_eq!(ChunkTable::decode(&tagged).unwrap().entries[0].table_mode, tag);
-        }
-        for tag in [3, 9, 255] {
-            tagged[n - 1] = tag;
-            match ChunkTable::decode(&tagged) {
-                Err(SzError::CorruptStream(msg)) => assert_eq!(msg, format!("unknown table mode {tag}")),
-                other => panic!("tag {tag}: expected CorruptStream, got {other:?}"),
-            }
         }
         // Zero chunks is never valid.
         let empty = ChunkTable { chunk_rows: 4, entries: vec![] };

@@ -13,13 +13,12 @@
 use std::sync::Mutex;
 
 use crate::config::{ErrorBound, LosslessBackend, LossyConfig, PredictorKind};
-use crate::encode::huffman::{freq_pairs, huffman_encode_counted, parse_packed_table, parse_wide_table, HuffmanTable};
-use crate::encode::{huffman_decode, huffman_decode_wide, lz_compress, lz_decompress, rle_decode, rle_encode};
+use crate::encode::huffman::{freq_pairs, huffman_encode_counted, parse_packed_table, HuffmanTable};
+use crate::encode::{huffman_decode, lz_compress, lz_decompress, rle_decode, rle_encode};
 use crate::engine::{parallel_map, parallel_map_windowed, ChunkLayout};
 use crate::error::SzError;
 use crate::format::{
     write_framed, BlobHeader, BlobWriter, ChunkEntry, ChunkTable, CodecFamily, CompressedBlob, SectionReader,
-    TABLE_MODE_LOCAL, TABLE_MODE_PACKED, TABLE_MODE_SHARED, VERSION, VERSION_V2, VERSION_V3,
 };
 use crate::ndarray::{checked_points, fold_min_max, min_max_of, Dataset, DatasetView};
 use crate::predict::{interp, lorenzo, lorenzo2, regression, PredictionStreams, StreamsView};
@@ -39,8 +38,7 @@ pub struct SectionSizes {
     /// Entropy-coded quantization bins (after the lossless backend).
     pub codes: usize,
     /// Of `codes`, the code-length tables the chunks embed — as serialized,
-    /// so under `HuffmanLz` before its LZ pass. The blob's shared-table
-    /// section, written empty, counts as `framing`.
+    /// so under `HuffmanLz` before its LZ pass.
     pub tables: usize,
     /// Header, chunk table, and framing overhead (everything else).
     pub framing: usize,
@@ -83,10 +81,6 @@ pub(crate) struct EncodedChunk {
     /// Sparse `(code, count)` histogram of the quantization codes, sorted by
     /// code (prediction family; empty for transform chunks).
     pub hist: Vec<(u32, u64)>,
-    /// How the code stream was entropy-coded: [`TABLE_MODE_PACKED`] for the
-    /// prediction family; the transform family leaves the tag at
-    /// [`TABLE_MODE_LOCAL`] and nothing reads it.
-    pub table_mode: u8,
     pub unpredictable: u64,
     pub side_bytes: usize,
     pub unpred_bytes: usize,
@@ -151,7 +145,6 @@ pub fn compress_streamed<T: ScalarValue>(
 ) -> Result<CompressionOutcome, SzError> {
     config.validate()?;
     let header = BlobHeader {
-        version: VERSION,
         family: CodecFamily::Prediction,
         dtype: T::TYPE_NAME,
         dims: data.dims().to_vec(),
@@ -190,7 +183,6 @@ pub fn compress_streamed<T: ScalarValue>(
             payload,
             crc,
             hist,
-            table_mode: coded.table_mode,
             unpredictable: streams.unpredictable.len() as u64,
             side_bytes: streams.side_data.len(),
             unpred_bytes: unpred_bytes.len(),
@@ -317,7 +309,7 @@ where
                         points: layout.points_in_chunk(i) as u64,
                         zero_bins,
                         unpredictable: c.unpredictable,
-                        table_mode: c.table_mode,
+                        table_mode: header.family.table_mode(),
                     };
                     let streamed =
                         StreamedChunk { index: i, total: n, header, dims: dims_of(i), entry, payload: &c.payload };
@@ -346,8 +338,8 @@ where
 
     let table_bytes = table.encode();
     let mut writer = BlobWriter::new(&header)?;
-    // The shared-table section stays, empty, so every version-4 reader
-    // still parses the blob.
+    // The section after the chunk table once held a table the chunks
+    // shared; it stays, empty, so the container bytes did not change.
     writer.reserve(16 + table_bytes.len() + body.len() + 4).section(&table_bytes).section(&[]).raw(&body);
     let blob = writer.finish();
 
@@ -367,14 +359,20 @@ where
 /// # Errors
 /// Returns [`SzError::TypeMismatch`] if `T` differs from the compressed
 /// type, [`SzError::CorruptStream`] for malformed payloads, and
-/// [`SzError::UnsupportedVersion`] for unknown format versions.
+/// [`SzError::UnsupportedVersion`] for any version but
+/// [`crate::format::VERSION`].
 pub fn decompress<T: ScalarValue>(blob: &CompressedBlob) -> Result<Dataset<T>, SzError> {
     decompress_with_threads(blob, 1)
 }
 
-/// Decompresses a blob, decoding the chunks of a chunked (version 3 or 4)
-/// container on up to `threads` workers. Output is identical for every
-/// thread count.
+/// Decompresses a blob, decoding its chunks on up to `threads` workers.
+/// Output is identical for every thread count.
+///
+/// The chunk table is validated against the header's shape before the
+/// output is allocated once; each chunk then decodes (in parallel when
+/// `threads > 1`) straight into its own row slab of it — the slabs are
+/// disjoint and their bounds a pure function of shape and `chunk_rows`, so
+/// nothing is reassembled afterwards.
 ///
 /// # Errors
 /// Same as [`decompress`]. Additionally returns
@@ -387,103 +385,13 @@ pub fn decompress_with_threads<T: ScalarValue>(blob: &CompressedBlob, threads: u
     let _span = obs.wall_span("decompress", None, 0);
     let _pscope = prof::scope(ScopeId::DECOMPRESS);
     let t0 = std::time::Instant::now();
-    let (mut header, mut sections) = blob.open()?;
+    let (header, table, body) = blob.open_chunks()?;
     if header.dtype != T::TYPE_NAME {
         return Err(SzError::TypeMismatch { expected: T::TYPE_NAME, found: header.dtype.to_string() });
     }
-    let result = match header.version {
-        VERSION_V2 => decompress_v2(&mut header, &mut sections),
-        VERSION | VERSION_V3 => decompress_chunked(&mut header, &mut sections, threads),
-        other => Err(SzError::UnsupportedVersion(other)),
-    };
-    if result.is_ok() {
-        obs.inc("ocelot_sz_decompress_total", "Completed decompression runs");
-        obs.observe(
-            "ocelot_sz_decompress_seconds",
-            "Wall time of a full decompression run",
-            t0.elapsed().as_secs_f64(),
-        );
-    }
-    result
-}
-
-/// Legacy monolithic-section layout: the whole dataset is one implicit chunk
-/// whose sections sit at the top level of the blob.
-///
-/// Takes the header by `&mut` so the shape can be moved — not cloned — into
-/// the returned dataset.
-fn decompress_v2<T: ScalarValue>(
-    header: &mut BlobHeader,
-    sections: &mut SectionReader<'_>,
-) -> Result<Dataset<T>, SzError> {
-    let total = checked_points(&header.dims)?;
-    let values = match header.family {
-        CodecFamily::Transform => {
-            let payload = sections.next_section()?;
-            let mut values = vec![T::zero(); total];
-            zfp::decode_chunk_payload_into(&header.dims, payload, &mut values)?;
-            values
-        }
-        CodecFamily::Prediction => {
-            let parts = PredictionParts {
-                side_data: sections.next_section()?,
-                unpred_bytes: sections.next_section()?,
-                encoded_codes: sections.next_section()?,
-                table_mode: TABLE_MODE_LOCAL,
-            };
-            // No chunk table vouches for the shape here: the output is sized
-            // only once the stream has produced that many codes.
-            let (codes, unpredictable) = decode_streams::<T>(header, &parts, None, total)?;
-            if codes.len() != total {
-                return Err(SzError::CorruptStream(format!("{} codes for {total} points", codes.len())));
-            }
-            let streams = StreamsView { codes: &codes, unpredictable: &unpredictable, side_data: parts.side_data };
-            let mut values = vec![T::zero(); total];
-            reconstruct_into(header, &header.dims, streams, &mut values)?;
-            values
-        }
-    };
-    Dataset::new(std::mem::take(&mut header.dims), values)
-}
-
-/// Chunked container (versions 3 and 4): validates the chunk table against
-/// the header's shape, allocates the output once, and decodes each chunk (in
-/// parallel when `threads > 1`) straight into its own row slab of it — the
-/// slabs are disjoint and their bounds a pure function of shape and
-/// `chunk_rows`, so nothing is reassembled afterwards.
-///
-/// Takes the header by `&mut` so the shape can be moved — not cloned — into
-/// the returned dataset.
-fn decompress_chunked<T: ScalarValue>(
-    header: &mut BlobHeader,
-    sections: &mut SectionReader<'_>,
-    threads: usize,
-) -> Result<Dataset<T>, SzError> {
-    let obs = ocelot_obs::global();
     // Before anything is derived from the shape: every later product (row
     // points, chunk points) divides this one.
     let total = checked_points(&header.dims)?;
-    let table = ChunkTable::decode(sections.next_section()?)?;
-    // Version 4 carries a shared-Huffman-table section between the chunk
-    // table and the payloads: empty as written today, filled in stored blobs
-    // whose chunks are tagged `TABLE_MODE_SHARED`. Version 3 has none.
-    let shared = if header.version >= VERSION {
-        let bytes = sections.next_section()?;
-        if bytes.is_empty() {
-            None
-        } else {
-            Some(HuffmanTable::deserialize(bytes)?)
-        }
-    } else {
-        None
-    };
-    if shared.is_none() {
-        if let Some(i) = table.entries.iter().position(|e| e.table_mode == TABLE_MODE_SHARED) {
-            return Err(SzError::CorruptStream(format!(
-                "chunk {i} references a shared Huffman table the blob does not carry"
-            )));
-        }
-    }
     let layout = ChunkLayout::from_chunk_rows(&header.dims, table.chunk_rows);
     if table.entries.len() != layout.n_chunks() {
         return Err(SzError::CorruptStream(format!(
@@ -496,14 +404,6 @@ fn decompress_chunked<T: ScalarValue>(
         if e.points != layout.points_in_chunk(i) as u64 {
             return Err(SzError::CorruptStream(format!("chunk {i} declares {} points", e.points)));
         }
-    }
-    let body = sections.rest();
-    if body.len() != table.payload_len() {
-        return Err(SzError::CorruptStream(format!(
-            "chunk payloads hold {} bytes but the table declares {}",
-            body.len(),
-            table.payload_len()
-        )));
     }
     let offsets = table.offsets();
     let n = layout.n_chunks();
@@ -522,33 +422,34 @@ fn decompress_chunked<T: ScalarValue>(
         let payload = &body[offsets[i]..offsets[i] + entry.len];
         let chunk_dims = if layout.rows_in_chunk(i) == full_dims[0] { &full_dims } else { &tail_dims };
         let mut slab = slabs[i].lock().expect("slab lock");
-        decode_chunk_into::<T>(header, chunk_dims, i, entry, payload, shared.as_ref(), &mut slab)
+        decode_chunk_into::<T>(&header, chunk_dims, i, entry, payload, &mut slab)
     });
     drop(slabs);
     decoded.into_iter().collect::<Result<(), SzError>>()?;
-    Dataset::new(std::mem::take(&mut header.dims), out)
+    obs.inc("ocelot_sz_decompress_total", "Completed decompression runs");
+    obs.observe("ocelot_sz_decompress_seconds", "Wall time of a full decompression run", t0.elapsed().as_secs_f64());
+    Dataset::new(header.dims, out)
 }
 
 /// Decodes one container chunk — CRC check plus family dispatch — into `out`,
 /// the chunk's slab of the destination buffer. `entry` is the chunk's table
 /// row and `payload` its container bytes, exactly as a [`compress_streamed`]
 /// sink receives them, so a streamed consumer can decode each chunk on
-/// arrival without the blob. `shared` is a stored blob's shared Huffman
-/// table, required when `entry.table_mode` is [`TABLE_MODE_SHARED`]; no
-/// writer emits that tag any more, so a streamed consumer passes `None`.
+/// arrival without the blob.
 ///
 /// # Errors
-/// Returns [`SzError::CorruptStream`] on a CRC mismatch, a malformed payload,
-/// or a slab that does not hold exactly the points of `dims`.
+/// Returns [`SzError::CorruptStream`] on a table-mode tag that is not the
+/// header family's, a CRC mismatch, a malformed payload, or a slab that does
+/// not hold exactly the points of `dims`.
 pub fn decode_chunk_into<T: ScalarValue>(
     header: &BlobHeader,
     dims: &[usize],
     index: usize,
     entry: &ChunkEntry,
     payload: &[u8],
-    shared: Option<&HuffmanTable>,
     out: &mut [T],
 ) -> Result<(), SzError> {
+    check_table_mode(header, entry).map_err(|e| SzError::CorruptStream(format!("chunk {index}: {e}")))?;
     let crc = {
         let _p = prof::probe(Kernel::FrameCrc, payload.len());
         crate::checksum::crc32(payload)
@@ -560,44 +461,30 @@ pub fn decode_chunk_into<T: ScalarValue>(
         CodecFamily::Transform => zfp::decode_chunk_payload_into(dims, payload, out),
         CodecFamily::Prediction => {
             let mut sections = SectionReader::over(payload);
-            let parts = PredictionParts {
-                side_data: sections.next_section()?,
-                unpred_bytes: sections.next_section()?,
-                encoded_codes: sections.next_section()?,
-                table_mode: entry.table_mode,
-            };
-            let (codes, unpredictable) = decode_streams::<T>(header, &parts, shared, out.len())?;
-            let streams = StreamsView { codes: &codes, unpredictable: &unpredictable, side_data: parts.side_data };
+            let side_data = sections.next_section()?;
+            let unpred_bytes = sections.next_section()?;
+            if !unpred_bytes.len().is_multiple_of(T::BYTES) {
+                return Err(SzError::CorruptStream("unpredictable section misaligned".into()));
+            }
+            let unpredictable: Vec<T> = unpred_bytes.chunks_exact(T::BYTES).map(T::read_le).collect();
+            let codes = decode_codes(sections.next_section()?, header.backend, header.quant_radius, out.len())?;
+            let streams = StreamsView { codes: &codes, unpredictable: &unpredictable, side_data };
             reconstruct_into(header, dims, streams, out)
         }
     }
 }
 
-/// The three sections of a prediction-family chunk (or of a whole legacy
-/// blob), borrowed straight out of the payload, plus how the codes were
-/// entropy-coded.
-struct PredictionParts<'a> {
-    side_data: &'a [u8],
-    unpred_bytes: &'a [u8],
-    encoded_codes: &'a [u8],
-    table_mode: u8,
-}
-
-/// Entropy-decodes the quantization codes of a prediction-family chunk of
-/// `points` points and reads its verbatim values.
-fn decode_streams<T: ScalarValue>(
-    header: &BlobHeader,
-    parts: &PredictionParts<'_>,
-    shared: Option<&HuffmanTable>,
-    points: usize,
-) -> Result<(Vec<u32>, Vec<T>), SzError> {
-    if !parts.unpred_bytes.len().is_multiple_of(T::BYTES) {
-        return Err(SzError::CorruptStream("unpredictable section misaligned".into()));
+/// The tag check every chunk reader makes: a chunk carries its family's
+/// [`CodecFamily::table_mode`] and nothing else.
+fn check_table_mode(header: &BlobHeader, entry: &ChunkEntry) -> Result<(), SzError> {
+    let expected = header.family.table_mode();
+    if entry.table_mode != expected {
+        return Err(SzError::CorruptStream(format!(
+            "table mode {} on a {:?} chunk, which carries {expected}",
+            entry.table_mode, header.family
+        )));
     }
-    let unpredictable = parts.unpred_bytes.chunks_exact(T::BYTES).map(T::read_le).collect();
-    let codes =
-        decode_codes(parts.encoded_codes, header.backend, header.quant_radius, parts.table_mode, shared, points)?;
-    Ok((codes, unpredictable))
+    Ok(())
 }
 
 /// Runs the header's predictor backwards over `streams` into `out`, the slab
@@ -649,8 +536,6 @@ fn run_predictor<T: ScalarValue>(
 /// A chunk's entropy-coded quantization codes.
 struct CodedStream {
     bytes: Vec<u8>,
-    /// The chunk-table tag that tells a reader how to decode `bytes`.
-    table_mode: u8,
     /// How many bytes of the Huffman stage's output are an embedded table.
     table_bytes: usize,
 }
@@ -664,7 +549,7 @@ fn huffman_stage(symbols: &[u32], hist: Option<&[(u32, u64)]>) -> CodedStream {
         Some(hist) => huffman_encode_counted(symbols, hist),
         None => huffman_encode_counted(symbols, &freq_pairs(symbols)),
     };
-    CodedStream { bytes, table_mode: TABLE_MODE_PACKED, table_bytes }
+    CodedStream { bytes, table_bytes }
 }
 
 /// Entropy-codes a chunk's quantization `codes`, whose histogram is `hist`.
@@ -696,38 +581,27 @@ fn encode_codes(codes: &[u32], hist: &[(u32, u64)], backend: LosslessBackend, ze
     coded
 }
 
-/// Inverse of [`huffman_stage`]: dispatch on the chunk's table-mode tag.
-/// [`TABLE_MODE_SHARED`] and [`TABLE_MODE_LOCAL`] (the five-byte table) are
-/// read for stored blobs; no writer emits them.
-fn unhuffman_stage(bytes: &[u8], table_mode: u8, shared: Option<&HuffmanTable>) -> Result<Vec<u32>, SzError> {
+/// Inverse of [`huffman_stage`].
+fn unhuffman_stage(bytes: &[u8]) -> Result<Vec<u32>, SzError> {
     let _p = prof::probe(Kernel::HuffmanDecode, bytes.len());
-    match table_mode {
-        TABLE_MODE_SHARED => {
-            let table = shared.ok_or_else(|| {
-                SzError::CorruptStream("chunk references a shared Huffman table the blob does not carry".into())
-            })?;
-            table.decode_stream(bytes)
-        }
-        TABLE_MODE_PACKED => huffman_decode(bytes),
-        _ => huffman_decode_wide(bytes),
-    }
+    huffman_decode(bytes)
 }
 
 /// The code-length table a prediction-family chunk embeds in front of its
 /// code bits, and how many bytes it takes there (under `HuffmanLz`, of the
-/// stream the LZ pass then compressed). `None` for a stored chunk coded
-/// against its blob's shared table and for the transform family. `entry`
-/// and `payload` are the chunk's table row and container bytes.
+/// stream the LZ pass then compressed). `None` for the transform family.
+/// `entry` and `payload` are the chunk's table row and container bytes.
 ///
 /// # Errors
-/// Returns [`SzError::CorruptStream`] for a payload or table that does not
-/// parse.
+/// Returns [`SzError::CorruptStream`] for a table-mode tag that is not the
+/// header family's, and for a payload or table that does not parse.
 pub fn embedded_table(
     header: &BlobHeader,
     entry: &ChunkEntry,
     payload: &[u8],
 ) -> Result<Option<(HuffmanTable, usize)>, SzError> {
-    if header.family != CodecFamily::Prediction || entry.table_mode == TABLE_MODE_SHARED {
+    check_table_mode(header, entry)?;
+    if header.family != CodecFamily::Prediction {
         return Ok(None);
     }
     let mut sections = SectionReader::over(payload);
@@ -741,30 +615,24 @@ pub fn embedded_table(
         }
         _ => encoded_codes,
     };
-    let parse_table = if entry.table_mode == TABLE_MODE_PACKED { parse_packed_table } else { parse_wide_table };
     let mut table_bytes = 0usize;
-    Ok(parse_table(stream, &mut table_bytes)?.map(|table| (table, table_bytes)))
+    Ok(parse_packed_table(stream, &mut table_bytes)?.map(|table| (table, table_bytes)))
 }
 
-fn decode_codes(
-    bytes: &[u8],
-    backend: LosslessBackend,
-    zero_code: u32,
-    table_mode: u8,
-    shared: Option<&HuffmanTable>,
-    points: usize,
-) -> Result<Vec<u32>, SzError> {
+/// Entropy-decodes the quantization codes of a prediction-family chunk of
+/// `points` points.
+fn decode_codes(bytes: &[u8], backend: LosslessBackend, zero_code: u32, points: usize) -> Result<Vec<u32>, SzError> {
     match backend {
-        LosslessBackend::Huffman => unhuffman_stage(bytes, table_mode, shared),
+        LosslessBackend::Huffman => unhuffman_stage(bytes),
         LosslessBackend::HuffmanLz => {
             let raw = {
                 let _p = prof::probe(Kernel::Lz, bytes.len());
                 lz_decompress(bytes)?
             };
-            unhuffman_stage(&raw, table_mode, shared)
+            unhuffman_stage(&raw)
         }
         LosslessBackend::RleHuffman => {
-            let encoded = unhuffman_stage(bytes, table_mode, shared)?;
+            let encoded = unhuffman_stage(bytes)?;
             let _p = prof::probe(Kernel::Rle, std::mem::size_of_val(encoded.as_slice()));
             rle_decode(&encoded, zero_code, points)
                 .ok_or_else(|| SzError::CorruptStream("rle: malformed run stream".into()))
@@ -953,15 +821,14 @@ mod tests {
         let data = wavy(vec![50, 20]);
         let cfg = LossyConfig::sz3_abs(1e-3).with_threads(4);
         let out = compress(&data, &cfg).unwrap();
-        let (header, mut sections) = out.blob.open().unwrap();
-        let table = ChunkTable::decode(sections.next_section().unwrap()).unwrap();
+        let (_, table, _) = out.blob.open_chunks().unwrap();
         assert_eq!(table.entries.len(), out.chunks);
         let points: u64 = table.entries.iter().map(|e| e.points).sum();
         assert_eq!(points, 50 * 20);
         let zeros: u64 = table.entries.iter().map(|e| e.zero_bins).sum();
         let p0 = zeros as f64 / points as f64;
         assert!((p0 - out.bin_stats.p0).abs() < 1e-12, "table p0 {p0} vs stats {}", out.bin_stats.p0);
-        assert_eq!(header.version, VERSION);
+        assert_eq!(out.blob.as_bytes()[4..6], crate::format::VERSION.to_le_bytes());
     }
 
     #[test]
@@ -1012,10 +879,7 @@ mod tests {
         blob: &CompressedBlob,
         edit: impl FnOnce(&mut BlobHeader, &mut ChunkTable, &mut Vec<Vec<u8>>),
     ) -> CompressedBlob {
-        let (mut header, mut sections) = blob.open().unwrap();
-        let mut table = ChunkTable::decode(sections.next_section().unwrap()).unwrap();
-        let shared = sections.next_section().unwrap().to_vec();
-        let body = sections.rest();
+        let (mut header, mut table, body) = blob.open_chunks().unwrap();
         let mut payloads: Vec<Vec<u8>> =
             table.offsets().iter().zip(&table.entries).map(|(&at, e)| body[at..at + e.len].to_vec()).collect();
         edit(&mut header, &mut table, &mut payloads);
@@ -1024,7 +888,7 @@ mod tests {
             entry.crc = crate::checksum::crc32(payload);
         }
         let mut writer = BlobWriter::new(&header).unwrap();
-        writer.section(&table.encode()).section(&shared);
+        writer.section(&table.encode()).section(&[]);
         for payload in &payloads {
             writer.raw(payload);
         }
@@ -1121,11 +985,10 @@ mod tests {
 
     /// [`rebuild`] with `edit` applied to what the Huffman stage wrote for
     /// each chunk — the embedded table and the code bits behind it, out of
-    /// their LZ wrapping under `HuffmanLz` — and `tag`, if any, as every
-    /// chunk's table mode.
-    fn rebuild_huffman_streams(blob: &CompressedBlob, tag: Option<u8>, edit: impl Fn(&mut Vec<u8>)) -> CompressedBlob {
-        rebuild(blob, |header, table, payloads| {
-            for (entry, payload) in table.entries.iter_mut().zip(payloads) {
+    /// their LZ wrapping under `HuffmanLz`.
+    fn rebuild_huffman_streams(blob: &CompressedBlob, edit: impl Fn(&mut Vec<u8>)) -> CompressedBlob {
+        rebuild(blob, |header, _, payloads| {
+            for payload in payloads {
                 let mut parts = SectionReader::over(payload);
                 let (side, pool) = (parts.next_section().unwrap().to_vec(), parts.next_section().unwrap().to_vec());
                 let coded = parts.next_section().unwrap();
@@ -1136,7 +999,6 @@ mod tests {
                 write_framed(payload, &side);
                 write_framed(payload, &pool);
                 write_framed(payload, &if lz { lz_compress(&stream) } else { stream });
-                entry.table_mode = tag.unwrap_or(entry.table_mode);
             }
         })
     }
@@ -1162,20 +1024,13 @@ mod tests {
         for backend in [LosslessBackend::Huffman, LosslessBackend::HuffmanLz, LosslessBackend::RleHuffman] {
             let blob = compress(&data, &LossyConfig::sz3_abs(1e-3).with_backend(backend)).unwrap().blob;
             let what = |case: &str| format!("{backend:?}: {case}");
-            let (header, mut sections) = blob.open().unwrap();
-            let entry = ChunkTable::decode(sections.next_section().unwrap()).unwrap().entries[0];
-            assert_eq!(entry.table_mode, TABLE_MODE_PACKED);
-            let _shared_table = sections.next_section().unwrap();
-            let payload = &sections.rest()[..entry.len];
+            let (header, table, body) = blob.open_chunks().unwrap();
+            let entry = table.entries[0];
+            let payload = &body[..entry.len];
             let (table, table_bytes) = embedded_table(&header, &entry, payload).unwrap().expect("an embedded table");
             let n = table.n_symbols();
             assert!(n > 1 && table_bytes > n, "{n} symbols in {table_bytes} B");
-            assert_eq!(
-                expected(&rebuild_huffman_streams(&blob, None, |_| {})),
-                expected(&blob),
-                "{}",
-                what("untouched")
-            );
+            assert_eq!(expected(&rebuild_huffman_streams(&blob, |_| {})), expected(&blob), "{}", what("untouched"));
             let varint = |v: u64| {
                 let mut out = Vec::new();
                 crate::encode::huffman::write_varint(&mut out, v);
@@ -1185,7 +1040,7 @@ mod tests {
             // The symbol count: none, one short, one over, more than the
             // stream has bytes.
             for count in [0, n as u64 - 1, n as u64 + 1, 1 << 40] {
-                let edited = rebuild_huffman_streams(&blob, None, |s| {
+                let edited = rebuild_huffman_streams(&blob, |s| {
                     drop(s.splice(..varint(n as u64).len(), varint(count)));
                 });
                 survives(&edited, &what(&format!("count {count}")));
@@ -1194,17 +1049,14 @@ mod tests {
             // padded, longer than ten bytes, naming a symbol past u32::MAX.
             let varints: [&[u8]; 3] = [&[0xf9, 0xff, 0x81, 0x00], &[0xff; 11], &[0xf9, 0xff, 0xff, 0xff, 0x0f]];
             for skip in varints {
-                let edited = rebuild_huffman_streams(&blob, None, |s| {
+                let edited = rebuild_huffman_streams(&blob, |s| {
                     drop(s.splice(..table_bytes, [&[0x01, 0xe0], skip].concat()));
                 });
                 assert!(!survives(&edited, &what(&format!("skip varint {skip:02x?}"))));
             }
             // Length bits of one entry, then of every entry: still a table,
             // no longer this stream's.
-            let pairs: Vec<(u32, u8)> = table.serialize()[4..]
-                .chunks_exact(5)
-                .map(|e| (u32::from_le_bytes(e[..4].try_into().unwrap()), e[4]))
-                .collect();
+            let pairs: Vec<(u32, u8)> = table.lengths().collect();
             for stride in [n, 1] {
                 let relengthed = pairs
                     .iter()
@@ -1213,30 +1065,68 @@ mod tests {
                 let mut packed = Vec::new();
                 HuffmanTable::from_lengths(relengthed.collect()).unwrap().write_packed(&mut packed);
                 assert_eq!(packed.len(), table_bytes);
-                let edited =
-                    rebuild_huffman_streams(&blob, None, |s| drop(s.splice(..table_bytes, packed.iter().copied())));
+                let edited = rebuild_huffman_streams(&blob, |s| drop(s.splice(..table_bytes, packed.iter().copied())));
                 assert_ne!(edited, blob, "{}", what("length bits"));
                 survives(&edited, &what(&format!("length bits, stride {stride}")));
             }
             // Cut in the middle of the table, and just short of its end.
             for cut in [table_bytes / 2, table_bytes - 1] {
-                let edited = rebuild_huffman_streams(&blob, None, |s| s.truncate(cut));
+                let edited = rebuild_huffman_streams(&blob, |s| s.truncate(cut));
                 assert!(!survives(&edited, &what(&format!("cut at {cut}"))));
             }
-            // The tag flipped over unchanged bytes, either way. The same
-            // table five bytes a symbol under the old tag is a valid blob —
-            // what a writer before the packed layout produced.
-            survives(&rebuild_huffman_streams(&blob, Some(TABLE_MODE_LOCAL), |_| {}), &what("packed read as wide"));
-            let widen = |s: &mut Vec<u8>| drop(s.splice(..table_bytes, table.serialize()));
-            let wide = rebuild_huffman_streams(&blob, Some(TABLE_MODE_LOCAL), widen);
-            assert_eq!(expected(&wide), expected(&blob), "{}", what("wide"));
-            if backend != LosslessBackend::HuffmanLz {
-                // (An LZ pass over the stream hides the exact difference.)
-                assert_eq!(wide.len() - blob.len(), 4 + 5 * n - table_bytes, "{}", what("wide"));
+        }
+    }
+
+    #[test]
+    fn chunks_under_a_foreign_table_mode_are_corrupt_streams_on_every_path() {
+        // Every chunk carries its family's tag: 2 on a prediction chunk, 0 on
+        // a transform chunk. Any other tag, with both checksums re-sealed,
+        // gets as far as the chunk decoder, which refuses it — staged at 1
+        // and 3 threads and streamed alike.
+        let data = wavy(vec![40, 12]);
+        let retag = |blob: &CompressedBlob, chunk: usize, tag: u8| {
+            rebuild(blob, |_, table, _| table.entries[chunk].table_mode = tag)
+        };
+        let decode_one = |header: &BlobHeader, dims: &[usize], entry: &ChunkEntry, payload: &[u8]| {
+            let mut slab = vec![0f32; entry.points as usize];
+            decode_chunk_into(header, dims, 0, entry, payload, &mut slab)
+        };
+        for backend in [LosslessBackend::Huffman, LosslessBackend::HuffmanLz, LosslessBackend::RleHuffman] {
+            let cfg = LossyConfig::sz3_abs(1e-3).with_backend(backend).with_chunk_points(Some(120)).with_threads(3);
+            // Outcomes are checked once the stream is done: a panicking sink
+            // would leave the pool's workers waiting on the window.
+            let mut streamed = Vec::new();
+            let out = compress_streamed(&data, &cfg, 2, |chunk| {
+                for table_mode in [2, 0, 1, 3, 255] {
+                    let entry = ChunkEntry { table_mode, ..chunk.entry };
+                    streamed.push((table_mode, decode_one(chunk.header, chunk.dims, &entry, chunk.payload)));
+                }
+                Ok(())
+            })
+            .unwrap();
+            assert!(out.chunks > 1 && streamed.len() == 5 * out.chunks);
+            for (tag, r) in streamed {
+                let refused = matches!(r, Err(SzError::CorruptStream(_)));
+                assert!(refused != (tag == 2), "{backend:?} streamed tag {tag}: {r:?}");
             }
-            survives(&rebuild_huffman_streams(&wide, Some(TABLE_MODE_PACKED), |_| {}), &what("wide read as packed"));
-            // A shared-table tag on a blob that carries no shared table.
-            assert_corrupt(&rebuild_huffman_streams(&blob, Some(TABLE_MODE_SHARED), |_| {}), &what("shared tag"));
+            for tag in [0, 1, 3, 255] {
+                for chunk in [0, out.chunks - 1] {
+                    assert_corrupt(&retag(&out.blob, chunk, tag), &format!("{backend:?}: tag {tag} on chunk {chunk}"));
+                }
+            }
+        }
+        let out = zfp::compress_impl(&data, 1e-3, 3, Some(120)).unwrap();
+        assert!(out.chunks > 1);
+        let (header, table, body) = out.blob.open_chunks().unwrap();
+        let dims = [10, 12];
+        let entry = table.entries[0];
+        assert!(decode_one(&header, &dims, &entry, &body[..entry.len]).is_ok());
+        for tag in [1, 2, 3, 255] {
+            let r = decode_one(&header, &dims, &ChunkEntry { table_mode: tag, ..entry }, &body[..entry.len]);
+            assert!(matches!(r, Err(SzError::CorruptStream(_))), "zfp tag {tag}: {r:?}");
+            for chunk in [0, out.chunks - 1] {
+                assert_corrupt(&retag(&out.blob, chunk, tag), &format!("zfp: tag {tag} on chunk {chunk}"));
+            }
         }
     }
 
@@ -1244,8 +1134,8 @@ mod tests {
     fn the_writer_embeds_only_packed_tables() {
         // A smooth first half and a loud second half, so no chunk's table
         // fits another's. Every chunk embeds its own packed table and the
-        // shared-table section is written empty — on every backend, at any
-        // thread count, staged or streamed at any window.
+        // section after the chunk table is written empty — on every backend,
+        // at any thread count, staged or streamed at any window.
         let data = Dataset::from_fn(vec![40, 12], |i| {
             let x = (i[0] * 12 + i[1]) as f32;
             (x * 0.11).sin() + if i[0] >= 20 { ((x * 7.3).sin() * 1e4).fract() * 50.0 } else { 0.0 }
@@ -1258,13 +1148,11 @@ mod tests {
                 let streamed = [0, 2].map(|window| compress_streamed(&data, &cfg, window, |_| Ok(())).unwrap());
                 for (out, how) in [(&staged, "staged"), (&streamed[0], "window 0"), (&streamed[1], "window 2")] {
                     let what = format!("{backend:?} threads={threads} {how}");
-                    let (header, mut sections) = out.blob.open().unwrap();
-                    let table = ChunkTable::decode(sections.next_section().unwrap()).unwrap();
+                    let (header, table, body) = out.blob.open_chunks().unwrap();
                     let modes: Vec<u8> = table.entries.iter().map(|e| e.table_mode).collect();
-                    assert!(modes.len() > 1 && modes.iter().all(|&m| m == TABLE_MODE_PACKED), "{what}: {modes:?}");
-                    assert!(sections.next_section().unwrap().is_empty(), "{what}: shared-table section");
+                    let packed = crate::format::TABLE_MODE_PACKED;
+                    assert!(modes.len() > 1 && modes.iter().all(|&m| m == packed), "{what}: {modes:?}");
                     // `sections.tables` is the sum of what the chunks embed.
-                    let body = sections.rest();
                     let embedded: usize = table
                         .offsets()
                         .iter()
@@ -1289,7 +1177,7 @@ mod tests {
         compress_streamed(&data, &LossyConfig::sz3_abs(1e-3), 0, |chunk| {
             for len in [0usize, 119, 121] {
                 let mut slab = vec![0f32; len];
-                let r = decode_chunk_into(chunk.header, chunk.dims, 0, &chunk.entry, chunk.payload, None, &mut slab);
+                let r = decode_chunk_into(chunk.header, chunk.dims, 0, &chunk.entry, chunk.payload, &mut slab);
                 assert!(matches!(r, Err(SzError::CorruptStream(_))), "slab of {len}: {r:?}");
             }
             seen += 1;
@@ -1338,7 +1226,7 @@ mod tests {
         for (dims, cfg, blob_hash, restored_hash, escapes) in cases {
             let data = field(dims.clone());
             let out = compress(&data, &cfg).unwrap();
-            let table = ChunkTable::decode(out.blob.open().unwrap().1.next_section().unwrap()).unwrap();
+            let (_, table, _) = out.blob.open_chunks().unwrap();
             assert_eq!(table.entries.iter().map(|e| e.unpredictable).sum::<u64>(), escapes, "{dims:?}");
             assert_eq!(fnv64(out.blob.as_bytes().iter().copied()), blob_hash, "{dims:?}");
             for threads in [1, 3] {
@@ -1438,7 +1326,7 @@ mod tests {
         let outcome = compress_streamed(&data, &cfg, 2, |chunk| {
             let slab = &mut restored[filled..filled + chunk.entry.points as usize];
             filled += slab.len();
-            decode_chunk_into::<f32>(chunk.header, chunk.dims, chunk.index, &chunk.entry, chunk.payload, None, slab)
+            decode_chunk_into::<f32>(chunk.header, chunk.dims, chunk.index, &chunk.entry, chunk.payload, slab)
         })
         .unwrap();
         assert_eq!(filled, data.len());

@@ -19,7 +19,7 @@
 use crate::config::{LosslessBackend, PredictorKind};
 use crate::encode::{lz_compress, lz_decompress};
 use crate::error::SzError;
-use crate::format::{BlobHeader, CodecFamily, VERSION};
+use crate::format::{BlobHeader, CodecFamily};
 use crate::ndarray::{checked_points, Dataset, DatasetView};
 use crate::pipeline::{compress_chunked, CompressionOutcome, EncodedChunk};
 use crate::value::ScalarValue;
@@ -49,7 +49,6 @@ pub(crate) fn compress_impl<T: ScalarValue>(
         return Err(SzError::InvalidShape(format!("zfp codec supports 1-3 dims, got {}", data.ndim())));
     }
     let header = BlobHeader {
-        version: VERSION,
         family: CodecFamily::Transform,
         dtype: T::TYPE_NAME,
         dims: data.dims().to_vec(),
@@ -69,7 +68,6 @@ pub(crate) fn compress_impl<T: ScalarValue>(
             payload,
             crc,
             hist: Vec::new(),
-            table_mode: crate::format::TABLE_MODE_LOCAL,
             unpredictable: 0,
             side_bytes: 0,
             unpred_bytes: 0,
@@ -137,8 +135,8 @@ pub fn estimate_ratio_sampled<T: ScalarValue>(
     Ok(raw_bytes as f64 / compressed as f64)
 }
 
-/// Decodes one transform-codec chunk payload (or a whole legacy blob's
-/// single section) into `out`, the caller's slab for shape `dims`.
+/// Decodes one transform-codec chunk payload into `out`, the caller's slab
+/// for shape `dims`.
 ///
 /// # Errors
 /// Returns [`SzError::CorruptStream`] for malformed payloads and for a slab

@@ -8,9 +8,7 @@ use ocelot::temporal::{TemporalCompressor, TemporalDecompressor};
 use ocelot::ParallelExecutor;
 use ocelot_netsim::{simulate_transfer, GridFtpConfig, LinkProfile};
 use ocelot_sz::config::{LosslessBackend, PredictorKind};
-use ocelot_sz::encode::{
-    huffman_decode, huffman_decode_wide, huffman_encode, lz_compress, lz_decompress, rle_decode, rle_encode,
-};
+use ocelot_sz::encode::{huffman_decode, huffman_encode, lz_compress, lz_decompress, rle_decode, rle_encode};
 use ocelot_sz::{
     compress, decompress, decompress_with_threads, metrics, Codec, CodecConfig, Dataset, LossyConfig, ZfpConfig,
 };
@@ -227,7 +225,6 @@ proptest! {
     #[test]
     fn huffman_decode_never_panics_on_garbage(data in prop::collection::vec(any::<u8>(), 0..600)) {
         let _ = huffman_decode(&data);
-        let _ = huffman_decode_wide(&data);
     }
 
     #[test]
