@@ -204,14 +204,14 @@ impl PipelineOutcome {
 #[derive(Debug, Clone)]
 pub struct Orchestrator {
     topology: Topology,
-    obs: Option<ocelot_obs::Obs>,
+    obs: ocelot_obs::Obs,
     ledger: Option<Arc<Ledger>>,
 }
 
 impl Orchestrator {
     /// Creates an orchestrator over a topology.
     pub fn new(topology: Topology) -> Self {
-        Orchestrator { topology, obs: None, ledger: None }
+        Orchestrator { topology, obs: ocelot_obs::Obs::disabled(), ledger: None }
     }
 
     /// The paper's calibrated three-site testbed.
@@ -219,16 +219,16 @@ impl Orchestrator {
         Orchestrator::new(Topology::paper())
     }
 
-    /// Attaches an explicit observability handle; without one, the
-    /// process-wide [`ocelot_obs::global`] handle is used.
+    /// Attaches an observability handle; without one, the orchestrator
+    /// records nothing.
     pub fn with_obs(mut self, obs: ocelot_obs::Obs) -> Self {
-        self.obs = Some(obs);
+        self.obs = obs;
         self
     }
 
-    /// The observability handle in effect for this orchestrator.
-    pub fn obs(&self) -> ocelot_obs::Obs {
-        self.obs.clone().unwrap_or_else(ocelot_obs::global)
+    /// The observability handle this orchestrator records into.
+    pub fn obs(&self) -> &ocelot_obs::Obs {
+        &self.obs
     }
 
     /// Attaches a chunk-lifecycle ledger: every pipelined job with a
@@ -279,7 +279,7 @@ impl Orchestrator {
             obs.sim_child(root, name, job, crate::lanes::PRIMARY, t, t + dur);
             t += dur;
         }
-        Self::observe_breakdown(&obs, b);
+        Self::observe_breakdown(obs, b);
         obs.inc(&format!("ocelot_core_runs_{strategy}_total"), "Pipeline runs completed, by strategy");
     }
 
@@ -526,7 +526,7 @@ impl Orchestrator {
                 breakdown.transfer_s,
                 breakdown.transfer_s + decompression_s,
             );
-            Self::observe_breakdown(&obs, &breakdown);
+            Self::observe_breakdown(obs, &breakdown);
             obs.inc("ocelot_core_runs_overlapped_total", "Pipeline runs completed, by strategy");
         }
         // Chunk-lifecycle ledger at file grain (chunk 0 of every file, in
@@ -742,7 +742,7 @@ impl Orchestrator {
             if total > transfer_s {
                 obs.sim_child(root, "pipeline.decompress", opts.job, PRIMARY, transfer_s, total);
             }
-            Self::observe_breakdown(&obs, &breakdown);
+            Self::observe_breakdown(obs, &breakdown);
             obs.inc("ocelot_core_runs_streamed_total", "Pipeline runs completed, by strategy");
             obs.add(
                 "ocelot_core_stream_stalls_total",
@@ -1070,9 +1070,9 @@ mod tests {
         let (mut ready, mut release, mut landed) = (Vec::new(), Vec::new(), Vec::new());
         for e in led.drain() {
             match e.event {
-                EventKind::Encoded => ready.push(e.t_sim.unwrap()),
-                EventKind::Released => release.push(e.t_sim.unwrap()),
-                EventKind::Arrived => landed.push(e.t_sim.unwrap()),
+                EventKind::Encoded => ready.push(e.t_sim),
+                EventKind::Released => release.push(e.t_sim),
+                EventKind::Arrived => landed.push(e.t_sim),
                 _ => {}
             }
         }

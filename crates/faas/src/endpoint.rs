@@ -69,13 +69,6 @@ impl FaasEndpoint {
         let startup = if cold { self.cold_start_s } else { self.warm_start_s };
         let wait = if needs_nodes { self.wait_model.sample(self.seed, self.invocations) } else { 0.0 };
         self.invocations += 1;
-        let obs = ocelot_obs::global();
-        obs.inc("ocelot_faas_invocations_total", "FaaS invocations served");
-        if cold {
-            obs.inc("ocelot_faas_cold_starts_total", "Invocations that paid a container cold start");
-        }
-        obs.observe("ocelot_faas_queue_wait_seconds", "Simulated batch-queue wait before nodes were granted", wait);
-        obs.observe("ocelot_faas_exec_seconds", "Simulated function execution time", exec_s);
         FaasInvocation { dispatch_s: self.dispatch_s, startup_s: startup, queue_wait_s: wait, exec_s }
     }
 

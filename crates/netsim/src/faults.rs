@@ -156,14 +156,6 @@ pub fn simulate_transfer_with_faults(
     report.n_files = files.len() - failed_files.len();
     report.effective_speed_bps =
         if report.duration_s > 0.0 { successful_bytes as f64 / report.duration_s } else { 0.0 };
-    let obs = ocelot_obs::global();
-    obs.add("ocelot_netsim_fault_retries_total", "Failed transfer attempts retried", retries as u64);
-    obs.add("ocelot_netsim_wasted_bytes_total", "Partial bytes moved by failed attempts", wasted_bytes);
-    obs.add(
-        "ocelot_netsim_abandoned_files_total",
-        "Files abandoned after exhausting retries",
-        failed_files.len() as u64,
-    );
     FaultyTransferReport { report, retries, failed_files, wasted_bytes, attempts }
 }
 

@@ -316,16 +316,6 @@ fn run_event_loop(
 
     let duration_s = last_completion.max(now).as_secs_f64().max(release_spacing * n as f64);
     let effective_speed_bps = if duration_s > 0.0 { bytes_total as f64 / duration_s } else { 0.0 };
-    let obs = ocelot_obs::global();
-    obs.inc("ocelot_netsim_transfers_total", "Simulated batch transfers");
-    obs.add("ocelot_netsim_bytes_total", "Payload bytes moved across simulated links", bytes_total);
-    obs.add("ocelot_netsim_files_total", "Files moved across simulated links", n as u64);
-    obs.observe("ocelot_netsim_transfer_seconds", "Simulated duration of a batch transfer", duration_s);
-    obs.observe(
-        "ocelot_netsim_effective_speed_bps",
-        "Effective throughput of a batch transfer (bytes/second)",
-        effective_speed_bps,
-    );
     DetailedTransferReport {
         report: TransferReport { duration_s, bytes_total, n_files: n, effective_speed_bps },
         completion_s,

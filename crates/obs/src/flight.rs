@@ -32,7 +32,7 @@ const SPIN_TRIES: usize = 512;
 /// What happened, structurally.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FlightKind {
-    /// A log record that passed the verbosity gate.
+    /// A log record its emitter chose to keep for post-mortem dumps.
     Log {
         /// Severity of the record.
         level: Level,

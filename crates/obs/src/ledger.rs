@@ -182,8 +182,8 @@ pub struct LedgerEvent {
     /// Why (fault description, stall reason), when there is a why. The fixed
     /// reasons are borrowed, so a stalled chunk costs no allocation.
     pub cause: Option<Cow<'static, str>>,
-    /// Simulated seconds, job-relative; `None` for wall-only events.
-    pub t_sim: Option<f64>,
+    /// Simulated seconds, job-relative.
+    pub t_sim: f64,
     /// Microseconds since the ledger was constructed (wall clock) at which
     /// the event's schedule was committed; shared by all of its events.
     pub t_wall_us: u64,
@@ -209,7 +209,7 @@ pub struct Draft {
     /// See [`LedgerEvent::cause`].
     pub cause: Option<Cow<'static, str>>,
     /// See [`LedgerEvent::t_sim`].
-    pub t_sim: Option<f64>,
+    pub t_sim: f64,
     /// See [`LedgerEvent::bytes`].
     pub bytes: u64,
     /// See [`LedgerEvent::attempt`].
@@ -224,7 +224,7 @@ impl Draft {
 
     /// Draft for a job-scope phase event at simulated time `t_sim`.
     pub fn job(job: u64, t_sim: f64) -> Draft {
-        Draft { job: Some(job), t_sim: Some(t_sim), ..Draft::default() }
+        Draft { job: Some(job), t_sim, ..Draft::default() }
     }
 
     /// The event this draft becomes once it is numbered and stamped.
@@ -450,8 +450,7 @@ impl Schedule {
         let fault_cause: Option<Cow<'static, str>> = run.fault.map(|f| f.to_string().into());
         let mut failed = run.failed.as_slice();
         for m in 0..run.file.len() {
-            let d =
-                |t: f64| Draft { t_sim: Some(t), bytes: run.bytes[m], ..Draft::chunk(job, run.file[m], run.chunk[m]) };
+            let d = |t_sim: f64| Draft { t_sim, bytes: run.bytes[m], ..Draft::chunk(job, run.file[m], run.chunk[m]) };
             let p = emit(EventKind::CompressBegin, Draft { parent: begin, ..d(run.compress_begin[m]) });
             let p = emit(EventKind::Encoded, Draft { parent: p, ..d(run.ready[m]) });
             let p = if run.stalled(m) {
@@ -696,10 +695,10 @@ impl Timeline {
         let mut total_s = f64::NAN;
         let mut by_chunk: BTreeMap<(u32, u32), Vec<&LedgerEvent>> = BTreeMap::new();
         for e in &evs {
-            match (e.event, e.t_sim) {
-                (EventKind::TransferBegin, Some(t)) => transfer_begin_s = t,
-                (EventKind::TransferEnd, Some(t)) => transfer_end_s = t,
-                (EventKind::JobEnd, Some(t)) => total_s = t,
+            match e.event {
+                EventKind::TransferBegin => transfer_begin_s = e.t_sim,
+                EventKind::TransferEnd => transfer_end_s = e.t_sim,
+                EventKind::JobEnd => total_s = e.t_sim,
                 _ => {}
             }
             if let (Some(f), Some(c)) = (e.file, e.chunk) {
@@ -709,7 +708,7 @@ impl Timeline {
         let mut tracks = Vec::with_capacity(by_chunk.len());
         for ((file, chunk), evs) in &by_chunk {
             let mut track = ChunkTrack { file: *file, chunk: *chunk, ..ChunkTrack::default() };
-            let t_of = |kind: EventKind| evs.iter().find(|e| e.event == kind).and_then(|e| e.t_sim);
+            let t_of = |kind: EventKind| evs.iter().find(|e| e.event == kind).map(|e| e.t_sim);
             if let (Some(a), Some(b)) = (t_of(EventKind::CompressBegin), t_of(EventKind::Encoded)) {
                 track.compress = Some((a, b));
             }
@@ -732,12 +731,11 @@ impl Timeline {
                 if e.event != EventKind::Fault {
                     continue;
                 }
-                let Some(t0) = e.t_sim else { continue };
+                let t0 = e.t_sim;
                 let t1 = evs[i + 1..]
                     .iter()
                     .find(|n| matches!(n.event, EventKind::Retransmit | EventKind::Arrived))
-                    .and_then(|n| n.t_sim)
-                    .unwrap_or(t0);
+                    .map_or(t0, |n| n.t_sim);
                 let cause = e.cause.as_deref().unwrap_or("fault").to_string();
                 track.retransmits.push((t0, t1, cause));
             }
@@ -822,7 +820,8 @@ pub fn check_causality(events: &[LedgerEvent], job: u64) -> Vec<String> {
                 }
             }
         }
-        if let (Some(f), Some(c), Some(t)) = (e.file, e.chunk, e.t_sim) {
+        if let (Some(f), Some(c)) = (e.file, e.chunk) {
+            let t = e.t_sim;
             let prev = last_t.entry((f, c)).or_insert(f64::NEG_INFINITY);
             if t < *prev - 1e-9 {
                 errors.push(format!("seq {}: chunk {f}/{c} time went backwards ({t} < {prev})", e.seq));
@@ -949,10 +948,7 @@ pub fn render_chunk_detail(events: &[LedgerEvent], tl: &Timeline, index: usize) 
     for e in
         events.iter().filter(|e| e.job == Some(tl.job) && e.file == Some(track.file) && e.chunk == Some(track.chunk))
     {
-        let t = match e.t_sim {
-            Some(t) => format!("{t:.4}s"),
-            None => "-".to_string(),
-        };
+        let t = format!("{:.4}s", e.t_sim);
         let _ = writeln!(
             out,
             "  {:<6} {:<15} {:>10} {:>12} {:>7}  {}",
@@ -1006,7 +1002,7 @@ mod tests {
     fn content(e: &LedgerEvent, base: u64) -> impl PartialEq + std::fmt::Debug {
         let parent = e.parent.map(|p| p.wrapping_sub(base));
         let cause = e.cause.as_deref().map(str::to_string);
-        (parent, e.job, e.file, e.chunk, e.event, cause, e.t_sim.map(f64::to_bits), e.bytes, e.attempt)
+        (parent, e.job, e.file, e.chunk, e.event, cause, e.t_sim.to_bits(), e.bytes, e.attempt)
     }
 
     /// `chunks` chunks of one file of `job`, a second apart: every other one
@@ -1091,7 +1087,7 @@ mod tests {
         assert_eq!(chunk0[5].cause.as_deref(), Some("wan fault (p=0.25, reconnect 2.0s)"));
         assert_eq!(chunk0[9].attempt, 3);
         // The wire interval [0.375, 0.75] is shared out by bytes moved: 0.5 and 0.25 of 1.75.
-        let wire = |frac: f64| Some(0.375 + 0.375 * frac / 1.75);
+        let wire = |frac: f64| 0.375 + 0.375 * frac / 1.75;
         assert_eq!([chunk0[5].t_sim, chunk0[6].t_sim, chunk0[8].t_sim], [wire(0.0), wire(0.5), wire(0.75)]);
         assert_eq!((chunk0[5].bytes, chunk0[7].bytes), (500, 250));
         // Chunk 1 meets none.
@@ -1267,51 +1263,46 @@ mod tests {
         append(EventKind::JobBegin, Draft::job(job, 0.0));
         append(EventKind::TransferBegin, Draft::job(job, 1.0));
         // Chunk 0: clean.
-        let mut d = Draft { t_sim: Some(0.0), ..Draft::chunk(job, 0, 0) };
+        let mut d = Draft { t_sim: 0.0, ..Draft::chunk(job, 0, 0) };
         let mut p = append(EventKind::CompressBegin, d.clone());
-        d = Draft { parent: Some(p), t_sim: Some(1.0), bytes: 1000, ..Draft::chunk(job, 0, 0) };
+        d = Draft { parent: Some(p), t_sim: 1.0, bytes: 1000, ..Draft::chunk(job, 0, 0) };
         p = append(EventKind::Encoded, d.clone());
-        d = Draft { parent: Some(p), t_sim: Some(1.0), ..Draft::chunk(job, 0, 0) };
+        d = Draft { parent: Some(p), t_sim: 1.0, ..Draft::chunk(job, 0, 0) };
         p = append(EventKind::Released, d.clone());
-        d = Draft { parent: Some(p), t_sim: Some(4.0), attempt: 1, bytes: 1000, ..Draft::chunk(job, 0, 0) };
+        d = Draft { parent: Some(p), t_sim: 4.0, attempt: 1, bytes: 1000, ..Draft::chunk(job, 0, 0) };
         p = append(EventKind::Arrived, d.clone());
-        d = Draft { parent: Some(p), t_sim: Some(4.0), ..Draft::chunk(job, 0, 0) };
+        d = Draft { parent: Some(p), t_sim: 4.0, ..Draft::chunk(job, 0, 0) };
         p = append(EventKind::DecodeBegin, d.clone());
-        d = Draft { parent: Some(p), t_sim: Some(5.0), ..Draft::chunk(job, 0, 0) };
+        d = Draft { parent: Some(p), t_sim: 5.0, ..Draft::chunk(job, 0, 0) };
         append(EventKind::DecodeEnd, d);
         // Chunk 1: stalls on the window, faults once, retransmits.
-        d = Draft { t_sim: Some(1.0), ..Draft::chunk(job, 0, 1) };
+        d = Draft { t_sim: 1.0, ..Draft::chunk(job, 0, 1) };
         p = append(EventKind::CompressBegin, d);
-        d = Draft { parent: Some(p), t_sim: Some(2.0), bytes: 2000, ..Draft::chunk(job, 0, 1) };
+        d = Draft { parent: Some(p), t_sim: 2.0, bytes: 2000, ..Draft::chunk(job, 0, 1) };
         p = append(EventKind::Encoded, d);
-        d = Draft {
-            parent: Some(p),
-            t_sim: Some(2.0),
-            cause: Some("stream window full".into()),
-            ..Draft::chunk(job, 0, 1)
-        };
+        d = Draft { parent: Some(p), t_sim: 2.0, cause: Some("stream window full".into()), ..Draft::chunk(job, 0, 1) };
         p = append(EventKind::WindowWait, d);
-        d = Draft { parent: Some(p), t_sim: Some(3.0), ..Draft::chunk(job, 0, 1) };
+        d = Draft { parent: Some(p), t_sim: 3.0, ..Draft::chunk(job, 0, 1) };
         p = append(EventKind::Released, d);
         d = Draft {
             parent: Some(p),
-            t_sim: Some(5.0),
+            t_sim: 5.0,
             attempt: 1,
             cause: Some("wan fault (p=0.50)".into()),
             ..Draft::chunk(job, 0, 1)
         };
         p = append(EventKind::Fault, d);
-        d = Draft { parent: Some(p), t_sim: Some(5.5), attempt: 2, ..Draft::chunk(job, 0, 1) };
+        d = Draft { parent: Some(p), t_sim: 5.5, attempt: 2, ..Draft::chunk(job, 0, 1) };
         p = append(EventKind::Retransmit, d);
-        d = Draft { parent: Some(p), t_sim: Some(7.0), attempt: 2, bytes: 2000, ..Draft::chunk(job, 0, 1) };
+        d = Draft { parent: Some(p), t_sim: 7.0, attempt: 2, bytes: 2000, ..Draft::chunk(job, 0, 1) };
         p = append(EventKind::Arrived, d);
-        d = Draft { parent: Some(p), t_sim: Some(7.0), ..Draft::chunk(job, 0, 1) };
+        d = Draft { parent: Some(p), t_sim: 7.0, ..Draft::chunk(job, 0, 1) };
         p = append(EventKind::ReorderEnter, d);
-        d = Draft { parent: Some(p), t_sim: Some(7.5), ..Draft::chunk(job, 0, 1) };
+        d = Draft { parent: Some(p), t_sim: 7.5, ..Draft::chunk(job, 0, 1) };
         p = append(EventKind::ReorderExit, d);
-        d = Draft { parent: Some(p), t_sim: Some(7.5), ..Draft::chunk(job, 0, 1) };
+        d = Draft { parent: Some(p), t_sim: 7.5, ..Draft::chunk(job, 0, 1) };
         p = append(EventKind::DecodeBegin, d);
-        d = Draft { parent: Some(p), t_sim: Some(8.0), ..Draft::chunk(job, 0, 1) };
+        d = Draft { parent: Some(p), t_sim: 8.0, ..Draft::chunk(job, 0, 1) };
         append(EventKind::DecodeEnd, d);
         append(EventKind::TransferEnd, Draft::job(job, 7.0));
         append(EventKind::JobEnd, Draft::job(job, 8.0));
@@ -1373,8 +1364,8 @@ mod tests {
     #[test]
     fn causality_checker_flags_violations() {
         let events = [
-            Draft { t_sim: Some(5.0), ..Draft::chunk(1, 0, 0) }.stamped(EventKind::Encoded, 1, 0),
-            Draft { parent: Some(101), t_sim: Some(4.0), ..Draft::chunk(1, 0, 0) }.stamped(EventKind::Released, 2, 0),
+            Draft { t_sim: 5.0, ..Draft::chunk(1, 0, 0) }.stamped(EventKind::Encoded, 1, 0),
+            Draft { parent: Some(101), t_sim: 4.0, ..Draft::chunk(1, 0, 0) }.stamped(EventKind::Released, 2, 0),
         ];
         let errors = check_causality(&events, 1);
         assert!(errors.iter().any(|e| e.contains("not in the ledger")), "{errors:?}");

@@ -27,10 +27,11 @@
 //!
 //! An [`Obs`] is a cheap-clone handle that is either *enabled* (wraps an
 //! `Arc` of registry + recorder) or *disabled* (every call is a no-op).
-//! Library crates that take no explicit handle read the process-wide one
-//! via [`global()`]; binaries opt in with [`install_global`]. The default
-//! global is disabled, so instrumented code costs one `RwLock` read per
-//! *stage* (not per item) when observability is off.
+//! There is no process-wide handle: code that records takes the handle it
+//! is given (the service hands its own to the orchestrator and the ledger),
+//! and code given none records nothing. The one process-wide install is
+//! the [`prof`] profiler, which a binary builds on its handle so kernel
+//! probes on any thread drain into the same registry.
 //!
 //! Metric names follow `ocelot_<crate>_<name>` with Prometheus unit
 //! suffixes (`_seconds`, `_bytes`, `_total`); span names are dotted stage
@@ -49,7 +50,7 @@ pub mod span;
 use flight::{FlightKind, FlightRecorder, FlightSnapshot};
 use metrics::{Counter, Gauge, Histogram, Registry};
 use span::{Recorder, WallSpanGuard};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::Arc;
 
 /// Registry counter mirroring [`FlightRecorder::dropped`]; synced on every
 /// snapshot so exports surface drops even if no one polls the ring directly.
@@ -199,23 +200,6 @@ pub struct ObsSpanGuard<'r> {
     _guard: Option<WallSpanGuard<'r>>,
 }
 
-static GLOBAL: OnceLock<RwLock<Obs>> = OnceLock::new();
-
-fn global_cell() -> &'static RwLock<Obs> {
-    GLOBAL.get_or_init(|| RwLock::new(Obs::disabled()))
-}
-
-/// Installs `obs` as the process-wide handle read by [`global()`].
-/// Re-installable (unlike a `OnceLock`) so tests can swap in fresh handles.
-pub fn install_global(obs: &Obs) {
-    *global_cell().write().expect("obs global poisoned") = obs.clone();
-}
-
-/// The process-wide handle; disabled until [`install_global`] is called.
-pub fn global() -> Obs {
-    global_cell().read().expect("obs global poisoned").clone()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -291,20 +275,5 @@ mod tests {
         // Disabled handles expose no ring.
         assert!(Obs::disabled().flight().is_none());
         assert!(Obs::disabled().flight_snapshot().is_none());
-    }
-
-    #[test]
-    fn global_is_reinstallable() {
-        let a = Obs::enabled();
-        install_global(&a);
-        global().inc("ocelot_test_g_total", "g");
-        assert_eq!(a.registry().unwrap().counter("ocelot_test_g_total", "").get(), 1);
-        let b = Obs::enabled();
-        install_global(&b);
-        global().inc("ocelot_test_g_total", "g");
-        assert_eq!(a.registry().unwrap().counter("ocelot_test_g_total", "").get(), 1);
-        assert_eq!(b.registry().unwrap().counter("ocelot_test_g_total", "").get(), 1);
-        install_global(&Obs::disabled());
-        assert!(!global().is_enabled());
     }
 }

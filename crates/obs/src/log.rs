@@ -102,18 +102,12 @@ pub fn enabled(level: Level) -> bool {
 /// and [`trace!`](crate::trace) macros, which skip argument formatting when
 /// the gate is closed.
 ///
-/// Records that pass the gate are also mirrored into the global flight ring
-/// (when one is installed), so post-mortem dumps carry the log lines that
-/// surrounded a failure. A record arriving mid-snapshot is counted in the
-/// ring's drop counter rather than vanishing silently.
+/// A caller that wants the line in a post-mortem dump as well records it
+/// into its own handle's flight ring as a
+/// [`FlightKind::Log`](crate::flight::FlightKind::Log).
 pub fn log(level: Level, target: &str, args: std::fmt::Arguments<'_>) {
     if enabled(level) {
-        let message = args.to_string();
-        eprintln!("[{:5} {target}] {message}", level.tag());
-        let obs = crate::global();
-        if let Some(flight) = obs.flight() {
-            flight.record(None, crate::flight::FlightKind::Log { level, target: target.to_string(), message });
-        }
+        eprintln!("[{:5} {target}] {args}", level.tag());
     }
 }
 

@@ -432,7 +432,8 @@ fn current_cell() -> &'static RwLock<Option<Arc<Profiler>>> {
 }
 
 /// Installs `profiler` as the process-wide profiler; probes and scopes
-/// activate on every thread. Re-installable, like [`crate::install_global`].
+/// activate on every thread. Re-installable, so tests can swap in fresh
+/// profilers.
 pub fn install_global(profiler: &Arc<Profiler>) {
     *current_cell().write().expect("prof global poisoned") = Some(profiler.clone());
     ACTIVE.store(true, Ordering::Release);
@@ -446,7 +447,7 @@ pub fn uninstall_global() {
 }
 
 /// The installed profiler, if any.
-pub fn global() -> Option<Arc<Profiler>> {
+fn global() -> Option<Arc<Profiler>> {
     if !ACTIVE.load(Ordering::Acquire) {
         return None;
     }

@@ -1,5 +1,5 @@
 //! k-fold cross-validation for the quality models — a sturdier accuracy
-//! estimate than the paper's single split, used by the ablation benches to
+//! estimate than the paper's single split, used by the ablation experiments to
 //! compare estimators fairly.
 
 use crate::dataset::ErrorDistribution;

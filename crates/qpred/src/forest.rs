@@ -1,5 +1,5 @@
 //! Bagged ensemble of regression trees (an extension beyond the paper's
-//! single decision tree, used for the ablation benches).
+//! single decision tree, used for the ablation experiments).
 
 use crate::tree::{DecisionTree, TreeConfig};
 use rand::rngs::StdRng;

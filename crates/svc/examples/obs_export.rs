@@ -19,17 +19,15 @@ use serde_json::Value;
 fn main() {
     let mut failures: Vec<String> = Vec::new();
 
-    // Share one handle between the service and the process global, as the
-    // CLI does, so sz's wall-clock instrumentation (read via the global)
-    // lands in the same registry the service exports. This one handle
+    // One handle, passed to both services explicitly, as the CLI does. It
     // serves two service batches, and the no-drops assertion needs headroom
     // over the single-batch default flight capacity — the margin, not the
     // ceiling, is what it checks.
     let shared = ocelot_obs::Obs::with_flight_capacity(4 * ocelot_obs::flight::DEFAULT_CAPACITY);
-    ocelot_obs::install_global(&shared);
     // Continuous profiler on the same registry: the sz kernel probes drain
     // per-kernel histograms into it, which this run validates below.
-    ocelot_obs::prof::install_global(&ocelot_obs::prof::Profiler::with_obs(shared.clone()));
+    let profiler = ocelot_obs::prof::Profiler::with_obs(shared.clone());
+    ocelot_obs::prof::install_global(&profiler);
     let out_dir = std::path::Path::new("target/obs-export");
     std::fs::create_dir_all(out_dir).expect("create output dir");
     // A 1 ns p99 target cannot be met, so the second finished job forces an
@@ -134,10 +132,8 @@ fn main() {
     }
 
     // A second, streamed service exercises the chunk-lifecycle ledger end
-    // to end. It shares the process-global obs handle (a private recorder
-    // would cross thread-local span stacks with the global one sz uses);
-    // its own ledger still keeps its chunk events separate from any other
-    // service's.
+    // to end. It records into the same handle as the first; its own ledger
+    // still keeps its chunk events separate from any other service's.
     let ledger_json = {
         use ocelot_obs::ledger::check_causality;
         let streamed_cfg = ServiceConfig {
@@ -175,7 +171,7 @@ fn main() {
         js
     };
 
-    let folded = ocelot_obs::prof::global().expect("profiler installed above").folded();
+    let folded = profiler.folded();
     std::fs::write(out_dir.join("profile.folded"), &folded).expect("write profile.folded");
     if !folded.lines().any(|l| l.contains(';')) {
         failures.push("folded profile has no scope;kernel stack lines".to_string());
@@ -213,7 +209,6 @@ fn main() {
         "ocelot_core_transfer_seconds",
         "ocelot_core_decompression_seconds",
         "ocelot_svc_latency_seconds",
-        "ocelot_sz_compress_seconds",
         // Kernel-level attribution from the continuous profiler: building
         // the workload profiles must have drained the sz hot-path probes.
         "ocelot_sz_kernel_predict_seconds",

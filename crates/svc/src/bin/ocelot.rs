@@ -23,7 +23,7 @@ use ocelot::workload::Workload;
 use ocelot_datagen::{Application, FieldSpec};
 use ocelot_netsim::{FaultModel, SiteId};
 use ocelot_obs::slo::{Severity, SloKind, SloRule};
-use ocelot_obs::{info, warn};
+use ocelot_obs::{info, warn, Obs};
 use ocelot_svc::{FlightDump, JobId, JobSpec, JobState, RetryPolicy, Service, ServiceConfig};
 use ocelot_sz::config::{LosslessBackend, PredictorKind};
 use ocelot_sz::format as sz_format;
@@ -45,15 +45,15 @@ fn main() -> ExitCode {
 type CliError = Box<dyn std::error::Error>;
 
 fn run(args: &[String]) -> Result<(), CliError> {
-    // One process-wide observability handle: every crate's instrumentation
-    // (sz stage timings, orchestrator phase spans, service counters) lands
-    // in a single registry/recorder that `metrics` and `trace` export.
+    // One observability handle, passed explicitly to the service (and from
+    // it to the orchestrator): phase spans, service counters and the chunk
+    // ledger land in the one registry/recorder that `metrics` and `trace`
+    // export. The continuous profiler is the one thing installed process-wide,
+    // on that same handle: kernel probes in the sz hot path drain per-kernel
+    // histograms into it (measured overhead < 2 %, exported as
+    // ocelot_obs_prof_overhead_ratio).
     let obs = ocelot_obs::Obs::enabled();
-    ocelot_obs::install_global(&obs);
-    // Continuous profiler alongside it: kernel probes in the sz hot path
-    // drain per-kernel histograms into the same registry (measured overhead
-    // < 2 %, exported as ocelot_obs_prof_overhead_ratio).
-    ocelot_obs::prof::install_global(&ocelot_obs::prof::Profiler::with_obs(obs));
+    ocelot_obs::prof::install_global(&ocelot_obs::prof::Profiler::with_obs(obs.clone()));
     let Some(command) = args.first() else {
         usage();
         return Ok(());
@@ -68,13 +68,13 @@ fn run(args: &[String]) -> Result<(), CliError> {
         "verify" => cmd_verify(&positional, &flags),
         "simulate" => cmd_simulate(&flags),
         "plan" => cmd_plan(&flags),
-        "serve" => cmd_serve(&flags),
-        "submit" => cmd_submit(&flags),
-        "metrics" => cmd_metrics(&flags),
-        "trace" => cmd_trace(&positional, &flags),
-        "analyze" => cmd_analyze(&flags),
-        "postmortem" => cmd_postmortem(&positional, &flags),
-        "timeline" => cmd_timeline(&positional, &flags),
+        "serve" => cmd_serve(&flags, &obs),
+        "submit" => cmd_submit(&flags, &obs),
+        "metrics" => cmd_metrics(&flags, &obs),
+        "trace" => cmd_trace(&positional, &flags, &obs),
+        "analyze" => cmd_analyze(&flags, &obs),
+        "postmortem" => cmd_postmortem(&positional, &flags, &obs),
+        "timeline" => cmd_timeline(&positional, &flags, &obs),
         "help" | "--help" | "-h" => {
             usage();
             Ok(())
@@ -537,8 +537,9 @@ fn cmd_plan(flags: &HashMap<String, String>) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Service config from the shared `--workers/--capacity/--fail/--retries/--seed` flags.
-fn parse_service_config(flags: &HashMap<String, String>) -> Result<ServiceConfig, CliError> {
+/// Service config from the shared `--workers/--capacity/--fail/--retries/--seed`
+/// flags, recording into `obs`.
+fn parse_service_config(flags: &HashMap<String, String>, obs: &Obs) -> Result<ServiceConfig, CliError> {
     let mut cfg = ServiceConfig::default();
     if let Some(w) = flags.get("workers") {
         cfg.workers = w.parse()?;
@@ -601,9 +602,7 @@ fn parse_service_config(flags: &HashMap<String, String>) -> Result<ServiceConfig
     if let Some(dir) = flags.get("artifacts") {
         cfg.artifact_dir = Some(std::path::PathBuf::from(dir));
     }
-    // Share the process-wide handle so service spans/counters land in the
-    // same registry that `metrics` and `trace` export.
-    cfg.obs = Some(ocelot_obs::global());
+    cfg.obs = Some(obs.clone());
     Ok(cfg)
 }
 
@@ -628,14 +627,14 @@ fn print_service_summary(svc: &Service) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_submit(flags: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_submit(flags: &HashMap<String, String>, obs: &Obs) -> Result<(), CliError> {
     let app = parse_app(flags.get("app").ok_or("missing --app")?)?;
     let from = parse_site(flags.get("from").ok_or("missing --from")?)?;
     let to = parse_site(flags.get("to").ok_or("missing --to")?)?;
     let eb: f64 = flags.get("eb").map(|s| s.parse()).transpose()?.unwrap_or(1e-3);
     let tenant = flags.get("tenant").map(String::as_str).unwrap_or("default");
     let spec = JobSpec { tenant: tenant.to_string(), app, error_bound: eb, strategy: parse_strategy(flags)?, from, to };
-    let svc = Service::start(parse_service_config(flags)?);
+    let svc = Service::start(parse_service_config(flags, obs)?);
     let id = svc.submit(spec)?;
     info!("ocelot", "submitted {id} for tenant '{tenant}', draining...");
     svc.drain();
@@ -647,7 +646,7 @@ fn cmd_submit(flags: &HashMap<String, String>) -> Result<(), CliError> {
 
 /// Submits and drains a `serve`-style batch of jobs; shared by `serve`,
 /// `metrics`, and `trace`.
-fn run_service_batch(flags: &HashMap<String, String>, default_jobs: usize) -> Result<Service, CliError> {
+fn run_service_batch(flags: &HashMap<String, String>, default_jobs: usize, obs: &Obs) -> Result<Service, CliError> {
     let jobs: usize = flags.get("jobs").map(|s| s.parse()).transpose()?.unwrap_or(default_jobs);
     let tenants: Vec<&str> = flags
         .get("tenants")
@@ -666,7 +665,7 @@ fn run_service_batch(flags: &HashMap<String, String>, default_jobs: usize) -> Re
     if tenants.is_empty() || apps.is_empty() {
         return Err("need at least one tenant and one app".into());
     }
-    let cfg = parse_service_config(flags)?;
+    let cfg = parse_service_config(flags, obs)?;
     info!(
         "ocelot",
         "serving {jobs} jobs from {} tenant(s) on {} worker(s), fault p={:.2}...",
@@ -695,8 +694,8 @@ fn run_service_batch(flags: &HashMap<String, String>, default_jobs: usize) -> Re
     Ok(svc)
 }
 
-fn cmd_serve(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    let svc = run_service_batch(flags, 12)?;
+fn cmd_serve(flags: &HashMap<String, String>, obs: &Obs) -> Result<(), CliError> {
+    let svc = run_service_batch(flags, 12, obs)?;
     print_service_summary(&svc)
 }
 
@@ -712,8 +711,8 @@ fn write_or_print(flags: &HashMap<String, String>, text: &str) -> Result<(), Cli
     Ok(())
 }
 
-fn cmd_metrics(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    let svc = run_service_batch(flags, 6)?;
+fn cmd_metrics(flags: &HashMap<String, String>, obs: &Obs) -> Result<(), CliError> {
+    let svc = run_service_batch(flags, 6, obs)?;
     let obs = svc.obs();
     let registry = obs.registry().expect("service observability handle is always enabled");
     let text = if flags.contains_key("json") {
@@ -724,14 +723,14 @@ fn cmd_metrics(flags: &HashMap<String, String>) -> Result<(), CliError> {
     write_or_print(flags, &text)
 }
 
-fn cmd_trace(positional: &[String], flags: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_trace(positional: &[String], flags: &HashMap<String, String>, obs: &Obs) -> Result<(), CliError> {
     let job: Option<u64> = positional
         .first()
         .map(|s| s.parse())
         .transpose()
         .map_err(|_| format!("trace takes an optional numeric JOB id, got '{}'", positional.first().unwrap()))?;
     let default_jobs = job.map(|j| j as usize + 1).unwrap_or(4);
-    let svc = run_service_batch(flags, default_jobs)?;
+    let svc = run_service_batch(flags, default_jobs, obs)?;
     let obs = svc.obs();
     let recorder = obs.recorder().expect("service observability handle is always enabled");
     for violation in recorder.validate(2) {
@@ -750,8 +749,8 @@ fn cmd_trace(positional: &[String], flags: &HashMap<String, String>) -> Result<(
     write_or_print(flags, &ocelot_obs::export::chrome_trace(&spans))
 }
 
-fn cmd_analyze(flags: &HashMap<String, String>) -> Result<(), CliError> {
-    let svc = run_service_batch(flags, 12)?;
+fn cmd_analyze(flags: &HashMap<String, String>, obs: &Obs) -> Result<(), CliError> {
+    let svc = run_service_batch(flags, 12, obs)?;
     let analysis = svc.analyze();
     if analysis.jobs.is_empty() {
         return Err("no spans recorded — nothing to analyze".into());
@@ -785,7 +784,7 @@ fn validate_export(json: &str, schema_file: &str) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_postmortem(positional: &[String], flags: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_postmortem(positional: &[String], flags: &HashMap<String, String>, obs: &Obs) -> Result<(), CliError> {
     // `--file DUMP` replays a saved artifact without running anything.
     if let Some(path) = flags.get("file") {
         let dump: FlightDump = serde_json::from_str(&std::fs::read_to_string(path)?)?;
@@ -800,7 +799,7 @@ fn cmd_postmortem(positional: &[String], flags: &HashMap<String, String>) -> Res
         .ok_or("postmortem needs a JOB id (or --file DUMP)")?
         .parse()
         .map_err(|_| format!("postmortem takes a numeric JOB id, got '{}'", positional.first().unwrap()))?;
-    let svc = run_service_batch(flags, job as usize + 1)?;
+    let svc = run_service_batch(flags, job as usize + 1, obs)?;
     // Prefer a dump the service already snapped for this job (failure, retry
     // exhaustion, SLO breach); otherwise force one from the live ring. Both
     // embed the job's chunk-ledger tail when the streamed path traced it.
@@ -839,7 +838,7 @@ fn validate_ledger_export(ledger_json: &str) -> Result<(), CliError> {
     Ok(())
 }
 
-fn cmd_timeline(positional: &[String], flags: &HashMap<String, String>) -> Result<(), CliError> {
+fn cmd_timeline(positional: &[String], flags: &HashMap<String, String>, obs: &Obs) -> Result<(), CliError> {
     use ocelot_obs::ledger::{check_causality, render_chunk_detail, render_timeline, Timeline};
     let job: u64 = positional
         .first()
@@ -850,7 +849,7 @@ fn cmd_timeline(positional: &[String], flags: &HashMap<String, String>) -> Resul
     // rather than render an empty chart.
     let mut flags = flags.clone();
     flags.entry("stream-window".to_string()).or_insert_with(|| "4".to_string());
-    let svc = run_service_batch(&flags, job as usize + 1)?;
+    let svc = run_service_batch(&flags, job as usize + 1, obs)?;
     let events = svc.chunk_events(JobId(job));
     if events.is_empty() {
         return Err(format!("no chunk events recorded for job {job} (needs --stream-window > 0)").into());
@@ -945,7 +944,7 @@ mod tests {
         assert_eq!(parse_stream_window(&flags).unwrap(), 0);
         flags.insert("stream-window".to_string(), "8".to_string());
         assert_eq!(parse_stream_window(&flags).unwrap(), 8);
-        assert_eq!(parse_service_config(&flags).unwrap().stream_window, 8);
+        assert_eq!(parse_service_config(&flags, &Obs::disabled()).unwrap().stream_window, 8);
         flags.insert("stream-window".to_string(), "many".to_string());
         assert!(parse_stream_window(&flags).is_err());
     }

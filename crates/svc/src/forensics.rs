@@ -49,9 +49,8 @@ pub struct LedgerEventRecord {
     /// Fault description / stall reason, when there is one.
     #[serde(skip_serializing_if = "Option::is_none", default)]
     pub cause: Option<String>,
-    /// Simulated seconds, job-relative; absent for wall-only events.
-    #[serde(skip_serializing_if = "Option::is_none", default)]
-    pub t_sim: Option<f64>,
+    /// Simulated seconds, job-relative.
+    pub t_sim: f64,
     /// Microseconds since ledger construction (wall clock).
     pub t_wall_us: u64,
     /// Bytes the event concerns.
@@ -393,9 +392,7 @@ pub fn render_postmortem(dump: &FlightDump) -> String {
                 (Some(f), None) => line.push_str(&format!(" f{f}")),
                 _ => {}
             }
-            if let Some(t) = e.t_sim {
-                line.push_str(&format!(" t={t:.3}s"));
-            }
+            line.push_str(&format!(" t={:.3}s", e.t_sim));
             if e.attempt > 0 {
                 line.push_str(&format!(" attempt={}", e.attempt));
             }
@@ -479,7 +476,7 @@ mod tests {
             chunk: None,
             event: kind,
             cause: None,
-            t_sim: None,
+            t_sim: 0.0,
             t_wall_us: 0,
             bytes: 0,
             attempt: 0,
@@ -493,7 +490,7 @@ mod tests {
                 seq: u64::from(i) + 1,
                 file: Some(0),
                 chunk: Some(i),
-                t_sim: Some(f64::from(i)),
+                t_sim: f64::from(i),
                 ..event(7, EventKind::Released)
             })
             .collect();
@@ -539,7 +536,8 @@ mod tests {
         assert_eq!(first.get("event").and_then(serde_json::Value::as_str), Some("retransmit"));
         assert_eq!(first.get("cause").and_then(serde_json::Value::as_str), Some("loss p=0.20"));
         assert_eq!(first.get("attempt").and_then(serde_json::Value::as_u64), Some(2));
-        assert!(first.get("t_sim").is_none(), "absent optionals must be omitted");
+        assert_eq!(first.get("t_sim").and_then(serde_json::Value::as_f64), Some(0.0));
+        assert!(first.get("parent").is_none(), "absent optionals must be omitted");
     }
 
     #[test]

@@ -26,13 +26,15 @@ use ocelot::workload::Workload;
 use ocelot_datagen::Application;
 use ocelot_netsim::{simulate_transfer_with_faults, FaultModel, GridFtpConfig};
 use ocelot_obs::critpath;
+use ocelot_obs::flight::FlightKind;
 use ocelot_obs::ledger::{Ledger, LedgerEvent, Schedule};
+use ocelot_obs::log::Level;
 use ocelot_obs::metrics::{Counter, Gauge, Histogram};
 use ocelot_obs::slo::{SloEngine, SloRule};
 use ocelot_obs::Obs;
 use ocelot_sz::LossyConfig;
 use std::collections::{HashMap, VecDeque};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -322,8 +324,10 @@ impl Service {
             self.shared.metrics.jobs_submitted.inc();
             self.shared.metrics.queue_depth.set(inner.queue.len() as f64);
             inner.per_tenant.entry(tenant.clone()).or_default().submitted += 1;
+            // Journaled before the lock is released: a worker can claim the
+            // job only after that, so `Queued` is always its first event.
+            self.shared.journal_state(id, &tenant, 0.0, JobState::Queued);
         }
-        self.shared.journal_state(id, &tenant, 0.0, JobState::Queued);
         self.shared.work_ready.notify_one();
         Ok(id)
     }
@@ -591,9 +595,19 @@ fn persist_ledger(shared: &Shared, id: JobId) {
         return;
     }
     let file = format!("ledger-{}.json", id.0);
-    if std::fs::create_dir_all(dir).is_ok() {
-        if let Err(e) = std::fs::write(dir.join(&file), crate::forensics::ledger_json(id.0, &events)) {
-            ocelot_obs::warn!("svc", "failed to write chunk ledger {file}: {e}");
+    write_artifact(shared, dir, &file, "chunk ledger", crate::forensics::ledger_json(id.0, &events));
+}
+
+/// Writes `file` into the artifact directory `dir`. A directory that cannot
+/// be created or a file that cannot be written is warned about on stderr
+/// and recorded into the service's own flight ring, so later dumps carry it.
+fn write_artifact(shared: &Shared, dir: &Path, file: &str, what: &str, contents: String) {
+    let written = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(dir.join(file), contents));
+    if let Err(e) = written {
+        let message = format!("failed to write {what} {file}: {e}");
+        ocelot_obs::warn!("svc", "{message}");
+        if let Some(flight) = shared.obs.flight() {
+            flight.record(None, FlightKind::Log { level: Level::Warn, target: "svc".to_string(), message });
         }
     }
 }
@@ -635,12 +649,8 @@ fn write_dump(
         &ledger_events,
     );
     if let Some(dir) = &shared.config.artifact_dir {
-        if std::fs::create_dir_all(dir).is_ok() {
-            if let Ok(json) = serde_json::to_string_pretty(&dump) {
-                if let Err(e) = std::fs::write(dir.join(&file), json) {
-                    ocelot_obs::warn!("svc", "failed to write flight dump {file}: {e}");
-                }
-            }
+        if let Ok(json) = serde_json::to_string_pretty(&dump) {
+            write_artifact(shared, dir, &file, "flight dump", json);
         }
     }
     shared.dumps.lock().expect("dumps poisoned").push(dump.clone());
@@ -932,6 +942,24 @@ mod tests {
             "streamed {} vs staged {}",
             streamed_m.latency_p50_s,
             staged_m.latency_p50_s
+        );
+    }
+
+    #[test]
+    fn unwritable_artifact_dir_is_recorded_in_the_service_flight_ring() {
+        // A regular file where the artifact directory should be: creating
+        // the directory fails, so the streamed job's ledger cannot be saved.
+        let blocker = std::env::temp_dir().join(format!("ocelot-artifact-blocker-{}", std::process::id()));
+        std::fs::write(&blocker, b"not a directory").unwrap();
+        let cfg = ServiceConfig { stream_window: 4, artifact_dir: Some(blocker.clone()), ..quick_config() };
+        let svc = Service::start(cfg);
+        svc.submit(miranda_job("climate")).unwrap();
+        svc.drain();
+        let snapshot = svc.obs().flight_snapshot().expect("service obs is enabled");
+        std::fs::remove_file(&blocker).unwrap();
+        assert!(
+            snapshot.events.iter().any(|e| matches!(&e.kind, FlightKind::Log { target, .. } if target == "svc")),
+            "no svc log event in the service's flight ring"
         );
     }
 

@@ -45,12 +45,7 @@ fn traced_phase_spans_sum_to_breakdown_within_one_percent() {
 /// text and JSON form.
 #[test]
 fn exports_contain_per_stage_histograms() {
-    // Share one handle between the service and the process global, the way
-    // the CLI does: sz's wall-clock instrumentation reads the global handle,
-    // so profiling-time compression lands in the same registry.
-    let shared = Obs::enabled();
-    ocelot_obs::install_global(&shared);
-    let cfg = ServiceConfig { profile_scale: 4, obs: Some(shared), ..ServiceConfig::default() };
+    let cfg = ServiceConfig { profile_scale: 4, obs: Some(Obs::enabled()), ..ServiceConfig::default() };
     let svc = Service::start(cfg);
     svc.submit(JobSpec::compressed("climate", Application::Miranda, 1e-3, SiteId::Anvil, SiteId::Cori)).unwrap();
     svc.drain();
@@ -64,7 +59,6 @@ fn exports_contain_per_stage_histograms() {
         "ocelot_core_queue_wait_seconds",
         "ocelot_core_transfer_seconds",
         "ocelot_core_decompression_seconds",
-        "ocelot_sz_compress_seconds",
         "ocelot_svc_latency_seconds",
     ] {
         assert!(prom.contains(&format!("# TYPE {stage} histogram")), "{stage} missing from Prometheus text");

@@ -6,10 +6,8 @@
 //! prints wall-clock spans as counts only and every number on the simulated
 //! clock, so the text is stable across machines.
 //!
-//! This test deliberately does NOT install a global obs handle: the service
-//! uses its own, and the sz/netsim/log instrumentation that reports through
-//! the (inert) global stays out of the flight ring, keeping the event
-//! stream identical run to run.
+//! The service records into its own handle and nothing else writes into its
+//! flight ring, so the event stream is identical run to run.
 //!
 //! Regenerate with: UPDATE_GOLDEN=1 cargo test -p ocelot-svc --test postmortem_golden
 

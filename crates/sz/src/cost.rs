@@ -13,8 +13,8 @@
 //! Coefficients are calibrated against the paper's Table V single-core
 //! timings on the Bebop KNL partition (CESM 1800×3600 ≈ 1.5 s, RTM
 //! 449×449×235 ≈ 13 s, Nyx 512³ ≈ 35 s); a per-machine speed factor scales
-//! them elsewhere. Criterion benches measure the *real* Rust implementation
-//! separately — the model is for simulated clusters only.
+//! them elsewhere. The standalone `benchmark/` package measures the *real*
+//! Rust implementation separately — the model is for simulated clusters only.
 
 use crate::config::PredictorKind;
 use crate::stats::QuantBinStats;

@@ -177,17 +177,12 @@ impl WindowGate {
         WindowGate { consumed: std::sync::Mutex::new(0), cv: std::sync::Condvar::new() }
     }
 
-    /// Blocks until chunk `i` fits in the window; returns seconds stalled.
-    fn admit(&self, i: usize, window: usize) -> f64 {
+    /// Blocks until chunk `i` fits in the window.
+    fn admit(&self, i: usize, window: usize) {
         let mut consumed = self.consumed.lock().expect("gate lock");
-        if i < *consumed + window {
-            return 0.0;
-        }
-        let t0 = std::time::Instant::now();
         while i >= *consumed + window {
             consumed = self.cv.wait(consumed).expect("gate wait");
         }
-        t0.elapsed().as_secs_f64()
     }
 
     fn retire(&self) {
@@ -206,10 +201,6 @@ impl WindowGate {
 /// consumer as soon as all lower-indexed chunks have been, so a downstream
 /// stage (transfer, decode) can overlap with upstream work while memory
 /// stays `O(window)` rather than `O(n)`.
-///
-/// Back-pressure stalls are recorded via the global obs handle
-/// (`ocelot_stream_stall_total` / `ocelot_stream_stall_seconds`), and the
-/// number of in-flight chunks is mirrored into `ocelot_stream_inflight`.
 ///
 /// Before the first chunk, the same workers share out `scan(0..n)`, and
 /// `setup` folds the scans, in index order, into the context every `work`
@@ -230,7 +221,6 @@ where
     S: Send + Sync,
     R: Send,
 {
-    let obs = ocelot_obs::global();
     let threads = threads.clamp(1, n.max(1));
     if threads == 1 {
         // One worker can never have more than one chunk in flight, so the
@@ -245,10 +235,9 @@ where
     let (scanned, setup, ctx) = (Barrier::new(threads), Mutex::new(Some(setup)), OnceLock::new());
     let next = AtomicUsize::new(0);
     let gate = WindowGate::new();
-    let started = AtomicUsize::new(0);
     let (tx, rx) = mpsc::channel::<(usize, R)>();
     thread::scope(|scope| {
-        let (next, gate, started, work, obs) = (&next, &gate, &started, &work, &obs);
+        let (next, gate, work) = (&next, &gate, &work);
         let (next_scan, scans, scan, scanned, setup, ctx) = (&next_scan, &scans, &scan, &scanned, &setup, &ctx);
         for _ in 0..threads {
             let tx = tx.clone();
@@ -278,22 +267,8 @@ where
                         break;
                     }
                     if window > 0 {
-                        let stalled = gate.admit(i, window);
-                        if stalled > 0.0 {
-                            obs.inc("ocelot_stream_stall_total", "Chunk starts delayed by the stream window");
-                            obs.observe(
-                                "ocelot_stream_stall_seconds",
-                                "Back-pressure stall before a chunk could enter the stream window",
-                                stalled,
-                            );
-                        }
+                        gate.admit(i, window);
                     }
-                    let inflight = started.fetch_add(1, Ordering::Relaxed) + 1;
-                    obs.set_gauge(
-                        "ocelot_stream_inflight",
-                        "Chunks claimed by stream workers but not yet consumed in order",
-                        (inflight - gate_consumed(gate)) as f64,
-                    );
                     let r = work(ctx, i);
                     if tx.send((i, r)).is_err() {
                         break;
@@ -320,11 +295,6 @@ where
     })
     .expect("worker panics propagate via the scope");
     ctx.into_inner().expect("the workers set the context up")
-}
-
-/// Current retired count of the gate (for the in-flight gauge).
-fn gate_consumed(gate: &WindowGate) -> usize {
-    *gate.consumed.lock().expect("gate lock")
 }
 
 #[cfg(test)]

@@ -237,13 +237,10 @@ where
     F: Fn(&BlobHeader, DatasetView<'_, T>) -> Result<EncodedChunk, SzError> + Sync,
     S: FnMut(StreamedChunk<'_>) -> Result<(), SzError>,
 {
-    let obs = ocelot_obs::global();
-    let _span = obs.wall_span("compress", None, 0);
     // Calling-thread profiling scope: in-order consumption (CRC, container
     // assembly) and, with `threads == 1`, the chunk encoding itself drain
     // here. Worker threads open their own per-chunk scopes.
     let _pscope = prof::scope(ScopeId::COMPRESS);
-    let t0 = std::time::Instant::now();
     let layout = ChunkLayout::plan(data.dims(), threads, chunk_points);
     let n = layout.n_chunks();
     // All chunks but the last share one shape; precompute both so splitting
@@ -283,17 +280,9 @@ where
             header
         },
         |header, i| {
-            let _chunk_span = obs.wall_span("sz.chunk", None, i as u32);
             let _pchunk = prof::scope(ScopeId::COMPRESS);
-            let tc = std::time::Instant::now();
             let view = DatasetView::new(dims_of(i), slab(i)).expect("chunk shapes are valid by construction");
-            let out = encode_chunk(header, view);
-            obs.observe(
-                "ocelot_sz_chunk_seconds",
-                "Wall time of one chunk compression task",
-                tc.elapsed().as_secs_f64(),
-            );
-            out
+            encode_chunk(header, view)
         },
         |header, i, result| {
             if first_err.is_some() {
@@ -346,11 +335,6 @@ where
     let original_bytes = data.nbytes();
     let ratio = original_bytes as f64 / blob.len() as f64;
     sections.framing = blob.len() - (sections.side_data + sections.unpredictable + sections.codes);
-    obs.inc("ocelot_sz_compress_total", "Completed compression runs");
-    obs.add("ocelot_sz_bytes_in_total", "Uncompressed bytes fed to the compressor", original_bytes as u64);
-    obs.add("ocelot_sz_bytes_out_total", "Compressed bytes produced", blob.len() as u64);
-    obs.observe("ocelot_sz_ratio", "Achieved compression ratio (original/compressed)", ratio);
-    obs.observe("ocelot_sz_compress_seconds", "Wall time of a full compression run", t0.elapsed().as_secs_f64());
     Ok(CompressionOutcome { blob, bin_stats, original_bytes, ratio, sections, chunks: n })
 }
 
@@ -381,10 +365,7 @@ pub fn decompress_with_threads<T: ScalarValue>(blob: &CompressedBlob, threads: u
     if threads == 0 {
         return Err(SzError::InvalidConfig("thread count must be at least 1".into()));
     }
-    let obs = ocelot_obs::global();
-    let _span = obs.wall_span("decompress", None, 0);
     let _pscope = prof::scope(ScopeId::DECOMPRESS);
-    let t0 = std::time::Instant::now();
     let (header, table, body) = blob.open_chunks()?;
     if header.dtype != T::TYPE_NAME {
         return Err(SzError::TypeMismatch { expected: T::TYPE_NAME, found: header.dtype.to_string() });
@@ -416,7 +397,6 @@ pub fn decompress_with_threads<T: ScalarValue>(blob: &CompressedBlob, threads: u
     // claims its chunk.
     let slabs: Vec<Mutex<&mut [T]>> = out.chunks_mut(layout.points_in_chunk(0)).map(Mutex::new).collect();
     let decoded: Vec<Result<(), SzError>> = parallel_map(n, threads, |i| {
-        let _chunk_span = obs.wall_span("sz.chunk", None, i as u32);
         let _pchunk = prof::scope(ScopeId::DECOMPRESS);
         let entry = &table.entries[i];
         let payload = &body[offsets[i]..offsets[i] + entry.len];
@@ -426,8 +406,6 @@ pub fn decompress_with_threads<T: ScalarValue>(blob: &CompressedBlob, threads: u
     });
     drop(slabs);
     decoded.into_iter().collect::<Result<(), SzError>>()?;
-    obs.inc("ocelot_sz_decompress_total", "Completed decompression runs");
-    obs.observe("ocelot_sz_decompress_seconds", "Wall time of a full decompression run", t0.elapsed().as_secs_f64());
     Dataset::new(header.dims, out)
 }
 
@@ -511,26 +489,16 @@ fn run_predictor<T: ScalarValue>(
     predictor: PredictorKind,
     quantizer: &LinearQuantizer,
 ) -> Result<PredictionStreams<T>, SzError> {
-    let obs = ocelot_obs::global();
-    let t0 = std::time::Instant::now();
-    let streams = {
-        // The probe covers the fused predict+quantize sweep: quantization
-        // never runs as a separate pass, so "predict" is the honest unit.
-        let _p = prof::probe(Kernel::Predict, data.nbytes());
-        match predictor {
-            PredictorKind::Lorenzo => lorenzo::compress(data, quantizer),
-            PredictorKind::Lorenzo2 => lorenzo2::compress(data, quantizer),
-            PredictorKind::Regression => regression::compress(data, quantizer),
-            PredictorKind::InterpLinear => interp::compress(data, quantizer, interp::Basis::Linear),
-            PredictorKind::InterpCubic => interp::compress(data, quantizer, interp::Basis::Cubic),
-        }
-    };
-    obs.observe(
-        "ocelot_sz_predict_quantize_seconds",
-        "Wall time of the fused predictor+quantizer stage",
-        t0.elapsed().as_secs_f64(),
-    );
-    streams
+    // The probe covers the fused predict+quantize sweep: quantization
+    // never runs as a separate pass, so "predict" is the honest unit.
+    let _p = prof::probe(Kernel::Predict, data.nbytes());
+    match predictor {
+        PredictorKind::Lorenzo => lorenzo::compress(data, quantizer),
+        PredictorKind::Lorenzo2 => lorenzo2::compress(data, quantizer),
+        PredictorKind::Regression => regression::compress(data, quantizer),
+        PredictorKind::InterpLinear => interp::compress(data, quantizer, interp::Basis::Linear),
+        PredictorKind::InterpCubic => interp::compress(data, quantizer, interp::Basis::Cubic),
+    }
 }
 
 /// A chunk's entropy-coded quantization codes.
@@ -554,10 +522,8 @@ fn huffman_stage(symbols: &[u32], hist: Option<&[(u32, u64)]>) -> CodedStream {
 
 /// Entropy-codes a chunk's quantization `codes`, whose histogram is `hist`.
 fn encode_codes(codes: &[u32], hist: &[(u32, u64)], backend: LosslessBackend, zero_code: u32) -> CodedStream {
-    let obs = ocelot_obs::global();
-    let t0 = std::time::Instant::now();
     let code_bytes = std::mem::size_of_val(codes);
-    let coded = match backend {
+    match backend {
         LosslessBackend::Huffman => huffman_stage(codes, Some(hist)),
         LosslessBackend::HuffmanLz => {
             let huff = huffman_stage(codes, Some(hist));
@@ -572,13 +538,7 @@ fn encode_codes(codes: &[u32], hist: &[(u32, u64)], backend: LosslessBackend, ze
             // The Huffman symbols are runs, not codes: counted on their own.
             huffman_stage(&runs, None)
         }
-    };
-    obs.observe(
-        "ocelot_sz_encode_seconds",
-        "Wall time of the entropy/dictionary coding stage (Huffman/LZ/RLE)",
-        t0.elapsed().as_secs_f64(),
-    );
-    coded
+    }
 }
 
 /// Inverse of [`huffman_stage`].
