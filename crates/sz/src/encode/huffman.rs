@@ -12,9 +12,12 @@
 //! outliers far away (the escape marker `0`; the origin point, predicted
 //! from nothing). So both the histogram and the encoder's lookup are a dense
 //! `Vec` over the window the bulk occupies (one indexed load on the hot
-//! path) beside a short sorted list of outliers. Decoding runs through a
-//! prefix LUT that resolves codes of up to `LUT_BITS` bits in one probe,
-//! falling back to the canonical per-length walk for longer codes.
+//! path) beside a short sorted list of outliers. Encoding packs several
+//! codes into a 64-bit accumulator between unconditional 8-byte stores.
+//! Decoding runs through a prefix table that resolves the one or two codes
+//! a `LUT_BITS`-bit prefix starts with in one probe, four probes to one
+//! 8-byte refill, falling back to the canonical per-length walk for longer
+//! codes.
 //!
 //! [`HuffmanTable`] exposes the table/stream halves separately; the
 //! self-describing [`huffman_encode`]/[`huffman_decode`] pair, which every
@@ -50,7 +53,7 @@
 use std::collections::HashMap;
 use std::sync::OnceLock;
 
-use crate::encode::bitio::{BitReader, BitWriter};
+use crate::encode::bitio::BitReader;
 use crate::error::SzError;
 
 /// Maximum admitted code length. Frequencies are flattened and the tree is
@@ -200,9 +203,7 @@ pub(crate) fn lengths_from_pairs(pairs: &[(u32, u64)]) -> Vec<(u32, u8)> {
 /// the heap's next pop is the smaller of the two heads, a leaf on a tie.
 fn build_lengths(pairs: &[(u32, u64)], flatten: u32) -> Vec<(u32, u8)> {
     let n = pairs.len();
-    let mut leaves: Vec<(u64, u32)> =
-        pairs.iter().enumerate().map(|(i, &(_, f))| ((f >> flatten) | 1, i as u32)).collect();
-    leaves.sort_unstable();
+    let leaves = sort_leaves(pairs.iter().enumerate().map(|(i, &(_, f))| ((f >> flatten) | 1, i as u32)).collect());
     // Node ids: leaf `i` of `pairs` is `i`, the `k`-th merged node `n + k`.
     let mut parent = vec![0u32; 2 * n - 1];
     let mut merged: Vec<u64> = Vec::with_capacity(n - 1);
@@ -230,6 +231,33 @@ fn build_lengths(pairs: &[(u32, u64)], flatten: u32) -> Vec<(u32, u8)> {
         depth[node] = depth[parent[node] as usize] + 1;
     }
     pairs.iter().zip(&depth).map(|(&(sym, _), &len)| (sym, len)).collect()
+}
+
+/// `(weight, index)` leaves, given in index order, sorted by weight and then
+/// index — the order `sort_unstable` gives, as the keys are unique. A stable
+/// LSD radix sort on the weight, one byte a pass and only as many passes as
+/// the largest weight has bytes: a small file's few hundred leaves, weights
+/// below 2¹⁶, take two linear passes instead of a comparison sort.
+fn sort_leaves(mut leaves: Vec<(u64, u32)>) -> Vec<(u64, u32)> {
+    let max = leaves.iter().map(|&(w, _)| w).max().unwrap_or(0);
+    let mut spare = vec![(0u64, 0u32); leaves.len()];
+    for shift in (0..u64::BITS - max.leading_zeros()).step_by(8) {
+        let digit = |w: u64| (w >> shift) as u8 as usize;
+        let mut starts = [0usize; 256];
+        for &(w, _) in &leaves {
+            starts[digit(w)] += 1;
+        }
+        let mut at = 0;
+        for start in &mut starts {
+            (*start, at) = (at, at + *start);
+        }
+        for &leaf in &leaves {
+            spare[starts[digit(leaf.0)]] = leaf;
+            starts[digit(leaf.0)] += 1;
+        }
+        std::mem::swap(&mut leaves, &mut spare);
+    }
+    leaves
 }
 
 /// Computes Huffman code lengths for a frequency table.
@@ -289,6 +317,9 @@ struct EncodeTable {
     dense: Vec<(u8, u64)>,
     /// `(symbol, len, code)` of the symbols outside the window, sorted.
     outliers: Vec<(u32, u8, u64)>,
+    /// Codes one flush of [`EncodeTable::encode`] takes: as many of the
+    /// table's longest as fit beside the seven bits a flush can leave.
+    per_flush: usize,
 }
 
 impl EncodeTable {
@@ -311,56 +342,60 @@ impl EncodeTable {
             dense[(s - lo) as usize] = (len, code);
         }
         let outliers = [&by_symbol[..a], &by_symbol[b..]].concat();
-        EncodeTable { lo, dense, outliers }
+        let longest = by_symbol.iter().map(|&(_, len, _)| len).max().expect("tables are never empty");
+        EncodeTable { lo, dense, outliers, per_flush: 56 / longest as usize }
     }
 
-    /// Appends the codes of `symbols` to `bits`; `None` at the first symbol
-    /// that has none.
-    fn encode(&self, symbols: &[u32], bits: &mut BitWriter) -> Option<()> {
-        // The window by value: for all the compiler knows the writer's stores
-        // alias `self`, and it would reload these fields for every symbol.
+    /// The codes of `symbols`, packed MSB first and zero-padded to a byte;
+    /// `None` at the first symbol that has none.
+    ///
+    /// The pending bits sit right-aligned in a `u64`, fewer than eight of
+    /// them after a flush. [`EncodeTable::per_flush`] codes go in (at most
+    /// 63 bits in all), then one unconditional 8-byte big-endian store
+    /// writes them, left-aligned, at the first unfinished byte, and the
+    /// whole bytes among them are counted done. The bytes past those hold
+    /// the partial byte and zeros, which the next store writes over — so
+    /// the stream takes no per-code test of how full the word is.
+    fn encode(&self, symbols: &[u32]) -> Option<Vec<u8>> {
+        // The window by value: for all the compiler knows the stores alias
+        // `self`, and it would reload these fields for every symbol.
         let (lo, dense) = (self.lo, self.dense.as_slice());
-        for &sym in symbols {
-            match dense.get(sym.wrapping_sub(lo) as usize) {
-                Some(&(len, code)) if len != 0 => bits.write_code(code, len),
-                _ => self.encode_outlier(sym, bits)?,
+        let mut out = vec![0u8; symbols.len() / 2 + 16];
+        let (mut pos, mut acc, mut nbits) = (0usize, 0u64, 0u32);
+        for group in symbols.chunks(self.per_flush) {
+            for &sym in group {
+                let (len, code) = match dense.get(sym.wrapping_sub(lo) as usize) {
+                    Some(&(len, code)) if len != 0 => (len, code),
+                    _ => self.outlier(sym)?,
+                };
+                acc = (acc << len) | code;
+                nbits += len as u32;
             }
+            if pos + 8 > out.len() {
+                out.resize(2 * out.len(), 0);
+            }
+            // `<< 1` last: a shift by 64 is an overflow, not zero.
+            out[pos..pos + 8].copy_from_slice(&(acc << (63 - nbits) << 1).to_be_bytes());
+            pos += nbits as usize / 8;
+            nbits %= 8;
         }
-        Some(())
+        out.truncate(pos + nbits.div_ceil(8) as usize);
+        Some(out)
     }
 
-    /// [`EncodeTable::encode`] for one symbol outside the window (or in a
-    /// hole of it). A call of its own, so that the loop's common path has
-    /// nothing to merge with.
+    /// The `(len, code)` of a symbol outside the window (or in a hole of
+    /// it). A call of its own, so that the loop's common path has nothing to
+    /// merge with.
     #[cold]
     #[inline(never)]
-    fn encode_outlier(&self, sym: u32, bits: &mut BitWriter) -> Option<()> {
+    fn outlier(&self, sym: u32) -> Option<(u8, u64)> {
         let at = self.outliers.binary_search_by_key(&sym, |&(s, _, _)| s).ok()?;
-        bits.write_code(self.outliers[at].2, self.outliers[at].1);
-        Some(())
+        Some((self.outliers[at].1, self.outliers[at].2))
     }
 }
 
-/// Whole codes a [`MultiEntry`] holds at most.
-const MULTI_CODES: usize = 3;
-
-/// Streams of fewer symbols decode one symbol a probe. Filling the
-/// 4 096-entry multi-symbol table takes about what the multi-symbol loop
-/// saves on 8 000 two-bit codes, and less the longer the codes are (on
-/// Lorenzo codes at a 1e-5 bound it saves nothing measurable), so only
-/// streams four times that long build it.
-const MULTI_MIN_SYMBOLS: usize = 1 << 15;
-
-/// The codes that fill one [`LUT_BITS`]-bit prefix whole, read greedily.
-#[derive(Debug, Clone, Copy)]
-struct MultiEntry {
-    /// The first `n` are the codes' symbols; the rest are zero.
-    syms: [u32; MULTI_CODES],
-    n: u8,
-    /// The codes' total length; `u8::MAX` where not even the first code
-    /// fits the prefix, so that no look-ahead covers it.
-    bits: u8,
-}
+/// Set in a [`DecodeTable::pair_meta`] entry that holds two codes.
+const PAIR: u8 = 16;
 
 /// Code → symbol lookup for decoding.
 #[derive(Debug, Clone)]
@@ -375,9 +410,13 @@ struct DecodeTable {
     /// `lut[prefix] = (sym, len)` for codes of at most [`LUT_BITS`] bits;
     /// `len == 0` marks prefixes that need the slow walk.
     lut: Vec<(u32, u8)>,
-    /// `multi[prefix]`: up to [`MULTI_CODES`] codes at once, built by the
-    /// first stream of at least [`MULTI_MIN_SYMBOLS`] symbols.
-    multi: OnceLock<Vec<MultiEntry>>,
+    /// `pair_syms[prefix]`: the symbol of the code the prefix starts with
+    /// and of the code [`DecodeTable::lut`] resolves right after it.
+    pair_syms: Vec<[u32; 2]>,
+    /// `pair_meta[prefix]`: the bits of the one or two codes of
+    /// `pair_syms[prefix]` that lie whole inside the prefix, plus [`PAIR`]
+    /// if that is both; 0 where not even the first does.
+    pair_meta: Vec<u8>,
 }
 
 impl DecodeTable {
@@ -400,6 +439,18 @@ impl DecodeTable {
             let base = (code as usize) << (LUT_BITS - len);
             lut[base..base + fill].fill((sym, len));
         }
+        let mask = (1usize << LUT_BITS) - 1;
+        let mut pair_syms = vec![[0u32; 2]; 1 << LUT_BITS];
+        let mut pair_meta = vec![0u8; 1 << LUT_BITS];
+        for (prefix, (syms, meta)) in pair_syms.iter_mut().zip(&mut pair_meta).enumerate() {
+            let (first, len) = lut[prefix];
+            if len == 0 {
+                continue;
+            }
+            let (second, next_len) = lut[(prefix << len) & mask];
+            *syms = [first, second];
+            *meta = if next_len != 0 && len + next_len <= LUT_BITS { (len + next_len) | PAIR } else { len };
+        }
         DecodeTable {
             max_len,
             counts,
@@ -407,69 +458,87 @@ impl DecodeTable {
             first_idx,
             syms_by_canon,
             lut,
-            multi: OnceLock::new(),
+            pair_syms,
+            pair_meta,
         }
     }
 
-    /// The multi-symbol table: for every prefix, the codes the one-symbol
-    /// LUT resolves one after another while they stay inside it.
-    fn multi(&self) -> &[MultiEntry] {
-        self.multi.get_or_init(|| {
-            let mask = (1usize << LUT_BITS) - 1;
-            (0..=mask)
-                .map(|prefix| {
-                    let mut entry = MultiEntry { syms: [0; MULTI_CODES], n: 0, bits: 0 };
-                    for slot in &mut entry.syms {
-                        let (sym, len) = self.lut[(prefix << entry.bits) & mask];
-                        if len == 0 || entry.bits + len > LUT_BITS {
-                            break;
-                        }
-                        *slot = sym;
-                        entry.n += 1;
-                        entry.bits += len;
-                    }
-                    if entry.n == 0 {
-                        entry.bits = u8::MAX;
-                    }
-                    entry
-                })
-                .collect()
-        })
-    }
-
-    /// Decodes exactly `count` symbols from `payload`, with `multi` up to
-    /// [`MULTI_CODES`] short codes a probe.
-    ///
-    /// The multi-symbol entry is taken while that many slots remain (its
-    /// unused symbols land in slots the next step overwrites) and its bits
-    /// are all loaded — so they are real stream bits, and one probe at a time
-    /// would have read the same symbols. Everything else — codes the entry
-    /// does not hold, the stream's last bits, the last slots — goes one
-    /// symbol a probe, which is where a truncated or corrupt stream meets its
-    /// error.
-    fn decode(&self, count: usize, payload: &[u8], multi: bool) -> Result<Vec<u32>, SzError> {
+    /// Decodes exactly `count` symbols from `payload`: the bulk in
+    /// [`DecodeTable::decode_refilled`], the rest one symbol a probe, which
+    /// is where a truncated or corrupt stream meets its error.
+    fn decode(&self, count: usize, payload: &[u8]) -> Result<Vec<u32>, SzError> {
         let mut out = vec![0u32; count];
-        let mut reader = BitReader::new(payload);
-        let mut i = 0;
-        if multi {
-            let multi = self.multi();
-            while i + MULTI_CODES <= count {
-                let (prefix, loaded) = reader.peek_bits(LUT_BITS);
-                let entry = &multi[prefix as usize];
-                if entry.bits as u32 <= loaded {
-                    out[i..i + MULTI_CODES].copy_from_slice(&entry.syms);
-                    reader.consume(entry.bits as u32);
-                    i += entry.n as usize;
-                } else {
-                    out[i] = self.next(&mut reader)?;
-                    i += 1;
-                }
-            }
-        }
+        let (i, consumed) = self.decode_refilled(payload, &mut out)?;
+        let mut reader = BitReader::new(&payload[consumed / 8..]);
+        reader.read_bits((consumed % 8) as u8)?;
         for slot in &mut out[i..] {
             *slot = self.next(&mut reader)?;
         }
         Ok(out)
+    }
+
+    /// The bulk of a stream, four probes a refill and up to two codes a
+    /// probe: one 8-byte big-endian load tops the look-ahead up to at least
+    /// 56 bits, and four probes of [`DecodeTable::pair_meta`] then each take
+    /// the one or two codes, of at most [`LUT_BITS`] bits together, that
+    /// start the prefix — 48 bits for the four — with no check of how many
+    /// bits are loaded: every one of them is a real stream bit. Two codes a
+    /// probe halve the probes, each of which waits on the one before it
+    /// through the bit position. A probe writes both symbols of its
+    /// entry and moves on by one or two slots, so an unused second symbol is
+    /// written over. A longer code walks the canonical table over the
+    /// look-ahead, refilled first if it holds fewer than [`MAX_CODE_LEN`]
+    /// bits, and ends its group of four. Stops once fewer than eight bytes
+    /// are left to load or eight slots to fill, and returns the slots filled
+    /// and the bits consumed; the checked reader takes the rest.
+    ///
+    /// The look-ahead is `acc`'s top `bits` bits. A load ORs the next eight
+    /// bytes in below them and counts only whole bytes, so the bits below
+    /// the count are already the stream's next ones, which the following
+    /// load writes again unchanged.
+    fn decode_refilled(&self, payload: &[u8], out: &mut [u32]) -> Result<(usize, usize), SzError> {
+        let (syms, meta) = (&self.pair_syms[..1 << LUT_BITS], &self.pair_meta[..1 << LUT_BITS]);
+        let (mut i, mut pos, mut acc, mut bits) = (0usize, 0usize, 0u64, 0u32);
+        while i + 8 <= out.len() {
+            let Some(word) = payload.get(pos..pos + 8) else { break };
+            acc |= u64::from_be_bytes(word.try_into().expect("8 bytes")) >> bits;
+            pos += (63 - bits as usize) >> 3;
+            bits |= 56;
+            for _ in 0..4 {
+                let prefix = (acc >> (64 - LUT_BITS)) as usize;
+                let entry = meta[prefix];
+                if entry == 0 {
+                    if bits >= MAX_CODE_LEN as u32 {
+                        let (sym, len) = self.walk_word(acc)?;
+                        out[i] = sym;
+                        acc <<= len;
+                        bits -= len as u32;
+                        i += 1;
+                    }
+                    break;
+                }
+                out[i..i + 2].copy_from_slice(&syms[prefix]);
+                let len = (entry & !PAIR) as u32;
+                acc <<= len;
+                bits -= len;
+                i += 1 + (entry & PAIR != 0) as usize;
+            }
+        }
+        Ok((i, pos * 8 - bits as usize))
+    }
+
+    /// [`DecodeTable::walk`] over `acc`, whose top [`MAX_CODE_LEN`] bits are
+    /// real stream bits, for a code longer than [`LUT_BITS`]: returns its
+    /// symbol and length.
+    #[cold]
+    fn walk_word(&self, acc: u64) -> Result<(u32, u8), SzError> {
+        for len in LUT_BITS as usize + 1..=self.max_len {
+            let (code, first) = (acc >> (64 - len), self.first_code[len]);
+            if code >= first && code - first < self.counts[len] as u64 {
+                return Ok((self.syms_by_canon[self.first_idx[len] + (code - first) as usize], len as u8));
+            }
+        }
+        Err(corrupt("code exceeds maximum length"))
     }
 
     /// The next symbol, one LUT probe (or the walk) away. The peek is
@@ -609,9 +678,7 @@ impl HuffmanTable {
     /// Returns `None` if any symbol has no code in this table.
     pub fn encode_stream(&self, symbols: &[u32]) -> Option<Vec<u8>> {
         let table = self.encode.get_or_init(|| EncodeTable::build(&self.by_symbol));
-        let mut bits = BitWriter::with_capacity(symbols.len() / 4);
-        table.encode(symbols, &mut bits)?;
-        let payload = bits.into_bytes();
+        let payload = table.encode(symbols)?;
         let mut out = Vec::with_capacity(16 + payload.len());
         out.extend_from_slice(&(symbols.len() as u64).to_le_bytes());
         out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
@@ -631,7 +698,7 @@ impl HuffmanTable {
     /// Decodes exactly `count` symbols from a packed bit payload.
     fn decode_payload(&self, count: usize, payload: &[u8]) -> Result<Vec<u32>, SzError> {
         let table = self.decode.get_or_init(|| DecodeTable::build(&self.by_symbol));
-        table.decode(count, payload, count >= MULTI_MIN_SYMBOLS)
+        table.decode(count, payload)
     }
 }
 
@@ -785,7 +852,8 @@ pub fn encoded_share(symbols: &[u32]) -> HashMap<u32, f64> {
 /// kept verbatim as the equality oracles for what replaced them.
 #[cfg(test)]
 mod reference {
-    use super::{corrupt, BitReader, DecodeTable, SzError, LUT_BITS};
+    use super::{corrupt, BitReader, DecodeTable, EncodeTable, SzError, LUT_BITS};
+    use crate::encode::bitio::BitWriter;
 
     /// `build_lengths` as a min-heap over `(weight, insertion order)` with a
     /// parent walk per leaf.
@@ -857,7 +925,25 @@ mod reference {
         out
     }
 
-    /// The one-symbol-a-probe decode loop the multi-symbol one replaced.
+    /// The encode loop [`EncodeTable::encode`] replaced: one code at a time
+    /// into a [`BitWriter`], which spills a word whenever 32 bits are
+    /// pending.
+    pub(super) fn encode(table: &EncodeTable, symbols: &[u32]) -> Option<Vec<u8>> {
+        let (lo, dense) = (table.lo, table.dense.as_slice());
+        let mut bits = BitWriter::with_capacity(symbols.len() / 4);
+        for &sym in symbols {
+            match dense.get(sym.wrapping_sub(lo) as usize) {
+                Some(&(len, code)) if len != 0 => bits.write_code(code, len),
+                _ => {
+                    let at = table.outliers.binary_search_by_key(&sym, |&(s, _, _)| s).ok()?;
+                    bits.write_code(table.outliers[at].2, table.outliers[at].1);
+                }
+            }
+        }
+        Some(bits.into_bytes())
+    }
+
+    /// The one-symbol-a-probe decode loop the multi-symbol ones replaced.
     pub(super) fn decode_payload(table: &DecodeTable, count: usize, payload: &[u8]) -> Result<Vec<u32>, SzError> {
         let mut out = vec![0u32; count];
         let mut reader = BitReader::new(payload);
@@ -1038,6 +1124,8 @@ mod tests {
             let mut symbols = vec![0u32; lead];
             symbols.extend([31, 32, 5, 31, 12, 13, 32, 32, 0, 30, 11, 31]);
             let enc = table.encode_stream(&symbols).unwrap();
+            let encode = table.encode.get().expect("built by the encode");
+            assert_eq!(enc[16..], reference::encode(encode, &symbols).unwrap(), "lead {lead}");
             let bits: usize = symbols.iter().map(|&s| (s as usize + 1).min(32)).sum();
             assert_eq!(enc.len(), 16 + bits.div_ceil(8), "lead {lead}");
             assert_eq!(table.decode_stream(&enc).unwrap(), symbols, "lead {lead}");
@@ -1095,6 +1183,24 @@ mod tests {
         move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             state >> 33
+        }
+    }
+
+    #[test]
+    fn radix_sorted_leaves_match_the_comparison_sort() {
+        let mut next = lcg(9);
+        for n in [0usize, 1, 2, 3, 255, 256, 257, 1000] {
+            for bits in [1u32, 8, 9, 16, 17, 40, 64] {
+                let leaves: Vec<(u64, u32)> = (0..n as u32)
+                    .map(|i| {
+                        let w = next() << 32 ^ next();
+                        (if bits == 64 { w } else { w & ((1 << bits) - 1) }, i)
+                    })
+                    .collect();
+                let mut want = leaves.clone();
+                want.sort_unstable();
+                assert_eq!(sort_leaves(leaves), want, "{n} leaves of {bits}-bit weights");
+            }
         }
     }
 
@@ -1201,7 +1307,7 @@ mod tests {
                     None => high.binary_search_by_key(&sym, |&(s, _, _)| s).ok().map(|at| (high[at].1, high[at].2)),
                 };
                 let written = expected.map(|(len, code)| {
-                    let mut bits = BitWriter::with_capacity(8);
+                    let mut bits = crate::encode::BitWriter::with_capacity(8);
                     bits.write_code(code, len);
                     bits.into_bytes()
                 });
@@ -1362,59 +1468,101 @@ mod tests {
             .collect()
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(40))]
-
-        // Up to three codes a probe decode what one a probe decodes, on
-        // random tables — complete, or with symbols dropped so the code has
-        // holes, with codes past the LUT or not — and streams: whole, cut at
-        // every byte, followed by more symbols than were written, and made of
-        // noise. The same symbols, or the same error.
-        #[test]
-        fn multi_symbol_decode_matches_one_symbol_a_probe(
-            n_syms in prop_oneof![Just(1usize), Just(2), Just(5), Just(40), Just(300)],
-            skew in prop_oneof![Just(1.0f64), Just(3.0), Just(12.0)],
-            len in 0usize..600,
-            dropped in prop_oneof![Just(0usize), Just(1), Just(7)],
-            seed in any::<u64>(),
-        ) {
-            let mut next = lcg(seed);
-            let base = (next() % 40_000) as u32;
-            let stride = 1 + (next() % 3) as u32;
-            let universe: Vec<u32> = skewed_stream(n_syms, 4 * n_syms + 64, seed, skew)
-                .into_iter()
-                .map(|s| base + s * stride)
-                .collect();
-            let mut lengths = lengths_from_pairs(&freq_pairs(&universe));
-            for _ in 0..dropped.min(lengths.len().saturating_sub(1)) {
-                lengths.remove((next() % lengths.len() as u64) as usize);
-            }
-            let table = HuffmanTable::from_lengths(lengths.clone()).unwrap();
-            let alphabet: Vec<u32> = lengths.iter().map(|&(s, _)| s).collect();
-            let symbols: Vec<u32> = (0..len).map(|_| {
+    /// A random table — complete, or with symbols dropped so the code has
+    /// holes, with codes past the LUT or not — a stream of `len` of its
+    /// symbols, and the generator, to draw more with.
+    fn random_table_and_stream(
+        n_syms: usize,
+        skew: f64,
+        len: usize,
+        dropped: usize,
+        seed: u64,
+    ) -> (HuffmanTable, Vec<u32>, impl FnMut() -> u64) {
+        let mut next = lcg(seed);
+        let base = (next() % 40_000) as u32;
+        let stride = 1 + (next() % 3) as u32;
+        let universe: Vec<u32> =
+            skewed_stream(n_syms, 4 * n_syms + 64, seed, skew).into_iter().map(|s| base + s * stride).collect();
+        let mut lengths = lengths_from_pairs(&freq_pairs(&universe));
+        for _ in 0..dropped.min(lengths.len().saturating_sub(1)) {
+            lengths.remove((next() % lengths.len() as u64) as usize);
+        }
+        let table = HuffmanTable::from_lengths(lengths.clone()).unwrap();
+        let alphabet: Vec<u32> = lengths.iter().map(|&(s, _)| s).collect();
+        let symbols: Vec<u32> = (0..len)
+            .map(|_| {
                 // Squaring skews towards the first symbols: short codes.
                 let u = next() as f64 / (1u64 << 31) as f64;
                 alphabet[((u * u * alphabet.len() as f64) as usize).min(alphabet.len() - 1)]
-            }).collect();
+            })
+            .collect();
+        (table, symbols, next)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(40))]
+
+        // Four probes a refill, up to two codes a probe and no per-symbol
+        // check decode what one symbol a probe decodes, on a
+        // `random_table_and_stream` — codes past the LUT at every alignment
+        // of the refill included (a skew of 12 over 300 symbols makes them) —
+        // the stream whole, cut at every byte, followed by more symbols than
+        // were written, and made of noise. The same symbols, or the same
+        // error.
+        #[test]
+        fn multi_symbol_decode_matches_one_symbol_a_probe(
+            n_syms in prop_oneof![Just(1usize), Just(2), Just(5), Just(40), Just(300), Just(3000)],
+            skew in prop_oneof![Just(1.0f64), Just(3.0), Just(12.0)],
+            len in 0usize..1200,
+            dropped in prop_oneof![Just(0usize), Just(1), Just(7)],
+            seed in any::<u64>(),
+        ) {
+            let (table, symbols, mut next) = random_table_and_stream(n_syms, skew, len, dropped, seed);
             let payload = table.encode_stream(&symbols).unwrap()[16..].to_vec();
             let decode = table.decode.get_or_init(|| DecodeTable::build(&table.by_symbol));
             let both = |count: usize, payload: &[u8]| {
-                (decode.decode(count, payload, true), reference::decode_payload(decode, count, payload))
+                (decode.decode(count, payload), reference::decode_payload(decode, count, payload))
             };
-            let (multi, single) = both(len, &payload);
-            prop_assert_eq!(&multi, &Ok(symbols.clone()));
-            prop_assert_eq!(multi, single);
+            let (fast, single) = both(len, &payload);
+            prop_assert_eq!(&fast, &Ok(symbols.clone()));
+            prop_assert_eq!(fast, single);
             for cut in 0..payload.len() {
-                let (multi, single) = both(len, &payload[..cut]);
-                prop_assert_eq!(multi, single, "cut at {}", cut);
+                let (fast, single) = both(len, &payload[..cut]);
+                prop_assert_eq!(fast, single, "cut at {}", cut);
             }
-            let (multi, single) = both(len + 5, &payload);
-            prop_assert_eq!(multi, single, "five symbols more than written");
+            let (fast, single) = both(len + 5, &payload);
+            prop_assert_eq!(fast, single, "five symbols more than written");
             let noise: Vec<u8> = (0..len / 2 + 8).map(|_| next() as u8).collect();
-            let (multi, single) = both(len + 8, &noise);
-            prop_assert_eq!(multi, single, "noise");
+            let (fast, single) = both(len + 8, &noise);
+            prop_assert_eq!(fast, single, "noise");
         }
+    }
 
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // Several codes a flush write the bytes one code at a time writes,
+        // and refuse the same streams: a symbol the table lacks, at a random
+        // place, makes both `None`.
+        #[test]
+        fn flushed_encode_matches_one_code_at_a_time(
+            n_syms in prop_oneof![Just(1usize), Just(2), Just(5), Just(40), Just(300), Just(3000)],
+            skew in prop_oneof![Just(1.0f64), Just(3.0), Just(12.0)],
+            len in 0usize..1200,
+            dropped in prop_oneof![Just(0usize), Just(1), Just(7)],
+            seed in any::<u64>(),
+        ) {
+            let (table, mut symbols, mut next) = random_table_and_stream(n_syms, skew, len, dropped, seed);
+            let encode = table.encode.get_or_init(|| EncodeTable::build(&table.by_symbol));
+            let written = encode.encode(&symbols);
+            prop_assert_eq!(&written, &reference::encode(encode, &symbols));
+            prop_assert!(written.is_some());
+            if !symbols.is_empty() {
+                let at = (next() % symbols.len() as u64) as usize;
+                symbols[at] = u32::MAX - (next() % 3) as u32;
+                prop_assert_eq!(encode.encode(&symbols), reference::encode(encode, &symbols));
+            }
+        }
     }
 
     proptest! {

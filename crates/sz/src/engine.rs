@@ -166,28 +166,47 @@ where
 /// Back-pressure gate shared by the windowed pool: `consumed` counts chunks
 /// the in-order consumer has retired; a worker may start chunk `i` only once
 /// `i < consumed + window`, so at most `window` chunks are ever past the
-/// gate but not yet consumed.
+/// gate but not yet consumed. A closed gate admits nothing and parks no one:
+/// the consumer closes it when it stops, normally or by unwinding, so no
+/// worker waits on a `retire` that will never come.
 struct WindowGate {
-    consumed: std::sync::Mutex<usize>,
+    /// Chunks retired, and whether the gate is closed.
+    state: std::sync::Mutex<(usize, bool)>,
     cv: std::sync::Condvar,
 }
 
 impl WindowGate {
     fn new() -> Self {
-        WindowGate { consumed: std::sync::Mutex::new(0), cv: std::sync::Condvar::new() }
+        WindowGate { state: std::sync::Mutex::new((0, false)), cv: std::sync::Condvar::new() }
     }
 
-    /// Blocks until chunk `i` fits in the window.
-    fn admit(&self, i: usize, window: usize) {
-        let mut consumed = self.consumed.lock().expect("gate lock");
-        while i >= *consumed + window {
-            consumed = self.cv.wait(consumed).expect("gate wait");
+    /// Blocks until chunk `i` fits in the window; `false` once the gate is
+    /// closed, when the worker should stop.
+    fn admit(&self, i: usize, window: usize) -> bool {
+        let mut state = self.state.lock().expect("gate lock");
+        while i >= state.0 + window && !state.1 {
+            state = self.cv.wait(state).expect("gate wait");
         }
+        !state.1
     }
 
     fn retire(&self) {
-        *self.consumed.lock().expect("gate lock") += 1;
+        self.state.lock().expect("gate lock").0 += 1;
         self.cv.notify_all();
+    }
+
+    fn close(&self) {
+        self.state.lock().expect("gate lock").1 = true;
+        self.cv.notify_all();
+    }
+}
+
+/// Closes its gate when dropped — also while the consumer unwinds.
+struct CloseOnDrop<'a>(&'a WindowGate);
+
+impl Drop for CloseOnDrop<'_> {
+    fn drop(&mut self) {
+        self.0.close();
     }
 }
 
@@ -266,8 +285,8 @@ where
                     if i >= n {
                         break;
                     }
-                    if window > 0 {
-                        gate.admit(i, window);
+                    if window > 0 && !gate.admit(i, window) {
+                        break;
                     }
                     let r = work(ctx, i);
                     if tx.send((i, r)).is_err() {
@@ -277,6 +296,7 @@ where
             });
         }
         drop(tx);
+        let _close = CloseOnDrop(gate);
         // In-order consumer on the calling thread: buffer out-of-order
         // arrivals (at most `window` of them when bounded) and drain runs.
         let mut pending: std::collections::BTreeMap<usize, R> = std::collections::BTreeMap::new();

@@ -298,6 +298,15 @@ impl BlobWriter {
         self
     }
 
+    /// [`BlobWriter::raw`] for bytes whose CRC-32 the caller already holds
+    /// (chunk payloads, each checksummed on its worker): the trailer folds
+    /// `crc` in instead of hashing `data` again.
+    pub fn raw_checksummed(&mut self, data: &[u8], crc: u32) -> &mut Self {
+        self.crc.combine(crc, data.len());
+        self.bytes.extend_from_slice(data);
+        self
+    }
+
     /// Finishes the blob, appending the CRC-32 integrity trailer.
     pub fn finish(self) -> CompressedBlob {
         let mut bytes = self.bytes;

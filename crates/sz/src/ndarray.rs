@@ -22,10 +22,13 @@ pub(crate) fn checked_points(dims: &[usize]) -> Result<usize, SzError> {
 /// NaN. Of `+0.0` and `-0.0`, which compare equal, the one seen first wins.
 pub(crate) fn min_max_of<T: ScalarValue>(values: &[T]) -> Option<(T, T)> {
     // Independent running extremes per lane, each updated by one plain
-    // compare (false for NaN, so NaNs are skipped): the block loop has no
-    // cross-iteration dependency within a lane pair and compiles to packed
-    // min/max.
-    const LANES: usize = 8;
+    // compare-and-select (false for NaN, so NaNs are skipped) — exactly the
+    // packed `minps`/`maxps` (`minpd`/`maxpd`) semantics, which is what the
+    // block loop compiles to. The lane count is measured, not derived: at 8
+    // or 16 lanes the f32 loop came out as compares, masks and shuffles
+    // (2.9 GB/s on 112×225 CESM fields), at 32 as packed min/max (15 GB/s);
+    // f64 runs at 13–18 GB/s either way.
+    const LANES: usize = 32;
     let first = values.iter().position(|v| !v.is_nan())?;
     let lower = |a: T, v: T| if v < a { v } else { a };
     let upper = |a: T, v: T| if v > a { v } else { a };
@@ -33,9 +36,10 @@ pub(crate) fn min_max_of<T: ScalarValue>(values: &[T]) -> Option<(T, T)> {
     let (mut lo, mut hi) = ([seed; LANES], [seed; LANES]);
     let mut blocks = values[first + 1..].chunks_exact(LANES);
     for block in &mut blocks {
-        for l in 0..LANES {
-            lo[l] = lower(lo[l], block[l]);
-            hi[l] = upper(hi[l], block[l]);
+        let block: &[T; LANES] = block.try_into().expect("a whole block");
+        for ((l, h), &v) in lo.iter_mut().zip(hi.iter_mut()).zip(block) {
+            *l = lower(*l, v);
+            *h = upper(*h, v);
         }
     }
     let tail = blocks.remainder().iter().copied();
@@ -410,23 +414,24 @@ mod tests {
         assert_eq!(d.value_range(), 3.0);
     }
 
+    /// The serial `Option`-matching scan the lane version replaced.
+    fn one_pass<T: ScalarValue>(data: &[T]) -> (T, T) {
+        let (mut min, mut max) = (None::<T>, None::<T>);
+        for &v in data.iter().filter(|v| !v.is_nan()) {
+            min = Some(match min {
+                Some(m) if m <= v => m,
+                _ => v,
+            });
+            max = Some(match max {
+                Some(m) if m >= v => m,
+                _ => v,
+            });
+        }
+        (min.unwrap_or(T::zero()), max.unwrap_or(T::zero()))
+    }
+
     #[test]
     fn min_max_matches_the_one_pass_scan_bit_for_bit() {
-        // The serial `Option`-matching scan the lane version replaced.
-        fn one_pass(data: &[f32]) -> (f32, f32) {
-            let (mut min, mut max) = (None::<f32>, None::<f32>);
-            for &v in data.iter().filter(|v| !v.is_nan()) {
-                min = Some(match min {
-                    Some(m) if m <= v => m,
-                    _ => v,
-                });
-                max = Some(match max {
-                    Some(m) if m >= v => m,
-                    _ => v,
-                });
-            }
-            (min.unwrap_or(0.0), max.unwrap_or(0.0))
-        }
         let palette = [0.0f32, -0.0, f32::NAN, 1.5, -1.5, 3.0, f32::INFINITY, f32::NEG_INFINITY, 1e-30, -1e-30];
         let mut state = 7u64;
         for len in (1..60).chain([255, 256, 1000]) {
@@ -446,6 +451,47 @@ mod tests {
         }
         let all_nan = Dataset::new(vec![3], vec![f64::NAN; 3]).unwrap();
         assert_eq!(all_nan.min_max(), (0.0, 0.0));
+    }
+
+    #[test]
+    fn min_max_matches_the_one_pass_scan_across_whole_lane_blocks_in_f32_and_f64() {
+        // Long runs of signed zeros, NaNs and one extreme, placed so the
+        // first real value, the extremes and the zero ties fall in every
+        // lane of a block, across block boundaries and in the tail.
+        fn check<T: ScalarValue>(values: &[T], what: &str) {
+            let bits = |(lo, hi): (T, T)| {
+                let mut bytes = Vec::new();
+                lo.write_le(&mut bytes);
+                hi.write_le(&mut bytes);
+                bytes
+            };
+            let got = Dataset::new(vec![values.len()], values.to_vec()).unwrap().min_max();
+            assert_eq!(bits(got), bits(one_pass(values)), "{what}");
+        }
+        let mut state = 11u64;
+        for len in [31usize, 32, 33, 63, 64, 65, 96, 97, 129, 1000] {
+            for lead_nans in [0usize, 1, 31, 33] {
+                for pattern in 0..4 {
+                    let values: Vec<f32> = (0..lead_nans + len)
+                        .map(|k| {
+                            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                            let r = (state >> 33) as usize;
+                            match (k < lead_nans, pattern) {
+                                (true, _) => f32::NAN,
+                                (_, 0) => [0.0, -0.0][r % 2],
+                                (_, 1) => [0.0, -0.0, f32::NAN][r % 3],
+                                (_, 2) => [-0.0, 0.0, f32::NAN, 2.5][r % 4],
+                                _ => [-0.0, f32::NAN, -2.5, 0.0][r % 4],
+                            }
+                        })
+                        .collect();
+                    let what = format!("len {len} lead {lead_nans} pattern {pattern}");
+                    check(&values, &format!("f32 {what}"));
+                    let wide: Vec<f64> = values.iter().map(|&v| v as f64).collect();
+                    check(&wide, &format!("f64 {what}"));
+                }
+            }
+        }
     }
 
     #[test]

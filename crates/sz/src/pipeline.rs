@@ -12,6 +12,7 @@
 
 use std::sync::Mutex;
 
+use crate::checksum::crc32_combine;
 use crate::config::{ErrorBound, LosslessBackend, LossyConfig, PredictorKind};
 use crate::encode::huffman::{freq_pairs, huffman_encode_counted, parse_packed_table, HuffmanTable};
 use crate::encode::{huffman_decode, lz_compress, lz_decompress, rle_decode, rle_encode};
@@ -326,10 +327,17 @@ where
     let table = ChunkTable { chunk_rows: layout.chunk_rows(), entries };
 
     let table_bytes = table.encode();
+    // The chunk region's CRC from the chunks' own, so the trailer never
+    // hashes the payloads a second time.
+    let body_crc = table.entries.iter().fold(0, |crc, e| crc32_combine(crc, e.crc, e.len));
     let mut writer = BlobWriter::new(&header)?;
     // The section after the chunk table once held a table the chunks
     // shared; it stays, empty, so the container bytes did not change.
-    writer.reserve(16 + table_bytes.len() + body.len() + 4).section(&table_bytes).section(&[]).raw(&body);
+    writer
+        .reserve(16 + table_bytes.len() + body.len() + 4)
+        .section(&table_bytes)
+        .section(&[])
+        .raw_checksummed(&body, body_crc);
     let blob = writer.finish();
 
     let original_bytes = data.nbytes();
@@ -604,6 +612,7 @@ fn decode_codes(bytes: &[u8], backend: LosslessBackend, zero_code: u32, points: 
 mod tests {
     use super::*;
     use crate::metrics;
+    use std::sync::Arc;
 
     fn wavy(dims: Vec<usize>) -> Dataset<f32> {
         Dataset::from_fn(dims, |i| {
@@ -685,10 +694,11 @@ mod tests {
         // into slabs of one, two and all rows and scanned on the pool: the
         // fold must pick the value — and, for a zero, the sign — the serial
         // scan picks. Rows 2 and 3 are all NaN, a whole slab at two rows.
+        // The rows of 65 and 97 give a slab whole 32-lane blocks and a tail.
         let palette = [0.0f32, -0.0, f32::NAN, 1.5, -1.5, 3.0, f32::INFINITY, f32::NEG_INFINITY, 1e-30, -1e-30];
         let bits = |(lo, hi): (f32, f32)| (lo.to_bits(), hi.to_bits());
         let mut state = 7u64;
-        for (rows, cols) in [(1usize, 7usize), (5, 3), (12, 5), (33, 8), (4, 2)] {
+        for (rows, cols) in [(1usize, 7usize), (5, 3), (12, 5), (33, 8), (4, 2), (7, 65), (4, 97)] {
             for span in [3usize, 6, palette.len(), 0] {
                 let mut values: Vec<f32> = (0..rows * cols)
                     .map(|_| {
@@ -1162,7 +1172,10 @@ mod tests {
         // taken again when its one embedded table went from five bytes a
         // symbol to packed; the 3-D one when its chunks stopped using a
         // shared table and each embedded its own, packed. The restored values
-        // and escape counts of both stand as first recorded.
+        // and escape counts of both stand as first recorded. The 112×225
+        // field was recorded from the four-lane scalar Lorenzo walk, the
+        // one-probe Huffman decoder and the slicing-by-8 CRC that the packed
+        // lane steps, the four-symbol refill loop and slicing-by-16 replaced.
         let field = |dims: Vec<usize>| {
             let mut state = 0x0123_4567_89ab_cdefu64;
             Dataset::from_fn(dims, move |i| {
@@ -1182,11 +1195,24 @@ mod tests {
                 0x7fae_ba97_7150_9981,
                 1249,
             ),
+            // The shape and bound of the benchmark's small files: one chunk
+            // whose table holds codes longer than the decoder's 12-bit LUT.
+            (vec![112, 225], LossyConfig::lorenzo(1e-5), 0x9b88_da55_e2a5_a321, 0xa5e5_d19d_3f6f_f572, 0),
         ];
         for (dims, cfg, blob_hash, restored_hash, escapes) in cases {
             let data = field(dims.clone());
             let out = compress(&data, &cfg).unwrap();
-            let (_, table, _) = out.blob.open_chunks().unwrap();
+            let (header, table, body) = out.blob.open_chunks().unwrap();
+            if dims == [112, 225] {
+                let longest = table
+                    .offsets()
+                    .iter()
+                    .zip(&table.entries)
+                    .filter_map(|(&at, e)| embedded_table(&header, e, &body[at..at + e.len]).unwrap())
+                    .flat_map(|(t, _)| t.lengths().map(|(_, len)| len).collect::<Vec<_>>())
+                    .max();
+                assert_eq!(longest, Some(15), "{dims:?}: codes past the 12-bit LUT");
+            }
             assert_eq!(table.entries.iter().map(|e| e.unpredictable).sum::<u64>(), escapes, "{dims:?}");
             assert_eq!(fnv64(out.blob.as_bytes().iter().copied()), blob_hash, "{dims:?}");
             for threads in [1, 3] {
@@ -1292,6 +1318,46 @@ mod tests {
         assert_eq!(filled, data.len());
         let staged = decompress::<f32>(&outcome.blob).unwrap();
         assert_eq!(restored, staged.values(), "per-chunk decode equals whole-blob decode");
+    }
+
+    #[test]
+    fn the_trailer_folded_from_chunk_crcs_equals_one_pass_over_the_blob() {
+        let data = wavy(vec![40, 12]);
+        for (chunk_points, predictor) in [(None, PredictorKind::Lorenzo), (Some(60), PredictorKind::InterpCubic)] {
+            let cfg = LossyConfig::sz3_abs(1e-3).with_predictor(predictor).with_chunk_points(chunk_points);
+            let bytes = compress(&data, &cfg).unwrap().blob.into_bytes();
+            let (body, trailer) = bytes.split_at(bytes.len() - 4);
+            assert_eq!(trailer, crate::checksum::crc32(body).to_le_bytes(), "{chunk_points:?}");
+        }
+        let bytes = crate::zfp::compress_impl(&data, 1e-3, 3, None).unwrap().blob.into_bytes();
+        let (body, trailer) = bytes.split_at(bytes.len() - 4);
+        assert_eq!(trailer, crate::checksum::crc32(body).to_le_bytes(), "zfp");
+    }
+
+    #[test]
+    fn a_panicking_sink_panics_the_stream_instead_of_hanging_it() {
+        // Workers parked on the window gate must see the consumer go: the
+        // panic surfaces from the call, which returns within the deadline.
+        let data = Arc::new(wavy(vec![48, 12]));
+        for threads in [2, 3, 4] {
+            for window in [1, 2, 4] {
+                let (tx, rx) = std::sync::mpsc::channel();
+                let data = Arc::clone(&data);
+                let helper = std::thread::spawn(move || {
+                    let cfg = LossyConfig::sz3_abs(1e-3).with_threads(threads).with_chunk_points(Some(24));
+                    let run = std::panic::catch_unwind(|| {
+                        compress_streamed(&data, &cfg, window, |chunk| {
+                            assert!(chunk.index != 1, "sink fails on chunk 1");
+                            Ok(())
+                        })
+                    });
+                    let _ = tx.send(run.is_err());
+                });
+                let panicked = rx.recv_timeout(std::time::Duration::from_secs(10));
+                assert_eq!(panicked, Ok(true), "threads={threads} window={window}");
+                helper.join().expect("the helper caught the panic");
+            }
+        }
     }
 
     #[test]

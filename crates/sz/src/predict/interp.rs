@@ -14,7 +14,7 @@
 use crate::error::SzError;
 use crate::ndarray::{Dataset, DatasetView};
 use crate::predict::{check_rank, check_streams, check_streams_into, PredictionStreams, StreamsView};
-use crate::quantizer::{LinearQuantizer, Quantized};
+use crate::quantizer::LinearQuantizer;
 use crate::value::ScalarValue;
 
 /// Interpolation basis.
@@ -196,27 +196,6 @@ struct Block<T> {
     recons: [T; BLOCK],
 }
 
-/// Quantizes a gathered block into `codes` and `recons` with `quantize`,
-/// which also says whether it is sure of each outcome; false if it was not
-/// sure of every one.
-#[inline(always)]
-fn quantize_block<T: ScalarValue>(
-    values: &[T],
-    preds: &[f64],
-    codes: &mut [u32],
-    recons: &mut [T],
-    quantize: impl Fn(T, f64) -> (Quantized<T>, bool),
-) -> bool {
-    let mut all_sure = true;
-    for (((code, r), &value), &pred) in codes.iter_mut().zip(recons.iter_mut()).zip(values).zip(preds) {
-        let (quantized, sure) = quantize(value, pred);
-        *code = quantized.code;
-        *r = quantized.reconstructed;
-        all_sure &= sure;
-    }
-    all_sure
-}
-
 impl<T: ScalarValue> RunKernel for Encoder<'_, T> {
     fn origin(&mut self) {
         let quantized = self.q.quantize(self.raw[0], 0.0);
@@ -256,9 +235,7 @@ impl<T: ScalarValue> RunKernel for Encoder<'_, T> {
                 *value = raw;
                 off += st;
             }
-            if !quantize_block(values, preds, block, recons, |v, p| q.quantize_by_reciprocal(v, p)) {
-                quantize_block(values, preds, block, recons, |v, p| (q.quantize(v, p), true));
-            }
+            q.quantize_block(values, preds, block, recons);
             escaped |= block.contains(&0);
             for (slot, &r) in recon[block_off..].iter_mut().step_by(st).zip(&*recons) {
                 *slot = r;

@@ -18,11 +18,14 @@ use crate::predict::{check_rank, check_streams, check_streams_into, PredictionSt
 use crate::quantizer::LinearQuantizer;
 use crate::value::ScalarValue;
 
-/// Rows the 2-D and 3-D walks hold in flight at once. Picked by measurement
-/// (DESIGN.md "Hot-path kernels"): four chains hide most of one chain's
-/// latency; five are 4 % faster in 2-D and 6 % slower in 3-D, six and eight
-/// slower in both (the lane state outgrows the sixteen SSE registers).
-const LANES: usize = 4;
+/// Rows the 2-D and 3-D walks hold in flight at once, one `[f64; LANES]`
+/// array per term of a step. Picked by measurement (DESIGN.md "Hot-path
+/// kernels"): on 28 CESM 112×225 files at a 1e-5 bound, eight lanes encode
+/// 1.3–1.4× faster than the four-lane scalar walk they replaced and four
+/// lanes as arrays 1.1–1.2×; sixteen are slower again, their lane state
+/// spilling out of the sixteen SSE registers. In 3-D, eight encode 1.4–1.5×
+/// faster, four 1.2–1.4×.
+const LANES: usize = 8;
 
 /// Compresses `data`, returning quantization streams.
 ///
@@ -35,7 +38,7 @@ pub fn compress<T: ScalarValue>(
     let (dims, input) = (data.dims(), data.values());
     check_rank("lorenzo", dims.len())?;
     let mut codes = vec![0u32; input.len()];
-    let mut encoder = Encoder { q: quantizer, input, codes: &mut codes };
+    let mut encoder = Encoder { q: quantizer.clone(), input, codes: &mut codes };
     match *dims {
         [n] => walk1(n, &mut encoder, |_, _| {}),
         [n0, n1] => walk2(n0, n1, &mut vec![T::zero(); input.len()], &mut encoder),
@@ -94,7 +97,7 @@ pub(crate) fn decompress_into<T: ScalarValue>(
     if seen != streams.unpredictable.len() {
         return Err(SzError::CorruptStream("lorenzo: unpredictable pool length mismatch".into()));
     }
-    let mut decoder = Decoder { q: quantizer, codes: streams.codes, pool: streams.unpredictable, row_start };
+    let mut decoder = Decoder { q: quantizer.clone(), codes: streams.codes, pool: streams.unpredictable, row_start };
     match *dims {
         [n] => walk1(n, &mut decoder, |off, value| out[off] = value),
         [n0, n1] => walk2(n0, n1, out, &mut decoder),
@@ -111,29 +114,37 @@ pub(crate) fn decompress_into<T: ScalarValue>(
 // reconstruct chain is a recurrence *along a row* only: row `i + 1` can run
 // one column behind row `i` and share nothing with it. The 2-D and 3-D walks
 // therefore take `LANES` rows at a time, lane `r` one column behind lane
-// `r − 1`, which gives the core `LANES` independent chains to overlap instead
-// of the latency of one. Only the evaluation order changes: every point sees
-// the neighbours, the operand order and so the bits of the raster walk, kept
-// verbatim in `reference` below and pinned by the `fused_matches_scalar_*`
-// tests. The lane state lives in registers — each lane's own west-side
-// values, and the lane above's previous step in place of a load — so a point
-// of a skewed row reads the reconstruction buffer at most once.
+// `r − 1`, and advance all of them by one column per step. A step is a few
+// `[f64; LANES]` array operations — gather the lanes' inputs, predict,
+// quantize (or recover) lane-wise, scatter — so the core runs the lanes as
+// packed arithmetic instead of one chain's latency at a time. Only the
+// evaluation order changes: every point sees the neighbours, the operand
+// order and so the bits of the raster walk, kept verbatim in `reference`
+// below and pinned by the `fused_matches_scalar_*` tests. The lane state lives
+// in registers — each lane's own west-side values, and the lane above's
+// previous step in place of a load — so a point of a skewed row reads the
+// reconstruction buffer at most once.
 //
 // Out-of-domain neighbours are the literal `0.0` terms of the naive sum, in
 // its operand order (`0.0 + -0.0` is `+0.0`, which dropping the term would
 // break), so border and interior points share one expression.
 
-/// What a walk does at a point: quantize it (encode) or recover it (decode).
+/// What a walk does at a point, or at one point of every lane: quantize it
+/// (encode) or recover it (decode).
 trait PointOp<T> {
     /// Where row `row`'s escapes start in the unpredictable pool.
     fn row_cursor(&self, row: usize) -> usize;
     /// Handles the point at flat offset `off`, predicted as `pred`, and
     /// returns its reconstruction. `cursor` is the pool cursor of its row.
     fn point(&mut self, off: usize, pred: f64, cursor: &mut usize) -> T;
+    /// [`PointOp::point`] for lane `r`'s point at `offs[r]`, predicted as
+    /// `preds[r]`, for every lane at once.
+    fn step(&mut self, offs: [usize; LANES], preds: [f64; LANES], cursors: &mut [usize; LANES]) -> [T; LANES];
 }
 
 struct Encoder<'a, T> {
-    q: &'a LinearQuantizer,
+    /// By value, so a step holds its constants in registers.
+    q: LinearQuantizer,
     input: &'a [T],
     /// One slot per point, written by offset.
     codes: &'a mut [u32],
@@ -150,10 +161,21 @@ impl<T: ScalarValue> PointOp<T> for Encoder<'_, T> {
         self.codes[off] = quantized.code;
         quantized.reconstructed
     }
+
+    #[inline(always)]
+    fn step(&mut self, offs: [usize; LANES], preds: [f64; LANES], _cursors: &mut [usize; LANES]) -> [T; LANES] {
+        let values = lanes(|r| self.input[offs[r]]);
+        let (mut codes, mut recons) = ([0u32; LANES], values);
+        self.q.quantize_block(&values, &preds, &mut codes, &mut recons);
+        for (&off, code) in offs.iter().zip(codes) {
+            self.codes[off] = code;
+        }
+        recons
+    }
 }
 
 struct Decoder<'a, T> {
-    q: &'a LinearQuantizer,
+    q: LinearQuantizer,
     codes: &'a [u32],
     pool: &'a [T],
     /// Escapes in the rows before each row (their total equals `pool.len()`).
@@ -175,6 +197,19 @@ impl<T: ScalarValue> PointOp<T> for Decoder<'_, T> {
         } else {
             self.q.recover(code, pred)
         }
+    }
+
+    #[inline(always)]
+    fn step(&mut self, offs: [usize; LANES], preds: [f64; LANES], cursors: &mut [usize; LANES]) -> [T; LANES] {
+        let codes = lanes(|r| self.codes[offs[r]]);
+        let mut values = self.q.recover_lanes(codes, preds);
+        if codes.contains(&0) {
+            for r in (0..LANES).filter(|&r| codes[r] == 0) {
+                values[r] = self.pool[cursors[r]];
+                cursors[r] += 1;
+            }
+        }
+        values
     }
 }
 
@@ -245,6 +280,21 @@ fn row2<T: ScalarValue>(
     cursor
 }
 
+/// A lane array, element `r` from `f(r)`.
+#[inline(always)]
+fn lanes<E>(f: impl FnMut(usize) -> E) -> [E; LANES] {
+    std::array::from_fn(f)
+}
+
+/// Stores a step's reconstructions and returns them as the lanes carry them.
+#[inline(always)]
+fn scatter<T: ScalarValue>(recon: &mut [T], offs: [usize; LANES], values: [T; LANES]) -> [f64; LANES] {
+    for (&off, &value) in offs.iter().zip(&values) {
+        recon[off] = value;
+    }
+    lanes(|r| values[r].to_f64())
+}
+
 /// Rows `i0 .. i0 + LANES` at once (`n1 ≥ 2·LANES`).
 fn skew2<T: ScalarValue>(n1: usize, i0: usize, recon: &mut [T], op: &mut impl PointOp<T>) {
     // Ramp-up: lane `r` takes its first `LANES − 1 − r` columns, which puts
@@ -259,17 +309,16 @@ fn skew2<T: ScalarValue>(n1: usize, i0: usize, recon: &mut [T], op: &mut impl Po
     for r in 0..LANES {
         (left[r], diag[r]) = west2(recon, n1, i0 + r, LANES - 1 - r);
     }
+    // Lane `r`'s point of step `t` is at `base[r] + t`.
+    let base: [usize; LANES] = lanes(|r| (i0 + r) * n1 - r);
     for t in LANES - 1..n1 {
-        // Bottom lane first: lane `r`'s `above` is what lane `r − 1` carries
-        // as `left` until its own step, further down, moves it on.
-        for r in (0..LANES).rev() {
-            let above = if r == 0 { above2(recon, n1, i0, t) } else { left[r - 1] };
-            let off = (i0 + r) * n1 + t - r;
-            let value = op.point(off, (above + left[r]) - diag[r], &mut cursors[r]);
-            recon[off] = value;
-            left[r] = value.to_f64();
-            diag[r] = above;
-        }
+        // Lane `r`'s `above` is what lane `r − 1` carried as `left` out of
+        // the previous step: the point this step's lane `r` sits under.
+        let above: [f64; LANES] = lanes(|r| if r == 0 { above2(recon, n1, i0, t) } else { left[r - 1] });
+        let preds = lanes(|r| (above[r] + left[r]) - diag[r]);
+        let offs = lanes(|r| base[r] + t);
+        left = scatter(recon, offs, op.step(offs, preds, &mut cursors));
+        diag = above;
     }
     // Ramp-down: lane `r` is `r` columns short of the end of its row.
     for (r, &cursor) in cursors.iter().enumerate().skip(1) {
@@ -324,14 +373,13 @@ impl West {
             }
         }
     }
+}
 
-    /// The 3-D prediction east of this quartet, term for term in the
-    /// reference order.
-    #[inline(always)]
-    fn predict(&self, [up, north, up_north]: [f64; 3]) -> f64 {
-        let [up_west, north_west, up_north_west] = self.behind;
-        up + north + self.here - up_north - up_west - north_west + up_north_west
-    }
+/// The 3-D prediction from the terms above, north and above-north of a
+/// point and the quartet west of it, term for term in the reference order.
+#[inline(always)]
+fn predict3(up: f64, north: f64, up_north: f64, here: f64, up_west: f64, north_west: f64, up_north_west: f64) -> f64 {
+    up + north + here - up_north - up_west - north_west + up_north_west
 }
 
 /// Columns `cols` of row `j` of plane `i`, one after the other (see [`row2`]).
@@ -349,8 +397,10 @@ fn row3<T: ScalarValue>(
     let row = (i * n1 + j) * n2;
     let mut west = West::of(recon, n1, n2, (i, j, cols.start));
     for k in cols {
-        let behind = behind3(recon, n1, n2, (i, j, k));
-        let value = op.point(row + k, west.predict(behind), &mut cursor);
+        let behind @ [up, north, up_north] = behind3(recon, n1, n2, (i, j, k));
+        let [up_west, north_west, up_north_west] = west.behind;
+        let pred = predict3(up, north, up_north, west.here, up_west, north_west, up_north_west);
+        let value = op.point(row + k, pred, &mut cursor);
         recon[row + k] = value;
         west = West { here: value.to_f64(), behind };
     }
@@ -365,21 +415,26 @@ fn skew3<T: ScalarValue>(n1: usize, n2: usize, i: usize, j0: usize, recon: &mut 
     for (r, cursor) in cursors.iter_mut().enumerate() {
         *cursor = row3(n1, n2, i, j0 + r, 0..LANES - 1 - r, op.row_cursor(i * n1 + j0 + r), recon, op);
     }
-    let mut west: [West; LANES] = std::array::from_fn(|r| West::of(recon, n1, n2, (i, j0 + r, LANES - 1 - r)));
+    // Each lane's west quartet, one array per term.
+    let (mut here, mut up_west, mut north_west, mut up_north_west) =
+        ([0.0f64; LANES], [0.0f64; LANES], [0.0f64; LANES], [0.0f64; LANES]);
+    for r in 0..LANES {
+        let West { here: h, behind: [u, n, un] } = West::of(recon, n1, n2, (i, j0 + r, LANES - 1 - r));
+        (here[r], up_west[r], north_west[r], up_north_west[r]) = (h, u, n, un);
+    }
+    let base: [usize; LANES] = lanes(|r| (i * n1 + j0 + r) * n2 - r);
     for t in LANES - 1..n2 {
-        // Bottom lane first, as in `skew2`: the lane above still carries, as
-        // its west side, this lane's north and above-north neighbours.
-        for r in (0..LANES).rev() {
-            let off = (i * n1 + j0 + r) * n2 + t - r;
-            let behind = if r == 0 {
-                behind3(recon, n1, n2, (i, j0, t))
-            } else {
-                [recon[off - stride0].to_f64(), west[r - 1].here, west[r - 1].behind[0]]
-            };
-            let value = op.point(off, west[r].predict(behind), &mut cursors[r]);
-            recon[off] = value;
-            west[r] = West { here: value.to_f64(), behind };
-        }
+        // As in `skew2`: the lane above still carries, as its west side,
+        // this lane's north and above-north neighbours.
+        let offs = lanes(|r| base[r] + t);
+        let up = lanes(|r| recon[offs[r] - stride0].to_f64());
+        let [_, north_0, up_north_0] = behind3(recon, n1, n2, (i, j0, t));
+        let north: [f64; LANES] = lanes(|r| if r == 0 { north_0 } else { here[r - 1] });
+        let up_north: [f64; LANES] = lanes(|r| if r == 0 { up_north_0 } else { up_west[r - 1] });
+        let preds =
+            lanes(|r| predict3(up[r], north[r], up_north[r], here[r], up_west[r], north_west[r], up_north_west[r]));
+        here = scatter(recon, offs, op.step(offs, preds, &mut cursors));
+        (up_west, north_west, up_north_west) = (up, north, up_north);
     }
     for (r, &cursor) in cursors.iter().enumerate().skip(1) {
         row3(n1, n2, i, j0 + r, n2 - r..n2, cursor, recon, op);
@@ -790,6 +845,43 @@ mod tests {
             let data = Dataset::new(dims, (0..n as u32).map(|k| f32::from_bits(0x7fc0_0000 + k)).collect()).unwrap();
             let fused = assert_matches_reference(&data, &LinearQuantizer::new(1e-3, 1 << 15));
             assert_eq!(bits(&fused.unpredictable), bits(data.values()));
+        }
+    }
+
+    #[test]
+    fn fused_matches_scalar_lorenzo_on_shapes_straddling_the_lanes() {
+        // Rows one short of, at and one past the narrowest the lane steps
+        // take (2·LANES), in row counts that leave serial rows after the
+        // groups, and the same for the rows of 3-D planes; f32 and f64; at
+        // radius 8 about two thirds of the points escape, in every lane.
+        const L: usize = LANES;
+        let mut shapes = Vec::new();
+        for rows in [L - 1, L + 1, 2 * L + 3, 3 * L - 1] {
+            for width in 2 * L - 1..=2 * L + 1 {
+                shapes.push(vec![rows, width]);
+            }
+        }
+        for width in 2 * L - 1..=2 * L + 1 {
+            shapes.extend([vec![3, L + 1, width], vec![2, 2 * L + 3, width], vec![4, 3 * L - 1, width]]);
+        }
+        let q = LinearQuantizer::new(1e-1, 8);
+        for (k, dims) in shapes.iter().enumerate() {
+            let data = fuzz_dataset(dims, 0x1a2e5 ^ k as u64, 6.0);
+            let fused = assert_matches_reference(&data, &q);
+            let wide =
+                Dataset::new(dims.clone(), data.values().iter().map(|&v| v as f64 * 1.000_000_1).collect()).unwrap();
+            assert_matches_reference(&wide, &q);
+            // Every lane of the first group escapes somewhere in its steps:
+            // in 2-D the group is rows 0..L, in 3-D rows 0..L of plane 1.
+            let (n1, first_row) = match dims[..] {
+                [n0, n1] if n0 >= L && n1 >= 2 * L => (n1, 0),
+                [_, rows, n2] if rows >= L && n2 >= 2 * L => (n2, rows),
+                _ => continue,
+            };
+            for r in 0..L {
+                let row = &fused.codes[(first_row + r) * n1..][..n1];
+                assert!(row[L - 1 - r..n1 - r].contains(&0), "dims {dims:?}: lane {r} never escapes");
+            }
         }
     }
 

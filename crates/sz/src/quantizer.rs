@@ -135,6 +135,44 @@ impl LinearQuantizer {
         (Quantized { code: if ok { code } else { 0 }, reconstructed: if ok { recon_t } else { value } }, sure)
     }
 
+    /// [`LinearQuantizer::quantize`] over independent points at once, into
+    /// `codes` and `recons`: every point by reciprocal, then, where one of
+    /// them was not sure, every point again by division. Each outcome is
+    /// [`LinearQuantizer::quantize`]'s, bit for bit. Straight-line over the
+    /// slices, so the points compile to packed arithmetic.
+    #[inline(always)]
+    pub(crate) fn quantize_block<T: ScalarValue>(
+        &self,
+        values: &[T],
+        preds: &[f64],
+        codes: &mut [u32],
+        recons: &mut [T],
+    ) {
+        let mut all_sure = true;
+        for (((code, recon), &value), &pred) in codes.iter_mut().zip(recons.iter_mut()).zip(values).zip(preds) {
+            let (quantized, sure) = self.quantize_by_reciprocal(value, pred);
+            (*code, *recon) = (quantized.code, quantized.reconstructed);
+            all_sure &= sure;
+        }
+        if !all_sure {
+            for (((code, recon), &value), &pred) in codes.iter_mut().zip(recons.iter_mut()).zip(values).zip(preds) {
+                let quantized = self.quantize(value, pred);
+                (*code, *recon) = (quantized.code, quantized.reconstructed);
+            }
+        }
+    }
+
+    /// [`LinearQuantizer::recover`] over `L` lanes at once. A lane whose
+    /// code is `0` gets a meaningless value, for the caller to replace with
+    /// its escape.
+    #[inline(always)]
+    pub(crate) fn recover_lanes<T: ScalarValue, const L: usize>(&self, codes: [u32; L], preds: [f64; L]) -> [T; L] {
+        // `code − radius` is an integer below 2³³ in magnitude, so taking
+        // it in `f64` gives exactly `recover`'s bin.
+        let radius = self.radius as f64;
+        std::array::from_fn(|r| T::from_f64(preds[r] + (codes[r] as f64 - radius) * self.two_eb))
+    }
+
     /// Recovers a value from a nonzero code and the prediction.
     ///
     /// # Panics
@@ -304,6 +342,52 @@ mod tests {
             assert_matches_oracle(&q, v, 0.0);
         }
         assert!(apart > 100, "only {apart} inputs rounded apart");
+    }
+
+    #[test]
+    fn quantize_block_and_recover_lanes_match_the_one_point_calls_point_by_point() {
+        // Lanes of random differences with one lane a few ulps off a
+        // half-integer (so whole steps fall back to division), specials in
+        // random lanes, in f32 and f64.
+        fn check<T: ScalarValue>(q: &LinearQuantizer, values: [T; 8], preds: [f64; 8]) {
+            let (mut codes, mut recons) = ([0u32; 8], values);
+            q.quantize_block(&values, &preds, &mut codes, &mut recons);
+            for r in 0..8 {
+                let want = outcome_bits(q.quantize(values[r], preds[r]));
+                assert_eq!(outcome_bits(Quantized { code: codes[r], reconstructed: recons[r] }), want, "lane {r}");
+            }
+            let recovered: [T; 8] = q.recover_lanes(codes, preds);
+            for r in (0..8).filter(|&r| codes[r] != 0) {
+                let (mut got, mut want) = (Vec::new(), Vec::new());
+                recovered[r].write_le(&mut got);
+                q.recover::<T>(codes[r], preds[r]).write_le(&mut want);
+                assert_eq!(got, want, "lane {r}");
+            }
+        }
+        let mut state = 0x5851_f42d_4c95_7f2du64;
+        let mut next = move || {
+            state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            state >> 11
+        };
+        let specials = [0.0f64, -0.0, f64::NAN, f64::INFINITY, 1e300, -1e300];
+        for &(eb, radius) in &[(1e-3f64, 1u32 << 15), (0.5, 4), (1e-6, 512), (1e-2, 1 << 31), (1e-5, 8)] {
+            let q = LinearQuantizer::new(eb, radius);
+            for round in 0..20_000 {
+                let preds: [f64; 8] = std::array::from_fn(|_| ((next() % 2001) as f64 - 1000.0) * 0.01);
+                let mut values: [f64; 8] =
+                    std::array::from_fn(|r| preds[r] + ((next() % 4001) as f64 - 2000.0) * 0.37 * eb);
+                if round % 3 == 0 {
+                    let r = (next() % 8) as usize;
+                    let half = ((next() % 200) as f64 + 0.5) * 2.0 * eb;
+                    values[r] = f64::from_bits((preds[r] + half).to_bits().wrapping_add(next() % 5));
+                }
+                if round % 7 == 0 {
+                    values[(next() % 8) as usize] = specials[(next() % 6) as usize];
+                }
+                check(&q, values, preds);
+                check(&q, values.map(|v| v as f32), preds);
+            }
+        }
     }
 
     #[test]
