@@ -1,15 +1,15 @@
 //! Parallel (de)compression executor — the worker the paper runs as an MPI
-//! program on compute nodes. Here it is a thread pool over crossbeam scoped
-//! threads: each worker repeatedly claims the next file and compresses or
-//! decompresses it with the real codec.
+//! program on compute nodes. Here it is the codec's own worker pool
+//! ([`ocelot_sz::engine::parallel_map`]) over files: each worker repeatedly
+//! claims the next file and compresses or decompresses it with the real
+//! codec.
 
+use ocelot_sz::engine::parallel_map;
 use ocelot_sz::format::{BlobHeader, ChunkEntry};
 use ocelot_sz::{
     compress, compress_streamed, decode_chunk_into, decompress_with_threads, CompressedBlob, CompressionOutcome,
     Dataset, LossyConfig, SzError,
 };
-use parking_lot::Mutex;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// One compressed chunk crossing the in-process "transfer lane" between the
@@ -82,28 +82,18 @@ impl ParallelExecutor {
     /// exactly one worker (the paper's per-core file assignment).
     ///
     /// # Errors
-    /// Returns the first compression error encountered (remaining work is
-    /// abandoned).
+    /// Returns the error of the first file, in input order, that fails to
+    /// compress (files after it are abandoned).
     pub fn compress_all(&self, files: &[Dataset<f32>], config: &LossyConfig) -> Result<Vec<CompressedBlob>, SzError> {
-        Ok(self.compress_all_with_stats(files, config)?.into_iter().map(|o| o.blob).collect())
+        Ok(self.compress_each(files.len(), |i| &files[i], config)?.into_iter().map(|o| o.blob).collect())
     }
 
-    /// Compresses every dataset, returning full outcomes (ratios, bin
-    /// statistics) in input order.
+    /// Compresses `n` datasets the caller holds some other way than in a
+    /// slice, returning full outcomes in input order: `file(i)` borrows the
+    /// `i`-th.
     ///
     /// # Errors
-    /// Returns the first compression error encountered.
-    pub fn compress_all_with_stats(
-        &self,
-        files: &[Dataset<f32>],
-        config: &LossyConfig,
-    ) -> Result<Vec<CompressionOutcome>, SzError> {
-        self.compress_each(files.len(), |i| &files[i], config)
-    }
-
-    /// [`ParallelExecutor::compress_all_with_stats`] over `n` datasets the
-    /// caller holds some other way than in a slice: `file(i)` borrows the
-    /// `i`-th.
+    /// As [`ParallelExecutor::compress_all`].
     pub(crate) fn compress_each<'a>(
         &self,
         n: usize,
@@ -111,16 +101,17 @@ impl ParallelExecutor {
         config: &LossyConfig,
     ) -> Result<Vec<CompressionOutcome>, SzError> {
         let config = config.with_threads(self.codec_threads);
-        self.run(n, |i| compress(file(i), &config))
+        parallel_map(n, self.threads, |i| compress(file(i), &config))
     }
 
     /// Decompresses every blob, preserving order. Each blob's chunks are
     /// decoded on the executor's codec threads.
     ///
     /// # Errors
-    /// Returns the first decompression error encountered.
+    /// Returns the error of the first blob, in input order, that fails to
+    /// decompress.
     pub fn decompress_all(&self, blobs: &[CompressedBlob]) -> Result<Vec<Dataset<f32>>, SzError> {
-        self.run(blobs.len(), |i| decompress_with_threads::<f32>(&blobs[i], self.codec_threads))
+        parallel_map(blobs.len(), self.threads, |i| decompress_with_threads::<f32>(&blobs[i], self.codec_threads))
     }
 
     /// Streamed compress → ship → decode round trip for one dataset: chunks
@@ -220,42 +211,6 @@ impl ParallelExecutor {
         }
         let restored = Dataset::new(data.dims().to_vec(), values)?;
         Ok(StreamedRoundTrip { outcome, restored, chunks_shipped })
-    }
-
-    /// Generic indexed parallel map with first-error propagation.
-    fn run<R, F>(&self, n: usize, work: F) -> Result<Vec<R>, SzError>
-    where
-        R: Send,
-        F: Fn(usize) -> Result<R, SzError> + Sync,
-    {
-        let next = AtomicUsize::new(0);
-        let results: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
-        let failure: Mutex<Option<SzError>> = Mutex::new(None);
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..self.threads.min(n.max(1)) {
-                scope.spawn(|_| loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n || failure.lock().is_some() {
-                        return;
-                    }
-                    match work(i) {
-                        Ok(r) => results.lock()[i] = Some(r),
-                        Err(e) => {
-                            let mut f = failure.lock();
-                            if f.is_none() {
-                                *f = Some(e);
-                            }
-                            return;
-                        }
-                    }
-                });
-            }
-        })
-        .expect("worker threads do not panic");
-        if let Some(e) = failure.into_inner() {
-            return Err(e);
-        }
-        Ok(results.into_inner().into_iter().map(|r| r.expect("all indices completed without error")).collect())
     }
 }
 

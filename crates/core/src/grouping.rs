@@ -15,7 +15,7 @@ const MAGIC: [u8; 4] = *b"OCGP";
 /// text file").
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct GroupManifest {
-    /// Strategy note (e.g. `"by-world-size:2048"` or `"target-bytes:4GiB"`).
+    /// Strategy note (`"groups:N"` for a plan of `N` groups).
     pub strategy: String,
     /// Original member filenames, one list per group, in group order.
     pub groups: Vec<Vec<String>>,
@@ -26,30 +26,6 @@ impl GroupManifest {
     pub fn file_count(&self) -> usize {
         self.groups.iter().map(Vec::len).sum()
     }
-}
-
-/// Plans groups by a target group size: files are packed in order until a
-/// group reaches `target_bytes` (at least one file per group).
-///
-/// # Panics
-/// Panics if `target_bytes == 0`.
-pub fn plan_groups(sizes: &[u64], target_bytes: u64) -> Vec<Vec<usize>> {
-    assert!(target_bytes > 0, "target group size must be positive");
-    let mut groups = Vec::new();
-    let mut current: Vec<usize> = Vec::new();
-    let mut current_bytes = 0u64;
-    for (i, &s) in sizes.iter().enumerate() {
-        if !current.is_empty() && current_bytes + s > target_bytes {
-            groups.push(std::mem::take(&mut current));
-            current_bytes = 0;
-        }
-        current.push(i);
-        current_bytes += s;
-    }
-    if !current.is_empty() {
-        groups.push(current);
-    }
-    groups
 }
 
 /// Plans exactly `group_count` groups of near-equal file counts, preserving
@@ -174,19 +150,6 @@ mod tests {
         assert_eq!(g0, vec![b"alpha".to_vec(), b"".to_vec()]);
         let g1 = ungroup_blobs(&groups[1]).unwrap();
         assert_eq!(g1[0], b"gamma-longer-content".to_vec());
-    }
-
-    #[test]
-    fn plan_by_target_bytes_packs_in_order() {
-        let sizes = vec![4, 4, 4, 10, 1, 1];
-        let plan = plan_groups(&sizes, 8);
-        assert_eq!(plan, vec![vec![0, 1], vec![2], vec![3], vec![4, 5]]);
-    }
-
-    #[test]
-    fn plan_by_target_allows_oversized_single_files() {
-        let plan = plan_groups(&[100, 1], 8);
-        assert_eq!(plan, vec![vec![0], vec![1]]);
     }
 
     #[test]

@@ -40,7 +40,6 @@
 //! decompress pipeline on the simulated three-site testbed and produces the
 //! time breakdowns reported in the paper's Table VIII and Fig 16.
 
-pub mod analysis;
 pub mod executor;
 pub mod grouping;
 pub mod lanes;
@@ -51,18 +50,15 @@ pub mod predictor;
 pub mod report;
 pub mod sentinel;
 pub mod session;
-pub mod temporal;
 pub mod verify;
 pub mod workload;
 
-pub use analysis::{summarize_field, FieldSummary, RunLog};
 pub use executor::{ParallelExecutor, StreamedRoundTrip};
-pub use grouping::{group_blobs, plan_groups, ungroup_blobs, GroupManifest};
+pub use grouping::{group_blobs, ungroup_blobs, GroupManifest};
 pub use orchestrator::{Orchestrator, PipelineOptions, PipelineOutcome, Strategy};
-pub use planner::{select_codec, CodecChoice, TransferPlan, TransferPlanner};
+pub use planner::{TransferPlan, TransferPlanner};
 pub use predictor::{AutoConfigurator, Requirement};
-pub use report::{ExperimentRecord, TimeBreakdown};
+pub use report::TimeBreakdown;
 pub use session::{ArchiveSet, TransferSession};
-pub use temporal::{TemporalCompressor, TemporalDecompressor};
 pub use verify::{verify, AcceptancePolicy, Verdict};
 pub use workload::{Workload, WorkloadFile};

@@ -147,26 +147,6 @@ impl NcliteFile {
     }
 }
 
-/// Loads a raw little-endian f32 binary file with an externally known shape
-/// (the format of the paper's RTM/Nyx/ISABEL `.dat`/`.bin` files).
-///
-/// # Errors
-/// Propagates I/O errors; shape mismatches surface as
-/// `io::ErrorKind::InvalidData`.
-pub fn load_raw_f32(path: impl AsRef<Path>, dims: Vec<usize>) -> std::io::Result<Dataset<f32>> {
-    let mut bytes = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut bytes)?;
-    Dataset::from_le_bytes(dims, &bytes).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
-}
-
-/// Saves a dataset as raw little-endian f32.
-///
-/// # Errors
-/// Propagates I/O errors.
-pub fn save_raw_f32(path: impl AsRef<Path>, data: &Dataset<f32>) -> std::io::Result<()> {
-    std::fs::File::create(path)?.write_all(&data.to_le_bytes())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -211,20 +191,6 @@ mod tests {
         f.save(&path).unwrap();
         let back = NcliteFile::load(&path).unwrap();
         assert_eq!(f, back);
-        std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn raw_round_trip() {
-        let dir = std::env::temp_dir().join("ocelot_raw_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("field.f32");
-        let d = Dataset::from_fn(vec![6, 7], |i| (i[0] as f32).powi(2) - i[1] as f32);
-        save_raw_f32(&path, &d).unwrap();
-        let back = load_raw_f32(&path, vec![6, 7]).unwrap();
-        assert_eq!(d, back);
-        // Wrong shape is rejected.
-        assert!(load_raw_f32(&path, vec![5, 7]).is_err());
         std::fs::remove_file(&path).ok();
     }
 

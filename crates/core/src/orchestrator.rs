@@ -17,7 +17,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
-use crate::grouping::{plan_groups, plan_groups_by_count};
+use crate::grouping::plan_groups_by_count;
 use crate::report::TimeBreakdown;
 use crate::sentinel;
 use crate::workload::Workload;
@@ -29,26 +29,18 @@ pub enum Strategy {
     Direct,
     /// Per-file parallel compression (`CP`).
     Compressed,
-    /// Compression plus file grouping (`OP`). Exactly one of the two
-    /// grouping criteria is used: a fixed group count (the paper's
-    /// by-world-size default) or a target bytes per group.
+    /// Compression plus file grouping (`OP`) into a fixed number of groups
+    /// (the paper's by-world-size default).
     CompressedGrouped {
-        /// Number of groups (`Some` → group-by-count).
-        group_count: Option<usize>,
-        /// Target group size in bytes (used when `group_count` is `None`).
-        target_bytes: Option<u64>,
+        /// Number of groups.
+        group_count: usize,
     },
 }
 
 impl Strategy {
     /// The paper's OP with a fixed group count.
     pub fn grouped_by_count(n: usize) -> Self {
-        Strategy::CompressedGrouped { group_count: Some(n), target_bytes: None }
-    }
-
-    /// OP with a target group size.
-    pub fn grouped_by_bytes(bytes: u64) -> Self {
-        Strategy::CompressedGrouped { group_count: None, target_bytes: Some(bytes) }
+        Strategy::CompressedGrouped { group_count: n }
     }
 }
 
@@ -368,12 +360,8 @@ impl Orchestrator {
                 // Transfer sizes depend on grouping.
                 let comp_sizes = workload.compressed_sizes();
                 let (sizes, grouping_s): (Vec<u64>, f64) = match strategy {
-                    Strategy::CompressedGrouped { group_count, target_bytes } => {
-                        let plan = match (group_count, target_bytes) {
-                            (Some(n), _) => plan_groups_by_count(comp_sizes.len(), n),
-                            (None, Some(b)) => plan_groups(&comp_sizes, b),
-                            (None, None) => plan_groups_by_count(comp_sizes.len(), comp_cluster.total_cores()),
-                        };
+                    Strategy::CompressedGrouped { group_count } => {
+                        let plan = plan_groups_by_count(comp_sizes.len(), group_count);
                         let grouped: Vec<u64> = plan.iter().map(|g| g.iter().map(|&i| comp_sizes[i]).sum()).collect();
                         // Grouping cost: the group files are written by one
                         // writer each (MPI ranks coordinate offsets).

@@ -6,46 +6,11 @@
 //! instead, using the same models the orchestrator runs.
 
 use ocelot_netsim::{simulate_transfer, GridFtpConfig, SiteId};
-use ocelot_sz::{Codec, CodecConfig, Dataset, ScalarValue, SzError};
 
 use crate::grouping::plan_groups_by_count;
 use crate::orchestrator::{Orchestrator, PipelineOptions, Strategy};
 use crate::report::TimeBreakdown;
 use crate::workload::Workload;
-
-/// A codec candidate ranked by [`select_codec`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct CodecChoice {
-    /// The winning configuration (pass its `codec()` to compress).
-    pub config: CodecConfig,
-    /// Estimated compression ratio from sampled encoding.
-    pub estimated_ratio: f64,
-}
-
-/// Ranks codec candidates on a representative dataset by sampled-encoding
-/// ratio estimates and returns the best one.
-///
-/// Every candidate — prediction-based or transform-based — goes through the
-/// same [`Codec`] trait calls; there is no per-codec branching here, which is
-/// the point of the unified configuration enum.
-///
-/// # Errors
-/// Returns [`SzError::InvalidConfig`] when `candidates` is empty, and
-/// propagates estimation failures.
-pub fn select_codec<T: ScalarValue>(
-    sample: &Dataset<T>,
-    candidates: &[CodecConfig],
-    stride: usize,
-) -> Result<CodecChoice, SzError> {
-    let mut best: Option<CodecChoice> = None;
-    for &config in candidates {
-        let estimated_ratio = config.codec().estimate_ratio_sampled(sample, &config, stride)?;
-        if best.as_ref().is_none_or(|b| estimated_ratio > b.estimated_ratio) {
-            best = Some(CodecChoice { config, estimated_ratio });
-        }
-    }
-    best.ok_or_else(|| SzError::InvalidConfig("no codec candidates supplied".into()))
-}
 
 /// A tuned transfer plan.
 #[derive(Debug, Clone, PartialEq)]
@@ -191,23 +156,6 @@ mod tests {
             let cores = planner.optimal_decompress_cores(&w, SiteId::Cori, nodes);
             assert!((1..=32).contains(&cores), "nodes {nodes}: cores {cores}");
         }
-    }
-
-    #[test]
-    fn select_codec_ranks_both_families_uniformly() {
-        let data = Dataset::from_fn(vec![48, 48], |i| ((i[0] + 2 * i[1]) as f32 * 0.04).sin());
-        let candidates = [CodecConfig::Sz(ocelot_sz::LossyConfig::sz3_abs(1e-3)), CodecConfig::zfp_abs(1e-3)];
-        let choice = select_codec(&data, &candidates, 4).unwrap();
-        assert!(choice.estimated_ratio > 1.0);
-        assert!(candidates.contains(&choice.config));
-        // The winner really compresses better than (or as well as) the loser.
-        let ratios: Vec<f64> = candidates.iter().map(|c| c.codec().compress(&data, c).unwrap().ratio).collect();
-        let winner_idx = candidates.iter().position(|c| *c == choice.config).unwrap();
-        assert!(
-            ratios[winner_idx] >= ratios[1 - winner_idx] * 0.8,
-            "sampled estimate picked a much worse codec: {ratios:?}"
-        );
-        assert!(select_codec::<f32>(&data, &[], 4).is_err());
     }
 
     #[test]

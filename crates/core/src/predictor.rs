@@ -50,16 +50,6 @@ impl AutoConfigurator {
         AutoConfigurator { model, candidates, sample_stride: 100 }
     }
 
-    /// Replaces the candidate set.
-    ///
-    /// # Panics
-    /// Panics if `candidates` is empty.
-    pub fn with_candidates(mut self, candidates: Vec<LossyConfig>) -> Self {
-        assert!(!candidates.is_empty(), "candidate set must be non-empty");
-        self.candidates = candidates;
-        self
-    }
-
     /// Sets the feature sampling stride (default 100 = the paper's 1 %).
     ///
     /// # Panics

@@ -1,4 +1,4 @@
-//! Experiment records: time breakdowns and serializable result rows.
+//! The time breakdown of one end-to-end transfer.
 
 use serde::{Deserialize, Serialize};
 
@@ -46,30 +46,6 @@ impl TimeBreakdown {
     }
 }
 
-/// One serializable experiment result row (written to `EXPERIMENTS.md`
-/// artifacts and consumed by analysis tooling).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ExperimentRecord {
-    /// Experiment id (e.g. `"table8"`, `"fig9"`).
-    pub experiment: String,
-    /// Arbitrary row payload.
-    pub data: serde_json::Value,
-}
-
-impl ExperimentRecord {
-    /// Creates a record from any serializable row.
-    ///
-    /// # Panics
-    /// Panics if `row` fails to serialize (programming error: rows are plain
-    /// data structures).
-    pub fn new(experiment: impl Into<String>, row: &impl Serialize) -> Self {
-        ExperimentRecord {
-            experiment: experiment.into(),
-            data: serde_json::to_value(row).expect("experiment rows serialize"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -101,15 +77,5 @@ mod tests {
         assert_eq!(b.effective_speed_bps(), 5.0);
         let z = TimeBreakdown::default();
         assert_eq!(z.effective_speed_bps(), 0.0);
-    }
-
-    #[test]
-    fn record_round_trips() {
-        let b = TimeBreakdown { transfer_s: 1.0, ..Default::default() };
-        let r = ExperimentRecord::new("table8", &b);
-        let json = serde_json::to_string(&r).unwrap();
-        let back: ExperimentRecord = serde_json::from_str(&json).unwrap();
-        assert_eq!(r, back);
-        assert_eq!(back.experiment, "table8");
     }
 }

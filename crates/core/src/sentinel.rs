@@ -55,12 +55,8 @@ pub(crate) fn run_with_wait(
 
     let comp_sizes = remaining.compressed_sizes();
     let sizes: Vec<u64> = match strategy {
-        Strategy::CompressedGrouped { group_count, target_bytes } => {
-            let plan = match (group_count, target_bytes) {
-                (Some(n), _) => crate::grouping::plan_groups_by_count(comp_sizes.len(), n),
-                (None, Some(b)) => crate::grouping::plan_groups(&comp_sizes, b),
-                (None, None) => crate::grouping::plan_groups_by_count(comp_sizes.len(), comp_cluster.total_cores()),
-            };
+        Strategy::CompressedGrouped { group_count } => {
+            let plan = crate::grouping::plan_groups_by_count(comp_sizes.len(), group_count);
             plan.iter().map(|g| g.iter().map(|&i| comp_sizes[i]).sum()).collect()
         }
         _ => comp_sizes,

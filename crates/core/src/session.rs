@@ -7,7 +7,7 @@
 //! self-describing: no side channel is needed to decompress and restore
 //! filenames on the far side.
 
-use crate::executor::{ParallelExecutor, StreamedRoundTrip};
+use crate::executor::ParallelExecutor;
 use crate::grouping::{group_blobs, plan_groups_by_count, ungroup_blobs};
 use ocelot_sz::{CompressedBlob, Dataset, LossyConfig, SzError};
 
@@ -63,28 +63,12 @@ impl ArchiveSet {
 pub struct TransferSession {
     executor: ParallelExecutor,
     config: LossyConfig,
-    stream_window: usize,
 }
 
 impl TransferSession {
     /// Creates a session with a worker pool and compression configuration.
     pub fn new(threads: usize, config: LossyConfig) -> Self {
-        TransferSession { executor: ParallelExecutor::new(threads), config, stream_window: 0 }
-    }
-
-    /// Sets the bounded in-flight chunk window for
-    /// [`TransferSession::stream_files`]. `0` (the default) keeps the staged
-    /// behaviour: every chunk of a file is compressed before any decoding
-    /// starts.
-    #[must_use]
-    pub fn with_stream_window(mut self, stream_window: usize) -> Self {
-        self.stream_window = stream_window;
-        self
-    }
-
-    /// The configured in-flight chunk window (`0` = staged).
-    pub fn stream_window(&self) -> usize {
-        self.stream_window
+        TransferSession { executor: ParallelExecutor::new(threads), config }
     }
 
     /// Sets the chunk-parallel codec thread count used inside each file's
@@ -116,43 +100,9 @@ impl TransferSession {
         assert!(group_count > 0, "at least one archive");
         assert!(files.iter().all(|(n, _)| n != MANIFEST_MEMBER), "file name '{MANIFEST_MEMBER}' is reserved");
         let outcomes = self.executor.compress_each(files.len(), |i| &files[i].1, &self.config)?;
-        let blobs = outcomes.into_iter().map(|o| o.blob.into_bytes()).collect();
-        Ok(self.pack_archives(files, blobs, group_count))
-    }
-
-    /// Like [`TransferSession::build_archives`], but compresses each file
-    /// through the streamed pipeline (bounded in-flight window, decode on
-    /// arrival) instead of staging full blobs. The archives are
-    /// byte-identical to the staged ones; each file's restored data has
-    /// already been verified chunk-by-chunk as a side effect of streaming.
-    ///
-    /// # Errors
-    /// Propagates codec errors from either side of the stream.
-    ///
-    /// # Panics
-    /// Panics if `group_count == 0` or a file name collides with the
-    /// reserved manifest member name.
-    pub fn build_archives_streamed(
-        &self,
-        files: &[(String, Dataset<f32>)],
-        group_count: usize,
-    ) -> Result<ArchiveSet, SzError> {
-        assert!(group_count > 0, "at least one archive");
-        assert!(files.iter().all(|(n, _)| n != MANIFEST_MEMBER), "file name '{MANIFEST_MEMBER}' is reserved");
-        let round_trips = self.stream_files(files)?;
-        let blobs = round_trips.into_iter().map(|(_, rt)| rt.outcome.blob.into_bytes()).collect();
-        Ok(self.pack_archives(files, blobs, group_count))
-    }
-
-    /// Packs pre-compressed blob bytes into `group_count` self-describing
-    /// archives (manifest member first). Each blob moves into its archive's
-    /// member list; packing makes the only copy.
-    fn pack_archives(
-        &self,
-        files: &[(String, Dataset<f32>)],
-        mut blobs: Vec<Vec<u8>>,
-        group_count: usize,
-    ) -> ArchiveSet {
+        // Each blob moves into its archive's member list; packing makes the
+        // only copy.
+        let mut blobs: Vec<Vec<u8>> = outcomes.into_iter().map(|o| o.blob.into_bytes()).collect();
         let total_raw_bytes: u64 = files.iter().map(|(_, d)| d.nbytes() as u64).sum();
         let plan = plan_groups_by_count(files.len(), group_count.min(files.len().max(1)));
         let mut archives = Vec::with_capacity(plan.len());
@@ -168,7 +118,7 @@ impl TransferSession {
             let (mut packed, _) = group_blobs(&members, &inner_plan);
             archives.push(packed.remove(0));
         }
-        ArchiveSet { archives, total_raw_bytes }
+        Ok(ArchiveSet { archives, total_raw_bytes })
     }
 
     /// Unpacks and decompresses an archive set back into named datasets, in
@@ -186,28 +136,6 @@ impl TransferSession {
         let (names, blobs): (Vec<String>, Vec<CompressedBlob>) = named_blobs.into_iter().unzip();
         let datasets = self.executor.decompress_all(&blobs)?;
         Ok(names.into_iter().zip(datasets).collect())
-    }
-
-    /// Streams each named dataset end-to-end: chunks are shipped through a
-    /// bounded in-process lane and decoded on arrival, overlapping the
-    /// compress and decompress stages instead of staging full blobs. Files
-    /// are processed in order; within a file the session's codec threads and
-    /// the configured [`TransferSession::with_stream_window`] govern overlap.
-    ///
-    /// Returns `(name, round_trip)` pairs — the blob inside each outcome is
-    /// byte-identical to what [`TransferSession::build_archives`] would have
-    /// packed for that file.
-    ///
-    /// # Errors
-    /// Propagates the first codec error from either side of the stream.
-    pub fn stream_files(&self, files: &[(String, Dataset<f32>)]) -> Result<Vec<(String, StreamedRoundTrip)>, SzError> {
-        files
-            .iter()
-            .map(|(name, data)| {
-                let rt = self.executor.stream_round_trip(data, &self.config, self.stream_window)?;
-                Ok((name.clone(), rt))
-            })
-            .collect()
     }
 }
 
@@ -290,41 +218,6 @@ mod tests {
         let session = TransferSession::new(1, LossyConfig::sz3(1e-3));
         let bad = vec![("__manifest__".to_string(), Dataset::<f32>::constant(vec![4], 0.0).unwrap())];
         let _ = session.build_archives(&bad, 1);
-    }
-
-    #[test]
-    fn streamed_files_match_staged_archives() {
-        let input = files(3);
-        // Pinning chunk_points keeps the chunk layout — and therefore the
-        // blobs — identical whatever the codec thread count.
-        let cfg = LossyConfig::sz3(1e-3).with_chunk_points(Some(64));
-        let staged = TransferSession::new(1, cfg);
-        let streamed = TransferSession::new(1, cfg).with_codec_threads(2).with_stream_window(2);
-        assert_eq!(streamed.stream_window(), 2);
-        let a = staged.stream_files(&input).unwrap();
-        let b = streamed.stream_files(&input).unwrap();
-        assert_eq!(a.len(), b.len());
-        for ((an, art), (bn, brt)) in a.iter().zip(&b) {
-            assert_eq!(an, bn);
-            assert_eq!(art.outcome.blob, brt.outcome.blob, "streamed blob must match staged for {an}");
-            assert_eq!(art.restored.values(), brt.restored.values());
-        }
-        for ((name, orig), (_, rt)) in input.iter().zip(&a) {
-            let q = metrics::compare(orig, &rt.restored).unwrap();
-            assert!(q.within_bound(1e-3 * orig.value_range()), "{name}");
-        }
-    }
-
-    #[test]
-    fn streamed_archives_are_byte_identical_to_staged() {
-        let input = files(5);
-        let cfg = LossyConfig::sz3(1e-3).with_chunk_points(Some(64));
-        let staged = TransferSession::new(2, cfg);
-        let streamed = TransferSession::new(2, cfg).with_codec_threads(2).with_stream_window(3);
-        let a = staged.build_archives(&input, 2).unwrap();
-        let b = streamed.build_archives_streamed(&input, 2).unwrap();
-        assert_eq!(a, b, "streamed archive set must match the staged bytes");
-        assert_eq!(streamed.restore_archives(b.archives()).unwrap().len(), 5);
     }
 
     #[test]

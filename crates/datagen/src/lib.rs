@@ -20,7 +20,6 @@
 //! ```
 
 pub mod apps;
-pub mod series;
 pub mod spectral;
 
 pub use apps::{Application, FieldSpec};

@@ -58,11 +58,6 @@ impl Cluster {
         max_ns as f64 * 1e-9
     }
 
-    /// Convenience: makespan using every core in the allocation.
-    pub fn full_makespan(&self, work_s: &[f64]) -> f64 {
-        self.parallel_makespan(work_s, self.total_cores())
-    }
-
     /// Per-file completion times (seconds, input order) under the same LPT
     /// schedule as [`Cluster::parallel_makespan`] — the release times a
     /// pipelined transfer consumes (files leave compression one by one).
@@ -134,7 +129,7 @@ mod tests {
         let slow = Cluster::new(1, 64, 1.0);
         let fast = Cluster::new(1, 64, 3.0);
         let works = vec![3.0; 64];
-        assert!((fast.full_makespan(&works) - slow.full_makespan(&works) / 3.0).abs() < 1e-9);
+        assert!((fast.parallel_makespan(&works, 64) - slow.parallel_makespan(&works, 64) / 3.0).abs() < 1e-9);
     }
 
     #[test]
@@ -148,7 +143,7 @@ mod tests {
 
     #[test]
     fn empty_work_is_free() {
-        assert_eq!(Cluster::new(1, 1, 1.0).full_makespan(&[]), 0.0);
+        assert_eq!(Cluster::new(1, 1, 1.0).parallel_makespan(&[], 1), 0.0);
     }
 
     #[test]

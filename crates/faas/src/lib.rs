@@ -9,8 +9,6 @@
 //! * **node waiting time** (§VII-B) — a compression job may sit in the batch
 //!   queue from seconds to hours; the sentinel optimization transfers
 //!   uncompressed data while waiting;
-//! * **container warming and batching** — FuncX amortizes container
-//!   instantiation and request overhead across calls;
 //! * **parallel task placement** — files are assigned to cores with
 //!   longest-processing-time-first scheduling; compression stops scaling
 //!   once cores ≥ files (Fig 9 left).
@@ -25,11 +23,7 @@
 //! ```
 
 pub mod cluster;
-pub mod endpoint;
 pub mod queue;
-pub mod task;
 
 pub use cluster::Cluster;
-pub use endpoint::{FaasEndpoint, FaasInvocation};
 pub use queue::WaitTimeModel;
-pub use task::{FaasFabric, FunctionId, TaskId, TaskRecord, TaskState};

@@ -55,12 +55,6 @@ impl GridFtpConfig {
     pub fn per_file_cap_bps(&self) -> f64 {
         self.parallelism as f64 * self.stream_rate_bps
     }
-
-    /// Replaces the concurrency.
-    pub fn with_concurrency(mut self, c: usize) -> Self {
-        self.concurrency = c;
-        self
-    }
 }
 
 /// Outcome of a simulated batch transfer.
@@ -703,7 +697,7 @@ mod tests {
         ) {
             let (files, ready) = b;
             let link = LinkProfile::new(1.15e9, 0.05, 0.13, 0.05 * jitter as f64);
-            let cfg = GridFtpConfig::default().with_concurrency(concurrency);
+            let cfg = GridFtpConfig { concurrency, ..GridFtpConfig::default() };
             let got = simulate_transfer_windowed(&files, &ready, window, &link, &cfg, seed);
             for (m, &ready_m) in ready.iter().enumerate() {
                 let want = if m >= window { ready_m.max(got.completion_s[m - window]) } else { ready_m };
@@ -728,7 +722,7 @@ mod tests {
         ) {
             let (files, ready) = b;
             let link = test_link();
-            let cfg = GridFtpConfig::default().with_concurrency(concurrency);
+            let cfg = GridFtpConfig { concurrency, ..GridFtpConfig::default() };
             prop_assert!(concurrency as f64 * cfg.per_file_cap_bps() <= link.bandwidth_bps);
             let got = simulate_transfer_windowed(&files, &ready, window, &link, &cfg, seed);
             let old = reference::fixpoint(&files, &ready, window, &link, &cfg, seed);
@@ -745,7 +739,7 @@ mod tests {
         ) {
             let (files, ready) = b;
             let link = LinkProfile::new(1.15e9, 0.05, 0.13, 0.05);
-            let cfg = GridFtpConfig::default().with_concurrency(concurrency);
+            let cfg = GridFtpConfig { concurrency, ..GridFtpConfig::default() };
             let got = simulate_transfer_windowed(&files, &ready, files.len() + extra, &link, &cfg, seed);
             prop_assert_eq!(got, simulate_transfer_detailed(&files, Some(&ready), &link, &cfg, seed));
         }

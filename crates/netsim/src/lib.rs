@@ -25,7 +25,6 @@
 //! assert!(report.duration_s > 0.0);
 //! ```
 
-pub mod contention;
 pub mod faults;
 pub mod gridftp;
 pub mod link;
@@ -33,7 +32,6 @@ pub mod site;
 pub mod storage;
 pub mod time;
 
-pub use contention::{simulate_shared_link, BatchReport, BatchSpec};
 pub use faults::{draw_faults, simulate_transfer_with_faults, FaultDraw, FaultModel, FaultyTransferReport};
 pub use gridftp::{
     simulate_transfer, simulate_transfer_detailed, simulate_transfer_released, simulate_transfer_windowed,

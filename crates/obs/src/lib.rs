@@ -48,7 +48,7 @@ pub mod slo;
 pub mod span;
 
 use flight::{FlightKind, FlightRecorder, FlightSnapshot};
-use metrics::{Counter, Gauge, Histogram, Registry};
+use metrics::{Counter, Histogram, Registry};
 use span::{Recorder, WallSpanGuard};
 use std::sync::Arc;
 
@@ -165,11 +165,6 @@ impl Obs {
     /// Cached counter handle for hot paths (`None` when disabled).
     pub fn counter_handle(&self, name: &str, help: &str) -> Option<Arc<Counter>> {
         self.inner.as_ref().map(|i| i.registry.counter(name, help))
-    }
-
-    /// Cached gauge handle for hot paths.
-    pub fn gauge_handle(&self, name: &str, help: &str) -> Option<Arc<Gauge>> {
-        self.inner.as_ref().map(|i| i.registry.gauge(name, help))
     }
 
     /// Cached histogram handle for hot paths.

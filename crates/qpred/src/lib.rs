@@ -23,7 +23,6 @@
 //! assert_eq!(fv.values.len(), FEATURE_COUNT);
 //! ```
 
-pub mod crossval;
 pub mod dataset;
 pub mod features;
 pub mod forest;
@@ -31,7 +30,6 @@ pub mod model;
 pub mod transform;
 pub mod tree;
 
-pub use crossval::{cross_validate, CrossValReport};
 pub use dataset::{ErrorDistribution, TrainTestSplit, TrainingSet};
 pub use features::{extract, FeatureVector, FEATURE_COUNT, FEATURE_NAMES};
 pub use forest::RandomForest;

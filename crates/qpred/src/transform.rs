@@ -20,16 +20,6 @@ use crate::tree::{DecisionTree, TreeConfig};
 /// Number of transform-codec features.
 pub const TRANSFORM_FEATURE_COUNT: usize = 6;
 
-/// Feature names, index-aligned with the vector.
-pub const TRANSFORM_FEATURE_NAMES: [&str; TRANSFORM_FEATURE_COUNT] = [
-    "log10_rel_error_bound",
-    "log10_value_range",
-    "std_over_range",
-    "byte_entropy",
-    "log10_lorenzo_error",
-    "log10_sampled_zfp_ratio",
-];
-
 /// One labelled transform-codec observation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TransformSample {

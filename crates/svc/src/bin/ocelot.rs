@@ -89,7 +89,7 @@ fn usage() {
          \n\
          commands:\n\
          \x20 gen        --app A --field F [--scale N] [--seed S] -o FILE     generate synthetic data\n\
-         \x20 compress   FILE [--dims DxHxW] [--eb E] [--abs] [--predictor P] [--backend B] [--codec-threads N] [--stream-window W] -o OUT\n\
+         \x20 compress   FILE [--dims DxHxW] [--eb E] [--abs] [--predictor P] [--backend B] [--codec-threads N] -o OUT\n\
          \x20 decompress FILE [--codec-threads N] -o OUT\n\
          \x20 inspect    FILE [--json] [-o OUT]                                container + chunk-table metadata\n\
          \x20 sweep      FILE [--dims DxHxW] [--ebs E1,E2,...]                 measure ratio/PSNR per bound\n\
@@ -249,24 +249,15 @@ fn cmd_compress(positional: &[String], flags: &HashMap<String, String>) -> Resul
     let cfg = parse_config(flags)?;
     let variables = load_input(input, flags)?;
     let threads: usize = flags.get("threads").map(|s| s.parse()).transpose()?.unwrap_or(4);
-    let window = parse_stream_window(flags)?;
-    let session =
-        TransferSession::new(threads, cfg).with_codec_threads(parse_codec_threads(flags)?).with_stream_window(window);
-    // With a stream window the chunks flow through the bounded pipeline and
-    // are decode-verified on arrival; the archive bytes are identical.
-    let set = if window > 0 {
-        session.build_archives_streamed(&variables, 1)?
-    } else {
-        session.build_archives(&variables, 1)?
-    };
+    let session = TransferSession::new(threads, cfg).with_codec_threads(parse_codec_threads(flags)?);
+    let set = session.build_archives(&variables, 1)?;
     std::fs::write(out, &set.archives()[0])?;
     println!(
-        "wrote {out}: {} variable(s), {:.2} MB -> {:.2} MB (overall {:.1}x){}",
+        "wrote {out}: {} variable(s), {:.2} MB -> {:.2} MB (overall {:.1}x)",
         variables.len(),
         set.raw_bytes() as f64 / 1e6,
         set.compressed_bytes() as f64 / 1e6,
         set.overall_ratio(),
-        if window > 0 { format!(" [streamed, window {window}]") } else { String::new() }
     );
     Ok(())
 }
@@ -521,7 +512,7 @@ fn cmd_plan(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let np = Orchestrator::paper().run(&workload, from, to, Strategy::Direct, &base);
     println!("plan for {from}->{to}:");
     match plan.strategy {
-        Strategy::CompressedGrouped { group_count: Some(g), .. } => {
+        Strategy::CompressedGrouped { group_count: g } => {
             println!("  strategy: compress + group into {g} files")
         }
         Strategy::Compressed => println!("  strategy: compress, no grouping"),

@@ -15,7 +15,7 @@
 //! # fn main() -> Result<(), ocelot_sz::SzError> {
 //! let data = Dataset::from_fn(vec![16, 16], |i| (i[0] as f32 * 0.3).sin() + i[1] as f32 * 0.1);
 //! for config in [
-//!     CodecConfig::Sz(LossyConfig::builder().abs(1e-3).threads(2).build()?),
+//!     CodecConfig::Sz(LossyConfig::sz3_abs(1e-3).with_threads(2)),
 //!     CodecConfig::zfp_abs(1e-3),
 //! ] {
 //!     let outcome = config.codec().compress(&data, &config)?;
@@ -312,17 +312,6 @@ pub enum AnyCodec {
     Zfp(ZfpCodec),
 }
 
-/// Selects the codec that produced a blob, from its header.
-///
-/// # Errors
-/// Propagates header parse errors.
-pub fn codec_for_blob(blob: &CompressedBlob) -> Result<AnyCodec, SzError> {
-    Ok(match blob.header()?.family {
-        CodecFamily::Prediction => AnyCodec::Sz(SzCodec),
-        CodecFamily::Transform => AnyCodec::Zfp(ZfpCodec),
-    })
-}
-
 impl Codec for AnyCodec {
     fn name(&self) -> &'static str {
         match self {
@@ -414,9 +403,6 @@ mod tests {
         let sz_blob = SzCodec.compress(&data, &CodecConfig::Sz(LossyConfig::sz3_abs(1e-3))).unwrap().blob;
         assert!(matches!(ZfpCodec.decompress::<f32>(&sz_blob), Err(SzError::InvalidConfig(_))));
         assert!(SzCodec.decompress::<f32>(&sz_blob).is_ok());
-        assert_eq!(codec_for_blob(&sz_blob).unwrap().name(), "sz");
-        let zfp_blob = ZfpCodec.compress(&data, &CodecConfig::zfp_abs(1e-3)).unwrap().blob;
-        assert_eq!(codec_for_blob(&zfp_blob).unwrap().name(), "zfp");
     }
 
     #[test]

@@ -154,20 +154,18 @@ impl std::fmt::Display for LosslessBackend {
 
 /// Complete configuration of a prediction-based compression pipeline.
 ///
-/// Construct with [`LossyConfig::builder`], one of the presets
-/// ([`LossyConfig::sz3`], [`LossyConfig::sz2`], [`LossyConfig::lorenzo`]),
-/// or customize fields via the builder-style `with_*` methods.
+/// Construct with one of the presets ([`LossyConfig::sz3`],
+/// [`LossyConfig::sz2`], [`LossyConfig::lorenzo`]) and customize fields via
+/// the `with_*` methods.
 ///
 /// ```
 /// use ocelot_sz::config::{LosslessBackend, LossyConfig, PredictorKind};
 ///
-/// let cfg = LossyConfig::builder()
-///     .abs(1e-3)
-///     .predictor(PredictorKind::Lorenzo2)
-///     .backend(LosslessBackend::RleHuffman)
-///     .threads(4)
-///     .build()
-///     .unwrap();
+/// let cfg = LossyConfig::sz3_abs(1e-3)
+///     .with_predictor(PredictorKind::Lorenzo2)
+///     .with_backend(LosslessBackend::RleHuffman)
+///     .with_threads(4);
+/// assert!(cfg.validate().is_ok());
 /// assert_eq!(cfg.predictor.name(), "lorenzo2");
 /// assert_eq!(cfg.threads, 4);
 /// ```
@@ -223,11 +221,6 @@ impl LossyConfig {
             backend: LosslessBackend::Huffman,
             ..Self::sz3(0.0)
         }
-    }
-
-    /// Starts a builder with the SZ3 pipeline shape and no error bound set.
-    pub fn builder() -> LossyConfigBuilder {
-        LossyConfigBuilder { config: Self::sz3(0.0), bound_set: false }
     }
 
     /// Replaces the error bound.
@@ -297,93 +290,6 @@ impl LossyConfig {
     }
 }
 
-/// Step-by-step construction of a [`LossyConfig`], validated at
-/// [`build`](LossyConfigBuilder::build) time.
-///
-/// Unlike the `with_*` methods (which mutate a complete preset), the builder
-/// starts from the SZ3 pipeline shape and *requires* an error bound:
-///
-/// ```
-/// use ocelot_sz::config::LossyConfig;
-///
-/// assert!(LossyConfig::builder().build().is_err(), "no bound set");
-/// let cfg = LossyConfig::builder().rel(1e-4).threads(8).build().unwrap();
-/// assert_eq!(cfg.threads, 8);
-/// ```
-#[derive(Debug, Clone)]
-pub struct LossyConfigBuilder {
-    config: LossyConfig,
-    bound_set: bool,
-}
-
-impl LossyConfigBuilder {
-    /// Sets an absolute pointwise error bound.
-    pub fn abs(mut self, eb: f64) -> Self {
-        self.config.error_bound = ErrorBound::Abs(eb);
-        self.bound_set = true;
-        self
-    }
-
-    /// Sets a value-range-relative error bound.
-    pub fn rel(mut self, eb: f64) -> Self {
-        self.config.error_bound = ErrorBound::Rel(eb);
-        self.bound_set = true;
-        self
-    }
-
-    /// Sets any [`ErrorBound`] directly.
-    pub fn error_bound(mut self, eb: ErrorBound) -> Self {
-        self.config.error_bound = eb;
-        self.bound_set = true;
-        self
-    }
-
-    /// Selects the decorrelation predictor.
-    pub fn predictor(mut self, p: PredictorKind) -> Self {
-        self.config.predictor = p;
-        self
-    }
-
-    /// Selects the lossless backend.
-    pub fn backend(mut self, b: LosslessBackend) -> Self {
-        self.config.backend = b;
-        self
-    }
-
-    /// Sets the quantizer radius.
-    pub fn quant_radius(mut self, r: u32) -> Self {
-        self.config.quant_radius = r;
-        self
-    }
-
-    /// Sets the chunk-parallel worker count.
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads;
-        self
-    }
-
-    /// Pins the chunk layout to roughly `points` data points per chunk.
-    pub fn chunk_points(mut self, points: usize) -> Self {
-        self.config.chunk_points = Some(points);
-        self
-    }
-
-    /// Finishes and validates the configuration.
-    ///
-    /// # Errors
-    /// Returns [`SzError::InvalidConfig`] if no error bound was set or any
-    /// field fails [`LossyConfig::validate`].
-    pub fn build(self) -> Result<LossyConfig, SzError> {
-        if !self.bound_set {
-            return Err(SzError::InvalidConfig(
-                "an error bound is required: call .abs(), .rel(), or .error_bound()".into(),
-            ));
-        }
-        self.config.validate()?;
-        Ok(self.config)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -448,35 +354,9 @@ mod tests {
     }
 
     #[test]
-    fn builder_requires_an_error_bound() {
-        assert!(matches!(LossyConfig::builder().build(), Err(SzError::InvalidConfig(_))));
-        assert!(LossyConfig::builder().abs(1e-3).build().is_ok());
-    }
-
-    #[test]
-    fn builder_matches_preset_plus_with_methods() {
-        let built = LossyConfig::builder()
-            .abs(1e-3)
-            .predictor(PredictorKind::Regression)
-            .backend(LosslessBackend::Huffman)
-            .quant_radius(1 << 10)
-            .threads(4)
-            .chunk_points(4096)
-            .build()
-            .unwrap();
-        let preset = LossyConfig::sz3_abs(1e-3)
-            .with_predictor(PredictorKind::Regression)
-            .with_backend(LosslessBackend::Huffman)
-            .with_quant_radius(1 << 10)
-            .with_threads(4)
-            .with_chunk_points(Some(4096));
-        assert_eq!(built, preset);
-    }
-
-    #[test]
     fn validate_rejects_zero_threads_and_zero_chunk() {
         assert!(LossyConfig::sz3(1e-3).with_threads(0).validate().is_err());
         assert!(LossyConfig::sz3(1e-3).with_chunk_points(Some(0)).validate().is_err());
-        assert!(LossyConfig::builder().abs(1e-3).threads(0).build().is_err());
+        assert!(LossyConfig::sz3_abs(1e-3).with_threads(0).validate().is_err());
     }
 }

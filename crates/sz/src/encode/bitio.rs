@@ -16,6 +16,7 @@
 use crate::error::SzError;
 
 /// Low-`count` bit mask (`count <= 64`).
+#[cfg(test)]
 #[inline(always)]
 fn mask(count: u32) -> u64 {
     if count >= 64 {
@@ -25,7 +26,9 @@ fn mask(count: u32) -> u64 {
     }
 }
 
-/// Append-only bit writer.
+/// Append-only bit writer. The Huffman encoder flushes its own words, so
+/// this is the test oracle its byte layout is checked against.
+#[cfg(test)]
 #[derive(Debug, Default, Clone)]
 pub struct BitWriter {
     bytes: Vec<u8>,
@@ -35,6 +38,7 @@ pub struct BitWriter {
     nbits: u32,
 }
 
+#[cfg(test)]
 impl BitWriter {
     /// Creates an empty writer.
     pub fn new() -> Self {

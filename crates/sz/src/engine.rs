@@ -9,10 +9,11 @@
 //!   contiguous slabs along dimension 0 (the slowest-varying axis), so a
 //!   chunk is a plain sub-slice of the value buffer and keeps the dataset's
 //!   rank (predictors see real n-d structure, not a flattened stream).
-//! * `parallel_map` — a bounded scoped worker pool (crossbeam scope +
-//!   atomic work index, the same shape as `ocelot`'s file-level executor)
-//!   whose results are collected *by index*, making the assembled output
-//!   byte-identical regardless of worker count.
+//! * [`parallel_map`] — a bounded scoped worker pool (crossbeam scope +
+//!   atomic work index) whose results are collected *by index*, making the
+//!   assembled output byte-identical regardless of worker count. It is the
+//!   one fallible pool: chunk decode runs on it, and so does `ocelot`'s
+//!   file-level executor.
 
 use crossbeam::thread;
 use parking_lot::Mutex;
@@ -133,34 +134,56 @@ impl ChunkLayout {
 /// results in index order. Work is claimed from a shared atomic counter, so
 /// stragglers do not idle other workers; output order (and therefore any
 /// bytes assembled from it) is independent of scheduling.
-pub(crate) fn parallel_map<R, F>(n: usize, threads: usize, work: F) -> Vec<R>
+///
+/// On failure the error is the lowest failing index's — what the serial
+/// loop returns — at every thread count: once index `f` fails, no worker
+/// starts an index above the lowest failure seen, but every index below it
+/// still runs, since indices are claimed in increasing order.
+///
+/// # Errors
+/// Returns the error of the lowest index whose `work` failed.
+pub fn parallel_map<R, E, F>(n: usize, threads: usize, work: F) -> Result<Vec<R>, E>
 where
     R: Send,
-    F: Fn(usize) -> R + Sync,
+    E: Send,
+    F: Fn(usize) -> Result<R, E> + Sync,
 {
-    if n == 0 {
-        return Vec::new();
-    }
-    let threads = threads.clamp(1, n);
+    let threads = threads.clamp(1, n.max(1));
     if threads == 1 {
         return (0..n).map(work).collect();
     }
     let next = AtomicUsize::new(0);
+    let lowest_failed = AtomicUsize::new(usize::MAX);
     let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
+    let failure: Mutex<Option<(usize, E)>> = Mutex::new(None);
     thread::scope(|scope| {
         for _ in 0..threads {
             scope.spawn(|_| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
+                // `lowest_failed` publishes no data (the error itself sits
+                // under the mutex), so its accesses are relaxed.
+                if i >= n || i > lowest_failed.load(Ordering::Relaxed) {
                     break;
                 }
-                let r = work(i);
-                slots.lock()[i] = Some(r);
+                match work(i) {
+                    Ok(r) => slots.lock()[i] = Some(r),
+                    Err(e) => {
+                        lowest_failed.fetch_min(i, Ordering::Relaxed);
+                        let mut failure = failure.lock();
+                        if failure.as_ref().is_none_or(|&(f, _)| i < f) {
+                            *failure = Some((i, e));
+                        }
+                        break;
+                    }
+                }
             });
         }
     })
     .expect("worker panics propagate via the scope");
-    slots.into_inner().into_iter().map(|r| r.expect("every index visited")).collect()
+    if let Some((_, e)) = failure.into_inner() {
+        return Err(e);
+    }
+    Ok(slots.into_inner().into_iter().map(|r| r.expect("every index visited")).collect())
 }
 
 /// Back-pressure gate shared by the windowed pool: `consumed` counts chunks
@@ -393,15 +416,43 @@ mod tests {
     #[test]
     fn parallel_map_preserves_index_order() {
         for threads in [1, 2, 4, 8] {
-            let out = parallel_map(100, threads, |i| i * i);
-            assert_eq!(out, (0..100).map(|i| i * i).collect::<Vec<_>>());
+            let out = parallel_map(100, threads, |i| Ok::<_, ()>(i * i));
+            assert_eq!(out, Ok((0..100).map(|i| i * i).collect::<Vec<_>>()));
         }
     }
 
     #[test]
     fn parallel_map_handles_empty_and_tiny_inputs() {
-        assert!(parallel_map(0, 4, |i| i).is_empty());
-        assert_eq!(parallel_map(1, 8, |i| i + 1), vec![1]);
+        assert_eq!(parallel_map(0, 4, Ok::<_, ()>), Ok(Vec::new()));
+        assert_eq!(parallel_map(1, 8, |i| Ok::<_, ()>(i + 1)), Ok(vec![1]));
+    }
+
+    #[test]
+    fn parallel_map_returns_the_lowest_failing_index() {
+        // Index 0 fails only after index 1 has failed: a pool that kept
+        // whichever failure landed first, or skipped a claimed index once
+        // one had, would return index 1's error. One worker runs index 0
+        // first and never reaches index 1, so it does not wait.
+        for threads in [1, 2, 4, 8] {
+            for _ in 0..20 {
+                let (failed_1, wait_for_1) = mpsc::channel();
+                let wait_for_1 = Mutex::new(wait_for_1);
+                let out = parallel_map(16, threads, |i| match i {
+                    0 => {
+                        if threads > 1 {
+                            wait_for_1.lock().recv().expect("index 1 runs");
+                        }
+                        Err(0)
+                    }
+                    1 => {
+                        failed_1.send(()).expect("index 0 waits");
+                        Err(1)
+                    }
+                    _ => Ok(i),
+                });
+                assert_eq!(out, Err(0), "threads={threads}");
+            }
+        }
     }
 
     #[test]

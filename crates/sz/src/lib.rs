@@ -18,7 +18,8 @@
 //!
 //! # Quickstart
 //!
-//! Build a configuration with [`LossyConfig::builder`], compress — the
+//! Start from a preset ([`LossyConfig::sz3_abs`] here) and adjust it with
+//! the `with_*` methods, compress — the
 //! [`CompressionOutcome`] carries the blob plus ratio/statistics — and
 //! decompress (optionally with a worker pool over the blob's chunks):
 //!
@@ -29,7 +30,7 @@
 //! let data = Dataset::from_fn(vec![16, 16, 16], |idx| {
 //!     (idx[0] as f32 * 0.1).sin() + (idx[1] as f32 * 0.05).cos() + idx[2] as f32 * 0.01
 //! });
-//! let config = LossyConfig::builder().abs(1e-3).threads(4).build()?;
+//! let config = LossyConfig::sz3_abs(1e-3).with_threads(4);
 //! let outcome = compress(&data, &config)?;
 //! assert!(outcome.ratio > 1.0);
 //! let restored = decompress::<f32>(&outcome.blob)?;
@@ -62,8 +63,8 @@ pub mod stats;
 pub mod value;
 pub mod zfp;
 
-pub use codec::{codec_for_blob, AnyCodec, Codec, CodecConfig, SzCodec, ZfpCodec, ZfpConfig};
-pub use config::{ErrorBound, LosslessBackend, LossyConfig, LossyConfigBuilder, PredictorKind};
+pub use codec::{AnyCodec, Codec, CodecConfig, SzCodec, ZfpCodec, ZfpConfig};
+pub use config::{ErrorBound, LosslessBackend, LossyConfig, PredictorKind};
 pub use encode::HuffmanTable;
 pub use error::SzError;
 pub use format::CompressedBlob;

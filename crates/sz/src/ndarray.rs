@@ -234,11 +234,6 @@ impl<T: ScalarValue> Dataset<T> {
         &mut self.data
     }
 
-    /// Consumes the dataset, returning its flat value buffer.
-    pub fn into_values(self) -> Vec<T> {
-        self.data
-    }
-
     /// Linear offset of a multi-dimensional index.
     ///
     /// # Panics
@@ -277,74 +272,6 @@ impl<T: ScalarValue> Dataset<T> {
     pub fn value_range(&self) -> f64 {
         let (min, max) = self.min_max();
         max.to_f64() - min.to_f64()
-    }
-
-    /// Extracts the 2-D slice at `index` along `axis` from a 3-D dataset
-    /// (e.g. one depth plane of an RTM wavefield for visualization).
-    ///
-    /// # Errors
-    /// Returns [`SzError::InvalidShape`] if the dataset is not 3-D, `axis`
-    /// is out of range, or `index` exceeds the axis extent.
-    pub fn slice_2d(&self, axis: usize, index: usize) -> Result<Dataset<T>, SzError> {
-        if self.ndim() != 3 {
-            return Err(SzError::InvalidShape(format!("slice_2d requires a 3-D dataset, got {}-D", self.ndim())));
-        }
-        if axis >= 3 {
-            return Err(SzError::InvalidShape(format!("axis {axis} out of range for 3-D data")));
-        }
-        if index >= self.dims[axis] {
-            return Err(SzError::InvalidShape(format!(
-                "index {index} out of range for axis {axis} of extent {}",
-                self.dims[axis]
-            )));
-        }
-        let out_dims: Vec<usize> = (0..3).filter(|&d| d != axis).map(|d| self.dims[d]).collect();
-        let mut out = Vec::with_capacity(out_dims.iter().product());
-        let mut idx = [0usize; 3];
-        idx[axis] = index;
-        let (a, b) = match axis {
-            0 => (1, 2),
-            1 => (0, 2),
-            _ => (0, 1),
-        };
-        for i in 0..self.dims[a] {
-            for j in 0..self.dims[b] {
-                idx[a] = i;
-                idx[b] = j;
-                out.push(self.get(&idx));
-            }
-        }
-        Dataset::new(out_dims, out)
-    }
-
-    /// Extracts a rectangular sub-volume `[start, start+extent)` per
-    /// dimension (region-of-interest compression and windowed analysis).
-    ///
-    /// # Errors
-    /// Returns [`SzError::InvalidShape`] on rank mismatches or regions
-    /// exceeding the bounds.
-    pub fn subvolume(&self, start: &[usize], extent: &[usize]) -> Result<Dataset<T>, SzError> {
-        if start.len() != self.ndim() || extent.len() != self.ndim() {
-            return Err(SzError::InvalidShape("region rank must match dataset rank".into()));
-        }
-        if extent.contains(&0) {
-            return Err(SzError::InvalidShape("region extents must be positive".into()));
-        }
-        for d in 0..self.ndim() {
-            if start[d] + extent[d] > self.dims[d] {
-                return Err(SzError::InvalidShape(format!(
-                    "region [{}..{}) exceeds dim {d} of extent {}",
-                    start[d],
-                    start[d] + extent[d],
-                    self.dims[d]
-                )));
-            }
-        }
-        let out = Dataset::from_fn(extent.to_vec(), |idx| {
-            let orig: Vec<usize> = idx.iter().zip(start).map(|(&i, &s)| i + s).collect();
-            self.get(&orig)
-        });
-        Ok(out)
     }
 
     /// Serializes the values to little-endian bytes (the on-disk raw format).
@@ -505,33 +432,6 @@ mod tests {
     #[test]
     fn from_le_bytes_rejects_misaligned() {
         assert!(Dataset::<f32>::from_le_bytes(vec![1], &[0u8; 5]).is_err());
-    }
-
-    #[test]
-    fn slice_2d_extracts_planes() {
-        let d = Dataset::from_fn(vec![3, 4, 5], |i| (i[0] * 100 + i[1] * 10 + i[2]) as f32);
-        let plane = d.slice_2d(0, 2).unwrap();
-        assert_eq!(plane.dims(), &[4, 5]);
-        assert_eq!(plane.get(&[1, 3]), 213.0);
-        let plane = d.slice_2d(2, 4).unwrap();
-        assert_eq!(plane.dims(), &[3, 4]);
-        assert_eq!(plane.get(&[2, 1]), 214.0);
-        assert!(d.slice_2d(3, 0).is_err());
-        assert!(d.slice_2d(1, 4).is_err());
-        let flat = Dataset::<f32>::constant(vec![4, 4], 0.0).unwrap();
-        assert!(flat.slice_2d(0, 0).is_err());
-    }
-
-    #[test]
-    fn subvolume_extracts_regions() {
-        let d = Dataset::from_fn(vec![4, 6], |i| (i[0] * 10 + i[1]) as f64);
-        let sub = d.subvolume(&[1, 2], &[2, 3]).unwrap();
-        assert_eq!(sub.dims(), &[2, 3]);
-        assert_eq!(sub.get(&[0, 0]), 12.0);
-        assert_eq!(sub.get(&[1, 2]), 24.0);
-        assert!(d.subvolume(&[3, 4], &[2, 3]).is_err());
-        assert!(d.subvolume(&[0], &[2]).is_err());
-        assert!(d.subvolume(&[0, 0], &[0, 1]).is_err());
     }
 
     #[test]

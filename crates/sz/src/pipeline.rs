@@ -404,16 +404,15 @@ pub fn decompress_with_threads<T: ScalarValue>(blob: &CompressedBlob, threads: u
     // One uncontended lock per slab hands each `&mut` to whichever worker
     // claims its chunk.
     let slabs: Vec<Mutex<&mut [T]>> = out.chunks_mut(layout.points_in_chunk(0)).map(Mutex::new).collect();
-    let decoded: Vec<Result<(), SzError>> = parallel_map(n, threads, |i| {
+    parallel_map(n, threads, |i| {
         let _pchunk = prof::scope(ScopeId::DECOMPRESS);
         let entry = &table.entries[i];
         let payload = &body[offsets[i]..offsets[i] + entry.len];
         let chunk_dims = if layout.rows_in_chunk(i) == full_dims[0] { &full_dims } else { &tail_dims };
         let mut slab = slabs[i].lock().expect("slab lock");
         decode_chunk_into::<T>(&header, chunk_dims, i, entry, payload, &mut slab)
-    });
+    })?;
     drop(slabs);
-    decoded.into_iter().collect::<Result<(), SzError>>()?;
     Dataset::new(header.dims, out)
 }
 

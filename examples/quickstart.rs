@@ -5,9 +5,8 @@
 //! cargo run --release --example quickstart
 //! ```
 
-use ocelot::executor::ParallelExecutor;
 use ocelot_datagen::{Application, FieldSpec};
-use ocelot_sz::{decompress, metrics, LossyConfig};
+use ocelot_sz::{compress, decompress, metrics, LossyConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. A Miranda-like 3-D turbulence field (synthetic stand-in for the
@@ -17,9 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Compress with SZ3 defaults at a 1e-3 value-range-relative bound.
     let config = LossyConfig::sz3(1e-3);
-    let executor = ParallelExecutor::new(4);
-    let outcomes = executor.compress_all_with_stats(std::slice::from_ref(&data), &config)?;
-    let outcome = &outcomes[0];
+    let outcome = compress(&data, &config)?;
     println!(
         "compressed: {:.1} MB -> {:.2} MB (ratio {:.1}x), p0 = {:.2}",
         outcome.original_bytes as f64 / 1e6,
