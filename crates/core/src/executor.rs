@@ -1,29 +1,18 @@
 //! Parallel (de)compression executor — the worker the paper runs as an MPI
-//! program on compute nodes. Here it is the codec's own worker pool
+//! program on compute nodes. Here it is the codec's one worker pool
 //! ([`ocelot_sz::engine::parallel_map`]) over files: each worker repeatedly
 //! claims the next file and compresses or decompresses it with the real
 //! codec.
+//!
+//! [`ParallelExecutor::stream_round_trip`], the real-thread compress → ship
+//! → decompress overlap, runs on the same pool: its in-order consumer, on
+//! the calling thread, decodes each chunk the workers encode.
 
 use ocelot_sz::engine::parallel_map;
-use ocelot_sz::format::{BlobHeader, ChunkEntry};
 use ocelot_sz::{
     compress, compress_streamed, decode_chunk_into, decompress_with_threads, CompressedBlob, CompressionOutcome,
-    Dataset, LossyConfig, SzError,
+    Dataset, LossyConfig, StreamedChunk, SzError,
 };
-use std::sync::Arc;
-
-/// One compressed chunk crossing the in-process "transfer lane" between the
-/// compress workers and the decode drainer. Job-wide metadata (header, chunk
-/// shape) is `Arc`-shared across messages — the only per-chunk copy is the
-/// payload itself, the bytes that would really cross a network, and it
-/// carries its own Huffman table.
-struct ChunkMsg {
-    index: usize,
-    header: Arc<BlobHeader>,
-    dims: Arc<Vec<usize>>,
-    entry: ChunkEntry,
-    payload: Vec<u8>,
-}
 
 /// Result of a streamed compress → ship → decode round trip for one file.
 #[derive(Debug, Clone)]
@@ -114,24 +103,39 @@ impl ParallelExecutor {
         parallel_map(blobs.len(), self.threads, |i| decompress_with_threads::<f32>(&blobs[i], self.codec_threads))
     }
 
-    /// Streamed compress → ship → decode round trip for one dataset: chunks
-    /// enter a bounded in-process lane (capacity `window`) as soon as they are
-    /// encoded, and a drainer thread decodes each on arrival — the real-thread
-    /// analogue of the orchestrator's simulated compress/transfer overlap. At
-    /// most O(window) chunks are in flight between the codec and the drainer.
+    /// Streamed compress → ship → decode round trip for one dataset: the
+    /// codec pool encodes chunks, and its in-order consumer on the calling
+    /// thread decodes each into its slab of one output buffer the moment it
+    /// and every earlier chunk are encoded. At most `window` chunks are ever
+    /// encoded but not yet decoded; workers that run further ahead wait.
     ///
     /// `window == 0` is the staged degenerate case: full compress, then full
-    /// decompress, no overlap. Either way the blob and outcome are
-    /// byte-identical to [`compress`] and the restored dataset matches
+    /// decompress on the pool, no overlap. Either way the blob and outcome
+    /// are byte-identical to [`compress`] and the restored dataset matches
     /// [`decompress_with_threads`].
     ///
     /// # Errors
-    /// Returns the first codec error from either side of the stream.
+    /// Returns the first codec error, encode or decode, in chunk order; it
+    /// stops the workers.
     pub fn stream_round_trip(
         &self,
         data: &Dataset<f32>,
         config: &LossyConfig,
         window: usize,
+    ) -> Result<StreamedRoundTrip, SzError> {
+        self.stream_round_trip_with(data, config, window, |chunk, slab| {
+            decode_chunk_into::<f32>(chunk.header, chunk.dims, chunk.index, &chunk.entry, chunk.payload, slab)
+        })
+    }
+
+    /// [`ParallelExecutor::stream_round_trip`] with the per-chunk decode
+    /// handed in, so a test can make one chunk fail.
+    fn stream_round_trip_with(
+        &self,
+        data: &Dataset<f32>,
+        config: &LossyConfig,
+        window: usize,
+        decode: impl Fn(&StreamedChunk<'_>, &mut [f32]) -> Result<(), SzError>,
     ) -> Result<StreamedRoundTrip, SzError> {
         let config = config.with_threads(self.codec_threads);
         if window == 0 {
@@ -140,76 +144,30 @@ impl ParallelExecutor {
             let chunks_shipped = outcome.chunks;
             return Ok(StreamedRoundTrip { outcome, restored, chunks_shipped });
         }
-        let (tx, rx) = std::sync::mpsc::sync_channel::<ChunkMsg>(window);
+        // Allocated on the calling thread, which also fills it and returns
+        // it as the restored dataset: one malloc arena, every round trip.
         let total = data.len();
-        // Reserved here, filled by the drainer: the buffer comes from — and,
-        // as the restored dataset, returns to — the caller's malloc arena. A
-        // new drainer thread gets whichever arena is free when it first
-        // allocates, a race with the codec workers, so a buffer reserved
-        // there could land in a different arena each round trip and leave a
-        // field-sized block behind in each.
-        let values = Vec::<f32>::with_capacity(total);
-        let mut drain_result: Result<(Vec<f32>, usize, usize), SzError> = Ok((Vec::new(), 0, 0));
-        let mut outcome_result: Result<CompressionOutcome, SzError> =
-            Err(SzError::CorruptStream("stream never ran".into()));
-        crossbeam::thread::scope(|scope| {
-            let drainer = scope.spawn(move |_| {
-                // Zeroed once; every chunk decodes straight into its slab.
-                let mut values = values;
-                values.resize(total, 0.0);
-                let mut filled = 0usize;
-                let mut shipped = 0usize;
-                // Chunks arrive in index order (the engine's reorder buffer
-                // guarantees it), so consecutive slabs reassemble the dataset.
-                while let Ok(msg) = rx.recv() {
-                    // Per-chunk profiling scope: decode-on-arrival kernels
-                    // drain from this thread's accumulator chunk by chunk.
-                    let _pscope = ocelot_obs::prof::scope(ocelot_obs::prof::ScopeId::DECOMPRESS);
-                    let points = usize::try_from(msg.entry.points).unwrap_or(usize::MAX);
-                    let slab = values[filled..]
-                        .get_mut(..points)
-                        .ok_or_else(|| SzError::CorruptStream(format!("chunk {} overruns the dataset", msg.index)))?;
-                    decode_chunk_into::<f32>(&msg.header, &msg.dims, msg.index, &msg.entry, &msg.payload, slab)?;
-                    filled += points;
-                    shipped += 1;
-                }
-                Ok((values, filled, shipped))
-            });
-            // The header is identical for every chunk: build its Arc on the
-            // first chunk and share it across messages.
-            let mut header: Option<Arc<BlobHeader>> = None;
-            let mut dims_cache: Vec<Arc<Vec<usize>>> = Vec::new();
-            outcome_result = compress_streamed(data, &config, window, |chunk| {
-                let header = header.get_or_insert_with(|| Arc::new(chunk.header.clone()));
-                let dims = match dims_cache.iter().find(|d| d.as_slice() == chunk.dims) {
-                    Some(d) => Arc::clone(d),
-                    None => {
-                        let d = Arc::new(chunk.dims.to_vec());
-                        dims_cache.push(Arc::clone(&d));
-                        d
-                    }
-                };
-                let msg = ChunkMsg {
-                    index: chunk.index,
-                    header: Arc::clone(header),
-                    dims,
-                    entry: chunk.entry,
-                    payload: chunk.payload.to_vec(),
-                };
-                tx.send(msg).map_err(|_| SzError::CorruptStream("stream drainer hung up".into()))
-            });
-            drop(tx);
-            drain_result = drainer.join().expect("drainer does not panic");
-        })
-        .expect("stream threads do not panic");
-        // A drainer decode error causes the sink send to fail; prefer the
-        // root-cause decode error over the secondary hang-up error.
-        let (values, filled, chunks_shipped) = drain_result?;
-        let outcome = outcome_result?;
+        let mut values = vec![0f32; total];
+        let mut filled = 0usize;
+        // Chunks arrive in index order, so consecutive slabs reassemble the
+        // dataset.
+        let outcome = compress_streamed(data, &config, window, |chunk| {
+            // Decode-on-arrival kernels drain into this scope, not into the
+            // compress scope the consumer runs in.
+            let _pscope = ocelot_obs::prof::scope(ocelot_obs::prof::ScopeId::DECOMPRESS);
+            let points = usize::try_from(chunk.entry.points).unwrap_or(usize::MAX);
+            let slab = values[filled..]
+                .get_mut(..points)
+                .ok_or_else(|| SzError::CorruptStream(format!("chunk {} overruns the dataset", chunk.index)))?;
+            decode(&chunk, slab)?;
+            filled += points;
+            Ok(())
+        })?;
         if filled != total {
             return Err(SzError::CorruptStream(format!("stream delivered {filled} of {total} points")));
         }
         let restored = Dataset::new(data.dims().to_vec(), values)?;
+        let chunks_shipped = outcome.chunks;
         Ok(StreamedRoundTrip { outcome, restored, chunks_shipped })
     }
 }
@@ -356,6 +314,44 @@ mod tests {
             assert_eq!(rt.outcome.blob, staged.blob, "threads={threads} window={window}");
             assert_eq!(rt.chunks_shipped, 8);
             assert_eq!(hash_values(&rt.restored), RESTORED, "threads={threads} window={window}");
+        }
+    }
+
+    #[test]
+    fn a_failing_decode_is_the_streamed_round_trips_result_at_every_thread_count_and_window() {
+        // Chunk 2 arrives with a flipped byte and fails its CRC check. The
+        // error must come back from the call, within the deadline, while the
+        // workers are parked on the gate or still encoding. Window 0 never
+        // decodes in the stream: it is the staged compress-then-decompress.
+        let data = std::sync::Arc::new(Dataset::from_fn(vec![48, 48], |i| {
+            (i[0] as f32 * 0.1).sin() * (i[1] as f32 * 0.07).cos()
+        }));
+        for threads in [1usize, 2, 3, 8] {
+            for window in [1usize, 2, 4] {
+                let (tx, rx) = std::sync::mpsc::channel();
+                let data = std::sync::Arc::clone(&data);
+                let helper = std::thread::spawn(move || {
+                    let cfg = LossyConfig::sz3_abs(1e-3).with_chunk_points(Some(256));
+                    let ex = ParallelExecutor::new(1).with_codec_threads(threads);
+                    let out = ex.stream_round_trip_with(&data, &cfg, window, |chunk, slab| {
+                        let mut payload = chunk.payload.to_vec();
+                        if chunk.index == 2 {
+                            payload[0] ^= 1;
+                        }
+                        decode_chunk_into::<f32>(chunk.header, chunk.dims, chunk.index, &chunk.entry, &payload, slab)
+                    });
+                    let _ = tx.send(out.map(|rt| rt.chunks_shipped));
+                });
+                match rx.recv_timeout(std::time::Duration::from_secs(10)) {
+                    Ok(Err(SzError::CorruptStream(msg))) => {
+                        assert!(msg.contains("chunk 2 failed its CRC-32 check"), "{msg}")
+                    }
+                    other => {
+                        panic!("threads={threads} window={window}: expected chunk 2's decode error, got {other:?}")
+                    }
+                }
+                helper.join().expect("the helper returned");
+            }
         }
     }
 

@@ -29,12 +29,32 @@ use ocelot_sz::config::{LosslessBackend, PredictorKind};
 use ocelot_sz::format as sz_format;
 use ocelot_sz::{compress, decompress, metrics, Dataset, ErrorBound, LossyConfig};
 use std::collections::HashMap;
+use std::io::Write as _;
 use std::process::ExitCode;
+
+/// `println!` that hands a failed write back instead of panicking on it, so
+/// a closed stdout (`ocelot inspect x.ocz | head -4`) ends the verb quietly.
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        writeln!(std::io::stdout(), $($arg)*)
+    };
+}
+
+/// `print!`, as `outln!` is `println!`.
+macro_rules! out {
+    ($($arg:tt)*) => {
+        write!(std::io::stdout(), $($arg)*)
+    };
+}
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
+        // The reader went away (`| head`): nothing is left to tell it.
+        Err(e) if e.downcast_ref::<std::io::Error>().is_some_and(|e| e.kind() == std::io::ErrorKind::BrokenPipe) => {
+            ExitCode::SUCCESS
+        }
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
@@ -59,6 +79,7 @@ fn run(args: &[String]) -> Result<(), CliError> {
         return Ok(());
     };
     let (positional, flags) = parse_flags(&args[1..]);
+    check_flags(command, &flags)?;
     match command.as_str() {
         "gen" => cmd_gen(&flags),
         "compress" => cmd_compress(&positional, &flags),
@@ -139,6 +160,62 @@ fn parse_flags(args: &[String]) -> (Vec<String>, HashMap<String, String>) {
         }
     }
     (positional, flags)
+}
+
+/// Flags every verb that runs the service reads ([`parse_service_config`]).
+const SERVICE_FLAGS: &[&str] = &[
+    "workers",
+    "capacity",
+    "fail",
+    "retries",
+    "seed",
+    "profile-scale",
+    "codec-threads",
+    "stream-window",
+    "slo-p99",
+    "slo-error-rate",
+    "slo-psnr",
+    "artifacts",
+];
+
+/// Flags a service batch reads on top of those ([`run_service_batch`]).
+const BATCH_FLAGS: &[&str] = &["jobs", "tenants", "apps", "from", "to", "eb"];
+
+/// The flags `command` reads (`out` is `-o`); `None` for no verb.
+fn verb_flags(command: &str) -> Option<&'static [&'static [&'static str]]> {
+    Some(match command {
+        "gen" => &[&["app", "field", "scale", "seed", "out"]],
+        "compress" => &[&["dims", "eb", "abs", "predictor", "backend", "threads", "codec-threads", "out"]],
+        "decompress" => &[&["threads", "codec-threads", "out"]],
+        "inspect" => &[&["json", "out"]],
+        "sweep" => &[&["dims", "ebs"]],
+        "verify" => &[&["dims", "eb", "min-psnr", "min-corr"]],
+        "simulate" => &[&["app", "from", "to", "profile-scale", "strategy", "groups"]],
+        "plan" => &[&["app", "from", "to", "profile-scale"]],
+        "submit" => &[SERVICE_FLAGS, &["app", "from", "to", "eb", "tenant", "strategy", "groups"]],
+        "serve" => &[SERVICE_FLAGS, BATCH_FLAGS],
+        "metrics" | "analyze" => &[SERVICE_FLAGS, BATCH_FLAGS, &["json", "out"]],
+        "trace" => &[SERVICE_FLAGS, BATCH_FLAGS, &["out"]],
+        "postmortem" => &[SERVICE_FLAGS, BATCH_FLAGS, &["file", "json", "out"]],
+        "timeline" => &[SERVICE_FLAGS, BATCH_FLAGS, &["json", "chunk", "out"]],
+        _ => return None,
+    })
+}
+
+/// Rejects, before the verb runs or writes anything, every flag it would
+/// not read: a flag that silently does nothing reads as one that worked.
+fn check_flags(command: &str, flags: &HashMap<String, String>) -> Result<(), CliError> {
+    let Some(reads) = verb_flags(command) else { return Ok(()) };
+    let mut unread: Vec<String> = flags
+        .keys()
+        .filter(|name| !reads.iter().any(|set| set.contains(&name.as_str())))
+        .map(|name| if name == "out" { "-o".to_string() } else { format!("--{name}") })
+        .collect();
+    if unread.is_empty() {
+        return Ok(());
+    }
+    unread.sort();
+    Err(format!("`{command}` does not read {}", unread.join(", ")).into())
 }
 
 fn parse_dims(s: &str) -> Result<Vec<usize>, CliError> {
@@ -233,12 +310,12 @@ fn cmd_gen(flags: &HashMap<String, String>) -> Result<(), CliError> {
     } else {
         std::fs::write(out, data.to_le_bytes())?;
     }
-    println!("wrote {} ({:?}, {:.2} MB) to {out}", field, data.dims(), data.nbytes() as f64 / 1e6);
+    outln!("wrote {} ({:?}, {:.2} MB) to {out}", field, data.dims(), data.nbytes() as f64 / 1e6)?;
     if !out.ends_with(".ncl") {
-        println!(
+        outln!(
             "decompress/inspect with --dims {}",
             data.dims().iter().map(|d| d.to_string()).collect::<Vec<_>>().join("x")
-        );
+        )?;
     }
     Ok(())
 }
@@ -252,13 +329,13 @@ fn cmd_compress(positional: &[String], flags: &HashMap<String, String>) -> Resul
     let session = TransferSession::new(threads, cfg).with_codec_threads(parse_codec_threads(flags)?);
     let set = session.build_archives(&variables, 1)?;
     std::fs::write(out, &set.archives()[0])?;
-    println!(
+    outln!(
         "wrote {out}: {} variable(s), {:.2} MB -> {:.2} MB (overall {:.1}x)",
         variables.len(),
         set.raw_bytes() as f64 / 1e6,
         set.compressed_bytes() as f64 / 1e6,
         set.overall_ratio(),
-    );
+    )?;
     Ok(())
 }
 
@@ -275,11 +352,11 @@ fn cmd_decompress(positional: &[String], flags: &HashMap<String, String>) -> Res
             container.insert(name, data);
         }
         container.save(out)?;
-        println!("wrote {out}: {} variable(s)", container.len());
+        outln!("wrote {out}: {} variable(s)", container.len())?;
     } else {
         let (_, data) = &restored[0];
         std::fs::write(out, data.to_le_bytes())?;
-        println!("wrote {out}: {:?} ({:.2} MB)", data.dims(), data.nbytes() as f64 / 1e6);
+        outln!("wrote {out}: {:?} ({:.2} MB)", data.dims(), data.nbytes() as f64 / 1e6)?;
     }
     Ok(())
 }
@@ -298,10 +375,10 @@ fn cmd_inspect(positional: &[String], flags: &HashMap<String, String>) -> Result
         validate_export(&text, "inspect.schema.json")?;
         return write_or_print(flags, &text);
     }
-    println!("{input}: {} variable(s)", members.len());
+    outln!("{input}: {} variable(s)", members.len())?;
     for (name, blob) in &members {
         let h = blob.header()?;
-        println!(
+        outln!(
             "  {name}: {} {:?}, abs_eb {:.3e}, predictor {}, backend {}, {:.2} MB compressed",
             h.dtype,
             h.dims,
@@ -309,24 +386,24 @@ fn cmd_inspect(positional: &[String], flags: &HashMap<String, String>) -> Result
             h.predictor,
             h.backend,
             blob.len() as f64 / 1e6
-        );
+        )?;
         let (table, embedded) = blob_chunk_table(blob)?;
-        println!("    {} chunk(s) of {} row(s)", table.entries.len(), table.chunk_rows);
+        outln!("    {} chunk(s) of {} row(s)", table.entries.len(), table.chunk_rows)?;
         let (table_bytes, symbols) = embedded.iter().fold((0, 0), |(b, n), &(tb, tn)| (b + tb, n + tn));
         if symbols > 0 {
-            println!(
+            outln!(
                 "    embedded tables: {table_bytes} B over {symbols} symbol(s) ({:.2} B/symbol), {:.1} % of the blob",
                 table_bytes as f64 / symbols as f64,
                 100.0 * table_bytes as f64 / blob.len() as f64
-            );
+            )?;
         }
         for (i, (e, &(table_bytes, symbols))) in table.entries.iter().zip(&embedded).enumerate() {
-            println!(
+            outln!(
                 "      chunk {i}: {} B, {}-table{}",
                 e.len,
                 table_mode_name(e.table_mode),
                 if symbols > 0 { format!(" of {table_bytes} B over {symbols} symbol(s)") } else { String::new() }
-            );
+            )?;
         }
     }
     Ok(())
@@ -407,21 +484,21 @@ fn cmd_sweep(positional: &[String], flags: &HashMap<String, String>) -> Result<(
         None => vec![1e-5, 1e-4, 1e-3, 1e-2, 1e-1],
     };
     let variables = load_input(input, flags)?;
-    println!("{:<16} {:>9} {:>9} {:>10} {:>10}", "variable/eb", "ratio", "PSNR", "max err", "bytes");
+    outln!("{:<16} {:>9} {:>9} {:>10} {:>10}", "variable/eb", "ratio", "PSNR", "max err", "bytes")?;
     for (name, data) in &variables {
         for &eb in &ebs {
             let cfg = LossyConfig::sz3(eb);
             let outcome = compress(data, &cfg)?;
             let restored = decompress::<f32>(&outcome.blob)?;
             let q = metrics::compare(data, &restored)?;
-            println!(
+            outln!(
                 "{:<16} {:>8.1}x {:>8.1}dB {:>10.2e} {:>10}",
                 format!("{name}@{eb:.0e}"),
                 outcome.ratio,
                 q.psnr,
                 q.max_abs_error,
                 outcome.blob.len()
-            );
+            )?;
         }
     }
     Ok(())
@@ -446,15 +523,15 @@ fn cmd_verify(positional: &[String], flags: &HashMap<String, String>) -> Result<
     let mut all_ok = true;
     for ((name, a), (_, b)) in orig.iter().zip(&rest) {
         let v = verify(a, b, &policy)?;
-        println!(
+        outln!(
             "{name}: PSNR {:.2} dB, max err {:.3e}, corr {:.6} -> {}",
             v.psnr,
             v.max_abs_error,
             v.correlation,
             if v.accepted { "ACCEPTED" } else { "REJECTED" }
-        );
+        )?;
         for violation in &v.violations {
-            println!("    {violation}");
+            outln!("    {violation}")?;
         }
         all_ok &= v.accepted;
     }
@@ -491,8 +568,8 @@ fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let strategy = parse_strategy(flags)?;
     let orch = Orchestrator::paper();
     let b = orch.run(&workload, from, to, strategy, &PipelineOptions::default());
-    println!("{from}->{to}: {} files, {:.1} GB on the wire", b.files_transferred, b.bytes_transferred as f64 / 1e9);
-    println!(
+    outln!("{from}->{to}: {} files, {:.1} GB on the wire", b.files_transferred, b.bytes_transferred as f64 / 1e9)?;
+    outln!(
         "compress {:.1}s + group {:.1}s + transfer {:.1}s + decompress {:.1}s = total {:.1}s ({:.2} GB/s effective)",
         b.compression_s,
         b.grouping_s,
@@ -500,7 +577,7 @@ fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), CliError> {
         b.decompression_s,
         b.total_s(),
         b.effective_speed_bps() / 1e9
-    );
+    )?;
     Ok(())
 }
 
@@ -510,21 +587,19 @@ fn cmd_plan(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let base = PipelineOptions::default();
     let plan = planner.plan(&workload, from, to, &base);
     let np = Orchestrator::paper().run(&workload, from, to, Strategy::Direct, &base);
-    println!("plan for {from}->{to}:");
+    outln!("plan for {from}->{to}:")?;
     match plan.strategy {
-        Strategy::CompressedGrouped { group_count: g } => {
-            println!("  strategy: compress + group into {g} files")
-        }
-        Strategy::Compressed => println!("  strategy: compress, no grouping"),
-        _ => println!("  strategy: {:?}", plan.strategy),
+        Strategy::CompressedGrouped { group_count: g } => outln!("  strategy: compress + group into {g} files")?,
+        Strategy::Compressed => outln!("  strategy: compress, no grouping")?,
+        _ => outln!("  strategy: {:?}", plan.strategy)?,
     }
-    println!("  decompress cores/node: {}", plan.decompress_cores_per_node);
-    println!(
+    outln!("  decompress cores/node: {}", plan.decompress_cores_per_node)?;
+    outln!(
         "  expected total {:.1}s vs direct {:.1}s ({:.0}% reduction)",
         plan.expected.total_s(),
         np.transfer_s,
         plan.expected.reduction_vs(np.transfer_s) * 100.0
-    );
+    )?;
     Ok(())
 }
 
@@ -605,16 +680,16 @@ fn print_service_summary(svc: &Service) -> Result<(), CliError> {
             JobState::Failed(reason) => format!("FAILED ({reason})"),
             other => format!("{other:?}"),
         };
-        println!(
+        outln!(
             "  {} [{}] {verdict}: {:.1}s simulated, {:.2} GB moved, {} retries",
             report.job,
             report.tenant,
             report.latency_s,
             report.bytes_transferred as f64 / 1e9,
             report.retries
-        );
+        )?;
     }
-    println!("{}", serde_json::to_string_pretty(&metrics)?);
+    outln!("{}", serde_json::to_string_pretty(&metrics)?)?;
     Ok(())
 }
 
@@ -630,7 +705,7 @@ fn cmd_submit(flags: &HashMap<String, String>, obs: &Obs) -> Result<(), CliError
     info!("ocelot", "submitted {id} for tenant '{tenant}', draining...");
     svc.drain();
     for event in svc.journal() {
-        println!("  t={:>8.1}s  {:?}", event.t_s, event.state);
+        outln!("  t={:>8.1}s  {:?}", event.t_s, event.state)?;
     }
     print_service_summary(&svc)
 }
@@ -697,7 +772,7 @@ fn write_or_print(flags: &HashMap<String, String>, text: &str) -> Result<(), Cli
             std::fs::write(path, text)?;
             info!("ocelot", "wrote {path} ({} bytes)", text.len());
         }
-        None => println!("{text}"),
+        None => outln!("{text}")?,
     }
     Ok(())
 }
@@ -782,7 +857,7 @@ fn cmd_postmortem(positional: &[String], flags: &HashMap<String, String>, obs: &
         if flags.contains_key("json") {
             return write_or_print(flags, &serde_json::to_string_pretty(&dump)?);
         }
-        print!("{}", ocelot_svc::render_postmortem(&dump));
+        out!("{}", ocelot_svc::render_postmortem(&dump))?;
         return Ok(());
     }
     let job: u64 = positional
@@ -808,7 +883,7 @@ fn cmd_postmortem(positional: &[String], flags: &HashMap<String, String>, obs: &
             std::fs::write(path, &text)?;
             info!("ocelot", "wrote {path} ({} bytes)", text.len());
         }
-        None => print!("{text}"),
+        None => out!("{text}")?,
     }
     Ok(())
 }
@@ -938,6 +1013,18 @@ mod tests {
         assert_eq!(parse_service_config(&flags, &Obs::disabled()).unwrap().stream_window, 8);
         flags.insert("stream-window".to_string(), "many".to_string());
         assert!(parse_stream_window(&flags).is_err());
+    }
+
+    #[test]
+    fn every_flag_a_verb_reads_is_accepted_and_no_other() {
+        let flags = |names: &[&str]| names.iter().map(|n| (n.to_string(), "1".to_string())).collect();
+        assert!(check_flags("compress", &flags(&["dims", "eb", "abs", "codec-threads", "out"])).is_ok());
+        assert!(check_flags("timeline", &flags(&["stream-window", "codec-threads", "apps", "json", "out"])).is_ok());
+        let err = check_flags("compress", &flags(&["stream-window", "out"])).unwrap_err().to_string();
+        assert_eq!(err, "`compress` does not read --stream-window");
+        let err = check_flags("sweep", &flags(&["dims", "out", "json"])).unwrap_err().to_string();
+        assert_eq!(err, "`sweep` does not read --json, -o");
+        assert!(check_flags("frobnicate", &flags(&["anything"])).is_ok(), "an unknown verb is its own error");
     }
 
     #[test]

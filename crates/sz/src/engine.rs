@@ -9,11 +9,11 @@
 //!   contiguous slabs along dimension 0 (the slowest-varying axis), so a
 //!   chunk is a plain sub-slice of the value buffer and keeps the dataset's
 //!   rank (predictors see real n-d structure, not a flattened stream).
-//! * [`parallel_map`] — a bounded scoped worker pool (crossbeam scope +
-//!   atomic work index) whose results are collected *by index*, making the
-//!   assembled output byte-identical regardless of worker count. It is the
-//!   one fallible pool: chunk decode runs on it, and so does `ocelot`'s
-//!   file-level executor.
+//! * [`parallel_map`] — the bounded scoped worker pool (crossbeam scope +
+//!   atomic work index), whose results are consumed *in index order*, so the
+//!   assembled output is byte-identical regardless of worker count. It is the
+//!   window-0 face of the one pool, which also streams: chunk decode, the
+//!   streamed compressor and `ocelot`'s file-level executor all run on it.
 
 use crossbeam::thread;
 use parking_lot::Mutex;
@@ -131,14 +131,12 @@ impl ChunkLayout {
 }
 
 /// Runs `work(0..n)` on up to `threads` scoped workers and returns the
-/// results in index order. Work is claimed from a shared atomic counter, so
+/// results in index order: `parallel_map_windowed` at window 0, with a
+/// consumer that collects. Work is claimed from a shared atomic counter, so
 /// stragglers do not idle other workers; output order (and therefore any
-/// bytes assembled from it) is independent of scheduling.
-///
-/// On failure the error is the lowest failing index's — what the serial
-/// loop returns — at every thread count: once index `f` fails, no worker
-/// starts an index above the lowest failure seen, but every index below it
-/// still runs, since indices are claimed in increasing order.
+/// bytes assembled from it) is independent of scheduling. The first error
+/// consumed is the lowest failing index's — what the serial loop returns —
+/// at every thread count, and it stops the workers.
 ///
 /// # Errors
 /// Returns the error of the lowest index whose `work` failed.
@@ -148,52 +146,31 @@ where
     E: Send,
     F: Fn(usize) -> Result<R, E> + Sync,
 {
-    let threads = threads.clamp(1, n.max(1));
-    if threads == 1 {
-        return (0..n).map(work).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let lowest_failed = AtomicUsize::new(usize::MAX);
-    let slots: Mutex<Vec<Option<R>>> = Mutex::new((0..n).map(|_| None).collect());
-    let failure: Mutex<Option<(usize, E)>> = Mutex::new(None);
-    thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                // `lowest_failed` publishes no data (the error itself sits
-                // under the mutex), so its accesses are relaxed.
-                if i >= n || i > lowest_failed.load(Ordering::Relaxed) {
-                    break;
-                }
-                match work(i) {
-                    Ok(r) => slots.lock()[i] = Some(r),
-                    Err(e) => {
-                        lowest_failed.fetch_min(i, Ordering::Relaxed);
-                        let mut failure = failure.lock();
-                        if failure.as_ref().is_none_or(|&(f, _)| i < f) {
-                            *failure = Some((i, e));
-                        }
-                        break;
-                    }
-                }
-            });
-        }
-    })
-    .expect("worker panics propagate via the scope");
-    if let Some((_, e)) = failure.into_inner() {
-        return Err(e);
-    }
-    Ok(slots.into_inner().into_iter().map(|r| r.expect("every index visited")).collect())
+    let mut out = Vec::with_capacity(n);
+    parallel_map_windowed(
+        n,
+        threads,
+        0,
+        |_| (),
+        |_| (),
+        |_, i| work(i),
+        |_, _, r| {
+            out.push(r?);
+            Ok(())
+        },
+    )?;
+    Ok(out)
 }
 
-/// Back-pressure gate shared by the windowed pool: `consumed` counts chunks
-/// the in-order consumer has retired; a worker may start chunk `i` only once
-/// `i < consumed + window`, so at most `window` chunks are ever past the
-/// gate but not yet consumed. A closed gate admits nothing and parks no one:
-/// the consumer closes it when it stops, normally or by unwinding, so no
-/// worker waits on a `retire` that will never come.
+/// Back-pressure gate shared by the pool: `consumed` counts results the
+/// in-order consumer has retired; a worker may start index `i` only once
+/// `i < consumed + window` (any `i` at `window == 0`), so at most `window`
+/// results are ever past the gate but not yet consumed. A closed gate
+/// admits nothing and parks no one: the consumer closes it when it stops —
+/// done, failed or unwinding — and so does a worker that unwinds, so no
+/// thread waits on a result that will never come.
 struct WindowGate {
-    /// Chunks retired, and whether the gate is closed.
+    /// Results retired, and whether the gate is closed.
     state: std::sync::Mutex<(usize, bool)>,
     cv: std::sync::Condvar,
 }
@@ -203,11 +180,11 @@ impl WindowGate {
         WindowGate { state: std::sync::Mutex::new((0, false)), cv: std::sync::Condvar::new() }
     }
 
-    /// Blocks until chunk `i` fits in the window; `false` once the gate is
+    /// Blocks until index `i` fits in the window; `false` once the gate is
     /// closed, when the worker should stop.
     fn admit(&self, i: usize, window: usize) -> bool {
         let mut state = self.state.lock().expect("gate lock");
-        while i >= state.0 + window && !state.1 {
+        while window > 0 && i >= state.0 + window && !state.1 {
             state = self.cv.wait(state).expect("gate wait");
         }
         !state.1
@@ -224,12 +201,15 @@ impl WindowGate {
     }
 }
 
-/// Closes its gate when dropped — also while the consumer unwinds.
-struct CloseOnDrop<'a>(&'a WindowGate);
+/// Closes its gate if dropped while its thread unwinds; a worker's normal
+/// exit must leave the gate open for the workers still running.
+struct CloseOnUnwind<'a>(&'a WindowGate);
 
-impl Drop for CloseOnDrop<'_> {
+impl Drop for CloseOnUnwind<'_> {
     fn drop(&mut self) {
-        self.0.close();
+        if std::thread::panicking() {
+            self.0.close();
+        }
     }
 }
 
@@ -238,26 +218,29 @@ impl Drop for CloseOnDrop<'_> {
 /// most `window` results in flight (claimed by a worker but not yet
 /// consumed). `window == 0` means unbounded (workers never stall).
 ///
-/// This is the streaming counterpart of [`parallel_map`]: instead of
-/// collecting everything and returning, each finished chunk is handed to the
-/// consumer as soon as all lower-indexed chunks have been, so a downstream
-/// stage (transfer, decode) can overlap with upstream work while memory
-/// stays `O(window)` rather than `O(n)`.
+/// This is the one worker pool: [`parallel_map`] collects from it, and a
+/// streaming caller hands each result to a downstream stage (transfer,
+/// decode) as soon as all lower-indexed results have been, so that stage
+/// overlaps with upstream work while memory stays `O(window)`, not `O(n)`.
 ///
-/// Before the first chunk, the same workers share out `scan(0..n)`, and
+/// Before the first result, the same workers share out `scan(0..n)`, and
 /// `setup` folds the scans, in index order, into the context every `work`
 /// and `consume` call is handed and that is returned at the end — a pass
 /// over the whole input, such as a relative error bound's value range,
 /// that the chunks depend on.
-pub(crate) fn parallel_map_windowed<Q, S, R>(
+///
+/// A `consume` error closes the pool — no worker starts another index —
+/// and is returned. A panic in any stage, on any thread, closes it too and
+/// resurfaces from the call.
+pub(crate) fn parallel_map_windowed<Q, S, R, E>(
     n: usize,
     threads: usize,
     window: usize,
     scan: impl Fn(usize) -> Q + Sync,
     setup: impl FnOnce(Vec<Q>) -> S + Send,
     work: impl Fn(&S, usize) -> R + Sync,
-    mut consume: impl FnMut(&S, usize, R),
-) -> S
+    mut consume: impl FnMut(&S, usize, R) -> Result<(), E>,
+) -> Result<S, E>
 where
     Q: Send,
     S: Send + Sync,
@@ -265,25 +248,27 @@ where
 {
     let threads = threads.clamp(1, n.max(1));
     if threads == 1 {
-        // One worker can never have more than one chunk in flight, so the
+        // One worker can never have more than one result in flight, so the
         // window is trivially respected and no stall can occur.
         let ctx = setup((0..n).map(scan).collect());
         for i in 0..n {
-            consume(&ctx, i, work(&ctx, i));
+            consume(&ctx, i, work(&ctx, i))?;
         }
-        return ctx;
+        return Ok(ctx);
     }
     let (next_scan, scans) = (AtomicUsize::new(0), Mutex::new((0..n).map(|_| None).collect::<Vec<Option<Q>>>()));
     let (scanned, setup, ctx) = (Barrier::new(threads), Mutex::new(Some(setup)), OnceLock::new());
     let next = AtomicUsize::new(0);
     let gate = WindowGate::new();
     let (tx, rx) = mpsc::channel::<(usize, R)>();
+    let mut consumed = Ok(());
     thread::scope(|scope| {
         let (next, gate, work) = (&next, &gate, &work);
         let (next_scan, scans, scan, scanned, setup, ctx) = (&next_scan, &scans, &scan, &scanned, &setup, &ctx);
         for _ in 0..threads {
             let tx = tx.clone();
             scope.spawn(move |_| {
+                let _close = CloseOnUnwind(gate);
                 // A panicking scan is rethrown only past the barrier, so no
                 // worker is left waiting there for one that died; the fold
                 // then meets the missing scan and panics on every worker.
@@ -305,39 +290,40 @@ where
                 });
                 loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
+                    if i >= n || !gate.admit(i, window) {
                         break;
                     }
-                    if window > 0 && !gate.admit(i, window) {
-                        break;
-                    }
-                    let r = work(ctx, i);
-                    if tx.send((i, r)).is_err() {
-                        break;
-                    }
+                    tx.send((i, work(ctx, i))).expect("the receiver outlives the workers");
                 }
             });
         }
         drop(tx);
-        let _close = CloseOnDrop(gate);
+        let _close = CloseOnUnwind(gate);
         // In-order consumer on the calling thread: buffer out-of-order
         // arrivals (at most `window` of them when bounded) and drain runs.
         let mut pending: std::collections::BTreeMap<usize, R> = std::collections::BTreeMap::new();
         let mut next_out = 0usize;
-        while next_out < n {
+        'recv: while next_out < n {
+            // Every sender gone early means a worker unwound.
             let Ok((i, r)) = rx.recv() else { break };
             pending.insert(i, r);
             // A worker set the context up before it made any result.
-            let ctx = ctx.get().expect("set up before the first chunk");
+            let ctx = ctx.get().expect("set up before the first result");
             while let Some(r) = pending.remove(&next_out) {
-                consume(ctx, next_out, r);
+                if let Err(e) = consume(ctx, next_out, r) {
+                    consumed = Err(e);
+                    break 'recv;
+                }
                 next_out += 1;
                 gate.retire();
             }
         }
+        // Done or failed: no parked worker waits for a retire.
+        gate.close();
     })
     .expect("worker panics propagate via the scope");
-    ctx.into_inner().expect("the workers set the context up")
+    consumed?;
+    Ok(ctx.into_inner().expect("the workers set the context up"))
 }
 
 #[cfg(test)]
@@ -474,9 +460,10 @@ mod tests {
                     |&ctx, i, r| {
                         assert_eq!(r, ctx + i * 3, "result arrives with its own index and the context");
                         seen.push(i);
+                        Ok::<_, ()>(())
                     },
                 );
-                assert_eq!(ctx, scanned);
+                assert_eq!(ctx, Ok(scanned));
                 assert_eq!(seen, (0..37).collect::<Vec<_>>(), "threads={threads} window={window}");
             }
         }
@@ -497,32 +484,119 @@ mod tests {
             |_, _, r| {
                 std::thread::sleep(std::time::Duration::from_millis(1));
                 sum += r;
+                Ok::<_, ()>(())
             },
-        );
+        )
+        .unwrap();
         assert_eq!(sum, (0..16).sum());
     }
 
     #[test]
     fn windowed_map_handles_empty_input() {
-        let ctx = parallel_map_windowed(0, 4, 2, |i| i, |scans| scans.len(), |_, i| i, |_, _, _| panic!("no chunks"));
-        assert_eq!(ctx, 0);
+        let ctx = parallel_map_windowed(
+            0,
+            4,
+            2,
+            |i| i,
+            |scans| scans.len(),
+            |_, i| i,
+            |_, _, _| -> Result<(), ()> { panic!("no chunks") },
+        );
+        assert_eq!(ctx, Ok(0));
+    }
+
+    /// Runs `f` on a helper thread; `Ok(true)` when it panicked within the
+    /// deadline, a timeout when it hung.
+    fn panics_within_deadline(f: impl FnOnce() + Send + 'static) -> Result<bool, mpsc::RecvTimeoutError> {
+        let (tx, rx) = mpsc::channel();
+        let helper = std::thread::spawn(move || {
+            let _ = tx.send(panic::catch_unwind(AssertUnwindSafe(f)).is_err());
+        });
+        let panicked = rx.recv_timeout(std::time::Duration::from_secs(10));
+        if panicked.is_ok() {
+            helper.join().expect("the helper caught the panic");
+        }
+        panicked
     }
 
     #[test]
-    fn a_panicking_scan_panics_the_pool_instead_of_hanging_it() {
-        for threads in [2, 3, 8] {
-            let run = std::panic::catch_unwind(|| {
-                parallel_map_windowed(
-                    16,
+    fn a_panicking_stage_panics_the_pool_instead_of_hanging_it() {
+        // Scan 5, work 0 or consume 1 panics, at every thread count and
+        // window. Once work 0 has panicked the consumer waits for an index
+        // that will never come and, at window > 0, every other worker parks
+        // on the gate: the worker's unwinding must close it, or the pool
+        // hangs. Work 0 panics late only so that the workers are likely
+        // parked already; the pool must not hang either way.
+        for stage in ["scan", "work", "consume"] {
+            for threads in [1, 2, 3, 8] {
+                for window in [0, 1, 2, 4] {
+                    let run = panics_within_deadline(move || {
+                        let _ = parallel_map_windowed(
+                            16,
+                            threads,
+                            window,
+                            |i| assert!(stage != "scan" || i != 5, "scan 5 fails"),
+                            |_| (),
+                            |_, i| {
+                                if stage == "work" && i == 0 {
+                                    std::thread::sleep(std::time::Duration::from_millis(50));
+                                    panic!("work 0 fails");
+                                }
+                                i
+                            },
+                            |_, i, _| {
+                                assert!(stage != "consume" || i != 1, "consume 1 fails");
+                                Ok::<_, ()>(())
+                            },
+                        );
+                    });
+                    assert_eq!(run, Ok(true), "{stage} panics: threads={threads} window={window}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_consumer_error_stops_the_workers_and_is_the_result() {
+        for threads in [1, 2, 3, 8] {
+            for window in [0, 1, 2, 4] {
+                let (worked, failed) = (AtomicUsize::new(0), std::sync::atomic::AtomicBool::new(false));
+                let out = parallel_map_windowed(
+                    64,
                     threads,
-                    2,
-                    |i| assert!(i != 5, "scan 5 fails"),
+                    window,
                     |_| (),
-                    |_, i| i,
-                    |_, _, _| {},
-                )
-            });
-            assert!(run.is_err(), "threads={threads}");
+                    |_| (),
+                    |_, i| {
+                        worked.fetch_add(1, Ordering::Relaxed);
+                        // Past index 3, hold every worker until the consumer
+                        // has failed, then stay slow: an open pool would
+                        // still get through the field.
+                        if i > 3 {
+                            while !failed.load(Ordering::Acquire) {
+                                std::thread::yield_now();
+                            }
+                            std::thread::sleep(std::time::Duration::from_millis(5));
+                        }
+                        i
+                    },
+                    |_, i, _| {
+                        if i < 3 {
+                            return Ok(());
+                        }
+                        failed.store(true, Ordering::Release);
+                        Err(i)
+                    },
+                );
+                assert_eq!(out, Err(3), "threads={threads} window={window}");
+                let worked = worked.into_inner();
+                assert!(worked < 64, "threads={threads} window={window}: {worked} of 64 indices ran");
+                if window > 0 {
+                    // Indices 0, 1 and 2 retired; 3 failed; the gate admits
+                    // no index at or past 3 + window.
+                    assert!(worked <= 3 + window, "threads={threads} window={window}: {worked} ran");
+                }
+            }
         }
     }
 }

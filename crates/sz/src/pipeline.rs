@@ -113,8 +113,6 @@ pub fn compress<T: ScalarValue>(data: &Dataset<T>, config: &LossyConfig) -> Resu
 pub struct StreamedChunk<'a> {
     /// Chunk index within the container (0-based, dense).
     pub index: usize,
-    /// Total number of chunks the container will hold.
-    pub total: usize,
     /// The container header the chunk belongs to.
     pub header: &'a BlobHeader,
     /// Shape of this chunk (same rank as the dataset, shorter dimension 0).
@@ -136,8 +134,9 @@ pub struct StreamedChunk<'a> {
 /// byte-identical to [`compress`] at every thread count and window size.
 ///
 /// # Errors
-/// Everything [`compress`] returns, plus any error the sink raises (the
-/// first sink error aborts further sink calls and is returned).
+/// Everything [`compress`] returns, plus any error the sink raises. The
+/// first error in chunk order, encode or sink, stops the workers and is
+/// returned.
 pub fn compress_streamed<T: ScalarValue>(
     data: &Dataset<T>,
     config: &LossyConfig,
@@ -265,7 +264,6 @@ where
     let mut entries: Vec<ChunkEntry> = Vec::with_capacity(n);
     let mut hist: Vec<(u32, u64)> = Vec::new();
     let mut sections = SectionSizes::default();
-    let mut first_err: Option<SzError> = None;
     let slab = |i: usize| &data.values()[layout.value_range(i)];
     let header = parallel_map_windowed(
         n,
@@ -286,42 +284,27 @@ where
             encode_chunk(header, view)
         },
         |header, i, result| {
-            if first_err.is_some() {
-                return;
-            }
-            match result {
-                Ok(c) => {
-                    let zero_bins =
-                        c.hist.binary_search_by_key(&zero_code, |&(code, _)| code).map_or(0, |idx| c.hist[idx].1);
-                    let entry = ChunkEntry {
-                        len: c.payload.len(),
-                        crc: c.crc,
-                        points: layout.points_in_chunk(i) as u64,
-                        zero_bins,
-                        unpredictable: c.unpredictable,
-                        table_mode: header.family.table_mode(),
-                    };
-                    let streamed =
-                        StreamedChunk { index: i, total: n, header, dims: dims_of(i), entry, payload: &c.payload };
-                    if let Err(e) = sink(streamed) {
-                        first_err = Some(e);
-                        return;
-                    }
-                    entries.push(entry);
-                    body.extend_from_slice(&c.payload);
-                    merge_histograms(&mut hist, &c.hist);
-                    sections.side_data += c.side_bytes;
-                    sections.unpredictable += c.unpred_bytes;
-                    sections.codes += c.code_bytes;
-                    sections.tables += c.table_bytes;
-                }
-                Err(e) => first_err = Some(e),
-            }
+            let c = result?;
+            let zero_bins = c.hist.binary_search_by_key(&zero_code, |&(code, _)| code).map_or(0, |idx| c.hist[idx].1);
+            let entry = ChunkEntry {
+                len: c.payload.len(),
+                crc: c.crc,
+                points: layout.points_in_chunk(i) as u64,
+                zero_bins,
+                unpredictable: c.unpredictable,
+                table_mode: header.family.table_mode(),
+            };
+            sink(StreamedChunk { index: i, header, dims: dims_of(i), entry, payload: &c.payload })?;
+            entries.push(entry);
+            body.extend_from_slice(&c.payload);
+            merge_histograms(&mut hist, &c.hist);
+            sections.side_data += c.side_bytes;
+            sections.unpredictable += c.unpred_bytes;
+            sections.codes += c.code_bytes;
+            sections.tables += c.table_bytes;
+            Ok(())
         },
-    );
-    if let Some(e) = first_err {
-        return Err(e);
-    }
+    )?;
 
     let bin_stats = quant_bin_stats_from_hist(&hist, zero_code);
     let table = ChunkTable { chunk_rows: layout.chunk_rows(), entries };
@@ -724,9 +707,13 @@ mod tests {
                             |i| min_max_of(&data.values()[layout.value_range(i)]),
                             fold_min_max,
                             |_, _| (),
-                            |_, _, _| (),
+                            |_, _, _| Ok::<_, ()>(()),
                         );
-                        assert_eq!(bits(pooled), want, "{rows}x{cols} span {span} threads {threads} rows {chunk_rows}");
+                        assert_eq!(
+                            bits(pooled.unwrap()),
+                            want,
+                            "{rows}x{cols} span {span} threads {threads} rows {chunk_rows}"
+                        );
                     }
                     // The bound the pool resolves is the serial one; ±∞ make
                     // no finite bound, so the first two palettes only.
@@ -1283,7 +1270,6 @@ mod tests {
                 let mut indices = Vec::new();
                 let mut payload_cat = Vec::new();
                 let streamed = compress_streamed(&data, &cfg.with_threads(threads), window, |chunk| {
-                    assert_eq!(chunk.total, staged.chunks);
                     assert_eq!(chunk.entry.len, chunk.payload.len());
                     assert_eq!(chunk.entry.crc, crate::checksum::crc32(chunk.payload));
                     indices.push(chunk.index);
