@@ -42,7 +42,6 @@
 
 pub mod executor;
 pub mod grouping;
-pub mod lanes;
 pub mod loader;
 pub mod orchestrator;
 pub mod planner;

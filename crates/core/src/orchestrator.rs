@@ -10,7 +10,7 @@
 use ocelot_faas::{Cluster, WaitTimeModel};
 use ocelot_netsim::{
     draw_faults, simulate_transfer_detailed, simulate_transfer_windowed, simulate_transfer_with_faults, FaultModel,
-    GridFtpConfig, LinkProfile, Site, SiteId, Topology,
+    FaultyTransferReport, GridFtpConfig, LinkProfile, Site, SiteId, Topology,
 };
 use ocelot_obs::ledger::{Ledger, Lifecycle, Schedule};
 use std::cmp::Reverse;
@@ -68,8 +68,10 @@ pub struct PipelineOptions {
     pub faults: FaultModel,
     /// Seed for waiting times and link jitter.
     pub seed: u64,
-    /// Job id attached to recorded spans and trace events (`None` for
-    /// jobless runs such as sweeps and profiling).
+    /// Job id the run's schedule is committed under, when the orchestrator
+    /// has a ledger ([`Orchestrator::with_ledger`]); every run kind commits
+    /// one. `None` for jobless runs such as sweeps and profiling, which
+    /// commit nothing.
     pub job: Option<u64>,
     /// Chunk-parallel codec threads per file (the compressor's
     /// `LossyConfig::threads` knob). Each simulated compression lane then
@@ -180,7 +182,8 @@ pub struct PipelineOutcome {
     pub attempts: Vec<u32>,
     /// Byte sizes offered to the transfer leg, in transfer order (raw file
     /// sizes for [`Strategy::Direct`], compressed or grouped sizes
-    /// otherwise). Indexes align with `failed_files` and `attempts`, which
+    /// otherwise; a sentinel run's are those of the transfer after its
+    /// switchover). Indexes align with `failed_files` and `attempts`, which
     /// lets callers re-offer exactly the abandoned payloads.
     pub transfer_sizes: Vec<u64>,
 }
@@ -223,9 +226,10 @@ impl Orchestrator {
         &self.obs
     }
 
-    /// Attaches a chunk-lifecycle ledger: every pipelined job with a
-    /// [`PipelineOptions::job`] commits its schedule to it. Without one, no
-    /// schedule is built.
+    /// Attaches a chunk-lifecycle ledger: every run with a
+    /// [`PipelineOptions::job`] — staged, sentinel, overlapped or streamed —
+    /// commits exactly one schedule to it, the run's one timing record.
+    /// Without one, no schedule is built.
     pub fn with_ledger(mut self, ledger: Arc<Ledger>) -> Self {
         self.ledger = Some(ledger);
         self
@@ -251,28 +255,86 @@ impl Orchestrator {
         self.run_detailed(workload, from, to, strategy, opts).breakdown
     }
 
-    /// Records one run's phase timings: an additive sim-span tree (all on
-    /// lane 0, phases laid end to end as the paper's Table VIII accounts
-    /// them) plus per-phase histograms and a per-strategy run counter.
-    fn record_phases(&self, strategy: &str, job: Option<u64>, b: &TimeBreakdown) {
+    /// Records one run's per-phase histograms and its per-strategy run
+    /// counter.
+    fn record_phases(&self, strategy: &str, b: &TimeBreakdown) {
         let obs = self.obs();
         if !obs.is_enabled() {
             return;
         }
-        let root = obs.sim_span("pipeline", job, crate::lanes::PRIMARY, 0.0, b.total_s());
-        let mut t = 0.0;
-        for (name, dur) in [
-            ("pipeline.queue_wait", b.queue_wait_s),
-            ("pipeline.compress", b.compression_s),
-            ("pipeline.group", b.grouping_s),
-            ("pipeline.transfer", b.transfer_s),
-            ("pipeline.decompress", b.decompression_s),
-        ] {
-            obs.sim_child(root, name, job, crate::lanes::PRIMARY, t, t + dur);
-            t += dur;
-        }
         Self::observe_breakdown(obs, b);
         obs.inc(&format!("ocelot_core_runs_{strategy}_total"), "Pipeline runs completed, by strategy");
+    }
+
+    /// Finishes a staged run: records its metrics, commits its schedule and
+    /// hands back the breakdown with the transfer leg's fault detail.
+    fn finish_staged(
+        &self,
+        label: &str,
+        opts: &PipelineOptions,
+        breakdown: TimeBreakdown,
+        sizes: Vec<u64>,
+        wire: FaultyTransferReport,
+    ) -> PipelineOutcome {
+        self.record_phases(label, &breakdown);
+        self.commit_staged(opts, &breakdown, &sizes, &wire);
+        PipelineOutcome {
+            breakdown,
+            transfer_retries: wire.retries,
+            failed_files: wire.failed_files,
+            wasted_bytes: wire.wasted_bytes,
+            attempts: wire.attempts,
+            transfer_sizes: sizes,
+        }
+    }
+
+    /// Commits a staged run's schedule at file grain: the phases laid end
+    /// to end as the breakdown (and the paper's Table VIII) accounts them —
+    /// queue wait, compression, grouping, the wire, and the decode after the
+    /// transfer ends — with every transfer unit that arrived placed on the
+    /// wire where the transfer simulation put it. `sizes` and `wire` index
+    /// the units as the simulation was given them.
+    fn commit_staged(&self, opts: &PipelineOptions, b: &TimeBreakdown, sizes: &[u64], wire: &FaultyTransferReport) {
+        let (Some(job), Some(led)) = (opts.job, &self.ledger) else { return };
+        // Summed in the order `TimeBreakdown::total_s` sums the phases.
+        let encoded = b.queue_wait_s + b.compression_s;
+        let open = encoded + b.grouping_s;
+        let shut = open + b.transfer_s;
+        let total = shut + b.decompression_s;
+        let mut lost = vec![false; sizes.len()];
+        for &i in &wire.failed_files {
+            lost[i] = true;
+        }
+        let units: Vec<usize> = (0..sizes.len()).filter(|&i| !lost[i]).collect();
+        let failed: Vec<(u32, f64)> = units
+            .iter()
+            .enumerate()
+            .filter(|&(_, &i)| wire.attempts[i] > 1)
+            .flat_map(|(m, &i)| {
+                draw_faults(&opts.faults, opts.seed, i).failed_fracs.into_iter().map(move |f| (m as u32, f))
+            })
+            .collect();
+        let n = units.len();
+        led.commit(
+            Schedule::new(Lifecycle {
+                job,
+                transfer_begin_s: open,
+                transfer_end_s: shut,
+                total_s: total,
+                file: units.iter().map(|&i| i as u32).collect(),
+                chunk: vec![0; n],
+                bytes: units.iter().map(|&i| sizes[i]).collect(),
+                compress_begin: vec![b.queue_wait_s; n],
+                ready: vec![open; n],
+                release: vec![open; n],
+                sent: units.iter().map(|&i| open + wire.start_s[i]).collect(),
+                landed: units.iter().map(|&i| open + wire.completion_s[i]).collect(),
+                decode: vec![(shut, total); n],
+                fault: (!failed.is_empty()).then(|| opts.faults.cause()),
+                failed,
+            })
+            .with_phases((b.queue_wait_s, encoded), (encoded, open)),
+        );
     }
 
     /// Feeds one breakdown into the shared per-phase histograms.
@@ -318,40 +380,25 @@ impl Orchestrator {
             Strategy::Direct => {
                 let sizes = workload.raw_sizes();
                 let faulty = simulate_transfer_with_faults(&sizes, &route.link, &opts.gridftp, &opts.faults, opts.seed);
-                let outcome = PipelineOutcome {
-                    breakdown: TimeBreakdown {
-                        transfer_s: faulty.report.duration_s,
-                        bytes_transferred: faulty.report.bytes_total,
-                        files_transferred: faulty.report.n_files,
-                        ..Default::default()
-                    },
-                    transfer_retries: faulty.retries,
-                    failed_files: faulty.failed_files,
-                    wasted_bytes: faulty.wasted_bytes,
-                    attempts: faulty.attempts,
-                    transfer_sizes: sizes,
+                let breakdown = TimeBreakdown {
+                    transfer_s: faulty.report.duration_s,
+                    bytes_transferred: faulty.report.bytes_total,
+                    files_transferred: faulty.report.n_files,
+                    ..Default::default()
                 };
-                self.record_phases("direct", opts.job, &outcome.breakdown);
-                outcome
+                self.finish_staged("direct", opts, breakdown, sizes, faulty)
             }
             Strategy::Compressed | Strategy::CompressedGrouped { .. } => {
                 let wait_s = opts.wait_model.sample(opts.seed, 0);
                 if opts.sentinel && wait_s > 0.0 {
                     // The sentinel path models a healthy link.
-                    let breakdown = sentinel::run_with_wait(self, workload, from, to, strategy, opts, wait_s);
+                    let (breakdown, sizes, wire) =
+                        sentinel::run_with_wait(self, workload, from, to, strategy, opts, wait_s);
                     self.obs().inc(
                         "ocelot_core_sentinel_switchovers_total",
                         "Runs where the sentinel transferred raw data during the queue wait",
                     );
-                    self.record_phases("sentinel", opts.job, &breakdown);
-                    return PipelineOutcome {
-                        breakdown,
-                        transfer_retries: 0,
-                        failed_files: Vec::new(),
-                        wasted_bytes: 0,
-                        attempts: Vec::new(),
-                        transfer_sizes: Vec::new(),
-                    };
+                    return self.finish_staged("sentinel", opts, breakdown, sizes, wire);
                 }
 
                 let comp_cluster = Cluster::new(opts.compress_nodes, src.cores_per_node, src.core_speed);
@@ -378,26 +425,18 @@ impl Orchestrator {
                 let decomp_cluster = destination_cluster(dst, opts);
                 let decompression_s = self.decompression_time(workload, dst, &decomp_cluster, opts.codec_threads);
 
-                let outcome = PipelineOutcome {
-                    breakdown: TimeBreakdown {
-                        queue_wait_s: wait_s,
-                        compression_s,
-                        grouping_s,
-                        transfer_s: faulty.report.duration_s,
-                        decompression_s,
-                        bytes_transferred: faulty.report.bytes_total,
-                        files_transferred: faulty.report.n_files,
-                    },
-                    transfer_retries: faulty.retries,
-                    failed_files: faulty.failed_files,
-                    wasted_bytes: faulty.wasted_bytes,
-                    attempts: faulty.attempts,
-                    transfer_sizes: sizes,
+                let breakdown = TimeBreakdown {
+                    queue_wait_s: wait_s,
+                    compression_s,
+                    grouping_s,
+                    transfer_s: faulty.report.duration_s,
+                    decompression_s,
+                    bytes_transferred: faulty.report.bytes_total,
+                    files_transferred: faulty.report.n_files,
                 };
                 let label =
                     if matches!(strategy, Strategy::CompressedGrouped { .. }) { "grouped" } else { "compressed" };
-                self.record_phases(label, opts.job, &outcome.breakdown);
-                outcome
+                self.finish_staged(label, opts, breakdown, sizes, faulty)
             }
         }
     }
@@ -479,41 +518,8 @@ impl Orchestrator {
             bytes_transferred: report.bytes_total,
             files_transferred: report.n_files,
         };
-        // Overlapped runs put compression and transfer on *overlapping*
-        // timelines: the transfer occupies lane 0 from the queue grant to the
-        // last byte while compression runs concurrently on lane 1 — the
-        // span tree shows the overlap instead of pretending the phases are
-        // additive.
         let obs = self.obs();
         if obs.is_enabled() {
-            use crate::lanes::{OVERLAP, PRIMARY};
-            let end = Self::overlapped_total_s(&breakdown);
-            let root = obs.sim_span("pipeline.overlapped", opts.job, PRIMARY, 0.0, end);
-            obs.sim_child(root, "pipeline.queue_wait", opts.job, PRIMARY, 0.0, wait_s);
-            obs.sim_child(
-                root,
-                "pipeline.transfer",
-                opts.job,
-                PRIMARY,
-                wait_s.min(breakdown.transfer_s),
-                breakdown.transfer_s,
-            );
-            obs.sim_child(
-                root,
-                "pipeline.compress",
-                opts.job,
-                OVERLAP,
-                wait_s,
-                (wait_s + breakdown.compression_s).min(end),
-            );
-            obs.sim_child(
-                root,
-                "pipeline.decompress",
-                opts.job,
-                PRIMARY,
-                breakdown.transfer_s,
-                breakdown.transfer_s + decompression_s,
-            );
             Self::observe_breakdown(obs, &breakdown);
             obs.inc("ocelot_core_runs_overlapped_total", "Pipeline runs completed, by strategy");
         }
@@ -533,23 +539,26 @@ impl Orchestrator {
                         (enc - dur * (1.0 + run.stretch)).max(wait_s).min(enc)
                     })
                     .collect();
-                led.commit(Schedule::new(Lifecycle {
-                    job,
-                    transfer_begin_s: wait_s,
-                    transfer_end_s: transfer_s,
-                    total_s: Self::overlapped_total_s(&breakdown),
-                    file: order.iter().map(|&i| i as u32).collect(),
-                    chunk: vec![0; order.len()],
-                    bytes: sorted_sizes,
-                    compress_begin,
-                    ready: sorted_releases.clone(),
-                    release: sorted_releases,
-                    sent: detail.start_s,
-                    landed: detail.completion_s,
-                    decode: vec![(transfer_s, transfer_s + decompression_s); order.len()],
-                    failed: Vec::new(),
-                    fault: None,
-                }));
+                led.commit(
+                    Schedule::new(Lifecycle {
+                        job,
+                        transfer_begin_s: wait_s,
+                        transfer_end_s: transfer_s,
+                        total_s: Self::overlapped_total_s(&breakdown),
+                        file: order.iter().map(|&i| i as u32).collect(),
+                        chunk: vec![0; order.len()],
+                        bytes: sorted_sizes,
+                        compress_begin,
+                        ready: sorted_releases.clone(),
+                        release: sorted_releases,
+                        sent: detail.start_s,
+                        landed: detail.completion_s,
+                        decode: vec![(transfer_s, transfer_s + decompression_s); order.len()],
+                        failed: Vec::new(),
+                        fault: None,
+                    })
+                    .with_phases((wait_s, run.at(run.makespan)), (0.0, 0.0)),
+                );
             }
         }
         breakdown
@@ -579,8 +588,9 @@ impl Orchestrator {
     /// `decompression_s` is only the *tail* that streaming could not hide
     /// behind the transfer, so [`Orchestrator::overlapped_total_s`] is the
     /// end-to-end time. Back-pressure stalls (a chunk ready but waiting for
-    /// window space) are recorded as `pipeline.transfer.stream_stall` spans
-    /// so critical-path analysis attributes them separately from transfer.
+    /// window space) are in the committed schedule as each chunk's
+    /// `ready → release` gap, so critical-path attribution
+    /// ([`ocelot_obs::critpath::attribute`]) counts them apart from transfer.
     ///
     /// # Panics
     /// Panics if `from == to` or node counts are zero.
@@ -653,19 +663,6 @@ impl Orchestrator {
         let release = &detail.release_s;
         let transfer_s = detail.report.duration_s;
 
-        // Merged stall intervals (a chunk encoded but blocked on the window).
-        let mut stalls: Vec<(f64, f64)> =
-            ready.iter().zip(release).filter(|(r, l)| **l > **r + 1e-9).map(|(&r, &l)| (r, l)).collect();
-        stalls.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite stall times"));
-        let mut stall_iv: Vec<(f64, f64)> = Vec::new();
-        for (a, b) in stalls {
-            match stall_iv.last_mut() {
-                Some(last) if a <= last.1 => last.1 = last.1.max(b),
-                _ => stall_iv.push((a, b)),
-            }
-        }
-        let stall_total: f64 = stall_iv.iter().map(|(a, b)| b - a).sum();
-
         // Decompress each chunk on arrival: greedy least-loaded destination
         // core, gated on the chunk's landing time.
         let dwork = workload.decompression_work();
@@ -677,14 +674,12 @@ impl Orchestrator {
         // bit patterns order like the values.
         let mut dlanes: BinaryHeap<Reverse<u64>> =
             (0..run.decomp_cluster.total_cores().min(dchunk.len().max(1))).map(|_| Reverse(0.0f64.to_bits())).collect();
-        let mut first_decode = f64::INFINITY;
         let mut decomp_finish = transfer_s;
         let mut dsched: Vec<(f64, f64)> = Vec::with_capacity(dchunk.len());
         for (m, &dur) in dchunk.iter().enumerate() {
             let arrival = detail.completion_s[m];
             let Reverse(free) = dlanes.pop().expect("at least one decode lane");
             let start = f64::from_bits(free).max(arrival);
-            first_decode = first_decode.min(start);
             dlanes.push(Reverse((start + dur).to_bits()));
             decomp_finish = decomp_finish.max(start + dur);
             dsched.push((start, start + dur));
@@ -705,31 +700,18 @@ impl Orchestrator {
         };
         let obs = self.obs();
         if obs.is_enabled() {
-            use crate::lanes::{OVERLAP, PRIMARY};
-            let root = obs.sim_span("pipeline.streamed", opts.job, PRIMARY, 0.0, total);
-            obs.sim_child(root, "pipeline.queue_wait", opts.job, PRIMARY, 0.0, wait_s);
-            let transfer =
-                obs.sim_child(root, "pipeline.transfer", opts.job, PRIMARY, wait_s.min(transfer_s), transfer_s);
-            for &(a, b) in &stall_iv {
-                let (a, b) = (a.max(wait_s), b.min(transfer_s));
-                if b > a {
-                    obs.sim_child(transfer, "pipeline.transfer.stream_stall", opts.job, PRIMARY, a, b);
+            // Merged stall intervals (a chunk encoded but blocked on the window).
+            let mut stalls: Vec<(f64, f64)> =
+                ready.iter().zip(release).filter(|(r, l)| **l > **r + 1e-9).map(|(&r, &l)| (r, l)).collect();
+            stalls.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite stall times"));
+            let mut stall_iv: Vec<(f64, f64)> = Vec::new();
+            for (a, b) in stalls {
+                match stall_iv.last_mut() {
+                    Some(last) if a <= last.1 => last.1 = last.1.max(b),
+                    _ => stall_iv.push((a, b)),
                 }
             }
-            obs.sim_child(root, "pipeline.compress", opts.job, OVERLAP, wait_s, (wait_s + makespan).min(total));
-            if first_decode.is_finite() && first_decode < transfer_s {
-                obs.sim_child(
-                    root,
-                    "pipeline.decompress",
-                    opts.job,
-                    OVERLAP,
-                    first_decode,
-                    decomp_finish.min(transfer_s),
-                );
-            }
-            if total > transfer_s {
-                obs.sim_child(root, "pipeline.decompress", opts.job, PRIMARY, transfer_s, total);
-            }
+            let stall_total: f64 = stall_iv.iter().map(|(a, b)| b - a).sum();
             Self::observe_breakdown(obs, &breakdown);
             obs.inc("ocelot_core_runs_streamed_total", "Pipeline runs completed, by strategy");
             obs.add(
@@ -764,23 +746,26 @@ impl Orchestrator {
         // Its events are derived from these columns when someone reads them.
         if let Some(job) = opts.job {
             if let Some(led) = &self.ledger {
-                led.commit(Schedule::new(Lifecycle {
-                    job,
-                    transfer_begin_s: wait_s,
-                    transfer_end_s: transfer_s,
-                    total_s: total,
-                    file,
-                    chunk,
-                    bytes: payload,
-                    compress_begin,
-                    ready,
-                    release: detail.release_s,
-                    sent: detail.start_s,
-                    landed: detail.completion_s,
-                    decode: dsched,
-                    failed,
-                    fault: injecting.then(|| opts.faults.cause()),
-                }));
+                led.commit(
+                    Schedule::new(Lifecycle {
+                        job,
+                        transfer_begin_s: wait_s,
+                        transfer_end_s: transfer_s,
+                        total_s: total,
+                        file,
+                        chunk,
+                        bytes: payload,
+                        compress_begin,
+                        ready,
+                        release: detail.release_s,
+                        sent: detail.start_s,
+                        landed: detail.completion_s,
+                        decode: dsched,
+                        failed,
+                        fault: injecting.then(|| opts.faults.cause()),
+                    })
+                    .with_phases((wait_s, run.at(makespan)), (0.0, 0.0)),
+                );
             }
         }
         breakdown
@@ -1172,22 +1157,94 @@ mod tests {
     }
 
     #[test]
-    fn streamed_run_records_stall_spans_on_the_critical_path() {
-        let obs = ocelot_obs::Obs::enabled();
-        let orch = Orchestrator::paper().with_obs(obs.clone());
+    fn streamed_run_commits_stalls_on_the_critical_path() {
+        use ocelot_obs::critpath::{attribute, Retries, Stage};
+        let led = Ledger::detached();
+        let orch = Orchestrator::paper().with_ledger(led.clone());
         let w = Workload::rtm(ocelot_sz::LossyConfig::sz3(1e-2), 24).unwrap();
         // A tight window over a slow route forces back-pressure stalls.
         let opts = PipelineOptions { stream_window: 1, codec_threads: 4, job: Some(42), ..Default::default() };
         let b = orch.run_streamed(&w, SiteId::Anvil, SiteId::Bebop, &opts);
-        let spans = obs.recorder().expect("enabled obs records spans").for_job(42);
-        assert!(spans.iter().any(|s| s.name == "pipeline.transfer.stream_stall"), "tight window must stall");
-        let report = ocelot_obs::critpath::analyze(&spans).expect("sim spans recorded");
-        let stall = report.stage(ocelot_obs::critpath::Stage::Stall);
-        assert!(stall > 0.0, "stall time must be attributed distinctly");
-        // Per-stage attribution must sum to the critical path (within 1%).
+        let taken = led.take();
+        let [schedule] = taken.as_slice() else { panic!("one schedule per run, got {}", taken.len()) };
+        let report = attribute(schedule, &Retries::NONE).report;
+        assert!(report.stage(Stage::Stall) > 0.0, "stall time must be attributed distinctly");
+        assert_eq!(report.stage(Stage::Compress), 0.0, "compression hides behind the wire");
         let sum: f64 = report.stage_s.iter().sum();
-        assert!((sum - report.critical_path_s).abs() <= 0.01 * report.critical_path_s.max(1.0));
-        assert!(report.critical_path_s >= Orchestrator::overlapped_total_s(&b) - 1e-6);
+        assert!((sum - report.critical_path_s).abs() < 1e-9);
+        assert!((report.critical_path_s - Orchestrator::overlapped_total_s(&b)).abs() < 1e-6);
+        assert!((report.stage(Stage::Decompress) - b.decompression_s).abs() < 1e-6);
+        assert!(report.total_s > report.critical_path_s, "compression and early decodes overlap the wire");
+    }
+
+    #[test]
+    fn staged_schedule_lays_the_breakdown_end_to_end() {
+        use ocelot_obs::critpath::{attribute, Retries, Stage};
+        use ocelot_obs::ledger::check_causality;
+        let w = miranda();
+        let led = Ledger::detached();
+        let orch = Orchestrator::paper().with_ledger(led.clone());
+        let wait = ocelot_faas::WaitTimeModel::Fixed(20.0);
+        let mut job = 0;
+        for strategy in [Strategy::Direct, Strategy::Compressed, Strategy::grouped_by_count(8)] {
+            for (faults, sentinel) in
+                [(FaultModel::none(), false), (FaultModel::flaky(0.3), false), (FaultModel::none(), true)]
+            {
+                job += 1;
+                let opts = PipelineOptions { faults, sentinel, wait_model: wait, job: Some(job), ..Default::default() };
+                let outcome = orch.run_detailed(&w, SiteId::Anvil, SiteId::Bebop, strategy, &opts);
+                let b = outcome.breakdown;
+                let cell = format!("{strategy:?}, p {}, sentinel {sentinel}", faults.per_attempt_failure_prob);
+                let taken = led.take();
+                let [schedule] = taken.as_slice() else { panic!("{cell}: one schedule, got {}", taken.len()) };
+                assert_eq!(schedule.job(), job);
+                let arrived = outcome.transfer_sizes.len() - outcome.failed_files.len();
+                assert_eq!(schedule.chunks(), arrived, "{cell}: one row per unit that arrived");
+                assert_eq!(check_causality(&schedule.events(), job), Vec::<String>::new(), "{cell}");
+                let r = attribute(schedule, &Retries::NONE).report;
+                assert_eq!(r.total_s, r.critical_path_s, "{cell}: an additive job overlaps nothing");
+                for (stage, phase) in [
+                    (Stage::QueueWait, b.queue_wait_s),
+                    (Stage::Compress, b.compression_s),
+                    (Stage::Group, b.grouping_s),
+                    (Stage::Transfer, b.transfer_s),
+                    (Stage::Stall, 0.0),
+                    (Stage::Decompress, b.decompression_s),
+                ] {
+                    assert!((r.stage(stage) - phase).abs() <= 1e-6, "{cell}: {stage:?} {} vs {phase}", r.stage(stage));
+                }
+                assert!((r.critical_path_s - b.total_s()).abs() <= 1e-6, "{cell}");
+            }
+        }
+        // A jobless run commits nothing.
+        orch.run_detailed(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Compressed, &PipelineOptions::default());
+        assert!(led.take().is_empty());
+    }
+
+    #[test]
+    fn staged_schedule_places_units_where_the_wire_put_them() {
+        let w = miranda();
+        let led = Ledger::detached();
+        let orch = Orchestrator::paper().with_ledger(led.clone());
+        let opts = PipelineOptions { faults: FaultModel::flaky(0.3), job: Some(5), ..Default::default() };
+        let outcome = orch.run_detailed(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Compressed, &opts);
+        let b = outcome.breakdown;
+        let open = b.queue_wait_s + b.compression_s + b.grouping_s;
+        let events = led.drain();
+        let at = |kind: EventKind| events.iter().filter(move |e| e.event == kind).map(|e| e.t_sim);
+        assert!(at(EventKind::InFlight).all(|t| t >= open), "nothing goes on the wire before it opens");
+        assert!(at(EventKind::Arrived).all(|t| t <= open + b.transfer_s + 1e-9));
+        assert!(at(EventKind::DecodeBegin).all(|t| t == open + b.transfer_s), "decode after the transfer ends");
+        // Every failed attempt of a file that arrived is on the record.
+        let delivered_retries: u32 = outcome
+            .attempts
+            .iter()
+            .enumerate()
+            .filter(|(i, _)| !outcome.failed_files.contains(i))
+            .map(|(_, &a)| a - 1)
+            .sum();
+        assert!(delivered_retries > 0);
+        assert_eq!(at(EventKind::Retransmit).count(), delivered_retries as usize);
     }
 
     #[test]

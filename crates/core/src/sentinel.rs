@@ -10,13 +10,16 @@
 //! block the data movement.
 
 use ocelot_faas::Cluster;
-use ocelot_netsim::{simulate_transfer, SiteId};
+use ocelot_netsim::{simulate_transfer, simulate_transfer_with_faults, FaultModel, FaultyTransferReport, SiteId};
 
 use crate::orchestrator::{destination_cluster, Orchestrator, PipelineOptions, Strategy};
 use crate::report::TimeBreakdown;
 use crate::workload::Workload;
 
-/// Runs the sentinel-augmented pipeline for a known queue wait.
+/// Runs the sentinel-augmented pipeline for a known queue wait, returning
+/// the breakdown plus the sizes and wire detail of the transfer after the
+/// switchover (the whole plain transfer when nodes never arrive), for the
+/// run's schedule.
 ///
 /// Called by [`Orchestrator::run`] when the sentinel option is on and the
 /// sampled wait is positive.
@@ -28,7 +31,7 @@ pub(crate) fn run_with_wait(
     strategy: Strategy,
     opts: &PipelineOptions,
     wait_s: f64,
-) -> TimeBreakdown {
+) -> (TimeBreakdown, Vec<u64>, FaultyTransferReport) {
     let route = orch.topology().route(from, to);
     let raw_sizes = workload.raw_sizes();
 
@@ -37,13 +40,16 @@ pub(crate) fn run_with_wait(
     if done >= raw_sizes.len() {
         // Worst case: everything went uncompressed; total time is just the
         // plain transfer (the compression job is cancelled).
-        let report = simulate_transfer(&raw_sizes, &route.link, &opts.gridftp, opts.seed);
-        return TimeBreakdown {
+        let wire =
+            simulate_transfer_with_faults(&raw_sizes, &route.link, &opts.gridftp, &FaultModel::none(), opts.seed);
+        let report = wire.report;
+        let breakdown = TimeBreakdown {
             transfer_s: report.duration_s,
             bytes_transferred: report.bytes_total,
             files_transferred: report.n_files,
             ..Default::default()
         };
+        return (breakdown, raw_sizes, wire);
     }
 
     // Remaining files go through the compression pipeline.
@@ -61,13 +67,14 @@ pub(crate) fn run_with_wait(
         }
         _ => comp_sizes,
     };
-    let report = simulate_transfer(&sizes, &route.link, &opts.gridftp, opts.seed ^ 1);
+    let wire = simulate_transfer_with_faults(&sizes, &route.link, &opts.gridftp, &FaultModel::none(), opts.seed ^ 1);
+    let report = wire.report;
 
     let decomp_cluster = destination_cluster(dst, opts);
     let decompression_s = orch.decompression_time(&remaining, dst, &decomp_cluster, opts.codec_threads);
 
     let raw_bytes_done: u64 = raw_sizes[..done].iter().sum();
-    TimeBreakdown {
+    let breakdown = TimeBreakdown {
         // The wait is fully overlapped with useful (uncompressed) transfer,
         // so it is not added on top; it appears as the sentinel window.
         queue_wait_s: wait_s,
@@ -77,7 +84,8 @@ pub(crate) fn run_with_wait(
         decompression_s,
         bytes_transferred: raw_bytes_done + report.bytes_total,
         files_transferred: raw_sizes.len(),
-    }
+    };
+    (breakdown, sizes, wire)
 }
 
 /// Total time of the sentinel pipeline: the queue wait window (spent

@@ -1,14 +1,16 @@
 //! Timeline-consistency invariant for the chunk-lifecycle ledger: replaying
-//! a streamed job's ledger into per-chunk tracks must reproduce the critpath
-//! stage attribution of the same job's span tree within 1%, across codec
-//! thread counts and stream windows (including the window-0 overlapped
-//! degenerate case) — and the replayed event chains must be causally sound.
+//! a streamed job's events into per-chunk tracks must reproduce the
+//! critical-path attribution read off the same job's committed schedule
+//! within 1%, across codec thread counts and stream windows (including the
+//! window-0 overlapped degenerate case) — and the replayed event chains must
+//! be causally sound.
 
 use std::sync::OnceLock;
 
 use ocelot::orchestrator::{Orchestrator, PipelineOptions};
 use ocelot::workload::Workload;
 use ocelot_netsim::{FaultModel, SiteId};
+use ocelot_obs::critpath::{attribute, Retries};
 use ocelot_obs::ledger::{check_causality, render_timeline, Ledger, LedgerEvent, Timeline};
 use ocelot_sz::engine::ChunkLayout;
 use proptest::prelude::*;
@@ -19,12 +21,10 @@ fn workload() -> &'static Workload {
     W.get_or_init(|| Workload::miranda(ocelot_sz::LossyConfig::sz3(1e-2), 32).expect("profiling succeeds"))
 }
 
-/// Runs one streamed job with a fresh obs + ledger and returns the drained
-/// events plus the critpath stage attribution of its span tree.
-fn run_case(threads: usize, window: usize, wait: f64, faults: FaultModel, job: u64) -> (Vec<LedgerEvent>, [f64; 7]) {
-    let obs = ocelot_obs::Obs::enabled();
-    // 768 files × 16 chunks × ≤ 9 events overflow the default sink.
-    let led = Ledger::with_obs_and_capacity(&obs, 1 << 18);
+/// Runs one streamed job with a fresh ledger and returns its events plus
+/// the stage attribution of its committed schedule.
+fn run_case(threads: usize, window: usize, wait: f64, faults: FaultModel, job: u64) -> (Vec<LedgerEvent>, [f64; 6]) {
+    let led = Ledger::detached();
     let opts = PipelineOptions {
         codec_threads: threads,
         stream_window: window,
@@ -33,14 +33,11 @@ fn run_case(threads: usize, window: usize, wait: f64, faults: FaultModel, job: u
         job: Some(job),
         ..PipelineOptions::default()
     };
-    let orch = Orchestrator::paper().with_obs(obs.clone()).with_ledger(led.clone());
+    let orch = Orchestrator::paper().with_ledger(led.clone());
     orch.run_streamed(workload(), SiteId::Bebop, SiteId::Cori, &opts);
-    let events = led.drain();
-    let spans = obs.recorder().expect("enabled obs records spans").for_job(job);
-    let report = ocelot_obs::critpath::analyze(&spans).expect("sim spans recorded");
-    let mut stages = [0.0f64; 7];
-    stages.copy_from_slice(&report.stage_s);
-    (events, stages)
+    let taken = led.take();
+    let [schedule] = taken.as_slice() else { panic!("one schedule per run, got {}", taken.len()) };
+    (schedule.events(), attribute(schedule, &Retries::NONE).report.stage_s)
 }
 
 /// Asserts one track's intervals are monotone and contiguous: each interval
@@ -78,9 +75,10 @@ fn assert_track_contiguous(t: &ocelot_obs::ledger::ChunkTrack) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// ≤1% invariant: ledger-reconstructed stage sums match critpath stage
-    /// attribution for every (threads, window) combination, and the event
-    /// stream passes the causality checker.
+    /// ≤1% invariant: stage sums reconstructed from the events match the
+    /// attribution of the schedule they were derived from, for every
+    /// (threads, window) combination, and the event stream passes the
+    /// causality checker.
     #[test]
     fn replayed_timeline_matches_critpath_stages(
         ti in 0usize..4,
@@ -102,7 +100,7 @@ proptest! {
         for (i, (a, b)) in mine.iter().zip(&stages).enumerate() {
             prop_assert!(
                 (a - b).abs() <= tol,
-                "stage {i}: ledger {a} vs critpath {b} (threads {threads}, window {window}, wait {wait})"
+                "stage {i}: timeline {a} vs schedule {b} (threads {threads}, window {window}, wait {wait})"
             );
         }
         for t in &tl.tracks {

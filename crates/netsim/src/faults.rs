@@ -4,7 +4,7 @@
 //! flaky WAN conditions (an extension beyond the paper's evaluation, which
 //! ran on healthy links).
 
-use crate::gridftp::{simulate_transfer, GridFtpConfig, TransferReport};
+use crate::gridftp::{simulate_transfer_detailed, GridFtpConfig, TransferReport};
 use crate::link::LinkProfile;
 use serde::{Deserialize, Serialize};
 
@@ -97,6 +97,13 @@ pub struct FaultyTransferReport {
     /// show `max_retries + 1`). Lets callers audit exactly which files were
     /// flaky rather than only the aggregate retry count.
     pub attempts: Vec<u32>,
+    /// When each file's first attempt went onto the link, seconds from the
+    /// start of the transfer.
+    pub start_s: Vec<f64>,
+    /// When each file's last attempt ended: its arrival, or for an
+    /// abandoned file the end of its last failed attempt. Reconnect costs
+    /// are charged to the batch (`report.duration_s`), not to any file.
+    pub completion_s: Vec<f64>,
 }
 
 /// SplitMix64-derived uniform in `[0, 1)`.
@@ -129,8 +136,11 @@ pub fn simulate_transfer_with_faults(
     let mut reconnect_total = 0.0f64;
     let mut successful_bytes = 0u64;
     let mut attempts = Vec::with_capacity(files.len());
+    // Each file's attempts are a run of consecutive pseudo-files in `work`.
+    let mut runs = Vec::with_capacity(files.len());
 
     for (i, &size) in files.iter().enumerate() {
+        let first = work.len();
         let draw = draw_faults(faults, seed, i);
         // Each failed attempt moved a deterministic partial payload first.
         for &frac in &draw.failed_fracs {
@@ -147,21 +157,26 @@ pub fn simulate_transfer_with_faults(
             successful_bytes += size;
         }
         attempts.push(draw.attempts());
+        runs.push((first, work.len() - 1));
     }
 
-    let mut report = simulate_transfer(&work, link, config, seed);
+    let detail = simulate_transfer_detailed(&work, None, link, config, seed);
+    let start_s = runs.iter().map(|&(a, _)| detail.start_s[a]).collect();
+    let completion_s = runs.iter().map(|&(_, b)| detail.completion_s[b]).collect();
+    let mut report = detail.report;
     // Reconnects serialize on the control channels, like command handling.
     report.duration_s += reconnect_total / config.concurrency as f64;
     report.bytes_total = successful_bytes;
     report.n_files = files.len() - failed_files.len();
     report.effective_speed_bps =
         if report.duration_s > 0.0 { successful_bytes as f64 / report.duration_s } else { 0.0 };
-    FaultyTransferReport { report, retries, failed_files, wasted_bytes, attempts }
+    FaultyTransferReport { report, retries, failed_files, wasted_bytes, attempts, start_s, completion_s }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::gridftp::simulate_transfer;
 
     fn link() -> LinkProfile {
         LinkProfile::new(1.0e9, 0.05, 0.02, 0.0)
@@ -177,6 +192,8 @@ mod tests {
         assert_eq!(faulty.retries, 0);
         assert!(faulty.failed_files.is_empty());
         assert!(faulty.attempts.iter().all(|&a| a == 1));
+        let detail = simulate_transfer_detailed(&files, None, &link(), &cfg, 3);
+        assert_eq!((faulty.start_s, faulty.completion_s), (detail.start_s, detail.completion_s));
     }
 
     #[test]
@@ -201,6 +218,8 @@ mod tests {
         assert_eq!(r.attempts.len(), files.len());
         let total_tries: usize = r.attempts.iter().map(|&a| a as usize).sum();
         assert_eq!(total_tries - files.len(), r.retries);
+        // A file's attempts run between its first start and its arrival.
+        assert!(r.start_s.iter().zip(&r.completion_s).all(|(a, b)| a < b && *b <= r.report.duration_s));
     }
 
     #[test]

@@ -1,29 +1,28 @@
-//! Critical-path analysis over recorded simulated-clock spans.
+//! Critical-path attribution over a job's committed [`Schedule`].
 //!
-//! The span trees a job leaves behind are *overlapped*: the orchestrator's
-//! phase tree, the sentinel's concurrent compress/transfer lanes, and the
-//! service's job envelope (retry rounds, backoff) all cover the same
-//! simulated timeline. This module answers "where did the time actually
-//! go?" by sweeping the timeline in elementary intervals and attributing
-//! each interval to the *most specific* (deepest) span covering it, with
-//! the primary lane winning ties — so an interval where transfer (lane 0)
-//! and background compression (lane 1) overlap counts as transfer time,
-//! matching what a user experiences.
+//! A simulated job leaves one timing record: the schedule its run committed
+//! to the ledger (see [`crate::ledger`]). [`attribute`] reads that record's
+//! columns directly and answers "where did the time go?" by laying the
+//! job's experienced timeline out as consecutive stage intervals:
 //!
-//! Two totals come out of the sweep:
+//! 1. before the wire opens: grouping while the run packed transfer groups,
+//!    compression while it encoded, queue wait otherwise;
+//! 2. the wire phase (`transfer_begin` → `transfer_end`) minus the merged
+//!    stream-window stalls, which count as [`Stage::Stall`];
+//! 3. the service's retry rounds, if it ran any ([`Retries`]): the backoff
+//!    as queue wait, the re-offer as transfer;
+//! 4. the decode tail (`transfer_end` → `job_end`), after the last round —
+//!    unless the job gave up, in which case nothing was decoded.
 //!
-//! - `critical_path_s` — the union of covered simulated time: the span of
-//!   wall-experienced latency. Per-stage attribution sums to it exactly.
-//! - `total_s` — the serialized work: each span's *exclusive* time (its
-//!   duration minus its children's coverage) summed over all spans. For an
-//!   additive tree this equals the critical path; under overlap it
-//!   exceeds it, and `total_s − critical_path_s` is the time saved by
-//!   overlapping.
+//! Work that overlaps the wire (a pipelined run's compression and early
+//! decodes) hides behind it and is on no stage of the path. It shows in the
+//! serialized work, the sum of each stage's own interval union, so
+//! `total_s − critical_path_s` is what overlapping saved. Times sit on a
+//! microsecond grid, so the stage sums add up to the critical path exactly.
 
-use crate::span::{Clock, SpanRecord};
-use std::collections::HashMap;
+use crate::ledger::Schedule;
 
-/// Pipeline stage a span attributes its time to.
+/// Pipeline stage simulated time is attributed to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Stage {
     /// Waiting for remote compute (FuncX queue) or retry backoff.
@@ -39,21 +38,12 @@ pub enum Stage {
     Stall,
     /// Decompression on destination nodes.
     Decompress,
-    /// Anything unclassified (root envelopes, custom spans).
-    Other,
 }
 
 impl Stage {
     /// All stages, in attribution-report order.
-    pub const ALL: [Stage; 7] = [
-        Stage::QueueWait,
-        Stage::Compress,
-        Stage::Group,
-        Stage::Transfer,
-        Stage::Stall,
-        Stage::Decompress,
-        Stage::Other,
-    ];
+    pub const ALL: [Stage; 6] =
+        [Stage::QueueWait, Stage::Compress, Stage::Group, Stage::Transfer, Stage::Stall, Stage::Decompress];
 
     /// Stable lowercase label used in reports and JSON.
     pub fn name(self) -> &'static str {
@@ -64,31 +54,11 @@ impl Stage {
             Stage::Transfer => "transfer",
             Stage::Stall => "stall",
             Stage::Decompress => "decompress",
-            Stage::Other => "other",
         }
     }
 
-    /// Maps a dotted span name to a stage. Backoff counts as queue wait
-    /// (the job is parked either way); retry re-offers count as transfer;
-    /// streaming back-pressure stalls are checked first so a
-    /// `…transfer.stream_stall` child is not swallowed by its transfer
-    /// parent's keyword.
-    pub fn classify(span_name: &str) -> Stage {
-        if span_name.contains("stall") {
-            Stage::Stall
-        } else if span_name.contains("queue_wait") || span_name.contains("backoff") {
-            Stage::QueueWait
-        } else if span_name.contains("decompress") {
-            Stage::Decompress
-        } else if span_name.contains("compress") {
-            Stage::Compress
-        } else if span_name.contains("group") {
-            Stage::Group
-        } else if span_name.contains("transfer") || span_name.contains("retry") {
-            Stage::Transfer
-        } else {
-            Stage::Other
-        }
+    fn index(self) -> usize {
+        self as usize
     }
 }
 
@@ -97,13 +67,13 @@ impl Stage {
 pub struct BottleneckReport {
     /// Job the report describes (`None` for aggregates).
     pub job: Option<u64>,
-    /// Union of covered simulated time — the experienced latency.
+    /// Length of the critical path — the experienced latency.
     pub critical_path_s: f64,
-    /// Serialized work: sum of every span's exclusive time. Always
+    /// Serialized work: each stage's own busy time, summed. Always
     /// `>= critical_path_s`; the excess is time hidden by overlap.
     pub total_s: f64,
-    /// Seconds attributed to each stage, indexed like [`Stage::ALL`].
-    /// Sums to `critical_path_s` (exactly, up to µs rounding).
+    /// Seconds attributed to each stage, indexed like [`Stage::ALL`]; sums
+    /// to `critical_path_s`.
     pub stage_s: [f64; Stage::ALL.len()],
     /// Stage with the most attributed time.
     pub dominant: Stage,
@@ -112,7 +82,7 @@ pub struct BottleneckReport {
 impl BottleneckReport {
     /// Seconds attributed to `stage`.
     pub fn stage(&self, stage: Stage) -> f64 {
-        self.stage_s[Stage::ALL.iter().position(|&s| s == stage).expect("stage in ALL")]
+        self.stage_s[stage.index()]
     }
 
     /// `(stage, seconds)` pairs in [`Stage::ALL`] order.
@@ -126,91 +96,178 @@ impl BottleneckReport {
     }
 }
 
-/// Analyzes one job's spans (pass `Recorder::for_job` output). Only
-/// simulated-clock spans participate; returns `None` when there are none.
-pub fn analyze(spans: &[SpanRecord]) -> Option<BottleneckReport> {
-    let sim: Vec<&SpanRecord> = spans.iter().filter(|s| s.clock == Clock::Sim && s.end_us > s.start_us).collect();
-    if sim.is_empty() {
-        return None;
-    }
-
-    // Depth of each span via its parent chain (bounded walk guards cycles).
-    let parent_of: HashMap<u64, Option<u64>> = sim.iter().map(|s| (s.id, s.parent)).collect();
-    let depth_of = |mut id: u64| -> u32 {
-        let mut depth = 0;
-        for _ in 0..sim.len() {
-            match parent_of.get(&id) {
-                Some(Some(p)) => {
-                    depth += 1;
-                    id = *p;
-                }
-                _ => break,
-            }
-        }
-        depth
-    };
-    let depths: HashMap<u64, u32> = sim.iter().map(|s| (s.id, depth_of(s.id))).collect();
-
-    // Serialized work: each span's duration minus its children's coverage.
-    let mut children: HashMap<u64, Vec<(u64, u64)>> = HashMap::new();
-    for s in &sim {
-        if let Some(p) = s.parent {
-            children.entry(p).or_default().push((s.start_us, s.end_us));
-        }
-    }
-    let mut total_us: u64 = 0;
-    for s in &sim {
-        let covered = children.get(&s.id).map(|ivs| union_len_clipped(ivs, s.start_us, s.end_us)).unwrap_or(0);
-        total_us += (s.end_us - s.start_us).saturating_sub(covered);
-    }
-
-    // Elementary-interval sweep: between consecutive span boundaries the
-    // covering set is constant, so each interval is attributed whole.
-    let mut cuts: Vec<u64> = sim.iter().flat_map(|s| [s.start_us, s.end_us]).collect();
-    cuts.sort_unstable();
-    cuts.dedup();
-    let mut stage_us = [0u64; Stage::ALL.len()];
-    let mut critical_us: u64 = 0;
-    for w in cuts.windows(2) {
-        let (lo, hi) = (w[0], w[1]);
-        // Deepest covering span wins; ties go to the lower (primary) lane,
-        // then to the later-recorded span.
-        let best = sim
-            .iter()
-            .filter(|s| s.start_us <= lo && s.end_us >= hi)
-            .max_by_key(|s| (depths[&s.id], std::cmp::Reverse(s.lane), s.id));
-        if let Some(span) = best {
-            let len = hi - lo;
-            critical_us += len;
-            let idx = Stage::ALL.iter().position(|&s| s == Stage::classify(&span.name)).expect("stage in ALL");
-            stage_us[idx] += len;
-        }
-    }
-
-    let mut stage_s = [0.0; Stage::ALL.len()];
-    for (out, &us) in stage_s.iter_mut().zip(&stage_us) {
-        *out = us as f64 / 1e6;
-    }
-    Some(BottleneckReport {
-        job: sim.iter().find_map(|s| s.job),
-        critical_path_s: critical_us as f64 / 1e6,
-        total_s: total_us as f64 / 1e6,
-        dominant: dominant_stage(&stage_s),
-        stage_s,
-    })
+/// One retry round a service ran after a run's wire phase closed: it backed
+/// off over `[start_s, backoff_end_s]` and re-offered the files that had
+/// not arrived over `[backoff_end_s, end_s]`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RetryRound {
+    /// Round start: the end of the wire phase or of the previous round.
+    pub start_s: f64,
+    /// End of the backoff, where the re-offer begins.
+    pub backoff_end_s: f64,
+    /// End of the re-offer.
+    pub end_s: f64,
 }
 
-/// Analyzes every job present in `spans`, one report per job id, ascending.
-pub fn analyze_jobs(spans: &[SpanRecord]) -> Vec<BottleneckReport> {
-    let mut jobs: Vec<u64> = spans.iter().filter_map(|s| s.job).collect();
-    jobs.sort_unstable();
-    jobs.dedup();
-    jobs.into_iter()
-        .filter_map(|j| {
-            let own: Vec<SpanRecord> = spans.iter().filter(|s| s.job == Some(j)).cloned().collect();
-            analyze(&own)
-        })
-        .collect()
+/// What happened to a job after its run's wire phase: the retry rounds a
+/// service ran for the files that had not arrived, and whether every file
+/// arrived in the end. A job that gave up never decoded.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Retries {
+    /// Rounds in order; empty when the run delivered everything.
+    pub rounds: Vec<RetryRound>,
+    /// True when every file arrived.
+    pub delivered: bool,
+}
+
+impl Retries {
+    /// A run that delivered on its own: no rounds.
+    pub const NONE: Retries = Retries { rounds: Vec::new(), delivered: true };
+}
+
+/// One interval of a job's critical path, in simulated microseconds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Segment {
+    /// Stage the interval is attributed to.
+    pub stage: Stage,
+    /// Start, µs.
+    pub start_us: u64,
+    /// End, µs.
+    pub end_us: u64,
+}
+
+/// A job's critical path and the report summed from it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Attribution {
+    /// Per-stage sums, critical path and serialized work.
+    pub report: BottleneckReport,
+    /// The critical path: consecutive, non-empty stage intervals from t = 0.
+    pub path: Vec<Segment>,
+}
+
+/// Simulated seconds on the microsecond grid.
+fn us(t: f64) -> u64 {
+    (t.max(0.0) * 1e6).round() as u64
+}
+
+/// The union of `ivs` as sorted, disjoint, non-empty intervals on the
+/// microsecond grid. A schedule's rows are in wire order, so intervals
+/// collected from them arrive in long sorted runs, which the (stable,
+/// run-adaptive) sort merges instead of sorting from scratch.
+fn union_us(mut ivs: Vec<(f64, f64)>) -> Vec<(u64, u64)> {
+    // Simulated times are non-negative, where IEEE bit patterns order like
+    // the values.
+    ivs.sort_by_key(|iv| iv.0.max(0.0).to_bits());
+    let mut merged: Vec<(f64, f64)> = Vec::new();
+    for (a, b) in ivs.into_iter().filter(|(a, b)| b > a) {
+        match merged.last_mut() {
+            Some(last) if a <= last.1 => last.1 = last.1.max(b),
+            _ => merged.push((a, b)),
+        }
+    }
+    merged.into_iter().map(|(a, b)| (us(a), us(b))).filter(|(a, b)| b > a).collect()
+}
+
+/// Attributes one job's simulated time from its committed schedule plus
+/// what its service did after the wire phase (pass [`Retries::NONE`] for a
+/// bare run). See the module docs for the stage rules.
+pub fn attribute(schedule: &Schedule, retries: &Retries) -> Attribution {
+    let run = schedule.lifecycle();
+    let mut path: Vec<Segment> = Vec::new();
+    let mut push = |stage: Stage, start_us: u64, end_us: u64| {
+        if end_us <= start_us {
+            return;
+        }
+        match path.last_mut() {
+            Some(last) if last.stage == stage && last.end_us == start_us => last.end_us = end_us,
+            _ => path.push(Segment { stage, start_us, end_us }),
+        }
+    };
+
+    // Before the wire: grouping over compression over queue wait.
+    let open = us(run.transfer_begin_s);
+    let shut = us(run.transfer_end_s).max(open);
+    let (compress_s, group_s) = (schedule.compress(), schedule.group());
+    let group = (us(group_s.0).min(open), us(group_s.1).min(open));
+    let compress = (us(compress_s.0).min(open), us(compress_s.1).min(open));
+    let mut cuts = vec![0, open, group.0, group.1, compress.0, compress.1];
+    cuts.sort_unstable();
+    cuts.dedup();
+    let inside = |iv: (u64, u64), lo: u64, hi: u64| iv.0 <= lo && hi <= iv.1;
+    for w in cuts.windows(2) {
+        let (lo, hi) = (w[0], w[1]);
+        let stage = if inside(group, lo, hi) {
+            Stage::Group
+        } else if inside(compress, lo, hi) {
+            Stage::Compress
+        } else {
+            Stage::QueueWait
+        };
+        push(stage, lo, hi);
+    }
+
+    // The wire phase, with its stalls cut out.
+    let stalls = union_us(
+        (0..schedule.chunks())
+            .filter(|&m| run.stalled(m))
+            .map(|m| (run.ready[m].max(run.transfer_begin_s), run.release[m].min(run.transfer_end_s)))
+            .collect(),
+    );
+    let mut cursor = open;
+    for &(a, b) in &stalls {
+        push(Stage::Transfer, cursor, a);
+        push(Stage::Stall, a, b);
+        cursor = b;
+    }
+    push(Stage::Transfer, cursor, shut);
+
+    // The service's rounds, then the decode tail after the last one.
+    for r in &retries.rounds {
+        push(Stage::QueueWait, us(r.start_s), us(r.backoff_end_s));
+        push(Stage::Transfer, us(r.backoff_end_s), us(r.end_s));
+    }
+    if retries.delivered {
+        match retries.rounds.last() {
+            None => push(Stage::Decompress, shut, us(run.total_s)),
+            Some(last) => push(Stage::Decompress, us(last.end_s), us(last.end_s + (run.total_s - run.transfer_end_s))),
+        }
+    }
+
+    let mut stage_us = [0u64; Stage::ALL.len()];
+    for s in &path {
+        stage_us[s.stage.index()] += s.end_us - s.start_us;
+    }
+    let critical_us: u64 = stage_us.iter().sum();
+
+    // Serialized work: queue wait, transfer, stalls and the decode tail are
+    // busy exactly where they are on the path; compression, grouping and
+    // the decodes behind the wire are busy over their own intervals.
+    let len = |iv: (f64, f64)| us(iv.1).saturating_sub(us(iv.0));
+    let early_decoding: u64 = if retries.delivered {
+        let early = run.decode.iter().map(|&(a, b)| (a, b.min(run.transfer_end_s))).collect();
+        union_us(early).into_iter().map(|(a, b)| b - a).sum()
+    } else {
+        0
+    };
+    let total_us = stage_us[Stage::QueueWait.index()]
+        + stage_us[Stage::Transfer.index()]
+        + stage_us[Stage::Stall.index()]
+        + stage_us[Stage::Decompress.index()]
+        + early_decoding
+        + len(compress_s)
+        + len(group_s);
+
+    let stage_s = stage_us.map(|v| v as f64 / 1e6);
+    Attribution {
+        report: BottleneckReport {
+            job: Some(schedule.job()),
+            critical_path_s: critical_us as f64 / 1e6,
+            total_s: total_us.max(critical_us) as f64 / 1e6,
+            dominant: dominant_stage(&stage_s),
+            stage_s,
+        },
+        path,
+    }
 }
 
 /// Running per-stage sum over reports, in the order they were added — so a
@@ -269,135 +326,163 @@ fn dominant_stage(stage_s: &[f64; Stage::ALL.len()]) -> Stage {
     Stage::ALL[best]
 }
 
-/// Length of the union of `ivs` clipped to `[lo, hi]`, in µs.
-fn union_len_clipped(ivs: &[(u64, u64)], lo: u64, hi: u64) -> u64 {
-    let mut clipped: Vec<(u64, u64)> =
-        ivs.iter().map(|&(a, b)| (a.max(lo), b.min(hi))).filter(|&(a, b)| b > a).collect();
-    clipped.sort_unstable();
-    let mut len = 0;
-    let mut cursor = 0u64;
-    let mut started = false;
-    for (a, b) in clipped {
-        if !started || a > cursor {
-            len += b - a;
-            cursor = b;
-            started = true;
-        } else if b > cursor {
-            len += b - cursor;
-            cursor = b;
-        }
-    }
-    len
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::Recorder;
+    use crate::ledger::Lifecycle;
+
+    /// A staged job: queue 1 s, compress 3 s, group 0.5 s, two files on the
+    /// wire 4.5 → 9 s, decode 9 → 10 s.
+    fn staged() -> Schedule {
+        Schedule::new(Lifecycle {
+            job: 1,
+            transfer_begin_s: 4.5,
+            transfer_end_s: 9.0,
+            total_s: 10.0,
+            file: vec![0, 1],
+            chunk: vec![0, 0],
+            bytes: vec![10, 20],
+            compress_begin: vec![1.0; 2],
+            ready: vec![4.5; 2],
+            release: vec![4.5; 2],
+            sent: vec![4.5, 5.0],
+            landed: vec![7.0, 9.0],
+            decode: vec![(9.0, 10.0); 2],
+            ..Lifecycle::default()
+        })
+        .with_phases((1.0, 4.0), (4.0, 4.5))
+    }
+
+    /// A streamed job: queue 2 s, compression 2 → 9 s behind the wire
+    /// 2 → 12 s with two window stalls (3 → 4 s and an overlapping pair
+    /// 8 → 10.5 s), decodes overlapped from 5 s and a tail to 13 s.
+    fn streamed() -> Schedule {
+        Schedule::new(Lifecycle {
+            job: 7,
+            transfer_begin_s: 2.0,
+            transfer_end_s: 12.0,
+            total_s: 13.0,
+            file: vec![0, 1, 2],
+            chunk: vec![0, 0, 0],
+            bytes: vec![1, 1, 1],
+            compress_begin: vec![2.0, 2.5, 7.0],
+            ready: vec![3.0, 8.0, 9.0],
+            release: vec![4.0, 10.0, 10.5],
+            sent: vec![4.0, 10.0, 10.5],
+            landed: vec![5.0, 11.0, 12.0],
+            decode: vec![(5.0, 6.0), (11.0, 12.5), (12.0, 13.0)],
+            ..Lifecycle::default()
+        })
+        .with_phases((2.0, 9.0), (0.0, 0.0))
+    }
 
     #[test]
     fn additive_tree_attributes_exactly() {
-        let r = Recorder::new();
-        let root = r.sim_span("pipeline", Some(1), 0, 0.0, 10.0);
-        r.sim_child(root, "pipeline.queue_wait", Some(1), 0, 0.0, 1.0);
-        r.sim_child(root, "pipeline.compress", Some(1), 0, 1.0, 4.0);
-        r.sim_child(root, "pipeline.group", Some(1), 0, 4.0, 4.5);
-        r.sim_child(root, "pipeline.transfer", Some(1), 0, 4.5, 9.0);
-        r.sim_child(root, "pipeline.decompress", Some(1), 0, 9.0, 10.0);
-        let rep = analyze(&r.for_job(1)).unwrap();
-        assert_eq!(rep.job, Some(1));
-        assert!((rep.critical_path_s - 10.0).abs() < 1e-9);
-        assert!((rep.total_s - 10.0).abs() < 1e-9, "additive tree has no overlap, total {}", rep.total_s);
-        assert!((rep.stage(Stage::Transfer) - 4.5).abs() < 1e-9);
-        assert!((rep.stage(Stage::Compress) - 3.0).abs() < 1e-9);
-        assert_eq!(rep.dominant, Stage::Transfer);
-        assert_eq!(rep.stage(Stage::Other), 0.0, "children fully cover the root");
-        let sum: f64 = rep.stage_s.iter().sum();
-        assert!((sum - rep.critical_path_s).abs() < 1e-9);
-    }
-
-    #[test]
-    fn overlapped_lanes_prefer_the_primary_lane() {
-        // Sentinel-style overlap: transfer on lane 0 from t=1, compression
-        // running concurrently on lane 1 from t=1 to t=6.
-        let r = Recorder::new();
-        let root = r.sim_span("pipeline.overlapped", Some(2), 0, 0.0, 10.0);
-        r.sim_child(root, "pipeline.queue_wait", Some(2), 0, 0.0, 1.0);
-        r.sim_child(root, "pipeline.transfer", Some(2), 0, 1.0, 10.0);
-        r.sim_child(root, "pipeline.compress", Some(2), 1, 1.0, 6.0);
-        let rep = analyze(&r.for_job(2)).unwrap();
-        assert!((rep.critical_path_s - 10.0).abs() < 1e-9);
-        // Serialized work: 1 wait + 9 transfer + 5 compress = 15 s.
-        assert!((rep.total_s - 15.0).abs() < 1e-9);
-        assert!((rep.overlap_savings_s() - 5.0).abs() < 1e-9);
-        // The overlap window [1, 6] counts as transfer (lane 0), not compress.
-        assert!((rep.stage(Stage::Transfer) - 9.0).abs() < 1e-9);
-        assert_eq!(rep.stage(Stage::Compress), 0.0);
-        assert_eq!(rep.dominant, Stage::Transfer);
-    }
-
-    #[test]
-    fn deeper_spans_win_and_backoff_counts_as_queue_wait() {
-        // A service envelope over the pipeline tree, with a retry round
-        // whose backoff/re-offer children sit deeper than the envelope.
-        let r = Recorder::new();
-        let job = r.sim_span("svc.job", Some(3), 2, 0.0, 20.0);
-        let retry = r.sim_child(job, "svc.retry", Some(3), 2, 10.0, 20.0);
-        r.sim_child(retry, "svc.retry.backoff", Some(3), 2, 10.0, 14.0);
-        r.sim_child(retry, "svc.retry.transfer", Some(3), 2, 14.0, 20.0);
-        let root = r.sim_span("pipeline", Some(3), 0, 0.0, 10.0);
-        r.sim_child(root, "pipeline.transfer", Some(3), 0, 0.0, 10.0);
-        let rep = analyze(&r.for_job(3)).unwrap();
-        assert!((rep.critical_path_s - 20.0).abs() < 1e-9);
-        assert!((rep.stage(Stage::QueueWait) - 4.0).abs() < 1e-9, "backoff window");
-        assert!((rep.stage(Stage::Transfer) - 16.0).abs() < 1e-9, "first offer + retry re-offer");
-        assert_eq!(rep.dominant, Stage::Transfer);
-    }
-
-    #[test]
-    fn aggregate_sums_and_recomputes_dominant() {
-        let r = Recorder::new();
-        let a = r.sim_span("pipeline", Some(1), 0, 0.0, 4.0);
-        r.sim_child(a, "pipeline.compress", Some(1), 0, 0.0, 4.0);
-        let b = r.sim_span("pipeline", Some(2), 0, 0.0, 10.0);
-        r.sim_child(b, "pipeline.transfer", Some(2), 0, 0.0, 10.0);
-        let reports = analyze_jobs(&r.spans());
-        assert_eq!(reports.len(), 2);
-        let agg = aggregate(&reports).unwrap();
-        assert_eq!(agg.job, None);
-        assert!((agg.critical_path_s - 14.0).abs() < 1e-9);
-        assert_eq!(agg.dominant, Stage::Transfer);
-        assert!(aggregate(&[]).is_none());
+        let a = attribute(&staged(), &Retries::NONE);
+        let r = &a.report;
+        assert_eq!(r.job, Some(1));
+        assert_eq!(r.critical_path_s, 10.0);
+        assert_eq!(r.total_s, r.critical_path_s, "an additive job overlaps nothing");
+        assert_eq!(r.stage_s, [1.0, 3.0, 0.5, 4.5, 0.0, 1.0]);
+        assert_eq!(r.dominant, Stage::Transfer);
+        let stages: Vec<Stage> = a.path.iter().map(|s| s.stage).collect();
+        use Stage::*;
+        assert_eq!(stages, [QueueWait, Compress, Group, Transfer, Decompress]);
+        assert!(a.path.windows(2).all(|w| w[0].end_us == w[1].start_us), "the path is contiguous");
     }
 
     #[test]
     fn stream_stalls_are_attributed_distinctly_from_transfer() {
-        // Streamed pipeline: a transfer window with two back-pressure stalls
-        // recorded as deeper children. The stall intervals must come out of
-        // the transfer bucket and land in Stage::Stall.
-        let r = Recorder::new();
-        let root = r.sim_span("pipeline.streamed", Some(7), 0, 0.0, 12.0);
-        let transfer = r.sim_child(root, "pipeline.transfer", Some(7), 0, 2.0, 12.0);
-        r.sim_child(transfer, "pipeline.transfer.stream_stall", Some(7), 0, 3.0, 4.0);
-        r.sim_child(transfer, "pipeline.transfer.stream_stall", Some(7), 0, 8.0, 10.5);
-        r.sim_child(root, "pipeline.compress", Some(7), 1, 0.0, 9.0);
-        let rep = analyze(&r.for_job(7)).unwrap();
-        assert_eq!(Stage::classify("pipeline.transfer.stream_stall"), Stage::Stall);
-        assert!((rep.critical_path_s - 12.0).abs() < 1e-9);
-        assert!((rep.stage(Stage::Stall) - 3.5).abs() < 1e-9, "stall {}", rep.stage(Stage::Stall));
-        assert!((rep.stage(Stage::Transfer) - 6.5).abs() < 1e-9, "transfer {}", rep.stage(Stage::Transfer));
-        // Compress only shows where nothing deeper covers the lane-0 window.
-        assert!((rep.stage(Stage::Compress) - 2.0).abs() < 1e-9);
-        assert_eq!(rep.dominant, Stage::Transfer);
+        let r = attribute(&streamed(), &Retries::NONE).report;
+        assert_eq!(r.critical_path_s, 13.0);
+        assert_eq!(r.stage(Stage::QueueWait), 2.0);
+        assert_eq!(r.stage(Stage::Compress), 0.0, "compression hides behind the wire");
+        assert_eq!(r.stage(Stage::Stall), 3.5);
+        assert_eq!(r.stage(Stage::Transfer), 6.5);
+        assert_eq!(r.stage(Stage::Decompress), 1.0);
+        // 2 queue + 7 compress + 6.5 transfer + 3.5 stall + 3 decoding
+        // (5 → 6, 11 → 13).
+        assert_eq!(r.total_s, 22.0);
+        assert_eq!(r.overlap_savings_s(), 9.0);
     }
 
     #[test]
-    fn wall_spans_and_empty_input_are_ignored() {
-        let r = Recorder::new();
-        {
-            let _g = r.wall_span("compress.real", Some(9), 0);
-        }
-        assert!(analyze(&r.for_job(9)).is_none(), "wall spans alone yield no sim report");
-        assert!(analyze(&[]).is_none());
+    fn overlapped_lanes_prefer_the_primary_lane() {
+        // File-grain overlap: the wire opens at the queue grant (1 s) and
+        // runs to 10 s while compression runs behind it from 1 to 6 s.
+        let schedule = Schedule::new(Lifecycle {
+            job: 2,
+            transfer_begin_s: 1.0,
+            transfer_end_s: 10.0,
+            total_s: 11.0,
+            file: vec![0],
+            chunk: vec![0],
+            bytes: vec![1],
+            compress_begin: vec![1.0],
+            ready: vec![6.0],
+            release: vec![6.0],
+            sent: vec![6.0],
+            landed: vec![10.0],
+            decode: vec![(10.0, 11.0)],
+            ..Lifecycle::default()
+        })
+        .with_phases((1.0, 6.0), (0.0, 0.0));
+        let r = attribute(&schedule, &Retries::NONE).report;
+        assert_eq!(r.critical_path_s, 11.0);
+        // The overlap window counts as transfer, not compression.
+        assert_eq!(r.stage_s, [1.0, 0.0, 0.0, 9.0, 0.0, 1.0]);
+        // Serialized work: 1 wait + 5 compress + 9 transfer + 1 decode.
+        assert_eq!(r.total_s, 16.0);
+        assert_eq!(r.overlap_savings_s(), 5.0);
+        assert_eq!(r.dominant, Stage::Transfer);
+    }
+
+    #[test]
+    fn retry_backoff_is_queue_wait_and_a_failed_job_decodes_nothing() {
+        let rounds = vec![
+            RetryRound { start_s: 9.0, backoff_end_s: 11.0, end_s: 12.0 },
+            RetryRound { start_s: 12.0, backoff_end_s: 16.0, end_s: 17.5 },
+        ];
+        let delivered = attribute(&staged(), &Retries { rounds: rounds.clone(), delivered: true });
+        let r = &delivered.report;
+        assert_eq!(r.critical_path_s, 18.5);
+        assert_eq!(r.stage(Stage::QueueWait), 7.0, "queue wait plus both backoffs");
+        assert_eq!(r.stage(Stage::Transfer), 7.0, "the wire plus both re-offers");
+        assert_eq!(r.stage(Stage::Decompress), 1.0);
+        assert_eq!(
+            delivered.path.last().unwrap(),
+            &Segment { stage: Stage::Decompress, start_us: 17_500_000, end_us: 18_500_000 }
+        );
+        assert_eq!(r.total_s, r.critical_path_s);
+
+        // Off the microsecond grid, the tail after the rounds still
+        // serializes exactly what it puts on the path.
+        let off_grid = Schedule::new(Lifecycle {
+            transfer_begin_s: 4.5,
+            transfer_end_s: 9.000_000_4,
+            total_s: 10.000_000_9,
+            ..Lifecycle::default()
+        });
+        let late = [RetryRound { start_s: 9.000_000_4, backoff_end_s: 11.0, end_s: 12.333_333_6 }];
+        let r = attribute(&off_grid, &Retries { rounds: late.to_vec(), delivered: true }).report;
+        assert_eq!(r.total_s, r.critical_path_s);
+
+        let failed = attribute(&staged(), &Retries { rounds, delivered: false }).report;
+        assert_eq!(failed.critical_path_s, 17.5, "the job ends with its last round");
+        assert_eq!(failed.stage(Stage::Decompress), 0.0);
+        assert_eq!(failed.total_s, failed.critical_path_s);
+    }
+
+    #[test]
+    fn aggregate_sums_and_recomputes_dominant() {
+        let reports = [attribute(&staged(), &Retries::NONE).report, attribute(&streamed(), &Retries::NONE).report];
+        let agg = aggregate(&reports).unwrap();
+        assert_eq!(agg.job, None);
+        assert_eq!(agg.critical_path_s, 23.0);
+        assert_eq!(agg.dominant, Stage::Transfer);
+        let mut running = Aggregate::default();
+        reports.iter().for_each(|r| running.add(r));
+        assert_eq!(running.report(), Some(agg));
+        assert!(aggregate(&[]).is_none());
     }
 }

@@ -5,8 +5,8 @@
 //! is deliberately small (objects, arrays, strings, numbers) and the svc
 //! layer re-parses exports with the workspace serde_json when validating.
 
+use crate::critpath::Attribution;
 use crate::metrics::{Metric, Registry};
-use crate::span::{Clock, SpanRecord};
 use std::fmt::Write as _;
 
 /// Escapes a string for embedding in a JSON document.
@@ -146,14 +146,11 @@ pub fn metrics_json(registry: &Registry) -> String {
     out
 }
 
-/// Renders spans as a Chrome `trace_event` JSON document.
-///
-/// Wall and sim spans live in separate Chrome *processes* (sim timestamps
-/// start at pipeline t=0, wall timestamps at recorder epoch — mixing them on
-/// one timeline would be misleading). Within a clock, `pid` is the job id
-/// (+offset) and `tid` the span's lane, so overlapped compress/transfer
-/// timelines render as parallel rows.
-pub fn chrome_trace(spans: &[SpanRecord]) -> String {
+/// Renders jobs' critical paths as a Chrome `trace_event` JSON document:
+/// one process per job (`pid` = job id + 1, named in the Perfetto sidebar)
+/// and one complete (`X`) event per stage interval of its path, on the
+/// simulated clock in microseconds.
+pub fn chrome_trace(attributions: &[Attribution]) -> String {
     let mut out = String::from("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
     let mut first = true;
     let mut emit = |s: String| {
@@ -163,64 +160,29 @@ pub fn chrome_trace(spans: &[SpanRecord]) -> String {
         first = false;
         out.push_str(&s);
     };
-
-    // Metadata: name each (clock, job) process for the Perfetto sidebar.
-    let mut seen: Vec<(Clock, Option<u64>)> = Vec::new();
-    for s in spans {
-        let key = (s.clock, s.job);
-        if !seen.contains(&key) {
-            seen.push(key);
-        }
-    }
-    for (clock, job) in &seen {
-        let label = match (clock, job) {
-            (Clock::Sim, Some(j)) => format!("sim · job {j}"),
-            (Clock::Sim, None) => "sim".to_string(),
-            (Clock::Wall, Some(j)) => format!("wall · job {j}"),
-            (Clock::Wall, None) => "wall".to_string(),
-        };
+    for a in attributions {
+        let pid = a.report.job.map_or(0, |j| j + 1);
+        let label = a.report.job.map_or_else(|| "sim".to_string(), |j| format!("sim · job {j}"));
         emit(format!(
-            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{},\"tid\":0,\"args\":{{\"name\":\"{}\"}}}}",
-            pid_for(*clock, *job),
+            "{{\"name\":\"process_name\",\"ph\":\"M\",\"pid\":{pid},\"tid\":0,\"args\":{{\"name\":\"{}\"}}}}",
             json_escape(&label)
         ));
-    }
-
-    for s in spans {
-        let cat = match s.clock {
-            Clock::Wall => "wall",
-            Clock::Sim => "sim",
-        };
-        emit(format!(
-            "{{\"name\":\"{}\",\"cat\":\"{}\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{},\"tid\":{},\"args\":{{\"id\":{},\"parent\":{}}}}}",
-            json_escape(&s.name),
-            cat,
-            s.start_us,
-            s.end_us.saturating_sub(s.start_us),
-            pid_for(s.clock, s.job),
-            s.lane,
-            s.id,
-            s.parent.map_or("null".to_string(), |p| p.to_string()),
-        ));
+        for s in &a.path {
+            emit(format!(
+                "{{\"name\":\"{}\",\"cat\":\"sim\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":{pid},\"tid\":0}}",
+                s.stage.name(),
+                s.start_us,
+                s.end_us - s.start_us,
+            ));
+        }
     }
     out.push_str("]}");
     out
 }
 
-/// Chrome trace `pid` for a (clock, job) pair: sim jobs keep their id (jobless
-/// sim work is 0), wall processes are offset by 1e6 to avoid colliding.
-fn pid_for(clock: Clock, job: Option<u64>) -> u64 {
-    let base = job.map(|j| j + 1).unwrap_or(0);
-    match clock {
-        Clock::Sim => base,
-        Clock::Wall => 1_000_000 + base,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::span::Recorder;
 
     #[test]
     fn prometheus_counter_gauge_histogram() {
@@ -256,18 +218,25 @@ mod tests {
 
     #[test]
     fn chrome_trace_contains_events_and_metadata() {
-        let rec = Recorder::new();
-        let root = rec.sim_span("pipeline", Some(3), 0, 0.0, 2.0);
-        rec.sim_child(root, "transfer", Some(3), 0, 0.0, 2.0);
-        {
-            let _w = rec.wall_span("compress.real", Some(3), 0);
-        }
-        let trace = chrome_trace(&rec.spans());
+        use crate::critpath::{attribute, Retries};
+        use crate::ledger::{Lifecycle, Schedule};
+        let schedule = Schedule::new(Lifecycle {
+            job: 3,
+            transfer_begin_s: 0.5,
+            transfer_end_s: 2.0,
+            total_s: 2.5,
+            ..Lifecycle::default()
+        });
+        let trace = chrome_trace(&[attribute(&schedule, &Retries::NONE)]);
         assert!(trace.contains("\"traceEvents\":["));
         assert!(trace.contains("\"ph\":\"M\""));
         assert!(trace.contains("sim · job 3"));
-        assert!(trace.contains("\"name\":\"pipeline\""));
-        assert!(trace.contains("\"ph\":\"X\""));
+        assert!(
+            trace.contains("\"name\":\"queue_wait\",\"cat\":\"sim\",\"ph\":\"X\",\"ts\":0,\"dur\":500000,\"pid\":4")
+        );
+        assert!(trace.contains("\"name\":\"transfer\""));
+        assert!(trace.contains("\"name\":\"decompress\""));
+        assert_eq!(trace.matches("\"ph\":\"X\"").count(), 3);
         assert_eq!(trace.matches('{').count(), trace.matches('}').count());
     }
 

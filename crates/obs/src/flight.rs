@@ -1,9 +1,9 @@
 //! Flight recorder: an always-on, lock-light ring of recent events.
 //!
 //! Post-mortem forensics need the *last few thousand things that happened*,
-//! not a complete history: log records, span opens/closes, counter deltas,
-//! and service state transitions land in a bounded [`FlightRecorder`] ring
-//! that overwrites its oldest entries. When a job fails, a retry budget is
+//! not a complete history: log records, counter deltas and service state
+//! transitions land in a bounded [`FlightRecorder`] ring that overwrites its
+//! oldest entries. When a job fails, a retry budget is
 //! exhausted, or an SLO breaches, the service snapshots the ring into a
 //! self-contained dump (see `ocelot-svc`'s forensics module).
 //!
@@ -14,7 +14,6 @@
 //! contention that counter stays 0, and tests assert both.
 
 use crate::log::Level;
-use crate::span::Clock;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -40,26 +39,6 @@ pub enum FlightKind {
         target: String,
         /// Formatted message text.
         message: String,
-    },
-    /// A wall-clock span opened (sim spans are recorded whole on close).
-    SpanOpen {
-        /// Dotted stage name.
-        name: String,
-        /// Display lane.
-        lane: u32,
-    },
-    /// A span closed; carries its full bounds on its own clock.
-    SpanClose {
-        /// Dotted stage name.
-        name: String,
-        /// Which clock `start_us`/`end_us` are on.
-        clock: Clock,
-        /// Display lane.
-        lane: u32,
-        /// Span start, microseconds on `clock`.
-        start_us: u64,
-        /// Span end, microseconds on `clock`.
-        end_us: u64,
     },
     /// A counter moved by `delta` (via `Obs::add`/`Obs::inc`; increments
     /// through cached `Arc<Counter>` handles bypass the recorder).
@@ -251,21 +230,12 @@ mod tests {
     fn events_carry_kind_payloads() {
         let fr = FlightRecorder::new(8);
         fr.record(Some(7), FlightKind::Log { level: Level::Warn, target: "svc".into(), message: "retrying".into() });
-        fr.record(
-            Some(7),
-            FlightKind::SpanClose {
-                name: "pipeline.transfer".into(),
-                clock: Clock::Sim,
-                lane: 0,
-                start_us: 0,
-                end_us: 2_000_000,
-            },
-        );
+        fr.record(Some(7), FlightKind::Counter { name: "ocelot_test_total".into(), delta: 2 });
         fr.record(Some(7), FlightKind::State { label: "Done".into(), t_s: 2.0 });
         let snap = fr.snapshot();
         assert_eq!(snap.events.len(), 3);
         assert!(matches!(&snap.events[0].kind, FlightKind::Log { level: Level::Warn, .. }));
-        assert!(matches!(&snap.events[1].kind, FlightKind::SpanClose { clock: Clock::Sim, .. }));
+        assert!(matches!(&snap.events[1].kind, FlightKind::Counter { delta: 2, .. }));
         assert!(matches!(&snap.events[2].kind, FlightKind::State { .. }));
         assert!(snap.events.iter().all(|e| e.job == Some(7)));
     }

@@ -1,12 +1,14 @@
 //! Chunk-lifecycle event ledger: causal wide events for every chunk a job
 //! touches, recorded for a fraction of what the job itself costs.
 //!
-//! The span recorder answers "where did this *job* spend its time"; the
-//! flight ring answers "what happened recently"; `ledger` answers "what
-//! happened to *this chunk*" — compressed, window-waited, released,
-//! in-flight, faulted, retransmitted, arrived, decoded — as an append-only
-//! sequence of structured events with causal parent links (each chunk event
-//! links to the prior event for the same chunk and to its job span).
+//! The flight ring answers "what happened recently"; `ledger` answers "what
+//! happened to *this job and this chunk*" — compressed, window-waited,
+//! released, in-flight, faulted, retransmitted, arrived, decoded — as an
+//! append-only sequence of structured events with causal parent links (each
+//! chunk event links to the prior event for the same chunk and to its
+//! job's `job_begin`). A committed [`Schedule`] is a simulated job's one
+//! timing record: [`crate::critpath`] attributes the job's time from its
+//! columns, and the events are derived from the same columns on read.
 //!
 //! * **One commit per job, and nothing stored per event.** A simulated job
 //!   knows its whole story at once, so its emitter hands the ledger *the
@@ -15,9 +17,9 @@
 //!   once. A [`Schedule`] adopts the run's own per-chunk columns by move
 //!   ([`Lifecycle`]: file, chunk, bytes and seven times per chunk, failed
 //!   attempts and the fault model kept sparse — 72 bytes a chunk) and counts
-//!   the events it stands for. Both pipelined runs commit one: the streamed
-//!   run at chunk grain, the overlapped run at file grain (one chunk a
-//!   file). Its events exist only while someone reads them:
+//!   the events it stands for. Every simulated run with a job commits one:
+//!   the streamed run at chunk grain, the overlapped and staged runs at file
+//!   grain (one chunk a transfer unit). Its events exist only while someone reads them:
 //!   [`Schedule::replay`] is the one place that turns a schedule into
 //!   events, and the count branches on the same predicates, so the range
 //!   reserved is the range widened to. [`LedgerEvent`] stays the read type
@@ -43,7 +45,8 @@
 //!   ledger into per-chunk interval tracks (compress / window-wait /
 //!   transfer / retransmit / reorder / decode) plus job-level phase
 //!   boundaries whose derived stage sums ([`Timeline::stage_s`]) are
-//!   consistent with [`crate::critpath`] stage attribution (≤ 1 %).
+//!   consistent with [`crate::critpath`] stage attribution of a pipelined
+//!   job (≤ 1 %).
 //! * **Rendering** ([`render_timeline`]) is an ASCII Gantt over simulated
 //!   time only — wall timestamps never reach the output, so renderings are
 //!   byte-stable across reruns.
@@ -318,7 +321,7 @@ impl Lifecycle {
 
     /// True when chunk `m` waited for the stream window: it has a
     /// `window_wait` event.
-    fn stalled(&self, m: usize) -> bool {
+    pub(crate) fn stalled(&self, m: usize) -> bool {
         self.release[m] > self.ready[m] + SAME_INSTANT_S
     }
 
@@ -342,6 +345,10 @@ impl Lifecycle {
 #[derive(Debug)]
 pub struct Schedule {
     run: Lifecycle,
+    /// The job's compression phase (see [`Schedule::with_phases`]).
+    compress: (f64, f64),
+    /// The job's grouping phase, empty when it did not group.
+    group: (f64, f64),
     events: usize,
     /// Sequence number of `job_begin`; 0 until committed.
     seq_base: u64,
@@ -374,7 +381,28 @@ impl Schedule {
         // in_flight, arrived, decode_begin, decode_end.
         let optional: usize = (0..chunks).map(|m| usize::from(run.stalled(m)) + 2 * usize::from(run.queued(m))).sum();
         let events = 4 + 7 * chunks + optional + 2 * run.failed.len();
-        Schedule { run, events, seq_base: 0, t_wall_us: 0 }
+        Schedule { run, compress: (0.0, 0.0), group: (0.0, 0.0), events, seq_base: 0, t_wall_us: 0 }
+    }
+
+    /// Adds the job's compression phase — from the queue grant to the last
+    /// unit encoded: behind the wire for a pipelined run, before it for a
+    /// staged one — and the interval a staged run spent packing encoded
+    /// files into transfer groups just before the wire opened (empty when it
+    /// did not group). [`crate::critpath::attribute`] reads them; the events
+    /// do not carry them.
+    pub fn with_phases(mut self, compress: (f64, f64), group: (f64, f64)) -> Schedule {
+        (self.compress, self.group) = (compress, group);
+        self
+    }
+
+    /// The job's compression phase.
+    pub fn compress(&self) -> (f64, f64) {
+        self.compress
+    }
+
+    /// The job's grouping phase; empty when it did not group.
+    pub fn group(&self) -> (f64, f64) {
+        self.group
     }
 
     /// Events the schedule widens to.
@@ -395,6 +423,11 @@ impl Schedule {
     /// The job the schedule is filed under.
     pub fn job(&self) -> u64 {
         self.run.job
+    }
+
+    /// The run's columns, as committed.
+    pub fn lifecycle(&self) -> &Lifecycle {
+        &self.run
     }
 
     /// [`EventKind::Retransmit`] events the schedule widens to: one per
@@ -439,8 +472,8 @@ impl Schedule {
     /// of the drafts that follow from it.
     ///
     /// One causal chain per chunk between the four job phases, which carry
-    /// the values the run's span tree uses, so replayed timelines agree with
-    /// critpath stage sums.
+    /// the values [`crate::critpath::attribute`] reads, so replayed
+    /// timelines agree with its stage sums.
     pub fn replay(&self, mut push: impl FnMut(EventKind, Draft) -> u64) {
         let run = &self.run;
         let job = run.job;
@@ -761,21 +794,23 @@ impl Timeline {
     }
 
     /// Stage sums aligned with [`crate::critpath::Stage::ALL`] order
-    /// (QueueWait, Compress, Group, Transfer, Stall, Decompress, Other).
+    /// (QueueWait, Compress, Group, Transfer, Stall, Decompress).
     ///
-    /// The derivation mirrors the critpath sweep over a streamed job's span
-    /// tree: queue wait up to `transfer_begin`, stalls are the window-wait
-    /// union inside the wire phase (deepest spans win), transfer is the
-    /// rest of the wire phase, and the decode tail runs to `job_end`.
-    /// Compression overlaps the wire phase on the overlap lane, so it is
-    /// shadowed — exactly as the critpath tie-break shadows it.
-    pub fn stage_s(&self) -> [f64; 7] {
+    /// The derivation is [`crate::critpath::attribute`]'s for a pipelined
+    /// job, read off the events: everything before `transfer_begin` is
+    /// queue wait, stalls are the window-wait union inside the wire phase,
+    /// transfer is the rest of the wire phase, and the decode tail runs to
+    /// `job_end`. Compression overlaps the wire phase, so it is on no
+    /// stage. The events carry no compression or grouping phase, so for a
+    /// staged job the queue wait here includes them.
+    pub fn stage_s(&self) -> [f64; 6] {
         let queue = self.transfer_begin_s.max(0.0);
-        let stall: f64 = self.stalls.iter().map(|(a, b)| b - a).sum();
+        // Folded from +0.0: an empty float `sum` is -0.0 and prints as `-0.000`.
+        let stall = self.stalls.iter().fold(0.0, |acc, (a, b)| acc + (b - a));
         let wire = (self.transfer_end_s - self.transfer_begin_s).max(0.0);
         let transfer = (wire - stall).max(0.0);
         let decode = (self.total_s - self.transfer_end_s).max(0.0);
-        [queue, 0.0, 0.0, transfer, stall, decode, 0.0]
+        [queue, 0.0, 0.0, transfer, stall, decode]
     }
 
     /// Total retransmitted (failed) attempts across every chunk.
@@ -920,7 +955,6 @@ pub fn render_timeline(tl: &Timeline) -> String {
     if elided > 0 {
         let _ = writeln!(out, "  … {elided} clean chunk(s) elided (every retransmitted chunk is shown)");
     }
-    let stalled: f64 = tl.stalls.iter().map(|(a, b)| b - a).sum();
     let retried = tl.tracks.iter().filter(|t| !t.retransmits.is_empty()).count();
     let _ = writeln!(
         out,
@@ -928,7 +962,7 @@ pub fn render_timeline(tl: &Timeline) -> String {
         tl.total_retries(),
         retried,
         tl.stalls.len(),
-        stalled
+        stage[4]
     );
     out
 }
@@ -1331,7 +1365,7 @@ mod tests {
         assert_eq!(tl.total_retries(), 1);
         // Stage sums: queue 1, stall 1 (the 2→3 window wait), transfer
         // (7-1)-1 = 5, decode 8-7 = 1; compress shadowed by the wire phase.
-        assert_eq!(tl.stage_s(), [1.0, 0.0, 0.0, 5.0, 1.0, 1.0, 0.0]);
+        assert_eq!(tl.stage_s(), [1.0, 0.0, 0.0, 5.0, 1.0, 1.0]);
         // Missing job? None.
         assert!(Timeline::reconstruct(&events, 99).is_none());
     }

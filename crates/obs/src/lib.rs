@@ -1,17 +1,14 @@
 //! ocelot-obs: zero-dependency observability for the ocelot pipeline.
 //!
-//! Eight pieces:
+//! Seven pieces:
 //!
-//! - [`span::Recorder`] — nested stage spans on both the wall clock (real
-//!   compression work) and the simulated clock (queueing, transfer,
-//!   backoff), per job and per lane.
 //! - [`metrics::Registry`] — named counters, gauges, and log-bucketed
 //!   mergeable histograms with lock-free hot-path increments and per-bucket
 //!   exemplars.
 //! - [`export`] — Prometheus text exposition, JSON metrics, and Chrome
 //!   `trace_event` JSON for `chrome://tracing` / Perfetto.
-//! - [`critpath`] — critical-path analysis over sim-span trees with
-//!   per-stage attribution ([`critpath::BottleneckReport`]).
+//! - [`critpath`] — critical-path attribution of a job's committed
+//!   [`ledger::Schedule`], per stage ([`critpath::BottleneckReport`]).
 //! - [`flight`] — an always-on bounded ring of recent structured events,
 //!   snapshotted on failure for post-mortem dumps.
 //! - [`slo`] — declarative burn-rate SLO rules evaluated incrementally
@@ -23,10 +20,10 @@
 //!   chunk (compressed → released → in-flight → arrived → decoded),
 //!   committed one schedule per job into a ledger handed to the emitter
 //!   explicitly, bounded between records, replayable into per-chunk Gantt
-//!   timelines.
+//!   timelines. A job's schedule is its one timing record.
 //!
 //! An [`Obs`] is a cheap-clone handle that is either *enabled* (wraps an
-//! `Arc` of registry + recorder) or *disabled* (every call is a no-op).
+//! `Arc` of registry + flight ring) or *disabled* (every call is a no-op).
 //! There is no process-wide handle: code that records takes the handle it
 //! is given (the service hands its own to the orchestrator and the ledger),
 //! and code given none records nothing. The one process-wide install is
@@ -34,8 +31,7 @@
 //! probes on any thread drain into the same registry.
 //!
 //! Metric names follow `ocelot_<crate>_<name>` with Prometheus unit
-//! suffixes (`_seconds`, `_bytes`, `_total`); span names are dotted stage
-//! paths (`compress.quantize`, `svc.retry`).
+//! suffixes (`_seconds`, `_bytes`, `_total`).
 
 pub mod critpath;
 pub mod export;
@@ -45,11 +41,9 @@ pub mod log;
 pub mod metrics;
 pub mod prof;
 pub mod slo;
-pub mod span;
 
 use flight::{FlightKind, FlightRecorder, FlightSnapshot};
 use metrics::{Counter, Histogram, Registry};
-use span::{Recorder, WallSpanGuard};
 use std::sync::Arc;
 
 /// Registry counter mirroring [`FlightRecorder::dropped`]; synced on every
@@ -59,15 +53,7 @@ pub const FLIGHT_DROPPED_COUNTER: &str = "ocelot_obs_flight_dropped_total";
 #[derive(Debug)]
 struct ObsInner {
     registry: Registry,
-    recorder: Recorder,
-    flight: Arc<FlightRecorder>,
-}
-
-impl ObsInner {
-    fn with_flight_capacity(capacity: usize) -> Self {
-        let flight = Arc::new(FlightRecorder::new(capacity));
-        ObsInner { registry: Registry::new(), recorder: Recorder::new().with_flight(flight.clone()), flight }
-    }
+    flight: FlightRecorder,
 }
 
 /// Cheap-clone observability handle; disabled handles no-op everywhere.
@@ -82,15 +68,15 @@ impl Obs {
         Obs { inner: None }
     }
 
-    /// A fresh enabled handle with its own registry, recorder, and flight
-    /// ring (default capacity).
+    /// A fresh enabled handle with its own registry and flight ring
+    /// (default capacity).
     pub fn enabled() -> Self {
         Obs::with_flight_capacity(flight::DEFAULT_CAPACITY)
     }
 
     /// Enabled handle whose flight ring holds `capacity` events.
     pub fn with_flight_capacity(capacity: usize) -> Self {
-        Obs { inner: Some(Arc::new(ObsInner::with_flight_capacity(capacity))) }
+        Obs { inner: Some(Arc::new(ObsInner { registry: Registry::new(), flight: FlightRecorder::new(capacity) })) }
     }
 
     /// True when this handle records.
@@ -103,14 +89,9 @@ impl Obs {
         self.inner.as_deref().map(|i| &i.registry)
     }
 
-    /// The span recorder, if enabled.
-    pub fn recorder(&self) -> Option<&Recorder> {
-        self.inner.as_deref().map(|i| &i.recorder)
-    }
-
     /// The always-on flight ring, if enabled.
     pub fn flight(&self) -> Option<&FlightRecorder> {
-        self.inner.as_deref().map(|i| &*i.flight)
+        self.inner.as_deref().map(|i| &i.flight)
     }
 
     /// Snapshots the flight ring and syncs the
@@ -171,28 +152,6 @@ impl Obs {
     pub fn histogram_handle(&self, name: &str, help: &str) -> Option<Arc<Histogram>> {
         self.inner.as_ref().map(|i| i.registry.histogram(name, help))
     }
-
-    /// Opens a wall-clock span (no-op guard when disabled).
-    pub fn wall_span(&self, name: &str, job: Option<u64>, lane: u32) -> ObsSpanGuard<'_> {
-        ObsSpanGuard { _guard: self.recorder().map(|r| r.wall_span(name, job, lane)) }
-    }
-
-    /// Records a root simulated-clock span; returns its id (0 when
-    /// disabled — safe to pass back to [`Obs::sim_child`], which no-ops).
-    pub fn sim_span(&self, name: &str, job: Option<u64>, lane: u32, start_s: f64, end_s: f64) -> u64 {
-        self.recorder().map(|r| r.sim_span(name, job, lane, start_s, end_s)).unwrap_or(0)
-    }
-
-    /// Records a simulated-clock span under `parent`; returns its id.
-    pub fn sim_child(&self, parent: u64, name: &str, job: Option<u64>, lane: u32, start_s: f64, end_s: f64) -> u64 {
-        self.recorder().map(|r| r.sim_child(parent, name, job, lane, start_s, end_s)).unwrap_or(0)
-    }
-}
-
-/// RAII wall-span guard that may be a no-op (disabled handle).
-#[derive(Debug)]
-pub struct ObsSpanGuard<'r> {
-    _guard: Option<WallSpanGuard<'r>>,
 }
 
 #[cfg(test)]
@@ -204,11 +163,7 @@ mod tests {
         let obs = Obs::disabled();
         obs.inc("ocelot_test_x_total", "x");
         obs.observe("ocelot_test_h_seconds", "h", 1.0);
-        let id = obs.sim_span("pipeline", None, 0, 0.0, 1.0);
-        obs.sim_child(id, "stage", None, 0, 0.0, 1.0);
-        {
-            let _g = obs.wall_span("w", None, 0);
-        }
+        obs.flight_state(None, "admitted", 0.0);
         assert!(!obs.is_enabled());
         assert!(obs.registry().is_none());
         assert!(obs.counter_handle("ocelot_test_x_total", "x").is_none());
@@ -221,17 +176,9 @@ mod tests {
         obs.add("ocelot_test_jobs_total", "jobs", 2);
         obs.observe("ocelot_test_lat_seconds", "lat", 0.25);
         obs.set_gauge("ocelot_test_depth", "depth", 4.0);
-        let id = obs.sim_span("pipeline", Some(1), 0, 0.0, 2.0);
-        obs.sim_child(id, "transfer", Some(1), 0, 0.0, 2.0);
-        {
-            let _g = obs.wall_span("compress.real", Some(1), 0);
-        }
         let reg = obs.registry().unwrap();
         assert_eq!(reg.counter("ocelot_test_jobs_total", "").get(), 3);
         assert_eq!(reg.histogram("ocelot_test_lat_seconds", "").count(), 1);
-        let rec = obs.recorder().unwrap();
-        assert_eq!(rec.spans().len(), 3);
-        assert!(rec.validate(1).is_empty());
         // Clones share state.
         obs.clone().inc("ocelot_test_jobs_total", "");
         assert_eq!(reg.counter("ocelot_test_jobs_total", "").get(), 4);
@@ -242,11 +189,6 @@ mod tests {
         let obs = Obs::with_flight_capacity(64);
         obs.add("ocelot_test_flight_total", "f", 2);
         obs.flight_state(Some(9), "admitted", 1.5);
-        let id = obs.sim_span("pipeline", Some(9), 0, 0.0, 2.0);
-        obs.sim_child(id, "transfer", Some(9), 0, 0.0, 2.0);
-        {
-            let _g = obs.wall_span("compress.real", Some(9), 0);
-        }
         let snap = obs.flight_snapshot().unwrap();
         assert_eq!(snap.dropped, 0);
         let kinds: Vec<&'static str> = snap
@@ -254,16 +196,12 @@ mod tests {
             .iter()
             .map(|e| match e.kind {
                 FlightKind::Log { .. } => "log",
-                FlightKind::SpanOpen { .. } => "open",
-                FlightKind::SpanClose { .. } => "close",
                 FlightKind::Counter { .. } => "counter",
                 FlightKind::State { .. } => "state",
             })
             .collect();
         assert!(kinds.contains(&"counter"));
         assert!(kinds.contains(&"state"));
-        assert!(kinds.contains(&"open"));
-        assert!(kinds.iter().filter(|k| **k == "close").count() >= 3);
         // The dropped counter is mirrored into the registry.
         assert_eq!(obs.registry().unwrap().counter(FLIGHT_DROPPED_COUNTER, "").get(), 0);
         assert!(obs.flight().unwrap().recorded() >= snap.events.len() as u64);

@@ -1,91 +1,115 @@
-//! Property-based tests for the critical-path analyzer: on *arbitrary*
-//! overlapped span forests (random intervals, random parent links, random
-//! lanes and stage names) the analyzer's two totals keep their contract.
+//! Property-based tests for critical-path attribution: on *arbitrary*
+//! schedules (random phase boundaries, per-chunk stalls and decodes) and
+//! arbitrary service retry rounds, the report keeps its contract.
 
-use ocelot_obs::critpath::{analyze, Stage};
-use ocelot_obs::span::{Clock, SpanRecord};
+use ocelot_obs::critpath::{attribute, Retries, RetryRound, Stage};
+use ocelot_obs::ledger::{Lifecycle, Schedule};
 use proptest::prelude::*;
 
-/// Stage-name pool covering every classification branch plus unknowns.
-const NAMES: [&str; 8] = [
-    "pipeline.queue_wait",
-    "pipeline.compress",
-    "pipeline.group",
-    "pipeline.transfer",
-    "pipeline.decompress",
-    "svc.retry.backoff",
-    "svc.job",
-    "mystery.stage",
-];
+/// One chunk blueprint: (ready offset, stall, wire time, decode wait,
+/// decode time), all in seconds.
+type Chunk = (f64, f64, f64, f64, f64);
 
-/// One raw span blueprint: (name index, lane, start µs, length µs, parent
-/// pick). The parent pick selects among earlier spans (or none) modulo the
-/// number of candidates, so any u8 is valid regardless of position.
-fn blueprints(n: std::ops::Range<usize>) -> impl Strategy<Value = Vec<(usize, u32, u64, u64, u8)>> {
-    prop::collection::vec((0usize..NAMES.len(), 0u32..3, 0u64..5_000_000, 0u64..3_000_000, any::<u8>()), n)
+/// A schedule from a queue wait, a compression and grouping phase, and
+/// chunks released onto a wire that opens after them (`staged`) or right
+/// after the queue wait, with compression behind it.
+fn schedule(wait: f64, compress: f64, group: f64, staged: bool, chunks: &[Chunk]) -> Schedule {
+    let open = if staged { wait + compress + group } else { wait };
+    let mut run = Lifecycle { job: 42, transfer_begin_s: open, ..Lifecycle::default() };
+    let mut shut = open;
+    for (m, &(at, stall, wire, queued, dur)) in chunks.iter().enumerate() {
+        let ready = open + at;
+        let release = ready + stall;
+        let landed = release + wire;
+        shut = shut.max(landed);
+        run.file.push(m as u32);
+        run.chunk.push(0);
+        run.bytes.push(1);
+        run.compress_begin.push(wait);
+        run.ready.push(ready);
+        run.release.push(release);
+        run.sent.push(release);
+        run.landed.push(landed);
+        run.decode.push((landed + queued, landed + queued + dur));
+    }
+    run.transfer_end_s = shut;
+    run.total_s = run.decode.iter().fold(shut, |acc, d| acc.max(d.1));
+    let group = if staged { (wait + compress, open) } else { (0.0, 0.0) };
+    Schedule::new(run).with_phases((wait, wait + compress), group)
 }
 
-/// Materializes blueprints into `SpanRecord`s with acyclic parent links
-/// (a span's parent always has a smaller index).
-fn build(blueprints: &[(usize, u32, u64, u64, u8)]) -> Vec<SpanRecord> {
-    blueprints
+fn chunks() -> impl Strategy<Value = Vec<Chunk>> {
+    prop::collection::vec(
+        (0.0f64..50.0, prop_oneof![Just(0.0), 0.0f64..20.0], 0.0f64..5.0, 0.0f64..2.0, 0.0f64..3.0),
+        0..24,
+    )
+}
+
+/// Back-to-back retry rounds from `start`, each a (backoff, re-offer) pair.
+fn rounds(start: f64, pairs: &[(f64, f64)]) -> Vec<RetryRound> {
+    let mut t = start;
+    pairs
         .iter()
-        .enumerate()
-        .map(|(i, &(name, lane, start, len, pick))| {
-            // pick == 0 → root; otherwise parent is one of the i earlier ids.
-            let parent = (pick as usize).checked_rem(i + 1).filter(|&p| p > 0).map(|p| p as u64);
-            SpanRecord {
-                id: (i + 1) as u64,
-                parent,
-                name: NAMES[name].to_string(),
-                job: Some(42),
-                lane,
-                clock: Clock::Sim,
-                start_us: start,
-                end_us: start + len,
-            }
+        .map(|&(backoff, offer)| {
+            let r = RetryRound { start_s: t, backoff_end_s: t + backoff, end_s: t + backoff + offer };
+            t = r.end_s;
+            r
         })
         .collect()
+}
+
+/// A random schedule and retry rounds: (schedule, retries, staged).
+fn case() -> impl Strategy<Value = (Schedule, Retries, bool)> {
+    (
+        (0.0f64..30.0, 0.0f64..30.0, 0.0f64..5.0),
+        (any::<bool>(), any::<bool>()),
+        chunks(),
+        prop::collection::vec((0.0f64..8.0, 0.0f64..20.0), 0..4),
+    )
+        .prop_map(|((wait, compress, group), (staged, delivered), cs, pairs)| {
+            let s = schedule(wait, compress, group, staged, &cs);
+            let retries = Retries { rounds: rounds(s.lifecycle().transfer_end_s, &pairs), delivered };
+            (s, retries, staged)
+        })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The critical path (union of covered time) never exceeds the
-    /// serialized work (sum of exclusive span times), even when children
-    /// escape their parents or overlap arbitrarily.
+    /// The critical path never exceeds the serialized work, and a job that
+    /// gave up decoded nothing.
     #[test]
-    fn critical_path_never_exceeds_total(bps in blueprints(1..40)) {
-        let spans = build(&bps);
-        if let Some(rep) = analyze(&spans) {
-            prop_assert!(
-                rep.critical_path_s <= rep.total_s + 1e-9,
-                "critical {} > total {}", rep.critical_path_s, rep.total_s
-            );
-            prop_assert!(rep.overlap_savings_s() >= 0.0);
+    fn critical_path_never_exceeds_total(c in case()) {
+        let (s, retries, _) = c;
+        let r = attribute(&s, &retries).report;
+        prop_assert!(r.critical_path_s <= r.total_s, "critical {} > total {}", r.critical_path_s, r.total_s);
+        prop_assert!(r.overlap_savings_s() >= 0.0);
+        if !retries.delivered {
+            prop_assert_eq!(r.stage(Stage::Decompress), 0.0);
         }
     }
 
-    /// Per-stage attribution partitions the critical path: the stage sums
-    /// equal `critical_path_s` within 1% (they are exact up to µs rounding;
-    /// 1% is the documented contract).
+    /// The path is contiguous from t = 0 (up to the µs grid where a round
+    /// starts), its stage sums are the critical path, and the dominant
+    /// stage is an argmax.
     #[test]
-    fn stage_attribution_sums_to_critical_path(bps in blueprints(1..40)) {
-        let spans = build(&bps);
-        if let Some(rep) = analyze(&spans) {
-            let sum: f64 = rep.stage_s.iter().sum();
-            let tol = (rep.critical_path_s * 0.01).max(1e-9);
-            prop_assert!(
-                (sum - rep.critical_path_s).abs() <= tol,
-                "stage sum {} vs critical {}", sum, rep.critical_path_s
-            );
-            // The dominant stage is an argmax of the attribution.
-            let max = rep.stage_s.iter().cloned().fold(0.0f64, f64::max);
-            prop_assert!((rep.stage(rep.dominant) - max).abs() < 1e-12);
-            // Every span name classifies somewhere in Stage::ALL.
-            for s in &spans {
-                prop_assert!(Stage::ALL.contains(&Stage::classify(&s.name)));
-            }
+    fn stage_attribution_sums_to_critical_path(c in case()) {
+        let (s, retries, staged) = c;
+        let a = attribute(&s, &retries);
+        let r = &a.report;
+        prop_assert_eq!(a.path.first().map_or(0, |p| p.start_us), 0);
+        for w in a.path.windows(2) {
+            prop_assert!(w[0].end_us <= w[1].start_us + 1, "path overlaps itself: {:?}", w);
+            prop_assert!(w[0].end_us + 1 >= w[1].start_us, "path has a gap: {:?}", w);
+        }
+        let on_path: u64 = a.path.iter().map(|p| p.end_us - p.start_us).sum();
+        prop_assert_eq!(on_path as f64 / 1e6, r.critical_path_s);
+        let sum: f64 = r.stage_s.iter().sum();
+        prop_assert!((sum - r.critical_path_s).abs() < 1e-9, "stage sum {} vs critical {}", sum, r.critical_path_s);
+        let max = r.stage_s.iter().cloned().fold(0.0f64, f64::max);
+        prop_assert_eq!(r.stage(r.dominant), max);
+        if !staged {
+            prop_assert_eq!(r.stage(Stage::Compress) + r.stage(Stage::Group), 0.0, "a pipelined job compresses behind the wire");
         }
     }
 }

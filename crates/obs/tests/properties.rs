@@ -1,8 +1,7 @@
 //! Property-based tests for the obs crate: histogram merge/percentile
-//! invariants and span-nesting validity under arbitrary recording orders.
+//! invariants.
 
 use ocelot_obs::metrics::{Histogram, SUB_BUCKETS};
-use ocelot_obs::span::Recorder;
 use proptest::prelude::*;
 
 /// Positive durations spanning the tracked range (well above `MIN_TRACKED`,
@@ -108,44 +107,5 @@ proptest! {
         let hi = vals.iter().cloned().fold(0.0f64, f64::max);
         let factor = bucket_factor();
         prop_assert!(ps[0] >= lo / factor && *ps.last().unwrap() <= hi * factor);
-    }
-
-    /// Arbitrary depth-first trees of sim spans plus nested wall spans
-    /// always validate: parents exist, children stay inside parents, clocks
-    /// match, and no wall span is left open.
-    #[test]
-    fn recorded_span_trees_validate(
-        splits in prop::collection::vec((1usize..5, 0.1f64..0.9), 1..6),
-        wall_depth in 1usize..5,
-    ) {
-        let rec = Recorder::new();
-        // Sim: each level splits its window into children inside the parent.
-        let mut frontier = vec![(rec.sim_span("pipeline", Some(7), 0, 0.0, 1000.0), 0.0f64, 1000.0f64)];
-        for (fanout, shrink) in splits {
-            let mut next = Vec::new();
-            for (parent, lo, hi) in frontier {
-                let span = (hi - lo) * shrink;
-                let step = span / fanout as f64;
-                for k in 0..fanout {
-                    let s = lo + step * k as f64;
-                    let e = s + step;
-                    let id = rec.sim_child(parent, "stage", Some(7), 0, s, e);
-                    next.push((id, s, e));
-                }
-            }
-            frontier = next;
-        }
-        // Wall: strictly nested guards, closed in LIFO order by drop.
-        fn nest(rec: &Recorder, depth: usize) {
-            if depth == 0 {
-                return;
-            }
-            let _g = rec.wall_span("work", None, 0);
-            nest(rec, depth - 1);
-        }
-        nest(&rec, wall_depth);
-        prop_assert_eq!(rec.open_spans(), 0);
-        let violations = rec.validate(2);
-        prop_assert!(violations.is_empty(), "violations: {violations:?}");
     }
 }

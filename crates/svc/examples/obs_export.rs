@@ -63,11 +63,11 @@ fn main() {
 
     let obs = svc.obs();
     let registry = obs.registry().expect("service obs is enabled");
-    let recorder = obs.recorder().expect("service obs is enabled");
+    let paths = svc.critical_paths();
 
     let prom = ocelot_obs::export::prometheus_text(registry);
     let metrics_json = ocelot_obs::export::metrics_json(registry);
-    let trace_json = ocelot_obs::export::chrome_trace(&recorder.spans());
+    let trace_json = ocelot_obs::export::chrome_trace(&paths);
     let analysis = svc.analyze();
     let analysis_json = serde_json::to_string_pretty(&analysis).expect("serialize analysis");
     std::fs::write(out_dir.join("metrics.prom"), &prom).expect("write metrics.prom");
@@ -233,10 +233,17 @@ fn main() {
         _ => failures.push(format!("{} gauge missing from registry", ocelot_obs::prof::OVERHEAD_RATIO_GAUGE)),
     }
 
-    // Every recorded span tree must be internally consistent.
-    failures.extend(recorder.validate(2).into_iter().map(|v| format!("span violation: {v}")));
-    if recorder.spans().is_empty() {
-        failures.push("no spans recorded".to_string());
+    // Every job committed one schedule, and its critical path tiles the
+    // job from t = 0.
+    if paths.len() != 3 {
+        failures.push(format!("{} of 3 jobs left a critical path", paths.len()));
+    }
+    for a in &paths {
+        let contiguous = a.path.first().is_some_and(|s| s.start_us == 0)
+            && a.path.windows(2).all(|w| w[0].end_us.abs_diff(w[1].start_us) <= 1);
+        if !contiguous {
+            failures.push(format!("job {:?}: critical path is not contiguous from t = 0", a.report.job));
+        }
     }
 
     if !failures.is_empty() {
@@ -247,9 +254,9 @@ fn main() {
         std::process::exit(1);
     }
     println!(
-        "obs_export: OK ({} metrics, {} spans, {} alert(s), {} flight dump(s); artifacts in {})",
+        "obs_export: OK ({} metrics, {} critical path(s), {} alert(s), {} flight dump(s); artifacts in {})",
         registry.len(),
-        recorder.spans().len(),
+        paths.len(),
         alerts.len(),
         dumps.len(),
         out_dir.display()

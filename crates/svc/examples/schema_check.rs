@@ -2,7 +2,7 @@
 //! checked-in schemas in `schemas/`, as one CI step covering all formats:
 //! metrics, Chrome trace, bottleneck analysis, chunk ledger, flight dumps,
 //! and `inspect --json`. Run after `obs_export` and the CLI `analyze`,
-//! `timeline` and `inspect` steps so the directory is populated; exits
+//! `timeline`, `trace` and `inspect` steps so the directory is populated; exits
 //! non-zero when a category is missing entirely or any document fails
 //! validation.
 
@@ -14,7 +14,7 @@ use serde_json::Value;
 fn schema_for(file: &str) -> Option<&'static str> {
     match file {
         "metrics.json" => Some("metrics.schema.json"),
-        "trace.json" => Some("trace.schema.json"),
+        _ if file.starts_with("trace") && file.ends_with(".json") => Some("trace.schema.json"),
         "bottleneck.json" | "analyze.json" => Some("bottleneck.schema.json"),
         _ if file.starts_with("ledger") && file.ends_with(".json") => Some("ledger.schema.json"),
         _ if file.starts_with("flight-") && file.ends_with(".json") => Some("flightdump.schema.json"),

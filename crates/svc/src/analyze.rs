@@ -2,24 +2,25 @@
 //! critical-path attribution plus the advisory scheduler hint derived from
 //! the dominant stage.
 //!
-//! The heavy lifting lives in [`ocelot_obs::critpath`]; this module groups
-//! its reports by tenant, reshapes them into serde-friendly summaries for
+//! The heavy lifting lives in [`ocelot_obs::critpath`], which attributes
+//! each job once from its committed schedule; this module groups those
+//! reports by tenant, reshapes them into serde-friendly summaries for
 //! the `ocelot analyze` CLI and the bottleneck schema, and turns "where did
 //! the time go" into "what should the operator change".
 
 use ocelot_obs::critpath::{self, BottleneckReport, Stage};
 use ocelot_obs::metrics::{Metric, Registry};
 use ocelot_obs::prof::{Kernel, KERNEL_METRIC_PREFIX};
-use ocelot_obs::span::SpanRecord;
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, HashMap};
 
 /// Serializable view of one [`BottleneckReport`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BottleneckSummary {
-    /// Union of covered simulated time — the experienced latency.
+    /// Length of the critical path — the experienced latency.
     pub critical_path_s: f64,
-    /// Serialized work (sum of exclusive span times); `>= critical_path_s`.
+    /// Serialized work (each stage's own busy time, summed);
+    /// `>= critical_path_s`.
     pub total_s: f64,
     /// Simulated seconds hidden by overlapping work.
     pub overlap_savings_s: f64,
@@ -183,23 +184,20 @@ pub fn derive_hint(report: &BottleneckReport, workers: usize, registry: Option<&
             (workers, "streaming back-pressure dominates; raise stream_window so chunks keep flowing".to_string())
         }
         Stage::Decompress => (workers, "decompression dominates; add destination nodes".to_string()),
-        Stage::Other => {
-            (workers, "no pipeline stage dominates; envelope overhead leads — profile the service layer".to_string())
-        }
     };
     SchedulerHint { dominant: report.dominant.name().to_string(), recommended_workers, advice }
 }
 
-/// Builds the full analysis from recorded spans, the job→tenant map (from
-/// the journal), the configured pool size, and (optionally) a metrics
-/// registry whose profiler kernel histograms refine the hint.
+/// Builds the full analysis from per-job reports (ascending job id), the
+/// job→tenant map (from the journal), the configured pool size, and
+/// (optionally) a metrics registry whose profiler kernel histograms refine
+/// the hint.
 pub fn build_analysis(
-    spans: &[SpanRecord],
+    reports: &[BottleneckReport],
     tenants: &HashMap<u64, String>,
     workers: usize,
     registry: Option<&Registry>,
 ) -> ServiceAnalysis {
-    let reports = critpath::analyze_jobs(spans);
     let jobs: Vec<JobAnalysis> = reports
         .iter()
         .map(|r| JobAnalysis {
@@ -210,7 +208,7 @@ pub fn build_analysis(
         .collect();
 
     let mut by_tenant: BTreeMap<String, Vec<&BottleneckReport>> = BTreeMap::new();
-    for r in &reports {
+    for r in reports {
         let tenant = r.job.and_then(|j| tenants.get(&j).cloned()).unwrap_or_else(|| "(unknown)".to_string());
         by_tenant.entry(tenant).or_default().push(r);
     }
@@ -219,7 +217,7 @@ pub fn build_analysis(
         .filter_map(|(tenant, rs)| critpath::aggregate(rs).map(|agg| (tenant, BottleneckSummary::from(&agg))))
         .collect();
 
-    let overall = critpath::aggregate(&reports);
+    let overall = critpath::aggregate(reports);
     let hint = overall.as_ref().map(|o| derive_hint(o, workers, registry));
     ServiceAnalysis {
         jobs,
@@ -270,23 +268,45 @@ pub fn render_analysis(analysis: &ServiceAnalysis) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ocelot_obs::span::Recorder;
+    use ocelot_obs::critpath::Retries;
+    use ocelot_obs::ledger::{Lifecycle, Schedule};
 
-    fn spans_for_two_tenants() -> (Vec<SpanRecord>, HashMap<u64, String>) {
-        let r = Recorder::new();
-        let a = r.sim_span("pipeline", Some(1), 0, 0.0, 10.0);
-        r.sim_child(a, "pipeline.queue_wait", Some(1), 0, 0.0, 8.0);
-        r.sim_child(a, "pipeline.transfer", Some(1), 0, 8.0, 10.0);
-        let b = r.sim_span("pipeline", Some(2), 0, 0.0, 6.0);
-        r.sim_child(b, "pipeline.transfer", Some(2), 0, 0.0, 6.0);
+    /// The report of a job that waits `queue` s, compresses `compress` s
+    /// before the wire opens and holds the wire `wire` s, its one unit
+    /// stalled over `stall` when given.
+    fn report(job: u64, queue: f64, compress: f64, wire: f64, stall: Option<(f64, f64)>) -> BottleneckReport {
+        let (open, shut) = (queue + compress, queue + compress + wire);
+        let (ready, release) = stall.unwrap_or((open, open));
+        let schedule = Schedule::new(Lifecycle {
+            job,
+            transfer_begin_s: open,
+            transfer_end_s: shut,
+            total_s: shut,
+            file: vec![0],
+            chunk: vec![0],
+            bytes: vec![1],
+            compress_begin: vec![queue],
+            ready: vec![ready],
+            release: vec![release],
+            sent: vec![release],
+            landed: vec![shut],
+            decode: vec![(shut, shut)],
+            ..Lifecycle::default()
+        })
+        .with_phases((queue, open), (0.0, 0.0));
+        critpath::attribute(&schedule, &Retries::NONE).report
+    }
+
+    fn reports_for_two_tenants() -> (Vec<BottleneckReport>, HashMap<u64, String>) {
+        let reports = vec![report(1, 8.0, 0.0, 2.0, None), report(2, 0.0, 0.0, 6.0, None)];
         let tenants = HashMap::from([(1, "climate".to_string()), (2, "seismic".to_string())]);
-        (r.spans(), tenants)
+        (reports, tenants)
     }
 
     #[test]
     fn analysis_groups_by_tenant_and_derives_a_hint() {
-        let (spans, tenants) = spans_for_two_tenants();
-        let analysis = build_analysis(&spans, &tenants, 3, None);
+        let (reports, tenants) = reports_for_two_tenants();
+        let analysis = build_analysis(&reports, &tenants, 3, None);
         assert_eq!(analysis.jobs.len(), 2);
         assert_eq!(analysis.jobs[0].tenant.as_deref(), Some("climate"));
         assert_eq!(analysis.per_tenant["climate"].dominant, "queue_wait");
@@ -303,22 +323,16 @@ mod tests {
 
     #[test]
     fn transfer_dominant_keeps_the_pool_size() {
-        let r = Recorder::new();
-        let a = r.sim_span("pipeline", Some(1), 0, 0.0, 10.0);
-        r.sim_child(a, "pipeline.transfer", Some(1), 0, 0.0, 10.0);
-        let analysis = build_analysis(&r.spans(), &HashMap::new(), 4, None);
+        let analysis = build_analysis(&transfer_dominant_reports(), &HashMap::new(), 4, None);
         let hint = analysis.hint.unwrap();
         assert_eq!(hint.dominant, "transfer");
         assert_eq!(hint.recommended_workers, 4);
         assert_eq!(analysis.per_tenant["(unknown)"].dominant, "transfer");
     }
 
-    /// Spans whose dominant stage is transfer, for the retry-hint tests.
-    fn transfer_dominant_spans() -> Vec<SpanRecord> {
-        let r = Recorder::new();
-        let a = r.sim_span("pipeline", Some(1), 0, 0.0, 10.0);
-        r.sim_child(a, "pipeline.transfer", Some(1), 0, 0.0, 10.0);
-        r.spans()
+    /// A report whose dominant stage is transfer, for the retry-hint tests.
+    fn transfer_dominant_reports() -> Vec<BottleneckReport> {
+        vec![report(1, 0.0, 0.0, 10.0, None)]
     }
 
     #[test]
@@ -328,7 +342,7 @@ mod tests {
         let registry = Registry::new();
         registry.counter("ocelot_chunk_transfers_total", "c").add(1000);
         registry.counter("ocelot_chunk_retries_total", "c").add(400);
-        let analysis = build_analysis(&transfer_dominant_spans(), &HashMap::new(), 4, Some(&registry));
+        let analysis = build_analysis(&transfer_dominant_reports(), &HashMap::new(), 4, Some(&registry));
         let hint = analysis.hint.unwrap();
         assert_eq!(hint.dominant, "transfer");
         assert_eq!(hint.recommended_workers, 4, "retries are not fixed by more workers");
@@ -342,7 +356,7 @@ mod tests {
         registry.histogram("ocelot_sz_kernel_predict_seconds", "k").observe(1.0);
         for dominant in Stage::ALL {
             let report =
-                BottleneckReport { job: None, critical_path_s: 1.0, total_s: 1.0, stage_s: [0.0; 7], dominant };
+                BottleneckReport { job: None, critical_path_s: 1.0, total_s: 1.0, stage_s: [0.0; 6], dominant };
             for registry in [None, Some(&registry)] {
                 let advice = derive_hint(&report, 4, registry).advice;
                 assert!(!advice.contains("chunk_points"), "{dominant:?}: {advice}");
@@ -357,33 +371,25 @@ mod tests {
         let registry = Registry::new();
         registry.counter("ocelot_chunk_transfers_total", "c").add(1000);
         registry.counter("ocelot_chunk_retries_total", "c").add(100);
-        let analysis = build_analysis(&transfer_dominant_spans(), &HashMap::new(), 4, Some(&registry));
+        let analysis = build_analysis(&transfer_dominant_reports(), &HashMap::new(), 4, Some(&registry));
         assert!(analysis.hint.unwrap().advice.contains("GridFTP parallelism"));
         let empty = Registry::new();
-        let analysis = build_analysis(&transfer_dominant_spans(), &HashMap::new(), 4, Some(&empty));
+        let analysis = build_analysis(&transfer_dominant_reports(), &HashMap::new(), 4, Some(&empty));
         assert!(analysis.hint.unwrap().advice.contains("GridFTP parallelism"));
     }
 
     #[test]
     fn stall_dominant_advises_a_wider_window() {
-        let r = Recorder::new();
-        let root = r.sim_span("pipeline.streamed", Some(1), 0, 0.0, 10.0);
-        let t = r.sim_child(root, "pipeline.transfer", Some(1), 0, 0.0, 10.0);
-        r.sim_child(t, "pipeline.transfer.stream_stall", Some(1), 0, 1.0, 9.0);
-        let analysis = build_analysis(&r.spans(), &HashMap::new(), 4, None);
+        let analysis = build_analysis(&[report(1, 0.0, 0.0, 10.0, Some((1.0, 9.0)))], &HashMap::new(), 4, None);
         let hint = analysis.hint.unwrap();
         assert_eq!(hint.dominant, "stall");
         assert_eq!(hint.recommended_workers, 4, "back-pressure is not fixed by more workers");
         assert!(hint.advice.contains("stream_window"));
     }
 
-    /// Spans whose dominant stage is compression, for kernel-hint tests.
-    fn compress_dominant_spans() -> Vec<SpanRecord> {
-        let r = Recorder::new();
-        let a = r.sim_span("pipeline", Some(1), 0, 0.0, 10.0);
-        r.sim_child(a, "pipeline.compress", Some(1), 0, 0.0, 9.0);
-        r.sim_child(a, "pipeline.transfer", Some(1), 0, 9.0, 10.0);
-        r.spans()
+    /// A report whose dominant stage is compression, for kernel-hint tests.
+    fn compress_dominant_reports() -> Vec<BottleneckReport> {
+        vec![report(1, 0.0, 9.0, 1.0, None)]
     }
 
     #[test]
@@ -393,7 +399,7 @@ mod tests {
         // suggest a backend that codes fewer symbols.
         registry.histogram("ocelot_sz_kernel_huffman_encode_seconds", "k").observe(3.0);
         registry.histogram("ocelot_sz_kernel_predict_seconds", "k").observe(1.0);
-        let analysis = build_analysis(&compress_dominant_spans(), &HashMap::new(), 4, Some(&registry));
+        let analysis = build_analysis(&compress_dominant_reports(), &HashMap::new(), 4, Some(&registry));
         let hint = analysis.hint.unwrap();
         assert_eq!(hint.dominant, "compress");
         assert_eq!(hint.recommended_workers, 4);
@@ -426,11 +432,11 @@ mod tests {
     fn compress_dominant_hint_falls_back_without_kernel_data() {
         // No registry at all, and a registry with empty kernel histograms,
         // both fall back to the generic compression advice.
-        let analysis = build_analysis(&compress_dominant_spans(), &HashMap::new(), 4, None);
+        let analysis = build_analysis(&compress_dominant_reports(), &HashMap::new(), 4, None);
         assert!(analysis.hint.unwrap().advice.contains("overlapped strategy"));
         let registry = Registry::new();
         registry.histogram("ocelot_sz_kernel_predict_seconds", "k");
-        let analysis = build_analysis(&compress_dominant_spans(), &HashMap::new(), 4, Some(&registry));
+        let analysis = build_analysis(&compress_dominant_reports(), &HashMap::new(), 4, Some(&registry));
         assert!(analysis.hint.unwrap().advice.contains("overlapped strategy"));
     }
 
@@ -440,10 +446,7 @@ mod tests {
         // hint must stay about the WAN, not the codec.
         let registry = Registry::new();
         registry.histogram("ocelot_sz_kernel_huffman_encode_seconds", "k").observe(3.0);
-        let r = Recorder::new();
-        let a = r.sim_span("pipeline", Some(1), 0, 0.0, 10.0);
-        r.sim_child(a, "pipeline.transfer", Some(1), 0, 0.0, 10.0);
-        let analysis = build_analysis(&r.spans(), &HashMap::new(), 4, Some(&registry));
+        let analysis = build_analysis(&transfer_dominant_reports(), &HashMap::new(), 4, Some(&registry));
         let hint = analysis.hint.unwrap();
         assert_eq!(hint.dominant, "transfer");
         assert!(!hint.advice.contains("huffman"), "advice: {}", hint.advice);
@@ -451,8 +454,8 @@ mod tests {
 
     #[test]
     fn analysis_serializes_and_renders() {
-        let (spans, tenants) = spans_for_two_tenants();
-        let analysis = build_analysis(&spans, &tenants, 2, None);
+        let (reports, tenants) = reports_for_two_tenants();
+        let analysis = build_analysis(&reports, &tenants, 2, None);
         let js = serde_json::to_string_pretty(&analysis).unwrap();
         let back: ServiceAnalysis = serde_json::from_str(&js).unwrap();
         assert_eq!(back, analysis);
@@ -462,7 +465,7 @@ mod tests {
     }
 
     #[test]
-    fn empty_spans_yield_an_empty_analysis() {
+    fn no_reports_yield_an_empty_analysis() {
         let analysis = build_analysis(&[], &HashMap::new(), 2, None);
         assert!(analysis.jobs.is_empty());
         assert!(analysis.overall.is_none());

@@ -66,9 +66,8 @@ type CliError = Box<dyn std::error::Error>;
 
 fn run(args: &[String]) -> Result<(), CliError> {
     // One observability handle, passed explicitly to the service (and from
-    // it to the orchestrator): phase spans, service counters and the chunk
-    // ledger land in the one registry/recorder that `metrics` and `trace`
-    // export. The continuous profiler is the one thing installed process-wide,
+    // it to the orchestrator): phase histograms, service counters and the
+    // flight ring land in the one registry that `metrics` exports. The continuous profiler is the one thing installed process-wide,
     // on that same handle: kernel probes in the sz hot path drain per-kernel
     // histograms into it (measured overhead < 2 %, exported as
     // ocelot_obs_prof_overhead_ratio).
@@ -120,7 +119,7 @@ fn usage() {
          \x20 submit     --app A --from SITE --to SITE [--eb E] [--strategy S] [--tenant T] [--fail P]\n\
          \x20 serve      --jobs N --tenants T1,T2,... [--apps A1,A2] [--workers W] [--codec-threads N] [--stream-window W] [--fail P] [--seed S]\n\
          \x20 metrics    [serve flags] [--json] [-o FILE]       run a batch, export Prometheus text or JSON\n\
-         \x20 trace      [JOB] [serve flags] [-o FILE]          run a batch, export Chrome trace_event JSON\n\
+         \x20 trace      [JOB] [serve flags] [-o FILE]          run a batch, export critical paths as Chrome trace JSON\n\
          \x20 analyze    [serve flags] [--json] [-o FILE]       run a batch, report critical-path bottlenecks\n\
          \x20 postmortem JOB [serve flags] [--json] | --file DUMP [--json]   pretty-print a flight-recorder dump\n\
          \x20 timeline   JOB [serve flags] [--json | --chunk N] [-o FILE]    per-chunk transfer Gantt from the ledger\n\
@@ -797,29 +796,22 @@ fn cmd_trace(positional: &[String], flags: &HashMap<String, String>, obs: &Obs) 
         .map_err(|_| format!("trace takes an optional numeric JOB id, got '{}'", positional.first().unwrap()))?;
     let default_jobs = job.map(|j| j as usize + 1).unwrap_or(4);
     let svc = run_service_batch(flags, default_jobs, obs)?;
-    let obs = svc.obs();
-    let recorder = obs.recorder().expect("service observability handle is always enabled");
-    for violation in recorder.validate(2) {
-        warn!("ocelot", "span violation: {violation}");
-    }
-    let spans = match job {
-        Some(j) => recorder.for_job(j),
-        None => recorder.spans(),
-    };
-    if spans.is_empty() {
+    let mut paths = svc.critical_paths();
+    paths.retain(|a| job.is_none() || a.report.job == job);
+    if paths.is_empty() {
         return Err(match job {
-            Some(j) => format!("no spans recorded for job {j} (ran {default_jobs} job(s))").into(),
-            None => "no spans recorded".to_string().into(),
+            Some(j) => format!("no schedule recorded for job {j} (ran {default_jobs} job(s))").into(),
+            None => "no schedule recorded".to_string().into(),
         });
     }
-    write_or_print(flags, &ocelot_obs::export::chrome_trace(&spans))
+    write_or_print(flags, &ocelot_obs::export::chrome_trace(&paths))
 }
 
 fn cmd_analyze(flags: &HashMap<String, String>, obs: &Obs) -> Result<(), CliError> {
     let svc = run_service_batch(flags, 12, obs)?;
     let analysis = svc.analyze();
     if analysis.jobs.is_empty() {
-        return Err("no spans recorded — nothing to analyze".into());
+        return Err("no job ran its pipeline — nothing to analyze".into());
     }
     let text = if flags.contains_key("json") {
         serde_json::to_string_pretty(&analysis)?
@@ -911,14 +903,14 @@ fn cmd_timeline(positional: &[String], flags: &HashMap<String, String>, obs: &Ob
         .ok_or("timeline needs a JOB id")?
         .parse()
         .map_err(|_| format!("timeline takes a numeric JOB id, got '{}'", positional.first().unwrap()))?;
-    // Chunk events only exist on the streamed path; default the window on
-    // rather than render an empty chart.
+    // A staged job charts at file grain; default the window on so the
+    // chart shows chunks unless the caller asks for `--stream-window 0`.
     let mut flags = flags.clone();
     flags.entry("stream-window".to_string()).or_insert_with(|| "4".to_string());
     let svc = run_service_batch(&flags, job as usize + 1, obs)?;
     let events = svc.chunk_events(JobId(job));
     if events.is_empty() {
-        return Err(format!("no chunk events recorded for job {job} (needs --stream-window > 0)").into());
+        return Err(format!("no chunk events recorded for job {job} (it never ran its pipeline)").into());
     }
     // A chart of what is left of a job is not the job's chart. The warning
     // goes to stderr, never into the byte-stable rendering.
@@ -995,10 +987,10 @@ mod tests {
     fn config_parses_predictor_and_backend() {
         let mut flags = HashMap::new();
         flags.insert("eb".to_string(), "1e-4".to_string());
-        flags.insert("predictor".to_string(), "lorenzo2".to_string());
+        flags.insert("predictor".to_string(), "regression".to_string());
         flags.insert("backend".to_string(), "rle+huffman".to_string());
         let cfg = parse_config(&flags).unwrap();
-        assert_eq!(cfg.predictor, PredictorKind::Lorenzo2);
+        assert_eq!(cfg.predictor, PredictorKind::Regression);
         assert_eq!(cfg.backend, LosslessBackend::RleHuffman);
         flags.insert("predictor".to_string(), "psychic".to_string());
         assert!(parse_config(&flags).is_err());

@@ -8,14 +8,13 @@
 //! `ocelot postmortem`.
 //!
 //! [`render_postmortem`] is deliberately deterministic for a fixed seed and
-//! a single worker: wall-clock timings are summarized as counts, never
-//! printed, so golden tests can pin the exact text.
+//! a single worker: wall-clock timings are never printed, so golden tests
+//! can pin the exact text.
 
 use crate::analyze::BottleneckSummary;
 use crate::journal::{AlertRecord, Event};
 use ocelot_obs::flight::{FlightEvent, FlightKind, FlightSnapshot};
 use ocelot_obs::ledger::{EventKind, LedgerEvent};
-use ocelot_obs::span::Clock;
 use serde::{Deserialize, Serialize};
 
 /// Current dump format version.
@@ -114,7 +113,7 @@ pub struct DumpEvent {
     /// Job the event belongs to, when known.
     #[serde(skip_serializing_if = "Option::is_none", default)]
     pub job: Option<u64>,
-    /// `log` | `span_open` | `span_close` | `counter` | `state`.
+    /// `log` | `counter` | `state`.
     pub kind: String,
     /// Log severity label (`log` only).
     #[serde(skip_serializing_if = "Option::is_none", default)]
@@ -125,21 +124,9 @@ pub struct DumpEvent {
     /// Log message (`log` only).
     #[serde(skip_serializing_if = "Option::is_none", default)]
     pub message: Option<String>,
-    /// Span or counter name.
+    /// Counter name (`counter` only).
     #[serde(skip_serializing_if = "Option::is_none", default)]
     pub name: Option<String>,
-    /// `wall` | `sim` (`span_close` only).
-    #[serde(skip_serializing_if = "Option::is_none", default)]
-    pub clock: Option<String>,
-    /// Display lane (span events only).
-    #[serde(skip_serializing_if = "Option::is_none", default)]
-    pub lane: Option<u32>,
-    /// Span start, µs on `clock` (`span_close` only).
-    #[serde(skip_serializing_if = "Option::is_none", default)]
-    pub start_us: Option<u64>,
-    /// Span end, µs on `clock` (`span_close` only).
-    #[serde(skip_serializing_if = "Option::is_none", default)]
-    pub end_us: Option<u64>,
     /// Counter delta (`counter` only).
     #[serde(skip_serializing_if = "Option::is_none", default)]
     pub delta: Option<u64>,
@@ -162,10 +149,6 @@ impl From<&FlightEvent> for DumpEvent {
             target: None,
             message: None,
             name: None,
-            clock: None,
-            lane: None,
-            start_us: None,
-            end_us: None,
             delta: None,
             label: None,
             t_s: None,
@@ -176,22 +159,6 @@ impl From<&FlightEvent> for DumpEvent {
                 out.level = Some(format!("{level:?}").to_ascii_lowercase());
                 out.target = Some(target.clone());
                 out.message = Some(message.clone());
-            }
-            FlightKind::SpanOpen { name, lane } => {
-                out.kind = "span_open".into();
-                out.name = Some(name.clone());
-                out.lane = Some(*lane);
-            }
-            FlightKind::SpanClose { name, clock, lane, start_us, end_us } => {
-                out.kind = "span_close".into();
-                out.name = Some(name.clone());
-                out.clock = Some(match clock {
-                    Clock::Wall => "wall".into(),
-                    Clock::Sim => "sim".into(),
-                });
-                out.lane = Some(*lane);
-                out.start_us = Some(*start_us);
-                out.end_us = Some(*end_us);
             }
             FlightKind::Counter { name, delta } => {
                 out.kind = "counter".into();
@@ -285,8 +252,7 @@ pub fn slugify(s: &str) -> String {
 }
 
 /// Pretty-prints a dump for `ocelot postmortem`. Deterministic for a fixed
-/// seed and one worker: wall-clock spans appear as counts only, and every
-/// printed number is on the simulated clock.
+/// seed and one worker: every printed number is on the simulated clock.
 pub fn render_postmortem(dump: &FlightDump) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
@@ -338,8 +304,6 @@ pub fn render_postmortem(dump: &FlightDump) -> String {
         }
     }
 
-    let mut wall_opens = 0u64;
-    let mut wall_closes = 0u64;
     let mut lines: Vec<String> = Vec::new();
     for e in &dump.events {
         match e.kind.as_str() {
@@ -349,19 +313,6 @@ pub fn render_postmortem(dump: &FlightDump) -> String {
                 e.target.as_deref().unwrap_or("?"),
                 e.message.as_deref().unwrap_or("")
             )),
-            "span_open" => wall_opens += 1,
-            "span_close" if e.clock.as_deref() == Some("wall") => wall_closes += 1,
-            "span_close" => {
-                let (start, end) = (e.start_us.unwrap_or(0), e.end_us.unwrap_or(0));
-                lines.push(format!(
-                    "  span  {} lane={} [{:.3}s → {:.3}s]{}",
-                    e.name.as_deref().unwrap_or("?"),
-                    e.lane.unwrap_or(0),
-                    start as f64 / 1e6,
-                    end as f64 / 1e6,
-                    e.job.map(|j| format!(" job={j}")).unwrap_or_default()
-                ));
-            }
             "counter" => lines.push(format!("  count {} +{}", e.name.as_deref().unwrap_or("?"), e.delta.unwrap_or(0))),
             "state" => lines.push(format!(
                 "  state {}{} t={:.3}s",
@@ -372,10 +323,7 @@ pub fn render_postmortem(dump: &FlightDump) -> String {
             _ => {}
         }
     }
-    let _ = writeln!(
-        out,
-        "\nrecent events (wall timings omitted; {wall_opens} wall open(s), {wall_closes} wall close(s)):"
-    );
+    let _ = writeln!(out, "\nrecent events (wall timings omitted):");
     for line in lines {
         let _ = writeln!(out, "{line}");
     }
@@ -416,16 +364,6 @@ mod tests {
         let fr = FlightRecorder::new(16);
         fr.record(Some(3), FlightKind::State { label: "Admitted".into(), t_s: 0.0 });
         fr.record(None, FlightKind::Counter { name: "ocelot_svc_jobs_done_total".into(), delta: 1 });
-        fr.record(
-            Some(3),
-            FlightKind::SpanClose {
-                name: "pipeline.transfer".into(),
-                clock: Clock::Sim,
-                lane: 0,
-                start_us: 500_000,
-                end_us: 2_000_000,
-            },
-        );
         fr.record(None, FlightKind::Log { level: Level::Warn, target: "svc".into(), message: "retrying".into() });
         let journal =
             vec![Event { seq: 0, job: JobId(3), tenant: "climate".into(), t_s: 0.0, state: JobState::Queued }];
@@ -460,7 +398,6 @@ mod tests {
         assert!(text.contains("== post-mortem: job 3 (tenant climate) =="));
         assert!(text.contains("reason: retry_exhausted"));
         assert!(text.contains("state Admitted job=3 t=0.000s"));
-        assert!(text.contains("span  pipeline.transfer lane=0 [0.500s → 2.000s] job=3"));
         assert!(text.contains("count ocelot_svc_jobs_done_total +1"));
         assert!(text.contains("log   [warn] svc: retrying"));
         assert!(!text.contains("wall_us"), "wall timings must not leak into the rendering");

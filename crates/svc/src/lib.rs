@@ -9,9 +9,10 @@
 //! ([`ocelot_netsim::FaultModel`]), an append-only lifecycle journal, and
 //! aggregate metrics that serialize to JSON.
 //!
-//! Phase-2 observability rides on the same service: [`analyze`] turns
-//! recorded spans into per-job/per-tenant bottleneck reports and an
-//! advisory scheduler hint, [`forensics`] snapshots the obs flight ring
+//! Phase-2 observability rides on the same service: every job's run commits
+//! one schedule to the service's chunk ledger, [`analyze`] groups the
+//! critical-path reports attributed from them into per-job/per-tenant
+//! bottleneck reports and an advisory scheduler hint, [`forensics`] snapshots the obs flight ring
 //! into self-contained post-mortem dumps on failures and SLO breaches, and
 //! the journal interleaves [`journal::AlertRecord`]s with job transitions.
 //!

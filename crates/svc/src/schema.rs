@@ -153,14 +153,18 @@ mod tests {
         let obs = ocelot_obs::Obs::enabled();
         obs.inc("ocelot_test_jobs_total", "jobs");
         obs.observe("ocelot_test_lat_seconds", "latency", 0.5);
-        let id = obs.sim_span("pipeline", Some(0), 0, 0.0, 2.0);
-        obs.sim_child(id, "pipeline.transfer", Some(0), 0, 0.0, 2.0);
 
         let metrics: Value = serde_json::from_str(&ocelot_obs::export::metrics_json(obs.registry().unwrap())).unwrap();
         assert_eq!(validate(&metrics_schema, &metrics), Vec::<String>::new());
 
-        let trace: Value =
-            serde_json::from_str(&ocelot_obs::export::chrome_trace(&obs.recorder().unwrap().spans())).unwrap();
+        let schedule = ocelot_obs::ledger::Schedule::new(ocelot_obs::ledger::Lifecycle {
+            job: 0,
+            transfer_end_s: 2.0,
+            total_s: 2.0,
+            ..Default::default()
+        });
+        let path = ocelot_obs::critpath::attribute(&schedule, &ocelot_obs::critpath::Retries::NONE);
+        let trace: Value = serde_json::from_str(&ocelot_obs::export::chrome_trace(&[path])).unwrap();
         assert_eq!(validate(&trace_schema, &trace), Vec::<String>::new());
 
         // The schemas are not vacuous: an empty export must fail minItems.

@@ -3,8 +3,8 @@
 //! A deterministic faulty-WAN job (fixed seed, one worker, every attempt
 //! failing) exhausts its retry budget and snaps a flight dump; the rendered
 //! post-mortem must match the checked-in golden byte for byte. The render
-//! prints wall-clock spans as counts only and every number on the simulated
-//! clock, so the text is stable across machines.
+//! prints no wall-clock timing and every number on the simulated clock, so
+//! the text is stable across machines.
 //!
 //! The service records into its own handle and nothing else writes into its
 //! flight ring, so the event stream is identical run to run.
@@ -47,7 +47,7 @@ fn postmortem_rendering_matches_golden() {
 
 /// A healthy streamed job (stream_window > 0): the post-mortem must label
 /// back-pressure stall time distinctly from transfer in the attribution
-/// table, and the event ring shows the streamed span tree.
+/// table, and the dump embeds the job's chunk-ledger tail.
 #[test]
 fn streamed_postmortem_rendering_matches_golden() {
     let cfg = ServiceConfig {

@@ -70,8 +70,6 @@ impl ErrorBound {
 pub enum PredictorKind {
     /// Classic first-order Lorenzo predictor (1-/2-/3-D).
     Lorenzo,
-    /// Second-order Lorenzo (deeper stencil; captures gradients exactly).
-    Lorenzo2,
     /// SZ2-style hybrid: per-block choice between Lorenzo and linear
     /// regression fitted over each block.
     Regression,
@@ -84,20 +82,14 @@ pub enum PredictorKind {
 
 impl PredictorKind {
     /// All predictors, in the order used for profiling sweeps.
-    pub const ALL: [PredictorKind; 5] = [
-        PredictorKind::Lorenzo,
-        PredictorKind::Lorenzo2,
-        PredictorKind::Regression,
-        PredictorKind::InterpLinear,
-        PredictorKind::InterpCubic,
-    ];
+    pub const ALL: [PredictorKind; 4] =
+        [PredictorKind::Lorenzo, PredictorKind::Regression, PredictorKind::InterpLinear, PredictorKind::InterpCubic];
 
     /// Stable short name (used as the discrete "compressor type" feature fed
     /// to the quality-prediction model).
     pub fn name(&self) -> &'static str {
         match self {
             PredictorKind::Lorenzo => "lorenzo",
-            PredictorKind::Lorenzo2 => "lorenzo2",
             PredictorKind::Regression => "regression",
             PredictorKind::InterpLinear => "interp-linear",
             PredictorKind::InterpCubic => "interp-cubic",
@@ -108,7 +100,6 @@ impl PredictorKind {
     pub fn id(&self) -> u8 {
         match self {
             PredictorKind::Lorenzo => 0,
-            PredictorKind::Lorenzo2 => 4,
             PredictorKind::Regression => 1,
             PredictorKind::InterpLinear => 2,
             PredictorKind::InterpCubic => 3,
@@ -162,11 +153,11 @@ impl std::fmt::Display for LosslessBackend {
 /// use ocelot_sz::config::{LosslessBackend, LossyConfig, PredictorKind};
 ///
 /// let cfg = LossyConfig::sz3_abs(1e-3)
-///     .with_predictor(PredictorKind::Lorenzo2)
+///     .with_predictor(PredictorKind::Regression)
 ///     .with_backend(LosslessBackend::RleHuffman)
 ///     .with_threads(4);
 /// assert!(cfg.validate().is_ok());
-/// assert_eq!(cfg.predictor.name(), "lorenzo2");
+/// assert_eq!(cfg.predictor.name(), "regression");
 /// assert_eq!(cfg.threads, 4);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

@@ -40,7 +40,6 @@ impl CostModel {
     pub fn for_predictor(predictor: PredictorKind) -> Self {
         let predictor_factor = match predictor {
             PredictorKind::Lorenzo => 1.0,
-            PredictorKind::Lorenzo2 => 1.1,
             PredictorKind::Regression => 1.25,
             PredictorKind::InterpLinear => 1.05,
             PredictorKind::InterpCubic => 1.15,

@@ -575,6 +575,24 @@ mod tests {
     }
 
     #[test]
+    fn an_unknown_predictor_tag_is_a_corrupt_stream() {
+        let mut bytes = BlobWriter::new(&sample_header()).unwrap().finish().into_bytes();
+        // magic, version, family, dtype, rank, two dims, error bound.
+        let at = 4 + 2 + 1 + 1 + 1 + 2 * 8 + 8;
+        assert_eq!(bytes[at], PredictorKind::InterpCubic.id());
+        // Tag 4 named the deleted second-order Lorenzo predictor.
+        bytes[at] = 4;
+        let n = bytes.len() - TRAILER;
+        let crc = crc32(&bytes[..n]);
+        bytes[n..].copy_from_slice(&crc.to_le_bytes());
+        let blob = CompressedBlob::from_bytes(bytes).expect("the trailer is resealed");
+        match blob.header() {
+            Err(SzError::CorruptStream(why)) => assert_eq!(why, "unknown predictor tag 4"),
+            other => panic!("expected a corrupt stream, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn blob_round_trips_through_bytes() {
         let h = sample_header();
         let blob = BlobWriter::new(&h).unwrap().finish();

@@ -22,7 +22,7 @@ use crate::format::{
     write_framed, BlobHeader, BlobWriter, ChunkEntry, ChunkTable, CodecFamily, CompressedBlob, SectionReader,
 };
 use crate::ndarray::{checked_points, fold_min_max, min_max_of, Dataset, DatasetView};
-use crate::predict::{interp, lorenzo, lorenzo2, regression, PredictionStreams, StreamsView};
+use crate::predict::{interp, lorenzo, regression, PredictionStreams, StreamsView};
 use crate::quantizer::LinearQuantizer;
 use crate::stats::{code_histogram, merge_histograms, quant_bin_stats_from_hist, QuantBinStats};
 use crate::value::ScalarValue;
@@ -469,7 +469,6 @@ fn reconstruct_into<T: ScalarValue>(
         PredictorKind::InterpLinear => interp::decompress_into(dims, streams, &quantizer, interp::Basis::Linear, out),
         PredictorKind::InterpCubic => interp::decompress_into(dims, streams, &quantizer, interp::Basis::Cubic, out),
         PredictorKind::Lorenzo => lorenzo::decompress_into(dims, streams, &quantizer, out),
-        PredictorKind::Lorenzo2 => lorenzo2::decompress_into(dims, streams, &quantizer, out),
         PredictorKind::Regression => regression::decompress_into(dims, streams, &quantizer, out),
     }
 }
@@ -484,7 +483,6 @@ fn run_predictor<T: ScalarValue>(
     let _p = prof::probe(Kernel::Predict, data.nbytes());
     match predictor {
         PredictorKind::Lorenzo => lorenzo::compress(data, quantizer),
-        PredictorKind::Lorenzo2 => lorenzo2::compress(data, quantizer),
         PredictorKind::Regression => regression::compress(data, quantizer),
         PredictorKind::InterpLinear => interp::compress(data, quantizer, interp::Basis::Linear),
         PredictorKind::InterpCubic => interp::compress(data, quantizer, interp::Basis::Cubic),

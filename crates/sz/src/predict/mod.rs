@@ -8,7 +8,6 @@
 
 pub mod interp;
 pub mod lorenzo;
-pub mod lorenzo2;
 pub mod regression;
 
 use crate::error::SzError;
@@ -174,9 +173,8 @@ mod tests {
         use crate::quantizer::LinearQuantizer;
         type Decode = fn(&[usize], StreamsView<'_, f32>, &LinearQuantizer) -> Result<crate::Dataset<f32>, SzError>;
         type DecodeInto = fn(&[usize], StreamsView<'_, f32>, &LinearQuantizer, &mut [f32]) -> Result<(), SzError>;
-        let predictors: [(&str, Decode, DecodeInto); 3] = [
+        let predictors: [(&str, Decode, DecodeInto); 2] = [
             ("lorenzo", lorenzo::decompress, lorenzo::decompress_into),
-            ("lorenzo2", lorenzo2::decompress, lorenzo2::decompress_into),
             ("regression", regression::decompress, regression::decompress_into),
         ];
         let q = LinearQuantizer::new(1e-3, 512);
