@@ -16,7 +16,6 @@
 use crate::pool::{build_app_pool, to_training, EBS11};
 use crate::support::{fmt_secs, write_artifact, TextTable};
 use ocelot::orchestrator::{Orchestrator, PipelineOptions, Strategy};
-use ocelot::sentinel::sentinel_total_s;
 use ocelot::workload::Workload;
 use ocelot_datagen::{Application, FieldSpec};
 use ocelot_faas::WaitTimeModel;
@@ -47,7 +46,7 @@ pub fn run_grouping_sweep() -> Vec<GroupingRow> {
         let w = Workload::paper_default(app, 12).expect("workload");
         for groups in [1usize, 2, 4, 8, 16, 32, 64, 128, 512, 2048] {
             let groups = groups.min(w.file_count());
-            let b = orch.run(&w, SiteId::Anvil, SiteId::Cori, Strategy::grouped_by_count(groups), &opts);
+            let b = orch.run(&w, SiteId::Anvil, SiteId::Cori, Strategy::grouped_by_count(groups), &opts).breakdown;
             rows.push(GroupingRow { app: app.name().to_string(), groups, transfer_s: b.transfer_s });
         }
     }
@@ -87,14 +86,14 @@ pub fn run_sentinel_sweep() -> Vec<SentinelRow> {
             let block_opts = PipelineOptions { sentinel: false, ..sent_opts };
             let s = orch.run(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Compressed, &sent_opts);
             let b = orch.run(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Compressed, &block_opts);
-            sent_total += sentinel_total_s(&s).min(direct.total_s());
-            block_total += b.total_s();
+            sent_total += s.end_s.min(direct.end_s);
+            block_total += b.end_s;
         }
         SentinelRow {
             regime: name.to_string(),
             sentinel_mean_s: sent_total / DRAWS as f64,
             blocking_mean_s: block_total / DRAWS as f64,
-            direct_s: direct.total_s(),
+            direct_s: direct.end_s,
         }
     })
     .collect()
@@ -205,12 +204,12 @@ pub fn run_pipelining_ablation() -> Vec<PipelineRow> {
         .map(|&app| {
             let w = Workload::paper_default(app, 12).expect("workload");
             let additive = orch.run(&w, SiteId::Bebop, SiteId::Cori, Strategy::Compressed, &opts);
-            let overlapped = orch.run_overlapped(&w, SiteId::Bebop, SiteId::Cori, &opts);
+            let overlapped = orch.run(&w, SiteId::Bebop, SiteId::Cori, Strategy::Pipelined { window: 0 }, &opts);
             PipelineRow {
                 app: app.name().to_string(),
                 route: "Bebop->Cori".to_string(),
-                additive_s: additive.total_s(),
-                overlapped_s: Orchestrator::overlapped_total_s(&overlapped),
+                additive_s: additive.end_s,
+                overlapped_s: overlapped.end_s,
             }
         })
         .collect()

@@ -5,7 +5,6 @@
 
 use crate::support::{fmt_secs, write_artifact, TextTable};
 use ocelot::orchestrator::{Orchestrator, PipelineOptions, Strategy};
-use ocelot::sentinel::sentinel_total_s;
 use ocelot::workload::Workload;
 use ocelot_datagen::Application;
 use ocelot_faas::WaitTimeModel;
@@ -46,10 +45,10 @@ pub fn run() -> Vec<Row> {
             let sent = orch.run(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Compressed, &sentinel_opts);
             Row {
                 wait_s: wait,
-                direct_s: direct.total_s(),
-                blocking_s: blocking.total_s(),
-                sentinel_s: if wait == 0.0 { sent.total_s() } else { sentinel_total_s(&sent).min(direct.total_s()) },
-                sentinel_bytes: sent.bytes_transferred,
+                direct_s: direct.end_s,
+                blocking_s: blocking.end_s,
+                sentinel_s: if wait == 0.0 { sent.end_s } else { sent.end_s.min(direct.end_s) },
+                sentinel_bytes: sent.breakdown.bytes_transferred,
             }
         })
         .collect()

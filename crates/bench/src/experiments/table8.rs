@@ -81,11 +81,13 @@ pub fn run(profile_scale: usize) -> Vec<Row> {
         let w = Workload::paper_default(app, profile_scale).expect("transfer workload");
         for (from, to) in routes {
             let opts = PipelineOptions::default();
-            let np = orch.run(&w, from, to, Strategy::Direct, &opts);
-            let cp = orch.run(&w, from, to, Strategy::Compressed, &opts);
+            let np = orch.run(&w, from, to, Strategy::Direct, &opts).breakdown;
+            let cp = orch.run(&w, from, to, Strategy::Compressed, &opts).breakdown;
             let groups = op_groups(app, w.file_count());
             let op = orch.run(&w, from, to, Strategy::grouped_by_count(groups), &opts);
-            let total_t = op.compression_s + op.grouping_s + op.transfer_s + op.decompression_s;
+            // No queue wait: the end is CPTime + T + DPTime.
+            let total_t = op.end_s;
+            let op = op.breakdown;
             rows.push(Row {
                 dataset: app.name().to_string(),
                 n_files: w.file_count(),

@@ -4,13 +4,15 @@
 //! Reproduces the measurement methodology of the paper's §VIII-D: `T(NP)` is
 //! a plain Globus transfer of the raw files; `T(CP)` compresses each file
 //! individually before transfer; `T(OP)` additionally groups compressed
-//! files. `Total T = CPTime + T + DPTime` (phases accounted additively, as
-//! in Table VIII).
+//! files. [`Orchestrator::run`] is the one way to run a pipeline, whatever
+//! the [`Strategy`]; its [`PipelineOutcome`] carries the Table VIII phases
+//! (`Total T = CPTime + T + DPTime`) and the three instants — wire open,
+//! wire shut, end — that mean the same thing in every mode.
 
 use ocelot_faas::{Cluster, WaitTimeModel};
 use ocelot_netsim::{
     draw_faults, simulate_transfer_detailed, simulate_transfer_windowed, simulate_transfer_with_faults, FaultModel,
-    FaultyTransferReport, GridFtpConfig, LinkProfile, Site, SiteId, Topology,
+    GridFtpConfig, LinkProfile, Site, SiteId, Topology,
 };
 use ocelot_obs::ledger::{Ledger, Lifecycle, Schedule};
 use std::cmp::Reverse;
@@ -22,7 +24,8 @@ use crate::report::TimeBreakdown;
 use crate::sentinel;
 use crate::workload::Workload;
 
-/// Transfer strategy (the NP / CP / OP columns of Table VIII).
+/// Transfer strategy (the NP / CP / OP columns of Table VIII, and the
+/// pipelined compressed transfer).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Strategy {
     /// Direct transfer, no compression (`NP`).
@@ -34,6 +37,20 @@ pub enum Strategy {
     CompressedGrouped {
         /// Number of groups.
         group_count: usize,
+    },
+    /// Per-file compression with the wire overlapped (no grouping), as the
+    /// paper's Fig 1 describes. `window == 0` is file-grain overlap: each
+    /// file enters the WAN as soon as its compression finishes and the
+    /// batch decompresses after the last byte lands; it models a healthy
+    /// link. `window >= 1` streams chunks: each compressed chunk enters the
+    /// WAN as soon as it is encoded, decodes the moment it lands, and at
+    /// most `window` chunks sit between the compressor and the far-side
+    /// decoder (back-pressure); faults are injected per chunk and every
+    /// chunk arrives in the end. [`PipelineOptions::sentinel`] does not
+    /// apply: the sentinel is for staged compressed strategies only.
+    Pipelined {
+        /// In-flight chunk window; `0` pipelines whole files.
+        window: usize,
     },
 }
 
@@ -58,18 +75,20 @@ pub struct PipelineOptions {
     pub gridftp: GridFtpConfig,
     /// Batch-queue waiting model at the source.
     pub wait_model: WaitTimeModel,
-    /// Whether the sentinel transfers uncompressed data during the wait.
+    /// Whether the sentinel transfers uncompressed data during the wait
+    /// (staged compressed strategies only).
     pub sentinel: bool,
-    /// WAN fault injection applied to the transfer leg of [`Orchestrator::run`]
-    /// and, per chunk, of [`Orchestrator::run_streamed`] (per-attempt failure
-    /// probability, Globus-style retries, reconnect cost). [`FaultModel::none`]
-    /// reproduces the healthy-link behaviour exactly. The overlapped and
-    /// sentinel paths model healthy links.
+    /// WAN fault injection (per-attempt failure probability, Globus-style
+    /// retries, reconnect cost): per file or group on the staged
+    /// strategies, per chunk on [`Strategy::Pipelined`] with a window of at
+    /// least 1. [`FaultModel::none`] reproduces the healthy-link behaviour
+    /// exactly. File-grain pipelining (window 0) and the sentinel model
+    /// healthy links.
     pub faults: FaultModel,
     /// Seed for waiting times and link jitter.
     pub seed: u64,
     /// Job id the run's schedule is committed under, when the orchestrator
-    /// has a ledger ([`Orchestrator::with_ledger`]); every run kind commits
+    /// has a ledger ([`Orchestrator::with_ledger`]); every strategy commits
     /// one. `None` for jobless runs such as sweeps and profiling, which
     /// commit nothing.
     pub job: Option<u64>,
@@ -80,11 +99,6 @@ pub struct PipelineOptions {
     /// the simulation agrees with what `ParallelExecutor::with_codec_threads`
     /// does on real hardware.
     pub codec_threads: usize,
-    /// Bounded in-flight chunk window for [`Orchestrator::run_streamed`]:
-    /// at most this many compressed chunks may sit between the compressor
-    /// and the far-side decompressor at once. `0` disables chunk streaming
-    /// (the staged/overlapped degenerate case).
-    pub stream_window: usize,
 }
 
 impl Default for PipelineOptions {
@@ -103,7 +117,6 @@ impl Default for PipelineOptions {
             seed: 0,
             job: None,
             codec_threads: 1,
-            stream_window: 0,
         }
     }
 }
@@ -136,10 +149,10 @@ pub(crate) fn destination_cluster(dst: &Site, opts: &PipelineOptions) -> Cluster
     Cluster::new(opts.decompress_nodes, cores, dst.core_speed)
 }
 
-/// What both pipelined runs build before their own schedule: the link and
+/// What both pipelined modes build before their own schedule: the link and
 /// sites, the queue wait, each file's codec-scaled compression on the
 /// source cluster and the destination cluster that decodes.
-struct Pipelined<'a> {
+struct Releases<'a> {
     link: &'a LinkProfile,
     src: &'a Site,
     dst: &'a Site,
@@ -156,7 +169,7 @@ struct Pipelined<'a> {
     decomp_cluster: Cluster,
 }
 
-impl Pipelined<'_> {
+impl Releases<'_> {
     /// Simulated time at which the source cluster has done `compute_s`
     /// seconds of compute: after the queue wait, stretched by the reads.
     fn at(&self, compute_s: f64) -> f64 {
@@ -164,27 +177,36 @@ impl Pipelined<'_> {
     }
 }
 
-/// Everything one [`Orchestrator::run_detailed`] call produced: the phase
-/// breakdown plus the fault/retry detail of the transfer leg (all zeros /
-/// empty under [`FaultModel::none`]).
+/// Everything one [`Orchestrator::run`] produced: the phase breakdown, the
+/// run's instants on one clock, and the fault/retry detail of the transfer
+/// leg (all zeros / clean under [`FaultModel::none`]).
 #[derive(Debug, Clone, PartialEq)]
 pub struct PipelineOutcome {
-    /// Phase timing and payload accounting.
+    /// Phase timing and payload accounting (the Table VIII columns; in a
+    /// pipelined run the phases overlap, so their sum is not the end).
     pub breakdown: TimeBreakdown,
-    /// Failed attempts across all transferred files.
+    /// When the wire opened: after queue wait, compression and grouping in
+    /// a staged run, at the end of the queue wait in a pipelined one.
+    pub transfer_begin_s: f64,
+    /// When the last byte landed.
+    pub transfer_end_s: f64,
+    /// When the run ended: the last decode finished. The end-to-end time.
+    pub end_s: f64,
+    /// Failed attempts across all transferred files (chunks, when streamed).
     pub transfer_retries: usize,
     /// Indices (in transfer order) of files abandoned after exhausting the
-    /// fault model's retry budget.
+    /// fault model's retry budget; a streamed run abandons none.
     pub failed_files: Vec<usize>,
     /// Bytes moved by attempts that subsequently failed.
     pub wasted_bytes: u64,
-    /// Attempts per transferred file (1 = clean first try).
+    /// Attempts per transfer unit (1 = clean first try).
     pub attempts: Vec<u32>,
-    /// Byte sizes offered to the transfer leg, in transfer order (raw file
+    /// Byte sizes offered to the transfer leg, in transfer order: raw file
     /// sizes for [`Strategy::Direct`], compressed or grouped sizes
-    /// otherwise; a sentinel run's are those of the transfer after its
-    /// switchover). Indexes align with `failed_files` and `attempts`, which
-    /// lets callers re-offer exactly the abandoned payloads.
+    /// otherwise (a sentinel run's are those of the transfer after its
+    /// switchover, a streamed run's its chunks'). Indexes align with
+    /// `failed_files` and `attempts`, which lets callers re-offer exactly
+    /// the abandoned payloads.
     pub transfer_sizes: Vec<u64>,
 }
 
@@ -227,9 +249,8 @@ impl Orchestrator {
     }
 
     /// Attaches a chunk-lifecycle ledger: every run with a
-    /// [`PipelineOptions::job`] — staged, sentinel, overlapped or streamed —
-    /// commits exactly one schedule to it, the run's one timing record.
-    /// Without one, no schedule is built.
+    /// [`PipelineOptions::job`] commits exactly one schedule to it, the
+    /// run's one timing record. Without one, no schedule is built.
     pub fn with_ledger(mut self, ledger: Arc<Ledger>) -> Self {
         self.ledger = Some(ledger);
         self
@@ -240,7 +261,10 @@ impl Orchestrator {
         &self.topology
     }
 
-    /// Runs one pipeline, returning the phase breakdown.
+    /// Runs one pipeline: the phase breakdown, the run's instants and the
+    /// transfer leg's fault/retry detail from [`PipelineOptions::faults`] —
+    /// which units needed retries, which were abandoned, and how many bytes
+    /// the failed attempts wasted.
     ///
     /// # Panics
     /// Panics if `from == to` or node counts are zero.
@@ -251,119 +275,60 @@ impl Orchestrator {
         to: SiteId,
         strategy: Strategy,
         opts: &PipelineOptions,
-    ) -> TimeBreakdown {
-        self.run_detailed(workload, from, to, strategy, opts).breakdown
-    }
-
-    /// Records one run's per-phase histograms and its per-strategy run
-    /// counter.
-    fn record_phases(&self, strategy: &str, b: &TimeBreakdown) {
-        let obs = self.obs();
-        if !obs.is_enabled() {
-            return;
-        }
-        Self::observe_breakdown(obs, b);
-        obs.inc(&format!("ocelot_core_runs_{strategy}_total"), "Pipeline runs completed, by strategy");
-    }
-
-    /// Finishes a staged run: records its metrics, commits its schedule and
-    /// hands back the breakdown with the transfer leg's fault detail.
-    fn finish_staged(
-        &self,
-        label: &str,
-        opts: &PipelineOptions,
-        breakdown: TimeBreakdown,
-        sizes: Vec<u64>,
-        wire: FaultyTransferReport,
     ) -> PipelineOutcome {
-        self.record_phases(label, &breakdown);
-        self.commit_staged(opts, &breakdown, &sizes, &wire);
-        PipelineOutcome {
-            breakdown,
-            transfer_retries: wire.retries,
-            failed_files: wire.failed_files,
-            wasted_bytes: wire.wasted_bytes,
-            attempts: wire.attempts,
-            transfer_sizes: sizes,
+        assert!(opts.compress_nodes > 0 && opts.decompress_nodes > 0, "node counts must be positive");
+        let outcome = match strategy {
+            Strategy::Pipelined { window } if window > 0 && workload.file_count() > 0 => {
+                self.streamed(workload, from, to, window, opts)
+            }
+            Strategy::Pipelined { .. } => self.overlapped(workload, from, to, opts),
+            _ => self.staged(workload, from, to, strategy, opts),
+        };
+        let (obs, b) = (self.obs(), &outcome.breakdown);
+        if obs.is_enabled() {
+            for (name, help, seconds) in [
+                ("ocelot_core_queue_wait_seconds", "Simulated batch-queue wait per pipeline run", b.queue_wait_s),
+                ("ocelot_core_compression_seconds", "Simulated compression phase per pipeline run", b.compression_s),
+                ("ocelot_core_transfer_seconds", "Simulated WAN transfer phase per pipeline run", b.transfer_s),
+                (
+                    "ocelot_core_decompression_seconds",
+                    "Simulated decompression phase per pipeline run",
+                    b.decompression_s,
+                ),
+            ] {
+                obs.observe(name, help, seconds);
+            }
         }
+        outcome
     }
 
-    /// Commits a staged run's schedule at file grain: the phases laid end
-    /// to end as the breakdown (and the paper's Table VIII) accounts them —
-    /// queue wait, compression, grouping, the wire, and the decode after the
-    /// transfer ends — with every transfer unit that arrived placed on the
-    /// wire where the transfer simulation put it. `sizes` and `wire` index
-    /// the units as the simulation was given them.
-    fn commit_staged(&self, opts: &PipelineOptions, b: &TimeBreakdown, sizes: &[u64], wire: &FaultyTransferReport) {
+    /// Commits a run's schedule when the run has a job and the orchestrator
+    /// a ledger: the unit columns `units` builds, under the outcome's
+    /// instants, with the run's compression and grouping phases.
+    fn commit(
+        &self,
+        opts: &PipelineOptions,
+        out: &PipelineOutcome,
+        phases: [(f64, f64); 2],
+        units: impl FnOnce() -> Lifecycle,
+    ) {
         let (Some(job), Some(led)) = (opts.job, &self.ledger) else { return };
-        // Summed in the order `TimeBreakdown::total_s` sums the phases.
-        let encoded = b.queue_wait_s + b.compression_s;
-        let open = encoded + b.grouping_s;
-        let shut = open + b.transfer_s;
-        let total = shut + b.decompression_s;
-        let mut lost = vec![false; sizes.len()];
-        for &i in &wire.failed_files {
-            lost[i] = true;
-        }
-        let units: Vec<usize> = (0..sizes.len()).filter(|&i| !lost[i]).collect();
-        let failed: Vec<(u32, f64)> = units
-            .iter()
-            .enumerate()
-            .filter(|&(_, &i)| wire.attempts[i] > 1)
-            .flat_map(|(m, &i)| {
-                draw_faults(&opts.faults, opts.seed, i).failed_fracs.into_iter().map(move |f| (m as u32, f))
-            })
-            .collect();
-        let n = units.len();
-        led.commit(
-            Schedule::new(Lifecycle {
-                job,
-                transfer_begin_s: open,
-                transfer_end_s: shut,
-                total_s: total,
-                file: units.iter().map(|&i| i as u32).collect(),
-                chunk: vec![0; n],
-                bytes: units.iter().map(|&i| sizes[i]).collect(),
-                compress_begin: vec![b.queue_wait_s; n],
-                ready: vec![open; n],
-                release: vec![open; n],
-                sent: units.iter().map(|&i| open + wire.start_s[i]).collect(),
-                landed: units.iter().map(|&i| open + wire.completion_s[i]).collect(),
-                decode: vec![(shut, total); n],
-                fault: (!failed.is_empty()).then(|| opts.faults.cause()),
-                failed,
-            })
-            .with_phases((b.queue_wait_s, encoded), (encoded, open)),
-        );
+        let run = Lifecycle {
+            job,
+            transfer_begin_s: out.transfer_begin_s,
+            transfer_end_s: out.transfer_end_s,
+            total_s: out.end_s,
+            ..units()
+        };
+        led.commit(Schedule::new(run).with_phases(phases[0], phases[1]));
     }
 
-    /// Feeds one breakdown into the shared per-phase histograms.
-    fn observe_breakdown(obs: &ocelot_obs::Obs, b: &TimeBreakdown) {
-        obs.observe("ocelot_core_queue_wait_seconds", "Simulated batch-queue wait per pipeline run", b.queue_wait_s);
-        obs.observe("ocelot_core_compression_seconds", "Simulated compression phase per pipeline run", b.compression_s);
-        obs.observe("ocelot_core_grouping_seconds", "Simulated grouping phase per pipeline run", b.grouping_s);
-        obs.observe("ocelot_core_transfer_seconds", "Simulated WAN transfer phase per pipeline run", b.transfer_s);
-        obs.observe(
-            "ocelot_core_decompression_seconds",
-            "Simulated decompression phase per pipeline run",
-            b.decompression_s,
-        );
-        obs.observe("ocelot_core_total_seconds", "Simulated end-to-end pipeline duration", b.total_s());
-        obs.add(
-            "ocelot_core_bytes_transferred_total",
-            "Bytes offered to the WAN by pipeline runs",
-            b.bytes_transferred,
-        );
-    }
-
-    /// Runs one pipeline like [`Orchestrator::run`], additionally reporting
-    /// the transfer leg's fault/retry detail from [`PipelineOptions::faults`]
-    /// — which files needed retries, which were abandoned, and how many
-    /// bytes the failed attempts wasted.
-    ///
-    /// # Panics
-    /// Panics if `from == to` or node counts are zero.
-    pub fn run_detailed(
+    /// A staged run: the phases laid end to end as the breakdown (and the
+    /// paper's Table VIII) accounts them — queue wait, compression,
+    /// grouping, the wire, and the decode after the transfer ends. Its
+    /// schedule is at file grain, every transfer unit that arrived placed on
+    /// the wire where the transfer simulation put it.
+    fn staged(
         &self,
         workload: &Workload,
         from: SiteId,
@@ -371,82 +336,105 @@ impl Orchestrator {
         strategy: Strategy,
         opts: &PipelineOptions,
     ) -> PipelineOutcome {
-        assert!(opts.compress_nodes > 0 && opts.decompress_nodes > 0, "node counts must be positive");
         let route = self.topology.route(from, to);
         let src = self.topology.site(from);
         let dst = self.topology.site(to);
-
-        match strategy {
-            Strategy::Direct => {
-                let sizes = workload.raw_sizes();
-                let faulty = simulate_transfer_with_faults(&sizes, &route.link, &opts.gridftp, &opts.faults, opts.seed);
-                let breakdown = TimeBreakdown {
-                    transfer_s: faulty.report.duration_s,
-                    bytes_transferred: faulty.report.bytes_total,
-                    files_transferred: faulty.report.n_files,
-                    ..Default::default()
-                };
-                self.finish_staged("direct", opts, breakdown, sizes, faulty)
-            }
-            Strategy::Compressed | Strategy::CompressedGrouped { .. } => {
-                let wait_s = opts.wait_model.sample(opts.seed, 0);
-                if opts.sentinel && wait_s > 0.0 {
-                    // The sentinel path models a healthy link.
-                    let (breakdown, sizes, wire) =
-                        sentinel::run_with_wait(self, workload, from, to, strategy, opts, wait_s);
-                    self.obs().inc(
-                        "ocelot_core_sentinel_switchovers_total",
-                        "Runs where the sentinel transferred raw data during the queue wait",
-                    );
-                    return self.finish_staged("sentinel", opts, breakdown, sizes, wire);
+        let wait_s = opts.wait_model.sample(opts.seed, 0);
+        let (b, sizes, wire) = if strategy != Strategy::Direct && opts.sentinel && wait_s > 0.0 {
+            // The sentinel path models a healthy link.
+            sentinel::run_with_wait(self, workload, from, to, strategy, opts, wait_s)
+        } else {
+            // Queue wait, compression, grouping and decompression: none
+            // for a direct transfer of the raw files.
+            let (sizes, [queue_wait_s, compression_s, grouping_s, decompression_s]) = match strategy {
+                Strategy::Direct => (workload.raw_sizes(), [0.0; 4]),
+                _ => {
+                    let comp_cluster = Cluster::new(opts.compress_nodes, src.cores_per_node, src.core_speed);
+                    let compression_s = self.compression_time(workload, src, &comp_cluster, opts.codec_threads);
+                    // Transfer sizes depend on grouping.
+                    let comp_sizes = workload.compressed_sizes();
+                    let (sizes, grouping_s) = match strategy {
+                        Strategy::CompressedGrouped { group_count } => {
+                            let plan = plan_groups_by_count(comp_sizes.len(), group_count);
+                            let grouped: Vec<u64> =
+                                plan.iter().map(|g| g.iter().map(|&i| comp_sizes[i]).sum()).collect();
+                            // Grouping cost: the group files are written by
+                            // one writer each (MPI ranks coordinate offsets).
+                            let total: u64 = grouped.iter().sum();
+                            let t = src.fs.write_time_s(total, grouped.len().max(1))
+                                - src.fs.write_time_s(total, comp_cluster.total_cores().max(1));
+                            (grouped, t.max(0.0))
+                        }
+                        _ => (comp_sizes, 0.0),
+                    };
+                    let decomp_cluster = destination_cluster(dst, opts);
+                    let decompression_s = self.decompression_time(workload, dst, &decomp_cluster, opts.codec_threads);
+                    (sizes, [wait_s, compression_s, grouping_s, decompression_s])
                 }
+            };
+            let wire = simulate_transfer_with_faults(&sizes, &route.link, &opts.gridftp, &opts.faults, opts.seed);
+            let breakdown = TimeBreakdown {
+                queue_wait_s,
+                compression_s,
+                grouping_s,
+                transfer_s: wire.report.duration_s,
+                decompression_s,
+                bytes_transferred: wire.report.bytes_total,
+                files_transferred: wire.report.n_files,
+            };
+            (breakdown, sizes, wire)
+        };
 
-                let comp_cluster = Cluster::new(opts.compress_nodes, src.cores_per_node, src.core_speed);
-                let compression_s = self.compression_time(workload, src, &comp_cluster, opts.codec_threads);
-
-                // Transfer sizes depend on grouping.
-                let comp_sizes = workload.compressed_sizes();
-                let (sizes, grouping_s): (Vec<u64>, f64) = match strategy {
-                    Strategy::CompressedGrouped { group_count } => {
-                        let plan = plan_groups_by_count(comp_sizes.len(), group_count);
-                        let grouped: Vec<u64> = plan.iter().map(|g| g.iter().map(|&i| comp_sizes[i]).sum()).collect();
-                        // Grouping cost: the group files are written by one
-                        // writer each (MPI ranks coordinate offsets).
-                        let total: u64 = grouped.iter().sum();
-                        let t = src.fs.write_time_s(total, grouped.len().max(1))
-                            - src.fs.write_time_s(total, comp_cluster.total_cores().max(1));
-                        (grouped, t.max(0.0))
-                    }
-                    _ => (comp_sizes, 0.0),
-                };
-
-                let faulty = simulate_transfer_with_faults(&sizes, &route.link, &opts.gridftp, &opts.faults, opts.seed);
-
-                let decomp_cluster = destination_cluster(dst, opts);
-                let decompression_s = self.decompression_time(workload, dst, &decomp_cluster, opts.codec_threads);
-
-                let breakdown = TimeBreakdown {
-                    queue_wait_s: wait_s,
-                    compression_s,
-                    grouping_s,
-                    transfer_s: faulty.report.duration_s,
-                    decompression_s,
-                    bytes_transferred: faulty.report.bytes_total,
-                    files_transferred: faulty.report.n_files,
-                };
-                let label =
-                    if matches!(strategy, Strategy::CompressedGrouped { .. }) { "grouped" } else { "compressed" };
-                self.finish_staged(label, opts, breakdown, sizes, faulty)
+        // Summed in the order `TimeBreakdown::total_s` sums the phases.
+        let encoded = b.queue_wait_s + b.compression_s;
+        let open = encoded + b.grouping_s;
+        let shut = open + b.transfer_s;
+        let out = PipelineOutcome {
+            breakdown: b,
+            transfer_begin_s: open,
+            transfer_end_s: shut,
+            end_s: shut + b.decompression_s,
+            transfer_retries: wire.retries,
+            failed_files: wire.failed_files,
+            wasted_bytes: wire.wasted_bytes,
+            attempts: wire.attempts,
+            transfer_sizes: sizes,
+        };
+        self.commit(opts, &out, [(b.queue_wait_s, encoded), (encoded, open)], || {
+            let mut lost = vec![false; out.transfer_sizes.len()];
+            for &i in &out.failed_files {
+                lost[i] = true;
             }
-        }
+            let units: Vec<usize> = (0..lost.len()).filter(|&i| !lost[i]).collect();
+            let failed: Vec<(u32, f64)> = units
+                .iter()
+                .enumerate()
+                .filter(|&(_, &i)| out.attempts[i] > 1)
+                .flat_map(|(m, &i)| {
+                    draw_faults(&opts.faults, opts.seed, i).failed_fracs.into_iter().map(move |f| (m as u32, f))
+                })
+                .collect();
+            let n = units.len();
+            Lifecycle {
+                file: units.iter().map(|&i| i as u32).collect(),
+                chunk: vec![0; n],
+                bytes: units.iter().map(|&i| out.transfer_sizes[i]).collect(),
+                compress_begin: vec![b.queue_wait_s; n],
+                ready: vec![open; n],
+                release: vec![open; n],
+                sent: units.iter().map(|&i| open + wire.start_s[i]).collect(),
+                landed: units.iter().map(|&i| open + wire.completion_s[i]).collect(),
+                decode: vec![(shut, out.end_s); n],
+                fault: (!failed.is_empty()).then(|| opts.faults.cause()),
+                failed,
+                ..Lifecycle::default()
+            }
+        });
+        out
     }
 
-    /// The release prelude both pipelined runs share.
-    ///
-    /// # Panics
-    /// Panics if `from == to` or node counts are zero.
-    fn pipelined(&self, workload: &Workload, from: SiteId, to: SiteId, opts: &PipelineOptions) -> Pipelined<'_> {
-        assert!(opts.compress_nodes > 0 && opts.decompress_nodes > 0, "node counts must be positive");
+    /// The release prelude both pipelined modes share.
+    fn releases(&self, workload: &Workload, from: SiteId, to: SiteId, opts: &PipelineOptions) -> Releases<'_> {
         let src = self.topology.site(from);
         let dst = self.topology.site(to);
         let comp_cluster = Cluster::new(opts.compress_nodes, src.cores_per_node, src.core_speed);
@@ -455,7 +443,7 @@ impl Orchestrator {
         let makespan = completions.iter().cloned().fold(0.0f64, f64::max);
         let read_s = src.fs.read_time_s(workload.total_bytes(), comp_cluster.total_cores());
         let stretch = if makespan > 0.0 { (read_s / makespan).max(0.0) } else { 0.0 };
-        Pipelined {
+        Releases {
             link: &self.topology.route(from, to).link,
             src,
             dst,
@@ -468,29 +456,18 @@ impl Orchestrator {
         }
     }
 
-    /// Runs the *pipelined* compressed transfer (no grouping): each file
-    /// starts crossing the WAN as soon as its compression finishes, instead
-    /// of waiting for the whole batch — the overlap the paper's Fig 1
-    /// describes ("the transfer will move the compressed files to the
-    /// target machine once the files are ready").
+    /// File-grain pipelining ([`Strategy::Pipelined`] with window 0): each
+    /// file starts crossing the WAN as soon as its compression finishes,
+    /// instead of waiting for the whole batch — the overlap the paper's
+    /// Fig 1 describes ("the transfer will move the compressed files to the
+    /// target machine once the files are ready") — and the batch
+    /// decompresses after the last byte lands.
     ///
-    /// The returned breakdown reports the *critical path*: `compression_s`
-    /// is the makespan, `transfer_s` the full overlapped duration from t=0
-    /// to the last byte, and `total_s` would double-count the overlap —
-    /// use [`TimeBreakdown::transfer_s`] + `decompression_s` +
-    /// `queue_wait_s` as the pipelined end-to-end time, available from
-    /// [`Orchestrator::overlapped_total_s`].
-    ///
-    /// # Panics
-    /// Panics if `from == to` or node counts are zero.
-    pub fn run_overlapped(
-        &self,
-        workload: &Workload,
-        from: SiteId,
-        to: SiteId,
-        opts: &PipelineOptions,
-    ) -> TimeBreakdown {
-        let run = self.pipelined(workload, from, to, opts);
+    /// The breakdown's `compression_s` is the makespan and `transfer_s` the
+    /// overlapped duration from t=0 to the last byte, so the wire shuts at
+    /// `transfer_s` and the run ends `decompression_s` later.
+    fn overlapped(&self, workload: &Workload, from: SiteId, to: SiteId, opts: &PipelineOptions) -> PipelineOutcome {
+        let run = self.releases(workload, from, to, opts);
         let wait_s = run.wait_s;
         let releases: Vec<f64> = run.completions.iter().map(|&c| run.at(c)).collect();
 
@@ -509,97 +486,76 @@ impl Orchestrator {
 
         let decompression_s = self.decompression_time(workload, run.dst, &run.decomp_cluster, opts.codec_threads);
 
-        let breakdown = TimeBreakdown {
-            queue_wait_s: wait_s,
-            compression_s: run.makespan,
-            grouping_s: 0.0,
-            transfer_s: report.duration_s,
-            decompression_s,
-            bytes_transferred: report.bytes_total,
-            files_transferred: report.n_files,
+        let transfer_s = report.duration_s;
+        let out = PipelineOutcome {
+            breakdown: TimeBreakdown {
+                queue_wait_s: wait_s,
+                compression_s: run.makespan,
+                grouping_s: 0.0,
+                transfer_s,
+                decompression_s,
+                bytes_transferred: report.bytes_total,
+                files_transferred: report.n_files,
+            },
+            transfer_begin_s: wait_s,
+            transfer_end_s: transfer_s,
+            end_s: transfer_s + decompression_s,
+            transfer_retries: 0,
+            failed_files: Vec::new(),
+            wasted_bytes: 0,
+            attempts: vec![1; order.len()],
+            transfer_sizes: sorted_sizes,
         };
-        let obs = self.obs();
-        if obs.is_enabled() {
-            Self::observe_breakdown(obs, &breakdown);
-            obs.inc("ocelot_core_runs_overlapped_total", "Pipeline runs completed, by strategy");
-        }
-        // Chunk-lifecycle ledger at file grain (chunk 0 of every file, in
-        // wire order), so window-0 / overlapped jobs still reconstruct into
-        // timelines. Every file is released the moment it is encoded, and
-        // batch decompression starts when the whole transfer lands: early
-        // arrivals wait for it.
-        if let Some(job) = opts.job {
-            if let Some(led) = &self.ledger {
-                let transfer_s = breakdown.transfer_s;
-                let compress_begin = order
-                    .iter()
-                    .zip(&sorted_releases)
-                    .map(|(&i, &enc)| {
-                        let dur = run.work[i].max(0.0) / run.src.core_speed;
-                        (enc - dur * (1.0 + run.stretch)).max(wait_s).min(enc)
-                    })
-                    .collect();
-                led.commit(
-                    Schedule::new(Lifecycle {
-                        job,
-                        transfer_begin_s: wait_s,
-                        transfer_end_s: transfer_s,
-                        total_s: Self::overlapped_total_s(&breakdown),
-                        file: order.iter().map(|&i| i as u32).collect(),
-                        chunk: vec![0; order.len()],
-                        bytes: sorted_sizes,
-                        compress_begin,
-                        ready: sorted_releases.clone(),
-                        release: sorted_releases,
-                        sent: detail.start_s,
-                        landed: detail.completion_s,
-                        decode: vec![(transfer_s, transfer_s + decompression_s); order.len()],
-                        failed: Vec::new(),
-                        fault: None,
-                    })
-                    .with_phases((wait_s, run.at(run.makespan)), (0.0, 0.0)),
-                );
-            }
-        }
-        breakdown
+        // At file grain (chunk 0 of every file, in wire order). Every file
+        // is released the moment it is encoded, and batch decompression
+        // starts when the whole transfer lands: early arrivals wait for it.
+        self.commit(opts, &out, [(wait_s, run.at(run.makespan)), (0.0, 0.0)], || Lifecycle {
+            file: order.iter().map(|&i| i as u32).collect(),
+            chunk: vec![0; order.len()],
+            bytes: out.transfer_sizes.clone(),
+            compress_begin: order
+                .iter()
+                .zip(&sorted_releases)
+                .map(|(&i, &enc)| {
+                    let dur = run.work[i].max(0.0) / run.src.core_speed;
+                    (enc - dur * (1.0 + run.stretch)).max(wait_s).min(enc)
+                })
+                .collect(),
+            ready: sorted_releases.clone(),
+            release: sorted_releases,
+            sent: detail.start_s,
+            landed: detail.completion_s,
+            decode: vec![(transfer_s, out.end_s); order.len()],
+            ..Lifecycle::default()
+        });
+        out
     }
 
-    /// End-to-end time of a pipelined run from [`Orchestrator::run_overlapped`]:
-    /// the overlapped transfer duration (which already covers queueing and
-    /// compression on its critical path) plus decompression.
-    pub fn overlapped_total_s(breakdown: &TimeBreakdown) -> f64 {
-        breakdown.transfer_s + breakdown.decompression_s
-    }
-
-    /// Runs the *streamed* chunk pipeline: every compressed chunk enters the
-    /// WAN as soon as it is encoded, decompression of each chunk starts the
-    /// moment it lands, and a bounded window of
-    /// [`PipelineOptions::stream_window`] chunks caps what sits between the
-    /// compressor and the far-side decoder (back-pressure; memory stays
-    /// O(window) per lane). Chunk `j` of a file becomes ready at the
-    /// proportional point of its file's compression interval, mirroring the
-    /// real engine's in-order chunk completion.
+    /// Chunk streaming ([`Strategy::Pipelined`] with `window >= 1`): every
+    /// compressed chunk enters the WAN as soon as it is encoded,
+    /// decompression of each chunk starts the moment it lands, and at most
+    /// `window` chunks sit between the compressor and the far-side decoder
+    /// (back-pressure; memory stays O(window) per lane). Chunk `j` of a file
+    /// becomes ready at the proportional point of its file's compression
+    /// interval, mirroring the real engine's in-order chunk completion.
     ///
-    /// `stream_window == 0` degenerates to [`Orchestrator::run_overlapped`]
-    /// (file-grain pipelining, batch decompression) — the staged case.
-    ///
-    /// Like `run_overlapped`, the breakdown reports the critical path:
-    /// `transfer_s` spans t=0 to the last chunk's arrival and
-    /// `decompression_s` is only the *tail* that streaming could not hide
-    /// behind the transfer, so [`Orchestrator::overlapped_total_s`] is the
-    /// end-to-end time. Back-pressure stalls (a chunk ready but waiting for
-    /// window space) are in the committed schedule as each chunk's
-    /// `ready → release` gap, so critical-path attribution
-    /// ([`ocelot_obs::critpath::attribute`]) counts them apart from transfer.
-    ///
-    /// # Panics
-    /// Panics if `from == to` or node counts are zero.
-    pub fn run_streamed(&self, workload: &Workload, from: SiteId, to: SiteId, opts: &PipelineOptions) -> TimeBreakdown {
+    /// The wire shuts at the last chunk's arrival (`transfer_s`, from t=0)
+    /// and the run ends at the last decode; `decompression_s` is only the
+    /// *tail* that streaming could not hide behind the transfer.
+    /// Back-pressure stalls (a chunk ready but waiting for window space) are
+    /// in the committed schedule as each chunk's `ready → release` gap, so
+    /// critical-path attribution ([`ocelot_obs::critpath::attribute`])
+    /// counts them apart from transfer.
+    fn streamed(
+        &self,
+        workload: &Workload,
+        from: SiteId,
+        to: SiteId,
+        window: usize,
+        opts: &PipelineOptions,
+    ) -> PipelineOutcome {
         let sizes = workload.compressed_sizes();
-        if opts.stream_window == 0 || sizes.is_empty() {
-            return self.run_overlapped(workload, from, to, opts);
-        }
-        let run = self.pipelined(workload, from, to, opts);
+        let run = self.releases(workload, from, to, opts);
         let (wait_s, makespan) = (run.wait_s, run.makespan);
 
         // Each file splits into the engine's chunk count; chunk j finishes
@@ -639,6 +595,7 @@ impl Orchestrator {
         // (chunk position, partial-payload fraction) of every failed attempt.
         let mut failed: Vec<(u32, f64)> = Vec::new();
         let mut wasted = 0u64;
+        let mut attempts = vec![1u32; payload.len()];
         let wire: Vec<u64> = if injecting {
             payload
                 .iter()
@@ -647,6 +604,7 @@ impl Orchestrator {
                     let draw = draw_faults(&opts.faults, opts.seed, m);
                     let extra: u64 = draw.failed_fracs.iter().map(|f| (size as f64 * f) as u64).sum();
                     wasted += extra;
+                    attempts[m] += draw.failed_fracs.len() as u32;
                     failed.extend(draw.failed_fracs.iter().map(|&f| (m as u32, f)));
                     size + extra
                 })
@@ -654,13 +612,11 @@ impl Orchestrator {
         } else {
             payload.clone()
         };
-        let chunk_retries = failed.len() as u64;
 
         // Window-W back-pressure: chunk m cannot ship before chunk m−W has
         // fully landed. The window is a resource inside the transfer's event
         // loop, so one pass yields the exact release schedule.
-        let detail = simulate_transfer_windowed(&wire, &ready, opts.stream_window, run.link, &opts.gridftp, opts.seed);
-        let release = &detail.release_s;
+        let detail = simulate_transfer_windowed(&wire, &ready, window, run.link, &opts.gridftp, opts.seed);
         let transfer_s = detail.report.duration_s;
 
         // Decompress each chunk on arrival: greedy least-loaded destination
@@ -686,89 +642,54 @@ impl Orchestrator {
         }
         let total = decomp_finish.max(transfer_s);
 
-        let breakdown = TimeBreakdown {
-            queue_wait_s: wait_s,
-            compression_s: makespan,
-            grouping_s: 0.0,
-            transfer_s,
-            decompression_s: (total - transfer_s).max(0.0),
-            // Wire bytes include retransmitted partials; the payload that
-            // actually landed is what the breakdown accounts, mirroring
-            // `simulate_transfer_with_faults`.
-            bytes_transferred: detail.report.bytes_total.saturating_sub(wasted),
-            files_transferred: sizes.len(),
-        };
         let obs = self.obs();
         if obs.is_enabled() {
-            // Merged stall intervals (a chunk encoded but blocked on the window).
-            let mut stalls: Vec<(f64, f64)> =
-                ready.iter().zip(release).filter(|(r, l)| **l > **r + 1e-9).map(|(&r, &l)| (r, l)).collect();
-            stalls.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite stall times"));
-            let mut stall_iv: Vec<(f64, f64)> = Vec::new();
-            for (a, b) in stalls {
-                match stall_iv.last_mut() {
-                    Some(last) if a <= last.1 => last.1 = last.1.max(b),
-                    _ => stall_iv.push((a, b)),
-                }
-            }
-            let stall_total: f64 = stall_iv.iter().map(|(a, b)| b - a).sum();
-            Self::observe_breakdown(obs, &breakdown);
-            obs.inc("ocelot_core_runs_streamed_total", "Pipeline runs completed, by strategy");
-            obs.add(
-                "ocelot_core_stream_stalls_total",
-                "Back-pressure stall intervals in streamed runs",
-                stall_iv.len() as u64,
-            );
-            obs.observe(
-                "ocelot_core_stream_stall_seconds",
-                "Union of back-pressure stall time per streamed run",
-                stall_total,
-            );
             obs.add("ocelot_chunk_transfers_total", "Chunks offered to the WAN by streamed runs", payload.len() as u64);
             obs.add(
                 "ocelot_chunk_retries_total",
                 "Failed chunk transfer attempts re-sent in streamed runs",
-                chunk_retries,
+                failed.len() as u64,
             );
-            // Under a tight window nearly every chunk stalls: one registry
-            // look-up for the run, not one per chunk.
-            if let Some(stall_seconds) =
-                obs.histogram_handle("ocelot_chunk_stall_seconds", "Back-pressure stall per chunk in streamed runs")
-            {
-                for (r, l) in ready.iter().zip(release) {
-                    if *l > *r + 1e-9 {
-                        stall_seconds.observe(l - r);
-                    }
-                }
-            }
         }
-        // Chunk-lifecycle ledger: the schedule itself, handed over by move.
-        // Its events are derived from these columns when someone reads them.
-        if let Some(job) = opts.job {
-            if let Some(led) = &self.ledger {
-                led.commit(
-                    Schedule::new(Lifecycle {
-                        job,
-                        transfer_begin_s: wait_s,
-                        transfer_end_s: transfer_s,
-                        total_s: total,
-                        file,
-                        chunk,
-                        bytes: payload,
-                        compress_begin,
-                        ready,
-                        release: detail.release_s,
-                        sent: detail.start_s,
-                        landed: detail.completion_s,
-                        decode: dsched,
-                        failed,
-                        fault: injecting.then(|| opts.faults.cause()),
-                    })
-                    .with_phases((wait_s, run.at(makespan)), (0.0, 0.0)),
-                );
-            }
-        }
-        breakdown
+        let out = PipelineOutcome {
+            breakdown: TimeBreakdown {
+                queue_wait_s: wait_s,
+                compression_s: makespan,
+                grouping_s: 0.0,
+                transfer_s,
+                decompression_s: (total - transfer_s).max(0.0),
+                // Wire bytes include retransmitted partials; the payload that
+                // actually landed is what the breakdown accounts, mirroring
+                // `simulate_transfer_with_faults`.
+                bytes_transferred: detail.report.bytes_total.saturating_sub(wasted),
+                files_transferred: sizes.len(),
+            },
+            transfer_begin_s: wait_s,
+            transfer_end_s: transfer_s,
+            end_s: total,
+            transfer_retries: failed.len(),
+            failed_files: Vec::new(),
+            wasted_bytes: wasted,
+            attempts,
+            transfer_sizes: payload.clone(),
+        };
+        // The schedule itself, handed over by move. Its events are derived
+        // from these columns when someone reads them.
+        self.commit(opts, &out, [(wait_s, run.at(makespan)), (0.0, 0.0)], || Lifecycle {
+            file,
+            chunk,
+            bytes: payload,
+            compress_begin,
+            ready,
+            release: detail.release_s,
+            sent: detail.start_s,
+            landed: detail.completion_s,
+            decode: dsched,
+            failed,
+            fault: injecting.then(|| opts.faults.cause()),
+            ..Lifecycle::default()
+        });
+        out
     }
 
     /// Compression phase: compute makespan overlapped with source reads,
@@ -811,8 +732,8 @@ mod tests {
         let orch = Orchestrator::paper();
         let w = miranda();
         let opts = PipelineOptions::default();
-        let np = orch.run(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Direct, &opts);
-        let cp = orch.run(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Compressed, &opts);
+        let np = orch.run(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Direct, &opts).breakdown;
+        let cp = orch.run(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Compressed, &opts).breakdown;
         assert!(cp.total_s() < np.total_s(), "cp={} np={}", cp.total_s(), np.total_s());
         assert!(cp.bytes_transferred < np.bytes_transferred / 2);
         assert!(cp.reduction_vs(np.total_s()) > 0.3, "reduction {}", cp.reduction_vs(np.total_s()));
@@ -825,8 +746,8 @@ mod tests {
         let orch = Orchestrator::paper();
         let w = miranda();
         let opts = PipelineOptions::default();
-        let cp = orch.run(&w, SiteId::Anvil, SiteId::Cori, Strategy::Compressed, &opts);
-        let op = orch.run(&w, SiteId::Anvil, SiteId::Cori, Strategy::grouped_by_count(8), &opts);
+        let cp = orch.run(&w, SiteId::Anvil, SiteId::Cori, Strategy::Compressed, &opts).breakdown;
+        let op = orch.run(&w, SiteId::Anvil, SiteId::Cori, Strategy::grouped_by_count(8), &opts).breakdown;
         assert!(
             op.transfer_s > cp.transfer_s,
             "op transfer {} should exceed cp transfer {}",
@@ -840,7 +761,7 @@ mod tests {
         let orch = Orchestrator::paper();
         let w = miranda();
         let opts = PipelineOptions { wait_model: ocelot_faas::WaitTimeModel::Fixed(100.0), ..Default::default() };
-        let cp = orch.run(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Compressed, &opts);
+        let cp = orch.run(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Compressed, &opts).breakdown;
         assert_eq!(cp.queue_wait_s, 100.0);
         assert!(cp.total_s() > 100.0);
     }
@@ -849,7 +770,7 @@ mod tests {
     fn direct_strategy_has_no_compute_phases() {
         let orch = Orchestrator::paper();
         let w = miranda();
-        let np = orch.run(&w, SiteId::Bebop, SiteId::Cori, Strategy::Direct, &PipelineOptions::default());
+        let np = orch.run(&w, SiteId::Bebop, SiteId::Cori, Strategy::Direct, &PipelineOptions::default()).breakdown;
         assert_eq!(np.compression_s, 0.0);
         assert_eq!(np.decompression_s, 0.0);
         assert_eq!(np.files_transferred, 768);
@@ -866,8 +787,8 @@ mod tests {
             decompress_cores_per_node: None, // all 128 cores per node
             ..Default::default()
         };
-        let few = orch.run(&w, SiteId::Bebop, SiteId::Anvil, Strategy::Compressed, &mk(2));
-        let many = orch.run(&w, SiteId::Bebop, SiteId::Anvil, Strategy::Compressed, &mk(64));
+        let few = orch.run(&w, SiteId::Bebop, SiteId::Anvil, Strategy::Compressed, &mk(2)).breakdown;
+        let many = orch.run(&w, SiteId::Bebop, SiteId::Anvil, Strategy::Compressed, &mk(64)).breakdown;
         assert!(
             many.decompression_s > few.decompression_s,
             "many={} few={}",
@@ -883,12 +804,13 @@ mod tests {
         let orch = Orchestrator::paper();
         let w = Workload::rtm(ocelot_sz::LossyConfig::sz3(1e-2), 24).unwrap();
         let opts = PipelineOptions::default();
-        let additive = orch.run(&w, SiteId::Bebop, SiteId::Cori, Strategy::Compressed, &opts);
-        let overlapped = orch.run_overlapped(&w, SiteId::Bebop, SiteId::Cori, &opts);
+        let additive = orch.run(&w, SiteId::Bebop, SiteId::Cori, Strategy::Compressed, &opts).breakdown;
+        let overlapped = orch.run(&w, SiteId::Bebop, SiteId::Cori, Strategy::Pipelined { window: 0 }, &opts);
         let additive_total = additive.total_s();
-        let overlapped_total = Orchestrator::overlapped_total_s(&overlapped);
+        let overlapped_total = overlapped.end_s;
         assert!(overlapped_total < additive_total * 0.85, "overlapped {overlapped_total} vs additive {additive_total}");
         // Same bytes cross the wire either way.
+        let overlapped = overlapped.breakdown;
         assert_eq!(overlapped.bytes_transferred, additive.bytes_transferred);
         // The overlapped transfer cannot finish before compression's makespan.
         assert!(overlapped.transfer_s >= overlapped.compression_s * 0.99);
@@ -899,7 +821,7 @@ mod tests {
         let orch = Orchestrator::paper();
         let w = miranda();
         let opts = PipelineOptions { wait_model: ocelot_faas::WaitTimeModel::Fixed(50.0), ..Default::default() };
-        let b = orch.run_overlapped(&w, SiteId::Anvil, SiteId::Cori, &opts);
+        let b = orch.run(&w, SiteId::Anvil, SiteId::Cori, Strategy::Pipelined { window: 0 }, &opts).breakdown;
         assert!(b.transfer_s >= 50.0, "transfer window {} must cover the wait", b.transfer_s);
     }
 
@@ -909,8 +831,8 @@ mod tests {
         let w = miranda();
         let healthy = PipelineOptions::default();
         let flaky = PipelineOptions { faults: FaultModel::flaky(0.3), ..Default::default() };
-        let h = orch.run_detailed(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Compressed, &healthy);
-        let f = orch.run_detailed(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Compressed, &flaky);
+        let h = orch.run(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Compressed, &healthy);
+        let f = orch.run(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Compressed, &flaky);
         assert_eq!(h.transfer_retries, 0);
         assert!(h.delivered());
         assert!(h.attempts.iter().all(|&a| a == 1));
@@ -927,10 +849,15 @@ mod tests {
         let orch = Orchestrator::paper();
         let w = miranda();
         let opts = PipelineOptions::default();
-        for strategy in [Strategy::Direct, Strategy::Compressed, Strategy::grouped_by_count(16)] {
-            let outcome = orch.run_detailed(&w, SiteId::Anvil, SiteId::Cori, strategy, &opts);
+        // A zero failure probability with a retry budget is a healthy link.
+        let zero =
+            PipelineOptions { faults: FaultModel { per_attempt_failure_prob: 0.0, ..FaultModel::flaky(0.3) }, ..opts };
+        for strategy in
+            [Strategy::Direct, Strategy::Compressed, Strategy::grouped_by_count(16), Strategy::Pipelined { window: 4 }]
+        {
+            let outcome = orch.run(&w, SiteId::Anvil, SiteId::Cori, strategy, &zero);
             let plain = orch.run(&w, SiteId::Anvil, SiteId::Cori, strategy, &opts);
-            assert_eq!(outcome.breakdown, plain);
+            assert_eq!(outcome, plain);
             assert!(outcome.delivered());
             assert_eq!(outcome.transfer_retries, 0);
             assert_eq!(outcome.wasted_bytes, 0);
@@ -947,8 +874,8 @@ mod tests {
         let w = miranda();
         let serial = PipelineOptions::default();
         let chunked = PipelineOptions { codec_threads: 4, ..Default::default() };
-        let s = orch.run(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Compressed, &serial);
-        let c = orch.run(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Compressed, &chunked);
+        let s = orch.run(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Compressed, &serial).breakdown;
+        let c = orch.run(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Compressed, &chunked).breakdown;
         assert!(c.compression_s < s.compression_s, "chunked {} vs serial {}", c.compression_s, s.compression_s);
         let overhead = 4.0 / codec_speedup(4); // 1 + serial_fraction * 3
         assert!(
@@ -969,8 +896,8 @@ mod tests {
             codec_threads,
             ..Default::default()
         };
-        let ws = orch.run(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Compressed, &wide(1));
-        let wc = orch.run(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Compressed, &wide(4));
+        let ws = orch.run(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Compressed, &wide(1)).breakdown;
+        let wc = orch.run(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Compressed, &wide(4)).breakdown;
         assert!(
             wc.decompression_s < ws.decompression_s,
             "wide chunked {} vs serial {}",
@@ -989,16 +916,6 @@ mod tests {
     }
 
     #[test]
-    fn streamed_window_zero_is_the_overlapped_degenerate_case() {
-        let orch = Orchestrator::paper();
-        let w = miranda();
-        let opts = PipelineOptions::default();
-        let overlapped = orch.run_overlapped(&w, SiteId::Bebop, SiteId::Cori, &opts);
-        let streamed = orch.run_streamed(&w, SiteId::Bebop, SiteId::Cori, &opts);
-        assert_eq!(streamed, overlapped, "stream_window = 0 must be the staged/overlapped case");
-    }
-
-    #[test]
     fn streamed_pipeline_beats_staged_accounting() {
         // The acceptance gate: chunk streaming with a bounded window must
         // not be slower than the staged (additive) pipeline, and hiding the
@@ -1007,11 +924,12 @@ mod tests {
         let orch = Orchestrator::paper();
         let w = Workload::rtm(ocelot_sz::LossyConfig::sz3(1e-2), 24).unwrap();
         let staged_opts = PipelineOptions::default();
-        let staged = orch.run(&w, SiteId::Bebop, SiteId::Cori, Strategy::Compressed, &staged_opts);
+        let staged = orch.run(&w, SiteId::Bebop, SiteId::Cori, Strategy::Compressed, &staged_opts).breakdown;
         for window in [4usize, 64] {
-            let opts = PipelineOptions { stream_window: window, codec_threads: 4, ..Default::default() };
-            let streamed = orch.run_streamed(&w, SiteId::Bebop, SiteId::Cori, &opts);
-            let streamed_total = Orchestrator::overlapped_total_s(&streamed);
+            let opts = PipelineOptions { codec_threads: 4, ..Default::default() };
+            let streamed = orch.run(&w, SiteId::Bebop, SiteId::Cori, Strategy::Pipelined { window }, &opts);
+            let streamed_total = streamed.end_s;
+            let streamed = streamed.breakdown;
             assert!(
                 streamed_total <= staged.total_s(),
                 "window {window}: streamed {streamed_total} vs staged {}",
@@ -1022,10 +940,9 @@ mod tests {
             assert_eq!(streamed.files_transferred, staged.files_transferred);
         }
         // A wider window can only help (less back-pressure).
-        let narrow = PipelineOptions { stream_window: 2, codec_threads: 4, ..Default::default() };
-        let wide = PipelineOptions { stream_window: 512, codec_threads: 4, ..Default::default() };
-        let tn = Orchestrator::overlapped_total_s(&orch.run_streamed(&w, SiteId::Bebop, SiteId::Cori, &narrow));
-        let tw = Orchestrator::overlapped_total_s(&orch.run_streamed(&w, SiteId::Bebop, SiteId::Cori, &wide));
+        let opts = PipelineOptions { codec_threads: 4, ..Default::default() };
+        let tn = orch.run(&w, SiteId::Bebop, SiteId::Cori, Strategy::Pipelined { window: 2 }, &opts).end_s;
+        let tw = orch.run(&w, SiteId::Bebop, SiteId::Cori, Strategy::Pipelined { window: 512 }, &opts).end_s;
         assert!(tw <= tn + 1e-6, "wide {tw} vs narrow {tn}");
     }
 
@@ -1037,8 +954,8 @@ mod tests {
         let w = Workload::rtm(ocelot_sz::LossyConfig::sz3(1e-3), 8).unwrap();
         let led = ocelot_obs::ledger::Ledger::detached();
         let orch = Orchestrator::paper().with_ledger(led.clone());
-        let opts = PipelineOptions { stream_window: W, job: Some(1), ..Default::default() };
-        orch.run_streamed(&w, SiteId::Anvil, SiteId::Bebop, &opts);
+        let opts = PipelineOptions { job: Some(1), ..Default::default() };
+        orch.run(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Pipelined { window: W }, &opts);
         // Chunks are emitted in wire order, one causal chain each.
         let (mut ready, mut release, mut landed) = (Vec::new(), Vec::new(), Vec::new());
         for e in led.drain() {
@@ -1125,11 +1042,10 @@ mod tests {
                             faults: FaultModel { max_retries: 0, ..FaultModel::flaky(p) },
                             seed: 0xC0FFEE ^ job.wrapping_mul(0x9E37_79B9_7F4A_7C15),
                             job: Some(job),
-                            stream_window: window,
                             ..Default::default()
                         };
                         let cell = format!("app {app}, window {window}, p {p}, job {job}");
-                        orch.run_streamed(w, from, to, &opts);
+                        orch.run(w, from, to, Strategy::Pipelined { window }, &opts);
                         let taken = adopted.take();
                         let [schedule] = taken.as_slice() else {
                             panic!("{cell}: one pipelined job commits one schedule, got {}", taken.len())
@@ -1163,8 +1079,8 @@ mod tests {
         let orch = Orchestrator::paper().with_ledger(led.clone());
         let w = Workload::rtm(ocelot_sz::LossyConfig::sz3(1e-2), 24).unwrap();
         // A tight window over a slow route forces back-pressure stalls.
-        let opts = PipelineOptions { stream_window: 1, codec_threads: 4, job: Some(42), ..Default::default() };
-        let b = orch.run_streamed(&w, SiteId::Anvil, SiteId::Bebop, &opts);
+        let opts = PipelineOptions { codec_threads: 4, job: Some(42), ..Default::default() };
+        let out = orch.run(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Pipelined { window: 1 }, &opts);
         let taken = led.take();
         let [schedule] = taken.as_slice() else { panic!("one schedule per run, got {}", taken.len()) };
         let report = attribute(schedule, &Retries::NONE).report;
@@ -1172,9 +1088,55 @@ mod tests {
         assert_eq!(report.stage(Stage::Compress), 0.0, "compression hides behind the wire");
         let sum: f64 = report.stage_s.iter().sum();
         assert!((sum - report.critical_path_s).abs() < 1e-9);
-        assert!((report.critical_path_s - Orchestrator::overlapped_total_s(&b)).abs() < 1e-6);
-        assert!((report.stage(Stage::Decompress) - b.decompression_s).abs() < 1e-6);
+        assert!((report.critical_path_s - out.end_s).abs() < 1e-6);
+        assert!((report.stage(Stage::Decompress) - out.breakdown.decompression_s).abs() < 1e-6);
         assert!(report.total_s > report.critical_path_s, "compression and early decodes overlap the wire");
+    }
+
+    #[test]
+    fn outcome_instants_are_the_committed_schedules_in_every_mode() {
+        use ocelot_obs::critpath::{attribute, Retries};
+        let w = miranda();
+        let led = Ledger::detached();
+        let orch = Orchestrator::paper().with_ledger(led.clone());
+        let kinds = [
+            (Strategy::Direct, false),
+            (Strategy::Compressed, false),
+            (Strategy::grouped_by_count(8), false),
+            (Strategy::Compressed, true),
+            (Strategy::Pipelined { window: 0 }, false),
+            (Strategy::Pipelined { window: 1 }, false),
+            (Strategy::Pipelined { window: 64 }, false),
+        ];
+        let mut job = 0;
+        for faults in [FaultModel::none(), FaultModel::flaky(0.3)] {
+            for (strategy, sentinel) in kinds {
+                job += 1;
+                let wait_model = ocelot_faas::WaitTimeModel::Fixed(20.0);
+                let opts =
+                    PipelineOptions { faults, sentinel, wait_model, seed: job, job: Some(job), ..Default::default() };
+                let out = orch.run(&w, SiteId::Anvil, SiteId::Bebop, strategy, &opts);
+                let cell = format!("{strategy:?}, sentinel {sentinel}, p {}", faults.per_attempt_failure_prob);
+                let taken = led.take();
+                let [schedule] = taken.as_slice() else { panic!("{cell}: one schedule, got {}", taken.len()) };
+                let run = schedule.lifecycle();
+                assert_eq!(out.transfer_begin_s.to_bits(), run.transfer_begin_s.to_bits(), "{cell}");
+                assert_eq!(out.transfer_end_s.to_bits(), run.transfer_end_s.to_bits(), "{cell}");
+                assert_eq!(out.end_s.to_bits(), run.total_s.to_bits(), "{cell}");
+                let path = attribute(schedule, &Retries::NONE).report.critical_path_s;
+                assert!((out.end_s - path).abs() <= 1e-6, "{cell}: end {} vs critical path {path}", out.end_s);
+                if !matches!(strategy, Strategy::Pipelined { .. }) {
+                    assert_eq!(out.end_s.to_bits(), out.breakdown.total_s().to_bits(), "{cell}: staged phases add up");
+                }
+                // Every failed attempt of a unit that arrived is on the record.
+                let arrived_retries: u32 = (0..out.attempts.len())
+                    .filter(|i| !out.failed_files.contains(i))
+                    .map(|i| out.attempts[i] - 1)
+                    .sum();
+                assert_eq!(schedule.retransmits(), u64::from(arrived_retries), "{cell}");
+                assert_eq!(out.attempts.len(), out.transfer_sizes.len(), "{cell}");
+            }
+        }
     }
 
     #[test]
@@ -1192,7 +1154,7 @@ mod tests {
             {
                 job += 1;
                 let opts = PipelineOptions { faults, sentinel, wait_model: wait, job: Some(job), ..Default::default() };
-                let outcome = orch.run_detailed(&w, SiteId::Anvil, SiteId::Bebop, strategy, &opts);
+                let outcome = orch.run(&w, SiteId::Anvil, SiteId::Bebop, strategy, &opts);
                 let b = outcome.breakdown;
                 let cell = format!("{strategy:?}, p {}, sentinel {sentinel}", faults.per_attempt_failure_prob);
                 let taken = led.take();
@@ -1217,7 +1179,7 @@ mod tests {
             }
         }
         // A jobless run commits nothing.
-        orch.run_detailed(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Compressed, &PipelineOptions::default());
+        orch.run(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Compressed, &PipelineOptions::default());
         assert!(led.take().is_empty());
     }
 
@@ -1227,7 +1189,7 @@ mod tests {
         let led = Ledger::detached();
         let orch = Orchestrator::paper().with_ledger(led.clone());
         let opts = PipelineOptions { faults: FaultModel::flaky(0.3), job: Some(5), ..Default::default() };
-        let outcome = orch.run_detailed(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Compressed, &opts);
+        let outcome = orch.run(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Compressed, &opts);
         let b = outcome.breakdown;
         let open = b.queue_wait_s + b.compression_s + b.grouping_s;
         let events = led.drain();
@@ -1252,8 +1214,8 @@ mod tests {
         let orch = Orchestrator::paper();
         let w = miranda();
         let opts = PipelineOptions::default();
-        let a = orch.run(&w, SiteId::Anvil, SiteId::Cori, Strategy::Compressed, &opts);
-        let b = orch.run(&w, SiteId::Anvil, SiteId::Cori, Strategy::Compressed, &opts);
+        let a = orch.run(&w, SiteId::Anvil, SiteId::Cori, Strategy::Compressed, &opts).breakdown;
+        let b = orch.run(&w, SiteId::Anvil, SiteId::Cori, Strategy::Compressed, &opts).breakdown;
         assert_eq!(a, b);
     }
 }

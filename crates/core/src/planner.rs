@@ -104,7 +104,7 @@ impl TransferPlanner {
         for &strategy in &strategies {
             for &dcores in &core_options {
                 let opts = PipelineOptions { decompress_cores_per_node: Some(dcores), ..*base };
-                let expected = self.orchestrator.run(workload, from, to, strategy, &opts);
+                let expected = self.orchestrator.run(workload, from, to, strategy, &opts).breakdown;
                 if best.as_ref().is_none_or(|b| expected.total_s() < b.expected.total_s()) {
                     best = Some(TransferPlan { strategy, decompress_cores_per_node: dcores, expected });
                 }
@@ -129,7 +129,8 @@ mod tests {
         let w = miranda();
         let base = PipelineOptions::default();
         let plan = planner.plan(&w, SiteId::Anvil, SiteId::Cori, &base);
-        let default_run = planner.orchestrator.run(&w, SiteId::Anvil, SiteId::Cori, Strategy::Compressed, &base);
+        let default_run =
+            planner.orchestrator.run(&w, SiteId::Anvil, SiteId::Cori, Strategy::Compressed, &base).breakdown;
         assert!(
             plan.expected.total_s() <= default_run.total_s() * 1.02,
             "planned {} vs default {}",

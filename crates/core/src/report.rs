@@ -22,7 +22,9 @@ pub struct TimeBreakdown {
 }
 
 impl TimeBreakdown {
-    /// Total end-to-end time (the paper's `Total T`).
+    /// The additive sum of the phases: the paper's `Total T`, and the end
+    /// of a staged run. A pipelined run's phases overlap, so this
+    /// double-counts it; its end is `PipelineOutcome::end_s`.
     pub fn total_s(&self) -> f64 {
         self.queue_wait_s + self.compression_s + self.grouping_s + self.transfer_s + self.decompression_s
     }

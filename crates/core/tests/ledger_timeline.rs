@@ -7,7 +7,7 @@
 
 use std::sync::OnceLock;
 
-use ocelot::orchestrator::{Orchestrator, PipelineOptions};
+use ocelot::orchestrator::{Orchestrator, PipelineOptions, Strategy};
 use ocelot::workload::Workload;
 use ocelot_netsim::{FaultModel, SiteId};
 use ocelot_obs::critpath::{attribute, Retries};
@@ -27,14 +27,13 @@ fn run_case(threads: usize, window: usize, wait: f64, faults: FaultModel, job: u
     let led = Ledger::detached();
     let opts = PipelineOptions {
         codec_threads: threads,
-        stream_window: window,
         wait_model: ocelot_faas::WaitTimeModel::Fixed(wait),
         faults,
         job: Some(job),
         ..PipelineOptions::default()
     };
     let orch = Orchestrator::paper().with_ledger(led.clone());
-    orch.run_streamed(workload(), SiteId::Bebop, SiteId::Cori, &opts);
+    orch.run(workload(), SiteId::Bebop, SiteId::Cori, Strategy::Pipelined { window }, &opts);
     let taken = led.take();
     let [schedule] = taken.as_slice() else { panic!("one schedule per run, got {}", taken.len()) };
     (schedule.events(), attribute(schedule, &Retries::NONE).report.stage_s)
@@ -135,12 +134,13 @@ fn fault_injected_run_names_retransmitted_chunks_and_causes() {
 
 #[test]
 fn fault_injection_slows_streamed_transfer_but_delivers_payload() {
-    let opts = |faults| PipelineOptions { codec_threads: 4, stream_window: 1, faults, ..PipelineOptions::default() };
+    let opts = |faults| PipelineOptions { codec_threads: 4, faults, ..PipelineOptions::default() };
+    let streamed = Strategy::Pipelined { window: 1 };
     // Window 1 serializes the wire, so any chunk's retransmitted partials
     // push every later release — the makespan must stretch.
     let orch = Orchestrator::paper();
-    let healthy = orch.run_streamed(workload(), SiteId::Anvil, SiteId::Bebop, &opts(FaultModel::none()));
-    let flaky = orch.run_streamed(workload(), SiteId::Anvil, SiteId::Bebop, &opts(FaultModel::flaky(0.3)));
+    let healthy = orch.run(workload(), SiteId::Anvil, SiteId::Bebop, streamed, &opts(FaultModel::none())).breakdown;
+    let flaky = orch.run(workload(), SiteId::Anvil, SiteId::Bebop, streamed, &opts(FaultModel::flaky(0.3))).breakdown;
     assert!(flaky.transfer_s > healthy.transfer_s, "flaky {} vs healthy {}", flaky.transfer_s, healthy.transfer_s);
     // Retransmitted partials are wasted wire bytes, not payload.
     assert_eq!(flaky.bytes_transferred, healthy.bytes_transferred);

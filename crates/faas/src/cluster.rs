@@ -34,33 +34,20 @@ impl Cluster {
     /// Makespan (seconds) of compressing files whose *reference-core*
     /// single-core costs are `work_s`, on `cores` cores of this cluster,
     /// with longest-processing-time-first assignment (each file is handled
-    /// by exactly one core, as in the paper's MPI compressor).
+    /// by exactly one core, as in the paper's MPI compressor): the latest of
+    /// [`Cluster::completion_times`].
     ///
     /// # Panics
     /// Panics if `cores == 0`.
     pub fn parallel_makespan(&self, work_s: &[f64], cores: usize) -> f64 {
-        assert!(cores > 0, "at least one core");
-        if work_s.is_empty() {
-            return 0.0;
-        }
-        let cores = cores.min(self.total_cores());
-        // LPT: sort descending, assign each to the least-loaded core.
-        let mut sorted: Vec<f64> = work_s.to_vec();
-        sorted.sort_by(|a, b| b.partial_cmp(a).unwrap_or(std::cmp::Ordering::Equal));
-        // Min-heap of core loads in integer nanoseconds for determinism.
-        let mut heap: BinaryHeap<Reverse<u64>> = (0..cores.min(sorted.len())).map(|_| Reverse(0u64)).collect();
-        for w in sorted {
-            let Reverse(load) = heap.pop().expect("heap non-empty");
-            let w_ns = (w.max(0.0) / self.core_speed * 1e9) as u64;
-            heap.push(Reverse(load + w_ns));
-        }
-        let max_ns = heap.into_iter().map(|Reverse(l)| l).max().unwrap_or(0);
-        max_ns as f64 * 1e-9
+        self.completion_times(work_s, cores).into_iter().fold(0.0, f64::max)
     }
 
-    /// Per-file completion times (seconds, input order) under the same LPT
-    /// schedule as [`Cluster::parallel_makespan`] — the release times a
-    /// pipelined transfer consumes (files leave compression one by one).
+    /// Per-file completion times (seconds, input order) under an LPT
+    /// schedule: files sorted by descending work, each assigned to the
+    /// least-loaded core, loads kept in integer nanoseconds for determinism
+    /// — the release times a pipelined transfer consumes (files leave
+    /// compression one by one).
     ///
     /// # Panics
     /// Panics if `cores == 0`.
@@ -91,10 +78,10 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
-        /// Both walk the same LPT schedule in integer nanoseconds, so the
-        /// last completion *is* the makespan, bit for bit — ties between
-        /// equal works and equally loaded cores included. Callers that hold
-        /// the completion times take their maximum instead of scheduling twice.
+        /// The makespan is the last completion of the one LPT schedule, bit
+        /// for bit — ties between equal works and equally loaded cores
+        /// included. Callers that hold the completion times take their
+        /// maximum instead of scheduling twice.
         #[test]
         fn makespan_is_the_latest_completion(
             work in prop::collection::vec(prop_oneof![Just(0.0), Just(2.5), 0.0f64..40.0], 0..200),

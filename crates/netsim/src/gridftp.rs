@@ -368,9 +368,9 @@ struct Active {
 mod reference {
     use super::*;
 
-    /// The pre-change window model: the fixpoint `Orchestrator::run_streamed`
-    /// used to wrap around the whole simulation, verbatim minus its 32-pass
-    /// cap.
+    /// The pre-change window model: the fixpoint the orchestrator's chunk
+    /// streaming used to wrap around the whole simulation, verbatim minus
+    /// its 32-pass cap.
     ///
     /// Its premise — "releasing later only delays completions" — holds only
     /// while files do not share bandwidth (`concurrency × per-file cap ≤

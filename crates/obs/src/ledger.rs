@@ -24,7 +24,7 @@
 //!   events, and the count branches on the same predicates, so the range
 //!   reserved is the range widened to. [`LedgerEvent`] stays the read type
 //!   ([`Schedule::events`], [`Ledger::drain`]). Measured on a 3 601-chunk
-//!   `run_streamed` (`core/tests/ledger_tax.rs`): ledger-on costs
+//!   streamed run (`core/tests/ledger_tax.rs`): ledger-on costs
 //!   ×0.98 – 1.05 of ledger-off, inside the 2 % instrumentation budget up to
 //!   timer noise.
 //! * **One way in.** [`Ledger::commit`] on a ledger handed to the emitter

@@ -566,7 +566,7 @@ fn cmd_simulate(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let (workload, from, to) = simulate_common(flags)?;
     let strategy = parse_strategy(flags)?;
     let orch = Orchestrator::paper();
-    let b = orch.run(&workload, from, to, strategy, &PipelineOptions::default());
+    let b = orch.run(&workload, from, to, strategy, &PipelineOptions::default()).breakdown;
     outln!("{from}->{to}: {} files, {:.1} GB on the wire", b.files_transferred, b.bytes_transferred as f64 / 1e9)?;
     outln!(
         "compress {:.1}s + group {:.1}s + transfer {:.1}s + decompress {:.1}s = total {:.1}s ({:.2} GB/s effective)",
@@ -585,7 +585,7 @@ fn cmd_plan(flags: &HashMap<String, String>) -> Result<(), CliError> {
     let planner = TransferPlanner::paper();
     let base = PipelineOptions::default();
     let plan = planner.plan(&workload, from, to, &base);
-    let np = Orchestrator::paper().run(&workload, from, to, Strategy::Direct, &base);
+    let np = Orchestrator::paper().run(&workload, from, to, Strategy::Direct, &base).breakdown;
     outln!("plan for {from}->{to}:")?;
     match plan.strategy {
         Strategy::CompressedGrouped { group_count: g } => outln!("  strategy: compress + group into {g} files")?,

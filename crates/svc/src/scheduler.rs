@@ -2,7 +2,7 @@
 //!
 //! [`Service::start`] spawns a pool of OS worker threads that pop jobs from
 //! the shared [`TenantQueue`] and drive each through
-//! [`ocelot::orchestrator::Orchestrator::run_detailed`]. The WAN may be
+//! [`ocelot::orchestrator::Orchestrator::run`]. The WAN may be
 //! faulty ([`ServiceConfig::faults`]); the *service* owns retries — every
 //! attempt runs with the fault model's in-transfer retries disabled
 //! (`max_retries: 0`), and files that fail are re-offered in later rounds
@@ -21,7 +21,7 @@ use crate::journal::{AlertRecord, Event, Journal};
 use crate::metrics::{throughput_bps, MetricsSnapshot, TenantStats};
 use crate::queue::{SubmitError, TenantQueue};
 use crate::retry::RetryPolicy;
-use ocelot::orchestrator::{Orchestrator, PipelineOptions, PipelineOutcome, Strategy};
+use ocelot::orchestrator::{Orchestrator, PipelineOptions, Strategy};
 use ocelot::workload::Workload;
 use ocelot_datagen::Application;
 use ocelot_netsim::{simulate_transfer_with_faults, FaultModel, GridFtpConfig};
@@ -77,8 +77,9 @@ pub struct ServiceConfig {
     pub codec_threads: usize,
     /// Bounded in-flight chunk window for streamed jobs (the CLI's
     /// `--stream-window` flag). `0` keeps the staged pipeline; `> 0` runs
-    /// [`Strategy::Compressed`] jobs through the streamed chunk pipeline
-    /// (compress → ship → decompress overlapped, faults injected per chunk).
+    /// [`Strategy::Compressed`] jobs as [`Strategy::Pipelined`] with this
+    /// window (compress → ship → decompress overlapped, faults injected per
+    /// chunk).
     pub stream_window: usize,
 }
 
@@ -727,37 +728,19 @@ fn process_job(shared: &Shared, id: JobId, spec: &JobSpec) -> JobReport {
         seed: job_seed,
         job: Some(id.0),
         codec_threads: cfg.codec_threads.max(1),
-        stream_window: cfg.stream_window,
         ..PipelineOptions::default()
     };
-    // With a stream window, plain compressed jobs run the streamed chunk
-    // pipeline, which injects `opts.faults` per chunk (every chunk arrives
-    // in the end); everything else keeps the staged fault-aware path.
-    let streamed = cfg.stream_window > 0 && matches!(spec.strategy, Strategy::Compressed);
-    let outcome = if streamed {
-        let breakdown = shared.orchestrator.run_streamed(&workload, spec.from, spec.to, &opts);
-        PipelineOutcome {
-            breakdown,
-            transfer_retries: 0,
-            failed_files: Vec::new(),
-            wasted_bytes: 0,
-            attempts: Vec::new(),
-            transfer_sizes: Vec::new(),
-        }
-    } else {
-        shared.orchestrator.run_detailed(&workload, spec.from, spec.to, spec.strategy, &opts)
+    // With a stream window, plain compressed jobs stream chunks, which
+    // injects `opts.faults` per chunk (every chunk arrives in the end);
+    // everything else keeps its strategy.
+    let strategy = match spec.strategy {
+        Strategy::Compressed if cfg.stream_window > 0 => Strategy::Pipelined { window: cfg.stream_window },
+        s => s,
     };
+    let outcome = shared.orchestrator.run(&workload, spec.from, spec.to, strategy, &opts);
+    shared.journal_state(id, &spec.tenant, outcome.transfer_begin_s, JobState::Transferring);
 
-    // Streamed transfer windows already cover queueing and compression on
-    // their critical path; the staged path accounts phases additively.
-    let pre_transfer_s = if streamed {
-        outcome.breakdown.queue_wait_s
-    } else {
-        outcome.breakdown.queue_wait_s + outcome.breakdown.compression_s + outcome.breakdown.grouping_s
-    };
-    shared.journal_state(id, &spec.tenant, pre_transfer_s, JobState::Transferring);
-
-    let mut t_s = if streamed { outcome.breakdown.transfer_s } else { pre_transfer_s + outcome.breakdown.transfer_s };
+    let mut t_s = outcome.transfer_end_s;
     let mut retries = outcome.transfer_retries as u32;
     let mut bytes_transferred = outcome.breakdown.bytes_transferred;
     let mut wasted_bytes = outcome.wasted_bytes;
@@ -1181,6 +1164,44 @@ mod tests {
     }
 
     #[test]
+    fn streamed_jobs_report_their_chunk_retries() {
+        let specs = || {
+            [
+                miranda_job("a"),
+                JobSpec::compressed("b", Application::Rtm, 1e-3, SiteId::Anvil, SiteId::Bebop),
+                JobSpec::compressed("a", Application::Miranda, 1e-3, SiteId::Bebop, SiteId::Cori),
+            ]
+        };
+        let run = |faults| {
+            let svc = Service::start(ServiceConfig { workers: 1, stream_window: 4, faults, ..Default::default() });
+            let ids: Vec<JobId> = specs().into_iter().map(|spec| svc.submit(spec).unwrap()).collect();
+            svc.drain();
+            let reports = svc.reports();
+            let by_id = |id: JobId| reports.iter().find(|r| r.job == id).unwrap().clone();
+            let rows: Vec<(JobReport, u64)> = ids
+                .iter()
+                .map(|&id| {
+                    let retransmits = svc.chunk_events(id).iter().filter(|e| e.event == EventKind::Retransmit).count();
+                    (by_id(id), retransmits as u64)
+                })
+                .collect();
+            (rows, svc.metrics(), svc.analyze().chunk_retries)
+        };
+        let (healthy, _, _) = run(FaultModel::none());
+        let (flaky, metrics, per_tenant) = run(FaultModel::flaky(0.3));
+        for ((h, _), (f, retransmits)) in healthy.iter().zip(&flaky) {
+            assert_eq!(f.state, JobState::Done, "every chunk arrives in the end");
+            assert_eq!(u64::from(f.retries), *retransmits, "job {}: report vs ledger", f.job.0);
+            assert_eq!(f.bytes_transferred, h.bytes_transferred, "job {}: the payload that landed", f.job.0);
+        }
+        let retries: u64 = flaky.iter().map(|(r, _)| u64::from(r.retries)).sum();
+        let wasted: u64 = flaky.iter().map(|(r, _)| r.wasted_bytes).sum();
+        assert!(retries > 0 && wasted > 0, "30% loss over many chunks re-sends some");
+        assert_eq!(retries, per_tenant.values().sum::<u64>(), "the ledger's retransmits");
+        assert_eq!((metrics.transfer_retries, metrics.wasted_bytes), (retries, wasted), "the service's counters");
+    }
+
+    #[test]
     fn chunk_store_keeps_the_newest_jobs_and_every_retransmit_count() {
         use ocelot_obs::ledger::Lifecycle;
         // One chunk that fails `retransmits` attempts before it lands:
@@ -1250,10 +1271,10 @@ mod tests {
             faults: FaultModel { max_retries: 0, ..cfg.faults },
             seed: cfg.seed,
             job: Some(id.0),
-            stream_window: cfg.stream_window,
             ..PipelineOptions::default()
         };
-        Orchestrator::paper().with_ledger(ledger.clone()).run_streamed(&workload, SiteId::Anvil, SiteId::Cori, &opts);
+        let strategy = Strategy::Pipelined { window: cfg.stream_window };
+        Orchestrator::paper().with_ledger(ledger.clone()).run(&workload, SiteId::Anvil, SiteId::Cori, strategy, &opts);
         let drained = ledger.drain();
         assert_eq!(drained.len(), events.len());
         let stampless = |e: &LedgerEvent| LedgerEvent { t_wall_us: 0, ..e.clone() };

@@ -68,7 +68,6 @@ fn measure() -> Vec<Case> {
                 let orch = Orchestrator::paper().with_ledger(ledger.clone());
                 let opts = PipelineOptions {
                     codec_threads: threads,
-                    stream_window: window,
                     wait_model: ocelot_faas::WaitTimeModel::Fixed(20.0),
                     sentinel,
                     faults,
@@ -77,9 +76,8 @@ fn measure() -> Vec<Case> {
                     ..PipelineOptions::default()
                 };
                 match strategy {
-                    Some(s) => drop(orch.run_detailed(&w, SiteId::Anvil, SiteId::Bebop, s, &opts)),
-                    None if window == 0 => drop(orch.run_overlapped(&w, SiteId::Anvil, SiteId::Bebop, &opts)),
-                    None => drop(orch.run_streamed(&w, SiteId::Anvil, SiteId::Bebop, &opts)),
+                    Some(s) => drop(orch.run(&w, SiteId::Anvil, SiteId::Bebop, s, &opts)),
+                    None => drop(orch.run(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Pipelined { window }, &opts)),
                 }
                 let taken = ledger.take();
                 let [schedule] = taken.as_slice() else { panic!("{kind}: one schedule per run, got {}", taken.len()) };

@@ -21,7 +21,7 @@ fn traced_phase_spans_sum_to_breakdown_within_one_percent() {
     let orch = Orchestrator::paper().with_ledger(ledger.clone());
     let workload = Workload::paper_default(Application::Miranda, 4).expect("workload");
     let opts = PipelineOptions { job: Some(42), ..PipelineOptions::default() };
-    let outcome = orch.run_detailed(&workload, SiteId::Anvil, SiteId::Cori, Strategy::Compressed, &opts);
+    let outcome = orch.run(&workload, SiteId::Anvil, SiteId::Cori, Strategy::Compressed, &opts);
 
     let taken = ledger.take();
     let [schedule] = taken.as_slice() else { panic!("one schedule per run, got {}", taken.len()) };

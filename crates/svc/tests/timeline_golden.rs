@@ -17,7 +17,7 @@ use ocelot_svc::{JobId, JobSpec, Service, ServiceConfig};
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/timeline.txt");
 const GOLDEN_FLAKY: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/timeline_flaky.txt");
 
-fn run_streamed(faults: FaultModel) -> (Vec<ocelot_obs::ledger::LedgerEvent>, Timeline) {
+fn streamed_job(faults: FaultModel) -> (Vec<ocelot_obs::ledger::LedgerEvent>, Timeline) {
     let cfg = ServiceConfig {
         workers: 1,
         codec_threads: 2,
@@ -48,7 +48,7 @@ fn check_golden(rendered: &str, path: &str) {
 
 #[test]
 fn timeline_rendering_matches_golden() {
-    let (events, tl) = run_streamed(FaultModel::none());
+    let (events, tl) = streamed_job(FaultModel::none());
     assert_eq!(tl.total_retries(), 0, "healthy link must not retransmit");
     let rendered = render_timeline(&tl);
     // Reconstruction and rendering are pure functions of the drained
@@ -61,7 +61,7 @@ fn timeline_rendering_matches_golden() {
 #[test]
 fn flaky_timeline_names_retransmitted_chunks_and_causes() {
     let faults = FaultModel { per_attempt_failure_prob: 0.002, max_retries: 3, reconnect_s: 1.0 };
-    let (_, tl) = run_streamed(faults);
+    let (_, tl) = streamed_job(faults);
     assert!(tl.total_retries() > 0, "seeded flaky link must retransmit at least one chunk");
     let rendered = render_timeline(&tl);
     // Fault attribution must survive rendering: the retransmit glyph and

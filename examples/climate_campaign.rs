@@ -26,10 +26,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let opts = PipelineOptions::default();
     let (from, to) = (SiteId::Anvil, SiteId::Cori);
 
-    let np = orch.run(&workload, from, to, Strategy::Direct, &opts);
+    let np = orch.run(&workload, from, to, Strategy::Direct, &opts).breakdown;
     println!("direct (NP):       transfer {:>7.1} s at {:.2} GB/s", np.transfer_s, np.effective_speed_bps() / 1e9);
 
-    let cp = orch.run(&workload, from, to, Strategy::Compressed, &opts);
+    let cp = orch.run(&workload, from, to, Strategy::Compressed, &opts).breakdown;
     println!(
         "compressed (CP):   compress {:.1} s + transfer {:.1} s + decompress {:.1} s = {:.1} s",
         cp.compression_s,
@@ -38,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cp.total_s()
     );
 
-    let op = orch.run(&workload, from, to, Strategy::grouped_by_count(2048), &opts);
+    let op = orch.run(&workload, from, to, Strategy::grouped_by_count(2048), &opts).breakdown;
     println!(
         "grouped (OP):      compress {:.1} s + group {:.1} s + transfer {:.1} s + decompress {:.1} s = {:.1} s",
         op.compression_s,

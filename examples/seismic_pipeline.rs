@@ -9,7 +9,6 @@
 
 use ocelot::orchestrator::{Orchestrator, PipelineOptions, Strategy};
 use ocelot::predictor::{AutoConfigurator, Requirement};
-use ocelot::sentinel::sentinel_total_s;
 use ocelot::workload::Workload;
 use ocelot_datagen::{Application, FieldSpec};
 use ocelot_faas::WaitTimeModel;
@@ -62,11 +61,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let without = orch.run(&workload, SiteId::Bebop, SiteId::Cori, Strategy::Compressed, &blocking);
     let direct = orch.run(&workload, SiteId::Bebop, SiteId::Cori, Strategy::Direct, &PipelineOptions::default());
     println!("\ntransfer under a 900 s node wait (Bebop -> Cori, 682 GB):");
-    println!("  direct, no compression:   {:>7.1} s", direct.total_s());
-    println!("  blocking compression:     {:>7.1} s (wait wasted)", without.total_s());
-    println!(
-        "  sentinel + compression:   {:>7.1} s (wait overlapped with raw transfer)",
-        sentinel_total_s(&with_sentinel)
-    );
+    println!("  direct, no compression:   {:>7.1} s", direct.end_s);
+    println!("  blocking compression:     {:>7.1} s (wait wasted)", without.end_s);
+    println!("  sentinel + compression:   {:>7.1} s (wait overlapped with raw transfer)", with_sentinel.end_s);
     Ok(())
 }

@@ -130,8 +130,8 @@ fn simulated_pipeline_agrees_with_workload_accounting() {
     let w = Workload::miranda(LossyConfig::sz3(1e-3), 24).expect("workload");
     let orch = Orchestrator::paper();
     let opts = PipelineOptions::default();
-    let np = orch.run(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Direct, &opts);
-    let cp = orch.run(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Compressed, &opts);
+    let np = orch.run(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Direct, &opts).breakdown;
+    let cp = orch.run(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Compressed, &opts).breakdown;
 
     // Transferred bytes must match the workload's own accounting exactly.
     assert_eq!(np.bytes_transferred, w.total_bytes());
@@ -147,8 +147,8 @@ fn grouped_pipeline_reduces_file_count_on_the_wire() {
     let w = Workload::miranda(LossyConfig::sz3(1e-3), 24).expect("workload");
     let orch = Orchestrator::paper();
     let opts = PipelineOptions::default();
-    let op = orch.run(&w, SiteId::Bebop, SiteId::Cori, Strategy::grouped_by_count(8), &opts);
+    let op = orch.run(&w, SiteId::Bebop, SiteId::Cori, Strategy::grouped_by_count(8), &opts).breakdown;
     assert_eq!(op.files_transferred, 8);
-    let cp = orch.run(&w, SiteId::Bebop, SiteId::Cori, Strategy::Compressed, &opts);
+    let cp = orch.run(&w, SiteId::Bebop, SiteId::Cori, Strategy::Compressed, &opts).breakdown;
     assert_eq!(op.bytes_transferred, cp.bytes_transferred, "grouping moves the same bytes in fewer files");
 }

@@ -83,8 +83,8 @@ fn control_plane_mission() {
     let plan = TransferPlanner::paper().plan(&workload, SiteId::Anvil, SiteId::Bebop, &base);
     assert_ne!(plan.strategy, Strategy::Direct, "the planner compresses");
     let orch = Orchestrator::paper();
-    let direct = orch.run(&workload, SiteId::Anvil, SiteId::Bebop, Strategy::Direct, &base);
-    let planned = orch.run(&workload, SiteId::Anvil, SiteId::Bebop, plan.strategy, &base);
+    let direct = orch.run(&workload, SiteId::Anvil, SiteId::Bebop, Strategy::Direct, &base).breakdown;
+    let planned = orch.run(&workload, SiteId::Anvil, SiteId::Bebop, plan.strategy, &base).breakdown;
     assert!(
         planned.total_s() < direct.total_s(),
         "planned {:.1}s must beat direct {:.1}s",
