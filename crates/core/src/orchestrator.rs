@@ -22,7 +22,7 @@ use std::sync::Arc;
 use crate::grouping::plan_groups_by_count;
 use crate::report::TimeBreakdown;
 use crate::sentinel;
-use crate::workload::Workload;
+use crate::workload::{codec_speedup, Phase, Workload};
 
 /// Transfer strategy (the NP / CP / OP columns of Table VIII, and the
 /// pipelined compressed transfer).
@@ -121,25 +121,24 @@ impl Default for PipelineOptions {
     }
 }
 
-/// Chunk-parallel speedup model: near-linear with a small serial fraction
-/// (chunk table assembly, framing, and the final checksum do not
-/// parallelize). The fraction is an assumed constant, not a measurement:
-/// it gives 97 % two-thread efficiency where the benchmark's
-/// `par_eff_enc` / `par_eff_dec` read ≈ 0.71 / 0.81 (ROADMAP item 2(c)).
-fn codec_speedup(threads: usize) -> f64 {
-    let t = threads.max(1) as f64;
-    t / (1.0 + CODEC_SERIAL_FRACTION * (t - 1.0))
-}
-
-/// Serial fraction of a chunk-parallel (de)compression task.
-const CODEC_SERIAL_FRACTION: f64 = 0.03;
-
-/// Scales per-file work by the codec speedup and returns the lane count
-/// (cores ÷ threads-per-file) those files run on.
-fn codec_scaled(work: &[f64], total_cores: usize, codec_threads: usize) -> (Vec<f64>, usize) {
-    let t = codec_threads.max(1);
-    let scaled = work.iter().map(|w| w / codec_speedup(t)).collect();
-    (scaled, (total_cores / t).max(1))
+/// The transfer units of a staged compressed strategy and the seconds
+/// grouping them costs: the compressed files as they are, or packed into
+/// `group_count` group files, each written by one writer (MPI ranks
+/// coordinate offsets); the cost is that write less the every-core write
+/// the compression phase already charged.
+pub(crate) fn transfer_units(
+    strategy: Strategy,
+    comp_sizes: &[u64],
+    src: &Site,
+    comp_cluster: &Cluster,
+) -> (Vec<u64>, f64) {
+    let Strategy::CompressedGrouped { group_count } = strategy else { return (comp_sizes.to_vec(), 0.0) };
+    let plan = plan_groups_by_count(comp_sizes.len(), group_count);
+    let grouped: Vec<u64> = plan.iter().map(|g| g.iter().map(|&i| comp_sizes[i]).sum()).collect();
+    let total: u64 = grouped.iter().sum();
+    let t = src.fs.write_time_s(total, grouped.len().max(1))
+        - src.fs.write_time_s(total, comp_cluster.total_cores().max(1));
+    (grouped, t.max(0.0))
 }
 
 /// The destination cluster decodes run on: `decompress_nodes` nodes of at
@@ -157,10 +156,13 @@ struct Releases<'a> {
     src: &'a Site,
     dst: &'a Site,
     wait_s: f64,
-    /// Codec-scaled compression work per file.
-    work: Vec<f64>,
-    /// When each file's compression finishes on the source cluster.
-    completions: Vec<f64>,
+    /// Compression work per file, before the codec speedup.
+    work: &'a [f64],
+    /// The codec speedup each file's compression runs at.
+    speedup: f64,
+    /// When each file's compression finishes on the source cluster: the
+    /// workload's memoized schedule.
+    completions: Arc<[f64]>,
     /// The last file to finish: the LPT makespan.
     makespan: f64,
     /// Source reads throttle the start of the pipeline; approximated by
@@ -174,6 +176,11 @@ impl Releases<'_> {
     /// seconds of compute: after the queue wait, stretched by the reads.
     fn at(&self, compute_s: f64) -> f64 {
         self.wait_s + compute_s * (1.0 + self.stretch)
+    }
+
+    /// Seconds file `i`'s codec-scaled compression occupies its lane.
+    fn duration(&self, i: usize) -> f64 {
+        (self.work[i] / self.speedup).max(0.0) / self.src.core_speed
     }
 }
 
@@ -351,22 +358,7 @@ impl Orchestrator {
                 _ => {
                     let comp_cluster = Cluster::new(opts.compress_nodes, src.cores_per_node, src.core_speed);
                     let compression_s = self.compression_time(workload, src, &comp_cluster, opts.codec_threads);
-                    // Transfer sizes depend on grouping.
-                    let comp_sizes = workload.compressed_sizes();
-                    let (sizes, grouping_s) = match strategy {
-                        Strategy::CompressedGrouped { group_count } => {
-                            let plan = plan_groups_by_count(comp_sizes.len(), group_count);
-                            let grouped: Vec<u64> =
-                                plan.iter().map(|g| g.iter().map(|&i| comp_sizes[i]).sum()).collect();
-                            // Grouping cost: the group files are written by
-                            // one writer each (MPI ranks coordinate offsets).
-                            let total: u64 = grouped.iter().sum();
-                            let t = src.fs.write_time_s(total, grouped.len().max(1))
-                                - src.fs.write_time_s(total, comp_cluster.total_cores().max(1));
-                            (grouped, t.max(0.0))
-                        }
-                        _ => (comp_sizes, 0.0),
-                    };
+                    let (sizes, grouping_s) = transfer_units(strategy, workload.compressed(), src, &comp_cluster);
                     let decomp_cluster = destination_cluster(dst, opts);
                     let decompression_s = self.decompression_time(workload, dst, &decomp_cluster, opts.codec_threads);
                     (sizes, [wait_s, compression_s, grouping_s, decompression_s])
@@ -434,13 +426,17 @@ impl Orchestrator {
     }
 
     /// The release prelude both pipelined modes share.
-    fn releases(&self, workload: &Workload, from: SiteId, to: SiteId, opts: &PipelineOptions) -> Releases<'_> {
+    fn releases<'a>(
+        &'a self,
+        workload: &'a Workload,
+        from: SiteId,
+        to: SiteId,
+        opts: &PipelineOptions,
+    ) -> Releases<'a> {
         let src = self.topology.site(from);
         let dst = self.topology.site(to);
         let comp_cluster = Cluster::new(opts.compress_nodes, src.cores_per_node, src.core_speed);
-        let (work, lanes) = codec_scaled(&workload.compression_work(), comp_cluster.total_cores(), opts.codec_threads);
-        let completions = comp_cluster.completion_times(&work, lanes);
-        let makespan = completions.iter().cloned().fold(0.0f64, f64::max);
+        let (completions, makespan) = workload.completion_times(Phase::Compress, &comp_cluster, opts.codec_threads);
         let read_s = src.fs.read_time_s(workload.total_bytes(), comp_cluster.total_cores());
         let stretch = if makespan > 0.0 { (read_s / makespan).max(0.0) } else { 0.0 };
         Releases {
@@ -448,7 +444,8 @@ impl Orchestrator {
             src,
             dst,
             wait_s: opts.wait_model.sample(opts.seed, 0),
-            work,
+            work: workload.work(Phase::Compress),
+            speedup: codec_speedup(opts.codec_threads),
             completions,
             makespan,
             stretch,
@@ -475,7 +472,7 @@ impl Orchestrator {
         // disk, so feed the simulation release-sorted (otherwise an early
         // slot in the submission order with a late release would block the
         // control channel head-of-line).
-        let sizes = workload.compressed_sizes();
+        let sizes = workload.compressed();
         let mut order: Vec<usize> = (0..sizes.len()).collect();
         order.sort_by(|&a, &b| releases[a].partial_cmp(&releases[b]).expect("finite releases"));
         let sorted_sizes: Vec<u64> = order.iter().map(|&i| sizes[i]).collect();
@@ -517,7 +514,7 @@ impl Orchestrator {
                 .iter()
                 .zip(&sorted_releases)
                 .map(|(&i, &enc)| {
-                    let dur = run.work[i].max(0.0) / run.src.core_speed;
+                    let dur = run.duration(i);
                     (enc - dur * (1.0 + run.stretch)).max(wait_s).min(enc)
                 })
                 .collect(),
@@ -554,7 +551,7 @@ impl Orchestrator {
         window: usize,
         opts: &PipelineOptions,
     ) -> PipelineOutcome {
-        let sizes = workload.compressed_sizes();
+        let sizes = workload.compressed();
         let run = self.releases(workload, from, to, opts);
         let (wait_s, makespan) = (run.wait_s, run.makespan);
 
@@ -564,7 +561,7 @@ impl Orchestrator {
         // (ready, payload bytes, file, chunk index, compress-begin)
         let mut chunks: Vec<(f64, u64, u32, u32, f64)> = Vec::with_capacity(sizes.len() * k);
         for (i, &size) in sizes.iter().enumerate() {
-            let dur = run.work[i].max(0.0) / run.src.core_speed;
+            let dur = run.duration(i);
             let base = size / k as u64;
             let rem = (size % k as u64) as usize;
             for j in 0..k {
@@ -621,7 +618,7 @@ impl Orchestrator {
 
         // Decompress each chunk on arrival: greedy least-loaded destination
         // core, gated on the chunk's landing time.
-        let dwork = workload.decompression_work();
+        let dwork = workload.work(Phase::Decompress);
         // Decode work follows the chunks in arrival (ready-sorted) order, so
         // each decode duration pairs with its own chunk's landing time.
         let dchunk: Vec<f64> =
@@ -694,12 +691,12 @@ impl Orchestrator {
 
     /// Compression phase: compute makespan overlapped with source reads,
     /// plus writing the compressed output. Each file runs on
-    /// `codec_threads` chunk-parallel cores (one simulated lane).
+    /// `codec_threads` chunk-parallel cores (one simulated lane); the
+    /// makespan is the workload's memoized schedule.
     pub fn compression_time(&self, workload: &Workload, src: &Site, cluster: &Cluster, codec_threads: usize) -> f64 {
-        let (work, lanes) = codec_scaled(&workload.compression_work(), cluster.total_cores(), codec_threads);
-        let makespan = cluster.parallel_makespan(&work, lanes);
+        let makespan = workload.makespan(Phase::Compress, cluster, codec_threads);
         let read = src.fs.read_time_s(workload.total_bytes(), cluster.total_cores());
-        let comp_total: u64 = workload.compressed_sizes().iter().sum();
+        let comp_total: u64 = workload.compressed().iter().sum();
         // Every core writes its own output; a grouped run's group write is
         // accounted separately, as `grouping_s`.
         makespan.max(read) + src.fs.write_time_s(comp_total, cluster.total_cores().max(1))
@@ -707,11 +704,11 @@ impl Orchestrator {
 
     /// Decompression phase: compute makespan overlapped with compressed-file
     /// reads, plus the contended write of the restored data (Fig 9). Chunked
-    /// blobs decode on `codec_threads` cores per file.
+    /// blobs decode on `codec_threads` cores per file; the makespan is the
+    /// workload's memoized schedule.
     pub fn decompression_time(&self, workload: &Workload, dst: &Site, cluster: &Cluster, codec_threads: usize) -> f64 {
-        let (work, lanes) = codec_scaled(&workload.decompression_work(), cluster.total_cores(), codec_threads);
-        let makespan = cluster.parallel_makespan(&work, lanes);
-        let comp_total: u64 = workload.compressed_sizes().iter().sum();
+        let makespan = workload.makespan(Phase::Decompress, cluster, codec_threads);
+        let comp_total: u64 = workload.compressed().iter().sum();
         let read = dst.fs.read_time_s(comp_total, cluster.total_cores());
         makespan.max(read) + dst.fs.write_time_s(workload.total_bytes(), cluster.total_cores())
     }
@@ -1207,6 +1204,52 @@ mod tests {
             .sum();
         assert!(delivered_retries > 0);
         assert_eq!(at(EventKind::Retransmit).count(), delivered_retries as usize);
+    }
+
+    #[test]
+    fn warm_runs_equal_cold_runs() {
+        // The first run on a workload schedules its phases; later runs, and
+        // runs on a clone, read the memo. Neither may change an outcome or
+        // a committed schedule.
+        let pristine = miranda();
+        let kinds = [
+            (Strategy::Direct, false),
+            (Strategy::Compressed, false),
+            (Strategy::grouped_by_count(8), false),
+            (Strategy::Compressed, true),
+            (Strategy::grouped_by_count(8), true),
+            (Strategy::Pipelined { window: 0 }, false),
+            (Strategy::Pipelined { window: 1 }, false),
+            (Strategy::Pipelined { window: 8 }, false),
+        ];
+        let wait_model = ocelot_faas::WaitTimeModel::Fixed(20.0);
+        for faults in [FaultModel::none(), FaultModel::flaky(0.3)] {
+            for (strategy, sentinel) in kinds {
+                let cell = format!("{strategy:?}, sentinel {sentinel}, p {}", faults.per_attempt_failure_prob);
+                let opts =
+                    PipelineOptions { faults, sentinel, wait_model, seed: 7, job: Some(1), ..Default::default() };
+                let run = |w: &Workload| {
+                    let led = Ledger::detached();
+                    let out = Orchestrator::paper().with_ledger(led.clone()).run(
+                        w,
+                        SiteId::Anvil,
+                        SiteId::Bebop,
+                        strategy,
+                        &opts,
+                    );
+                    let mut events = led.drain();
+                    events.iter_mut().for_each(|e| e.t_wall_us = 0);
+                    (out, events)
+                };
+                let w = pristine.clone();
+                let cold = run(&w);
+                let warm = run(&w);
+                let cloned = run(&w.clone());
+                assert!(!cold.1.is_empty(), "{cell}: a run with a job commits a schedule");
+                assert_eq!(cold, warm, "{cell}: warm run");
+                assert_eq!(cold, cloned, "{cell}: run on a clone");
+            }
+        }
     }
 
     #[test]

@@ -12,7 +12,7 @@
 use ocelot_faas::Cluster;
 use ocelot_netsim::{simulate_transfer, simulate_transfer_with_faults, FaultModel, FaultyTransferReport, SiteId};
 
-use crate::orchestrator::{destination_cluster, Orchestrator, PipelineOptions, Strategy};
+use crate::orchestrator::{destination_cluster, transfer_units, Orchestrator, PipelineOptions, Strategy};
 use crate::report::TimeBreakdown;
 use crate::workload::Workload;
 
@@ -54,21 +54,14 @@ pub(crate) fn run_with_wait(
         return (breakdown, raw_sizes, wire);
     }
 
-    // Remaining files go through the compression pipeline.
-    let remaining = workload_suffix(workload, done);
+    // Remaining files go through the compression pipeline (grouped, when
+    // the strategy groups, at the same cost as a staged run's grouping).
+    let remaining = workload.suffix(done);
     let src = orch.topology().site(from);
     let dst = orch.topology().site(to);
     let comp_cluster = Cluster::new(opts.compress_nodes, src.cores_per_node, src.core_speed);
     let compression_s = orch.compression_time(&remaining, src, &comp_cluster, opts.codec_threads);
-
-    let comp_sizes = remaining.compressed_sizes();
-    let sizes: Vec<u64> = match strategy {
-        Strategy::CompressedGrouped { group_count } => {
-            let plan = crate::grouping::plan_groups_by_count(comp_sizes.len(), group_count);
-            plan.iter().map(|g| g.iter().map(|&i| comp_sizes[i]).sum()).collect()
-        }
-        _ => comp_sizes,
-    };
+    let (sizes, grouping_s) = transfer_units(strategy, remaining.compressed(), src, &comp_cluster);
     let wire = simulate_transfer_with_faults(&sizes, &route.link, &opts.gridftp, &FaultModel::none(), opts.seed ^ 1);
     let report = wire.report;
 
@@ -81,11 +74,12 @@ pub(crate) fn run_with_wait(
         // so it is not added on top; it appears as the sentinel window.
         queue_wait_s: wait_s,
         compression_s,
-        grouping_s: 0.0,
+        grouping_s,
         transfer_s: report.duration_s,
         decompression_s,
         bytes_transferred: raw_bytes_done + report.bytes_total,
-        files_transferred: raw_sizes.len(),
+        // The raw files sent before the switchover, then the transfer units.
+        files_transferred: done + sizes.len(),
     };
     (breakdown, sizes, wire)
 }
@@ -118,16 +112,6 @@ fn files_done_by(
         }
     }
     lo
-}
-
-/// A workload restricted to files `skip..`.
-fn workload_suffix(workload: &Workload, skip: usize) -> Workload {
-    Workload {
-        app: workload.app,
-        config: workload.config,
-        files: workload.files[skip.min(workload.files.len())..].to_vec(),
-        profiles: workload.profiles.clone(),
-    }
 }
 
 #[cfg(test)]
@@ -178,6 +162,36 @@ mod tests {
         assert!(b_sent.end_s <= b_block.end_s + 1.0, "sentinel {} vs blocking {}", b_sent.end_s, b_block.end_s);
         // The sentinel window moved real bytes.
         assert!(b_sent.breakdown.bytes_transferred > 0);
+    }
+
+    #[test]
+    fn grouped_sentinel_run_charges_grouping_and_counts_transfer_units() {
+        // The suffix compresses and groups as a staged run of it would: the
+        // same grouping cost, and the raw files sent before the switchover
+        // plus the eight groups crossed the WAN.
+        let orch = Orchestrator::paper();
+        let w = miranda();
+        let opts = opts_with_wait(20.0);
+        let b = orch.run(&w, SiteId::Anvil, SiteId::Bebop, Strategy::grouped_by_count(8), &opts).breakdown;
+        let link = &orch.topology().route(SiteId::Anvil, SiteId::Bebop).link;
+        let done = files_done_by(&w.raw_sizes(), link, &opts.gridftp, opts.seed, 20.0);
+        assert!(done > 0 && done < w.file_count(), "the switchover falls inside the workload: {done}");
+        let staged_suffix = orch
+            .run(
+                &w.suffix(done),
+                SiteId::Anvil,
+                SiteId::Bebop,
+                Strategy::grouped_by_count(8),
+                &PipelineOptions::default(),
+            )
+            .breakdown;
+        assert!(b.grouping_s > 0.0);
+        assert_eq!(b.grouping_s.to_bits(), staged_suffix.grouping_s.to_bits());
+        assert_eq!(b.files_transferred, done + 8);
+        // An ungrouped sentinel run still counts every file once.
+        let c = orch.run(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Compressed, &opts).breakdown;
+        assert_eq!(c.grouping_s, 0.0);
+        assert_eq!(c.files_transferred, w.file_count());
     }
 
     #[test]

@@ -109,7 +109,7 @@ proptest! {
         // Miranda file into at this thread count (window > 0), or one
         // file-grain track each (window 0 → overlapped path).
         let k = if window == 0 { 1 } else { ChunkLayout::plan(&[256, 384, 384], threads, None).n_chunks() };
-        prop_assert_eq!(tl.tracks.len(), workload().files.len() * k);
+        prop_assert_eq!(tl.tracks.len(), workload().file_count() * k);
     }
 }
 
