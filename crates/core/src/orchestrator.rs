@@ -14,7 +14,7 @@ use ocelot_netsim::{
     draw_faults, simulate_transfer_detailed, simulate_transfer_windowed, simulate_transfer_with_faults, FaultModel,
     GridFtpConfig, LinkProfile, Site, SiteId, Topology,
 };
-use ocelot_obs::ledger::{Ledger, Lifecycle, Schedule};
+use ocelot_obs::ledger::{Lifecycle, Schedule};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
@@ -87,10 +87,10 @@ pub struct PipelineOptions {
     pub faults: FaultModel,
     /// Seed for waiting times and link jitter.
     pub seed: u64,
-    /// Job id the run's schedule is committed under, when the orchestrator
-    /// has a ledger ([`Orchestrator::with_ledger`]); every strategy commits
-    /// one. `None` for jobless runs such as sweeps and profiling, which
-    /// commit nothing.
+    /// Job id the run's schedule is filed under: every strategy hands a run
+    /// with a job its schedule back in [`PipelineOutcome::schedule`].
+    /// `None` for jobless runs such as sweeps and profiling, which build
+    /// none.
     pub job: Option<u64>,
     /// Chunk-parallel codec threads per file (the compressor's
     /// `LossyConfig::threads` knob). Each simulated compression lane then
@@ -215,6 +215,12 @@ pub struct PipelineOutcome {
     /// `failed_files` and `attempts`, which lets callers re-offer exactly
     /// the abandoned payloads.
     pub transfer_sizes: Vec<u64>,
+    /// The run's one timing record, when [`PipelineOptions::job`] names a
+    /// job: its instants are this outcome's, its rows every transfer unit
+    /// that arrived (a streamed run's chunks, by move). The caller completes
+    /// it — a service adds its retry rounds with
+    /// [`Schedule::with_rounds`] — and commits it to its ledger.
+    pub schedule: Option<Schedule>,
 }
 
 impl PipelineOutcome {
@@ -229,13 +235,12 @@ impl PipelineOutcome {
 pub struct Orchestrator {
     topology: Topology,
     obs: ocelot_obs::Obs,
-    ledger: Option<Arc<Ledger>>,
 }
 
 impl Orchestrator {
     /// Creates an orchestrator over a topology.
     pub fn new(topology: Topology) -> Self {
-        Orchestrator { topology, obs: ocelot_obs::Obs::disabled(), ledger: None }
+        Orchestrator { topology, obs: ocelot_obs::Obs::disabled() }
     }
 
     /// The paper's calibrated three-site testbed.
@@ -253,14 +258,6 @@ impl Orchestrator {
     /// The observability handle this orchestrator records into.
     pub fn obs(&self) -> &ocelot_obs::Obs {
         &self.obs
-    }
-
-    /// Attaches a chunk-lifecycle ledger: every run with a
-    /// [`PipelineOptions::job`] commits exactly one schedule to it, the
-    /// run's one timing record. Without one, no schedule is built.
-    pub fn with_ledger(mut self, ledger: Arc<Ledger>) -> Self {
-        self.ledger = Some(ledger);
-        self
     }
 
     /// The topology in use.
@@ -309,17 +306,16 @@ impl Orchestrator {
         outcome
     }
 
-    /// Commits a run's schedule when the run has a job and the orchestrator
-    /// a ledger: the unit columns `units` builds, under the outcome's
-    /// instants, with the run's compression and grouping phases.
-    fn commit(
-        &self,
+    /// A run's schedule when the run has a job: the unit columns `units`
+    /// builds, under the outcome's instants, with the run's compression and
+    /// grouping phases.
+    fn schedule(
         opts: &PipelineOptions,
         out: &PipelineOutcome,
         phases: [(f64, f64); 2],
         units: impl FnOnce() -> Lifecycle,
-    ) {
-        let (Some(job), Some(led)) = (opts.job, &self.ledger) else { return };
+    ) -> Option<Schedule> {
+        let job = opts.job?;
         let run = Lifecycle {
             job,
             transfer_begin_s: out.transfer_begin_s,
@@ -327,7 +323,7 @@ impl Orchestrator {
             total_s: out.end_s,
             ..units()
         };
-        led.commit(Schedule::new(run).with_phases(phases[0], phases[1]));
+        Some(Schedule::new(run).with_phases(phases[0], phases[1]))
     }
 
     /// A staged run: the phases laid end to end as the breakdown (and the
@@ -381,7 +377,7 @@ impl Orchestrator {
         let encoded = b.queue_wait_s + b.compression_s;
         let open = encoded + b.grouping_s;
         let shut = open + b.transfer_s;
-        let out = PipelineOutcome {
+        let mut out = PipelineOutcome {
             breakdown: b,
             transfer_begin_s: open,
             transfer_end_s: shut,
@@ -391,8 +387,9 @@ impl Orchestrator {
             wasted_bytes: wire.wasted_bytes,
             attempts: wire.attempts,
             transfer_sizes: sizes,
+            schedule: None,
         };
-        self.commit(opts, &out, [(b.queue_wait_s, encoded), (encoded, open)], || {
+        out.schedule = Self::schedule(opts, &out, [(b.queue_wait_s, encoded), (encoded, open)], || {
             let mut lost = vec![false; out.transfer_sizes.len()];
             for &i in &out.failed_files {
                 lost[i] = true;
@@ -484,7 +481,7 @@ impl Orchestrator {
         let decompression_s = self.decompression_time(workload, run.dst, &run.decomp_cluster, opts.codec_threads);
 
         let transfer_s = report.duration_s;
-        let out = PipelineOutcome {
+        let mut out = PipelineOutcome {
             breakdown: TimeBreakdown {
                 queue_wait_s: wait_s,
                 compression_s: run.makespan,
@@ -502,11 +499,12 @@ impl Orchestrator {
             wasted_bytes: 0,
             attempts: vec![1; order.len()],
             transfer_sizes: sorted_sizes,
+            schedule: None,
         };
         // At file grain (chunk 0 of every file, in wire order). Every file
         // is released the moment it is encoded, and batch decompression
         // starts when the whole transfer lands: early arrivals wait for it.
-        self.commit(opts, &out, [(wait_s, run.at(run.makespan)), (0.0, 0.0)], || Lifecycle {
+        out.schedule = Self::schedule(opts, &out, [(wait_s, run.at(run.makespan)), (0.0, 0.0)], || Lifecycle {
             file: order.iter().map(|&i| i as u32).collect(),
             chunk: vec![0; order.len()],
             bytes: out.transfer_sizes.clone(),
@@ -648,7 +646,7 @@ impl Orchestrator {
                 failed.len() as u64,
             );
         }
-        let out = PipelineOutcome {
+        let mut out = PipelineOutcome {
             breakdown: TimeBreakdown {
                 queue_wait_s: wait_s,
                 compression_s: makespan,
@@ -669,10 +667,11 @@ impl Orchestrator {
             wasted_bytes: wasted,
             attempts,
             transfer_sizes: payload.clone(),
+            schedule: None,
         };
         // The schedule itself, handed over by move. Its events are derived
         // from these columns when someone reads them.
-        self.commit(opts, &out, [(wait_s, run.at(makespan)), (0.0, 0.0)], || Lifecycle {
+        out.schedule = Self::schedule(opts, &out, [(wait_s, run.at(makespan)), (0.0, 0.0)], || Lifecycle {
             file,
             chunk,
             bytes: payload,
@@ -717,7 +716,7 @@ impl Orchestrator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ocelot_obs::ledger::{EventKind, LedgerEvent};
+    use ocelot_obs::ledger::{EventKind, Ledger, LedgerEvent};
     use ocelot_sz::LossyConfig;
 
     fn miranda() -> Workload {
@@ -949,13 +948,11 @@ mod tests {
         // shipped before, or held after, the landing one window ahead.
         const W: usize = 8;
         let w = Workload::rtm(ocelot_sz::LossyConfig::sz3(1e-3), 8).unwrap();
-        let led = ocelot_obs::ledger::Ledger::detached();
-        let orch = Orchestrator::paper().with_ledger(led.clone());
         let opts = PipelineOptions { job: Some(1), ..Default::default() };
-        orch.run(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Pipelined { window: W }, &opts);
+        let out = Orchestrator::paper().run(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Pipelined { window: W }, &opts);
         // Chunks are emitted in wire order, one causal chain each.
         let (mut ready, mut release, mut landed) = (Vec::new(), Vec::new(), Vec::new());
-        for e in led.drain() {
+        for e in out.schedule.expect("a run with a job has a schedule").events() {
             match e.event {
                 EventKind::Encoded => ready.push(e.t_sim),
                 EventKind::Released => release.push(e.t_sim),
@@ -1027,7 +1024,7 @@ mod tests {
         // the ranges stay aligned from job to job only while reserved ==
         // replayed.
         let adopted = Ledger::with_obs_and_capacity(&ocelot_obs::Obs::disabled(), usize::MAX);
-        let orch = Orchestrator::paper().with_obs(ocelot_obs::Obs::disabled()).with_ledger(adopted.clone());
+        let orch = Orchestrator::paper();
         let (mut total, mut largest, mut job, mut next_seq) = (0, 0, 0u64, 1u64);
         for (app, w) in workloads.iter().enumerate() {
             for window in [0usize, 1, 8, 64] {
@@ -1042,7 +1039,8 @@ mod tests {
                             ..Default::default()
                         };
                         let cell = format!("app {app}, window {window}, p {p}, job {job}");
-                        orch.run(w, from, to, Strategy::Pipelined { window }, &opts);
+                        let out = orch.run(w, from, to, Strategy::Pipelined { window }, &opts);
+                        adopted.commit(out.schedule.expect("a run with a job has a schedule"));
                         let taken = adopted.take();
                         let [schedule] = taken.as_slice() else {
                             panic!("{cell}: one pipelined job commits one schedule, got {}", taken.len())
@@ -1071,16 +1069,13 @@ mod tests {
 
     #[test]
     fn streamed_run_commits_stalls_on_the_critical_path() {
-        use ocelot_obs::critpath::{attribute, Retries, Stage};
-        let led = Ledger::detached();
-        let orch = Orchestrator::paper().with_ledger(led.clone());
+        use ocelot_obs::critpath::{attribute, Stage};
+        let orch = Orchestrator::paper();
         let w = Workload::rtm(ocelot_sz::LossyConfig::sz3(1e-2), 24).unwrap();
         // A tight window over a slow route forces back-pressure stalls.
         let opts = PipelineOptions { codec_threads: 4, job: Some(42), ..Default::default() };
         let out = orch.run(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Pipelined { window: 1 }, &opts);
-        let taken = led.take();
-        let [schedule] = taken.as_slice() else { panic!("one schedule per run, got {}", taken.len()) };
-        let report = attribute(schedule, &Retries::NONE).report;
+        let report = attribute(out.schedule.as_ref().expect("a run with a job has a schedule")).report;
         assert!(report.stage(Stage::Stall) > 0.0, "stall time must be attributed distinctly");
         assert_eq!(report.stage(Stage::Compress), 0.0, "compression hides behind the wire");
         let sum: f64 = report.stage_s.iter().sum();
@@ -1092,10 +1087,9 @@ mod tests {
 
     #[test]
     fn outcome_instants_are_the_committed_schedules_in_every_mode() {
-        use ocelot_obs::critpath::{attribute, Retries};
+        use ocelot_obs::critpath::attribute;
         let w = miranda();
-        let led = Ledger::detached();
-        let orch = Orchestrator::paper().with_ledger(led.clone());
+        let orch = Orchestrator::paper();
         let kinds = [
             (Strategy::Direct, false),
             (Strategy::Compressed, false),
@@ -1114,13 +1108,13 @@ mod tests {
                     PipelineOptions { faults, sentinel, wait_model, seed: job, job: Some(job), ..Default::default() };
                 let out = orch.run(&w, SiteId::Anvil, SiteId::Bebop, strategy, &opts);
                 let cell = format!("{strategy:?}, sentinel {sentinel}, p {}", faults.per_attempt_failure_prob);
-                let taken = led.take();
-                let [schedule] = taken.as_slice() else { panic!("{cell}: one schedule, got {}", taken.len()) };
+                let schedule =
+                    out.schedule.as_ref().unwrap_or_else(|| panic!("{cell}: a run with a job has a schedule"));
                 let run = schedule.lifecycle();
                 assert_eq!(out.transfer_begin_s.to_bits(), run.transfer_begin_s.to_bits(), "{cell}");
                 assert_eq!(out.transfer_end_s.to_bits(), run.transfer_end_s.to_bits(), "{cell}");
                 assert_eq!(out.end_s.to_bits(), run.total_s.to_bits(), "{cell}");
-                let path = attribute(schedule, &Retries::NONE).report.critical_path_s;
+                let path = attribute(schedule).report.critical_path_s;
                 assert!((out.end_s - path).abs() <= 1e-6, "{cell}: end {} vs critical path {path}", out.end_s);
                 if !matches!(strategy, Strategy::Pipelined { .. }) {
                     assert_eq!(out.end_s.to_bits(), out.breakdown.total_s().to_bits(), "{cell}: staged phases add up");
@@ -1138,11 +1132,10 @@ mod tests {
 
     #[test]
     fn staged_schedule_lays_the_breakdown_end_to_end() {
-        use ocelot_obs::critpath::{attribute, Retries, Stage};
+        use ocelot_obs::critpath::{attribute, Stage};
         use ocelot_obs::ledger::check_causality;
         let w = miranda();
-        let led = Ledger::detached();
-        let orch = Orchestrator::paper().with_ledger(led.clone());
+        let orch = Orchestrator::paper();
         let wait = ocelot_faas::WaitTimeModel::Fixed(20.0);
         let mut job = 0;
         for strategy in [Strategy::Direct, Strategy::Compressed, Strategy::grouped_by_count(8)] {
@@ -1154,13 +1147,13 @@ mod tests {
                 let outcome = orch.run(&w, SiteId::Anvil, SiteId::Bebop, strategy, &opts);
                 let b = outcome.breakdown;
                 let cell = format!("{strategy:?}, p {}, sentinel {sentinel}", faults.per_attempt_failure_prob);
-                let taken = led.take();
-                let [schedule] = taken.as_slice() else { panic!("{cell}: one schedule, got {}", taken.len()) };
+                let schedule =
+                    outcome.schedule.as_ref().unwrap_or_else(|| panic!("{cell}: a run with a job has a schedule"));
                 assert_eq!(schedule.job(), job);
                 let arrived = outcome.transfer_sizes.len() - outcome.failed_files.len();
                 assert_eq!(schedule.chunks(), arrived, "{cell}: one row per unit that arrived");
                 assert_eq!(check_causality(&schedule.events(), job), Vec::<String>::new(), "{cell}");
-                let r = attribute(schedule, &Retries::NONE).report;
+                let r = attribute(schedule).report;
                 assert_eq!(r.total_s, r.critical_path_s, "{cell}: an additive job overlaps nothing");
                 for (stage, phase) in [
                     (Stage::QueueWait, b.queue_wait_s),
@@ -1175,21 +1168,19 @@ mod tests {
                 assert!((r.critical_path_s - b.total_s()).abs() <= 1e-6, "{cell}");
             }
         }
-        // A jobless run commits nothing.
-        orch.run(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Compressed, &PipelineOptions::default());
-        assert!(led.take().is_empty());
+        // A jobless run builds none.
+        let jobless = orch.run(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Compressed, &PipelineOptions::default());
+        assert!(jobless.schedule.is_none());
     }
 
     #[test]
     fn staged_schedule_places_units_where_the_wire_put_them() {
         let w = miranda();
-        let led = Ledger::detached();
-        let orch = Orchestrator::paper().with_ledger(led.clone());
         let opts = PipelineOptions { faults: FaultModel::flaky(0.3), job: Some(5), ..Default::default() };
-        let outcome = orch.run(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Compressed, &opts);
+        let outcome = Orchestrator::paper().run(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Compressed, &opts);
         let b = outcome.breakdown;
         let open = b.queue_wait_s + b.compression_s + b.grouping_s;
-        let events = led.drain();
+        let events = outcome.schedule.as_ref().expect("a run with a job has a schedule").events();
         let at = |kind: EventKind| events.iter().filter(move |e| e.event == kind).map(|e| e.t_sim);
         assert!(at(EventKind::InFlight).all(|t| t >= open), "nothing goes on the wire before it opens");
         assert!(at(EventKind::Arrived).all(|t| t <= open + b.transfer_s + 1e-9));
@@ -1210,7 +1201,7 @@ mod tests {
     fn warm_runs_equal_cold_runs() {
         // The first run on a workload schedules its phases; later runs, and
         // runs on a clone, read the memo. Neither may change an outcome or
-        // a committed schedule.
+        // its schedule.
         let pristine = miranda();
         let kinds = [
             (Strategy::Direct, false),
@@ -1229,16 +1220,8 @@ mod tests {
                 let opts =
                     PipelineOptions { faults, sentinel, wait_model, seed: 7, job: Some(1), ..Default::default() };
                 let run = |w: &Workload| {
-                    let led = Ledger::detached();
-                    let out = Orchestrator::paper().with_ledger(led.clone()).run(
-                        w,
-                        SiteId::Anvil,
-                        SiteId::Bebop,
-                        strategy,
-                        &opts,
-                    );
-                    let mut events = led.drain();
-                    events.iter_mut().for_each(|e| e.t_wall_us = 0);
+                    let out = Orchestrator::paper().run(w, SiteId::Anvil, SiteId::Bebop, strategy, &opts);
+                    let events = out.schedule.as_ref().map(Schedule::events).unwrap_or_default();
                     (out, events)
                 };
                 let w = pristine.clone();

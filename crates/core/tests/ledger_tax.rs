@@ -1,7 +1,7 @@
 //! The chunk ledger's tax on the control plane it records, measured where
 //! ROADMAP's observability aim asks for it: one streamed job through
-//! `Orchestrator::run` with a chunk window, ledger attached against ledger
-//! absent.
+//! `Orchestrator::run` with a chunk window, its schedule built and committed
+//! to a ledger against a jobless run that builds none.
 //!
 //! Unlike `sz/tests/prof_overhead.rs` this check never skips: both sides are
 //! a single-threaded simulation, so a small or busy box slows them alike,
@@ -24,14 +24,17 @@ const MAX_BYTES_PER_CHUNK: f64 = 72.0;
 fn ledger_costs_less_than_the_streamed_run_it_records() {
     // 3 601 chunks under an 8-chunk window: ≈ 30 000 events.
     let w = Workload::rtm(ocelot_sz::LossyConfig::sz3(1e-3), 8).expect("profiling succeeds");
-    let opts = PipelineOptions { job: Some(1), ..PipelineOptions::default() };
+    let on = PipelineOptions { job: Some(1), ..PipelineOptions::default() };
+    let off = PipelineOptions { job: None, ..on };
     let streamed = Strategy::Pipelined { window: 8 };
     let ledger = Ledger::detached();
-    let off = Orchestrator::paper().with_obs(ocelot_obs::Obs::disabled());
-    let on = off.clone().with_ledger(ledger.clone());
-    let time = |orch: &Orchestrator| {
+    let orch = Orchestrator::paper().with_obs(ocelot_obs::Obs::disabled());
+    let time = |opts: &PipelineOptions| {
         let t = Instant::now();
-        std::hint::black_box(orch.run(std::hint::black_box(&w), SiteId::Anvil, SiteId::Bebop, streamed, &opts));
+        let out = orch.run(std::hint::black_box(&w), SiteId::Anvil, SiteId::Bebop, streamed, opts);
+        if let Some(schedule) = std::hint::black_box(out).schedule {
+            ledger.commit(schedule);
+        }
         t.elapsed()
     };
 

@@ -1,17 +1,19 @@
 //! Timeline-consistency invariant for the chunk-lifecycle ledger: replaying
-//! a streamed job's events into per-chunk tracks must reproduce the
-//! critical-path attribution read off the same job's committed schedule
-//! within 1%, across codec thread counts and stream windows (including the
-//! window-0 overlapped degenerate case) — and the replayed event chains must
-//! be causally sound.
+//! a streamed job's events into per-chunk tracks must give back the
+//! envelope of the critical path read off the same job's schedule — the
+//! wire opening where the path leaves its queue wait, the job ending where
+//! the path does — across codec thread counts and stream windows (including
+//! the window-0 overlapped degenerate case), with causally sound event
+//! chains and gap-free tracks. The stage sums themselves have one
+//! derivation, `critpath::attribute`, which `render_timeline` prints.
 
 use std::sync::OnceLock;
 
 use ocelot::orchestrator::{Orchestrator, PipelineOptions, Strategy};
 use ocelot::workload::Workload;
 use ocelot_netsim::{FaultModel, SiteId};
-use ocelot_obs::critpath::{attribute, Retries};
-use ocelot_obs::ledger::{check_causality, render_timeline, Ledger, LedgerEvent, Timeline};
+use ocelot_obs::critpath::{attribute, BottleneckReport, Stage};
+use ocelot_obs::ledger::{check_causality, render_timeline, LedgerEvent, Timeline};
 use ocelot_sz::engine::ChunkLayout;
 use proptest::prelude::*;
 
@@ -21,10 +23,15 @@ fn workload() -> &'static Workload {
     W.get_or_init(|| Workload::miranda(ocelot_sz::LossyConfig::sz3(1e-2), 32).expect("profiling succeeds"))
 }
 
-/// Runs one streamed job with a fresh ledger and returns its events plus
-/// the stage attribution of its committed schedule.
-fn run_case(threads: usize, window: usize, wait: f64, faults: FaultModel, job: u64) -> (Vec<LedgerEvent>, [f64; 6]) {
-    let led = Ledger::detached();
+/// Runs one streamed job and returns its schedule's events plus its
+/// attribution.
+fn run_case(
+    threads: usize,
+    window: usize,
+    wait: f64,
+    faults: FaultModel,
+    job: u64,
+) -> (Vec<LedgerEvent>, BottleneckReport) {
     let opts = PipelineOptions {
         codec_threads: threads,
         wait_model: ocelot_faas::WaitTimeModel::Fixed(wait),
@@ -32,11 +39,9 @@ fn run_case(threads: usize, window: usize, wait: f64, faults: FaultModel, job: u
         job: Some(job),
         ..PipelineOptions::default()
     };
-    let orch = Orchestrator::paper().with_ledger(led.clone());
-    orch.run(workload(), SiteId::Bebop, SiteId::Cori, Strategy::Pipelined { window }, &opts);
-    let taken = led.take();
-    let [schedule] = taken.as_slice() else { panic!("one schedule per run, got {}", taken.len()) };
-    (schedule.events(), attribute(schedule, &Retries::NONE).report.stage_s)
+    let out = Orchestrator::paper().run(workload(), SiteId::Bebop, SiteId::Cori, Strategy::Pipelined { window }, &opts);
+    let schedule = out.schedule.expect("a run with a job has a schedule");
+    (schedule.events(), attribute(&schedule).report)
 }
 
 /// Asserts one track's intervals are monotone and contiguous: each interval
@@ -74,10 +79,10 @@ fn assert_track_contiguous(t: &ocelot_obs::ledger::ChunkTrack) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// ≤1% invariant: stage sums reconstructed from the events match the
-    /// attribution of the schedule they were derived from, for every
-    /// (threads, window) combination, and the event stream passes the
-    /// causality checker.
+    /// The timeline replayed from the events opens the wire and ends the job
+    /// where the attribution of the schedule they were derived from does
+    /// (to 1 µs), for every (threads, window) combination, and the event
+    /// stream passes the causality checker.
     #[test]
     fn replayed_timeline_matches_critpath_stages(
         ti in 0usize..4,
@@ -88,20 +93,15 @@ proptest! {
         let threads = [1usize, 2, 4, 8][ti];
         let window = [0usize, 1, 4, 1024][wi];
         let wait = [0.0f64, 50.0][wa];
-        let (events, stages) = run_case(threads, window, wait, FaultModel::none(), job);
+        let (events, report) = run_case(threads, window, wait, FaultModel::none(), job);
         prop_assert!(!events.is_empty(), "streamed run must emit ledger events");
         let violations = check_causality(&events, job);
         prop_assert!(violations.is_empty(), "causality violations: {violations:?}");
         let tl = Timeline::reconstruct(&events, job).expect("job has events");
-        let mine = tl.stage_s();
-        let critical: f64 = stages.iter().sum();
-        let tol = (critical * 0.01).max(1e-6);
-        for (i, (a, b)) in mine.iter().zip(&stages).enumerate() {
-            prop_assert!(
-                (a - b).abs() <= tol,
-                "stage {i}: timeline {a} vs schedule {b} (threads {threads}, window {window}, wait {wait})"
-            );
-        }
+        let cell = format!("threads {threads}, window {window}, wait {wait}");
+        let before_wire = report.stage(Stage::QueueWait) + report.stage(Stage::Compress) + report.stage(Stage::Group);
+        prop_assert!((tl.transfer_begin_s - before_wire).abs() <= 1e-6, "{cell}: wire opens at {}", tl.transfer_begin_s);
+        prop_assert!((tl.total_s - report.critical_path_s).abs() <= 1e-6, "{cell}: job ends at {}", tl.total_s);
         for t in &tl.tracks {
             assert_track_contiguous(t);
         }
@@ -116,7 +116,7 @@ proptest! {
 #[test]
 fn fault_injected_run_names_retransmitted_chunks_and_causes() {
     let render = |job| {
-        let (events, _) = run_case(4, 4, 0.0, FaultModel::flaky(0.3), job);
+        let (events, report) = run_case(4, 4, 0.0, FaultModel::flaky(0.3), job);
         let violations = check_causality(&events, job);
         assert!(violations.is_empty(), "causality violations: {violations:?}");
         let tl = Timeline::reconstruct(&events, job).expect("job has events");
@@ -124,7 +124,7 @@ fn fault_injected_run_names_retransmitted_chunks_and_causes() {
         let faulted = tl.tracks.iter().find(|t| !t.retransmits.is_empty()).expect("some chunk faulted");
         assert!(faulted.retransmits[0].2.contains("wan fault"), "cause: {:?}", faulted.retransmits[0]);
         assert!(faulted.attempts > 1);
-        render_timeline(&tl)
+        render_timeline(&tl, &report)
     };
     let a = render(7);
     let b = render(7);

@@ -9,10 +9,10 @@
 //!    compression while it encoded, queue wait otherwise;
 //! 2. the wire phase (`transfer_begin` → `transfer_end`) minus the merged
 //!    stream-window stalls, which count as [`Stage::Stall`];
-//! 3. the service's retry rounds, if it ran any ([`Retries`]): the backoff
-//!    as queue wait, the re-offer as transfer;
-//! 4. the decode tail (`transfer_end` → `job_end`), after the last round —
-//!    unless the job gave up, in which case nothing was decoded.
+//! 3. the service's retry rounds, if it ran any ([`Schedule::rounds`]): the
+//!    backoff as queue wait, the re-offer as transfer;
+//! 4. the decode tail, from the end of the last round (or of the wire) to
+//!    `job_end` — unless the job gave up, in which case nothing was decoded.
 //!
 //! Work that overlaps the wire (a pipelined run's compression and early
 //! decodes) hides behind it and is on no stage of the path. It shows in the
@@ -96,35 +96,6 @@ impl BottleneckReport {
     }
 }
 
-/// One retry round a service ran after a run's wire phase closed: it backed
-/// off over `[start_s, backoff_end_s]` and re-offered the files that had
-/// not arrived over `[backoff_end_s, end_s]`.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct RetryRound {
-    /// Round start: the end of the wire phase or of the previous round.
-    pub start_s: f64,
-    /// End of the backoff, where the re-offer begins.
-    pub backoff_end_s: f64,
-    /// End of the re-offer.
-    pub end_s: f64,
-}
-
-/// What happened to a job after its run's wire phase: the retry rounds a
-/// service ran for the files that had not arrived, and whether every file
-/// arrived in the end. A job that gave up never decoded.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Retries {
-    /// Rounds in order; empty when the run delivered everything.
-    pub rounds: Vec<RetryRound>,
-    /// True when every file arrived.
-    pub delivered: bool,
-}
-
-impl Retries {
-    /// A run that delivered on its own: no rounds.
-    pub const NONE: Retries = Retries { rounds: Vec::new(), delivered: true };
-}
-
 /// One interval of a job's critical path, in simulated microseconds.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Segment {
@@ -168,10 +139,9 @@ fn union_us(mut ivs: Vec<(f64, f64)>) -> Vec<(u64, u64)> {
     merged.into_iter().map(|(a, b)| (us(a), us(b))).filter(|(a, b)| b > a).collect()
 }
 
-/// Attributes one job's simulated time from its committed schedule plus
-/// what its service did after the wire phase (pass [`Retries::NONE`] for a
-/// bare run). See the module docs for the stage rules.
-pub fn attribute(schedule: &Schedule, retries: &Retries) -> Attribution {
+/// Attributes one job's simulated time from its committed schedule. See the
+/// module docs for the stage rules.
+pub fn attribute(schedule: &Schedule) -> Attribution {
     let run = schedule.lifecycle();
     let mut path: Vec<Segment> = Vec::new();
     let mut push = |stage: Stage, start_us: u64, end_us: u64| {
@@ -222,15 +192,12 @@ pub fn attribute(schedule: &Schedule, retries: &Retries) -> Attribution {
     push(Stage::Transfer, cursor, shut);
 
     // The service's rounds, then the decode tail after the last one.
-    for r in &retries.rounds {
+    for r in schedule.rounds() {
         push(Stage::QueueWait, us(r.start_s), us(r.backoff_end_s));
         push(Stage::Transfer, us(r.backoff_end_s), us(r.end_s));
     }
-    if retries.delivered {
-        match retries.rounds.last() {
-            None => push(Stage::Decompress, shut, us(run.total_s)),
-            Some(last) => push(Stage::Decompress, us(last.end_s), us(last.end_s + (run.total_s - run.transfer_end_s))),
-        }
+    if schedule.delivered() {
+        push(Stage::Decompress, us(schedule.wire_end()).max(shut), us(run.total_s));
     }
 
     let mut stage_us = [0u64; Stage::ALL.len()];
@@ -243,7 +210,7 @@ pub fn attribute(schedule: &Schedule, retries: &Retries) -> Attribution {
     // busy exactly where they are on the path; compression, grouping and
     // the decodes behind the wire are busy over their own intervals.
     let len = |iv: (f64, f64)| us(iv.1).saturating_sub(us(iv.0));
-    let early_decoding: u64 = if retries.delivered {
+    let early_decoding: u64 = if schedule.delivered() {
         let early = run.decode.iter().map(|&(a, b)| (a, b.min(run.transfer_end_s))).collect();
         union_us(early).into_iter().map(|(a, b)| b - a).sum()
     } else {
@@ -329,7 +296,7 @@ fn dominant_stage(stage_s: &[f64; Stage::ALL.len()]) -> Stage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ledger::Lifecycle;
+    use crate::ledger::{Lifecycle, RetryRound};
 
     /// A staged job: queue 1 s, compress 3 s, group 0.5 s, two files on the
     /// wire 4.5 → 9 s, decode 9 → 10 s.
@@ -378,7 +345,7 @@ mod tests {
 
     #[test]
     fn additive_tree_attributes_exactly() {
-        let a = attribute(&staged(), &Retries::NONE);
+        let a = attribute(&staged());
         let r = &a.report;
         assert_eq!(r.job, Some(1));
         assert_eq!(r.critical_path_s, 10.0);
@@ -393,7 +360,7 @@ mod tests {
 
     #[test]
     fn stream_stalls_are_attributed_distinctly_from_transfer() {
-        let r = attribute(&streamed(), &Retries::NONE).report;
+        let r = attribute(&streamed()).report;
         assert_eq!(r.critical_path_s, 13.0);
         assert_eq!(r.stage(Stage::QueueWait), 2.0);
         assert_eq!(r.stage(Stage::Compress), 0.0, "compression hides behind the wire");
@@ -427,7 +394,7 @@ mod tests {
             ..Lifecycle::default()
         })
         .with_phases((1.0, 6.0), (0.0, 0.0));
-        let r = attribute(&schedule, &Retries::NONE).report;
+        let r = attribute(&schedule).report;
         assert_eq!(r.critical_path_s, 11.0);
         // The overlap window counts as transfer, not compression.
         assert_eq!(r.stage_s, [1.0, 0.0, 0.0, 9.0, 0.0, 1.0]);
@@ -443,7 +410,7 @@ mod tests {
             RetryRound { start_s: 9.0, backoff_end_s: 11.0, end_s: 12.0 },
             RetryRound { start_s: 12.0, backoff_end_s: 16.0, end_s: 17.5 },
         ];
-        let delivered = attribute(&staged(), &Retries { rounds: rounds.clone(), delivered: true });
+        let delivered = attribute(&staged().with_rounds(rounds.clone(), true));
         let r = &delivered.report;
         assert_eq!(r.critical_path_s, 18.5);
         assert_eq!(r.stage(Stage::QueueWait), 7.0, "queue wait plus both backoffs");
@@ -464,10 +431,10 @@ mod tests {
             ..Lifecycle::default()
         });
         let late = [RetryRound { start_s: 9.000_000_4, backoff_end_s: 11.0, end_s: 12.333_333_6 }];
-        let r = attribute(&off_grid, &Retries { rounds: late.to_vec(), delivered: true }).report;
+        let r = attribute(&off_grid.with_rounds(late.to_vec(), true)).report;
         assert_eq!(r.total_s, r.critical_path_s);
 
-        let failed = attribute(&staged(), &Retries { rounds, delivered: false }).report;
+        let failed = attribute(&staged().with_rounds(rounds, false)).report;
         assert_eq!(failed.critical_path_s, 17.5, "the job ends with its last round");
         assert_eq!(failed.stage(Stage::Decompress), 0.0);
         assert_eq!(failed.total_s, failed.critical_path_s);
@@ -475,7 +442,7 @@ mod tests {
 
     #[test]
     fn aggregate_sums_and_recomputes_dominant() {
-        let reports = [attribute(&staged(), &Retries::NONE).report, attribute(&streamed(), &Retries::NONE).report];
+        let reports = [attribute(&staged()).report, attribute(&streamed()).report];
         let agg = aggregate(&reports).unwrap();
         assert_eq!(agg.job, None);
         assert_eq!(agg.critical_path_s, 23.0);

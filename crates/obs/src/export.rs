@@ -218,7 +218,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_contains_events_and_metadata() {
-        use crate::critpath::{attribute, Retries};
+        use crate::critpath::attribute;
         use crate::ledger::{Lifecycle, Schedule};
         let schedule = Schedule::new(Lifecycle {
             job: 3,
@@ -227,7 +227,7 @@ mod tests {
             total_s: 2.5,
             ..Lifecycle::default()
         });
-        let trace = chrome_trace(&[attribute(&schedule, &Retries::NONE)]);
+        let trace = chrome_trace(&[attribute(&schedule)]);
         assert!(trace.contains("\"traceEvents\":["));
         assert!(trace.contains("\"ph\":\"M\""));
         assert!(trace.contains("sim · job 3"));

@@ -1,14 +1,15 @@
 //! Chunk-lifecycle event ledger: causal wide events for every chunk a job
 //! touches, recorded for a fraction of what the job itself costs.
 //!
-//! The flight ring answers "what happened recently"; `ledger` answers "what
-//! happened to *this job and this chunk*" — compressed, window-waited,
-//! released, in-flight, faulted, retransmitted, arrived, decoded — as an
-//! append-only sequence of structured events with causal parent links (each
-//! chunk event links to the prior event for the same chunk and to its
-//! job's `job_begin`). A committed [`Schedule`] is a simulated job's one
-//! timing record: [`crate::critpath`] attributes the job's time from its
-//! columns, and the events are derived from the same columns on read.
+//! `ledger` answers "what happened to *this job and this chunk*" —
+//! compressed, window-waited, released, in-flight, faulted, retransmitted,
+//! arrived, decoded, and the job's retry rounds — as an append-only sequence
+//! of structured events with causal parent links (each chunk event links to
+//! the prior event for the same chunk and to its job's `job_begin`). A
+//! committed [`Schedule`] is a simulated job's one timing record: the run's
+//! columns plus the retry rounds and outcome its service added
+//! ([`Schedule::with_rounds`]). [`crate::critpath`] attributes the job's time
+//! from it, and the events are derived from the same record on read.
 //!
 //! * **One commit per job, and nothing stored per event.** A simulated job
 //!   knows its whole story at once, so its emitter hands the ledger *the
@@ -44,13 +45,14 @@
 //! * **Reconstruction** ([`Timeline::reconstruct`]) replays a drained
 //!   ledger into per-chunk interval tracks (compress / window-wait /
 //!   transfer / retransmit / reorder / decode) plus job-level phase
-//!   boundaries whose derived stage sums ([`Timeline::stage_s`]) are
-//!   consistent with [`crate::critpath`] stage attribution of a pipelined
-//!   job (≤ 1 %).
+//!   boundaries.
 //! * **Rendering** ([`render_timeline`]) is an ASCII Gantt over simulated
 //!   time only — wall timestamps never reach the output, so renderings are
-//!   byte-stable across reruns.
+//!   byte-stable across reruns. Its stage header is the
+//!   [`crate::critpath::attribute`] report of the same schedule, so the
+//!   chart and `analyze` cannot disagree.
 
+use crate::critpath::{BottleneckReport, Stage};
 use crate::metrics::Counter;
 use crate::Obs;
 use std::borrow::Cow;
@@ -70,22 +72,31 @@ pub const SINK_CAPACITY_BYTES: usize = 8 << 20;
 pub const LEDGER_VERSION: u32 = 1;
 
 /// Number of event kinds (array dimension / export order length).
-pub const N_EVENT_KINDS: usize = 16;
+pub const N_EVENT_KINDS: usize = 19;
 
-/// What happened to a chunk (or, for the four job-scope kinds, to the job).
+/// What happened to a chunk (or, for the seven job-scope kinds, to the job).
 ///
-/// Job-scope kinds carry `file: None, chunk: None` and pin the phase
-/// boundaries the reconstructor aligns stage sums to; chunk-scope kinds
-/// trace one chunk through the pipeline.
+/// Job-scope kinds carry `file: None, chunk: None` and pin the job's phase
+/// boundaries and retry rounds; chunk-scope kinds trace one chunk through
+/// the pipeline.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EventKind {
     /// Job admitted; `t_sim` is the job-relative origin (0).
     JobBegin,
     /// Wire phase opens (end of queue wait).
     TransferBegin,
-    /// Last byte arrived; decode tail begins.
+    /// The run's wire phase closed: its last byte arrived.
     TransferEnd,
-    /// Job done; `t_sim` is the job's total simulated seconds.
+    /// A service retry round began: its backoff starts. `attempt` is the
+    /// attempt the round makes (round 1 is attempt 2).
+    RetryBegin,
+    /// The round's backoff ended and the undelivered units were offered
+    /// again.
+    Reoffer,
+    /// The round's re-offer ended.
+    RetryEnd,
+    /// Job done — decoded, or given up after its last round; `t_sim` is the
+    /// job's total simulated seconds.
     JobEnd,
     /// Chunk compression started.
     CompressBegin,
@@ -119,6 +130,9 @@ impl EventKind {
         EventKind::JobBegin,
         EventKind::TransferBegin,
         EventKind::TransferEnd,
+        EventKind::RetryBegin,
+        EventKind::Reoffer,
+        EventKind::RetryEnd,
         EventKind::JobEnd,
         EventKind::CompressBegin,
         EventKind::Encoded,
@@ -140,6 +154,9 @@ impl EventKind {
             EventKind::JobBegin => "job_begin",
             EventKind::TransferBegin => "transfer_begin",
             EventKind::TransferEnd => "transfer_end",
+            EventKind::RetryBegin => "retry_begin",
+            EventKind::Reoffer => "reoffer",
+            EventKind::RetryEnd => "retry_end",
             EventKind::JobEnd => "job_end",
             EventKind::CompressBegin => "compress_begin",
             EventKind::Encoded => "encoded",
@@ -161,9 +178,18 @@ impl EventKind {
         EventKind::ALL.into_iter().find(|k| k.name() == s)
     }
 
-    /// True for the four job-scope phase kinds.
+    /// True for the seven job-scope kinds: phases and retry rounds.
     pub fn is_job_scope(&self) -> bool {
-        matches!(self, EventKind::JobBegin | EventKind::TransferBegin | EventKind::TransferEnd | EventKind::JobEnd)
+        matches!(
+            self,
+            EventKind::JobBegin
+                | EventKind::TransferBegin
+                | EventKind::TransferEnd
+                | EventKind::RetryBegin
+                | EventKind::Reoffer
+                | EventKind::RetryEnd
+                | EventKind::JobEnd
+        )
     }
 }
 
@@ -249,7 +275,7 @@ impl Draft {
 }
 
 /// The two numbers of the WAN fault model a `fault` event's cause names.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultCause {
     /// Probability that one transfer attempt fails.
     pub per_attempt_failure_prob: f64,
@@ -263,19 +289,34 @@ impl std::fmt::Display for FaultCause {
     }
 }
 
+/// One retry round a service ran after a run's wire phase closed: it backed
+/// off over `[start_s, backoff_end_s]` and re-offered the units that had not
+/// arrived over `[backoff_end_s, end_s]`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct RetryRound {
+    /// Round start: the end of the wire phase or of the previous round.
+    pub start_s: f64,
+    /// End of the backoff, where the re-offer begins.
+    pub backoff_end_s: f64,
+    /// End of the re-offer.
+    pub end_s: f64,
+}
+
 /// A pipelined job's chunk lifecycle as the run that scheduled it holds it:
 /// the job's phase times and one column per chunk field, chunks in wire
 /// order. Plain data — an emitter moves the vectors its simulation already
 /// filled in here and hands the whole to [`Schedule::new`].
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Lifecycle {
     /// The job.
     pub job: u64,
     /// End of the queue wait, where the wire phase opens (`transfer_begin`).
     pub transfer_begin_s: f64,
-    /// Arrival of the last byte (`transfer_end`).
+    /// Arrival of the run's last byte (`transfer_end`).
     pub transfer_end_s: f64,
-    /// End of the last decode (`job_end`).
+    /// End of the job (`job_end`): its last decode (after the service's
+    /// last retry round, once [`Schedule::with_rounds`] added them), or the
+    /// last round of a job that gave up.
     pub total_s: f64,
     /// File index of each chunk.
     pub file: Vec<u32>,
@@ -340,15 +381,21 @@ impl Lifecycle {
 ///
 /// The count uses the very predicates the replay branches on — a stalled
 /// chunk has one more event, a chunk that queued for a decode lane two, a
-/// failed attempt two — so the sequence range [`Ledger::commit`] reserves is
+/// failed attempt two, a retry round three, and a job that gave up none of
+/// its decode events — so the sequence range [`Ledger::commit`] reserves is
 /// the range the schedule widens to.
-#[derive(Debug)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Schedule {
     run: Lifecycle,
     /// The job's compression phase (see [`Schedule::with_phases`]).
     compress: (f64, f64),
     /// The job's grouping phase, empty when it did not group.
     group: (f64, f64),
+    /// The service's retry rounds after the wire phase (see
+    /// [`Schedule::with_rounds`]).
+    rounds: Vec<RetryRound>,
+    /// False when the job gave up with units undelivered: it decoded nothing.
+    delivered: bool,
     events: usize,
     /// Sequence number of `job_begin`; 0 until committed.
     seq_base: u64,
@@ -377,11 +424,72 @@ impl Schedule {
         assert!(lengths.iter().all(|&l| l == chunks), "every column has one entry per chunk: {chunks} / {lengths:?}");
         assert!(run.failed.windows(2).all(|w| w[0].0 <= w[1].0), "failed attempts ascend by chunk");
         assert!(run.failed.last().is_none_or(|f| (f.0 as usize) < chunks), "a failed attempt names a chunk held");
-        // Four job phases; per chunk compress_begin, encoded, released,
-        // in_flight, arrived, decode_begin, decode_end.
-        let optional: usize = (0..chunks).map(|m| usize::from(run.stalled(m)) + 2 * usize::from(run.queued(m))).sum();
-        let events = 4 + 7 * chunks + optional + 2 * run.failed.len();
-        Schedule { run, compress: (0.0, 0.0), group: (0.0, 0.0), events, seq_base: 0, t_wall_us: 0 }
+        let mut schedule = Schedule {
+            run,
+            compress: (0.0, 0.0),
+            group: (0.0, 0.0),
+            rounds: Vec::new(),
+            delivered: true,
+            events: 0,
+            seq_base: 0,
+            t_wall_us: 0,
+        };
+        schedule.events = schedule.count();
+        schedule
+    }
+
+    /// Events [`Schedule::replay`] emits: four job phases and three per
+    /// retry round; per chunk compress_begin, encoded, released, in_flight
+    /// and arrived, plus decode_begin and decode_end (and the reorder pair
+    /// of a chunk that queued) when the job delivered.
+    fn count(&self) -> usize {
+        let run = &self.run;
+        let chunks = run.file.len();
+        let stalled: usize = (0..chunks).filter(|&m| run.stalled(m)).count();
+        let decoded = if self.delivered { (0..chunks).map(|m| 2 + 2 * usize::from(run.queued(m))).sum() } else { 0 };
+        4 + 3 * self.rounds.len() + 5 * chunks + stalled + decoded + 2 * run.failed.len()
+    }
+
+    /// Adds what the job's service did after the run's wire phase: the
+    /// retry rounds it ran for the units that had not arrived (back to back
+    /// from `transfer_end`), and whether every unit arrived in the end.
+    ///
+    /// A job that delivered decodes after its last round: every decode row,
+    /// and the job's end, move by the rounds' span. A job that gave up
+    /// decodes nothing — its schedule keeps no decode event — and ends with
+    /// its last round (at `transfer_end` when it ran none).
+    pub fn with_rounds(mut self, rounds: Vec<RetryRound>, delivered: bool) -> Schedule {
+        let wire_end = self.run.transfer_end_s;
+        let last = rounds.last().map_or(wire_end, |r| r.end_s);
+        let run = &mut self.run;
+        if !delivered {
+            run.total_s = last;
+        } else if !rounds.is_empty() {
+            for d in &mut run.decode {
+                *d = (last + (d.0 - wire_end), last + (d.1 - wire_end));
+            }
+            run.total_s = last + (run.total_s - wire_end);
+        }
+        (self.rounds, self.delivered) = (rounds, delivered);
+        self.events = self.count();
+        self
+    }
+
+    /// The service's retry rounds, in order; empty when the run delivered
+    /// on its own or no service added any.
+    pub fn rounds(&self) -> &[RetryRound] {
+        &self.rounds
+    }
+
+    /// False when the job gave up with units undelivered.
+    pub fn delivered(&self) -> bool {
+        self.delivered
+    }
+
+    /// When the job's last unit arrived, or its last retry round ended: the
+    /// end of the transfer as the job experienced it.
+    pub fn wire_end(&self) -> f64 {
+        self.rounds.last().map_or(self.run.transfer_end_s, |r| r.end_s)
     }
 
     /// Adds the job's compression phase — from the queue grant to the last
@@ -445,6 +553,7 @@ impl Schedule {
                 * std::mem::size_of::<f64>()
             + r.decode.capacity() * std::mem::size_of::<(f64, f64)>()
             + r.failed.capacity() * std::mem::size_of::<(u32, f64)>()
+            + self.rounds.capacity() * std::mem::size_of::<RetryRound>()
     }
 
     /// The schedule widened into events: `seq` is the sequence base (0 until
@@ -471,9 +580,9 @@ impl Schedule {
     /// `push` returns for an event — its sequence number — is the `parent`
     /// of the drafts that follow from it.
     ///
-    /// One causal chain per chunk between the four job phases, which carry
-    /// the values [`crate::critpath::attribute`] reads, so replayed
-    /// timelines agree with its stage sums.
+    /// One causal chain per chunk between the job phases, then one chain of
+    /// retry rounds from `transfer_end` to `job_end`. A job that gave up has
+    /// no decode (or reorder) event.
     pub fn replay(&self, mut push: impl FnMut(EventKind, Draft) -> u64) {
         let run = &self.run;
         let job = run.job;
@@ -521,6 +630,9 @@ impl Schedule {
                 p = emit(EventKind::Retransmit, Draft { parent: fault, attempt: a as u32 + 2, ..d(t1) });
             }
             let p = emit(EventKind::Arrived, Draft { parent: p, attempt: fracs.len() as u32 + 1, ..d(landed) });
+            if !self.delivered {
+                continue;
+            }
             let (ds, de) = run.decode[m];
             let p = if run.queued(m) {
                 let p = emit(
@@ -535,7 +647,13 @@ impl Schedule {
             let p = emit(EventKind::DecodeBegin, Draft { parent: p, ..d(start) });
             emit(EventKind::DecodeEnd, Draft { parent: p, ..d(de.max(start)) });
         }
-        let p = emit(EventKind::TransferEnd, Draft { parent: begin, ..Draft::job(job, run.transfer_end_s) });
+        let mut p = emit(EventKind::TransferEnd, Draft { parent: begin, ..Draft::job(job, run.transfer_end_s) });
+        for (r, round) in self.rounds.iter().enumerate() {
+            let at = |t_sim: f64| Draft { attempt: r as u32 + 2, ..Draft::job(job, t_sim) };
+            p = emit(EventKind::RetryBegin, Draft { parent: p, ..at(round.start_s) });
+            p = emit(EventKind::Reoffer, Draft { parent: p, ..at(round.backoff_end_s) });
+            p = emit(EventKind::RetryEnd, Draft { parent: p, ..at(round.end_s) });
+        }
         emit(EventKind::JobEnd, Draft { parent: p, ..Draft::job(job, run.total_s) });
     }
 }
@@ -793,26 +911,6 @@ impl Timeline {
         Some(Timeline { job, transfer_begin_s, transfer_end_s, total_s, tracks, stalls })
     }
 
-    /// Stage sums aligned with [`crate::critpath::Stage::ALL`] order
-    /// (QueueWait, Compress, Group, Transfer, Stall, Decompress).
-    ///
-    /// The derivation is [`crate::critpath::attribute`]'s for a pipelined
-    /// job, read off the events: everything before `transfer_begin` is
-    /// queue wait, stalls are the window-wait union inside the wire phase,
-    /// transfer is the rest of the wire phase, and the decode tail runs to
-    /// `job_end`. Compression overlaps the wire phase, so it is on no
-    /// stage. The events carry no compression or grouping phase, so for a
-    /// staged job the queue wait here includes them.
-    pub fn stage_s(&self) -> [f64; 6] {
-        let queue = self.transfer_begin_s.max(0.0);
-        // Folded from +0.0: an empty float `sum` is -0.0 and prints as `-0.000`.
-        let stall = self.stalls.iter().fold(0.0, |acc, (a, b)| acc + (b - a));
-        let wire = (self.transfer_end_s - self.transfer_begin_s).max(0.0);
-        let transfer = (wire - stall).max(0.0);
-        let decode = (self.total_s - self.transfer_end_s).max(0.0);
-        [queue, 0.0, 0.0, transfer, stall, decode]
-    }
-
     /// Total retransmitted (failed) attempts across every chunk.
     pub fn total_retries(&self) -> u64 {
         self.tracks.iter().map(|t| t.retransmits.len() as u64).sum()
@@ -893,17 +991,28 @@ fn paint(row: &mut [u8], total: f64, iv: (f64, f64), ch: u8) {
 }
 
 /// Renders a reconstructed timeline as an ASCII Gantt of chunk tracks with
-/// stall/retry annotations. Only simulated times appear, so the rendering
-/// is byte-stable across reruns of the same seeded job.
-pub fn render_timeline(tl: &Timeline) -> String {
+/// stall/retry annotations, headed by `stages` — the
+/// [`crate::critpath::attribute`] report of the schedule the events came
+/// from, so the header is `analyze`'s answer for the job. Compression and
+/// grouping appear when they are on the critical path (a staged job). Only
+/// simulated times appear, so the rendering is byte-stable across reruns of
+/// the same seeded job.
+pub fn render_timeline(tl: &Timeline, stages: &BottleneckReport) -> String {
     use std::fmt::Write as _;
     let mut out = String::new();
-    let stage = tl.stage_s();
     let _ = writeln!(out, "timeline job {} — {} chunk(s), total {:.3}s simulated", tl.job, tl.tracks.len(), tl.total_s);
+    let mut header = format!("  queue {:.3}s", stages.stage(Stage::QueueWait));
+    for (stage, label) in [(Stage::Compress, "compress"), (Stage::Group, "group")] {
+        if stages.stage(stage) > 0.0 {
+            let _ = write!(header, " | {label} {:.3}s", stages.stage(stage));
+        }
+    }
     let _ = writeln!(
         out,
-        "  queue {:.3}s | transfer {:.3}s | stall {:.3}s | decode {:.3}s",
-        stage[0], stage[3], stage[4], stage[5]
+        "{header} | transfer {:.3}s | stall {:.3}s | decode {:.3}s",
+        stages.stage(Stage::Transfer),
+        stages.stage(Stage::Stall),
+        stages.stage(Stage::Decompress)
     );
     let _ = writeln!(out, "  [= compress  . window-wait  > transfer  ! retransmit  ~ reorder  # decode]");
     let mut clean_budget = if tl.tracks.len() > GANTT_ELIDE_ABOVE { GANTT_CLEAN_BUDGET } else { usize::MAX };
@@ -962,7 +1071,7 @@ pub fn render_timeline(tl: &Timeline) -> String {
         tl.total_retries(),
         retried,
         tl.stalls.len(),
-        stage[4]
+        stages.stage(Stage::Stall)
     );
     out
 }
@@ -1130,6 +1239,78 @@ mod tests {
         let tl = Timeline::reconstruct(&events, 4).unwrap();
         assert_eq!((tl.tracks.len(), tl.total_retries()), (24, 9));
         assert_eq!((tl.transfer_begin_s, tl.transfer_end_s, tl.total_s), (0.5, 24.5, 25.0));
+    }
+
+    /// A staged job of four units: on the wire 1 → 9 s, landing at 3, 5, 7
+    /// and 9 s, the batch decoded 9 → 10 s (the first three queue for it).
+    fn staged_schedule() -> Schedule {
+        Schedule::new(Lifecycle {
+            job: 4,
+            transfer_begin_s: 1.0,
+            transfer_end_s: 9.0,
+            total_s: 10.0,
+            file: vec![0, 1, 2, 3],
+            chunk: vec![0; 4],
+            bytes: vec![10; 4],
+            compress_begin: vec![0.0; 4],
+            ready: vec![1.0; 4],
+            release: vec![1.0; 4],
+            sent: vec![1.0, 3.0, 5.0, 7.0],
+            landed: vec![3.0, 5.0, 7.0, 9.0],
+            decode: vec![(9.0, 10.0); 4],
+            ..Lifecycle::default()
+        })
+    }
+
+    #[test]
+    fn retry_rounds_are_job_events_and_a_job_that_gave_up_decodes_nothing() {
+        use EventKind::*;
+        let rounds = vec![
+            RetryRound { start_s: 9.0, backoff_end_s: 11.0, end_s: 12.0 },
+            RetryRound { start_s: 12.0, backoff_end_s: 16.0, end_s: 17.5 },
+        ];
+        let kinds = |s: &Schedule| s.events().iter().map(|e| e.event).collect::<Vec<_>>();
+        let at = |s: &Schedule, kind: EventKind| -> Vec<f64> {
+            s.events().iter().filter(|e| e.event == kind).map(|e| e.t_sim).collect()
+        };
+        let run = staged_schedule();
+        assert_eq!(run.len(), 4 + 7 * 4 + 2 * 3);
+        let decoded = run.clone().with_rounds(rounds.clone(), true);
+        // Three events a round, and the last unit now waits for the decode too.
+        assert_eq!(decoded.len(), run.len() + 3 * 2 + 2);
+        assert_eq!(decoded.events().len(), decoded.len());
+        assert_eq!(decoded.lifecycle().total_s, 18.5, "the decode follows the last round");
+        assert_eq!(decoded.wire_end(), 17.5);
+        let tail = &kinds(&decoded)[decoded.len() - 8..];
+        assert_eq!(tail, [TransferEnd, RetryBegin, Reoffer, RetryEnd, RetryBegin, Reoffer, RetryEnd, JobEnd]);
+        assert_eq!(at(&decoded, RetryBegin), [9.0, 12.0]);
+        assert_eq!(at(&decoded, Reoffer), [11.0, 16.0]);
+        assert_eq!(at(&decoded, RetryEnd), [12.0, 17.5]);
+        let attempts: Vec<u32> = decoded.events().iter().filter(|e| e.event == Reoffer).map(|e| e.attempt).collect();
+        assert_eq!(attempts, [2, 3], "round r makes attempt r + 1");
+        assert_eq!(at(&decoded, DecodeBegin), [17.5; 4], "no decode begins before the last round ends");
+        assert_eq!(at(&decoded, DecodeEnd), [18.5; 4]);
+        let events = decoded.events();
+        assert_eq!(check_causality(&events, 4), Vec::<String>::new());
+        let end = events.last().unwrap();
+        assert_eq!((end.event, end.t_sim), (JobEnd, 18.5));
+        assert_eq!(end.parent, Some(events[events.len() - 2].seq), "job_end follows the last round");
+
+        // Gave up: the rounds stay, every decode (and reorder) event goes,
+        // and the job ends with its last round.
+        let failed = run.clone().with_rounds(rounds, false);
+        assert_eq!(failed.len(), run.len() + 6 - 2 * 4 - 2 * 3);
+        assert_eq!(failed.events().len(), failed.len());
+        for kind in [DecodeBegin, DecodeEnd, ReorderEnter, ReorderExit] {
+            assert!(at(&failed, kind).is_empty(), "{kind:?}");
+        }
+        assert_eq!(at(&failed, JobEnd), [17.5]);
+        assert_eq!(check_causality(&failed.events(), 4), Vec::<String>::new());
+        // With no round to run, it ends where its wire phase did.
+        let at_once = run.clone().with_rounds(Vec::new(), false);
+        assert_eq!((at_once.lifecycle().total_s, at_once.len()), (9.0, run.len() - 14));
+        // No round and delivered is the run as it was.
+        assert_eq!(run.clone().with_rounds(Vec::new(), true), run);
     }
 
     #[test]
@@ -1363,18 +1544,25 @@ mod tests {
         assert_eq!(faulted.attempts, 2);
         assert_eq!(faulted.retransmits, vec![(5.0, 5.5, "wan fault (p=0.50)".to_string())]);
         assert_eq!(tl.total_retries(), 1);
-        // Stage sums: queue 1, stall 1 (the 2→3 window wait), transfer
-        // (7-1)-1 = 5, decode 8-7 = 1; compress shadowed by the wire phase.
-        assert_eq!(tl.stage_s(), [1.0, 0.0, 0.0, 5.0, 1.0, 1.0]);
+        // One stall: the 2→3 window wait, inside the wire phase 1→7.
+        assert_eq!(tl.stalls, vec![(2.0, 3.0)]);
         // Missing job? None.
         assert!(Timeline::reconstruct(&events, 99).is_none());
+    }
+
+    /// A report of job 3 with these stage seconds.
+    fn report(stage_s: [f64; 6]) -> BottleneckReport {
+        let critical_path_s = stage_s.iter().sum();
+        BottleneckReport { job: Some(3), critical_path_s, total_s: critical_path_s, stage_s, dominant: Stage::Transfer }
     }
 
     #[test]
     fn render_names_faulted_chunks_and_is_byte_stable() {
         let events = sample_events();
         let tl = Timeline::reconstruct(&events, 3).unwrap();
-        let text = render_timeline(&tl);
+        let stages = report([1.0, 0.0, 0.0, 5.0, 1.0, 1.0]);
+        let text = render_timeline(&tl, &stages);
+        assert!(text.contains("  queue 1.000s | transfer 5.000s | stall 1.000s | decode 1.000s\n"), "{text}");
         assert!(text.contains("timeline job 3"), "{text}");
         assert!(text.contains("f00/c01"), "{text}");
         assert!(text.contains("wan fault (p=0.50)"), "{text}");
@@ -1382,7 +1570,15 @@ mod tests {
         assert!(text.contains('.'), "window-wait marker missing:\n{text}");
         assert!(text.contains("retries: 1 retransmit(s) across 1 chunk(s)"), "{text}");
         // Byte-stable: rendering is a pure function of simulated times.
-        assert_eq!(text, render_timeline(&Timeline::reconstruct(&events, 3).unwrap()));
+        assert_eq!(text, render_timeline(&Timeline::reconstruct(&events, 3).unwrap(), &stages));
+        // A staged job's header names the compression and grouping on its path.
+        let staged = render_timeline(&tl, &report([0.5, 4.0, 0.25, 2.0, 0.0, 1.0]));
+        assert!(
+            staged.contains(
+                "  queue 0.500s | compress 4.000s | group 0.250s | transfer 2.000s | stall 0.000s | decode 1.000s\n"
+            ),
+            "{staged}"
+        );
         let detail = render_chunk_detail(&events, &tl, 1).unwrap();
         assert!(detail.contains("fault"), "{detail}");
         assert!(detail.contains("wan fault (p=0.50)"), "{detail}");

@@ -101,10 +101,6 @@ pub fn enabled(level: Level) -> bool {
 /// [`warn!`](crate::warn), [`info!`](crate::info), [`debug!`](crate::debug),
 /// and [`trace!`](crate::trace) macros, which skip argument formatting when
 /// the gate is closed.
-///
-/// A caller that wants the line in a post-mortem dump as well records it
-/// into its own handle's flight ring as a
-/// [`FlightKind::Log`](crate::flight::FlightKind::Log).
 pub fn log(level: Level, target: &str, args: std::fmt::Arguments<'_>) {
     if enabled(level) {
         eprintln!("[{:5} {target}] {args}", level.tag());

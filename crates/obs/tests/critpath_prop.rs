@@ -1,9 +1,10 @@
 //! Property-based tests for critical-path attribution: on *arbitrary*
-//! schedules (random phase boundaries, per-chunk stalls and decodes) and
-//! arbitrary service retry rounds, the report keeps its contract.
+//! schedules (random phase boundaries, per-chunk stalls and decodes, and
+//! service retry rounds built into the schedule), the report keeps its
+//! contract.
 
-use ocelot_obs::critpath::{attribute, Retries, RetryRound, Stage};
-use ocelot_obs::ledger::{Lifecycle, Schedule};
+use ocelot_obs::critpath::{attribute, Stage};
+use ocelot_obs::ledger::{Lifecycle, RetryRound, Schedule};
 use proptest::prelude::*;
 
 /// One chunk blueprint: (ready offset, stall, wire time, decode wait,
@@ -58,8 +59,8 @@ fn rounds(start: f64, pairs: &[(f64, f64)]) -> Vec<RetryRound> {
         .collect()
 }
 
-/// A random schedule and retry rounds: (schedule, retries, staged).
-fn case() -> impl Strategy<Value = (Schedule, Retries, bool)> {
+/// A random schedule with its retry rounds and outcome: (schedule, staged).
+fn case() -> impl Strategy<Value = (Schedule, bool)> {
     (
         (0.0f64..30.0, 0.0f64..30.0, 0.0f64..5.0),
         (any::<bool>(), any::<bool>()),
@@ -68,24 +69,27 @@ fn case() -> impl Strategy<Value = (Schedule, Retries, bool)> {
     )
         .prop_map(|((wait, compress, group), (staged, delivered), cs, pairs)| {
             let s = schedule(wait, compress, group, staged, &cs);
-            let retries = Retries { rounds: rounds(s.lifecycle().transfer_end_s, &pairs), delivered };
-            (s, retries, staged)
+            let rounds = rounds(s.lifecycle().transfer_end_s, &pairs);
+            (s.with_rounds(rounds, delivered), staged)
         })
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// The critical path never exceeds the serialized work, and a job that
-    /// gave up decoded nothing.
+    /// The critical path never exceeds the serialized work and ends at the
+    /// schedule's `job_end`, and a job that gave up decoded nothing.
     #[test]
     fn critical_path_never_exceeds_total(c in case()) {
-        let (s, retries, _) = c;
-        let r = attribute(&s, &retries).report;
+        let (s, _) = c;
+        let r = attribute(&s).report;
         prop_assert!(r.critical_path_s <= r.total_s, "critical {} > total {}", r.critical_path_s, r.total_s);
         prop_assert!(r.overlap_savings_s() >= 0.0);
-        if !retries.delivered {
+        let end = s.lifecycle().total_s;
+        prop_assert!((r.critical_path_s - end).abs() <= 1e-6, "critical {} vs job_end {end}", r.critical_path_s);
+        if !s.delivered() {
             prop_assert_eq!(r.stage(Stage::Decompress), 0.0);
+            prop_assert_eq!(end, s.wire_end(), "a job that gave up ends with its last round");
         }
     }
 
@@ -94,8 +98,8 @@ proptest! {
     /// stage is an argmax.
     #[test]
     fn stage_attribution_sums_to_critical_path(c in case()) {
-        let (s, retries, staged) = c;
-        let a = attribute(&s, &retries);
+        let (s, staged) = c;
+        let a = attribute(&s);
         let r = &a.report;
         prop_assert_eq!(a.path.first().map_or(0, |p| p.start_us), 0);
         for w in a.path.windows(2) {

@@ -268,7 +268,6 @@ pub fn render_analysis(analysis: &ServiceAnalysis) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ocelot_obs::critpath::Retries;
     use ocelot_obs::ledger::{Lifecycle, Schedule};
 
     /// The report of a job that waits `queue` s, compresses `compress` s
@@ -294,7 +293,7 @@ mod tests {
             ..Lifecycle::default()
         })
         .with_phases((queue, open), (0.0, 0.0));
-        critpath::attribute(&schedule, &Retries::NONE).report
+        critpath::attribute(&schedule).report
     }
 
     fn reports_for_two_tenants() -> (Vec<BottleneckReport>, HashMap<u64, String>) {

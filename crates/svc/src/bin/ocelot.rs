@@ -66,11 +66,11 @@ type CliError = Box<dyn std::error::Error>;
 
 fn run(args: &[String]) -> Result<(), CliError> {
     // One observability handle, passed explicitly to the service (and from
-    // it to the orchestrator): phase histograms, service counters and the
-    // flight ring land in the one registry that `metrics` exports. The continuous profiler is the one thing installed process-wide,
-    // on that same handle: kernel probes in the sz hot path drain per-kernel
-    // histograms into it (measured overhead < 2 %, exported as
-    // ocelot_obs_prof_overhead_ratio).
+    // it to the orchestrator): phase histograms and service counters land in
+    // the one registry that `metrics` exports. The continuous profiler is the
+    // one thing installed process-wide, on that same handle: kernel probes in
+    // the sz hot path drain per-kernel histograms into it (measured overhead
+    // < 2 %, exported as ocelot_obs_prof_overhead_ratio).
     let obs = ocelot_obs::Obs::enabled();
     ocelot_obs::prof::install_global(&ocelot_obs::prof::Profiler::with_obs(obs.clone()));
     let Some(command) = args.first() else {
@@ -121,7 +121,7 @@ fn usage() {
          \x20 metrics    [serve flags] [--json] [-o FILE]       run a batch, export Prometheus text or JSON\n\
          \x20 trace      [JOB] [serve flags] [-o FILE]          run a batch, export critical paths as Chrome trace JSON\n\
          \x20 analyze    [serve flags] [--json] [-o FILE]       run a batch, report critical-path bottlenecks\n\
-         \x20 postmortem JOB [serve flags] [--json] | --file DUMP [--json]   pretty-print a flight-recorder dump\n\
+         \x20 postmortem JOB [serve flags] [--json] | --file DUMP [--json]   pretty-print a job's flight dump\n\
          \x20 timeline   JOB [serve flags] [--json | --chunk N] [-o FILE]    per-chunk transfer Gantt from the ledger\n\
          \n\
          sites: anvil, cori, bebop; apps: cesm, miranda, rtm, nyx, isabel, qmcpack, hacc\n\
@@ -845,7 +845,7 @@ fn validate_export(json: &str, schema_file: &str) -> Result<(), CliError> {
 fn cmd_postmortem(positional: &[String], flags: &HashMap<String, String>, obs: &Obs) -> Result<(), CliError> {
     // `--file DUMP` replays a saved artifact without running anything.
     if let Some(path) = flags.get("file") {
-        let dump: FlightDump = serde_json::from_str(&std::fs::read_to_string(path)?)?;
+        let dump = FlightDump::from_json(&std::fs::read_to_string(path)?)?;
         if flags.contains_key("json") {
             return write_or_print(flags, &serde_json::to_string_pretty(&dump)?);
         }
@@ -859,8 +859,8 @@ fn cmd_postmortem(positional: &[String], flags: &HashMap<String, String>, obs: &
         .map_err(|_| format!("postmortem takes a numeric JOB id, got '{}'", positional.first().unwrap()))?;
     let svc = run_service_batch(flags, job as usize + 1, obs)?;
     // Prefer a dump the service already snapped for this job (failure, retry
-    // exhaustion, SLO breach); otherwise force one from the live ring. Both
-    // embed the job's chunk-ledger tail when the streamed path traced it.
+    // exhaustion, SLO breach); otherwise assemble one now. Both embed the
+    // tail of the job's schedule events.
     let dump = svc
         .flight_dumps()
         .into_iter()
@@ -935,13 +935,16 @@ fn cmd_timeline(positional: &[String], flags: &HashMap<String, String>, obs: &Ob
     }
     let tl = Timeline::reconstruct(&events, job)
         .ok_or_else(|| format!("ledger for job {job} has no transfer envelope — cannot reconstruct"))?;
+    // The header is the job's attribution, read off the schedule the
+    // events came from: `analyze`'s answer for the same job.
+    let stages = svc.attribution(JobId(job)).ok_or_else(|| format!("no schedule kept for job {job}"))?.report;
     let text = match flags.get("chunk") {
         Some(c) => {
             let index: usize = c.parse().map_err(|_| format!("--chunk takes a track index, got '{c}'"))?;
             render_chunk_detail(&events, &tl, index)
                 .ok_or_else(|| format!("job {job} has no chunk track {index} (tracks: 0..{})", tl.tracks.len()))?
         }
-        None => render_timeline(&tl),
+        None => render_timeline(&tl, &stages),
     };
     write_or_print(&flags, &text)
 }

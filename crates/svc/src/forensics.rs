@@ -1,11 +1,12 @@
 //! Flight-dump forensics: self-contained post-mortem artifacts.
 //!
 //! When a job fails, a retry budget is exhausted, or an SLO breaches, the
-//! service snapshots the obs flight ring together with the journal, the
-//! alert log, and the failing job's critical-path attribution into one
-//! [`FlightDump`]. The dump is written as JSON next to the journal artifacts
-//! (validated by `schemas/flightdump.schema.json`) and pretty-printed by
-//! `ocelot postmortem`.
+//! service assembles one [`FlightDump`] from what it already records: the
+//! journal, the alert log, the job's critical-path attribution and the tail
+//! of its schedule's events, plus the artifact writes that failed. The dump
+//! is written as JSON next to the journal artifacts (validated by
+//! `schemas/flightdump.schema.json`), pretty-printed by `ocelot postmortem`
+//! and read back by [`FlightDump::from_json`].
 //!
 //! [`render_postmortem`] is deliberately deterministic for a fixed seed and
 //! a single worker: wall-clock timings are never printed, so golden tests
@@ -13,12 +14,11 @@
 
 use crate::analyze::BottleneckSummary;
 use crate::journal::{AlertRecord, Event};
-use ocelot_obs::flight::{FlightEvent, FlightKind, FlightSnapshot};
 use ocelot_obs::ledger::{EventKind, LedgerEvent};
 use serde::{Deserialize, Serialize};
 
-/// Current dump format version.
-pub const DUMP_VERSION: u32 = 1;
+/// Current dump format version; [`FlightDump::from_json`] refuses any other.
+pub const DUMP_VERSION: u32 = 2;
 
 /// Chunk-ledger events a [`FlightDump`] embeds (the failed job's tail).
 pub const LEDGER_EMBED_EVENTS: usize = 32;
@@ -101,79 +101,32 @@ pub fn ledger_json(job: u64, events: &[LedgerEvent]) -> String {
     serde_json::to_string_pretty(&export).expect("ledger export serializes")
 }
 
-/// One flight-ring event, flattened for JSON (`kind` discriminates which of
-/// the optional fields are present).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct DumpEvent {
-    /// Global record order.
-    pub seq: u64,
-    /// Microseconds since the ring's epoch (wall clock; excluded from the
-    /// deterministic rendering).
-    pub wall_us: u64,
-    /// Job the event belongs to, when known.
-    #[serde(skip_serializing_if = "Option::is_none", default)]
-    pub job: Option<u64>,
-    /// `log` | `counter` | `state`.
-    pub kind: String,
-    /// Log severity label (`log` only).
-    #[serde(skip_serializing_if = "Option::is_none", default)]
-    pub level: Option<String>,
-    /// Log target (`log` only).
-    #[serde(skip_serializing_if = "Option::is_none", default)]
-    pub target: Option<String>,
-    /// Log message (`log` only).
-    #[serde(skip_serializing_if = "Option::is_none", default)]
-    pub message: Option<String>,
-    /// Counter name (`counter` only).
-    #[serde(skip_serializing_if = "Option::is_none", default)]
-    pub name: Option<String>,
-    /// Counter delta (`counter` only).
-    #[serde(skip_serializing_if = "Option::is_none", default)]
-    pub delta: Option<u64>,
-    /// State label (`state` only).
-    #[serde(skip_serializing_if = "Option::is_none", default)]
-    pub label: Option<String>,
-    /// Simulated seconds (`state` only).
-    #[serde(skip_serializing_if = "Option::is_none", default)]
-    pub t_s: Option<f64>,
+/// The last [`LEDGER_EMBED_EVENTS`] of a job's events, as a dump embeds them.
+pub(crate) fn ledger_tail(events: &[LedgerEvent]) -> Vec<LedgerEventRecord> {
+    events[events.len().saturating_sub(LEDGER_EMBED_EVENTS)..].iter().map(LedgerEventRecord::from).collect()
 }
 
-impl From<&FlightEvent> for DumpEvent {
-    fn from(e: &FlightEvent) -> Self {
-        let mut out = DumpEvent {
-            seq: e.seq,
-            wall_us: e.wall_us,
-            job: e.job,
-            kind: String::new(),
-            level: None,
-            target: None,
-            message: None,
-            name: None,
-            delta: None,
-            label: None,
-            t_s: None,
-        };
-        match &e.kind {
-            FlightKind::Log { level, target, message } => {
-                out.kind = "log".into();
-                out.level = Some(format!("{level:?}").to_ascii_lowercase());
-                out.target = Some(target.clone());
-                out.message = Some(message.clone());
+/// Why [`FlightDump::from_json`] refused a dump.
+#[derive(Debug, Clone, PartialEq)]
+pub enum DumpError {
+    /// The dump was written in a format version this build does not read.
+    UnsupportedVersion(u64),
+    /// The text is not a dump: malformed JSON, or a field of the wrong shape.
+    Malformed(String),
+}
+
+impl std::fmt::Display for DumpError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            DumpError::UnsupportedVersion(v) => {
+                write!(f, "flight dump version {v} is not supported (this build reads version {DUMP_VERSION})")
             }
-            FlightKind::Counter { name, delta } => {
-                out.kind = "counter".into();
-                out.name = Some(name.clone());
-                out.delta = Some(*delta);
-            }
-            FlightKind::State { label, t_s } => {
-                out.kind = "state".into();
-                out.label = Some(label.clone());
-                out.t_s = Some(*t_s);
-            }
+            DumpError::Malformed(why) => write!(f, "not a flight dump: {why}"),
         }
-        out
     }
 }
+
+impl std::error::Error for DumpError {}
 
 /// A self-contained post-mortem artifact.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -191,14 +144,13 @@ pub struct FlightDump {
     /// The job's tenant, when known.
     #[serde(skip_serializing_if = "Option::is_none", default)]
     pub tenant: Option<String>,
-    /// Simulated seconds at snapshot time (the trigger's clock).
+    /// Simulated seconds when the dump was taken: the job's last journal
+    /// time for a job-scoped dump, the cumulative clock SLOs tick on for a
+    /// service-scoped one.
     pub t_s: f64,
-    /// Flight-ring events lost to snapshot contention (cumulative).
-    pub dropped: u64,
-    /// Flight-ring capacity.
-    pub capacity: usize,
-    /// The ring contents, oldest first.
-    pub events: Vec<DumpEvent>,
+    /// The service's most recent artifact-write failures, oldest first.
+    #[serde(skip_serializing_if = "Vec::is_empty", default)]
+    pub warnings: Vec<String>,
     /// Critical-path attribution of the triggering job, when computable.
     #[serde(skip_serializing_if = "Option::is_none", default)]
     pub attribution: Option<BottleneckSummary>,
@@ -206,42 +158,26 @@ pub struct FlightDump {
     pub alerts: Vec<AlertRecord>,
     /// Full lifecycle journal at snapshot time.
     pub journal: Vec<Event>,
-    /// Tail of the failed job's chunk ledger (last [`LEDGER_EMBED_EVENTS`]),
-    /// empty for staged jobs and service-scoped dumps.
+    /// Tail of the job's schedule events (last [`LEDGER_EMBED_EVENTS`]),
+    /// empty for service-scoped dumps and jobs that never ran a pipeline.
     #[serde(skip_serializing_if = "Vec::is_empty", default)]
     pub ledger: Vec<LedgerEventRecord>,
 }
 
 impl FlightDump {
-    /// Assembles a dump from a ring snapshot plus service context.
-    #[allow(clippy::too_many_arguments)]
-    pub fn from_snapshot(
-        file: String,
-        reason: &str,
-        job: Option<u64>,
-        tenant: Option<String>,
-        t_s: f64,
-        snapshot: &FlightSnapshot,
-        attribution: Option<BottleneckSummary>,
-        alerts: Vec<AlertRecord>,
-        journal: Vec<Event>,
-        ledger: &[LedgerEvent],
-    ) -> Self {
-        let skip = ledger.len().saturating_sub(LEDGER_EMBED_EVENTS);
-        FlightDump {
-            version: DUMP_VERSION,
-            file,
-            reason: reason.to_string(),
-            job,
-            tenant,
-            t_s,
-            dropped: snapshot.dropped,
-            capacity: snapshot.capacity,
-            events: snapshot.events.iter().map(DumpEvent::from).collect(),
-            attribution,
-            alerts,
-            journal,
-            ledger: ledger[skip..].iter().map(LedgerEventRecord::from).collect(),
+    /// Reads a dump written by [`serde_json::to_string`] or its pretty form.
+    ///
+    /// # Errors
+    /// [`DumpError::UnsupportedVersion`] for a dump of another format
+    /// version, [`DumpError::Malformed`] for anything else that is not a
+    /// dump.
+    pub fn from_json(text: &str) -> Result<FlightDump, DumpError> {
+        let malformed = |e: serde_json::Error| DumpError::Malformed(e.to_string());
+        let doc: serde_json::Value = serde_json::from_str(text).map_err(malformed)?;
+        match doc.get("version").and_then(serde_json::Value::as_u64) {
+            Some(v) if v == u64::from(DUMP_VERSION) => serde_json::from_value(doc).map_err(malformed),
+            Some(v) => Err(DumpError::UnsupportedVersion(v)),
+            None => Err(DumpError::Malformed("no numeric `version`".to_string())),
         }
     }
 }
@@ -264,13 +200,6 @@ pub fn render_postmortem(dump: &FlightDump) -> String {
     let _ = writeln!(out, "== post-mortem: {who} ==");
     let _ = writeln!(out, "reason: {}", dump.reason);
     let _ = writeln!(out, "sim clock: {:.3} s", dump.t_s);
-    let _ = writeln!(
-        out,
-        "flight ring: {} event(s) captured, {} dropped (capacity {})",
-        dump.events.len(),
-        dump.dropped,
-        dump.capacity
-    );
 
     let _ = writeln!(out, "\njournal:");
     for e in &dump.journal {
@@ -304,28 +233,11 @@ pub fn render_postmortem(dump: &FlightDump) -> String {
         }
     }
 
-    let mut lines: Vec<String> = Vec::new();
-    for e in &dump.events {
-        match e.kind.as_str() {
-            "log" => lines.push(format!(
-                "  log   [{}] {}: {}",
-                e.level.as_deref().unwrap_or("?"),
-                e.target.as_deref().unwrap_or("?"),
-                e.message.as_deref().unwrap_or("")
-            )),
-            "counter" => lines.push(format!("  count {} +{}", e.name.as_deref().unwrap_or("?"), e.delta.unwrap_or(0))),
-            "state" => lines.push(format!(
-                "  state {}{} t={:.3}s",
-                e.label.as_deref().unwrap_or("?"),
-                e.job.map(|j| format!(" job={j}")).unwrap_or_default(),
-                e.t_s.unwrap_or(0.0)
-            )),
-            _ => {}
+    if !dump.warnings.is_empty() {
+        let _ = writeln!(out, "\nwarnings:");
+        for w in &dump.warnings {
+            let _ = writeln!(out, "  {w}");
         }
-    }
-    let _ = writeln!(out, "\nrecent events (wall timings omitted):");
-    for line in lines {
-        let _ = writeln!(out, "{line}");
     }
 
     if !dump.ledger.is_empty() {
@@ -357,38 +269,45 @@ pub fn render_postmortem(dump: &FlightDump) -> String {
 mod tests {
     use super::*;
     use crate::job::{JobId, JobState};
-    use ocelot_obs::flight::FlightRecorder;
-    use ocelot_obs::log::Level;
 
     fn sample_dump() -> FlightDump {
-        let fr = FlightRecorder::new(16);
-        fr.record(Some(3), FlightKind::State { label: "Admitted".into(), t_s: 0.0 });
-        fr.record(None, FlightKind::Counter { name: "ocelot_svc_jobs_done_total".into(), delta: 1 });
-        fr.record(None, FlightKind::Log { level: Level::Warn, target: "svc".into(), message: "retrying".into() });
         let journal =
             vec![Event { seq: 0, job: JobId(3), tenant: "climate".into(), t_s: 0.0, state: JobState::Queued }];
-        FlightDump::from_snapshot(
-            "flight-0-retry-exhausted.json".into(),
-            "retry_exhausted",
-            Some(3),
-            Some("climate".into()),
-            12.5,
-            &fr.snapshot(),
-            None,
-            Vec::new(),
+        FlightDump {
+            version: DUMP_VERSION,
+            file: "flight-0-retry-exhausted.json".into(),
+            reason: "retry_exhausted".into(),
+            job: Some(3),
+            tenant: Some("climate".into()),
+            t_s: 12.5,
+            warnings: vec!["failed to write chunk ledger ledger-3.json: not a directory".into()],
+            attribution: None,
+            alerts: Vec::new(),
             journal,
-            &[],
-        )
+            ledger: Vec::new(),
+        }
     }
 
     #[test]
     fn dump_round_trips_through_json() {
         let dump = sample_dump();
         let js = serde_json::to_string_pretty(&dump).unwrap();
-        let back: FlightDump = serde_json::from_str(&js).unwrap();
-        assert_eq!(back, dump);
-        // Flattened events only carry the fields their kind uses.
-        assert!(!js.contains("\"delta\": 0"), "absent fields must be omitted, got:\n{js}");
+        assert_eq!(FlightDump::from_json(&js), Ok(dump.clone()));
+        // Absent optionals are omitted.
+        let bare = FlightDump { warnings: Vec::new(), ..dump };
+        let js = serde_json::to_string(&bare).unwrap();
+        assert!(!js.contains("warnings") && !js.contains("attribution"), "absent fields must be omitted, got:\n{js}");
+        assert_eq!(FlightDump::from_json(&js), Ok(bare));
+    }
+
+    #[test]
+    fn an_older_or_foreign_dump_is_refused_by_name() {
+        let old = serde_json::to_string(&sample_dump()).unwrap().replace("\"version\":2", "\"version\":1");
+        let err = FlightDump::from_json(&old).unwrap_err();
+        assert_eq!(err, DumpError::UnsupportedVersion(1));
+        assert_eq!(err.to_string(), "flight dump version 1 is not supported (this build reads version 2)");
+        assert!(matches!(FlightDump::from_json("{\"file\": \"x\"}"), Err(DumpError::Malformed(_))));
+        assert!(matches!(FlightDump::from_json("not json"), Err(DumpError::Malformed(_))));
     }
 
     #[test]
@@ -397,9 +316,12 @@ mod tests {
         let text = render_postmortem(&dump);
         assert!(text.contains("== post-mortem: job 3 (tenant climate) =="));
         assert!(text.contains("reason: retry_exhausted"));
-        assert!(text.contains("state Admitted job=3 t=0.000s"));
-        assert!(text.contains("count ocelot_svc_jobs_done_total +1"));
-        assert!(text.contains("log   [warn] svc: retrying"));
+        assert!(text.contains("sim clock: 12.500 s"));
+        assert!(text.contains("[  0] job-3 tenant=climate t=0.000s Queued"));
+        assert!(
+            text.contains("\nwarnings:\n  failed to write chunk ledger ledger-3.json: not a directory\n"),
+            "{text}"
+        );
         assert!(!text.contains("wall_us"), "wall timings must not leak into the rendering");
     }
 
@@ -431,19 +353,7 @@ mod tests {
                 ..event(7, EventKind::Released)
             })
             .collect();
-        let fr = FlightRecorder::new(4);
-        let dump = FlightDump::from_snapshot(
-            "flight-1-job-failed.json".into(),
-            "job_failed",
-            Some(7),
-            None,
-            1.0,
-            &fr.snapshot(),
-            None,
-            Vec::new(),
-            Vec::new(),
-            &events,
-        );
+        let dump = FlightDump { ledger: ledger_tail(&events), ..sample_dump() };
         assert_eq!(dump.ledger.len(), LEDGER_EMBED_EVENTS);
         // The tail is kept, i.e. the oldest 5 events are trimmed.
         assert_eq!(dump.ledger[0].chunk, Some(5));

@@ -12,9 +12,10 @@
 //! Phase-2 observability rides on the same service: every job's run commits
 //! one schedule to the service's chunk ledger, [`analyze`] groups the
 //! critical-path reports attributed from them into per-job/per-tenant
-//! bottleneck reports and an advisory scheduler hint, [`forensics`] snapshots the obs flight ring
-//! into self-contained post-mortem dumps on failures and SLO breaches, and
-//! the journal interleaves [`journal::AlertRecord`]s with job transitions.
+//! bottleneck reports and an advisory scheduler hint, [`forensics`] assembles
+//! self-contained post-mortem dumps from the journal and the job's schedule
+//! on failures and SLO breaches, and the journal interleaves
+//! [`journal::AlertRecord`]s with job transitions.
 //!
 //! ```
 //! use ocelot_svc::{JobSpec, Service, ServiceConfig};
@@ -42,7 +43,7 @@ pub mod scheduler;
 pub mod schema;
 
 pub use analyze::{BottleneckSummary, JobAnalysis, SchedulerHint, ServiceAnalysis};
-pub use forensics::{ledger_json, render_postmortem, DumpEvent, FlightDump, LedgerEventRecord};
+pub use forensics::{ledger_json, render_postmortem, DumpError, FlightDump, LedgerEventRecord};
 pub use job::{JobId, JobReport, JobSpec, JobState};
 pub use journal::{AlertRecord, Event, Journal};
 pub use metrics::{MetricsSnapshot, TenantStats};

@@ -15,7 +15,7 @@
 //! making tests instantaneous.
 
 use crate::analyze::{build_analysis, derive_hint, BottleneckSummary, SchedulerHint, ServiceAnalysis};
-use crate::forensics::{slugify, FlightDump};
+use crate::forensics::{ledger_tail, slugify, FlightDump, DUMP_VERSION};
 use crate::job::{JobId, JobReport, JobSpec, JobState};
 use crate::journal::{AlertRecord, Event, Journal};
 use crate::metrics::{throughput_bps, MetricsSnapshot, TenantStats};
@@ -25,10 +25,8 @@ use ocelot::orchestrator::{Orchestrator, PipelineOptions, Strategy};
 use ocelot::workload::Workload;
 use ocelot_datagen::Application;
 use ocelot_netsim::{simulate_transfer_with_faults, FaultModel, GridFtpConfig};
-use ocelot_obs::critpath::{self, Attribution, BottleneckReport, Retries, RetryRound};
-use ocelot_obs::flight::FlightKind;
-use ocelot_obs::ledger::{Ledger, LedgerEvent, Schedule};
-use ocelot_obs::log::Level;
+use ocelot_obs::critpath::{self, Attribution, BottleneckReport};
+use ocelot_obs::ledger::{Ledger, LedgerEvent, RetryRound, Schedule};
 use ocelot_obs::metrics::{Counter, Gauge, Histogram};
 use ocelot_obs::slo::{SloEngine, SloRule};
 use ocelot_obs::Obs;
@@ -65,13 +63,11 @@ pub struct ServiceConfig {
     /// work); pass an explicit handle to share one registry with the CLI.
     pub obs: Option<Obs>,
     /// Declarative SLO rules, evaluated after every finished job on the
-    /// cumulative simulated clock. Each alert snapshots the flight ring.
+    /// cumulative simulated clock. Each alert snaps a flight dump.
     pub slo: Vec<SloRule>,
     /// Directory flight dumps are written into (`None` keeps them
     /// in-memory only; see [`Service::flight_dumps`]).
     pub artifact_dir: Option<PathBuf>,
-    /// Flight-ring capacity when the service builds its own obs handle.
-    pub flight_capacity: usize,
     /// Chunk-parallel codec threads per file in every job's compression and
     /// decompression phases (the CLI's `--codec-threads` flag).
     pub codec_threads: usize,
@@ -97,7 +93,6 @@ impl Default for ServiceConfig {
             obs: None,
             slo: Vec::new(),
             artifact_dir: None,
-            flight_capacity: ocelot_obs::flight::DEFAULT_CAPACITY,
             codec_threads: 1,
             stream_window: 0,
         }
@@ -188,12 +183,18 @@ struct Shared {
     /// Worst PSNR delivered so far (drives the quality gauge lazily, so a
     /// PSNR-floor SLO stays skipped until the first job completes).
     worst_psnr: Mutex<f64>,
-    /// Chunk-lifecycle ledger owned by this service (handed to the
-    /// orchestrator explicitly, so parallel services never cross streams).
+    /// Chunk-lifecycle ledger owned by this service: every job's finished
+    /// schedule is committed here, so parallel services never cross streams.
     ledger: Arc<Ledger>,
     /// Harvested ledger schedules, filed per job.
     chunk_events: Mutex<ChunkStore>,
+    /// The newest [`WARNINGS_KEPT`] artifact-write failures, oldest first;
+    /// every flight dump carries them.
+    warnings: Mutex<VecDeque<String>>,
 }
+
+/// Artifact-write failures a service keeps for its flight dumps.
+const WARNINGS_KEPT: usize = 16;
 
 /// Jobs whose schedules the service keeps in memory. A streamed job leaves
 /// its schedule (72 bytes a chunk: half a megabyte for a 7 137-chunk CESM
@@ -205,25 +206,16 @@ struct Shared {
 const LEDGER_JOBS_KEPT: usize = 32;
 
 /// The schedules of the most recent [`LEDGER_JOBS_KEPT`] jobs, kept as the
-/// ledger handed them over (widened into events only when read) with what
-/// the service did after each one's wire phase, plus the one number
-/// `analyze` needs from every job that ever ran (read off the schedule, not
-/// its events).
+/// ledger handed them over (widened into events only when read), plus the
+/// one number `analyze` needs from every job that ever ran (read off the
+/// schedule, not its events).
 #[derive(Default)]
 struct ChunkStore {
-    by_job: HashMap<u64, Kept>,
+    by_job: HashMap<u64, Schedule>,
     /// Jobs present in `by_job`, oldest first.
     order: VecDeque<u64>,
     /// Retransmits per job, for jobs that had any; outlives the events.
     retransmits: HashMap<u64, u64>,
-}
-
-/// One job's timing record: the schedule its run committed, and the retry
-/// rounds the service ran after it ([`Retries::NONE`] until the job
-/// settles).
-struct Kept {
-    schedule: Schedule,
-    retries: Retries,
 }
 
 impl ChunkStore {
@@ -240,31 +232,15 @@ impl ChunkStore {
             }
             self.order.push_back(job);
         }
-        self.by_job.insert(job, Kept { schedule, retries: Retries::NONE });
-    }
-
-    /// Records what the service did after `job`'s wire phase and attributes
-    /// the job's time; `None` when no schedule of the job is kept.
-    fn settle(&mut self, job: u64, retries: Retries) -> Option<Attribution> {
-        let kept = self.by_job.get_mut(&job)?;
-        kept.retries = retries;
-        Some(critpath::attribute(&kept.schedule, &kept.retries))
+        self.by_job.insert(job, schedule);
     }
 
     fn attribution(&self, job: u64) -> Option<Attribution> {
-        self.by_job.get(&job).map(|k| critpath::attribute(&k.schedule, &k.retries))
+        self.by_job.get(&job).map(critpath::attribute)
     }
 
     fn events(&self, job: JobId) -> Vec<LedgerEvent> {
-        self.by_job.get(&job.0).map(|k| k.schedule.events()).unwrap_or_default()
-    }
-}
-
-impl Shared {
-    /// Journals a state transition and mirrors it into the flight ring.
-    fn journal_state(&self, id: JobId, tenant: &str, t_s: f64, state: JobState) {
-        self.obs.flight_state(Some(id.0), &format!("{state:?}"), t_s);
-        self.journal.record(id, tenant, t_s, state);
+        self.by_job.get(&job.0).map(Schedule::events).unwrap_or_default()
     }
 }
 
@@ -286,7 +262,7 @@ impl Service {
         assert!(config.workers > 0, "need at least one worker");
         let obs = match &config.obs {
             Some(h) if h.is_enabled() => h.clone(),
-            _ => Obs::with_flight_capacity(config.flight_capacity),
+            _ => Obs::enabled(),
         };
         let metrics = SvcMetrics::new(&obs);
         metrics.recommended_workers.set(config.workers as f64);
@@ -303,7 +279,7 @@ impl Service {
             job_finished: Condvar::new(),
             journal: Journal::new(),
             workloads: Mutex::new(HashMap::new()),
-            orchestrator: orchestrator.with_obs(obs.clone()).with_ledger(ledger.clone()),
+            orchestrator: orchestrator.with_obs(obs.clone()),
             config,
             obs,
             metrics,
@@ -316,6 +292,7 @@ impl Service {
             worst_psnr: Mutex::new(f64::INFINITY),
             ledger,
             chunk_events: Mutex::new(ChunkStore::default()),
+            warnings: Mutex::new(VecDeque::new()),
         });
         let workers = (0..shared.config.workers)
             .map(|_| {
@@ -345,7 +322,7 @@ impl Service {
             inner.per_tenant.entry(tenant.clone()).or_default().submitted += 1;
             // Journaled before the lock is released: a worker can claim the
             // job only after that, so `Queued` is always its first event.
-            self.shared.journal_state(id, &tenant, 0.0, JobState::Queued);
+            self.shared.journal.record(id, &tenant, 0.0, JobState::Queued);
         }
         self.shared.work_ready.notify_one();
         Ok(id)
@@ -448,6 +425,15 @@ impl Service {
         self.shared.chunk_events.lock().expect("chunk events poisoned").events(job)
     }
 
+    /// The critical path of `job`, attributed from its schedule — `None`
+    /// when the service no longer keeps it (it keeps its most recent 32) or
+    /// the job never ran its pipeline. `ocelot timeline` heads its chart
+    /// with it.
+    pub fn attribution(&self, job: JobId) -> Option<Attribution> {
+        harvest_ledger(&self.shared);
+        self.shared.chunk_events.lock().expect("chunk events poisoned").attribution(job.0)
+    }
+
     /// The critical path of every job whose schedule the service still
     /// keeps (its most recent 32), ascending by job id — what `ocelot trace`
     /// renders.
@@ -484,12 +470,14 @@ impl Service {
         self.shared.dumps.lock().expect("dumps poisoned").clone()
     }
 
-    /// Snapshots the flight ring right now (reason `forced` unless given),
-    /// optionally scoped to one job. Used by `ocelot postmortem` when no
-    /// failure-triggered dump exists.
+    /// Assembles a flight dump right now, optionally scoped to one job. Used
+    /// by `ocelot postmortem` when no failure-triggered dump exists. A
+    /// job-scoped dump reads the job's own clock (its last journal time); a
+    /// service-scoped one the cumulative simulated clock SLOs tick on.
     pub fn force_flight_dump(&self, reason: &str, job: Option<JobId>) -> FlightDump {
-        let tenant = job.and_then(|j| self.shared.journal.events_for(j).first().map(|e| e.tenant.clone()));
-        let t_s = self.shared.metrics.latency.sum();
+        let journal = job.map(|j| self.shared.journal.events_for(j)).unwrap_or_default();
+        let tenant = journal.first().map(|e| e.tenant.clone());
+        let t_s = journal.last().map_or_else(|| self.shared.metrics.latency.sum(), |e| e.t_s);
         snap_dump(&self.shared, reason, job, tenant.as_deref(), t_s)
     }
 }
@@ -596,7 +584,6 @@ fn tick_slo(shared: &Shared) {
         let file = format!("flight-{idx}-{}.json", slugify(&reason));
         // Journal first so the dump's own alert list includes this breach.
         shared.journal.record_alert(&alert, Some(file.clone()));
-        shared.obs.flight_state(None, &format!("alert:{}", alert.rule), alert.t_s);
         write_dump(shared, file, &reason, None, None, alert.t_s);
     }
 }
@@ -630,20 +617,22 @@ fn persist_ledger(shared: &Shared, id: JobId) {
 
 /// Writes `file` into the artifact directory `dir`. A directory that cannot
 /// be created or a file that cannot be written is warned about on stderr
-/// and recorded into the service's own flight ring, so later dumps carry it.
+/// and kept among the service's warnings, so later dumps carry it.
 fn write_artifact(shared: &Shared, dir: &Path, file: &str, what: &str, contents: String) {
     let written = std::fs::create_dir_all(dir).and_then(|()| std::fs::write(dir.join(file), contents));
     if let Err(e) = written {
         let message = format!("failed to write {what} {file}: {e}");
         ocelot_obs::warn!("svc", "{message}");
-        if let Some(flight) = shared.obs.flight() {
-            flight.record(None, FlightKind::Log { level: Level::Warn, target: "svc".to_string(), message });
+        let mut warnings = shared.warnings.lock().expect("warnings poisoned");
+        if warnings.len() == WARNINGS_KEPT {
+            warnings.pop_front();
         }
+        warnings.push_back(message);
     }
 }
 
-/// Snapshots the flight ring into a named dump, stores it, and (when an
-/// artifact directory is configured) writes it to disk.
+/// Assembles a named dump, stores it, and (when an artifact directory is
+/// configured) writes it to disk.
 fn snap_dump(shared: &Shared, reason: &str, job: Option<JobId>, tenant: Option<&str>, t_s: f64) -> FlightDump {
     let idx = shared.dump_counter.fetch_add(1, Ordering::Relaxed);
     let file = format!("flight-{idx}-{}.json", slugify(reason));
@@ -662,22 +651,22 @@ fn write_dump(
     harvest_ledger(shared);
     let ledger_events =
         job.map(|j| shared.chunk_events.lock().expect("chunk events poisoned").events(j)).unwrap_or_default();
-    let snapshot = shared.obs.flight_snapshot().expect("service obs handle is always enabled");
     let attribution = job.and_then(|j| {
         shared.bottleneck_reports.lock().expect("bottleneck reports poisoned").get(&j.0).map(BottleneckSummary::from)
     });
-    let dump = FlightDump::from_snapshot(
-        file.clone(),
-        reason,
-        job.map(|j| j.0),
-        tenant.map(str::to_string),
+    let dump = FlightDump {
+        version: DUMP_VERSION,
+        file: file.clone(),
+        reason: reason.to_string(),
+        job: job.map(|j| j.0),
+        tenant: tenant.map(str::to_string),
         t_s,
-        &snapshot,
+        warnings: shared.warnings.lock().expect("warnings poisoned").iter().cloned().collect(),
         attribution,
-        shared.journal.alerts(),
-        shared.journal.snapshot(),
-        &ledger_events,
-    );
+        alerts: shared.journal.alerts(),
+        journal: shared.journal.snapshot(),
+        ledger: ledger_tail(&ledger_events),
+    };
     if let Some(dir) = &shared.config.artifact_dir {
         if let Ok(json) = serde_json::to_string_pretty(&dump) {
             write_artifact(shared, dir, &file, "flight dump", json);
@@ -692,10 +681,10 @@ fn write_dump(
 fn process_job(shared: &Shared, id: JobId, spec: &JobSpec) -> JobReport {
     let cfg = &shared.config;
     let obs = &shared.obs;
-    shared.journal_state(id, &spec.tenant, 0.0, JobState::Admitted);
+    shared.journal.record(id, &spec.tenant, 0.0, JobState::Admitted);
 
     let fail = |t_s: f64, reason: String| -> JobReport {
-        shared.journal_state(id, &spec.tenant, t_s, JobState::Failed(reason.clone()));
+        shared.journal.record(id, &spec.tenant, t_s, JobState::Failed(reason.clone()));
         JobReport {
             job: id,
             tenant: spec.tenant.clone(),
@@ -708,7 +697,7 @@ fn process_job(shared: &Shared, id: JobId, spec: &JobSpec) -> JobReport {
         }
     };
 
-    shared.journal_state(id, &spec.tenant, 0.0, JobState::Compressing);
+    shared.journal.record(id, &spec.tenant, 0.0, JobState::Compressing);
     let workload = match cached_workload(shared, spec.app, spec.error_bound) {
         Ok(w) => w,
         Err(reason) => {
@@ -737,8 +726,9 @@ fn process_job(shared: &Shared, id: JobId, spec: &JobSpec) -> JobReport {
         Strategy::Compressed if cfg.stream_window > 0 => Strategy::Pipelined { window: cfg.stream_window },
         s => s,
     };
-    let outcome = shared.orchestrator.run(&workload, spec.from, spec.to, strategy, &opts);
-    shared.journal_state(id, &spec.tenant, outcome.transfer_begin_s, JobState::Transferring);
+    let mut outcome = shared.orchestrator.run(&workload, spec.from, spec.to, strategy, &opts);
+    let schedule = outcome.schedule.take().expect("a run with a job has a schedule");
+    shared.journal.record(id, &spec.tenant, outcome.transfer_begin_s, JobState::Transferring);
 
     let mut t_s = outcome.transfer_end_s;
     let mut retries = outcome.transfer_retries as u32;
@@ -752,7 +742,7 @@ fn process_job(shared: &Shared, id: JobId, spec: &JobSpec) -> JobReport {
         if pending.is_empty() {
             break;
         }
-        shared.journal_state(id, &spec.tenant, t_s, JobState::Retrying(round));
+        shared.journal.record(id, &spec.tenant, t_s, JobState::Retrying(round));
         let round_start = t_s;
         let backoff = cfg.retry.backoff_s(round, job_seed);
         if cfg.sleep_scale > 0.0 {
@@ -775,7 +765,7 @@ fn process_job(shared: &Shared, id: JobId, spec: &JobSpec) -> JobReport {
         rounds.push(RetryRound { start_s: round_start, backoff_end_s: backoff_end, end_s: t_s });
     }
     let delivered = pending.is_empty();
-    settle(shared, id, Retries { rounds, delivered });
+    commit(shared, schedule.with_rounds(rounds, delivered));
 
     // A job that gave up ends with its last round: nothing is decoded.
     if !delivered {
@@ -794,7 +784,7 @@ fn process_job(shared: &Shared, id: JobId, spec: &JobSpec) -> JobReport {
     }
 
     t_s += outcome.breakdown.decompression_s;
-    shared.journal_state(id, &spec.tenant, t_s, JobState::Done);
+    shared.journal.record(id, &spec.tenant, t_s, JobState::Done);
     // Delivered quality: the worst per-file PSNR so far drives a lazily
     // registered gauge, so a PSNR-floor SLO only judges completed work.
     {
@@ -820,15 +810,13 @@ fn process_job(shared: &Shared, id: JobId, spec: &JobSpec) -> JobReport {
     }
 }
 
-/// Files what the service did after the job's wire phase with the schedule
-/// its run committed and stores the job's critical-path report — the one
-/// `analyze`, the hint and the job's flight dumps read.
-fn settle(shared: &Shared, id: JobId, retries: Retries) {
-    harvest_ledger(shared);
-    let attribution = shared.chunk_events.lock().expect("chunk events poisoned").settle(id.0, retries);
-    if let Some(a) = attribution {
-        shared.bottleneck_reports.lock().expect("bottleneck reports poisoned").insert(id.0, a.report);
-    }
+/// Stores the critical-path report of a job's finished schedule — the one
+/// `analyze`, the hint and the job's flight dumps read — and commits the
+/// schedule to the service's ledger.
+fn commit(shared: &Shared, schedule: Schedule) {
+    let report = critpath::attribute(&schedule).report;
+    shared.bottleneck_reports.lock().expect("bottleneck reports poisoned").insert(schedule.job(), report);
+    shared.ledger.commit(schedule);
 }
 
 /// Fetches or builds the shared workload for `(app, error_bound)`.
@@ -854,6 +842,7 @@ fn cached_workload(shared: &Shared, app: Application, error_bound: f64) -> Resul
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::forensics::render_postmortem;
     use ocelot_netsim::SiteId;
     use ocelot_obs::ledger::EventKind;
 
@@ -946,21 +935,39 @@ mod tests {
     }
 
     #[test]
-    fn unwritable_artifact_dir_is_recorded_in_the_service_flight_ring() {
+    fn unwritable_artifact_dir_is_recorded_in_the_dump_warnings() {
         // A regular file where the artifact directory should be: creating
         // the directory fails, so the streamed job's ledger cannot be saved.
         let blocker = std::env::temp_dir().join(format!("ocelot-artifact-blocker-{}", std::process::id()));
         std::fs::write(&blocker, b"not a directory").unwrap();
         let cfg = ServiceConfig { stream_window: 4, artifact_dir: Some(blocker.clone()), ..quick_config() };
         let svc = Service::start(cfg);
-        svc.submit(miranda_job("climate")).unwrap();
+        let id = svc.submit(miranda_job("climate")).unwrap();
         svc.drain();
-        let snapshot = svc.obs().flight_snapshot().expect("service obs is enabled");
+        let first = svc.force_flight_dump("postmortem", Some(id));
+        let second = svc.force_flight_dump("postmortem", Some(id));
         std::fs::remove_file(&blocker).unwrap();
-        assert!(
-            snapshot.events.iter().any(|e| matches!(&e.kind, FlightKind::Log { target, .. } if target == "svc")),
-            "no svc log event in the service's flight ring"
-        );
+        assert_eq!(first.warnings.len(), 1, "{:?}", first.warnings);
+        assert!(first.warnings[0].starts_with("failed to write chunk ledger ledger-0.json: "), "{:?}", first.warnings);
+        // The first dump could not be written either, and the next one says so.
+        assert_eq!(second.warnings.len(), 2, "{:?}", second.warnings);
+        assert!(second.warnings[1].starts_with(&format!("failed to write flight dump {}: ", first.file)));
+        assert!(render_postmortem(&second).contains("\nwarnings:\n  failed to write chunk ledger ledger-0.json: "));
+    }
+
+    #[test]
+    fn a_forced_job_dump_reads_the_jobs_own_clock() {
+        let svc = Service::start(ServiceConfig { workers: 1, ..quick_config() });
+        let first = svc.submit(miranda_job("a")).unwrap();
+        svc.submit(JobSpec::compressed("b", Application::Miranda, 1e-3, SiteId::Anvil, SiteId::Bebop)).unwrap();
+        svc.drain();
+        let reports = svc.reports();
+        let dump = svc.force_flight_dump("postmortem", Some(first));
+        assert_eq!(dump.t_s, reports[0].latency_s, "job 0's dump is on job 0's clock");
+        assert_eq!(dump.t_s, dump.journal.iter().rfind(|e| e.job == first).unwrap().t_s);
+        // A service-scoped dump keeps the cumulative clock SLOs tick on.
+        let total = reports[0].latency_s + reports[1].latency_s;
+        assert!((svc.force_flight_dump("postmortem", None).t_s - total).abs() <= 1e-9 * total);
     }
 
     #[test]
@@ -1000,7 +1007,7 @@ mod tests {
     #[test]
     fn retry_exhaustion_snaps_a_flight_dump() {
         // Every attempt fails, so the job burns its 2-attempt budget and the
-        // service snapshots the flight ring as a post-mortem.
+        // service snaps a post-mortem dump.
         let cfg = ServiceConfig {
             workers: 1,
             faults: FaultModel { per_attempt_failure_prob: 1.0, max_retries: 1, reconnect_s: 1.0 },
@@ -1017,8 +1024,9 @@ mod tests {
         assert_eq!(dump.reason, "retry_exhausted");
         assert_eq!(dump.job, Some(id.0));
         assert_eq!(dump.tenant.as_deref(), Some("doomed"));
-        assert!(!dump.events.is_empty(), "ring must hold recent events");
         assert!(dump.journal.iter().any(|e| matches!(e.state, JobState::Failed(_))));
+        let end = dump.ledger.last().expect("the dump embeds the job's schedule tail");
+        assert_eq!((end.kind(), end.t_sim), (Some(EventKind::JobEnd), dump.t_s), "the job ends when it failed");
     }
 
     #[test]
@@ -1034,17 +1042,20 @@ mod tests {
         svc.drain();
         let report = svc.reports().pop().unwrap();
         assert!(matches!(report.state, JobState::Failed(_)));
-        let rounds = svc.shared.chunk_events.lock().unwrap().by_job[&id.0].retries.rounds.clone();
+        let rounds = svc.shared.chunk_events.lock().unwrap().by_job[&id.0].rounds().to_vec();
         assert_eq!(rounds.len(), 2);
         let journal = svc.shared.journal.events_for(id);
         let last_retry = journal.iter().rev().find(|e| matches!(e.state, JobState::Retrying(_))).unwrap();
         assert_eq!(last_retry.t_s, rounds[1].start_s);
         assert_eq!(report.latency_s, rounds[1].end_s, "the job ends with its last round");
         assert_eq!(journal.last().unwrap().t_s, report.latency_s);
-        // The run's own schedule still carries the decode it would have run.
+        // Its schedule holds the rounds, no decode, and ends when it failed.
         let events = svc.chunk_events(id);
-        let at = |kind: EventKind| events.iter().find(|e| e.event == kind).unwrap().t_sim;
-        assert!(at(EventKind::JobEnd) > at(EventKind::TransferEnd));
+        let at = |kind: EventKind| events.iter().filter(|e| e.event == kind).map(|e| e.t_sim).collect::<Vec<_>>();
+        assert_eq!(at(EventKind::RetryBegin), rounds.iter().map(|r| r.start_s).collect::<Vec<_>>());
+        assert_eq!(at(EventKind::RetryEnd), rounds.iter().map(|r| r.end_s).collect::<Vec<_>>());
+        assert!(at(EventKind::DecodeBegin).is_empty() && at(EventKind::DecodeEnd).is_empty(), "nothing was decoded");
+        assert_eq!(at(EventKind::JobEnd), [report.latency_s]);
         let analysis = svc.analyze();
         let attributed = &analysis.jobs[0].report;
         assert_eq!(attributed.stages["decompress"], 0.0, "a job that gave up decoded nothing");
@@ -1274,7 +1285,8 @@ mod tests {
             ..PipelineOptions::default()
         };
         let strategy = Strategy::Pipelined { window: cfg.stream_window };
-        Orchestrator::paper().with_ledger(ledger.clone()).run(&workload, SiteId::Anvil, SiteId::Cori, strategy, &opts);
+        let out = Orchestrator::paper().run(&workload, SiteId::Anvil, SiteId::Cori, strategy, &opts);
+        ledger.commit(out.schedule.expect("a run with a job has a schedule"));
         let drained = ledger.drain();
         assert_eq!(drained.len(), events.len());
         let stampless = |e: &LedgerEvent| LedgerEvent { t_wall_us: 0, ..e.clone() };

@@ -163,7 +163,7 @@ mod tests {
             total_s: 2.0,
             ..Default::default()
         });
-        let path = ocelot_obs::critpath::attribute(&schedule, &ocelot_obs::critpath::Retries::NONE);
+        let path = ocelot_obs::critpath::attribute(&schedule);
         let trace: Value = serde_json::from_str(&ocelot_obs::export::chrome_trace(&[path])).unwrap();
         assert_eq!(validate(&trace_schema, &trace), Vec::<String>::new());
 

@@ -18,8 +18,7 @@ use ocelot::orchestrator::{Orchestrator, PipelineOptions, Strategy};
 use ocelot::workload::Workload;
 use ocelot_datagen::Application;
 use ocelot_netsim::{FaultModel, SiteId};
-use ocelot_obs::critpath::{attribute, Retries};
-use ocelot_obs::ledger::Ledger;
+use ocelot_obs::critpath::attribute;
 use ocelot_svc::{JobSpec, RetryPolicy, Service, ServiceConfig};
 
 const FIXTURE: &str = include_str!("golden/attribution.txt");
@@ -64,8 +63,7 @@ fn measure() -> Vec<Case> {
             ];
             for (kind, strategy, window, sentinel) in kinds {
                 job += 1;
-                let ledger = Ledger::detached();
-                let orch = Orchestrator::paper().with_ledger(ledger.clone());
+                let orch = Orchestrator::paper();
                 let opts = PipelineOptions {
                     codec_threads: threads,
                     wait_model: ocelot_faas::WaitTimeModel::Fixed(20.0),
@@ -75,13 +73,9 @@ fn measure() -> Vec<Case> {
                     job: Some(job),
                     ..PipelineOptions::default()
                 };
-                match strategy {
-                    Some(s) => drop(orch.run(&w, SiteId::Anvil, SiteId::Bebop, s, &opts)),
-                    None => drop(orch.run(&w, SiteId::Anvil, SiteId::Bebop, Strategy::Pipelined { window }, &opts)),
-                }
-                let taken = ledger.take();
-                let [schedule] = taken.as_slice() else { panic!("{kind}: one schedule per run, got {}", taken.len()) };
-                let r = attribute(schedule, &Retries::NONE).report;
+                let s = strategy.unwrap_or(Strategy::Pipelined { window });
+                let run = orch.run(&w, SiteId::Anvil, SiteId::Bebop, s, &opts);
+                let r = attribute(&run.schedule.expect("a run with a job has a schedule")).report;
                 out.push(Case {
                     label: format!("run/{kind}/{fname}/t{threads}"),
                     row: row(r.critical_path_s, &r.stage_s),

@@ -7,8 +7,7 @@ use ocelot::orchestrator::{Orchestrator, PipelineOptions, Strategy};
 use ocelot::workload::Workload;
 use ocelot_datagen::Application;
 use ocelot_netsim::SiteId;
-use ocelot_obs::critpath::{attribute, Retries};
-use ocelot_obs::ledger::Ledger;
+use ocelot_obs::critpath::attribute;
 use ocelot_obs::Obs;
 use ocelot_svc::{JobSpec, Service, ServiceConfig};
 
@@ -17,16 +16,14 @@ use ocelot_svc::{JobSpec, Service, ServiceConfig};
 /// pipeline's `TimeBreakdown` total within 1%.
 #[test]
 fn traced_phase_spans_sum_to_breakdown_within_one_percent() {
-    let ledger = Ledger::detached();
-    let orch = Orchestrator::paper().with_ledger(ledger.clone());
+    let orch = Orchestrator::paper();
     let workload = Workload::paper_default(Application::Miranda, 4).expect("workload");
     let opts = PipelineOptions { job: Some(42), ..PipelineOptions::default() };
     let outcome = orch.run(&workload, SiteId::Anvil, SiteId::Cori, Strategy::Compressed, &opts);
 
-    let taken = ledger.take();
-    let [schedule] = taken.as_slice() else { panic!("one schedule per run, got {}", taken.len()) };
+    let schedule = outcome.schedule.as_ref().expect("a run with a job has a schedule");
     let trace: serde_json::Value =
-        serde_json::from_str(&ocelot_obs::export::chrome_trace(&[attribute(schedule, &Retries::NONE)])).unwrap();
+        serde_json::from_str(&ocelot_obs::export::chrome_trace(&[attribute(schedule)])).unwrap();
     let str_of = |e: &serde_json::Value, key: &str| e.get(key).and_then(serde_json::Value::as_str).map(str::to_string);
     let int_of = |e: &serde_json::Value, key: &str| e.get(key).and_then(serde_json::Value::as_u64).unwrap();
     let events = trace.get("traceEvents").and_then(serde_json::Value::as_array).unwrap();

@@ -6,8 +6,9 @@
 //! prints no wall-clock timing and every number on the simulated clock, so
 //! the text is stable across machines.
 //!
-//! The service records into its own handle and nothing else writes into its
-//! flight ring, so the event stream is identical run to run.
+//! A dump is assembled from the journal and the job's schedule, both
+//! seeded, so the text is identical run to run. The streamed case forces a
+//! dump of a job that delivered; its clock is the job's own.
 //!
 //! Regenerate with: UPDATE_GOLDEN=1 cargo test -p ocelot-svc --test postmortem_golden
 

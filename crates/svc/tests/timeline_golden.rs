@@ -4,20 +4,22 @@
 //! chunk-lifecycle ledger; the rendered timeline must match the checked-in
 //! golden byte for byte. The render uses simulated times only (no wall
 //! stamps, no raw sequence numbers), so the text is stable across machines
-//! and reruns. The flaky variant injects WAN faults and must name the
-//! retransmitted chunks and their causes.
+//! and reruns. The header is the job's attribution, read off the schedule
+//! the events came from. The flaky variant injects WAN faults and must name
+//! the retransmitted chunks and their causes.
 //!
 //! Regenerate with: UPDATE_GOLDEN=1 cargo test -p ocelot-svc --test timeline_golden
 
 use ocelot_datagen::Application;
 use ocelot_netsim::{FaultModel, SiteId};
+use ocelot_obs::critpath::BottleneckReport;
 use ocelot_obs::ledger::{check_causality, render_timeline, Timeline};
 use ocelot_svc::{JobId, JobSpec, Service, ServiceConfig};
 
 const GOLDEN: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/timeline.txt");
 const GOLDEN_FLAKY: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/timeline_flaky.txt");
 
-fn streamed_job(faults: FaultModel) -> (Vec<ocelot_obs::ledger::LedgerEvent>, Timeline) {
+fn streamed_job(faults: FaultModel) -> (Vec<ocelot_obs::ledger::LedgerEvent>, Timeline, BottleneckReport) {
     let cfg = ServiceConfig {
         workers: 1,
         codec_threads: 2,
@@ -34,7 +36,8 @@ fn streamed_job(faults: FaultModel) -> (Vec<ocelot_obs::ledger::LedgerEvent>, Ti
     assert!(!events.is_empty(), "streamed job must populate the chunk ledger");
     assert_eq!(check_causality(&events, 0), Vec::<String>::new());
     let tl = Timeline::reconstruct(&events, 0).expect("timeline reconstructs");
-    (events, tl)
+    let report = svc.attribution(JobId(0)).expect("the job's schedule is kept").report;
+    (events, tl, report)
 }
 
 fn check_golden(rendered: &str, path: &str) {
@@ -48,12 +51,12 @@ fn check_golden(rendered: &str, path: &str) {
 
 #[test]
 fn timeline_rendering_matches_golden() {
-    let (events, tl) = streamed_job(FaultModel::none());
+    let (events, tl, report) = streamed_job(FaultModel::none());
     assert_eq!(tl.total_retries(), 0, "healthy link must not retransmit");
-    let rendered = render_timeline(&tl);
+    let rendered = render_timeline(&tl, &report);
     // Reconstruction and rendering are pure functions of the drained
     // events: a second replay must be byte-identical.
-    let again = render_timeline(&Timeline::reconstruct(&events, 0).unwrap());
+    let again = render_timeline(&Timeline::reconstruct(&events, 0).unwrap(), &report);
     assert_eq!(rendered, again, "render_timeline is not deterministic over the same ledger");
     check_golden(&rendered, GOLDEN);
 }
@@ -61,9 +64,9 @@ fn timeline_rendering_matches_golden() {
 #[test]
 fn flaky_timeline_names_retransmitted_chunks_and_causes() {
     let faults = FaultModel { per_attempt_failure_prob: 0.002, max_retries: 3, reconnect_s: 1.0 };
-    let (_, tl) = streamed_job(faults);
+    let (_, tl, report) = streamed_job(faults);
     assert!(tl.total_retries() > 0, "seeded flaky link must retransmit at least one chunk");
-    let rendered = render_timeline(&tl);
+    let rendered = render_timeline(&tl, &report);
     // Fault attribution must survive rendering: the retransmit glyph and
     // the injected fault model's cause string both appear, and every
     // retransmitted chunk keeps its row even when clean chunks are elided.
