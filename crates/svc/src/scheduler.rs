@@ -208,12 +208,15 @@ const LEDGER_JOBS_KEPT: usize = 32;
 /// commit order, and attributed once. The newest [`LEDGER_JOBS_KEPT`] keep
 /// the schedule (widened into events only when read) beside its
 /// attribution; every job keeps its critical-path report and retransmit
-/// count, which `analyze`, the hint and flight dumps read.
+/// count, which `analyze`, the hint and flight dumps read. A reader that
+/// widens a schedule into events clones its `Arc` under the lock and
+/// widens after the guard drops, so a 67 000-event job never holds up a
+/// worker's `commit`.
 struct ChunkStore {
     /// Sequence number of the next filed schedule's `job_begin`.
     next_seq: u64,
     /// The newest jobs' schedules and attributions, oldest first.
-    kept: VecDeque<(Schedule, Attribution)>,
+    kept: VecDeque<(Arc<Schedule>, Attribution)>,
     /// Every filed job's report and retransmits, by job.
     settled: BTreeMap<u64, (BottleneckReport, u64)>,
 }
@@ -230,15 +233,16 @@ impl ChunkStore {
         if self.kept.len() == LEDGER_JOBS_KEPT {
             self.kept.pop_front();
         }
-        self.kept.push_back((schedule, attribution));
+        self.kept.push_back((Arc::new(schedule), attribution));
     }
 
-    fn kept(&self, job: u64) -> Option<&(Schedule, Attribution)> {
+    fn kept(&self, job: u64) -> Option<&(Arc<Schedule>, Attribution)> {
         self.kept.iter().find(|(schedule, _)| schedule.job() == job)
     }
 
-    fn events(&self, job: JobId) -> Vec<LedgerEvent> {
-        self.kept(job.0).map(|(schedule, _)| schedule.events()).unwrap_or_default()
+    /// The kept schedule of `job`, to widen once the store's lock is released.
+    fn schedule(&self, job: JobId) -> Option<Arc<Schedule>> {
+        self.kept(job.0).map(|(schedule, _)| Arc::clone(schedule))
     }
 }
 
@@ -415,7 +419,7 @@ impl Service {
     /// jobs; an older job's are in its `ledger-<job>.json` (see
     /// [`ServiceConfig::artifact_dir`]).
     pub fn chunk_events(&self, job: JobId) -> Vec<LedgerEvent> {
-        self.shared.store.lock().expect("job store poisoned").events(job)
+        chunk_events(&self.shared, job)
     }
 
     /// The critical path of `job`, attributed from its schedule when it
@@ -431,7 +435,7 @@ impl Service {
     /// renders.
     pub fn critical_paths(&self) -> Vec<Attribution> {
         let store = self.shared.store.lock().expect("job store poisoned");
-        let mut kept: Vec<&(Schedule, Attribution)> = store.kept.iter().collect();
+        let mut kept: Vec<&(Arc<Schedule>, Attribution)> = store.kept.iter().collect();
         kept.sort_unstable_by_key(|(schedule, _)| schedule.job());
         kept.into_iter().map(|(_, a)| a.clone()).collect()
     }
@@ -570,12 +574,19 @@ fn tick_slo(shared: &Shared) {
     }
 }
 
+/// The events of `job`'s kept schedule, widened after the job store's lock
+/// is released (empty when the store no longer keeps it).
+fn chunk_events(shared: &Shared, job: JobId) -> Vec<LedgerEvent> {
+    let schedule = shared.store.lock().expect("job store poisoned").schedule(job);
+    schedule.map(|schedule| schedule.events()).unwrap_or_default()
+}
+
 /// Writes `ledger-<job>.json` next to the flight dumps once a job reaches a
 /// terminal state, when it produced chunk events and an artifact directory
 /// is configured. The export validates against `schemas/ledger.schema.json`.
 fn persist_ledger(shared: &Shared, id: JobId) {
     let Some(dir) = &shared.config.artifact_dir else { return };
-    let events = shared.store.lock().expect("job store poisoned").events(id);
+    let events = chunk_events(shared, id);
     if events.is_empty() {
         return;
     }
@@ -922,6 +933,20 @@ mod tests {
     }
 
     #[test]
+    fn the_written_ledger_is_the_jobs_chunk_events() {
+        let dir = std::env::temp_dir().join(format!("ocelot-ledger-export-{}", std::process::id()));
+        let cfg = ServiceConfig { stream_window: 4, artifact_dir: Some(dir.clone()), ..quick_config() };
+        let svc = Service::start(cfg);
+        let id = svc.submit(miranda_job("climate")).unwrap();
+        svc.drain();
+        let written = std::fs::read_to_string(dir.join(format!("ledger-{}.json", id.0)));
+        std::fs::remove_dir_all(&dir).unwrap();
+        let events = svc.chunk_events(id);
+        assert!(events.len() > 2, "a streamed job traces its chunks");
+        assert_eq!(written.unwrap(), crate::forensics::ledger_json(id.0, &events));
+    }
+
+    #[test]
     fn a_forced_job_dump_reads_the_jobs_own_clock() {
         let svc = Service::start(ServiceConfig { workers: 1, ..quick_config() });
         let first = svc.submit(miranda_job("a")).unwrap();
@@ -1242,12 +1267,13 @@ mod tests {
             store.file(schedule, attribution, job);
         }
         assert_eq!(store.kept.len(), LEDGER_JOBS_KEPT);
-        assert!(store.events(JobId(4)).is_empty(), "the oldest jobs' events are dropped");
-        let oldest_kept = store.events(JobId(5));
+        assert!(store.schedule(JobId(4)).is_none(), "the oldest jobs' events are dropped");
+        let oldest_kept = store.schedule(JobId(5)).unwrap().events();
         assert_eq!(oldest_kept.len(), 11);
         // Jobs 0 … 4 took 13 + 11 + 13 + 11 + 13 sequence numbers from 1 on.
         assert_eq!((oldest_kept[0].seq, oldest_kept[0].t_wall_us), (62, 5), "numbered and stamped when filed");
-        let newest: Vec<EventKind> = store.events(JobId(jobs - 1)).iter().map(|e| e.event).collect();
+        let newest: Vec<EventKind> =
+            store.schedule(JobId(jobs - 1)).unwrap().events().iter().map(|e| e.event).collect();
         assert_eq!(newest.len(), 13);
         assert_eq!(newest.iter().filter(|&&k| k == EventKind::Retransmit).count(), 1);
         assert_eq!((newest[0], newest[12]), (EventKind::JobBegin, EventKind::JobEnd), "a job's events stay whole");

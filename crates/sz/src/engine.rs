@@ -9,17 +9,20 @@
 //!   contiguous slabs along dimension 0 (the slowest-varying axis), so a
 //!   chunk is a plain sub-slice of the value buffer and keeps the dataset's
 //!   rank (predictors see real n-d structure, not a flattened stream).
-//! * [`parallel_map`] — the bounded scoped worker pool (crossbeam scope +
-//!   atomic work index), whose results are consumed *in index order*, so the
-//!   assembled output is byte-identical regardless of worker count. It is the
-//!   window-0 face of the one pool, which also streams: chunk decode, the
-//!   streamed compressor and `ocelot`'s file-level executor all run on it.
+//! * [`parallel_map`] — the bounded scoped worker pool (`std::thread::scope`
+//!   workers around one `Mutex` and one `Condvar`), whose results are
+//!   consumed *in index order*, so the assembled output is byte-identical
+//!   regardless of worker count. It is the window-0 face of the one pool,
+//!   which also streams: chunk decode, the streamed compressor and
+//!   `ocelot`'s file-level executor all run on it. Every decision the pool
+//!   makes — claim a scan, run `setup` once, claim and admit a work index
+//!   under the window, deliver, hand over and retire a result, close on an
+//!   error or an unwind — is one pure function, `step`, called under that
+//!   lock; no closure runs while it is held. The tests run an exhaustive
+//!   explorer over every interleaving of that same function, with a fault
+//!   at every closure call; a new stage extends that model before it lands.
 
-use crossbeam::thread;
-use parking_lot::Mutex;
-use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Barrier, OnceLock};
+use std::sync::{Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 /// How many chunks each worker should get on average when the chunk size is
 /// derived from the thread count (slack for load balancing: a straggler slab
@@ -132,11 +135,11 @@ impl ChunkLayout {
 
 /// Runs `work(0..n)` on up to `threads` scoped workers and returns the
 /// results in index order: `parallel_map_windowed` at window 0, with a
-/// consumer that collects. Work is claimed from a shared atomic counter, so
-/// stragglers do not idle other workers; output order (and therefore any
-/// bytes assembled from it) is independent of scheduling. The first error
-/// consumed is the lowest failing index's — what the serial loop returns —
-/// at every thread count, and it stops the workers.
+/// consumer that collects. A worker claims the next index as soon as it is
+/// free, so stragglers do not idle other workers; output order (and
+/// therefore any bytes assembled from it) is independent of scheduling. The
+/// first error consumed is the lowest failing index's — what the serial
+/// loop returns — at every thread count, and it stops the workers.
 ///
 /// # Errors
 /// Returns the error of the lowest index whose `work` failed.
@@ -147,68 +150,145 @@ where
     F: Fn(usize) -> Result<R, E> + Sync,
 {
     let mut out = Vec::with_capacity(n);
-    parallel_map_windowed(
-        n,
-        threads,
-        0,
-        |_| (),
-        |_| (),
-        |_, i| work(i),
-        |_, _, r| {
-            out.push(r?);
-            Ok(())
-        },
-    )?;
+    parallel_map_windowed(n, threads, 0, |_| (), |_| (), |_, i| work(i), |_, _, r| r.map(|r| out.push(r)))?;
     Ok(out)
 }
 
-/// Back-pressure gate shared by the pool: `consumed` counts results the
-/// in-order consumer has retired; a worker may start index `i` only once
-/// `i < consumed + window` (any `i` at `window == 0`), so at most `window`
-/// results are ever past the gate but not yet consumed. A closed gate
-/// admits nothing and parks no one: the consumer closes it when it stops —
-/// done, failed or unwinding — and so does a worker that unwinds, so no
-/// thread waits on a result that will never come.
-struct WindowGate {
-    /// Results retired, and whether the gate is closed.
-    state: std::sync::Mutex<(usize, bool)>,
-    cv: std::sync::Condvar,
+/// What a thread tells the pool's protocol, [`step`]: that it wants a task
+/// (`Idle` from a worker, `Take` from the consumer), that it has done the
+/// one it was given, that `consume` failed, or that it is unwinding.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+enum Event {
+    Idle,
+    Take,
+    Done(Action),
+    Failed,
+    Unwind,
 }
 
-impl WindowGate {
-    fn new() -> Self {
-        WindowGate { state: std::sync::Mutex::new((0, false)), cv: std::sync::Condvar::new() }
-    }
-
-    /// Blocks until index `i` fits in the window; `false` once the gate is
-    /// closed, when the worker should stop.
-    fn admit(&self, i: usize, window: usize) -> bool {
-        let mut state = self.state.lock().expect("gate lock");
-        while window > 0 && i >= state.0 + window && !state.1 {
-            state = self.cv.wait(state).expect("gate wait");
+impl Event {
+    /// What the thread that sent `self` asks once a wait ends: the consumer
+    /// for its next result, a worker for a task. Any other event changes
+    /// something a waiting thread may wait for, so it wakes the waiters.
+    fn ask(self) -> Event {
+        match self {
+            Event::Take | Event::Done(Action::Consume(_)) | Event::Failed => Event::Take,
+            _ => Event::Idle,
         }
-        !state.1
-    }
-
-    fn retire(&self) {
-        self.state.lock().expect("gate lock").0 += 1;
-        self.cv.notify_all();
-    }
-
-    fn close(&self) {
-        self.state.lock().expect("gate lock").1 = true;
-        self.cv.notify_all();
     }
 }
 
-/// Closes its gate if dropped while its thread unwinds; a worker's normal
-/// exit must leave the gate open for the workers still running.
-struct CloseOnUnwind<'a>(&'a WindowGate);
+/// What [`step`] tells a thread to do next; the first four run a closure,
+/// outside the lock.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+enum Action {
+    Scan(usize),
+    Setup,
+    Work(usize),
+    Consume(usize),
+    Wait,
+    Exit,
+}
 
-impl Drop for CloseOnUnwind<'_> {
+/// The pool's protocol state: indices, counters and flags only. The scans
+/// and results it counts wait in slots beside it, under the same lock.
+#[derive(Clone, Debug, Default, PartialEq, Eq, Hash)]
+struct PoolState {
+    /// Most results admitted but not yet retired (0: unbounded).
+    window: usize,
+    /// Scan indices claimed, and scans done; the worker whose scan is the
+    /// last to finish runs `setup`.
+    next_scan: usize,
+    scanned: usize,
+    set_up: bool,
+    /// Work indices claimed, each admitted under the window.
+    next_work: usize,
+    /// Which results have been delivered.
+    ready: Vec<bool>,
+    /// Results retired: consumed in order. The consumer takes this index next.
+    retired: usize,
+    /// Set by a consumer error or any unwind; no task starts after it.
+    closed: bool,
+}
+
+/// The pool's protocol: applies `event` to the state and returns what the
+/// thread that sent it does next. Every decision the pool makes is made
+/// here, under its one lock; the tests' explorer runs this same function
+/// over every interleaving.
+fn step(s: &mut PoolState, event: Event) -> Action {
+    let n = s.ready.len();
+    match event {
+        Event::Done(Action::Scan(_)) => s.scanned += 1,
+        Event::Done(Action::Setup) => s.set_up = true,
+        Event::Done(Action::Work(i)) => s.ready[i] = true,
+        Event::Done(Action::Consume(_)) => s.retired += 1,
+        Event::Failed | Event::Unwind => s.closed = true,
+        _ => {}
+    }
+    if s.closed {
+        Action::Exit
+    } else if event.ask() == Event::Take {
+        match s.ready.get(s.retired) {
+            Some(true) => Action::Consume(s.retired),
+            Some(false) => Action::Wait,
+            None => Action::Exit,
+        }
+    } else if s.next_scan < n {
+        s.next_scan += 1;
+        Action::Scan(s.next_scan - 1)
+    } else if matches!(event, Event::Done(Action::Scan(_))) && s.scanned == n {
+        Action::Setup
+    } else if !s.set_up {
+        Action::Wait
+    } else if s.next_work == n {
+        Action::Exit
+    } else if s.window > 0 && s.next_work >= s.retired + s.window {
+        Action::Wait
+    } else {
+        s.next_work += 1;
+        Action::Work(s.next_work - 1)
+    }
+}
+
+/// What the pool's one lock guards: the protocol's state, the slots the
+/// scans and results wait in, and `setup` until a worker takes it.
+struct Pool<Q, R, F> {
+    state: PoolState,
+    scans: Vec<Option<Q>>,
+    results: Vec<Option<R>>,
+    setup: Option<F>,
+}
+
+/// Locks the pool; poisoned only if the pool's own code panicked under the
+/// lock, since no closure runs while it is held.
+fn lock<T>(pool: &Mutex<T>) -> MutexGuard<'_, T> {
+    pool.lock().expect("no closure runs under the pool's lock")
+}
+
+/// Feeds `event` to [`step`] under the lock, wakes the waiters when the
+/// event changed something, and waits for as long as the step says to.
+fn turn<Q, R, F>(pool: &Mutex<Pool<Q, R, F>>, cv: &Condvar, event: Event) -> Action {
+    let mut guard = lock(pool);
+    let mut action = step(&mut guard.state, event);
+    if event != event.ask() {
+        cv.notify_all();
+    }
+    while action == Action::Wait {
+        guard = cv.wait(guard).expect("no closure runs under the pool's lock");
+        action = step(&mut guard.state, event.ask());
+    }
+    action
+}
+
+/// Feeds `Unwind` to [`step`] if dropped while its thread unwinds — through
+/// a poisoned lock too — so no thread waits for one that died.
+struct CloseOnUnwind<'a, Q, R, F>(&'a Mutex<Pool<Q, R, F>>, &'a Condvar);
+
+impl<Q, R, F> Drop for CloseOnUnwind<'_, Q, R, F> {
     fn drop(&mut self) {
         if std::thread::panicking() {
-            self.0.close();
+            step(&mut self.0.lock().unwrap_or_else(PoisonError::into_inner).state, Event::Unwind);
+            self.1.notify_all();
         }
     }
 }
@@ -231,7 +311,8 @@ impl Drop for CloseOnUnwind<'_> {
 ///
 /// A `consume` error closes the pool — no worker starts another index —
 /// and is returned. A panic in any stage, on any thread, closes it too and
-/// resurfaces from the call.
+/// resurfaces from the call. Every decision is [`step`]'s, made under one
+/// lock; no closure runs while it is held.
 pub(crate) fn parallel_map_windowed<Q, S, R, E>(
     n: usize,
     threads: usize,
@@ -256,79 +337,62 @@ where
         }
         return Ok(ctx);
     }
-    let (next_scan, scans) = (AtomicUsize::new(0), Mutex::new((0..n).map(|_| None).collect::<Vec<Option<Q>>>()));
-    let (scanned, setup, ctx) = (Barrier::new(threads), Mutex::new(Some(setup)), OnceLock::new());
-    let next = AtomicUsize::new(0);
-    let gate = WindowGate::new();
-    let (tx, rx) = mpsc::channel::<(usize, R)>();
-    let mut consumed = Ok(());
-    thread::scope(|scope| {
-        let (next, gate, work) = (&next, &gate, &work);
-        let (next_scan, scans, scan, scanned, setup, ctx) = (&next_scan, &scans, &scan, &scanned, &setup, &ctx);
-        for _ in 0..threads {
-            let tx = tx.clone();
-            scope.spawn(move |_| {
-                let _close = CloseOnUnwind(gate);
-                // A panicking scan is rethrown only past the barrier, so no
-                // worker is left waiting there for one that died; the fold
-                // then meets the missing scan and panics on every worker.
-                let scanning = panic::catch_unwind(AssertUnwindSafe(|| loop {
-                    let i = next_scan.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
+    let state = PoolState { window, ready: vec![false; n], ..PoolState::default() };
+    let (scans, results) = ((0..n).map(|_| None).collect(), (0..n).map(|_| None).collect());
+    let pool = Mutex::new(Pool { state, scans, results, setup: Some(setup) });
+    let (cv, ctx, mut failed) = (Condvar::new(), OnceLock::new(), None);
+    let worker = || {
+        let _close = CloseOnUnwind(&pool, &cv);
+        let mut event = Event::Idle;
+        loop {
+            let action = turn(&pool, &cv, event);
+            match action {
+                Action::Scan(i) => {
                     let q = scan(i);
-                    scans.lock()[i] = Some(q);
-                }));
-                scanned.wait();
-                if let Err(payload) = scanning {
-                    panic::resume_unwind(payload);
+                    lock(&pool).scans[i] = Some(q);
                 }
-                let ctx = ctx.get_or_init(|| {
-                    let setup = setup.lock().take().expect("set up once");
-                    setup(scans.lock().drain(..).map(|q| q.expect("every chunk scanned")).collect())
-                });
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n || !gate.admit(i, window) {
-                        break;
-                    }
-                    tx.send((i, work(ctx, i))).expect("the receiver outlives the workers");
+                Action::Setup => {
+                    let mut guard = lock(&pool);
+                    let scans = guard.scans.drain(..).map(|q| q.expect("every index scanned")).collect();
+                    let setup = guard.setup.take().expect("set up once");
+                    drop(guard);
+                    ctx.get_or_init(|| setup(scans));
                 }
-            });
-        }
-        drop(tx);
-        let _close = CloseOnUnwind(gate);
-        // In-order consumer on the calling thread: buffer out-of-order
-        // arrivals (at most `window` of them when bounded) and drain runs.
-        let mut pending: std::collections::BTreeMap<usize, R> = std::collections::BTreeMap::new();
-        let mut next_out = 0usize;
-        'recv: while next_out < n {
-            // Every sender gone early means a worker unwound.
-            let Ok((i, r)) = rx.recv() else { break };
-            pending.insert(i, r);
-            // A worker set the context up before it made any result.
-            let ctx = ctx.get().expect("set up before the first result");
-            while let Some(r) = pending.remove(&next_out) {
-                if let Err(e) = consume(ctx, next_out, r) {
-                    consumed = Err(e);
-                    break 'recv;
+                Action::Work(i) => {
+                    let r = work(ctx.get().expect("set up before any work"), i);
+                    lock(&pool).results[i] = Some(r);
                 }
-                next_out += 1;
-                gate.retire();
+                _ => break,
             }
+            event = Event::Done(action);
         }
-        // Done or failed: no parked worker waits for a retire.
-        gate.close();
-    })
-    .expect("worker panics propagate via the scope");
-    consumed?;
-    Ok(ctx.into_inner().expect("the workers set the context up"))
+    };
+    std::thread::scope(|scope| {
+        for _ in 0..threads {
+            scope.spawn(worker);
+        }
+        // The in-order consumer, on the calling thread; `failed` holds its error.
+        let _close = CloseOnUnwind(&pool, &cv);
+        let mut event = Event::Take;
+        while let action @ Action::Consume(i) = turn(&pool, &cv, event) {
+            let r = lock(&pool).results[i].take().expect("delivered before it is consumed");
+            failed = consume(ctx.get().expect("set up before any result"), i, r).err();
+            event = if failed.is_some() { Event::Failed } else { Event::Done(action) };
+        }
+    });
+    match failed {
+        Some(e) => Err(e),
+        None => Ok(ctx.into_inner().expect("set up before the last result")),
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
+    use std::panic::{self, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+    use std::sync::mpsc;
 
     #[test]
     fn serial_layout_is_one_chunk() {
@@ -426,7 +490,7 @@ mod tests {
                 let out = parallel_map(16, threads, |i| match i {
                     0 => {
                         if threads > 1 {
-                            wait_for_1.lock().recv().expect("index 1 runs");
+                            wait_for_1.lock().unwrap().recv().expect("index 1 runs");
                         }
                         Err(0)
                     }
@@ -472,7 +536,7 @@ mod tests {
     #[test]
     fn windowed_map_survives_a_slow_consumer_at_window_one() {
         // The tightest window with the most workers: every worker but one
-        // stalls on the gate while the consumer dawdles. Must not deadlock.
+        // waits on the window while the consumer dawdles. Must not deadlock.
         let mut sum = 0usize;
         parallel_map_windowed(
             16,
@@ -521,13 +585,13 @@ mod tests {
 
     #[test]
     fn a_panicking_stage_panics_the_pool_instead_of_hanging_it() {
-        // Scan 5, work 0 or consume 1 panics, at every thread count and
-        // window. Once work 0 has panicked the consumer waits for an index
-        // that will never come and, at window > 0, every other worker parks
-        // on the gate: the worker's unwinding must close it, or the pool
-        // hangs. Work 0 panics late only so that the workers are likely
-        // parked already; the pool must not hang either way.
-        for stage in ["scan", "work", "consume"] {
+        // Scan 5, setup, work 0 or consume 1 panics, at every thread count
+        // and window. Once work 0 has panicked the consumer waits for an
+        // index that will never come and, at window > 0, every other worker
+        // waits for the window: the worker's unwinding must close the pool,
+        // or it hangs. Work 0 panics late only so that the workers are
+        // likely waiting already; the pool must not hang either way.
+        for stage in ["scan", "setup", "work", "consume"] {
             for threads in [1, 2, 3, 8] {
                 for window in [0, 1, 2, 4] {
                     let run = panics_within_deadline(move || {
@@ -536,7 +600,7 @@ mod tests {
                             threads,
                             window,
                             |i| assert!(stage != "scan" || i != 5, "scan 5 fails"),
-                            |_| (),
+                            |_| assert!(stage != "setup", "setup fails"),
                             |_, i| {
                                 if stage == "work" && i == 0 {
                                     std::thread::sleep(std::time::Duration::from_millis(50));
@@ -560,7 +624,7 @@ mod tests {
     fn a_consumer_error_stops_the_workers_and_is_the_result() {
         for threads in [1, 2, 3, 8] {
             for window in [0, 1, 2, 4] {
-                let (worked, failed) = (AtomicUsize::new(0), std::sync::atomic::AtomicBool::new(false));
+                let (worked, failed) = (AtomicUsize::new(0), AtomicBool::new(false));
                 let out = parallel_map_windowed(
                     64,
                     threads,
@@ -592,11 +656,268 @@ mod tests {
                 let worked = worked.into_inner();
                 assert!(worked < 64, "threads={threads} window={window}: {worked} of 64 indices ran");
                 if window > 0 {
-                    // Indices 0, 1 and 2 retired; 3 failed; the gate admits
+                    // Indices 0, 1 and 2 retired; 3 failed; the pool admits
                     // no index at or past 3 + window.
                     assert!(worked <= 3 + window, "threads={threads} window={window}: {worked} ran");
                 }
             }
         }
+    }
+
+    #[test]
+    fn close_on_unwind_gets_through_a_poisoned_lock() {
+        let state = PoolState { ready: vec![false; 2], ..PoolState::default() };
+        let pool = Mutex::new(Pool::<(), (), ()> { state, scans: Vec::new(), results: Vec::new(), setup: None });
+        let cv = Condvar::new();
+        let _ = panic::catch_unwind(AssertUnwindSafe(|| {
+            let _guard = lock(&pool);
+            panic!("poisons the lock");
+        }));
+        assert!(pool.is_poisoned());
+        let _ = panic::catch_unwind(AssertUnwindSafe(|| {
+            let _close = CloseOnUnwind(&pool, &cv);
+            panic!("unwinds");
+        }));
+        assert!(pool.lock().unwrap_or_else(PoisonError::into_inner).state.closed, "the unwind closed the pool");
+    }
+
+    // The explorer: every interleaving of `step`, with every way every
+    // closure call can end, at n ≤ 5 items, T ≤ 3 workers and window
+    // ∈ {0, 1, 2}. A stage added to the pool is added to this model first.
+
+    const NO_DEADLOCK: &str = "no reachable state has every live thread waiting";
+    const WINDOW: &str = "at most `window` results are admitted but not yet retired";
+    const IN_ORDER: &str = "`consume` sees indices in order";
+    const LOWEST_ERROR: &str = "with no unwind, the result is the lowest failing index's error";
+    const UNWIND_EXITS: &str = "with an unwind, every thread exits";
+
+    /// The protocol the explorer runs: `step`, or a mutant wrapped around it.
+    type Step = fn(&mut PoolState, Event) -> Action;
+
+    /// One thread of the model, moved as the pool's loops move a real one.
+    #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, PartialOrd, Ord)]
+    enum Thread {
+        /// About to feed this event to the step: a first ask, or one after a wait.
+        Ask(Event),
+        /// About to run the closure this action names, then report how it ended.
+        Run(Action),
+        /// Waiting until an event that finished something wakes it; it then
+        /// asks with this event.
+        Waiting(Event),
+        Exited,
+    }
+
+    /// A state of the model: the protocol's, every thread's, and the
+    /// explorer's own account of what the closures did, which the
+    /// properties are checked against.
+    #[derive(Clone, Debug, PartialEq, Eq, Hash)]
+    struct World {
+        pool: PoolState,
+        /// The consumer, then the workers, sorted: workers are interchangeable.
+        threads: Vec<Thread>,
+        /// `Work` actions handed out, and `consume` calls that returned `Ok`.
+        admitted: usize,
+        consumed: usize,
+        /// Indices whose `work` returned `Err`, a bit each.
+        erred: u32,
+        /// The lowest index whose `work` or `consume` returned `Err`.
+        lowest_err: Option<usize>,
+        /// The index whose `consume` error the call returns.
+        returned_err: Option<usize>,
+        unwound: bool,
+    }
+
+    struct Model {
+        n: usize,
+        window: usize,
+        step: Step,
+    }
+
+    impl Model {
+        /// Feeds thread `t`'s event to the step as `turn` does (and, for
+        /// `Unwind`, as `CloseOnUnwind` does), waking the waiters on an event
+        /// that finished something, and checks the window at each admission.
+        fn feed(&self, w: &mut World, t: usize, event: Event) -> Result<(), &'static str> {
+            let action = (self.step)(&mut w.pool, event);
+            if event != event.ask() {
+                for thread in &mut w.threads {
+                    if let Thread::Waiting(ask) = *thread {
+                        *thread = Thread::Ask(ask);
+                    }
+                }
+            }
+            if let Action::Work(_) = action {
+                w.admitted += 1;
+                if self.window > 0 && w.admitted > w.consumed + self.window {
+                    return Err(WINDOW);
+                }
+            }
+            w.threads[t] = match action {
+                _ if event == Event::Unwind => Thread::Exited,
+                Action::Exit => Thread::Exited,
+                Action::Wait => Thread::Waiting(event.ask()),
+                action => Thread::Run(action),
+            };
+            w.threads[1..].sort_unstable();
+            Ok(())
+        }
+
+        /// Every state thread `t` can take `w` to: one per way its closure
+        /// can end — normally, with `Err` (`work` and `consume`), or by
+        /// unwinding.
+        fn moves(&self, w: &World, t: usize) -> Result<Vec<World>, &'static str> {
+            let fail = |i: usize| {
+                let mut w = w.clone();
+                w.lowest_err = Some(w.lowest_err.map_or(i, |l| l.min(i)));
+                w
+            };
+            let unwind = || (World { unwound: true, ..w.clone() }, Event::Unwind);
+            let ends = match w.threads[t] {
+                Thread::Ask(event) => vec![(w.clone(), event)],
+                Thread::Run(action @ (Action::Scan(_) | Action::Setup)) => {
+                    vec![(w.clone(), Event::Done(action)), unwind()]
+                }
+                Thread::Run(action @ Action::Work(i)) => {
+                    let erred = World { erred: w.erred | 1 << i, ..fail(i) };
+                    vec![(w.clone(), Event::Done(action)), (erred, Event::Done(action)), unwind()]
+                }
+                Thread::Run(Action::Consume(i)) if i != w.consumed => return Err(IN_ORDER),
+                Thread::Run(action @ Action::Consume(i)) => {
+                    let failed = (World { returned_err: Some(i), ..fail(i) }, Event::Failed);
+                    if w.erred & 1 << i != 0 {
+                        // An `Err` result fails the consumer, as in `parallel_map`.
+                        vec![failed]
+                    } else {
+                        vec![(World { consumed: i + 1, ..w.clone() }, Event::Done(action)), failed, unwind()]
+                    }
+                }
+                _ => Vec::new(),
+            };
+            ends.into_iter()
+                .map(|(mut next, event)| {
+                    self.feed(&mut next, t, event)?;
+                    Ok(next)
+                })
+                .collect()
+        }
+
+        /// The properties of a state in which no thread can move.
+        fn check(&self, w: &World) -> Result<(), &'static str> {
+            if w.threads.iter().any(|t| matches!(t, Thread::Ask(_) | Thread::Run(_))) {
+                return Ok(());
+            }
+            let waiting = w.threads.iter().any(|t| matches!(t, Thread::Waiting(_)));
+            let lowest = w.returned_err == w.lowest_err && (w.returned_err.is_some() || w.consumed == self.n);
+            match (waiting, w.unwound) {
+                (true, true) => Err(UNWIND_EXITS),
+                (true, false) => Err(NO_DEADLOCK),
+                (false, false) if !lowest => Err(LOWEST_ERROR),
+                _ => Ok(()),
+            }
+        }
+
+        /// Depth-first search with a visited set over every state `workers`
+        /// workers and the consumer can reach: the number of states, or the
+        /// first property broken, named, with the state that broke it.
+        fn explore(&self, workers: usize) -> Result<usize, String> {
+            let broken = |property: &str, w: &World| {
+                format!("{property}: n={} workers={workers} window={} at {w:?}", self.n, self.window)
+            };
+            let mut threads = vec![Thread::Ask(Event::Take)];
+            threads.resize(workers + 1, Thread::Ask(Event::Idle));
+            let start = World {
+                pool: PoolState { window: self.window, ready: vec![false; self.n], ..PoolState::default() },
+                threads,
+                admitted: 0,
+                consumed: 0,
+                erred: 0,
+                lowest_err: None,
+                returned_err: None,
+                unwound: false,
+            };
+            let mut seen = HashSet::from([start.clone()]);
+            let mut stack = vec![start];
+            while let Some(w) = stack.pop() {
+                self.check(&w).map_err(|property| broken(property, &w))?;
+                for t in 0..w.threads.len() {
+                    // A worker in the same state as the one before it has the same moves.
+                    if t > 1 && w.threads[t] == w.threads[t - 1] {
+                        continue;
+                    }
+                    for next in self.moves(&w, t).map_err(|property| broken(property, &w))? {
+                        if seen.insert(next.clone()) {
+                            stack.push(next);
+                        }
+                    }
+                }
+            }
+            Ok(seen.len())
+        }
+    }
+
+    /// Explores `step` at every size; the states visited, or the first
+    /// property broken, named, with where.
+    fn explore_every_size(step: Step) -> Result<usize, String> {
+        let mut states = 0;
+        for n in 1..=5 {
+            for workers in 1..=3 {
+                for window in 0..=2 {
+                    states += Model { n, window, step }.explore(workers)?;
+                }
+            }
+        }
+        Ok(states)
+    }
+
+    #[test]
+    fn explorer_finds_no_broken_property_in_any_interleaving() {
+        let started = std::time::Instant::now();
+        let states = explore_every_size(step).unwrap_or_else(|broken| panic!("{broken}"));
+        println!("the explorer visited {states} pool states in {:.2?}", started.elapsed());
+    }
+
+    /// Asserts that the explorer fails `mutant`, naming `property`.
+    fn assert_breaks(mutant: Step, property: &str) {
+        let broken = explore_every_size(mutant).expect_err("the explorer fails a broken protocol");
+        assert!(broken.starts_with(property), "wanted {property:?}, got {broken}");
+    }
+
+    #[test]
+    fn explorer_fails_a_retire_before_consume() {
+        // A result is retired when it is handed to the consumer, before
+        // `consume` has run; the consumer's report of it then only asks.
+        fn mutant(s: &mut PoolState, event: Event) -> Action {
+            let action = step(s, if let Event::Done(Action::Consume(_)) = event { Event::Take } else { event });
+            if let Action::Consume(_) = action {
+                step(s, Event::Done(action));
+            }
+            action
+        }
+        assert_breaks(mutant, WINDOW);
+    }
+
+    #[test]
+    fn explorer_fails_a_dropped_unwind_close() {
+        fn mutant(s: &mut PoolState, event: Event) -> Action {
+            if event == Event::Unwind {
+                return Action::Exit;
+            }
+            step(s, event)
+        }
+        assert_breaks(mutant, UNWIND_EXITS);
+    }
+
+    #[test]
+    fn explorer_fails_an_admission_at_window_plus_one() {
+        fn mutant(s: &mut PoolState, event: Event) -> Action {
+            let window = s.window;
+            if window > 0 {
+                s.window += 1;
+            }
+            let action = step(s, event);
+            s.window = window;
+            action
+        }
+        assert_breaks(mutant, WINDOW);
     }
 }
